@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .classic import _walk_terminals
@@ -158,7 +159,10 @@ class RandPushState:
     r_hat / r_hat_prime hold per-level residues and their independent
     copies; pushed_amount[i] maps v to the residue amount pushed from
     (v, i), which doubles as the not-1_i(v) flag and reconstructs any
-    chi_{i+1}(u, v).  heavy is V_P = {v : p_hat(v) > tau}.
+    chi_{i+1}(u, v).  heavy is V_P = {v : p_hat(v) > tau}.  Each push
+    keeps two read-side views current: contrib maps v to its
+    (receiving level, (1-alpha) * pushed amount) entries for non-zero
+    pushes, in level order, and heavy_sorted lists V_P in ascending id.
     """
 
     schedule: LevelSchedule
@@ -172,9 +176,8 @@ class RandPushState:
     heavy: set
     push_counts: list
     graph: object = None
-    _contrib: dict = None
-    _heavy_sorted: list = None
-    _cache_stamp: int = -1
+    contrib: dict = field(default_factory=dict)
+    heavy_sorted: list = field(default_factory=list)
 
     def indicator(self, u, i):
         """1_i(u): u was never pushed at level i."""
@@ -182,33 +185,6 @@ class RandPushState:
 
     def r_hat_total(self, u):
         return sum(level.get(u, 0.0) for level in self.r_hat)
-
-    def _fresh(self):
-        # caches are valid only while no further push has happened
-        stamp = sum(self.push_counts)
-        if stamp != self._cache_stamp:
-            self._contrib = None
-            self._heavy_sorted = None
-            self._cache_stamp = stamp
-
-    def contrib(self):
-        """v -> tuple of (receiving level, (1-alpha)*pushed amount)."""
-        self._fresh()
-        if self._contrib is None:
-            out = {}
-            f = 1.0 - self.alpha
-            for i, level in enumerate(self.pushed_amount):
-                for v, amt in level.items():
-                    if amt > 0.0:
-                        out.setdefault(v, []).append((i + 1, f * amt))
-            self._contrib = {v: tuple(entries) for v, entries in out.items()}
-        return self._contrib
-
-    def heavy_sorted(self):
-        self._fresh()
-        if self._heavy_sorted is None:
-            self._heavy_sorted = sorted(self.heavy)
-        return self._heavy_sorted
 
 
 def rand_push_threshold(o, v, i, state, rng):
@@ -229,6 +205,7 @@ def rand_push_threshold(o, v, i, state, rng):
     if amount > 0.0:
         thr = sched.gamma[i + 1] * sched.theta[i + 1]
         spread = (1.0 - alpha) * amount
+        state.contrib.setdefault(v, []).append((i + 1, spread))
         rn = state.r_hat[i + 1]
         rpn = state.r_hat_prime[i + 1]
         d_in = o.deg_in(v)
@@ -255,8 +232,9 @@ def rand_push_threshold(o, v, i, state, rng):
                         break
     pv = state.p_hat.get(v, 0.0) + alpha * amount
     state.p_hat[v] = pv
-    if pv > state.tau:
+    if pv > state.tau and v not in state.heavy:
         state.heavy.add(v)
+        insort(state.heavy_sorted, v)
     state.r_hat[i][v] = 0.0
     return state
 
@@ -304,7 +282,7 @@ def unpushed_bound_holds(state):
 def _chi_num_sum(state, u, v):
     """sum_i 1_i(u) * (1-alpha) * pushed_amount_{i-1}(v); caller divides
     by d_out(u).  Levels >= 1 only (the level-0 seed is virtual)."""
-    entries = state.contrib().get(v)
+    entries = state.contrib.get(v)
     if not entries:
         return 0.0
     pushed = state.pushed_amount
@@ -313,6 +291,12 @@ def _chi_num_sum(state, u, v):
         if u not in pushed[lvl]:
             tot += val
     return tot
+
+
+def _seed_term(state, u):
+    """chi_0(t,t) = 1 seed convention: 1.0 for the target while it is
+    unpushed at level 0, else 0.0."""
+    return 1.0 if u == state.target and state.indicator(u, 0) else 0.0
 
 
 def compute_R(state, u):
@@ -328,10 +312,7 @@ def compute_R(state, u):
     total = 0.0
     for v in g.out_lists[u]:
         total += _chi_num_sum(state, u, v)
-    total /= du
-    if u == state.target and state.indicator(u, 0):
-        total += 1.0  # chi_0(t,t) = 1 seed convention
-    return total
+    return total / du + _seed_term(state, u)
 
 
 def estimate_R_hat(o, state, u_k, params, rng):
@@ -340,13 +321,11 @@ def estimate_R_hat(o, state, u_k, params, rng):
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
     du = o.deg_out(u_k)
-    total = 0.0
-    if u_k == state.target and state.indicator(u_k, 0):
-        total += 1.0
+    total = _seed_term(state, u_k)
     heavy = state.heavy
     n_heavy_nbrs = 0
     num = 0.0
-    for v in state.heavy_sorted():
+    for v in state.heavy_sorted:
         if o.adj(u_k, v):
             n_heavy_nbrs += 1
             num += _chi_num_sum(state, u_k, v)
@@ -362,21 +341,22 @@ def estimate_R_hat(o, state, u_k, params, rng):
                     if v not in heavy:
                         break
                 else:  # pragma: no cover - expected tries <= 2
-                    v = _materialized_pick(o, u_k, du, heavy, rng)
+                    cand = _light_out_nbrs(o, u_k, du, heavy)
+                    v = cand[int(rng.random() * len(cand))]
                 acc += _chi_num_sum(state, u_k, v)
         else:
-            cand = [o.out_nbr(u_k, j) for j in range(du)]
-            cand = [v for v in cand if v not in heavy]
+            cand = _light_out_nbrs(o, u_k, du, heavy)
             for _ in range(n_s):
                 acc += _chi_num_sum(state, u_k, cand[int(rng.random() * len(cand))])
         num += acc * pool / n_s
     return total + num / du
 
 
-def _materialized_pick(o, u_k, du, heavy, rng):
+def _light_out_nbrs(o, u_k, du, heavy):
+    """All out-neighbors of u_k outside the heavy set, in list order
+    (du OUT queries)."""
     cand = [o.out_nbr(u_k, j) for j in range(du)]
-    cand = [v for v in cand if v not in heavy]
-    return cand[int(rng.random() * len(cand))]
+    return [v for v in cand if v not in heavy]
 
 
 def single_pair_ppr(o, s, t, params, rng):

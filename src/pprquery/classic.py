@@ -96,11 +96,17 @@ def monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     complexity accounting.
     """
     n_w = mc_walk_count(delta, eps, p_f, c)
-    hits = 0
+    return _push_walk_estimate(o, s, alpha, rng, n_w, {}, {t: 1.0}), n_w
+
+
+def _push_walk_estimate(o, s, alpha, rng, n_w, p, r):
+    """Reserve p(s) plus the mean residue r(terminal) of n_w walks from s
+    (absent keys read 0).  The bidirectional estimators pass the maps
+    their backward push left; plain Monte Carlo is p = {}, r = {t: 1}."""
+    acc = 0.0
     for term in _walk_terminals(o, s, alpha, rng, n_w):
-        if term == t:
-            hits += 1
-    return hits / n_w, n_w
+        acc += r.get(term, 0.0)
+    return p.get(s, 0.0) + acc / n_w
 
 
 def push_back(o, v, state, alpha):
@@ -181,12 +187,8 @@ def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT)
     plain Monte Carlo.
     """
     state = approx_contributions(o, t, alpha, r_max)
-    n_w = max(1, math.ceil(c * r_max * math.log(1.0 / p_f) / (eps * eps * delta)))
-    r = state.r
-    acc = 0.0
-    for term in _walk_terminals(o, s, alpha, rng, n_w):
-        acc += r.get(term, 0.0)
-    return state.p.get(s, 0.0) + acc / n_w
+    n_w = mc_walk_count(delta, eps, p_f, c * r_max)
+    return _push_walk_estimate(o, s, alpha, rng, n_w, state.p, state.r)
 
 
 def rbs_levels(alpha, delta, eps):
@@ -254,10 +256,8 @@ def _cover_sources(o, extra=8.0):
 def single_target_jump_mc(o, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     """Worst-case single-target solver: JUMP to cover sources, then
     plain Monte Carlo per discovered source (needs JUMP)."""
-    est = {}
-    for s in _cover_sources(o):
-        est[s], _ = monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c)
-    return est
+    return {s: monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c)[0]
+            for s in _cover_sources(o)}
 
 
 def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
@@ -270,12 +270,6 @@ def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
         d = o.edge_count / n
         r_max = min(1.0, math.sqrt(d * delta / n))
     state = approx_contributions(o, t, alpha, r_max)
-    n_w = max(1, math.ceil(c * r_max * math.log(1.0 / p_f) / (eps * eps * delta)))
-    r = state.r
-    est = {}
-    for s in _cover_sources(o):
-        acc = 0.0
-        for term in _walk_terminals(o, s, alpha, rng, n_w):
-            acc += r.get(term, 0.0)
-        est[s] = state.p.get(s, 0.0) + acc / n_w
-    return est
+    n_w = mc_walk_count(delta, eps, p_f, c * r_max)
+    return {s: _push_walk_estimate(o, s, alpha, rng, n_w, state.p, state.r)
+            for s in _cover_sources(o)}

@@ -40,65 +40,51 @@ class PprVector:
         return float(self.values[v])
 
 
-def _iterations(alpha, tol):
-    # smallest K with (1-alpha)^(K+1) <= tol
-    return max(1, math.ceil(math.log(tol) / math.log(1.0 - alpha)))
+def _propagate(g, init, alpha, tol, backward):
+    """sum_k alpha (1-alpha)^k of the k-step propagation of the initial
+    mass: one unit on node `init`, or 1/n on every node when init is
+    None.  Forward steps push mass along out-edges (pi(s,.)); backward
+    steps average over out-neighbors (pi(.,t))."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0,1)")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    n = g.node_count
+    src, dst = g.edge_arrays()
+    dout = np.asarray(g.out_degrees, dtype=np.float64)
+    if init is None:
+        cur = np.full(n, 1.0 / n)
+    else:
+        cur = np.zeros(n)
+        cur[init] = 1.0
+    acc = np.zeros(n)
+    # K = smallest count with (1-alpha)^(K+1) <= tol
+    K = max(1, math.ceil(math.log(tol) / math.log(1.0 - alpha)))
+    for _ in range(K + 1):
+        acc += alpha * cur
+        if backward:
+            # pi_k+1(u) = (1-alpha)/d_out(u) * sum_{v in N_out(u)} pi_k(v)
+            cur = np.bincount(src, weights=cur[dst], minlength=n) * (1.0 - alpha) / dout
+        else:
+            w = (1.0 - alpha) * cur / dout
+            cur = np.bincount(dst, weights=w[src], minlength=n)
+    return acc
 
 
 def exact_single_source(g, s, alpha, tol=1e-12):
     """pi(s, .) for all targets, each entry within tol of the truth."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0,1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    n = g.node_count
-    src, dst = g.edge_arrays()
-    dout = np.asarray(g.out_degrees, dtype=np.float64)
-    cur = np.zeros(n)
-    cur[s] = 1.0
-    acc = np.zeros(n)
-    for _ in range(_iterations(alpha, tol) + 1):
-        acc += alpha * cur
-        w = (1.0 - alpha) * cur / dout
-        cur = np.bincount(dst, weights=w[src], minlength=n)
-    return PprVector(acc, s, "source", tol)
+    return PprVector(_propagate(g, s, alpha, tol, False), s, "source", tol)
 
 
 def exact_single_target(g, t, alpha, tol=1e-12):
     """pi(., t) for all sources via the backward form of the recurrence."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0,1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    n = g.node_count
-    src, dst = g.edge_arrays()
-    dout = np.asarray(g.out_degrees, dtype=np.float64)
-    cur = np.zeros(n)
-    cur[t] = 1.0
-    acc = np.zeros(n)
-    for _ in range(_iterations(alpha, tol) + 1):
-        acc += alpha * cur
-        # pi_k+1(u) = (1-alpha)/d_out(u) * sum_{v in N_out(u)} pi_k(v)
-        cur = np.bincount(src, weights=cur[dst], minlength=n) * (1.0 - alpha) / dout
-    return PprVector(acc, t, "target", tol)
+    return PprVector(_propagate(g, t, alpha, tol, True), t, "target", tol)
 
 
 def exact_pagerank(g, alpha, tol=1e-12):
     """pi(t) = (1/n) sum_s pi(s,t): forward iteration from uniform mass."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0,1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    n = g.node_count
-    src, dst = g.edge_arrays()
-    dout = np.asarray(g.out_degrees, dtype=np.float64)
-    cur = np.full(n, 1.0 / n)
-    acc = np.zeros(n)
-    for _ in range(_iterations(alpha, tol) + 1):
-        acc += alpha * cur
-        w = (1.0 - alpha) * cur / dout
-        cur = np.bincount(dst, weights=w[src], minlength=n)
-    return PprVector(acc, None, "pagerank", tol)
+    return PprVector(_propagate(g, None, alpha, tol, False), None,
+                     "pagerank", tol)
 
 
 def brute_force_pair(g, s, t, alpha, horizon):

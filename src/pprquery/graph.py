@@ -10,6 +10,8 @@ node id), which backs the IN-SORTED oracle query.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -64,9 +66,6 @@ class DirectedGraph:
     def d_in(self, v):
         return self.in_degrees[v]
 
-    def has_edge(self, u, v):
-        return v in self._out_sets[u]
-
     def edges(self):
         """Edge list in (source id, list order)."""
         return [(u, v) for u in range(self.node_count)
@@ -75,16 +74,10 @@ class DirectedGraph:
     def edge_arrays(self):
         """Per-edge (src, dst) int64 arrays, cached; used by exact solvers."""
         if self._edge_src is None:
-            src = np.empty(self.edge_count, dtype=np.int64)
-            dst = np.empty(self.edge_count, dtype=np.int64)
-            k = 0
-            for u, lst in enumerate(self.out_lists):
-                for v in lst:
-                    src[k] = u
-                    dst[k] = v
-                    k += 1
-            self._edge_src = src
-            self._edge_dst = dst
+            self._edge_src = np.repeat(
+                np.arange(self.node_count, dtype=np.int64), self.out_degrees)
+            self._edge_dst = np.fromiter(chain.from_iterable(self.out_lists),
+                                         np.int64, count=self.edge_count)
         return self._edge_src, self._edge_dst
 
     def __repr__(self):

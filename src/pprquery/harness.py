@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from .bidir import derive_params, single_pair_ppr
 from .single_node import (single_node_adaptive, single_node_avg_jump,
                           single_node_avg_full)
 from .instances import InstanceSpec, generate, parameter_presets
+
+
+class ConfigError(ValueError):
+    """An ExperimentConfig field is unknown or out of range."""
 
 
 class CapabilityMismatch(ValueError):
@@ -71,7 +75,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
+        return cls(**data)
 
     @classmethod
     def load(cls, path):
@@ -99,6 +107,9 @@ class TrialResult:
     queries: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
+
+# multiplier keys forwarded to derive_params
+_PARAM_MULTIPLIERS = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
 
 # algorithm registry: name -> (variant, required capabilities, runner)
 # runner(o, s, t, delta, eps, p_f, alpha, multipliers, rng) -> float
@@ -141,8 +152,7 @@ def _run_st_bidir_jump(o, s, t, delta, eps, p_f, alpha, mult, rng):
 
 
 def _run_single_pair_ppr(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    keys = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
-    kw = {k: mult[k] for k in keys if k in mult}
+    kw = {k: mult[k] for k in _PARAM_MULTIPLIERS if k in mult}
     params = derive_params(alpha, delta, eps, p_f, o.node_count, **kw)
     return single_pair_ppr(o, s, t, params, rng)
 
@@ -158,8 +168,7 @@ def _run_sn_avg_jump(o, s, t, delta, eps, p_f, alpha, mult, rng):
 
 
 def _run_sn_avg_full(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    keys = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
-    kw = {k: mult[k] for k in keys if k in mult}
+    kw = {k: mult[k] for k in _PARAM_MULTIPLIERS if k in mult}
     return single_node_avg_full(o, t, alpha, eps, p_f, rng, multipliers=kw)
 
 
@@ -205,14 +214,24 @@ def _resolve_instance(inst, delta, alpha):
 
 
 def _check_config(cfg):
+    """Reject a bad config before any instance is generated."""
     if cfg.algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
+        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     variant, required, runner = ALGORITHMS[cfg.algorithm]
     missing = [c for c in required if c not in cfg.capabilities]
     if missing:
         raise CapabilityMismatch(f"{cfg.algorithm} needs capabilities {missing}")
     if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+    if not cfg.deltas:
+        raise ConfigError("deltas is empty")
+    bad = [d for d in cfg.deltas if not 0.0 < d <= 1.0]
+    if bad:
+        raise ConfigError(f"deltas {bad} outside (0,1]")
+    for name in ("eps", "p_f", "alpha"):
+        val = getattr(cfg, name)
+        if not 0.0 < val < 1.0:
+            raise ConfigError(f"{name}={val} outside (0,1)")
     return variant, required, runner
 
 

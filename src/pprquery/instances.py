@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 from .graph import build_graph
 
@@ -102,6 +103,25 @@ def _circulant(src_block, dst_block, degree):
 def _groups(block, size):
     """Contiguous partition into groups of `size` (last may be smaller)."""
     return [block[i:i + size] for i in range(0, len(block), size)]
+
+
+def _complete_layer(U1, V1):
+    """Every U1 node points at every V1 node; V1 nodes self-loop."""
+    return [(u, v) for u in U1 for v in V1] + [(v, v) for v in V1]
+
+
+def _relay(edges, V2, start, L):
+    """Append the relay gadget: the i-th group of L nodes of V2 feeds
+    relay X[i], which feeds the i-th group of L nodes of W2, and W2
+    nodes self-loop.  X and then W2 (as many nodes as V2) take ids from
+    `start`.  Returns (X, W2); the designated target group is W2[:L]."""
+    X = _block(start, math.ceil(len(V2) / L))
+    W2 = _block(start + len(X), len(V2))
+    for x, v_group, w_group in zip(X, _groups(V2, L), _groups(W2, L)):
+        edges += [(v, x) for v in v_group]
+        edges += [(x, w) for w in w_group]
+    edges += [(w, w) for w in W2]
+    return X, W2
 
 
 def _apply_swap(edges, e1, e2):
@@ -211,8 +231,7 @@ def _build_sp_worst(spec):
     V2 = _block(1 + 2 * L + D, D)
     t = 1 + 2 * L + 2 * D
     edges = [(s, u) for u in U1]
-    edges += [(u, v) for u in U1 for v in V1]
-    edges += [(v, v) for v in V1]
+    edges += _complete_layer(U1, V1)
     edges += [(u, v) for u in U2 for v in V2]
     edges += [(v, t) for v in V2]
     edges.append((t, t))
@@ -235,30 +254,19 @@ def _build_sp_avg(spec):
     base = 1 + u1_size + v1_size
     U2 = _block(base, n)
     V2 = _block(base + n, n)
-    n_groups = math.ceil(n / L)
-    X = _block(base + 2 * n, n_groups)
-    W2 = _block(base + 2 * n + n_groups, n)
-    total = base + 3 * n + n_groups
     edges = [(s, u) for u in U1]
-    edges += [(u, v) for u in U1 for v in V1]
-    edges += [(v, v) for v in V1]
+    edges += _complete_layer(U1, V1)
     edges += _circulant(U2, V2, D)
-    v_groups = _groups(V2, L)
-    w_groups = _groups(W2, L)
-    for g in range(n_groups):
-        edges += [(v, X[g]) for v in v_groups[g]]
-        edges += [(X[g], w) for w in w_groups[g]]
-    edges += [(w, w) for w in W2]
-    g = 0  # designated target group (always full-size)
-    pi_post = (1 - a) ** 4 / (u1_size * v1_size * len(w_groups[g]))
+    X, W2 = _relay(edges, V2, base + 2 * n, L)
+    group = W2[:L]  # designated target group (always full-size)
+    pi_post = (1 - a) ** 4 / (u1_size * v1_size * len(group))
     meta = InstanceMeta(
-        family=spec.family, s=s, t=w_groups[g][0],
+        family=spec.family, s=s, t=group[0],
         pi_pre_swap=0.0, pi_post_swap=pi_post, pi_bounds=None,
         roles={"s": [s], "U1": U1, "V1": V1, "U2": U2, "V2": V2,
                "X": X, "W2": W2},
-        target_group=list(w_groups[g]),
-        swap_edges=((U1[0], V1[0]), (U2[g * L], V2[g * L])))
-    return edges, total, meta
+        target_group=group, swap_edges=((U1[0], V1[0]), (U2[0], V2[0])))
+    return edges, W2[-1] + 1, meta
 
 
 def _build_st_worst_adj(spec):
@@ -311,27 +319,17 @@ def _build_st_avg_adj(spec):
     u = 0
     U2 = _block(1, n)
     V2 = _block(1 + n, n)
-    n_groups = math.ceil(n / L)
-    X = _block(1 + 2 * n, n_groups)
-    W2 = _block(1 + 2 * n + n_groups, n)
-    total = 1 + 3 * n + n_groups
     edges = [(u, u)]
     edges += _circulant(U2, V2, d)
-    v_groups = _groups(V2, L)
-    w_groups = _groups(W2, L)
-    for g in range(n_groups):
-        edges += [(v, X[g]) for v in v_groups[g]]
-        edges += [(X[g], w) for w in w_groups[g]]
-    edges += [(w, w) for w in W2]
-    g = 0
+    X, W2 = _relay(edges, V2, 1 + 2 * n, L)
+    group = W2[:L]
     meta = InstanceMeta(
-        family=spec.family, s=u, t=w_groups[g][0],
-        pi_pre_swap=0.0, pi_post_swap=(1 - a) ** 3 / len(w_groups[g]),
+        family=spec.family, s=u, t=group[0],
+        pi_pre_swap=0.0, pi_post_swap=(1 - a) ** 3 / len(group),
         pi_bounds=None,
         roles={"u": [u], "U2": U2, "V2": V2, "X": X, "W2": W2},
-        target_group=list(w_groups[g]),
-        swap_edges=((u, u), (U2[g * L], V2[g * L])))
-    return edges, total, meta
+        target_group=group, swap_edges=((u, u), (U2[0], V2[0])))
+    return edges, W2[-1] + 1, meta
 
 
 def _build_st_avg_jump(spec, lower_equals_upper=False):
@@ -343,32 +341,18 @@ def _build_st_avg_jump(spec, lower_equals_upper=False):
     V1 = _block(n, n)
     U2 = _block(2 * n, n)
     V2 = _block(3 * n, n)
-    n_groups = math.ceil(n / L)
-    X = _block(4 * n, n_groups)
-    W2 = _block(4 * n + n_groups, n)
-    total = 5 * n + n_groups
     edges = _circulant(U1, V1, D)
     edges += [(v, v) for v in V1]
     edges += _circulant(U2, V2, d2)
-    v_groups = _groups(V2, L)
-    w_groups = _groups(W2, L)
-    for g in range(n_groups):
-        edges += [(v, X[g]) for v in v_groups[g]]
-        edges += [(X[g], w) for w in w_groups[g]]
-    edges += [(w, w) for w in W2]
-    g = 0
+    X, W2 = _relay(edges, V2, 4 * n, L)
+    group = W2[:L]
     meta = InstanceMeta(
-        family=spec.family, s=U1[0], t=w_groups[g][0],
+        family=spec.family, s=U1[0], t=group[0],
         pi_pre_swap=0.0,
-        pi_post_swap=(1 - a) ** 3 / (len(w_groups[g]) * D), pi_bounds=None,
+        pi_post_swap=(1 - a) ** 3 / (len(group) * D), pi_bounds=None,
         roles={"U1": U1, "V1": V1, "U2": U2, "V2": V2, "X": X, "W2": W2},
-        target_group=list(w_groups[g]),
-        swap_edges=((U1[0], V1[0]), (U2[g * L], V2[g * L])))
-    return edges, total, meta
-
-
-def _build_st_avg_full(spec):
-    return _build_st_avg_jump(spec, lower_equals_upper=True)
+        target_group=group, swap_edges=((U1[0], V1[0]), (U2[0], V2[0])))
+    return edges, W2[-1] + 1, meta
 
 
 def _band(value, lo_factor=0.5, hi_factor=2.0):
@@ -383,15 +367,11 @@ def _build_sn_avg_adj(spec):
     u = n
     U2 = _block(n + 1, n)
     V2 = _block(2 * n + 1, n)
-    x = 3 * n + 1
-    W2 = _block(3 * n + 2, n)
-    total = 4 * n + 2
     edges = [(w, u) for w in U1]
     edges.append((u, u))
     edges += _circulant(U2, V2, d)
-    edges += [(v, x) for v in V2]
-    edges += [(x, w) for w in W2]
-    edges += [(w, w) for w in W2]
+    (x,), W2 = _relay(edges, V2, 3 * n + 1, n)
+    total = 4 * n + 2
     # pi(t) for t in W2: t itself, x, all of V2, all of U2 reach it
     base = (1 + (1 - a) / n + (1 - a) ** 2 + (1 - a) ** 3) / total
     meta = InstanceMeta(
@@ -408,14 +388,10 @@ def _build_sn_avg_insorted(spec):
     U1 = _block(0, n)
     u = n
     V2 = _block(n + 1, n)
-    x = 2 * n + 1
-    W2 = _block(2 * n + 2, n)
-    total = 3 * n + 2
     edges = [(w, u) for w in U1]
     edges.append((u, u))
-    edges += [(v, x) for v in V2]
-    edges += [(x, w) for w in W2]
-    edges += [(w, w) for w in W2]
+    (x,), W2 = _relay(edges, V2, 2 * n + 1, n)
+    total = 3 * n + 2
     base = (1 + (1 - a) / n + (1 - a) ** 2) / total
     meta = InstanceMeta(
         family=spec.family, s=None, t=W2[0],
@@ -441,8 +417,7 @@ def _build_sn_worst_full(spec):
     total = t + 1
     edges = [(v, x) for v in X]
     edges += [(x, u) for u in U1]
-    edges += [(u, v) for u in U1 for v in V1]
-    edges += [(v, v) for v in V1]
+    edges += _complete_layer(U1, V1)
     edges += [(u, v) for u in U2 for v in V2]
     edges += [(u, w) for u in U2 for w in T]
     edges += [(w, w) for w in T]
@@ -472,35 +447,21 @@ def _build_sn_avg_xor(spec, lower_equals_upper=False):
     base_id = n + 1 + u1_size + v1_size
     U2 = _block(base_id, n)
     V2 = _block(base_id + n, n)
-    n_groups = math.ceil(n / L)
-    X = _block(base_id + 2 * n, n_groups)
-    W2 = _block(base_id + 2 * n + n_groups, n)
-    total = base_id + 3 * n + n_groups
     edges = [(w, u) for w in W1]
     edges += [(u, v) for v in U1]
-    edges += [(a_, b_) for a_ in U1 for b_ in V1]
-    edges += [(v, v) for v in V1]
+    edges += _complete_layer(U1, V1)
     edges += _circulant(U2, V2, d2)
-    v_groups = _groups(V2, L)
-    w_groups = _groups(W2, L)
-    for g in range(n_groups):
-        edges += [(v, X[g]) for v in v_groups[g]]
-        edges += [(X[g], w) for w in w_groups[g]]
-    edges += [(w, w) for w in W2]
+    X, W2 = _relay(edges, V2, base_id + 2 * n, L)
+    total = W2[-1] + 1
     base = (1 + (1 - a) + (1 - a) ** 2 + 2 * (1 - a) / L) / total
-    g = 0
+    group = W2[:L]
     meta = InstanceMeta(
-        family=spec.family, s=None, t=w_groups[g][0],
+        family=spec.family, s=None, t=group[0],
         pi_pre_swap=None, pi_post_swap=None, pi_bounds=_band(base, 0.5, 2.0),
         roles={"W1": W1, "u": [u], "U1": U1, "V1": V1, "U2": U2, "V2": V2,
                "X": X, "W2": W2},
-        target_group=list(w_groups[g]),
-        swap_edges=((U1[0], V1[0]), (U2[g * L], V2[g * L])))
+        target_group=group, swap_edges=((U1[0], V1[0]), (U2[0], V2[0])))
     return edges, total, meta
-
-
-def _build_sn_avg_full(spec):
-    return _build_sn_avg_xor(spec, lower_equals_upper=True)
 
 
 def _build_output_size_st(spec):
@@ -542,12 +503,12 @@ _BUILDERS = {
     "st_worst_full": _build_st_worst_full,
     "st_avg_adj": _build_st_avg_adj,
     "st_avg_jump": _build_st_avg_jump,
-    "st_avg_full": _build_st_avg_full,
+    "st_avg_full": partial(_build_st_avg_jump, lower_equals_upper=True),
     "sn_avg_adj": _build_sn_avg_adj,
     "sn_avg_insorted": _build_sn_avg_insorted,
     "sn_worst_full": _build_sn_worst_full,
     "sn_avg_xor": _build_sn_avg_xor,
-    "sn_avg_full": _build_sn_avg_full,
+    "sn_avg_full": partial(_build_sn_avg_xor, lower_equals_upper=True),
     "output_size_st": _build_output_size_st,
 }
 
@@ -611,16 +572,15 @@ def parameter_presets(family, n, m, delta, alpha):
         return spec
 
     c = (1 - alpha) ** 3
+    if family in ("st_avg_adj", "st_avg_jump", "st_avg_full") and delta > c:
+        raise RegimeUndefined(f"{family} assumes delta <= (1-alpha)^3={c}")
+
     if family == "st_avg_adj":
-        if delta > c:
-            raise RegimeUndefined(f"{family} assumes delta <= (1-alpha)^3={c}")
         spec.L = _clamp(c * n if delta <= 1.0 / n else c / delta, 1, n)
         spec.D2 = _clamp(d, 1, n)
         return spec
 
     if family == "st_avg_jump":
-        if delta > c:
-            raise RegimeUndefined(f"{family} assumes delta <= (1-alpha)^3={c}")
         if delta <= 1.0 / m:
             spec.L, spec.D = _clamp(c * n, 1, n), _clamp(d, 1, n)
         elif delta <= d * c / n:
@@ -632,8 +592,6 @@ def parameter_presets(family, n, m, delta, alpha):
         return spec
 
     if family == "st_avg_full":
-        if delta > c:
-            raise RegimeUndefined(f"{family} assumes delta <= (1-alpha)^3={c}")
         if delta <= 1.0 / m:
             spec.L, spec.D = _clamp(c * n, 1, n), _clamp(d, 1, n)
         elif delta <= c / d:

@@ -165,23 +165,3 @@ class OracleHandle:
             raise CapabilityDisabled("JUMP is not enabled")
         self.stats.jump += 1
         return int(self._rng.integers(self._n))
-
-    # -- generic direction-keyed wrappers --------------------------------
-
-    def query_degree(self, v, direction):
-        if direction == "out":
-            return self.deg_out(v)
-        if direction == "in":
-            return self.deg_in(v)
-        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-
-    def query_neighbor(self, v, i, direction):
-        if direction == "out":
-            return self.out_nbr(v, i)
-        if direction == "in":
-            return self.in_nbr(v, i)
-        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-
-    query_in_sorted = in_sorted
-    query_adj = adj
-    query_jump = jump

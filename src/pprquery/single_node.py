@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .classic import bippr_pair, rbs_single_target, rbs_levels
+from .classic import (bippr_pair, default_r_max_pair, rbs_single_target,
+                      rbs_levels)
 from .bidir import derive_params, single_pair_ppr
 from .oracle import CapabilityDisabled, IndexOutOfRange
 
@@ -77,14 +78,10 @@ class SuperSourceView:
         return self.base.in_sorted(v, i)
 
     def adj(self, u, v):
-        if u == self.virtual:
+        if u == self.virtual or v == self.virtual:
             if not self.caps.adj:
                 raise CapabilityDisabled("ADJ is not enabled")
-            return v != self.virtual
-        if v == self.virtual:
-            if not self.caps.adj:
-                raise CapabilityDisabled("ADJ is not enabled")
-            return False
+            return u == self.virtual != v
         return self.base.adj(u, v)
 
     def jump(self):
@@ -143,8 +140,7 @@ def single_node_avg_jump(o, t, alpha, eps, p_f, rng, c=None):
     view = SuperSourceView(o)
     n = o.node_count
     delta = alpha / (2.0 * n)
-    d = view.edge_count / view.node_count
-    r_max = min(1.0, math.sqrt(delta * d))
+    r_max = default_r_max_pair(view, delta)
     kwargs = {} if c is None else {"c": c}
     est = bippr_pair(view, view.virtual, t, alpha, delta, eps, p_f, r_max,
                      rng, **kwargs)

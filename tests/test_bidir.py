@@ -130,6 +130,47 @@ class TestRandPush:
         sigma = math.sqrt(p * p * (1 - p * p) / reps)
         assert abs(both / reps - p * p) <= 4 * sigma
 
+    def test_read_views_match_rebuild_between_pushes(self, rng):
+        # push, read, push again, read again: contrib, heavy_sorted and
+        # compute_R must always equal a rebuild from the push amounts
+        g, t = relay_fan_graph(n_in=40, n_relays=2, relay_out=8,
+                               in_nbr_out=10)
+        sched = LevelSchedule.uniform(3, 0.01, 1.0)
+        st = fresh_state(g, t, sched, tau=0.01)
+        o = all_caps(g)
+
+        def rebuilt_contrib():
+            out = {}
+            for i, level in enumerate(st.pushed_amount):
+                for v, amt in level.items():
+                    if amt > 0.0:
+                        out.setdefault(v, []).append((i + 1, (1 - A) * amt))
+            return out
+
+        def rebuilt_R(u, contrib):
+            tot = 0.0
+            for v in g.out_lists[u]:
+                for lvl, val in contrib.get(v, ()):
+                    if st.indicator(u, lvl):
+                        tot += val
+            seed = 1.0 if u == t and st.indicator(t, 0) else 0.0
+            return tot / g.out_degrees[u] + seed
+
+        readings = []
+        for i in range(sched.L):
+            for v in sorted(st.r_hat_prime[i]):
+                rand_push_threshold(o, v, i, st, rng)
+                contrib = rebuilt_contrib()
+                assert st.contrib == contrib
+                assert st.heavy_sorted == sorted(st.heavy)
+                R = [compute_R(st, u) for u in range(g.node_count)]
+                assert R == [rebuilt_R(u, contrib)
+                             for u in range(g.node_count)]
+                readings.append((len(st.heavy), R))
+        assert len(readings) > 3
+        assert readings[0][0] < readings[-1][0]  # V_P grew between reads
+        assert readings[0][1] != readings[-1][1]
+
 
 class TestBackwardPhase:
     def test_theta_above_one_no_pushes(self, rng):
@@ -344,7 +385,7 @@ class TestEstimators:
                 du = g.out_degrees[u]
                 per_level = {}
                 for v in g.out_lists[u]:
-                    for lvl, val in st.contrib().get(v, ()):
+                    for lvl, val in st.contrib.get(v, ()):
                         per_level[lvl] = per_level.get(lvl, 0.0) + val / du
                 for i, ri in per_level.items():
                     if i < L and st.indicator(u, i):

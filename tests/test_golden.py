@@ -1,0 +1,195 @@
+"""Golden output: byte-identical results and instances.
+
+Each digest below is the sha256 of what the code produced when it was
+recorded: the `harness.emit` CSV of a small run of every algorithm, and
+the edge list plus `InstanceMeta` of every instance family, built from
+its preset and from one hand-written spec.  A refactor must leave every
+digest unchanged.  A changed digest is a change to an algorithm or to a
+generator and has to be called out in CHANGES.md.
+"""
+
+import hashlib
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from pprquery import Capabilities, OracleHandle
+from pprquery.bidir import (LevelSchedule, backward_phase, derive_params,
+                            single_pair_ppr)
+from pprquery.harness import ALGORITHMS, ExperimentConfig, emit, run_experiment
+from pprquery.instances import (FAMILIES, InstanceSpec, generate,
+                                parameter_presets)
+from conftest import relay_fan_graph
+
+
+def _preset(family, n=16, m=64):
+    return {"family": family, "n": n, "m": m, "preset": True}
+
+
+# algorithm -> ExperimentConfig fields besides algorithm; each run asks
+# for exactly the capabilities its algorithm requires
+RUNS = {
+    "monte_carlo": {"instance": _preset("sp_avg"), "deltas": [0.1, 0.05],
+                    "trials": 2},
+    "bippr": {"instance": _preset("sp_avg"), "deltas": [0.05], "trials": 3},
+    "power_iteration": {"instance": _preset("st_avg_full", 64, 512),
+                        "deltas": [0.05], "trials": 2},
+    "approx_contributions": {"instance": _preset("st_avg_full", 64, 512),
+                             "deltas": [0.05], "trials": 2},
+    "rbs": {"instance": _preset("st_avg_full", 64, 512),
+            "capabilities": ["in_sorted"], "deltas": [0.05, 0.01],
+            "trials": 3},
+    "st_jump_mc": {"instance": _preset("st_avg_jump", 8, 16),
+                   "capabilities": ["jump"], "deltas": [0.1], "trials": 2,
+                   "multipliers": {"c_walks": 1.0}},
+    "st_bidir_jump": {"instance": _preset("st_avg_jump", 8, 16),
+                      "capabilities": ["jump"], "deltas": [0.05],
+                      "trials": 2},
+    "single_pair_ppr": {"instance": _preset("sp_avg"),
+                        "capabilities": ["in_sorted", "adj"],
+                        "deltas": [0.1, 0.03], "trials": 3,
+                        "multipliers": {"c_ns": 2.0, "c_tau": 0.2}},
+    "sn_adaptive": {"instance": _preset("sn_avg_full", 64, 512),
+                    "capabilities": ["in_sorted"], "trials": 3},
+    "sn_avg_jump": {"instance": _preset("sn_avg_full", 8, 32),
+                    "capabilities": ["jump"], "trials": 2},
+    "sn_avg_full": {"instance": _preset("sn_avg_full"),
+                    "capabilities": ["jump", "in_sorted", "adj"],
+                    "trials": 2},
+}
+
+RUN_DIGESTS = {
+    "approx_contributions": "1cb3fd16b671fdbffec56a0f36d2b88c3f91989306de536c58d6a156bfb38110",
+    "bippr": "e54439087d4f2d39369ce82c58a964221e39aa7bfed960fea1288636c7c3be0b",
+    "monte_carlo": "e8ca996da4e7be4a6b2582c7ac83f667eb0c0fb8522bf15c199b1f7e9a0496e5",
+    "power_iteration": "acb7d4e9bf9360f6d04dd5a72dbb6e544cac7c3e83cbea4548da52709044fa32",
+    "rbs": "5ba87ffb9315a7df5de4e8275f7677f4a95517bb8cf12e02cbbceb9fb239bad4",
+    "single_pair_ppr": "d17fb8429dac303481dda0c86b2bc66f6996dbc2ac367bbef81639ba44413ae1",
+    "sn_adaptive": "28c9365006f6a2931a58a5dea30f6b3d7a221c4259c5d71fa32a1b9e0e01c21f",
+    "sn_avg_full": "0765ca3d565757fab57b32dcb01449673a11a85b62b4152dd83551d90bed531d",
+    "sn_avg_jump": "f111fee6e0b75013977561e1a6e88d2b7899a56d207b0f73d431f937bcbf1cbd",
+    "st_bidir_jump": "fc5db57ab31f12c59098fb31dd6a47ce0ba30dca61f69ca30db5ffb976589183",
+    "st_jump_mc": "ab6fcee2f68f6fc4c03c7112693bb0d2d0f5d7dd427208769ae04c9a933277ca",
+}
+
+# family -> hand-written InstanceSpec fields (swap, padding, explicit
+# swap edges, flipped upper layer and the output-size variants)
+SPECS = {
+    "folklore_pair": {"L": 3, "swap": True},
+    "sp_worst": {"n": 5, "m": 12, "L": 2, "D": 3, "swap": True,
+                 "swap_edges": ((2, 4), (7, 9)), "padding": True},
+    "sp_avg": {"n": 7, "L": 3, "D": 2, "flip_upper": True, "swap": True},
+    "st_worst_adj": {"n": 5, "D2": 3, "swap": True},
+    "st_worst_full": {"n": 5, "m": 9, "D": 2, "swap": True, "padding": True},
+    "st_avg_adj": {"n": 7, "L": 3, "D": 2, "D2": 3, "swap": True},
+    "st_avg_jump": {"n": 7, "L": 2, "D": 3, "D2": 2, "swap": True},
+    "st_avg_full": {"n": 6, "L": 4, "D": 2},
+    "sn_avg_adj": {"n": 5, "D": 2, "swap": True},
+    "sn_avg_insorted": {"n": 4, "swap": True},
+    "sn_worst_full": {"n": 5, "m": 16, "L": 2, "swap": True},
+    "sn_avg_xor": {"n": 7, "L": 3, "D": 2, "D2": 3, "flip_upper": True,
+                   "swap": True},
+    "sn_avg_full": {"n": 6, "m": 10, "L": 2, "D": 3, "swap": True,
+                    "padding": True},
+    "output_size_st": {"n": 4, "variant": "worst"},
+}
+
+PRESET_DIGESTS = {
+    "folklore_pair": "2e3f013189b15b95679be0d60fc37e22cdd4832cb44a0e823dd7f44128cd3d5a",
+    "sp_worst": "2864bbea67869f61808294397d6f5bcfbf6262a6cb39d9c54849c8bb05e98d16",
+    "sp_avg": "1163f39c35c879e0c025854f915e429ed45ea0c0ef4b0b69934710b3ebd1be3e",
+    "st_worst_adj": "a2e837ececf21fb7fd9fcc2268f4e2a9ffea14fa23f22f6a76e021f6c669dfab",
+    "st_worst_full": "72376c9453d01816c8993b158b29d3b5f033bc567ee63267779c26b95612f9bd",
+    "st_avg_adj": "c0474c2cf2366a22b4ab6007ea3f5038d68330a7acd918ae80c89d733c23e3d8",
+    "st_avg_jump": "1fd5890037433788b7a5dd32a9a68b0b21262f698b4ea421871d1da0d1a9dcc4",
+    "st_avg_full": "caf2edf284535cad5f948c2acba69e4e6ec71de52aecba7ef45ca6864dab8238",
+    "sn_avg_adj": "78ed317cbb697e8cb80d4cf8a79f94bf56e051d5832b5761029aeead98358590",
+    "sn_avg_insorted": "1fba6e115482e8ac660dbef652ab23f3d5ccff8b056cf8f127520864389c0ce9",
+    "sn_worst_full": "9164413e20385d71f6069eb3f4ac0b579b1d6f65b3d3a0b7f2f56ab1be2a8595",
+    "sn_avg_xor": "f5b817d10a6d02893e8b50973cd6e7bbd3c9b816377cedc0457edb6e9551df40",
+    "sn_avg_full": "5f366887b6f7aa38c80432242dad4da5b12cbbeae1e393b132f4fafc86c69c94",
+    "output_size_st": "49bdd7d8c37657afa44dc9bb728cb33a82461543fd36e783c3f715194db65850",
+}
+
+SPEC_DIGESTS = {
+    "folklore_pair": "e14b33c8d93a95dd8999415f624dca1a7cf925447af12cd925b66b8400533eb6",
+    "sp_worst": "da7afea7b5fbb9ad67148f07f9c517cc1230c79393d2c2693559af8ba19bbdb8",
+    "sp_avg": "681313e336f6995ef34736027b467de4b5add2186271eed53203e4ef6b45de37",
+    "st_worst_adj": "cb49a4a34446f5ad44c96063a2b6647356fc340f5a38e7a515262d53d388aa9b",
+    "st_worst_full": "a615619294f034d2a4ccd995231e538f5b6953240edc00c966f69a920cf76b14",
+    "st_avg_adj": "574d9159390206ca4be410f0d39075715090f47b413df9d8dae4ceaca0f82737",
+    "st_avg_jump": "589e320de15e64cf76ab4d0b19b7e16ee555a82e38ddc1538e3e55aa31d01b37",
+    "st_avg_full": "63f50bedf73d0e29d7bed9b458964c7c2b531973fc9fc89611e9d794080aa683",
+    "sn_avg_adj": "daff6842b3b3a9aad058debafb9436f9b8fefb43aae019cbe5ab276a0ef91aee",
+    "sn_avg_insorted": "8e19ce9d8a3ad7ef32a7606cb2b42fb8688a491d45a72b0355c5666d284a38bc",
+    "sn_worst_full": "8847d88deaab4f3a679ca551555530e15eae7e5dd6916a8cb6716a0a12a70ea0",
+    "sn_avg_xor": "67e1c0851f06f5ab15fe1a36b4901e95959d9cebd4f887af91fdb6b8e9871300",
+    "sn_avg_full": "d33db1b98a3ea28ea14b9e24eb533b0955816155e86711a731d328a52ee23c8c",
+    "output_size_st": "66a6f4e0b1265e190fecc4fc3af1264b1264a7c7c3d30961233ece55cec896a8",
+}
+
+
+# backward_phase state and single_pair_ppr estimates on a relay fan
+PUSH_STATE_DIGEST = \
+    "4884da54de0334c89d7ae5280a07a735e27966838a12116a5d86e1349da0c870"
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digest(algorithm, tmp_path):
+    cfg = ExperimentConfig(algorithm=algorithm, master_seed=11,
+                           **RUNS[algorithm])
+    path = emit(run_experiment(cfg), "csv", tmp_path / f"{algorithm}.csv")
+    return _sha(path.read_bytes())
+
+
+def instance_digest(spec):
+    g, meta = generate(spec)
+    return _sha(repr((g.node_count, g.edges(), asdict(meta))).encode())
+
+
+def test_matrix_covers_every_algorithm_and_family():
+    assert set(RUNS) == set(ALGORITHMS)
+    assert set(SPECS) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNS))
+def test_run_csv(algorithm, tmp_path):
+    assert run_digest(algorithm, tmp_path) == RUN_DIGESTS[algorithm]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_preset_instance(family):
+    spec = parameter_presets(family, 16, 64, 0.01, 0.2)
+    assert instance_digest(spec) == PRESET_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spec_instance(family):
+    spec = InstanceSpec(family=family, **SPECS[family])
+    assert instance_digest(spec) == SPEC_DIGESTS[family]
+
+
+def test_randomized_push_state():
+    # gamma*theta above the per-edge increments of levels 1 and 2, so the
+    # randomized sorted scans run; the instance families above never
+    # reach them at these sizes
+    g, t = relay_fan_graph(n_in=120, n_relays=4, relay_out=16, in_nbr_out=12)
+    params = derive_params(0.2, 0.05, 0.5, 0.1, g.node_count)
+    params.schedule = LevelSchedule.uniform(3, 0.004, 1.0)
+    params.tau = 0.004
+    caps = Capabilities.all()
+    o = OracleHandle(g, caps, seed=3)
+    st = backward_phase(o, t, params, np.random.default_rng(5))
+    estimates = [single_pair_ppr(OracleHandle(g, caps, seed=s), s, t, params,
+                                 np.random.default_rng(s))
+                 for s in (0, 1, 20, 21, 100)]
+    levels = [[sorted(level.items()) for level in st.r_hat],
+              [sorted(level.items()) for level in st.r_hat_prime],
+              [sorted(level.items()) for level in st.pushed_amount]]
+    payload = (sorted(st.p_hat.items()), *levels, sorted(st.heavy),
+               st.push_counts, o.stats.as_dict(), estimates)
+    assert _sha(repr(payload).encode()) == PUSH_STATE_DIGEST

@@ -56,20 +56,32 @@ class TestBuild:
             assert all(dout[lst[i]] <= dout[lst[i + 1]]
                        for i in range(len(lst) - 1))
 
+    @pytest.mark.parametrize("seed,n,d", [(0, 1, 1), (1, 7, 3), (2, 60, 4),
+                                          (3, 200, 9), (4, 60, 1)])
+    def test_edge_arrays_match_edges(self, seed, n, d):
+        g = random_graph(seed, n, d)
+        src, dst = g.edge_arrays()
+        assert src.dtype == dst.dtype == np.int64
+        assert len(src) == len(dst) == g.edge_count
+        assert list(zip(src.tolist(), dst.tolist())) == g.edges()
+        assert g.edge_arrays()[0] is src  # cached
+
 
 class TestOracle:
     def test_degree_queries(self):
         o = OracleHandle(chain_graph())
-        assert o.query_degree(0, "out") == 1
-        assert o.query_degree(1, "in") == 2
+        assert o.deg_out(0) == 1
+        assert o.deg_in(1) == 2
         assert o.stats.deg_out == 1 and o.stats.deg_in == 1
 
     def test_neighbor_queries(self):
         o = OracleHandle(chain_graph())
-        assert o.query_neighbor(0, 0, "out") == 1
-        assert o.query_neighbor(1, 1, "in") == 1
+        assert o.out_nbr(0, 0) == 1
+        assert o.in_nbr(1, 1) == 1
+        assert o.stats.out_q == 1 and o.stats.in_q == 1
         o1 = OracleHandle(singleton_graph())
-        assert o1.query_neighbor(0, 0, "in") == 0
+        assert o1.in_nbr(0, 0) == 0
+        assert o1.stats.in_q == 1 and o1.stats.total == 1
 
     def test_index_out_of_range(self):
         o = OracleHandle(chain_graph())

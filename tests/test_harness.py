@@ -7,9 +7,10 @@ import pytest
 from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               emit, read_results, fit_scaling,
                               mean_queries_by_cell, eq1_success, eq5_success,
-                              CapabilityMismatch, InstanceLoadError,
-                              InsufficientPoints, CSV_COLUMNS)
-from pprquery import cli, save_edge_list
+                              CapabilityMismatch, ConfigError,
+                              InstanceLoadError, InsufficientPoints,
+                              CSV_COLUMNS)
+from pprquery import cli, harness, save_edge_list
 from conftest import chain_graph
 
 
@@ -168,6 +169,56 @@ class TestCli:
         assert cli.main(["generate", "--family", "sp_avg", "--n", "64",
                          "--m", "512", "--delta", "0.01", "--preset",
                          "--out", str(edge)]) == 0
+
+
+class TestConfigErrors:
+    """Bad configs fail with a named ConfigError before any instance is
+    generated (the instance family here does not even exist)."""
+
+    @pytest.fixture(autouse=True)
+    def no_generation(self, monkeypatch):
+        def fail(spec):
+            raise AssertionError("instance generated for a bad config")
+
+        monkeypatch.setattr(harness, "generate", fail)
+
+    def bad(self, **over):
+        return tiny_config(instance={"family": "no_such_family"}, **over)
+
+    def test_unknown_keys_named(self):
+        text = json.dumps({"algorithm": "monte_carlo",
+                           "instance": {"family": "sp_worst"},
+                           "detlas": [0.1], "trails": 2})
+        with pytest.raises(ConfigError, match=r"\['detlas', 'trails'\]"):
+            ExperimentConfig.from_json(text)
+
+    def test_empty_deltas(self):
+        with pytest.raises(ConfigError, match="deltas is empty"):
+            run_experiment(self.bad(deltas=[]))
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.5, math.nan])
+    def test_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ConfigError, match="outside \\(0,1\\]"):
+            run_experiment(self.bad(deltas=[0.1, delta]))
+
+    @pytest.mark.parametrize("name,val", [("eps", 0.0), ("eps", 1.0),
+                                          ("p_f", 0.0), ("p_f", 1.0),
+                                          ("alpha", 0.0), ("alpha", 1.2)])
+    def test_rate_outside_open_unit_interval(self, name, val):
+        with pytest.raises(ConfigError, match=f"{name}={val}"):
+            run_experiment(self.bad(**{name: val}))
+
+    def test_unknown_algorithm(self):
+        with pytest.raises(ConfigError, match="nope"):
+            run_experiment(self.bad(algorithm="nope"))
+
+    def test_trials_below_one(self):
+        with pytest.raises(ConfigError, match="trials"):
+            run_experiment(self.bad(trials=0))
+
+    def test_delta_one_accepted(self):
+        with pytest.raises(AssertionError, match="instance generated"):
+            run_experiment(self.bad(deltas=[1.0]))
 
 
 def test_success_predicates():
