@@ -370,7 +370,7 @@ def single_pair_ppr(o, s, t, params, rng):
     state = backward_phase(o, t, params, rng)
     n_r = params.n_r
     acc = 0.0
-    for u_k in _walk_terminals(o, s, params.alpha, rng, n_r):
+    for u_k in _walk_terminals(o, [s], params.alpha, rng, n_r).tolist():
         acc += estimate_R_hat(o, state, u_k, params, rng)
     return state.p_hat.get(s, 0.0) + acc / n_r
 

@@ -4,7 +4,10 @@ bidirectional combinations, plus the JUMP-based single-target solvers.
 Every estimator accesses the graph only through an OracleHandle (or an
 object with the same query methods), so QueryStats fully accounts for
 its cost.  Walk sampling queries DEG-OUT once per step and then one OUT
-query: 2 queries per step.
+query: 2 queries per step.  All walks run through one lockstep engine,
+`_walk_terminals`, which advances every live walk by one step per round
+with the batch queries `deg_out_many` and `out_nbr_many`; each charges
+one query per element, so a step still costs exactly 2 queries.
 
 Walk counts carry explicit constant multipliers (default
 16*log(1/p_f)/eps^2 per 1/delta); the underlying analyses only give
@@ -16,6 +19,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 DEFAULT_WALK_MULT = 16.0
 
@@ -52,40 +57,60 @@ class PushFrontier:
 
 def sample_walk(o, s, alpha, rng):
     """One alpha-discounted walk from s; geometric termination."""
-    cur = s
-    length = 0
-    while rng.random() >= alpha:
-        d = o.deg_out(cur)
-        cur = o.out_nbr(cur, int(rng.random() * d))
-        length += 1
-    return WalkRecord(s, cur, length)
+    moves = rng.geometric(alpha, size=1) - 1
+    terminal = _lockstep(o, [s], moves, rng.random(size=int(moves[0])))
+    return WalkRecord(s, int(terminal[0]), int(moves[0]))
 
 
-def _walk_terminals(o, s, alpha, rng, count):
-    """Terminals of `count` independent walks from s.
+def _walk_terminals(o, sources, alpha, rng, count):
+    """Terminals of `count` independent walks from each node of
+    `sources`, as one int64 array ordered source by source.
 
-    Termination draws are batched (one geometric array, one uniform
-    array) to keep the per-step cost dominated by the two oracle
-    queries the model charges for.
+    All randomness is drawn up front, source by source: one geometric
+    array of walk lengths, then one uniform array with every step draw
+    of those walks, walk after walk.
     """
-    lengths = rng.geometric(alpha, size=count)
-    steps = int(lengths.sum()) - count
-    us = rng.random(size=steps).tolist() if steps > 0 else []
-    deg = o.deg_out
-    nbr = o.out_nbr
-    out = []
-    pos = 0
-    for g in lengths.tolist():
-        cur = s
-        for _ in range(g - 1):
-            d = deg(cur)
-            cur = nbr(cur, int(us[pos] * d))
-            pos += 1
-        out.append(cur)
-    return out
+    moves, us = [], []
+    for _ in sources:
+        m = rng.geometric(alpha, size=count) - 1
+        moves.append(m)
+        us.append(rng.random(size=int(m.sum())))
+    moves, us = np.concatenate(moves), np.concatenate(us)  # frees the parts
+    starts = np.repeat(np.asarray(sources, dtype=np.int64), count)
+    return _lockstep(o, starts, moves, us)
+
+
+def _lockstep(o, starts, moves, us):
+    """Walk j moves moves[j] times from starts[j]; returns the terminals.
+
+    Each round advances every walk with moves left by one step, through
+    one deg_out_many and one out_nbr_many batch.  Walk j's k-th step
+    reads us[offset[j] + k], where offset[j] is the sum of moves[:j],
+    so every walk consumes the same uniforms as if it were walked alone.
+    A view's virtual source has no in-edges, so walks stand on it only
+    in the first round, in walk order: its JUMPs are drawn in the same
+    order as by walking one walk after the other.
+    """
+    cur = np.array(starts, dtype=np.int64)
+    alive = np.flatnonzero(moves)
+    end = np.cumsum(moves)
+    pos, end = (end - moves)[alive], end[alive]
+    while alive.size:
+        vs = cur[alive]
+        d = o.deg_out_many(vs)
+        cur[alive] = o.out_nbr_many(vs, (us[pos] * d).astype(np.int64))
+        pos += 1
+        keep = pos < end
+        alive, pos, end = alive[keep], pos[keep], end[keep]
+    return cur
 
 
 def mc_walk_count(delta, eps, p_f, c=DEFAULT_WALK_MULT):
+    """Walks needed for a (1 +- eps) estimate of a probability >= delta
+    with failure probability p_f: c * log(1/p_f) / (eps^2 delta)."""
+    for name, val in (("delta", delta), ("eps", eps), ("p_f", p_f)):
+        if not val > 0:
+            raise ValueError(f"mc_walk_count: {name} must be positive, got {val}")
     return max(1, math.ceil(c * math.log(1.0 / p_f) / (eps * eps * delta)))
 
 
@@ -96,17 +121,23 @@ def monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     complexity accounting.
     """
     n_w = mc_walk_count(delta, eps, p_f, c)
-    return _push_walk_estimate(o, s, alpha, rng, n_w, {}, {t: 1.0}), n_w
+    return _push_walk_estimates(o, [s], alpha, rng, n_w, {}, {t: 1.0})[s], n_w
 
 
-def _push_walk_estimate(o, s, alpha, rng, n_w, p, r):
-    """Reserve p(s) plus the mean residue r(terminal) of n_w walks from s
-    (absent keys read 0).  The bidirectional estimators pass the maps
-    their backward push left; plain Monte Carlo is p = {}, r = {t: 1}."""
-    acc = 0.0
-    for term in _walk_terminals(o, s, alpha, rng, n_w):
-        acc += r.get(term, 0.0)
-    return p.get(s, 0.0) + acc / n_w
+def _push_walk_estimates(o, sources, alpha, rng, n_w, p, r):
+    """s -> reserve p(s) plus the mean residue r(terminal) of n_w walks
+    from s, for every s in `sources`, all walked in one lockstep (absent
+    keys read 0).  The bidirectional estimators pass the maps their
+    backward push left; plain Monte Carlo is p = {}, r = {t: 1}."""
+    terms = _walk_terminals(o, sources, alpha, rng, n_w).tolist()
+    get = r.get
+    est = {}
+    for i, s in enumerate(sources):
+        acc = 0.0
+        for term in terms[i * n_w:(i + 1) * n_w]:
+            acc += get(term, 0.0)
+        est[s] = p.get(s, 0.0) + acc / n_w
+    return est
 
 
 def push_back(o, v, state, alpha):
@@ -188,7 +219,7 @@ def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT)
     """
     state = approx_contributions(o, t, alpha, r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
-    return _push_walk_estimate(o, s, alpha, rng, n_w, state.p, state.r)
+    return _push_walk_estimates(o, [s], alpha, rng, n_w, state.p, state.r)[s]
 
 
 def rbs_levels(alpha, delta, eps):
@@ -255,9 +286,11 @@ def _cover_sources(o, extra=8.0):
 
 def single_target_jump_mc(o, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     """Worst-case single-target solver: JUMP to cover sources, then
-    plain Monte Carlo per discovered source (needs JUMP)."""
-    return {s: monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c)[0]
-            for s in _cover_sources(o)}
+    plain Monte Carlo per discovered source, all sources walked in one
+    lockstep (needs JUMP)."""
+    n_w = mc_walk_count(delta, eps, p_f, c)
+    return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w,
+                                {}, {t: 1.0})
 
 
 def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
@@ -271,5 +304,5 @@ def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
         r_max = min(1.0, math.sqrt(d * delta / n))
     state = approx_contributions(o, t, alpha, r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
-    return {s: _push_walk_estimate(o, s, alpha, rng, n_w, state.p, state.r)
-            for s in _cover_sources(o)}
+    return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w,
+                                state.p, state.r)

@@ -40,11 +40,15 @@ class DirectedGraph:
     out_lists, in_lists    : list[list[int]] adjacency (insertion order)
     in_sorted_lists        : in_lists re-ordered by non-decreasing
                              out-degree of the neighbor, ties by id
+
+    The int64 arrays of `edge_arrays()` and `out_csr()` are built on
+    first use and cached.
     """
 
     __slots__ = ("node_count", "edge_count", "out_lists", "in_lists",
                  "in_sorted_lists", "out_degrees", "in_degrees",
-                 "_out_sets", "_edge_src", "_edge_dst")
+                 "_out_sets", "_edge_src", "_edge_dst", "_out_ptr",
+                 "_out_deg")
 
     def __init__(self, node_count, out_lists, in_lists):
         self.node_count = node_count
@@ -59,6 +63,8 @@ class DirectedGraph:
         self._out_sets = [frozenset(l) for l in out_lists]
         self._edge_src = None
         self._edge_dst = None
+        self._out_ptr = None
+        self._out_deg = None
 
     def d_out(self, v):
         return self.out_degrees[v]
@@ -79,6 +85,16 @@ class DirectedGraph:
             self._edge_dst = np.fromiter(chain.from_iterable(self.out_lists),
                                          np.int64, count=self.edge_count)
         return self._edge_src, self._edge_dst
+
+    def out_csr(self):
+        """(out_ptr, out_deg, dst) int64 arrays, cached: the out-list of v
+        is dst[out_ptr[v]:out_ptr[v] + out_deg[v]].  Backs the batch
+        oracle queries."""
+        if self._out_ptr is None:
+            deg = np.array(self.out_degrees, dtype=np.int64)
+            self._out_ptr = np.cumsum(deg) - deg
+            self._out_deg = deg
+        return self._out_ptr, self._out_deg, self.edge_arrays()[1]
 
     def __repr__(self):
         return f"DirectedGraph(n={self.node_count}, m={self.edge_count})"

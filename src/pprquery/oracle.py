@@ -6,6 +6,11 @@ access.  DEG-IN / DEG-OUT / IN / OUT are always available; JUMP,
 IN-SORTED and ADJ are optional capabilities fixed at handle creation.
 Running time claims are measured in query count, not wall clock.
 
+The batch methods `deg_out_many`, `out_nbr_many` and `jump_many` answer
+many queries of one kind in a single call and charge exactly one query
+per element, so batching changes the wall time of a run, never its
+query count.
+
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
 """
@@ -165,3 +170,36 @@ class OracleHandle:
             raise CapabilityDisabled("JUMP is not enabled")
         self.stats.jump += 1
         return int(self._rng.integers(self._n))
+
+    # -- batch queries: one query charged per element -------------------
+
+    def deg_out_many(self, vs):
+        """DEG-OUT of every node of the int array `vs`."""
+        vs = np.asarray(vs, dtype=np.int64)
+        _, deg, _ = self.graph.out_csr()
+        self.stats.deg_out += vs.size
+        return deg[vs]
+
+    def out_nbr_many(self, vs, idx):
+        """OUT(vs[j], idx[j]) for every j; IndexOutOfRange if any idx[j]
+        lies outside [0, d_out(vs[j]))."""
+        vs = np.asarray(vs, dtype=np.int64)
+        idx = np.asarray(idx, dtype=np.int64)
+        ptr, deg, dst = self.graph.out_csr()
+        self.stats.out_q += vs.size
+        d = deg[vs]
+        # read as unsigned, a negative index is huge: one test covers both ends
+        bad = idx.view(np.uint64) >= d.view(np.uint64)
+        if np.count_nonzero(bad):
+            j = int(np.argmax(bad))
+            raise IndexOutOfRange(f"OUT({vs[j]},{idx[j]}) with d_out={d[j]}")
+        return dst[ptr[vs] + idx]
+
+    def jump_many(self, count):
+        """`count` JUMP draws: the same values, in the same order, as
+        `count` calls of jump()."""
+        if not self.caps.jump:
+            raise CapabilityDisabled("JUMP is not enabled")
+        count = int(count)  # counters stay Python ints
+        self.stats.jump += count
+        return self._rng.integers(self._n, size=count)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .classic import (bippr_pair, default_r_max_pair, rbs_single_target,
                       rbs_levels)
 from .bidir import derive_params, single_pair_ppr
@@ -26,6 +28,12 @@ class SuperSourceView:
     maximal and s' carries the largest id).  Construction knowledge
     (sizes, s' degrees) is free; all real accesses are forwarded to the
     base handle and metered there.
+
+    The batch methods `deg_out_many` and `out_nbr_many` split off the
+    virtual elements: their degree is free, and each of their OUT
+    queries is one JUMP of the base handle (`jump_many`), drawn in
+    element order.  Everything else goes to the base's batch methods,
+    one query per element.
     """
 
     def __init__(self, base):
@@ -58,8 +66,38 @@ class SuperSourceView:
 
     def out_nbr(self, v, i):
         if v == self.virtual:
+            if not 0 <= i < self.virtual:
+                raise IndexOutOfRange(f"OUT({v},{i}) with d_out={self.virtual}")
             return self.base.jump()
         return self.base.out_nbr(v, i)
+
+    def deg_out_many(self, vs):
+        vs = np.asarray(vs, dtype=np.int64)
+        virt = vs == self.virtual
+        if not np.count_nonzero(virt):
+            return self.base.deg_out_many(vs)
+        d = np.full(vs.shape, self.virtual, dtype=np.int64)
+        real = ~virt
+        d[real] = self.base.deg_out_many(vs[real])
+        return d
+
+    def out_nbr_many(self, vs, idx):
+        vs = np.asarray(vs, dtype=np.int64)
+        idx = np.asarray(idx, dtype=np.int64)
+        virt = vs == self.virtual
+        k = np.count_nonzero(virt)
+        if not k:
+            return self.base.out_nbr_many(vs, idx)
+        vi = idx[virt]
+        bad = (vi < 0) | (vi >= self.virtual)
+        if bad.any():
+            raise IndexOutOfRange(f"OUT({self.virtual},{vi[np.argmax(bad)]}) "
+                                  f"with d_out={self.virtual}")
+        out = np.empty(vs.shape, dtype=np.int64)
+        real = ~virt
+        out[real] = self.base.out_nbr_many(vs[real], idx[real])
+        out[virt] = self.base.jump_many(k)
+        return out
 
     def in_nbr(self, v, i):
         if v == self.virtual:

@@ -365,7 +365,7 @@ class TestEstimators:
         reps = 10_000
         vals = np.empty(reps)
         base = st.p_hat.get(meta.s, 0.0)
-        for i, u_k in enumerate(_walk_terminals(o, meta.s, A, rng, reps)):
+        for i, u_k in enumerate(_walk_terminals(o, [meta.s], A, rng, reps)):
             vals[i] = base + compute_R(st, u_k)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - want) <= 4 * max(se, 1e-12)

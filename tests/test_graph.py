@@ -191,6 +191,17 @@ class CountingProxy:
     def jump(self):
         return self._count(self.inner.jump)
 
+    # a batch call is one oracle call per element
+    def _count_many(self, method, vs, *args):
+        self.calls += len(vs)
+        return method(vs, *args)
+
+    def deg_out_many(self, vs):
+        return self._count_many(self.inner.deg_out_many, vs)
+
+    def out_nbr_many(self, vs, idx):
+        return self._count_many(self.inner.out_nbr_many, vs, idx)
+
 
 class TestAccountingCompleteness:
     """Counter sums equal the true number of oracle calls for whole
