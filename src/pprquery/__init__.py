@@ -9,8 +9,8 @@ from .oracle import (OracleHandle, Capabilities, QueryStats,
 from .exact import (PprVector, exact_single_source, exact_single_target,
                     exact_pagerank, brute_force_pair, ExplosionGuard,
                     dump_csv)
-from .classic import (WalkRecord, PushFrontier, sample_walk,
-                      monte_carlo_pair, push_back, approx_contributions,
+from .classic import (PushFrontier, monte_carlo_pair, push_back,
+                      approx_contributions,
                       power_iteration_target, bippr_pair, rbs_single_target,
                       single_target_jump_mc, single_target_bidir_jump,
                       default_r_max_pair)

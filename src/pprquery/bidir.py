@@ -62,10 +62,6 @@ class LevelSchedule:
     def theta_sum(self):
         return sum(self.theta)
 
-    @property
-    def theta_floor(self):
-        return min(g * t for g, t in zip(self.gamma, self.theta))
-
     @classmethod
     def uniform(cls, L, theta, gamma):
         return cls((theta,) * (L + 1), (gamma,) * (L + 1))
@@ -85,12 +81,8 @@ class NewAlgoParams:
     constraint_margins: dict = field(default_factory=dict)
 
 
-_CONSTRAINT_NAMES = ("gamma_theta_floor", "gamma_bound", "level_count",
-                     "walk_count", "sample_ratio")
-
-
 def verify_constraints(params, n):
-    """Check the five parameter constraints; returns {name: margin}.
+    """Check the four parameter constraints; returns {name: margin}.
 
     Margins are (satisfied quantity) / (required quantity); a margin
     below 1 raises ConstraintViolation naming the constraint.
@@ -99,10 +91,7 @@ def verify_constraints(params, n):
     L = sched.L
     eps, delta, p_f, alpha = params.eps, params.delta, params.p_f, params.alpha
     lg = math.log(max(n * L, 2))
-    floor = sched.theta_floor
     margins = {}
-    margins["gamma_theta_floor"] = min(
-        g * t for g, t in zip(sched.gamma, sched.theta)) / floor
     margins["gamma_bound"] = min(
         (eps * eps) / (g * L * L * lg) for g in sched.gamma)
     need_L = math.log(1.0 / sched.theta[L]) / alpha
@@ -111,10 +100,10 @@ def verify_constraints(params, n):
     margins["walk_count"] = params.n_r / need_nr
     need_ratio = math.log(1.0 / p_f) / (alpha * eps * delta)
     margins["sample_ratio"] = (params.n_r * params.n_s / params.tau) / need_ratio
-    for name in _CONSTRAINT_NAMES:
-        if margins[name] < 1.0 - 1e-9:
+    for name, margin in margins.items():
+        if margin < 1.0 - 1e-9:
             raise ConstraintViolation(
-                f"constraint {name} violated: margin {margins[name]:.4g}")
+                f"constraint {name} violated: margin {margin:.4g}")
     return margins
 
 
@@ -308,11 +297,11 @@ def compute_R(state, u):
     g = state.graph
     if g is None:
         raise ValueError("state has no graph reference")
-    du = g.out_degrees[u]
+    nbrs = g.out_list(u)
     total = 0.0
-    for v in g.out_lists[u]:
+    for v in nbrs:
         total += _chi_num_sum(state, u, v)
-    return total / du + _seed_term(state, u)
+    return total / len(nbrs) + _seed_term(state, u)
 
 
 def estimate_R_hat(o, state, u_k, params, rng):

@@ -26,13 +26,6 @@ DEFAULT_WALK_MULT = 16.0
 
 
 @dataclass
-class WalkRecord:
-    start: int
-    terminal: int
-    length: int  # number of moves before termination
-
-
-@dataclass
 class PushFrontier:
     """Reserves/residues of a backward-push run (sparse maps).
 
@@ -53,13 +46,6 @@ class PushFrontier:
         if ru >= self.r_max and u not in self.queued:
             self.active.append(u)
             self.queued.add(u)
-
-
-def sample_walk(o, s, alpha, rng):
-    """One alpha-discounted walk from s; geometric termination."""
-    moves = rng.geometric(alpha, size=1) - 1
-    terminal = _lockstep(o, [s], moves, rng.random(size=int(moves[0])))
-    return WalkRecord(s, int(terminal[0]), int(moves[0]))
 
 
 def _walk_terminals(o, sources, alpha, rng, count):
@@ -232,9 +218,11 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
 
     Residue increments below theta are randomized: one uniform threshold
     per (node, level) scan of the out-degree-sorted in-list, pushing
-    theta for each scanned edge that was not deterministic.  Increments
-    are unbiased but not independent within a scan.  Returns sparse
-    per-source estimates of pi(s,t).
+    theta for each scanned edge that was not deterministic, up to the
+    first edge below both.  Increments are unbiased but not independent
+    within a scan.  A level's scans go to the oracle as one
+    `in_sorted_scans` batch, which charges what the scalar scans would.
+    Returns sparse per-source estimates of pi(s,t).
     """
     if L is None:
         L = rbs_levels(alpha, delta, eps)
@@ -245,26 +233,21 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
             est[v] = est.get(v, 0.0) + alpha * rv
         if level == L:
             break
-        nxt = {}
-        for v in sorted(r):
-            rv = r[v]
-            if rv <= 0.0:
-                continue
-            spread = (1.0 - alpha) * rv
-            d_in = o.deg_in(v)
-            rand = rng.random() * theta
-            idx = 0
-            while idx < d_in:
-                u = o.in_sorted(v, idx)
-                chi = spread / o.deg_out(u)
-                if chi >= theta:
-                    nxt[u] = nxt.get(u, 0.0) + chi
-                elif chi > rand:
-                    nxt[u] = nxt.get(u, 0.0) + theta
-                else:
-                    break
-                idx += 1
-        r = nxt
+        vs = sorted(v for v, rv in r.items() if rv > 0.0)
+        spread = (1.0 - alpha) * np.array([r[v] for v in vs])
+        rand = rng.random(len(vs)) * theta
+
+        def stop(rows, d):
+            chi = spread[rows] / d
+            return (chi < theta) & (chi <= rand[rows])
+
+        us, d, rows = o.in_sorted_scans(vs, stop)
+        chi = spread[rows] / d
+        go = ~stop(rows, d)
+        r = {}
+        for u, x in zip(us[go].tolist(),
+                        np.where(chi >= theta, chi, theta)[go].tolist()):
+            r[u] = r.get(u, 0.0) + x
     return est
 
 

@@ -51,7 +51,7 @@ def _propagate(g, init, alpha, tol, backward):
         raise ValueError("tol must be positive")
     n = g.node_count
     src, dst = g.edge_arrays()
-    dout = np.asarray(g.out_degrees, dtype=np.float64)
+    dout = g.out_deg.astype(np.float64)
     if init is None:
         cur = np.full(n, 1.0 / n)
     else:
@@ -99,10 +99,8 @@ def brute_force_pair(g, s, t, alpha, horizon):
     if n > 64:
         raise ExplosionGuard(f"n={n} > 64")
     P = np.zeros((n, n))
-    for u in range(n):
-        w = 1.0 / len(g.out_lists[u])
-        for v in g.out_lists[u]:
-            P[u, v] += w
+    src, dst = g.edge_arrays()
+    P[src, dst] = 1.0 / g.out_deg[src]
     vec = np.zeros(n)
     vec[s] = 1.0
     total = 0.0

@@ -3,9 +3,14 @@
 Node ids are dense integers 0..n-1 and the edge list is the canonical
 interchange format.  Every node must have out-degree >= 1; graphs with
 dangling nodes are rejected at build time so the discounted walk is
-well defined everywhere.  Each node also carries an in-adjacency list
-sorted by the out-degree of the in-neighbor (ties broken by ascending
-node id), which backs the IN-SORTED oracle query.
+well defined everywhere.
+
+The only adjacency state is a set of read-only int32 CSR arrays, built
+with numpy sorts and no Python loop over edges.  Node v's out-list is
+out_nbrs[out_ptr[v]:out_ptr[v + 1]] and its in-list
+in_nbrs[in_ptr[v]:in_ptr[v + 1]], both in edge-list insertion order.
+in_sorted holds each in-list ordered by (d_out(u), u) for IN-SORTED,
+and out_sorted each out-list sorted by id, for ADJ by bisection.
 """
 
 from __future__ import annotations
@@ -32,97 +37,97 @@ class NodeIdOutOfRange(GraphError):
 
 
 class DirectedGraph:
-    """CSR-style directed graph, immutable after build_graph().
+    """CSR directed graph, immutable after build_graph().
 
     Attributes
     ----------
     node_count, edge_count : int
-    out_lists, in_lists    : list[list[int]] adjacency (insertion order)
-    in_sorted_lists        : in_lists re-ordered by non-decreasing
-                             out-degree of the neighbor, ties by id
-
-    The int64 arrays of `edge_arrays()` and `out_csr()` are built on
-    first use and cached.
+    out_ptr, in_ptr        : int32[n + 1] offsets into the edge arrays
+    out_nbrs, in_nbrs      : int32[m] adjacency in insertion order
+    in_sorted, out_sorted  : int32[m] IN-SORTED order, id-sorted out-lists
+    out_deg, in_deg        : int32[n] degrees; out_degrees and in_degrees
+                             are memoryviews of them, indexed as Python ints
     """
 
-    __slots__ = ("node_count", "edge_count", "out_lists", "in_lists",
-                 "in_sorted_lists", "out_degrees", "in_degrees",
-                 "_out_sets", "_edge_src", "_edge_dst", "_out_ptr",
-                 "_out_deg")
+    __slots__ = ("node_count", "edge_count", "out_ptr", "out_nbrs",
+                 "out_sorted", "out_deg", "in_ptr", "in_nbrs", "in_sorted",
+                 "in_deg")
 
-    def __init__(self, node_count, out_lists, in_lists):
-        self.node_count = node_count
-        self.out_lists = out_lists
-        self.in_lists = in_lists
-        self.out_degrees = [len(l) for l in out_lists]
-        self.in_degrees = [len(l) for l in in_lists]
-        self.edge_count = sum(self.out_degrees)
-        dout = self.out_degrees
-        self.in_sorted_lists = [sorted(l, key=lambda u: (dout[u], u))
-                                for l in in_lists]
-        self._out_sets = [frozenset(l) for l in out_lists]
-        self._edge_src = None
-        self._edge_dst = None
-        self._out_ptr = None
-        self._out_deg = None
+    out_degrees = property(lambda self: memoryview(self.out_deg))
+    in_degrees = property(lambda self: memoryview(self.in_deg))
 
-    def d_out(self, v):
-        return self.out_degrees[v]
+    def out_list(self, v):
+        """OUT list of v, in insertion order."""
+        return self.out_nbrs[self.out_ptr[v]:self.out_ptr[v + 1]].tolist()
 
-    def d_in(self, v):
-        return self.in_degrees[v]
+    def in_list(self, v, by_out_degree=False):
+        """IN list of v, in insertion order or in IN-SORTED order."""
+        nbrs = self.in_sorted if by_out_degree else self.in_nbrs
+        return nbrs[self.in_ptr[v]:self.in_ptr[v + 1]].tolist()
+
+    def edge_arrays(self):
+        """Per-edge (src, dst) arrays in (source id, list order)."""
+        src = np.repeat(np.arange(self.node_count, dtype=np.int64),
+                        self.out_deg)
+        return src, self.out_nbrs
 
     def edges(self):
         """Edge list in (source id, list order)."""
-        return [(u, v) for u in range(self.node_count)
-                for v in self.out_lists[u]]
-
-    def edge_arrays(self):
-        """Per-edge (src, dst) int64 arrays, cached; used by exact solvers."""
-        if self._edge_src is None:
-            self._edge_src = np.repeat(
-                np.arange(self.node_count, dtype=np.int64), self.out_degrees)
-            self._edge_dst = np.fromiter(chain.from_iterable(self.out_lists),
-                                         np.int64, count=self.edge_count)
-        return self._edge_src, self._edge_dst
-
-    def out_csr(self):
-        """(out_ptr, out_deg, dst) int64 arrays, cached: the out-list of v
-        is dst[out_ptr[v]:out_ptr[v] + out_deg[v]].  Backs the batch
-        oracle queries."""
-        if self._out_ptr is None:
-            deg = np.array(self.out_degrees, dtype=np.int64)
-            self._out_ptr = np.cumsum(deg) - deg
-            self._out_deg = deg
-        return self._out_ptr, self._out_deg, self.edge_arrays()[1]
+        return list(zip(*(a.tolist() for a in self.edge_arrays())))
 
     def __repr__(self):
         return f"DirectedGraph(n={self.node_count}, m={self.edge_count})"
 
 
-def build_graph(edges, node_count):
-    """Build a DirectedGraph from an edge list.
+def _csr(keys, vals, n):
+    """(ptr, vals grouped by key in stable order, per-key counts)."""
+    deg = np.bincount(keys, minlength=n)
+    ptr = np.concatenate(([0], np.cumsum(deg)))
+    return ptr, vals[np.argsort(keys, kind="stable")], deg
 
-    Raises NodeIdOutOfRange / DuplicateEdge / DanglingNode.  Adjacency
-    lists keep the edge-list insertion order.
+
+def build_graph(edges, node_count):
+    """Build a DirectedGraph from fewer than 2^31 (u, v) pairs.
+
+    Raises NodeIdOutOfRange, then DuplicateEdge, then DanglingNode, each
+    naming the first offending edge (in insertion order) or node.
+    Adjacency lists keep the edge-list insertion order.
     """
     if node_count < 1:
         raise GraphError("node_count must be >= 1")
-    out_lists = [[] for _ in range(node_count)]
-    in_lists = [[] for _ in range(node_count)]
-    seen = [set() for _ in range(node_count)]
-    for u, v in edges:
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise NodeIdOutOfRange(f"edge ({u},{v}) with node_count={node_count}")
-        if v in seen[u]:
-            raise DuplicateEdge(f"edge ({u},{v}) appears twice")
-        seen[u].add(v)
-        out_lists[u].append(v)
-        in_lists[v].append(u)
-    for u in range(node_count):
-        if not out_lists[u]:
-            raise DanglingNode(f"node {u} has out-degree 0")
-    return DirectedGraph(node_count, out_lists, in_lists)
+    n = node_count
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    if flat.size % 2:
+        raise GraphError("every edge must be a (u, v) pair")
+    src, dst = flat[0::2], flat[1::2]
+    bad = (flat < 0) | (flat >= n)
+    if bad.any():
+        j = int(np.argmax(bad)) // 2
+        raise NodeIdOutOfRange(f"edge ({src[j]},{dst[j]}) with node_count={n}")
+    key = src * n + dst
+    sorted_key = np.sort(key)
+    if (sorted_key[1:] == sorted_key[:-1]).any():
+        first = np.unique(key, return_index=True)[1]
+        j = np.setdiff1d(np.arange(len(key)), first)[0]
+        raise DuplicateEdge(f"edge ({src[j]},{dst[j]}) appears twice")
+    out_ptr, out_nbrs, out_deg = _csr(src, dst, n)
+    if not out_deg.all():
+        raise DanglingNode(f"node {int(np.argmin(out_deg))} has out-degree 0")
+    in_ptr, in_nbrs, in_deg = _csr(dst, src, n)
+    # rank[u] = position of u in (d_out(u), u) order
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(out_deg, kind="stable")] = np.arange(n)
+    g = DirectedGraph()
+    g.node_count, g.edge_count = n, len(src)
+    for name, arr in (("out_ptr", out_ptr), ("out_nbrs", out_nbrs),
+                      ("out_sorted", sorted_key % n), ("out_deg", out_deg),
+                      ("in_ptr", in_ptr), ("in_nbrs", in_nbrs),
+                      ("in_sorted", src[np.argsort(dst * n + rank[src])]),
+                      ("in_deg", in_deg)):
+        arr = arr.astype(np.int32)
+        arr.flags.writeable = False
+        setattr(g, name, arr)
+    return g
 
 
 def save_edge_list(g, path):

@@ -108,83 +108,65 @@ class TrialResult:
     wall_time_s: float = 0.0
 
 
-# multiplier keys forwarded to derive_params
 _PARAM_MULTIPLIERS = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
 
-# algorithm registry: name -> (variant, required capabilities, runner)
-# runner(o, s, t, delta, eps, p_f, alpha, multipliers, rng) -> float
 
-def _run_monte_carlo(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    est, _ = monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng,
-                              c=mult.get("c_walks", 16.0))
-    return est
+def _walks(cfg):
+    return cfg.multipliers.get("c_walks", 16.0)
 
 
-def _run_bippr(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    r_max = mult.get("r_max") or default_r_max_pair(o, delta)
-    return bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng,
-                      c=mult.get("c_walks", 16.0))
+def _param_mult(cfg):
+    """The multipliers forwarded to derive_params."""
+    return {k: v for k, v in cfg.multipliers.items() if k in _PARAM_MULTIPLIERS}
 
 
-def _run_power_iteration(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    L = rbs_levels(alpha, delta, eps)
-    return power_iteration_target(o, t, alpha, L).get(s, 0.0)
-
-
-def _run_rbs(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    theta = mult.get("rbs_theta") or eps * delta
-    return rbs_single_target(o, t, alpha, delta, theta, rng,
-                             eps=eps).get(s, 0.0)
-
-
-def _run_approx_contributions(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    return approx_contributions(o, t, alpha, eps * delta).p.get(s, 0.0)
-
-
-def _run_st_jump_mc(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    return single_target_jump_mc(o, t, alpha, delta, eps, p_f, rng,
-                                 c=mult.get("c_walks", 16.0)).get(s, 0.0)
-
-
-def _run_st_bidir_jump(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    return single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
-                                    c=mult.get("c_walks", 16.0)).get(s, 0.0)
-
-
-def _run_single_pair_ppr(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    kw = {k: mult[k] for k in _PARAM_MULTIPLIERS if k in mult}
-    params = derive_params(alpha, delta, eps, p_f, o.node_count, **kw)
-    return single_pair_ppr(o, s, t, params, rng)
-
-
-def _run_sn_adaptive(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    return single_node_adaptive(o, t, alpha, eps, p_f, rng,
-                                theta_mult=mult.get("rbs_theta_mult", 1.0))
-
-
-def _run_sn_avg_jump(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    return single_node_avg_jump(o, t, alpha, eps, p_f, rng,
-                                c=mult.get("c_walks"))
-
-
-def _run_sn_avg_full(o, s, t, delta, eps, p_f, alpha, mult, rng):
-    kw = {k: mult[k] for k in _PARAM_MULTIPLIERS if k in mult}
-    return single_node_avg_full(o, t, alpha, eps, p_f, rng, multipliers=kw)
-
-
+# algorithm registry: name -> (variant, required capabilities, runner),
+# runner(o, s, t, delta, cfg, rng) -> float.  Runners look estimators up
+# in this module's namespace when they run, not when they are defined.
 ALGORITHMS = {
-    "monte_carlo": ("pair", (), _run_monte_carlo),
-    "bippr": ("pair", (), _run_bippr),
-    "power_iteration": ("target", (), _run_power_iteration),
-    "approx_contributions": ("target", (), _run_approx_contributions),
-    "rbs": ("target", ("in_sorted",), _run_rbs),
-    "st_jump_mc": ("target", ("jump",), _run_st_jump_mc),
-    "st_bidir_jump": ("target", ("jump",), _run_st_bidir_jump),
-    "single_pair_ppr": ("pair", ("in_sorted", "adj"), _run_single_pair_ppr),
-    "sn_adaptive": ("node", ("in_sorted",), _run_sn_adaptive),
-    "sn_avg_jump": ("node", ("jump",), _run_sn_avg_jump),
-    "sn_avg_full": ("node", ("jump", "in_sorted", "adj"), _run_sn_avg_full),
+    "monte_carlo": ("pair", (), lambda o, s, t, d, cfg, rng:
+        monte_carlo_pair(o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
+                         c=_walks(cfg))[0]),
+    "bippr": ("pair", (), lambda o, s, t, d, cfg, rng:
+        bippr_pair(o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f,
+                   cfg.multipliers.get("r_max") or default_r_max_pair(o, d),
+                   rng, c=_walks(cfg))),
+    "power_iteration": ("target", (), lambda o, s, t, d, cfg, rng:
+        power_iteration_target(
+            o, t, cfg.alpha, rbs_levels(cfg.alpha, d, cfg.eps)).get(s, 0.0)),
+    "approx_contributions": ("target", (), lambda o, s, t, d, cfg, rng:
+        approx_contributions(o, t, cfg.alpha, cfg.eps * d).p.get(s, 0.0)),
+    "rbs": ("target", ("in_sorted",), lambda o, s, t, d, cfg, rng:
+        rbs_single_target(
+            o, t, cfg.alpha, d,
+            cfg.multipliers.get("rbs_theta") or cfg.eps * d, rng,
+            eps=cfg.eps).get(s, 0.0)),
+    "st_jump_mc": ("target", ("jump",), lambda o, s, t, d, cfg, rng:
+        single_target_jump_mc(o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
+                              c=_walks(cfg)).get(s, 0.0)),
+    "st_bidir_jump": ("target", ("jump",), lambda o, s, t, d, cfg, rng:
+        single_target_bidir_jump(o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
+                                 c=_walks(cfg)).get(s, 0.0)),
+    "single_pair_ppr": ("pair", ("in_sorted", "adj"), lambda o, s, t, d, cfg, rng:
+        single_pair_ppr(o, s, t, derive_params(
+            cfg.alpha, d, cfg.eps, cfg.p_f, o.node_count,
+            **_param_mult(cfg)), rng)),
+    "sn_adaptive": ("node", ("in_sorted",), lambda o, s, t, d, cfg, rng:
+        single_node_adaptive(
+            o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
+            theta_mult=cfg.multipliers.get("rbs_theta_mult", 1.0))),
+    "sn_avg_jump": ("node", ("jump",), lambda o, s, t, d, cfg, rng:
+        single_node_avg_jump(o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
+                             c=cfg.multipliers.get("c_walks"))),
+    "sn_avg_full": ("node", ("jump", "in_sorted", "adj"), lambda o, s, t, d, cfg, rng:
+        single_node_avg_full(o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
+                             multipliers=_param_mult(cfg))),
 }
+
+
+# InstanceSpec keys read from a family instance without a preset
+_SPEC_KEYS = ("family", "n", "m", "L", "D", "D2", "swap", "variant",
+              "padding", "flip_upper")
 
 
 def _resolve_instance(inst, delta, alpha):
@@ -197,16 +179,12 @@ def _resolve_instance(inst, delta, alpha):
         s = inst.get("s", 0)
         t = inst.get("t", g.node_count - 1)
         return g, s, t, inst["file"]
-    if "family" not in inst:
-        raise InstanceLoadError("instance needs 'file' or 'family'")
     if inst.get("preset"):
         spec = parameter_presets(inst["family"], inst["n"], inst["m"],
                                  delta, alpha)
     else:
-        fields = {k: v for k, v in inst.items()
-                  if k in ("family", "n", "m", "L", "D", "D2", "swap",
-                           "variant", "padding", "flip_upper")}
-        spec = InstanceSpec(alpha=alpha, **fields)
+        spec = InstanceSpec(alpha=alpha, **{k: v for k, v in inst.items()
+                                            if k in _SPEC_KEYS})
     g, meta = generate(spec)
     s = inst.get("s", meta.s if meta.s is not None else 0)
     t = inst.get("t", meta.t)
@@ -223,6 +201,16 @@ def _check_config(cfg):
         raise CapabilityMismatch(f"{cfg.algorithm} needs capabilities {missing}")
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+    inst = cfg.instance
+    if "file" not in inst and "family" not in inst:
+        raise InstanceLoadError("instance needs 'file' or 'family'")
+    # the keys _resolve_instance reads
+    known = ({"file", "s", "t"} if "file" in inst else
+             {"family", "preset", "n", "m", "s", "t"}.union(
+                 () if inst.get("preset") else _SPEC_KEYS))
+    unknown = sorted(set(inst) - known)
+    if unknown:
+        raise ConfigError(f"unknown instance keys {unknown}")
     if not cfg.deltas:
         raise ConfigError("deltas is empty")
     bad = [d for d in cfg.deltas if not 0.0 < d <= 1.0]
@@ -240,6 +228,9 @@ def _run_cell(cfg, cell):
     caps = Capabilities.from_names(cfg.capabilities)
     delta = cfg.deltas[cell]
     g, s, t, label = _resolve_instance(cfg.instance, delta, cfg.alpha)
+    for name, v in (("s", s), ("t", t)):
+        if not 0 <= v < g.node_count:
+            raise ConfigError(f"{name}={v} outside [0, {g.node_count})")
     exact = None
     if g.node_count <= cfg.exact_cap:
         if variant == "node":
@@ -253,8 +244,7 @@ def _run_cell(cfg, cell):
         o = OracleHandle(g, caps, rng=np.random.default_rng(oracle_ss))
         rng = np.random.default_rng(algo_ss)
         t0 = time.perf_counter()
-        est = runner(o, s, t, delta, cfg.eps, cfg.p_f, cfg.alpha,
-                     cfg.multipliers, rng)
+        est = runner(o, s, t, delta, cfg, rng)
         wall = time.perf_counter() - t0
         if exact is None:
             abs_err = rel_err = success = None

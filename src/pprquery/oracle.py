@@ -6,16 +6,19 @@ access.  DEG-IN / DEG-OUT / IN / OUT are always available; JUMP,
 IN-SORTED and ADJ are optional capabilities fixed at handle creation.
 Running time claims are measured in query count, not wall clock.
 
-The batch methods `deg_out_many`, `out_nbr_many` and `jump_many` answer
-many queries of one kind in a single call and charge exactly one query
-per element, so batching changes the wall time of a run, never its
-query count.
+Scalar queries read the graph's int32 CSR arrays through memoryviews,
+which return Python ints; ADJ bisects the id-sorted out-range.  The
+batch methods `deg_out_many`, `out_nbr_many` and `jump_many` index the
+arrays with numpy and charge exactly one query per element, so batching
+changes the wall time of a run, never its query count.
 
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -99,22 +102,24 @@ class OracleHandle:
     JUMP draws from a dedicated seeded PRNG so runs are replayable.
     """
 
-    __slots__ = ("graph", "caps", "stats", "_rng",
-                 "_dout", "_din", "_out", "_in", "_ins", "_osets", "_n")
+    __slots__ = ("graph", "caps", "stats", "_rng", "_n", "_dout", "_din",
+                 "_optr", "_iptr", "_out", "_in", "_ins", "_adj")
 
     def __init__(self, graph, caps=None, rng=None, seed=0):
         self.graph = graph
         self.caps = caps if caps is not None else Capabilities()
         self.stats = QueryStats()
         self._rng = rng if rng is not None else np.random.default_rng(seed)
-        # local bindings keep the per-query overhead low
+        self._n = graph.node_count
+        # local memoryviews keep the per-query overhead low
         self._dout = graph.out_degrees
         self._din = graph.in_degrees
-        self._out = graph.out_lists
-        self._in = graph.in_lists
-        self._ins = graph.in_sorted_lists
-        self._osets = graph._out_sets
-        self._n = graph.node_count
+        self._optr = memoryview(graph.out_ptr)
+        self._iptr = memoryview(graph.in_ptr)
+        self._out = memoryview(graph.out_nbrs)
+        self._in = memoryview(graph.in_nbrs)
+        self._ins = memoryview(graph.in_sorted)
+        self._adj = memoryview(graph.out_sorted)
 
     @property
     def node_count(self):
@@ -136,17 +141,17 @@ class OracleHandle:
 
     def out_nbr(self, v, i):
         self.stats.out_q += 1
-        lst = self._out[v]
-        if i >= len(lst) or i < 0:
-            raise IndexOutOfRange(f"OUT({v},{i}) with d_out={len(lst)}")
-        return lst[i]
+        d = self._dout[v]
+        if i >= d or i < 0:
+            raise IndexOutOfRange(f"OUT({v},{i}) with d_out={d}")
+        return self._out[self._optr[v] + i]
 
     def in_nbr(self, v, i):
         self.stats.in_q += 1
-        lst = self._in[v]
-        if i >= len(lst) or i < 0:
-            raise IndexOutOfRange(f"IN({v},{i}) with d_in={len(lst)}")
-        return lst[i]
+        d = self._din[v]
+        if i >= d or i < 0:
+            raise IndexOutOfRange(f"IN({v},{i}) with d_in={d}")
+        return self._in[self._iptr[v] + i]
 
     # -- capability-gated queries --------------------------------------
 
@@ -154,16 +159,18 @@ class OracleHandle:
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
         self.stats.in_sorted += 1
-        lst = self._ins[v]
-        if i >= len(lst) or i < 0:
-            raise IndexOutOfRange(f"IN-SORTED({v},{i}) with d_in={len(lst)}")
-        return lst[i]
+        d = self._din[v]
+        if i >= d or i < 0:
+            raise IndexOutOfRange(f"IN-SORTED({v},{i}) with d_in={d}")
+        return self._ins[self._iptr[v] + i]
 
     def adj(self, u, v):
         if not self.caps.adj:
             raise CapabilityDisabled("ADJ is not enabled")
         self.stats.adj += 1
-        return v in self._osets[u]
+        hi = self._optr[u + 1]
+        k = bisect_left(self._adj, v, self._optr[u], hi)
+        return k < hi and self._adj[k] == v
 
     def jump(self):
         if not self.caps.jump:
@@ -176,24 +183,50 @@ class OracleHandle:
     def deg_out_many(self, vs):
         """DEG-OUT of every node of the int array `vs`."""
         vs = np.asarray(vs, dtype=np.int64)
-        _, deg, _ = self.graph.out_csr()
         self.stats.deg_out += vs.size
-        return deg[vs]
+        return self.graph.out_deg[vs]
 
     def out_nbr_many(self, vs, idx):
         """OUT(vs[j], idx[j]) for every j; IndexOutOfRange if any idx[j]
         lies outside [0, d_out(vs[j]))."""
         vs = np.asarray(vs, dtype=np.int64)
         idx = np.asarray(idx, dtype=np.int64)
-        ptr, deg, dst = self.graph.out_csr()
+        g = self.graph
         self.stats.out_q += vs.size
-        d = deg[vs]
+        d = g.out_deg[vs]
         # read as unsigned, a negative index is huge: one test covers both ends
-        bad = idx.view(np.uint64) >= d.view(np.uint64)
+        bad = idx.view(np.uint64) >= d.view(np.uint32)
         if np.count_nonzero(bad):
             j = int(np.argmax(bad))
             raise IndexOutOfRange(f"OUT({vs[j]},{idx[j]}) with d_out={d[j]}")
-        return dst[ptr[vs] + idx]
+        return g.out_nbrs[g.out_ptr[vs] + idx]
+
+    def in_sorted_scans(self, vs, stop):
+        """Scan the IN-SORTED list of each node v of `vs`: DEG-IN(v), then
+        IN-SORTED(v, i) and DEG-OUT of its answer for i = 0, 1, ... up to
+        and including the first answer where `stop` holds (the whole list
+        if none), charging exactly those queries.  stop(rows, degs) maps
+        scan positions in `vs` and out-degrees to booleans and must be
+        monotone along a list, which is sorted by out-degree.  Returns
+        (nbrs, degs, rows) of the scanned prefixes, scan after scan."""
+        if not self.caps.in_sorted:
+            raise CapabilityDisabled("IN-SORTED is not enabled")
+        g = self.graph
+        vs = np.asarray(vs, dtype=np.int64)
+        lens = g.in_deg[vs]
+        rows = np.arange(vs.size).repeat(lens)
+        pos = np.arange(rows.size) - (lens.cumsum() - lens)[rows]
+        nbrs = g.in_sorted[g.in_ptr[vs][rows] + pos]
+        degs = g.out_deg[nbrs]
+        # stop is monotone, so each list reads its non-stop prefix plus one
+        read = np.minimum(np.bincount(rows[~stop(rows, degs)],
+                                      minlength=vs.size) + 1, lens)
+        keep = pos < read[rows]
+        total = int(read.sum())
+        self.stats.deg_in += vs.size
+        self.stats.in_sorted += total
+        self.stats.deg_out += total
+        return nbrs[keep], degs[keep], rows[keep]
 
     def jump_many(self, count):
         """`count` JUMP draws: the same values, in the same order, as

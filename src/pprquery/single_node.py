@@ -41,6 +41,7 @@ class SuperSourceView:
         self.virtual = base.node_count
         self.caps = base.caps
         self.graph = None  # not materialized; exact checks build it separately
+        self._din = base.graph.in_degrees
 
     @property
     def node_count(self):
@@ -102,14 +103,14 @@ class SuperSourceView:
     def in_nbr(self, v, i):
         if v == self.virtual:
             raise IndexOutOfRange("virtual source has no in-neighbors")
-        if i == self.base.graph.in_degrees[v]:
+        if i == self._din[v]:
             return self.virtual
         return self.base.in_nbr(v, i)
 
     def in_sorted(self, v, i):
         if v == self.virtual:
             raise IndexOutOfRange("virtual source has no in-neighbors")
-        if i == self.base.graph.in_degrees[v]:
+        if i == self._din[v]:
             if not self.caps.in_sorted:
                 raise CapabilityDisabled("IN-SORTED is not enabled")
             return self.virtual

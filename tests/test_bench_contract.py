@@ -7,15 +7,20 @@ replacing `harness.OracleHandle`.  A refactor that renames such an
 entry point, or binds it at import time, would silently zero the
 per-layer metrics.  These tests load the benchmark's spec and tracer
 read-only and run one tiny traced experiment per workload algorithm.
+They also run the microbenchmarks of perfbench/micro.py on a tiny
+graph, so a graph or oracle API change that breaks `--trace 1` fails
+here.
 """
 
 import importlib.util
+import math
 import pathlib
 import sys
 
 import pytest
 
 from pprquery import harness
+from conftest import random_graph
 from pprquery.harness import ExperimentConfig, emit, run_experiment
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -50,8 +55,21 @@ def tracer():
 
 
 @pytest.fixture(scope="module")
-def workloads():
-    return _load("spec").WORKLOADS
+def spec():
+    return _load("spec")
+
+
+@pytest.fixture(scope="module")
+def workloads(spec):
+    return spec.WORKLOADS
+
+
+@pytest.fixture
+def micro(spec, monkeypatch):
+    monkeypatch.setitem(sys.modules, "spec", spec)  # micro imports it by name
+    module = _load("micro")
+    monkeypatch.setattr(module, "CALLS", 50)
+    return module
 
 
 def tiny_config(workload):
@@ -108,3 +126,16 @@ def test_traced_layers_open(algorithm, tracer, workloads, tmp_path,
         assert totals.get(layer, {}).get("calls", 0) > 0, layer
     for layer in TRIAL_LAYERS[algorithm]:
         assert sum(totals[layer]["queries"].values()) > 0, layer
+
+
+def test_micro_layers_run(micro, spec, tmp_path):
+    g = random_graph(6, 30)
+    metrics = micro.oracle_metrics(g, seed=1)
+    metrics.update(micro.graph_metrics(g, str(tmp_path)))
+    want = {f"{prefix}.{kind}" for kind in spec.QUERY_KINDS
+            for prefix in ("oracle.ns_per_query",
+                           "single_node.view_ns_per_query")}
+    want |= {"graph.bytes_per_edge", "graph.load_s_per_medge"}
+    assert set(metrics) == want
+    assert all(math.isfinite(v) and v > 0 for v in metrics.values())
+    assert list(tmp_path.iterdir()) == []

@@ -48,8 +48,7 @@ class TestDeriveParams:
     def test_example_point_constraints_all_hold(self):
         p = derive_params(0.2, 1e-3, 0.1, 0.1, 10 ** 4)
         assert set(p.constraint_margins) == {
-            "gamma_theta_floor", "gamma_bound", "level_count",
-            "walk_count", "sample_ratio"}
+            "gamma_bound", "level_count", "walk_count", "sample_ratio"}
         assert all(m >= 1.0 - 1e-9 for m in p.constraint_margins.values())
 
     def test_violations_named(self):
@@ -149,7 +148,7 @@ class TestRandPush:
 
         def rebuilt_R(u, contrib):
             tot = 0.0
-            for v in g.out_lists[u]:
+            for v in g.out_list(u):
                 for lvl, val in contrib.get(v, ()):
                     if st.indicator(u, lvl):
                         tot += val
@@ -384,7 +383,7 @@ class TestEstimators:
             for u in range(g.node_count):
                 du = g.out_degrees[u]
                 per_level = {}
-                for v in g.out_lists[u]:
+                for v in g.out_list(u):
                     for lvl, val in st.contrib.get(v, ()):
                         per_level[lvl] = per_level.get(lvl, 0.0) + val / du
                 for i, ri in per_level.items():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, brute_force_pair, InstanceSpec,
-                      generate)
-from pprquery.classic import (sample_walk, monte_carlo_pair, push_back,
+                      generate, build_graph)
+from pprquery.classic import (_walk_terminals, monte_carlo_pair, push_back,
                               approx_contributions, power_iteration_target,
                               bippr_pair, rbs_single_target, PushFrontier,
                               single_target_jump_mc, single_target_bidir_jump,
@@ -21,34 +22,43 @@ def handle(g, **caps):
     return OracleHandle(g, Capabilities(**caps), seed=11)
 
 
+def path_graph(k):
+    """0 -> 1 -> ... -> k-1, with a self-loop at k-1: a walk that makes
+    fewer than k moves ends at node = its number of moves."""
+    return build_graph([(i, min(i + 1, k - 1)) for i in range(k)], k)
+
+
 class TestSampleWalk:
+    """Laws of single walks, read off one batched _walk_terminals call."""
+
     def test_singleton_terminates_at_start(self, rng):
         o = handle(singleton_graph())
-        for _ in range(50):
-            w = sample_walk(o, 0, A, rng)
-            assert w.terminal == 0 and w.start == 0
+        terms = _walk_terminals(o, [0], A, rng, 50)
+        assert terms.tolist() == [0] * 50
 
     def test_chain_one_step_law(self, rng):
         o = handle(chain_graph())
-        hits = sum(sample_walk(o, 0, A, rng).terminal == 1
-                   for _ in range(100_000))
+        hits = int(np.count_nonzero(_walk_terminals(o, [0], A, rng, 100_000) == 1))
         sigma = math.sqrt(100_000 * 0.8 * 0.2)
         assert abs(hits - 80_000) <= 4 * sigma
 
     def test_mean_length_is_geometric(self, rng):
-        o = handle(cycle_graph(4))
+        # P(a walk makes >= 199 moves) = 0.8^199 < 1e-19
+        o = handle(path_graph(200))
         n = 100_000
-        lengths = [sample_walk(o, 0, A, rng).length for _ in range(n)]
-        mean = sum(lengths) / n
+        lengths = _walk_terminals(o, [0], A, rng, n)
+        mean = lengths.mean()
         # steps before termination ~ Geometric(alpha) - 1
         want = (1 - A) / A
         sigma = math.sqrt((1 - A) / A ** 2 / n)
         assert abs(mean - want) <= 4 * sigma
 
     def test_walk_costs_two_queries_per_step(self, rng):
-        o = handle(cycle_graph(3))
-        w = sample_walk(o, 0, A, rng)
-        assert o.stats.total == 2 * w.length
+        o = handle(path_graph(200))
+        moves = int(_walk_terminals(o, [0], A, rng, 1000).sum())
+        assert moves > 0
+        assert o.stats.deg_out == o.stats.out_q == moves
+        assert o.stats.total == 2 * moves
 
 
 class TestMonteCarlo:
@@ -215,7 +225,55 @@ class TestBippr:
         assert abs(est - 0.0064) <= 0.2 * 0.0064
 
 
+def reference_rbs(o, t, alpha, theta, rng, L):
+    """The scalar-query loop that rbs_single_target's per-level scan
+    batches replaced."""
+    est = {}
+    r = {t: 1.0}
+    for level in range(L + 1):
+        for v, rv in r.items():
+            est[v] = est.get(v, 0.0) + alpha * rv
+        if level == L:
+            break
+        nxt = {}
+        for v in sorted(r):
+            rv = r[v]
+            if rv <= 0.0:
+                continue
+            spread = (1.0 - alpha) * rv
+            d_in = o.deg_in(v)
+            rand = rng.random() * theta
+            idx = 0
+            while idx < d_in:
+                u = o.in_sorted(v, idx)
+                chi = spread / o.deg_out(u)
+                if chi >= theta:
+                    nxt[u] = nxt.get(u, 0.0) + chi
+                elif chi > rand:
+                    nxt[u] = nxt.get(u, 0.0) + theta
+                else:
+                    break
+                idx += 1
+        r = nxt
+    return est
+
+
 class TestRbs:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 40),
+           d=st.integers(1, 6), alpha=st.sampled_from([0.1, 0.2, 0.5]),
+           theta=st.floats(1e-4, 0.5), L=st.integers(1, 12))
+    def test_matches_scalar_reference(self, seed, n, d, alpha, theta, L):
+        # same estimates (keys, order and bits), queries and RNG end state
+        g = random_graph(seed, n, d)
+        a, b = (OracleHandle(g, Capabilities(in_sorted=True)) for _ in "ab")
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = reference_rbs(a, seed % n, alpha, theta, ra, L)
+        got = rbs_single_target(b, seed % n, alpha, 0.1, theta, rb, L=L)
+        assert list(got.items()) == list(want.items())
+        assert a.stats.as_dict() == b.stats.as_dict()
+        assert ra.bit_generator.state == rb.bit_generator.state
+
     def test_needs_in_sorted(self, rng):
         with pytest.raises(CapabilityDisabled):
             rbs_single_target(handle(chain_graph()), 1, A, 0.1, 0.01, rng)

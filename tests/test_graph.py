@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pprquery import (build_graph, load_edge_list, save_edge_list,
                       DanglingNode, DuplicateEdge, NodeIdOutOfRange,
@@ -14,21 +15,21 @@ class TestBuild:
     def test_singleton_self_loop(self):
         g = singleton_graph()
         assert g.node_count == 1 and g.edge_count == 1
-        assert g.d_out(0) == 1
+        assert g.out_degrees[0] == 1
 
     def test_in_sorted_tie_broken_by_id(self):
         # d_out(0) == d_out(1) == 1, so ties resolve by ascending id
         g = build_graph([(0, 1), (1, 1)], 2)
-        assert g.in_sorted_lists[1] == [0, 1]
+        assert g.in_list(1, by_out_degree=True) == [0, 1]
 
     def test_in_sorted_equal_degrees_id_order(self):
         g = build_graph([(0, 2), (1, 2), (2, 2)], 3)
-        assert g.in_sorted_lists[2] == [0, 1, 2]
+        assert g.in_list(2, by_out_degree=True) == [0, 1, 2]
 
     def test_in_sorted_orders_by_out_degree(self):
         # node 3's in-neighbors: 1 and 3 with d_out 1, then 0 with d_out 3
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 3), (2, 2), (3, 3)], 4)
-        assert g.in_sorted_lists[3] == [1, 3, 0]
+        assert g.in_list(3, by_out_degree=True) == [1, 3, 0]
 
     def test_dangling_rejected(self):
         with pytest.raises(DanglingNode):
@@ -47,12 +48,12 @@ class TestBuild:
         g = random_graph(seed, 60)
         assert sum(g.out_degrees) == sum(g.in_degrees) == g.edge_count
         for u in range(g.node_count):
-            for v in g.out_lists[u]:
-                assert u in g.in_lists[v]
+            for v in g.out_list(u):
+                assert u in g.in_list(v)
         dout = g.out_degrees
         for v in range(g.node_count):
-            lst = g.in_sorted_lists[v]
-            assert sorted(lst) == sorted(g.in_lists[v])
+            lst = g.in_list(v, by_out_degree=True)
+            assert sorted(lst) == sorted(g.in_list(v))
             assert all(dout[lst[i]] <= dout[lst[i + 1]]
                        for i in range(len(lst) - 1))
 
@@ -61,10 +62,16 @@ class TestBuild:
     def test_edge_arrays_match_edges(self, seed, n, d):
         g = random_graph(seed, n, d)
         src, dst = g.edge_arrays()
-        assert src.dtype == dst.dtype == np.int64
+        assert src.dtype == np.int64 and dst is g.out_nbrs
         assert len(src) == len(dst) == g.edge_count
         assert list(zip(src.tolist(), dst.tolist())) == g.edges()
-        assert g.edge_arrays()[0] is src  # cached
+        for name in ("out_ptr", "out_nbrs", "out_sorted", "out_deg", "in_ptr",
+                     "in_nbrs", "in_sorted", "in_deg"):
+            arr = getattr(g, name)
+            assert arr.dtype == np.int32 and not arr.flags.writeable, name
+        assert g.out_ptr[-1] == g.in_ptr[-1] == g.edge_count
+        assert (np.diff(g.out_ptr) == g.out_deg).all()
+        assert (np.diff(g.in_ptr) == g.in_deg).all()
 
 
 class TestOracle:
@@ -110,8 +117,8 @@ class TestOracle:
         g = random_graph(3, 40)
         o = OracleHandle(g, Capabilities(in_sorted=True))
         for v in range(g.node_count):
-            got = [o.in_sorted(v, i) for i in range(g.d_in(v))]
-            assert sorted(got) == sorted(g.in_lists[v])
+            got = [o.in_sorted(v, i) for i in range(g.in_degrees[v])]
+            assert sorted(got) == sorted(g.in_list(v))
 
     def test_counter_accounting_completeness(self):
         g = random_graph(1, 20)
@@ -120,10 +127,10 @@ class TestOracle:
         for v in range(10):
             o.deg_out(v); o.deg_in(v)
             calls += 2
-            for i in range(g.d_out(v)):
+            for i in range(g.out_degrees[v]):
                 o.out_nbr(v, i)
                 calls += 1
-            for i in range(g.d_in(v)):
+            for i in range(g.in_degrees[v]):
                 o.in_nbr(v, i); o.in_sorted(v, i)
                 calls += 2
         for _ in range(7):
@@ -202,6 +209,12 @@ class CountingProxy:
     def out_nbr_many(self, vs, idx):
         return self._count_many(self.inner.out_nbr_many, vs, idx)
 
+    # one DEG-IN per scan, one IN-SORTED and one DEG-OUT per neighbor read
+    def in_sorted_scans(self, vs, stop):
+        nbrs, degs, rows = self.inner.in_sorted_scans(vs, stop)
+        self.calls += len(vs) + 2 * len(nbrs)
+        return nbrs, degs, rows
+
 
 class TestAccountingCompleteness:
     """Counter sums equal the true number of oracle calls for whole
@@ -252,3 +265,90 @@ class TestEdgeListIO:
         path.write_text("2 2\n0 1\n0 1\n")
         with pytest.raises(DuplicateEdge):
             load_edge_list(path)
+
+
+def reference_build(edges, n):
+    """Plain-Python builder: (out-lists, in-lists, in-sorted lists), or
+    the error of the first faulty edge in insertion order."""
+    out = [[] for _ in range(n)]
+    inn = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise NodeIdOutOfRange(f"edge ({u},{v}) with node_count={n}")
+        if v in out[u]:
+            raise DuplicateEdge(f"edge ({u},{v}) appears twice")
+        out[u].append(v)
+        inn[v].append(u)
+    for u in range(n):
+        if not out[u]:
+            raise DanglingNode(f"node {u} has out-degree 0")
+    dout = [len(lst) for lst in out]
+    return out, inn, [sorted(lst, key=lambda u: (dout[u], u)) for lst in inn]
+
+
+@st.composite
+def edge_lists(draw, max_n=8):
+    """(edges, n): every node has out-degree >= 1; the edges of all
+    sources are interleaved in a drawn order."""
+    n = draw(st.integers(1, max_n))
+    nodes = st.integers(0, n - 1)
+    edges = [(u, v) for u in range(n)
+             for v in draw(st.lists(nodes, min_size=1, max_size=n,
+                                    unique=True))]
+    return draw(st.permutations(edges)), n
+
+
+class TestBuildProperties:
+    """build_graph against the plain-Python reference builder."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists())
+    def test_matches_reference(self, case):
+        edges, n = case
+        out, inn, ins = reference_build(edges, n)
+        g = build_graph(edges, n)
+        assert (g.node_count, g.edge_count) == (n, len(edges))
+        o = OracleHandle(g, Capabilities.all())
+        for v in range(n):
+            assert g.out_list(v) == out[v]
+            assert g.in_list(v) == inn[v]
+            assert g.in_list(v, by_out_degree=True) == ins[v]
+            assert g.out_degrees[v] == len(out[v])
+            assert g.in_degrees[v] == len(inn[v])
+            assert type(g.out_degrees[v]) is int and type(g.in_degrees[v]) is int
+            assert [o.out_nbr(v, i) for i in range(len(out[v]))] == out[v]
+            assert [o.in_nbr(v, i) for i in range(len(inn[v]))] == inn[v]
+            assert [o.in_sorted(v, i) for i in range(len(ins[v]))] == ins[v]
+        for u in range(n):
+            for v in range(-1, n + 1):
+                assert o.adj(u, v) is (v in out[u])
+        assert all(type(x) is int for x in (o.deg_out(0), o.deg_in(0),
+                                            o.out_nbr(0, 0)))
+        assert g.edges() == [(u, v) for u in range(n) for v in out[u]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_faults_raise_like_reference(self, case, data):
+        edges, n = case
+        edges = list(edges)
+        fault = data.draw(st.sampled_from(["range", "duplicate", "dangling"]))
+        if fault == "range":
+            bad = data.draw(st.one_of(st.integers(-5, -1),
+                                      st.integers(n, n + 5)))
+            j = data.draw(st.integers(0, len(edges) - 1))
+            u, v = edges[j]
+            edges[j] = data.draw(st.sampled_from([(bad, v), (u, bad)]))
+            want = NodeIdOutOfRange
+        elif fault == "duplicate":
+            e = data.draw(st.sampled_from(edges))
+            edges.insert(data.draw(st.integers(0, len(edges))), e)
+            want = DuplicateEdge
+        else:
+            w = data.draw(st.integers(0, n - 1))
+            edges = [(u, v) for u, v in edges if u != w]
+            want = DanglingNode
+        with pytest.raises(want) as ref:
+            reference_build(edges, n)
+        with pytest.raises(want) as got:
+            build_graph(edges, n)
+        assert str(got.value) == str(ref.value)

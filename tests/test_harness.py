@@ -10,7 +10,7 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               CapabilityMismatch, ConfigError,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
-from pprquery import cli, harness, save_edge_list
+from pprquery import cli, generate, harness, save_edge_list
 from conftest import chain_graph
 
 
@@ -173,7 +173,8 @@ class TestCli:
 
 class TestConfigErrors:
     """Bad configs fail with a named ConfigError before any instance is
-    generated (the instance family here does not even exist)."""
+    generated (the instance family here does not even exist); s and t
+    outside the graph fail once it is built, before any trial."""
 
     @pytest.fixture(autouse=True)
     def no_generation(self, monkeypatch):
@@ -219,6 +220,42 @@ class TestConfigErrors:
     def test_delta_one_accepted(self):
         with pytest.raises(AssertionError, match="instance generated"):
             run_experiment(self.bad(deltas=[1.0]))
+
+    @pytest.mark.parametrize("instance,key", [
+        ({"family": "sp_worst", "L": 2, "D": 2, "Swap": True}, "Swap"),
+        ({"family": "sp_avg", "n": 16, "m": 64, "preset": True, "nn": 4},
+         "nn"),
+        ({"family": "sp_avg", "n": 16, "m": 64, "preset": True, "L": 4}, "L"),
+        ({"file": "g.txt", "family": "sp_worst"}, "family")])
+    def test_unknown_instance_keys(self, instance, key):
+        with pytest.raises(ConfigError, match=rf"unknown instance keys \['{key}'\]"):
+            run_experiment(tiny_config(instance=instance))
+
+    @staticmethod
+    def no_trials(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("trial started for a bad config")
+
+        monkeypatch.setattr(harness, "OracleHandle", fail)
+
+    @pytest.mark.parametrize("name,val", [("t", -1), ("t", 10 ** 6),
+                                          ("s", -1), ("s", 2)])
+    def test_source_or_target_out_of_range(self, name, val, tmp_path,
+                                           monkeypatch):
+        self.no_trials(monkeypatch)
+        p = tmp_path / "chain.txt"
+        save_edge_list(chain_graph(), p)
+        cfg = tiny_config(instance={"file": str(p), name: val})
+        with pytest.raises(ConfigError, match=rf"{name}={val} outside \[0, 2\)"):
+            run_experiment(cfg)
+
+    def test_family_target_out_of_range(self, monkeypatch):
+        self.no_trials(monkeypatch)
+        monkeypatch.setattr(harness, "generate", generate)
+        cfg = tiny_config(instance={"family": "sp_worst", "L": 2, "D": 2,
+                                    "swap": True, "t": 10 ** 6})
+        with pytest.raises(ConfigError, match=r"t=1000000 outside \[0, "):
+            run_experiment(cfg)
 
 
 def test_success_predicates():

@@ -123,8 +123,8 @@ class TestStructure:
     def test_swap_preserves_degrees(self, family, kw):
         base, _ = generate(InstanceSpec(family, alpha=A, swap=False, **kw))
         swapped, _ = generate(InstanceSpec(family, alpha=A, swap=True, **kw))
-        assert base.out_degrees == swapped.out_degrees
-        assert base.in_degrees == swapped.in_degrees
+        assert np.array_equal(base.out_deg, swapped.out_deg)
+        assert np.array_equal(base.in_deg, swapped.in_deg)
         assert base.edge_count == swapped.edge_count
 
     def test_padding_neutrality(self):

@@ -32,10 +32,10 @@ class TestSuperSourceView:
         assert view.node_count == 3 and view.edge_count == 4
         assert view.deg_out(v) == 2
         assert view.deg_in(v) == 0
-        assert view.deg_in(0) == g.d_in(0) + 1
+        assert view.deg_in(0) == g.in_degrees[0] + 1
         # virtual source is the last (highest out-degree) in-neighbor
-        assert view.in_nbr(0, g.d_in(0)) == v
-        assert view.in_sorted(0, g.d_in(0)) == v
+        assert view.in_nbr(0, g.in_degrees[0]) == v
+        assert view.in_sorted(0, g.in_degrees[0]) == v
         assert view.adj(v, 0) and view.adj(v, 1)
         assert not view.adj(0, v) and not view.adj(v, v)
         before = base.stats.jump

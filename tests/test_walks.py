@@ -111,6 +111,32 @@ def test_batch_out_of_range_raises(view, data):
         o.out_nbr_many(vs, idx)
 
 
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_in_sorted_scans_match_scalar_scans(g, data):
+    """A scan batch reads and charges what a loop of scalar queries does:
+    DEG-IN(v), then IN-SORTED and DEG-OUT up to the first in-neighbor
+    whose out-degree reaches the scan's bound."""
+    a, b = twin_oracles(g, view=False)
+    vs = data.draw(st.lists(st.integers(0, g.node_count - 1), max_size=12))
+    bound = np.array(data.draw(st.lists(st.integers(1, g.node_count + 1),
+                                        min_size=len(vs), max_size=len(vs))),
+                     dtype=np.int64)
+    want = []
+    for j, v in enumerate(vs):
+        for i in range(a.deg_in(v)):
+            u = a.in_sorted(v, i)
+            d = a.deg_out(u)
+            want.append((u, d, j))
+            if d >= bound[j]:
+                break
+    nbrs, degs, rows = b.in_sorted_scans(vs, lambda rows, d: d >= bound[rows])
+    assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist())) == want
+    assert a.stats.as_dict() == b.stats.as_dict()
+    with pytest.raises(CapabilityDisabled):
+        OracleHandle(g).in_sorted_scans(vs, lambda rows, d: d > 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(g=graphs(), k=st.integers(0, 50))
 def test_jump_many_matches_scalar_jumps(g, k):
