@@ -12,7 +12,11 @@ below its uniform threshold).
 Forward phase: walks from the source; each terminal u_k is scored by an
 estimate R_hat(u_k) of the derandomized residue R(u_k), combining exact
 ADJ-checked contributions of heavy-reserve nodes with uniform sampling
-of the remaining out-neighbors.
+of the remaining out-neighbors.  `estimate_R_hat` scores all terminals
+in one pass of batch queries (DEG-OUT, ADJ over terminals x V_P, OUT
+for the samples), yet takes every query, every uniform and every JUMP
+in the order of scoring the terminals one after another, so scores and
+generator states equal those of the per-terminal loop.
 
 Indexing convention: a push from level i uses the receiving level's
 threshold gamma_{i+1} * theta_{i+1} (immaterial for the default uniform
@@ -27,6 +31,8 @@ import logging
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .classic import _walk_terminals
 from .oracle import CapabilityDisabled
@@ -304,48 +310,194 @@ def compute_R(state, u):
     return total / len(nbrs) + _seed_term(state, u)
 
 
-def estimate_R_hat(o, state, u_k, params, rng):
-    """Unbiased estimate of R(u_k): exact contributions of heavy-reserve
-    out-neighbors via ADJ, uniform sampling of the rest."""
+# Terminals are scored in blocks of about this many samples, which
+# bounds the batch arrays whatever n_r and n_s are.
+_BLOCK_SAMPLES = 1 << 14
+
+
+def estimate_R_hat(o, state, terminals, params, rng):
+    """Unbiased estimates R_hat(u) of R(u) for every node u of
+    `terminals`, as a float64 array in that order: exact contributions
+    of heavy-reserve out-neighbors via ADJ, uniform sampling of the
+    rest.
+
+    Scoring is batched: per block of terminals, one DEG-OUT batch, one
+    ADJ batch over terminals x V_P and OUT batches for the samples.
+    Queries, the uniforms of `rng` and the oracle's JUMPs are still
+    taken as by scoring one terminal after the other, so each value and
+    each stream is the same as for scalar scoring.  Terminal k's
+    uniforms follow terminal k-1's: n_s per sampling terminal, one per
+    rejection try.  Only a real node whose rejection sampling can hit a
+    heavy out-neighbor takes an unknown number of tries; such nodes are
+    scored one at a time, in between one `rng.random` run per stretch
+    of the others.
+    """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
-    du = o.deg_out(u_k)
-    total = _seed_term(state, u_k)
-    heavy = state.heavy
-    n_heavy_nbrs = 0
-    num = 0.0
-    for v in state.heavy_sorted:
-        if o.adj(u_k, v):
-            n_heavy_nbrs += 1
-            num += _chi_num_sum(state, u_k, v)
-    pool = du - n_heavy_nbrs
-    if pool > 0:
-        n_s = params.n_s
-        acc = 0.0
-        if du >= 2 * len(heavy):
-            # rejection sampling against the heavy set
-            for _ in range(n_s):
-                for _ in range(64):
-                    v = o.out_nbr(u_k, int(rng.random() * du))
-                    if v not in heavy:
-                        break
-                else:  # pragma: no cover - expected tries <= 2
-                    cand = _light_out_nbrs(o, u_k, du, heavy)
-                    v = cand[int(rng.random() * len(cand))]
-                acc += _chi_num_sum(state, u_k, v)
+    us = np.asarray(terminals, dtype=np.int64)
+    memo = {}
+
+    def chi(u, v):
+        """_chi_num_sum(state, u, v), once per pair of the call."""
+        c = memo.get((u, v))
+        if c is None:
+            c = memo[u, v] = _chi_num_sum(state, u, v)
+        return c
+
+    step = max(1, _BLOCK_SAMPLES // params.n_s)
+    return np.concatenate([np.empty(0)] + [
+        _score_block(o, state, chi, us[a:a + step], params.n_s, rng)
+        for a in range(0, us.size, step)])
+
+
+def _score_block(o, state, chi, us, n_s, rng):
+    """R_hat of every terminal of `us` (see estimate_R_hat)."""
+    ul = us.tolist()
+    k = us.size
+    heavy = np.array(state.heavy_sorted, dtype=np.int64)
+    du = o.deg_out_many(us)
+    is_nbr = o.adj_many(np.repeat(us, heavy.size),
+                        np.tile(heavy, k)).reshape(k, heavy.size)
+    num = [0.0] * k
+    for row, col in zip(*(a.tolist() for a in np.nonzero(is_nbr))):
+        num[row] += chi(ul[row], state.heavy_sorted[col])
+    pool = du - is_nbr.sum(axis=1)
+    light = (pool > 0) & (du < 2 * heavy.size)
+    reject = (pool > 0) & ~light
+    # the virtual source's OUT is a JUMP, whatever index is drawn for it
+    jumps = reject & (us == getattr(o, "virtual", -1))
+    one_try = reject & ~jumps & ~is_nbr.any(axis=1)
+    one_by_one = reject & ~jumps & ~one_try
+    draws = np.where(light | one_try, n_s, 0)
+    if jumps.any():
+        tries, v_nodes, cands = _jump_samples(
+            o, int(du[jumps][0]), n_s * int(np.count_nonzero(jumps)), heavy)
+        per_sample = tries + (v_nodes < 0)
+        draws[jumps] = per_sample.reshape(-1, n_s).sum(axis=1)
+    acc = [0.0] * k
+    contrib = np.fromiter(state.contrib, dtype=np.int64,
+                          count=len(state.contrib))
+
+    def add_samples(sel, nodes):
+        """Sum chi over each row of samples of the terminals `sel`, in
+        sample order; samples outside state.contrib add 0.0, so skip."""
+        hit = np.nonzero(np.isin(nodes, contrib))
+        for t, v in zip(sel[hit[0]].tolist(), nodes[hit].tolist()):
+            acc[t] += chi(ul[t], v)
+
+    off = np.cumsum(draws) - draws
+    r = np.empty(int(draws.sum()))
+    at = 0
+    for j in np.flatnonzero(one_by_one).tolist():
+        r[at:off[j]] = rng.random(off[j] - at)
+        at = off[j]
+        add_samples(np.array([j]), _rejection_samples(
+            o, ul[j], int(du[j]), n_s, state.heavy, rng)[None])
+    r[at:] = rng.random(r.size - at)
+
+    def uniforms(mask):
+        """(terminals, n_s) uniforms of the n_s-draw terminals `mask`."""
+        return r[np.repeat(mask, draws)].reshape(-1, n_s)
+
+    sel = np.flatnonzero(one_try)
+    if sel.size:
+        idx = uniforms(one_try)
+        idx *= du[sel][:, None]
+        nodes = o.out_nbr_many(us[sel].repeat(n_s),
+                               idx.astype(np.int64).ravel())
+        add_samples(sel, nodes.reshape(-1, n_s))
+    sel = np.flatnonzero(light)
+    if sel.size:
+        # all out-neighbors (du OUT queries), then n_s draws among the light
+        lens = du[sel]
+        owner = np.arange(sel.size).repeat(lens)
+        pos = np.arange(owner.size) - (lens.cumsum() - lens)[owner]
+        cand = o.out_nbr_many(us[sel][owner], pos)
+        ok = ~np.isin(cand, heavy)
+        clen = np.bincount(owner[ok], minlength=sel.size)
+        if not clen.all():
+            raise IndexError("no light out-neighbor to sample")
+        pick = (clen.cumsum() - clen)[:, None] + \
+            (uniforms(light) * clen[:, None]).astype(np.int64)
+        add_samples(sel, cand[ok][pick])
+    sel = np.flatnonzero(jumps)
+    if sel.size:
+        # after 64 rejected tries, the pick is its sample's 65th uniform
+        first = np.cumsum(per_sample) - per_sample
+        for q, cand in cands.items():
+            t = q // n_s
+            u = r[off[sel[t]] + first[q] - first[t * n_s] + 64]
+            v_nodes[q] = cand[int(u * cand.size)]
+        add_samples(sel, v_nodes.reshape(-1, n_s))
+    seed = np.where(us == state.target, _seed_term(state, state.target), 0.0)
+    return seed + (np.array(num) + np.array(acc) * pool / n_s) / du
+
+
+def _rejection_samples(o, u, du, n_s, heavy, rng):
+    """n_s uniform out-neighbors of the real node u outside the heavy set,
+    one try (a uniform and an OUT query) at a time.  After 64 rejected
+    tries in a row, one draw among all light out-neighbors, read with
+    du OUT queries."""
+    out = []
+    for _ in range(n_s):
+        for _ in range(64):
+            v = o.out_nbr(u, int(rng.random() * du))
+            if v not in heavy:
+                break
         else:
-            cand = _light_out_nbrs(o, u_k, du, heavy)
-            for _ in range(n_s):
-                acc += _chi_num_sum(state, u_k, cand[int(rng.random() * len(cand))])
-        num += acc * pool / n_s
-    return total + num / du
+            cand = o.out_nbr_many(np.full(du, u), np.arange(du)).tolist()
+            cand = [v for v in cand if v not in heavy]
+            v = cand[int(rng.random() * len(cand))]
+        out.append(v)
+    return np.array(out, dtype=np.int64)
 
 
-def _light_out_nbrs(o, u_k, du, heavy):
-    """All out-neighbors of u_k outside the heavy set, in list order
-    (du OUT queries)."""
-    cand = [o.out_nbr(u_k, j) for j in range(du)]
-    return [v for v in cand if v not in heavy]
+def _jump_samples(o, n, count, heavy):
+    """`count` rejection samples at the virtual source of a view, whose
+    d_out is n and whose every OUT query is one JUMP, independent of
+    the index drawn for it.
+
+    Replays the JUMP stream of one-try-at-a-time sampling without
+    overdrawing it: a round takes one JUMP per missing sample, since
+    each needs at least one.  Returns, per sample, its tries (one
+    uniform each), its node (-1 after 64 rejected tries in a row) and,
+    for those, the light candidates: the next n JUMPs minus V_P.
+    """
+    v = o.virtual
+
+    def jump(k):
+        return o.out_nbr_many(np.full(k, v), np.zeros(k, dtype=np.int64))
+
+    tries = np.empty(count, dtype=np.int64)
+    nodes = np.empty(count, dtype=np.int64)
+    cands = {}
+    done = run = 0
+    x = nodes[:0]
+    while done < count:
+        if not x.size:
+            x = jump(count - done)
+        acc = np.flatnonzero(~np.isin(x, heavy))
+        # rejected tries before each accepted one, then the trailing run
+        rej = np.diff(acc, prepend=-1, append=x.size) - 1
+        rej[0] += run
+        over = np.flatnonzero(rej >= 64)
+        m = int(over[0]) if over.size else acc.size
+        tries[done:done + m] = rej[:m] + 1
+        nodes[done:done + m] = x[acc[:m]]
+        done += m
+        if not over.size:
+            run, x = int(rej[-1]), x[:0]
+            continue
+        p = (int(acc[m - 1]) + 1 if m else -run) + 63  # the 64th rejection
+        cand = x[p + 1:p + 1 + n]
+        if cand.size < n:
+            cand = np.concatenate((cand, jump(n - cand.size)))
+        x = x[p + 1 + n:]
+        tries[done], nodes[done] = 64, -1
+        cands[done] = cand[~np.isin(cand, heavy)]
+        done += 1
+        run = 0
+    return tries, nodes, cands
 
 
 def single_pair_ppr(o, s, t, params, rng):
@@ -358,9 +510,10 @@ def single_pair_ppr(o, s, t, params, rng):
         raise CapabilityDisabled("single_pair_ppr needs IN-SORTED and ADJ")
     state = backward_phase(o, t, params, rng)
     n_r = params.n_r
+    terminals = _walk_terminals(o, [s], params.alpha, rng, n_r)
     acc = 0.0
-    for u_k in _walk_terminals(o, [s], params.alpha, rng, n_r).tolist():
-        acc += estimate_R_hat(o, state, u_k, params, rng)
+    for x in estimate_R_hat(o, state, terminals, params, rng).tolist():
+        acc += x  # left to right: np.sum adds pairwise and rounds otherwise
     return state.p_hat.get(s, 0.0) + acc / n_r
 
 

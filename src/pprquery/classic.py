@@ -231,7 +231,7 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     for level in range(L + 1):
         for v, rv in r.items():
             est[v] = est.get(v, 0.0) + alpha * rv
-        if level == L:
+        if level == L or not r:  # later levels would add, charge, draw nothing
             break
         vs = sorted(v for v, rv in r.items() if rv > 0.0)
         spread = (1.0 - alpha) * np.array([r[v] for v in vs])

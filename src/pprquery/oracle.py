@@ -8,9 +8,10 @@ Running time claims are measured in query count, not wall clock.
 
 Scalar queries read the graph's int32 CSR arrays through memoryviews,
 which return Python ints; ADJ bisects the id-sorted out-range.  The
-batch methods `deg_out_many`, `out_nbr_many` and `jump_many` index the
-arrays with numpy and charge exactly one query per element, so batching
-changes the wall time of a run, never its query count.
+batch methods `deg_out_many`, `out_nbr_many`, `adj_many` and
+`jump_many` index the arrays with numpy and charge exactly one query
+per element, so batching changes the wall time of a run, never its
+query count.
 
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
@@ -200,6 +201,30 @@ class OracleHandle:
             j = int(np.argmax(bad))
             raise IndexOutOfRange(f"OUT({vs[j]},{idx[j]}) with d_out={d[j]}")
         return g.out_nbrs[g.out_ptr[vs] + idx]
+
+    def adj_many(self, us, vs):
+        """ADJ(us[j], vs[j]) for every j, as a bool array: one bisection
+        per pair inside the id-sorted out-range of us[j], all pairs
+        stepped together."""
+        if not self.caps.adj:
+            raise CapabilityDisabled("ADJ is not enabled")
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        g = self.graph
+        self.stats.adj += us.size
+        lo = g.out_ptr[us].astype(np.int64)
+        end = g.out_ptr[us + 1].astype(np.int64)
+        hi = end.copy()
+        # bisect_left: a range of w ids settles in w.bit_length() steps
+        for _ in range(int((end - lo).max(initial=0)).bit_length()):
+            open_ = lo < hi
+            mid = (lo + hi) >> 1
+            less = open_ & (g.out_sorted[np.where(open_, mid, 0)] < vs)
+            lo = np.where(less, mid + 1, lo)
+            hi = np.where(open_ & ~less, mid, hi)
+        found = lo < end
+        found[found] = g.out_sorted[lo[found]] == vs[found]
+        return found
 
     def in_sorted_scans(self, vs, stop):
         """Scan the IN-SORTED list of each node v of `vs`: DEG-IN(v), then

@@ -29,11 +29,11 @@ class SuperSourceView:
     (sizes, s' degrees) is free; all real accesses are forwarded to the
     base handle and metered there.
 
-    The batch methods `deg_out_many` and `out_nbr_many` split off the
-    virtual elements: their degree is free, and each of their OUT
-    queries is one JUMP of the base handle (`jump_many`), drawn in
-    element order.  Everything else goes to the base's batch methods,
-    one query per element.
+    The batch methods `deg_out_many`, `out_nbr_many` and `adj_many`
+    split off the virtual elements: their degree and their ADJ pairs
+    are free, and each of their OUT queries is one JUMP of the base
+    handle (`jump_many`), drawn in element order.  Everything else goes
+    to the base's batch methods, one query per element.
     """
 
     def __init__(self, base):
@@ -122,6 +122,19 @@ class SuperSourceView:
                 raise CapabilityDisabled("ADJ is not enabled")
             return u == self.virtual != v
         return self.base.adj(u, v)
+
+    def adj_many(self, us, vs):
+        if not self.caps.adj:
+            raise CapabilityDisabled("ADJ is not enabled")
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        virt_u, virt_v = us == self.virtual, vs == self.virtual
+        real = ~(virt_u | virt_v)
+        if real.all():
+            return self.base.adj_many(us, vs)
+        out = virt_u & ~virt_v
+        out[real] = self.base.adj_many(us[real], vs[real])
+        return out
 
     def jump(self):
         # uniform over the n+1 view nodes, charged as one JUMP

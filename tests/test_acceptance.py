@@ -327,8 +327,7 @@ def test_criterion_5_unbiasedness_chain():
     u_k = meta.roles["U2"][2]
     R_val = compute_R(st, u_k)
     rng = np.random.default_rng(4)
-    vals = np.array([estimate_R_hat(o, st, u_k, params3, rng)
-                     for _ in range(reps)])
+    vals = estimate_R_hat(o, st, [u_k] * reps, params3, rng)
     assert R_val > 0 and vals.std() > 0, "R_hat probe is degenerate"
     se_h = max(vals.std(ddof=1) / math.sqrt(reps), 1e-13)
     d_h = abs(vals.mean() - R_val)

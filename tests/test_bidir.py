@@ -334,9 +334,7 @@ class TestEstimators:
         R_val = compute_R(st, u_k)
         assert R_val > 0
         reps = 10_000
-        vals = np.empty(reps)
-        for i in range(reps):
-            vals[i] = estimate_R_hat(o, st, u_k, params, rng)
+        vals = estimate_R_hat(o, st, [u_k] * reps, params, rng)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - R_val) <= 4 * max(se, 1e-12)
 
@@ -347,7 +345,7 @@ class TestEstimators:
         st = backward_phase(o, 1, params, rng)
         assert 1 in st.heavy
         # s's only out-neighbor is t, which is heavy: no sampling branch
-        assert estimate_R_hat(o, st, 0, params, rng) == \
+        assert estimate_R_hat(o, st, [0], params, rng)[0] == \
             pytest.approx(compute_R(st, 0), abs=1e-15)
 
     def test_walk_estimator_conditional_mean(self):

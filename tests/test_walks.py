@@ -1,17 +1,24 @@
-"""The lockstep walk engine and the batch oracle queries it runs on.
+"""The batch engines (lockstep walks, R_hat scoring) and the batch
+oracle queries they run on.
 
 Batch queries must answer and charge exactly like a loop of scalar
-queries, and `_walk_terminals` must reproduce the step-by-step walk it
-replaced (kept below as `reference_walk_terminals`): the same
-terminals, the same QueryStats and the same end state of both the
-estimator's generator and the oracle's JUMP generator.
+queries.  `_walk_terminals` must reproduce the step-by-step walk it
+replaced (kept below as `reference_walk_terminals`) and
+`estimate_R_hat` the per-terminal scorer it replaced (kept below as
+`reference_estimate_R_hat`): the same terminals or bit-equal scores,
+the same QueryStats and the same end state of both the estimator's
+generator and the oracle's JUMP generator.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pprquery import build_graph
+from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
+                            derive_params, estimate_R_hat)
 from pprquery.classic import (_walk_terminals, mc_walk_count,
                               single_target_bidir_jump, single_target_jump_mc)
 from pprquery.oracle import (Capabilities, CapabilityDisabled,
@@ -36,6 +43,43 @@ def reference_walk_terminals(o, s, alpha, rng, count):
             pos += 1
         out.append(cur)
     return out
+
+
+def reference_estimate_R_hat(o, state, u_k, params, rng):
+    """The per-terminal scorer the batch engine replaced."""
+    if not o.caps.adj:
+        raise CapabilityDisabled("estimate_R_hat needs ADJ")
+    du = o.deg_out(u_k)
+    total = _seed_term(state, u_k)
+    heavy = state.heavy
+    n_heavy_nbrs = 0
+    num = 0.0
+    for v in state.heavy_sorted:
+        if o.adj(u_k, v):
+            n_heavy_nbrs += 1
+            num += _chi_num_sum(state, u_k, v)
+    pool = du - n_heavy_nbrs
+    if pool > 0:
+        n_s = params.n_s
+        acc = 0.0
+        if du >= 2 * len(heavy):
+            for _ in range(n_s):
+                for _ in range(64):
+                    v = o.out_nbr(u_k, int(rng.random() * du))
+                    if v not in heavy:
+                        break
+                else:
+                    cand = [o.out_nbr(u_k, j) for j in range(du)]
+                    cand = [v for v in cand if v not in heavy]
+                    v = cand[int(rng.random() * len(cand))]
+                acc += _chi_num_sum(state, u_k, v)
+        else:
+            cand = [o.out_nbr(u_k, j) for j in range(du)]
+            cand = [v for v in cand if v not in heavy]
+            for _ in range(n_s):
+                acc += _chi_num_sum(state, u_k, cand[int(rng.random() * len(cand))])
+        num += acc * pool / n_s
+    return total + num / du
 
 
 @st.composite
@@ -257,3 +301,198 @@ def test_walk_count_names_bad_parameter(name, bad):
     kw = {"delta": 0.01, "eps": 0.2, "p_f": 0.1, name: bad}
     with pytest.raises(ValueError, match=name):
         mc_walk_count(**kw)
+
+
+# -- ADJ batches ------------------------------------------------------------
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_adj_many_matches_scalar_adj(view, g, data):
+    """Pairs probe both ends of u's id-sorted out-range, the ids next to
+    them (absent unless the range is contiguous), ids outside [0, n)
+    and, on a view, the virtual source at either end."""
+    a, b = twin_oracles(g, view)
+    n = a.node_count
+    us, vs = [], []
+    for _ in range(data.draw(st.integers(0, 40))):
+        u = data.draw(st.integers(0, n - 1))
+        out = g.out_list(u) if u < g.node_count else [0, g.node_count - 1]
+        ends = [min(out), max(out)]
+        us.append(u)
+        vs.append(data.draw(st.sampled_from(
+            ends + [ends[0] - 1, ends[1] + 1, n]) | st.integers(-1, n)))
+    want = [a.adj(u, v) for u, v in zip(us, vs)]
+    assert b.adj_many(us, vs).tolist() == want
+    assert a.stats.as_dict() == b.stats.as_dict()
+    caps = Capabilities(jump=True, in_sorted=True)
+    for o in twin_oracles(g, view, caps):
+        with pytest.raises(CapabilityDisabled):
+            o.adj_many([0], [0])
+
+
+# -- the R_hat scoring engine against the per-terminal scorer ----------------
+
+def assert_scores_match(g, view, t, terminals, seed, rng_a=None, rng_b=None,
+                        jumps=None, delta=0.05, **mult):
+    """Score `terminals` with the batch engine and, on a twin oracle,
+    with the per-terminal scorer; both must give bit-equal values and
+    leave the counters and both generators in the same state.  rng_a,
+    rng_b and `jumps` (a factory of JUMP generators) replace the
+    default seeded generators; `mult` goes to derive_params."""
+    if jumps is None:
+        pair = twin_oracles(g, view, seed=seed % 101)
+    else:
+        pair = [OracleHandle(g, Capabilities.all(), rng=jumps())
+                for _ in range(2)]
+        pair = [SuperSourceView(o) for o in pair] if view else pair
+    a, b = pair
+    o = twin_oracles(g, view)[0]
+    params = derive_params(0.2, delta, 0.2, 0.1, o.node_count, **mult)
+    state = backward_phase(o, t, params, np.random.default_rng(seed))
+    ra = rng_a or np.random.default_rng(seed)
+    rb = rng_b or np.random.default_rng(seed)
+    try:
+        want = [reference_estimate_R_hat(a, state, u, params, ra)
+                for u in terminals]
+    except IndexError:  # a view's light pool drew no light JUMP
+        with pytest.raises(IndexError):
+            estimate_R_hat(b, state, terminals, params, rb)
+        return state
+    got = estimate_R_hat(b, state, np.array(terminals, dtype=np.int64),
+                         params, rb)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert {type(q) for q in b.stats.as_dict().values()} == {int}
+    ja, jb = (getattr(x, "base", x)._rng for x in (a, b))
+    for x, y in ((ra, rb), (ja, jb)):
+        if isinstance(x, Scripted):
+            assert x.calls == y.calls
+        else:
+            assert x.bit_generator.state == y.bit_generator.state
+    return state
+
+
+def scoring_classes(o, state, terminals):
+    """How the scalar scorer samples each terminal (test-side reading)."""
+    seen = set()
+    for u in terminals:
+        du = o.deg_out(u)
+        nbrs = sum(o.adj(u, v) for v in state.heavy_sorted)
+        if du == nbrs:
+            seen.add("no pool")
+        elif du < 2 * len(state.heavy):
+            seen.add("light")
+        elif u == getattr(o, "virtual", None):
+            seen.add("jumps")
+        else:
+            seen.add("reject, heavy nbr" if nbrs else "reject, one try")
+    return seen
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(), c_tau=st.sampled_from([1e-6, 1e-3, 0.05, 1.0]),
+       c_theta=st.sampled_from([1.0, 0.1, 0.02]),
+       delta=st.sampled_from([0.05, 0.005]), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_scores_match_per_terminal_scores(view, g, c_tau, c_theta, delta,
+                                          seed, data):
+    """Random graphs, V_P from empty to every pushed node (small c_tau),
+    few to all nodes pushed (small c_theta), repeated terminals and, on
+    a view, the virtual source."""
+    n = g.node_count + view
+    t = data.draw(st.integers(0, g.node_count - 1))
+    terminals = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
+    assert_scores_match(g, view, t, terminals, seed, delta=delta,
+                        c_tau=c_tau, c_theta=c_theta)
+
+
+SCORING_CASES = [
+    # (graph seed, n, d, view, derive_params arguments, sampling classes)
+    (1, 40, 6, True, {"c_theta": 0.1},
+     {"reject, one try", "reject, heavy nbr", "jumps"}),
+    (3, 20, 8, False, {"c_theta": 0.05, "c_tau": 0.5},
+     {"reject, one try", "reject, heavy nbr", "light"}),
+    (1, 40, 6, True, {"c_theta": 1.0}, {"reject, one try", "jumps"}),
+    (6, 8, 3, True, {"delta": 0.005, "c_tau": 1e-3}, {"no pool", "light"}),
+    (5, 30, 3, False, {"delta": 0.005, "c_tau": 1e-3}, {"no pool", "light"}),
+]
+
+
+@pytest.mark.parametrize("case", SCORING_CASES)
+def test_scores_match_in_every_sampling_class(case):
+    gseed, n, d, view, mult, classes = case
+    g = random_graph(gseed, n, d=d)
+    top = g.node_count + view
+    terminals = np.random.default_rng(gseed).permutation(
+        np.repeat(np.arange(top), 4)).tolist() + [top - 1] * 50
+    state = assert_scores_match(g, view, 0, terminals, 7, **mult)
+    o = twin_oracles(g, view)[0]
+    assert scoring_classes(o, state, terminals) == classes
+
+
+class Scripted:
+    """Stands in for a numpy Generator: `random` and `integers` hand out
+    fixed cycles of values; `calls` counts the values handed out."""
+
+    def __init__(self, uniforms=(0.5,), ints=(0,)):
+        self._u = itertools.cycle(uniforms)
+        self._i = itertools.cycle(ints)
+        self.calls = 0
+
+    def _take(self, it, size):
+        self.calls += 1 if size is None else size
+        if size is None:
+            return next(it)
+        return np.array([next(it) for _ in range(size)])
+
+    def random(self, size=None):
+        return self._take(self._u, size)
+
+    def integers(self, high, size=None):
+        return self._take(self._i, size)
+
+
+def test_fallback_after_64_heavy_tries_real_terminal():
+    """Every uniform lands on u's heavy out-neighbor: each sample rejects
+    64 tries, then draws among u's light out-neighbors."""
+    g = random_graph(1, 40, d=6)
+    o = twin_oracles(g, False)[0]
+    params = derive_params(0.2, 0.05, 0.2, 0.1, 40, c_theta=0.1)
+    state = backward_phase(o, 0, params, np.random.default_rng(7))
+    (h,) = state.heavy
+    u = next(u for u in range(40) if h in g.out_list(u))
+    out = g.out_list(u)
+    x = (out.index(h) + 0.5) / len(out)
+    rng_a, rng_b = Scripted([x]), Scripted([x])
+    assert_scores_match(g, False, 0, [u, 3, u, u], 7, rng_a, rng_b,
+                        c_theta=0.1)
+    assert rng_a.calls > 3 * 64 * params.n_s  # every sample fell back
+
+
+def test_fallback_after_64_heavy_jumps_virtual_source():
+    """JUMPs of the virtual source hit V_P in runs of 64: samples fall
+    back to all n JUMPs, and the JUMP rounds of the batch engine must
+    split the stream exactly where the scalar loop did."""
+    g = random_graph(1, 40, d=6)
+    o = SuperSourceView(OracleHandle(g, Capabilities.all()))
+    params = derive_params(0.2, 0.05, 0.2, 0.1, 41, c_theta=0.1)
+    state = backward_phase(o, 0, params, np.random.default_rng(7))
+    (h,) = state.heavy
+    v = o.virtual
+    # fallback candidates that score apart, so which one is picked shows
+    by_chi = {}
+    for u in range(40):
+        by_chi.setdefault(_chi_num_sum(state, v, u), u)
+    by_chi.pop(0.0, None)
+    cands = list(itertools.islice(itertools.cycle(by_chi.values()), 40))
+    script = [h] * 64 + cands + [h, 3, h, h, 5] + [h] * 70 + [9]
+
+    def jumps():
+        return Scripted(ints=script)
+
+    # the first JUMP round (one per sample) outlasts the first fallback
+    assert_scores_match(g, True, 0, [v, 4, v, v, 11] + [v] * 60, 7,
+                        jumps=jumps, c_theta=0.1)
