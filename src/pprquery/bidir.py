@@ -13,10 +13,8 @@ Forward phase: walks from the source; each terminal u_k is scored by an
 estimate R_hat(u_k) of the derandomized residue R(u_k), combining exact
 ADJ-checked contributions of heavy-reserve nodes with uniform sampling
 of the remaining out-neighbors.  `estimate_R_hat` scores all terminals
-in one pass of batch queries (DEG-OUT, ADJ over terminals x V_P, OUT
-for the samples), yet takes every query, every uniform and every JUMP
-in the order of scoring the terminals one after another, so scores and
-generator states equal those of the per-terminal loop.
+in one pass of batch queries and draws the samples by rejection in
+vectorized rounds, one try per still-open sample per round.
 
 Indexing convention: a push from level i uses the receiving level's
 threshold gamma_{i+1} * theta_{i+1} (immaterial for the default uniform
@@ -170,7 +168,6 @@ class RandPushState:
     pushed_amount: list
     heavy: set
     push_counts: list
-    graph: object = None
     contrib: dict = field(default_factory=dict)
     heavy_sorted: list = field(default_factory=list)
 
@@ -246,7 +243,7 @@ def backward_phase(o, t, params, rng):
         r_hat=[{} for _ in range(L + 1)],
         r_hat_prime=[{} for _ in range(L + 1)],
         p_hat={}, pushed_amount=[{} for _ in range(L + 1)],
-        heavy=set(), push_counts=[0] * (L + 1), graph=getattr(o, "graph", None))
+        heavy=set(), push_counts=[0] * (L + 1))
     state.r_hat[0][t] = 1.0
     state.r_hat_prime[0][t] = 1.0
     for i in range(L):
@@ -294,22 +291,6 @@ def _seed_term(state, u):
     return 1.0 if u == state.target and state.indicator(u, 0) else 0.0
 
 
-def compute_R(state, u):
-    """Exact derandomized residue R(u) from the stored push amounts.
-
-    Testing aid: walks the full out-list of the stored graph, which the
-    metered algorithm itself never does.
-    """
-    g = state.graph
-    if g is None:
-        raise ValueError("state has no graph reference")
-    nbrs = g.out_list(u)
-    total = 0.0
-    for v in nbrs:
-        total += _chi_num_sum(state, u, v)
-    return total / len(nbrs) + _seed_term(state, u)
-
-
 # Terminals are scored in blocks of about this many samples, which
 # bounds the batch arrays whatever n_r and n_s are.
 _BLOCK_SAMPLES = 1 << 14
@@ -321,16 +302,18 @@ def estimate_R_hat(o, state, terminals, params, rng):
     of heavy-reserve out-neighbors via ADJ, uniform sampling of the
     rest.
 
-    Scoring is batched: per block of terminals, one DEG-OUT batch, one
-    ADJ batch over terminals x V_P and OUT batches for the samples.
-    Queries, the uniforms of `rng` and the oracle's JUMPs are still
-    taken as by scoring one terminal after the other, so each value and
-    each stream is the same as for scalar scoring.  Terminal k's
-    uniforms follow terminal k-1's: n_s per sampling terminal, one per
-    rejection try.  Only a real node whose rejection sampling can hit a
-    heavy out-neighbor takes an unknown number of tries; such nodes are
-    scored one at a time, in between one `rng.random` run per stretch
-    of the others.
+    Per block of terminals: one DEG-OUT batch and one ADJ batch over
+    terminals x V_P, then one uniform per sample (n_s per terminal with
+    a non-empty light pool, in terminal order).  A terminal with
+    d_out < 2|V_P| reads its out-list once (d_out OUT queries) and its
+    samples pick among the light out-neighbors.  Every other sample is
+    drawn by rejection in rounds: each round is one OUT batch over the
+    open samples, the first round uses their uniforms and each later
+    one draws one fresh uniform per open sample.  A sample still open
+    after 64 tries reads its terminal's out-list and picks among the
+    light out-neighbors with one more uniform.  On a view, each OUT
+    query of the virtual source is one JUMP, so its tries need no
+    branch here.
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
@@ -362,142 +345,55 @@ def _score_block(o, state, chi, us, n_s, rng):
     for row, col in zip(*(a.tolist() for a in np.nonzero(is_nbr))):
         num[row] += chi(ul[row], state.heavy_sorted[col])
     pool = du - is_nbr.sum(axis=1)
-    light = (pool > 0) & (du < 2 * heavy.size)
-    reject = (pool > 0) & ~light
-    # the virtual source's OUT is a JUMP, whatever index is drawn for it
-    jumps = reject & (us == getattr(o, "virtual", -1))
-    one_try = reject & ~jumps & ~is_nbr.any(axis=1)
-    one_by_one = reject & ~jumps & ~one_try
-    draws = np.where(light | one_try, n_s, 0)
-    if jumps.any():
-        tries, v_nodes, cands = _jump_samples(
-            o, int(du[jumps][0]), n_s * int(np.count_nonzero(jumps)), heavy)
-        per_sample = tries + (v_nodes < 0)
-        draws[jumps] = per_sample.reshape(-1, n_s).sum(axis=1)
-    acc = [0.0] * k
-    contrib = np.fromiter(state.contrib, dtype=np.int64,
-                          count=len(state.contrib))
+    owner = np.repeat(np.arange(k), np.where(pool > 0, n_s, 0))
+    u = rng.random(owner.size)
+    nodes = np.empty(owner.size, dtype=np.int64)
 
-    def add_samples(sel, nodes):
-        """Sum chi over each row of samples of the terminals `sel`, in
-        sample order; samples outside state.contrib add 0.0, so skip."""
-        hit = np.nonzero(np.isin(nodes, contrib))
-        for t, v in zip(sel[hit[0]].tolist(), nodes[hit].tolist()):
-            acc[t] += chi(ul[t], v)
-
-    off = np.cumsum(draws) - draws
-    r = np.empty(int(draws.sum()))
-    at = 0
-    for j in np.flatnonzero(one_by_one).tolist():
-        r[at:off[j]] = rng.random(off[j] - at)
-        at = off[j]
-        add_samples(np.array([j]), _rejection_samples(
-            o, ul[j], int(du[j]), n_s, state.heavy, rng)[None])
-    r[at:] = rng.random(r.size - at)
-
-    def uniforms(mask):
-        """(terminals, n_s) uniforms of the n_s-draw terminals `mask`."""
-        return r[np.repeat(mask, draws)].reshape(-1, n_s)
-
-    sel = np.flatnonzero(one_try)
-    if sel.size:
-        idx = uniforms(one_try)
-        idx *= du[sel][:, None]
-        nodes = o.out_nbr_many(us[sel].repeat(n_s),
-                               idx.astype(np.int64).ravel())
-        add_samples(sel, nodes.reshape(-1, n_s))
-    sel = np.flatnonzero(light)
-    if sel.size:
-        # all out-neighbors (du OUT queries), then n_s draws among the light
-        lens = du[sel]
-        owner = np.arange(sel.size).repeat(lens)
-        pos = np.arange(owner.size) - (lens.cumsum() - lens)[owner]
-        cand = o.out_nbr_many(us[sel][owner], pos)
+    def pick_light(ts, x):
+        """Read the out-list of each terminal ts[j] (d_out OUT queries)
+        and pick, for each uniform of row x[j], among its light
+        out-neighbors."""
+        lens = du[ts]
+        row = np.arange(ts.size).repeat(lens)
+        pos = np.arange(row.size) - (lens.cumsum() - lens)[row]
+        cand = o.out_nbr_many(us[ts][row], pos)
         ok = ~np.isin(cand, heavy)
-        clen = np.bincount(owner[ok], minlength=sel.size)
+        clen = np.bincount(row[ok], minlength=ts.size)
         if not clen.all():
             raise IndexError("no light out-neighbor to sample")
-        pick = (clen.cumsum() - clen)[:, None] + \
-            (uniforms(light) * clen[:, None]).astype(np.int64)
-        add_samples(sel, cand[ok][pick])
-    sel = np.flatnonzero(jumps)
-    if sel.size:
-        # after 64 rejected tries, the pick is its sample's 65th uniform
-        first = np.cumsum(per_sample) - per_sample
-        for q, cand in cands.items():
-            t = q // n_s
-            u = r[off[sel[t]] + first[q] - first[t * n_s] + 64]
-            v_nodes[q] = cand[int(u * cand.size)]
-        add_samples(sel, v_nodes.reshape(-1, n_s))
+        return cand[ok][(clen.cumsum() - clen)[:, None]
+                        + (x * clen[:, None]).astype(np.int64)]
+
+    # open samples (ids and terminals) for the rejection rounds
+    open_, t = np.arange(owner.size), owner
+    light_terminal = (pool > 0) & (du < 2 * heavy.size)
+    if light_terminal.any():
+        light = light_terminal[owner]
+        nodes[light] = pick_light(np.flatnonzero(light_terminal),
+                                  u[light].reshape(-1, n_s)).ravel()
+        open_ = np.flatnonzero(~light)
+        u, t = u[open_], owner[open_]
+    # one try (a uniform and an OUT query) per open sample and round
+    for rnd in range(64):
+        if not open_.size:
+            break
+        if rnd:
+            u = rng.random(open_.size)
+        got = o.out_nbr_many(us[t], (u * du[t]).astype(np.int64))
+        nodes[open_] = got
+        keep = np.isin(got, heavy)
+        open_, t = open_[keep], t[keep]
+    if open_.size:
+        nodes[open_] = pick_light(t, rng.random((open_.size, 1))).ravel()
+    # sum chi over each terminal's samples in sample order; samples
+    # outside state.contrib add 0.0, so skip them
+    acc = [0.0] * k
+    hit = np.flatnonzero(np.isin(nodes, np.fromiter(
+        state.contrib, dtype=np.int64, count=len(state.contrib))))
+    for j, v in zip(owner[hit].tolist(), nodes[hit].tolist()):
+        acc[j] += chi(ul[j], v)
     seed = np.where(us == state.target, _seed_term(state, state.target), 0.0)
     return seed + (np.array(num) + np.array(acc) * pool / n_s) / du
-
-
-def _rejection_samples(o, u, du, n_s, heavy, rng):
-    """n_s uniform out-neighbors of the real node u outside the heavy set,
-    one try (a uniform and an OUT query) at a time.  After 64 rejected
-    tries in a row, one draw among all light out-neighbors, read with
-    du OUT queries."""
-    out = []
-    for _ in range(n_s):
-        for _ in range(64):
-            v = o.out_nbr(u, int(rng.random() * du))
-            if v not in heavy:
-                break
-        else:
-            cand = o.out_nbr_many(np.full(du, u), np.arange(du)).tolist()
-            cand = [v for v in cand if v not in heavy]
-            v = cand[int(rng.random() * len(cand))]
-        out.append(v)
-    return np.array(out, dtype=np.int64)
-
-
-def _jump_samples(o, n, count, heavy):
-    """`count` rejection samples at the virtual source of a view, whose
-    d_out is n and whose every OUT query is one JUMP, independent of
-    the index drawn for it.
-
-    Replays the JUMP stream of one-try-at-a-time sampling without
-    overdrawing it: a round takes one JUMP per missing sample, since
-    each needs at least one.  Returns, per sample, its tries (one
-    uniform each), its node (-1 after 64 rejected tries in a row) and,
-    for those, the light candidates: the next n JUMPs minus V_P.
-    """
-    v = o.virtual
-
-    def jump(k):
-        return o.out_nbr_many(np.full(k, v), np.zeros(k, dtype=np.int64))
-
-    tries = np.empty(count, dtype=np.int64)
-    nodes = np.empty(count, dtype=np.int64)
-    cands = {}
-    done = run = 0
-    x = nodes[:0]
-    while done < count:
-        if not x.size:
-            x = jump(count - done)
-        acc = np.flatnonzero(~np.isin(x, heavy))
-        # rejected tries before each accepted one, then the trailing run
-        rej = np.diff(acc, prepend=-1, append=x.size) - 1
-        rej[0] += run
-        over = np.flatnonzero(rej >= 64)
-        m = int(over[0]) if over.size else acc.size
-        tries[done:done + m] = rej[:m] + 1
-        nodes[done:done + m] = x[acc[:m]]
-        done += m
-        if not over.size:
-            run, x = int(rej[-1]), x[:0]
-            continue
-        p = (int(acc[m - 1]) + 1 if m else -run) + 63  # the 64th rejection
-        cand = x[p + 1:p + 1 + n]
-        if cand.size < n:
-            cand = np.concatenate((cand, jump(n - cand.size)))
-        x = x[p + 1 + n:]
-        tries[done], nodes[done] = 64, -1
-        cands[done] = cand[~np.isin(cand, heavy)]
-        done += 1
-        run = 0
-    return tries, nodes, cands
 
 
 def single_pair_ppr(o, s, t, params, rng):
@@ -516,19 +412,3 @@ def single_pair_ppr(o, s, t, params, rng):
         acc += x  # left to right: np.sum adds pairwise and rounds otherwise
     return state.p_hat.get(s, 0.0) + acc / n_r
 
-
-def diagnostics(o, params, state, estimate):
-    """JSON-friendly run summary: schedule, per-level push counts,
-    |V_P|, query counters, final estimate."""
-    return {
-        "L": params.schedule.L,
-        "theta": list(params.schedule.theta),
-        "gamma": list(params.schedule.gamma),
-        "n_r": params.n_r,
-        "n_s": params.n_s,
-        "tau": params.tau,
-        "push_counts": list(state.push_counts),
-        "heavy_set_size": len(state.heavy),
-        "queries": o.stats.as_dict(),
-        "estimate": estimate,
-    }

@@ -210,6 +210,11 @@ def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT)
 
 def rbs_levels(alpha, delta, eps):
     """Default level count ceil(log_{1/(1-alpha)} 1/(eps*delta))."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"rbs_levels: alpha must be in (0,1), got {alpha}")
+    for name, val in (("delta", delta), ("eps", eps)):
+        if not val > 0:
+            raise ValueError(f"rbs_levels: {name} must be positive, got {val}")
     return max(1, math.ceil(math.log(1.0 / (eps * delta)) / math.log(1.0 / (1.0 - alpha))))
 
 

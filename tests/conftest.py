@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pprquery import build_graph
+from pprquery.bidir import _chi_num_sum, _seed_term
 
 
 def chain_graph():
@@ -76,6 +77,17 @@ def relay_fan_graph(n_in=2200, n_relays=16, relay_out=32, in_nbr_out=30):
     edges += [(d, d) for d in udum]
     g = build_graph(edges, n_relays + relay_out + n_in + in_nbr_out - n_relays)
     return g, t
+
+
+def compute_R(g, state, u):
+    """Exact derandomized residue R(u) of a push state on graph g, from
+    the stored push amounts.  Reads u's full out-list, which the metered
+    algorithm itself never does."""
+    nbrs = g.out_list(u)
+    total = 0.0
+    for v in nbrs:
+        total += _chi_num_sum(state, u, v)
+    return total / len(nbrs) + _seed_term(state, u)
 
 
 @pytest.fixture

@@ -20,14 +20,14 @@ from pprquery.classic import (monte_carlo_pair, bippr_pair, push_back,
                               single_target_bidir_jump, default_r_max_pair,
                               PushFrontier, rbs_levels)
 from pprquery.bidir import (LevelSchedule, derive_params, backward_phase,
-                            compute_R, estimate_R_hat, single_pair_ppr,
+                            estimate_R_hat, single_pair_ppr,
                             unpushed_bound_holds)
 from pprquery.single_node import (single_node_adaptive, single_node_avg_jump,
                                   single_node_avg_full)
 from pprquery.harness import (ExperimentConfig, run_experiment, emit,
                               fit_scaling, mean_queries_by_cell)
-from conftest import (chain_graph, star_graph, cycle_graph, random_graph,
-                      relay_fan_graph)
+from conftest import (chain_graph, compute_R, star_graph, cycle_graph,
+                      random_graph, relay_fan_graph)
 
 A = 0.2
 EPS = 0.2
@@ -282,7 +282,7 @@ def test_criterion_5_unbiasedness_chain():
     for i in range(200):
         st = backward_phase(_oracle(g, i), 1, params, rng)
         r_tot.append(st.r_hat_total(0))
-        R_tot.append(compute_R(st, 0))
+        R_tot.append(compute_R(g, st, 0))
         inv.append(st.p_hat.get(0, 0.0) + sum(
             pi_row[u] * st.r_hat_total(u) for u in range(2)))
     d, se = _mean_vs(r_tot, R_tot)
@@ -304,7 +304,7 @@ def test_criterion_5_unbiasedness_chain():
     for i in range(reps):
         st = backward_phase(_oracle(g3, i), meta.t, params3, rng)
         r_tot.append(st.r_hat_total(u_probe))
-        R_tot.append(compute_R(st, u_probe))
+        R_tot.append(compute_R(g3, st, u_probe))
         tot = st.p_hat.get(meta.s, 0.0)
         for level in st.r_hat:
             for u, val in level.items():
@@ -325,7 +325,7 @@ def test_criterion_5_unbiasedness_chain():
     o = _oracle(g3, 77)
     st = backward_phase(o, meta.t, params3, np.random.default_rng(3))
     u_k = meta.roles["U2"][2]
-    R_val = compute_R(st, u_k)
+    R_val = compute_R(g3, st, u_k)
     rng = np.random.default_rng(4)
     vals = estimate_R_hat(o, st, [u_k] * reps, params3, rng)
     assert R_val > 0 and vals.std() > 0, "R_hat probe is degenerate"

@@ -11,7 +11,7 @@ from pprquery.classic import (_walk_terminals, monte_carlo_pair, push_back,
                               approx_contributions, power_iteration_target,
                               bippr_pair, rbs_single_target, PushFrontier,
                               single_target_jump_mc, single_target_bidir_jump,
-                              default_r_max_pair)
+                              default_r_max_pair, rbs_levels)
 from conftest import (chain_graph, singleton_graph, cycle_graph,
                       random_graph, fan_graph)
 
@@ -273,6 +273,16 @@ class TestRbs:
         assert list(got.items()) == list(want.items())
         assert a.stats.as_dict() == b.stats.as_dict()
         assert ra.bit_generator.state == rb.bit_generator.state
+
+    @pytest.mark.parametrize("name,bad", [
+        ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.2), ("alpha", 1.5),
+        ("alpha", float("nan")), ("delta", 0.0), ("delta", -0.5),
+        ("delta", float("nan")), ("eps", 0.0), ("eps", -0.5),
+        ("eps", float("nan"))])
+    def test_levels_name_bad_parameter(self, name, bad):
+        kw = {"alpha": 0.2, "delta": 0.1, "eps": 0.2, name: bad}
+        with pytest.raises(ValueError, match=name):
+            rbs_levels(**kw)
 
     def test_needs_in_sorted(self, rng):
         with pytest.raises(CapabilityDisabled):

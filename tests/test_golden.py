@@ -65,9 +65,9 @@ RUN_DIGESTS = {
     "monte_carlo": "e8ca996da4e7be4a6b2582c7ac83f667eb0c0fb8522bf15c199b1f7e9a0496e5",
     "power_iteration": "acb7d4e9bf9360f6d04dd5a72dbb6e544cac7c3e83cbea4548da52709044fa32",
     "rbs": "5ba87ffb9315a7df5de4e8275f7677f4a95517bb8cf12e02cbbceb9fb239bad4",
-    "single_pair_ppr": "d17fb8429dac303481dda0c86b2bc66f6996dbc2ac367bbef81639ba44413ae1",
+    "single_pair_ppr": "aed5fbe377f00a13bfdc5db5d86ed85ed7e3d88c08d816922f9f4c5ceb867b11",
     "sn_adaptive": "28c9365006f6a2931a58a5dea30f6b3d7a221c4259c5d71fa32a1b9e0e01c21f",
-    "sn_avg_full": "0765ca3d565757fab57b32dcb01449673a11a85b62b4152dd83551d90bed531d",
+    "sn_avg_full": "a805b191797eb20db9035ceebfd57eace40b37503bdb06657bb360b94191c7b9",
     "sn_avg_jump": "f111fee6e0b75013977561e1a6e88d2b7899a56d207b0f73d431f937bcbf1cbd",
     "st_bidir_jump": "fc5db57ab31f12c59098fb31dd6a47ce0ba30dca61f69ca30db5ffb976589183",
     "st_jump_mc": "ab6fcee2f68f6fc4c03c7112693bb0d2d0f5d7dd427208769ae04c9a933277ca",

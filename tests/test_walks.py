@@ -3,20 +3,29 @@ oracle queries they run on.
 
 Batch queries must answer and charge exactly like a loop of scalar
 queries.  `_walk_terminals` must reproduce the step-by-step walk it
-replaced (kept below as `reference_walk_terminals`) and
-`estimate_R_hat` the per-terminal scorer it replaced (kept below as
-`reference_estimate_R_hat`): the same terminals or bit-equal scores,
-the same QueryStats and the same end state of both the estimator's
-generator and the oracle's JUMP generator.
+replaced (kept below as `reference_walk_terminals`): the same
+terminals, the same QueryStats and the same end state of both the
+estimator's generator and the oracle's JUMP generator.
+
+`estimate_R_hat` draws its samples by rejection in vectorized rounds,
+so where a try is rejected it takes uniforms and JUMPs in another order
+than the per-terminal scorer it replaced (kept below as
+`reference_estimate_R_hat`).  It must match, in bit-equal scores, the
+same QueryStats and both generator end states, `reference_rounds_R_hat`
+(the round order as scalar loops) on every input and the per-terminal
+scorer on every input where no try can be rejected.  A two-sample
+chi-square test over thousands of seeds checks that its scores and
+query counts follow the per-terminal scorer's distribution.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pprquery import build_graph
+from pprquery import bidir, build_graph
 from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
                             derive_params, estimate_R_hat)
 from pprquery.classic import (_walk_terminals, mc_walk_count,
@@ -80,6 +89,70 @@ def reference_estimate_R_hat(o, state, u_k, params, rng):
                 acc += _chi_num_sum(state, u_k, cand[int(rng.random() * len(cand))])
         num += acc * pool / n_s
     return total + num / du
+
+
+def reference_rounds_R_hat(o, state, terminals, params, rng):
+    """The batch engine's draw order as scalar loops.  Per block of
+    terminals: DEG-OUT and ADJ over V_P of each terminal, one uniform per
+    sample in terminal order, the out-list of each light terminal
+    (d_out < 2|V_P|), then up to 64 rounds with one OUT query per open
+    sample, which uses the sample's uniform in round 1 and a fresh one
+    after; each sample still open then reads its terminal's out-list and
+    draws one more uniform."""
+    if not o.caps.adj:
+        raise CapabilityDisabled("estimate_R_hat needs ADJ")
+    n_s, heavy = params.n_s, state.heavy
+
+    def light_nbrs(u, du):
+        return [v for v in (o.out_nbr(u, j) for j in range(du))
+                if v not in heavy]
+
+    out = []
+    step = max(1, bidir._BLOCK_SAMPLES // n_s)
+    for a in range(0, len(terminals), step):
+        block = terminals[a:a + step]
+        du = [o.deg_out(u) for u in block]
+        nbrs = [[v for v in state.heavy_sorted if o.adj(u, v)] for u in block]
+        pool = [d - len(h) for d, h in zip(du, nbrs)]
+        sampling = [j for j in range(len(block)) if pool[j] > 0]
+        r = iter([rng.random() for _ in range(n_s * len(sampling))])
+        nodes, first = {}, {}
+        for j in sampling:
+            if du[j] < 2 * len(heavy):
+                cand = light_nbrs(block[j], du[j])
+                for q in range(n_s):
+                    nodes[j, q] = cand[int(next(r) * len(cand))]
+            else:
+                for q in range(n_s):
+                    first[j, q] = next(r)
+        open_ = list(first)
+        for rnd in range(64):
+            still = []
+            for j, q in open_:
+                x = first[j, q] if rnd == 0 else rng.random()
+                nodes[j, q] = o.out_nbr(block[j], int(x * du[j]))
+                if nodes[j, q] in heavy:
+                    still.append((j, q))
+            open_ = still
+        for j, q in open_:
+            cand = light_nbrs(block[j], du[j])
+            nodes[j, q] = cand[int(rng.random() * len(cand))]
+        for j, u in enumerate(block):
+            num = 0.0
+            for v in nbrs[j]:
+                num += _chi_num_sum(state, u, v)
+            if pool[j] > 0:
+                acc = 0.0
+                for q in range(n_s):
+                    acc += _chi_num_sum(state, u, nodes[j, q])
+                num += acc * pool[j] / n_s
+            out.append(_seed_term(state, u) + num / du[j])
+    return out
+
+
+def per_terminal_R_hat(o, state, terminals, params, rng):
+    return [reference_estimate_R_hat(o, state, u, params, rng)
+            for u in terminals]
 
 
 @st.composite
@@ -331,15 +404,16 @@ def test_adj_many_matches_scalar_adj(view, g, data):
             o.adj_many([0], [0])
 
 
-# -- the R_hat scoring engine against the per-terminal scorer ----------------
+# -- the R_hat scoring engine against its two references ---------------------
 
 def assert_scores_match(g, view, t, terminals, seed, rng_a=None, rng_b=None,
-                        jumps=None, delta=0.05, **mult):
+                        jumps=None, delta=0.05, reference=reference_rounds_R_hat,
+                        **mult):
     """Score `terminals` with the batch engine and, on a twin oracle,
-    with the per-terminal scorer; both must give bit-equal values and
-    leave the counters and both generators in the same state.  rng_a,
-    rng_b and `jumps` (a factory of JUMP generators) replace the
-    default seeded generators; `mult` goes to derive_params."""
+    with `reference`; both must give bit-equal values and leave the
+    counters and both generators in the same state.  rng_a, rng_b and
+    `jumps` (a factory of JUMP generators) replace the default seeded
+    generators; `mult` goes to derive_params."""
     if jumps is None:
         pair = twin_oracles(g, view, seed=seed % 101)
     else:
@@ -353,8 +427,7 @@ def assert_scores_match(g, view, t, terminals, seed, rng_a=None, rng_b=None,
     ra = rng_a or np.random.default_rng(seed)
     rb = rng_b or np.random.default_rng(seed)
     try:
-        want = [reference_estimate_R_hat(a, state, u, params, ra)
-                for u in terminals]
+        want = reference(a, state, terminals, params, ra)
     except IndexError:  # a view's light pool drew no light JUMP
         with pytest.raises(IndexError):
             estimate_R_hat(b, state, terminals, params, rb)
@@ -375,7 +448,8 @@ def assert_scores_match(g, view, t, terminals, seed, rng_a=None, rng_b=None,
 
 
 def scoring_classes(o, state, terminals):
-    """How the scalar scorer samples each terminal (test-side reading)."""
+    """How the per-terminal scorer samples each terminal (test-side
+    reading)."""
     seen = set()
     for u in terminals:
         du = o.deg_out(u)
@@ -391,6 +465,16 @@ def scoring_classes(o, state, terminals):
     return seen
 
 
+# classes whose tries never land in V_P: no sample is rejected
+NO_REJECTION = {"no pool", "light", "reject, one try"}
+
+
+def rejection_free(g, view, state, terminals):
+    o = twin_oracles(g, view)[0]
+    return (not state.heavy
+            or scoring_classes(o, state, terminals) <= NO_REJECTION)
+
+
 @pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(), c_tau=st.sampled_from([1e-6, 1e-3, 0.05, 1.0]),
@@ -401,16 +485,21 @@ def test_scores_match_per_terminal_scores(view, g, c_tau, c_theta, delta,
                                           seed, data):
     """Random graphs, V_P from empty to every pushed node (small c_tau),
     few to all nodes pushed (small c_theta), repeated terminals and, on
-    a view, the virtual source."""
+    a view, the virtual source.  The engine matches the round order
+    always and the per-terminal scorer where nothing is rejected."""
     n = g.node_count + view
     t = data.draw(st.integers(0, g.node_count - 1))
     terminals = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
-    assert_scores_match(g, view, t, terminals, seed, delta=delta,
-                        c_tau=c_tau, c_theta=c_theta)
+    kw = {"delta": delta, "c_tau": c_tau, "c_theta": c_theta}
+    state = assert_scores_match(g, view, t, terminals, seed, **kw)
+    if rejection_free(g, view, state, terminals):
+        assert_scores_match(g, view, t, terminals, seed,
+                            reference=per_terminal_R_hat, **kw)
 
 
 SCORING_CASES = [
-    # (graph seed, n, d, view, derive_params arguments, sampling classes)
+    # (graph seed, n, d, view, derive_params arguments, sampling classes);
+    # V_P is empty in the third and the last
     (1, 40, 6, True, {"c_theta": 0.1},
      {"reject, one try", "reject, heavy nbr", "jumps"}),
     (3, 20, 8, False, {"c_theta": 0.05, "c_tau": 0.5},
@@ -418,19 +507,37 @@ SCORING_CASES = [
     (1, 40, 6, True, {"c_theta": 1.0}, {"reject, one try", "jumps"}),
     (6, 8, 3, True, {"delta": 0.005, "c_tau": 1e-3}, {"no pool", "light"}),
     (5, 30, 3, False, {"delta": 0.005, "c_tau": 1e-3}, {"no pool", "light"}),
+    (3, 20, 8, False, {"delta": 0.005}, {"reject, one try"}),
 ]
+
+
+def scoring_case_terminals(g, gseed, view):
+    top = g.node_count + view
+    return np.random.default_rng(gseed).permutation(
+        np.repeat(np.arange(top), 4)).tolist() + [top - 1] * 50
 
 
 @pytest.mark.parametrize("case", SCORING_CASES)
 def test_scores_match_in_every_sampling_class(case):
     gseed, n, d, view, mult, classes = case
     g = random_graph(gseed, n, d=d)
-    top = g.node_count + view
-    terminals = np.random.default_rng(gseed).permutation(
-        np.repeat(np.arange(top), 4)).tolist() + [top - 1] * 50
+    terminals = scoring_case_terminals(g, gseed, view)
     state = assert_scores_match(g, view, 0, terminals, 7, **mult)
     o = twin_oracles(g, view)[0]
     assert scoring_classes(o, state, terminals) == classes
+    assert state.contrib  # pushed nodes, so samples can score non-zero
+    if rejection_free(g, view, state, terminals):
+        assert_scores_match(g, view, 0, terminals, 7,
+                            reference=per_terminal_R_hat, **mult)
+
+
+def test_scores_match_across_blocks(monkeypatch):
+    """Blocks of a few samples each: every block runs its own rounds."""
+    monkeypatch.setattr(bidir, "_BLOCK_SAMPLES", 7)
+    for gseed, n, d, view, mult, _ in SCORING_CASES[:3]:
+        g = random_graph(gseed, n, d=d)
+        assert_scores_match(g, view, 0, scoring_case_terminals(g, gseed, view),
+                            7, **mult)
 
 
 class Scripted:
@@ -443,10 +550,11 @@ class Scripted:
         self.calls = 0
 
     def _take(self, it, size):
-        self.calls += 1 if size is None else size
+        self.calls += 1 if size is None else int(np.prod(size))
         if size is None:
             return next(it)
-        return np.array([next(it) for _ in range(size)])
+        return np.array([next(it) for _ in range(int(np.prod(size)))]
+                        ).reshape(size)
 
     def random(self, size=None):
         return self._take(self._u, size)
@@ -473,26 +581,110 @@ def test_fallback_after_64_heavy_tries_real_terminal():
 
 
 def test_fallback_after_64_heavy_jumps_virtual_source():
-    """JUMPs of the virtual source hit V_P in runs of 64: samples fall
-    back to all n JUMPs, and the JUMP rounds of the batch engine must
-    split the stream exactly where the scalar loop did."""
+    """JUMPs of the virtual source are scripted round by round: some
+    samples are accepted in round 1, 2 or 64, the others hit V_P 64
+    times and fall back to n JUMPs each, some of them heavy."""
     g = random_graph(1, 40, d=6)
     o = SuperSourceView(OracleHandle(g, Capabilities.all()))
     params = derive_params(0.2, 0.05, 0.2, 0.1, 41, c_theta=0.1)
     state = backward_phase(o, 0, params, np.random.default_rng(7))
     (h,) = state.heavy
     v = o.virtual
-    # fallback candidates that score apart, so which one is picked shows
+    # light nodes that score apart, so which one is picked shows
     by_chi = {}
     for u in range(40):
         by_chi.setdefault(_chi_num_sum(state, v, u), u)
     by_chi.pop(0.0, None)
-    cands = list(itertools.islice(itertools.cycle(by_chi.values()), 40))
-    script = [h] * 64 + cands + [h, 3, h, h, 5] + [h] * 70 + [9]
+    light = itertools.cycle([u for u in by_chi.values() if u != h])
+    terminals = [v, 4, v, v, 11] + [v] * 6
+    fates = itertools.cycle([1, None, 2, 64, None, 1, 3])
+    fate = [next(fates) for _ in range(terminals.count(v) * params.n_s)]
+    script, open_ = [], list(range(len(fate)))
+    for rnd in range(1, 65):
+        script += [next(light) if fate[i] == rnd else h for i in open_]
+        open_ = [i for i in open_ if fate[i] != rnd]
+    for _ in open_:
+        script += [h if j % 7 == 0 else next(light) for j in range(40)]
+    made = []
 
     def jumps():
-        return Scripted(ints=script)
+        made.append(Scripted(ints=script))
+        return made[-1]
 
-    # the first JUMP round (one per sample) outlasts the first fallback
-    assert_scores_match(g, True, 0, [v, 4, v, v, 11] + [v] * 60, 7,
-                        jumps=jumps, c_theta=0.1)
+    assert_scores_match(g, True, 0, terminals, 7, jumps=jumps, c_theta=0.1)
+    assert open_ and [j.calls for j in made] == [len(script)] * 2
+
+
+# -- the engine's law against the per-terminal scorer's ----------------------
+
+def chi2_sf(x, df):
+    """P(X >= x) for X chi-square with df degrees of freedom: one minus
+    the regularized lower incomplete gamma P(df/2, x/2), summed from its
+    power series in log space (numpy and math only)."""
+    if x <= 0 or df < 1:
+        return 1.0
+    a, z = df / 2.0, x / 2.0
+    logs = np.concatenate(([0.0], np.cumsum(
+        math.log(z) - np.log(a + np.arange(1, 4000)))))
+    top = logs.max()
+    log_p = (a * math.log(z) - z - math.lgamma(a + 1) + top
+             + math.log(np.exp(logs - top).sum()))
+    return max(0.0, 1.0 - math.exp(log_p))
+
+
+def test_chi2_sf_matches_table():
+    # upper 5% and 0.1% points of chi-square(1), (10) and (19)
+    for x, df, p in ((3.841, 1, 0.05), (18.307, 10, 0.05),
+                     (43.820, 19, 0.001), (10.828, 1, 0.001)):
+        assert chi2_sf(x, df) == pytest.approx(p, rel=1e-3)
+
+
+def two_sample_p(a, b, bins=20):
+    """p-value of Pearson's chi-square test that the equal-size samples
+    a and b share one distribution, over bins cut at quantiles of the
+    pooled sample (a repeated value never straddles two bins)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    cuts = np.quantile(np.concatenate([a, b]), np.linspace(0, 1, bins + 1))
+    edges = np.unique(cuts[1:-1])
+    ca, cb = (np.bincount(np.searchsorted(edges, x, side="right"),
+                          minlength=edges.size + 1) for x in (a, b))
+    used = ca + cb > 0
+    stat = float(((ca - cb)[used] ** 2 / (ca + cb)[used]).sum())
+    return chi2_sf(stat, int(used.sum()) - 1)
+
+
+def test_scores_and_costs_follow_per_terminal_law():
+    """A real terminal with a heavy out-neighbor and the virtual source,
+    scored in one call per seed: 2,000 seeds with the per-terminal
+    scorer, 2,000 others with the engine.  The two samples of each
+    score and of the OUT and JUMP counts per call must pass Pearson's
+    chi-square test at p >= 0.001, over up to 20 quantile bins (critical
+    value 43.82 at 19 degrees of freedom)."""
+    g = random_graph(1, 40, d=6)
+    o = SuperSourceView(OracleHandle(g, Capabilities.all()))
+    params = derive_params(0.2, 0.05, 0.2, 0.1, 41, c_theta=0.1)
+    state = backward_phase(o, 0, params, np.random.default_rng(7))
+    (h,) = state.heavy
+    # the real terminal whose light out-neighbors score most apart
+    u = max((u for u in range(40) if h in g.out_list(u)),
+            key=lambda u: len({_chi_num_sum(state, u, v)
+                               for v in g.out_list(u) if v != h}))
+    terminals = [u, o.virtual]
+
+    def sample(score, seeds):
+        rows = []
+        for seed in seeds:
+            view = SuperSourceView(OracleHandle(g, Capabilities.all(),
+                                                seed=seed))
+            r = score(view, state, terminals, params,
+                      np.random.default_rng(seed))
+            rows.append([*r, view.stats.out_q, view.stats.jump])
+        return np.array(rows).T
+
+    want = sample(per_terminal_R_hat, range(2000))
+    got = sample(estimate_R_hat, range(2000, 4000))
+    for name, a, b in zip(("R_hat(u)", "R_hat(s')", "OUT", "JUMP"),
+                          want, got):
+        assert len(set(a)) > 1, f"{name} is constant"
+        p = two_sample_p(a, b)
+        assert p >= 1e-3, f"{name}: chi-square p = {p:.3g}"
