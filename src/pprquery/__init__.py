@@ -18,9 +18,8 @@ from .bidir import (LevelSchedule, NewAlgoParams, RandPushState,
                     ConstraintViolation, derive_params, rand_push_threshold,
                     backward_phase, estimate_R_hat, single_pair_ppr,
                     unpushed_bound_holds)
-from .single_node import (SuperSourceView, materialize_super_source,
-                          single_node_adaptive, single_node_avg_jump,
-                          single_node_avg_full)
+from .single_node import (SuperSourceView, single_node_adaptive,
+                          single_node_avg_jump, single_node_avg_full)
 from .instances import (InstanceSpec, InstanceMeta, generate, closed_form_pi,
                         parameter_presets, FAMILIES, SpecConstraintViolation,
                         NoClosedForm, RegimeUndefined)

@@ -114,16 +114,16 @@ def _push_walk_estimates(o, sources, alpha, rng, n_w, p, r):
     """s -> reserve p(s) plus the mean residue r(terminal) of n_w walks
     from s, for every s in `sources`, all walked in one lockstep (absent
     keys read 0).  The bidirectional estimators pass the maps their
-    backward push left; plain Monte Carlo is p = {}, r = {t: 1}."""
-    terms = _walk_terminals(o, sources, alpha, rng, n_w).tolist()
-    get = r.get
-    est = {}
-    for i, s in enumerate(sources):
-        acc = 0.0
-        for term in terms[i * n_w:(i + 1) * n_w]:
-            acc += get(term, 0.0)
-        est[s] = p.get(s, 0.0) + acc / n_w
-    return est
+    backward push left; plain Monte Carlo is p = {}, r = {t: 1}.  Each
+    source's residues are summed left to right in walk order (cumsum),
+    as a Python loop over its terminals would."""
+    terms = _walk_terminals(o, sources, alpha, rng, n_w)
+    dense = np.zeros(o.node_count)
+    dense[np.fromiter(r, np.int64, len(r))] = np.fromiter(r.values(), float,
+                                                         len(r))
+    sums = np.cumsum(dense[terms].reshape(len(sources), n_w), axis=1)[:, -1]
+    return {s: p.get(s, 0.0) + acc / n_w
+            for s, acc in zip(sources, sums.tolist())}
 
 
 def push_back(o, v, state, alpha):

@@ -44,13 +44,15 @@ def _propagate(g, init, alpha, tol, backward):
     """sum_k alpha (1-alpha)^k of the k-step propagation of the initial
     mass: one unit on node `init`, or 1/n on every node when init is
     None.  Forward steps push mass along out-edges (pi(s,.)); backward
-    steps average over out-neighbors (pi(.,t))."""
+    steps average over out-neighbors (pi(.,t)).  bincount indexes by
+    intp, so dst is cast once here instead of on every step."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0,1)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = g.node_count
     src, dst = g.edge_arrays()
+    dst = dst.astype(np.intp)
     dout = g.out_deg.astype(np.float64)
     if init is None:
         cur = np.full(n, 1.0 / n)

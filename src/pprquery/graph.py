@@ -87,22 +87,32 @@ def _csr(keys, vals, n):
 
 
 def build_graph(edges, node_count):
-    """Build a DirectedGraph from fewer than 2^31 (u, v) pairs.
+    """Build a DirectedGraph from fewer than 2^31 edges: an integer
+    (m, 2) ndarray, read as it is, or an iterable of (u, v) pairs.
 
-    Raises NodeIdOutOfRange, then DuplicateEdge, then DanglingNode, each
+    Raises GraphError for a float or misshapen array (or an odd number
+    of ids), then NodeIdOutOfRange, DuplicateEdge and DanglingNode, each
     naming the first offending edge (in insertion order) or node.
     Adjacency lists keep the edge-list insertion order.
     """
     if node_count < 1:
         raise GraphError("node_count must be >= 1")
     n = node_count
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-    if flat.size % 2:
-        raise GraphError("every edge must be a (u, v) pair")
-    src, dst = flat[0::2], flat[1::2]
-    bad = (flat < 0) | (flat >= n)
+    if isinstance(edges, np.ndarray):
+        if (not np.issubdtype(edges.dtype, np.integer) or edges.ndim != 2
+                or edges.shape[1] != 2):
+            raise GraphError(f"edge array must be integer (m, 2), got "
+                             f"{edges.dtype} {edges.shape}")
+        pairs = edges.astype(np.int64, copy=False)
+    else:
+        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        if pairs.size % 2:
+            raise GraphError("every edge must be a (u, v) pair")
+        pairs = pairs.reshape(-1, 2)
+    src, dst = pairs[:, 0], pairs[:, 1]
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if bad.any():
-        j = int(np.argmax(bad)) // 2
+        j = int(np.argmax(bad))
         raise NodeIdOutOfRange(f"edge ({src[j]},{dst[j]}) with node_count={n}")
     key = src * n + dst
     sorted_key = np.sort(key)
@@ -131,11 +141,21 @@ def build_graph(edges, node_count):
 
 
 def save_edge_list(g, path):
-    """Write "n m" header then one "u v" line per edge."""
-    with open(path, "w") as f:
-        f.write(f"{g.node_count} {g.edge_count}\n")
-        for u, v in g.edges():
-            f.write(f"{u} {v}\n")
+    """Write "n m" header then one "u v" line per edge, in edges() order.
+    Each id is spelled right-aligned in a fixed-width byte row ending in
+    its separator, and the rows are joined without their padding."""
+    ids = np.column_stack(g.edge_arrays()).ravel()
+    width = len(str(int(ids.max())))
+    rows = np.empty((ids.size, width + 1), dtype=np.uint8)
+    rows[0::2, width], rows[1::2, width] = ord(" "), ord("\n")
+    rest = ids.astype(np.int32)
+    for k in range(width - 1, -1, -1):
+        rest, rows[:, k] = np.divmod(rest, 10)
+    rows[:, :width] += ord("0")
+    pad = (ids[:, None] < 10 ** np.arange(width - 1, 0, -1)).sum(axis=1)
+    with open(path, "wb") as f:
+        f.write(f"{g.node_count} {g.edge_count}\n".encode())
+        f.write(rows[np.arange(width + 1) >= pad[:, None]].tobytes())
 
 
 def load_edge_list(path):

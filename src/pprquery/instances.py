@@ -12,6 +12,11 @@ The swap deletes designated edges e1=(u1,v1), e2=(u2,v2) and inserts
 adjacency-list positions.  Closed-form pi values refer to the
 designated source/target pair of the generated (possibly swapped)
 instance.
+
+Builders emit one int64 (m, 2) edge array, assembled in numpy with no
+Python loop over edges, which build_graph reads as it is.  Its row
+order is the insertion order that fixes every out-list and in-list.
+The meta holds Python lists and ints only.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from functools import partial
+
+import numpy as np
 
 from .graph import build_graph
 
@@ -91,69 +98,69 @@ def _block(start, size):
     return list(range(start, start + size))
 
 
+def _edges(u, v):
+    """int64 (m, 2) rows (u, v) over the broadcast of u and v, row-major."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    rows = np.empty(np.broadcast(u, v).shape + (2,), np.int64)
+    rows[..., 0], rows[..., 1] = u, v
+    return rows.reshape(-1, 2)
+
+
+def _complete(U, V):
+    """Every U node points at every V node, U-major."""
+    return _edges(np.asarray(U)[:, None], V)
+
+
 def _circulant(src_block, dst_block, degree):
     """Edges so that N_in(dst[i]) = {src[i], ..., src[i+degree-1 mod n]}."""
     n = len(dst_block)
     _require(len(src_block) == n, "circulant layers must have equal size")
     _require(1 <= degree <= n, f"circulant degree {degree} outside [1,{n}]")
-    return [(src_block[(i + k) % n], dst_block[i])
-            for i in range(n) for k in range(degree)]
-
-
-def _groups(block, size):
-    """Contiguous partition into groups of `size` (last may be smaller)."""
-    return [block[i:i + size] for i in range(0, len(block), size)]
+    offsets = (np.arange(n)[:, None] + np.arange(degree)) % n
+    return _edges(np.asarray(src_block)[offsets], np.asarray(dst_block)[:, None])
 
 
 def _complete_layer(U1, V1):
     """Every U1 node points at every V1 node; V1 nodes self-loop."""
-    return [(u, v) for u in U1 for v in V1] + [(v, v) for v in V1]
+    return np.concatenate((_complete(U1, V1), _edges(V1, V1)))
 
 
-def _relay(edges, V2, start, L):
-    """Append the relay gadget: the i-th group of L nodes of V2 feeds
-    relay X[i], which feeds the i-th group of L nodes of W2, and W2
-    nodes self-loop.  X and then W2 (as many nodes as V2) take ids from
-    `start`.  Returns (X, W2); the designated target group is W2[:L]."""
+def _relay(V2, start, L):
+    """The relay gadget: the i-th group of L nodes of V2 feeds relay
+    X[i], which feeds the i-th group of L nodes of W2, and W2 nodes
+    self-loop.  X and then W2 (as many nodes as V2) take ids from
+    `start`.  Returns (edges, X, W2), the edges group by group (V2 into
+    X[i], then X[i] out to W2); the designated target group is W2[:L]."""
     X = _block(start, math.ceil(len(V2) / L))
     W2 = _block(start + len(X), len(V2))
-    for x, v_group, w_group in zip(X, _groups(V2, L), _groups(W2, L)):
-        edges += [(v, x) for v in v_group]
-        edges += [(x, w) for w in w_group]
-    edges += [(w, w) for w in W2]
-    return X, W2
+    j = np.arange(len(V2))
+    first = j // L * L  # index of the first node of j's group
+    rows = np.empty((2 * len(V2), 2), np.int64)
+    rows[first + j] = _edges(V2, start + j // L)
+    rows[j + np.minimum(first + L, len(V2))] = _edges(start + j // L, W2)
+    return np.concatenate((rows, _edges(W2, W2))), X, W2
 
 
 def _apply_swap(edges, e1, e2):
-    """Replace e1 -> (u1, v2) and e2 -> (u2, v1) in place."""
+    """Replace the first rows equal to e1 -> (u1, v2) and e2 -> (u2, v1)."""
     (u1, v1), (u2, v2) = e1, e2
-    try:
-        i1 = edges.index(e1)
-        i2 = edges.index(e2)
-    except ValueError:
+    hits = [np.flatnonzero((edges[:, 0] == u) & (edges[:, 1] == v))[:1]
+            for u, v in (e1, e2)]
+    if not all(h.size for h in hits):
         raise SpecConstraintViolation(f"swap edges {e1}, {e2} not in instance")
-    edges[i1] = (u1, v2)
-    edges[i2] = (u2, v1)
+    edges[hits[0]] = (u1, v2)
+    edges[hits[1]] = (u2, v1)
     return edges
 
 
-def _pad(edges, next_id, n_pad, m_pad):
-    """Isolated block: n_pad self-loop nodes plus circulant extras
-    totaling m_pad edges, disconnected from the construction."""
-    _require(m_pad >= n_pad, "padding needs m >= n")
-    block = _block(next_id, n_pad)
-    edges.extend((v, v) for v in block)
-    extra = m_pad - n_pad
-    k = 0
-    off = 1
-    while k < extra:
-        for i in range(n_pad):
-            if k >= extra:
-                break
-            edges.append((block[i], block[(i + off) % n_pad]))
-            k += 1
-        off = off % (n_pad - 1) + 1 if n_pad > 1 else 1
-    return next_id + n_pad
+def _pad(next_id, n_pad, m_pad):
+    """Isolated block of m_pad edges on n_pad nodes from next_id,
+    disconnected from the construction: self-loops, then rounds of
+    i -> i + off mod n_pad with off cycling through 1..n_pad-1."""
+    k = np.arange(m_pad)
+    i, rnd = k % n_pad, k // n_pad
+    off = np.where(rnd > 0, (rnd - 1) % max(1, n_pad - 1) + 1, 0)
+    return next_id + _edges(i, (i + off) % n_pad)
 
 
 def generate(spec):
@@ -168,9 +175,10 @@ def generate(spec):
         meta.swap_edges = (tuple(e1), tuple(e2))
     if spec.padding:
         n_pad = max(1, spec.n)
-        m_pad = max(spec.m, n_pad)
-        node_count = _pad(edges, node_count, n_pad, m_pad)
-        meta.roles["padding"] = _block(node_count - n_pad, n_pad)
+        edges = np.concatenate((edges, _pad(node_count, n_pad,
+                                            max(spec.m, n_pad))))
+        meta.roles["padding"] = _block(node_count, n_pad)
+        node_count += n_pad
     return build_graph(edges, node_count), meta
 
 
@@ -203,14 +211,9 @@ def _build_folklore_pair(spec):
     outs = _block(1, K)
     ins = _block(1 + K, K)
     t = 1 + 2 * K
-    edges = [(s, v) for v in outs]
-    for v in outs:
-        if spec.swap and v == outs[0]:
-            edges.append((v, ins[0]))
-        else:
-            edges.append((v, v))
-    edges += [(u, t) for u in ins]
-    edges.append((t, t))
+    heads = ins[:1] + outs[1:] if spec.swap else outs
+    edges = np.concatenate((_edges(s, outs), _edges(outs, heads),
+                            _edges(ins, t), _edges(t, t)))
     meta = InstanceMeta(
         family=spec.family, s=s, t=t,
         pi_pre_swap=0.0, pi_post_swap=(1 - a) ** 3 / K, pi_bounds=None,
@@ -230,11 +233,8 @@ def _build_sp_worst(spec):
     U2 = _block(1 + L + D, L)
     V2 = _block(1 + 2 * L + D, D)
     t = 1 + 2 * L + 2 * D
-    edges = [(s, u) for u in U1]
-    edges += _complete_layer(U1, V1)
-    edges += [(u, v) for u in U2 for v in V2]
-    edges += [(v, t) for v in V2]
-    edges.append((t, t))
+    edges = np.concatenate((_edges(s, U1), _complete_layer(U1, V1),
+                            _complete(U2, V2), _edges(V2, t), _edges(t, t)))
     meta = InstanceMeta(
         family=spec.family, s=s, t=t,
         pi_pre_swap=0.0, pi_post_swap=(1 - a) ** 3 / (L * D), pi_bounds=None,
@@ -254,10 +254,9 @@ def _build_sp_avg(spec):
     base = 1 + u1_size + v1_size
     U2 = _block(base, n)
     V2 = _block(base + n, n)
-    edges = [(s, u) for u in U1]
-    edges += _complete_layer(U1, V1)
-    edges += _circulant(U2, V2, D)
-    X, W2 = _relay(edges, V2, base + 2 * n, L)
+    relay, X, W2 = _relay(V2, base + 2 * n, L)
+    edges = np.concatenate((_edges(s, U1), _complete_layer(U1, V1),
+                            _circulant(U2, V2, D), relay))
     group = W2[:L]  # designated target group (always full-size)
     pi_post = (1 - a) ** 4 / (u1_size * v1_size * len(group))
     meta = InstanceMeta(
@@ -278,10 +277,8 @@ def _build_st_worst_adj(spec):
     U2 = _block(1, n)
     V2 = _block(1 + n, n)
     t = 1 + 2 * n
-    edges = [(u, u)]
-    edges += _circulant(U2, V2, d)
-    edges += [(v, t) for v in V2]
-    edges.append((t, t))
+    edges = np.concatenate((_edges(u, u), _circulant(U2, V2, d),
+                            _edges(V2, t), _edges(t, t)))
     meta = InstanceMeta(
         family=spec.family, s=u, t=t,
         pi_pre_swap=0.0, pi_post_swap=(1 - a) ** 2, pi_bounds=None,
@@ -298,11 +295,9 @@ def _build_st_worst_full(spec):
     U2 = _block(2 * n, n)
     V2 = _block(3 * n, n)
     t = 4 * n
-    edges = _circulant(U1, V1, D)
-    edges += [(v, v) for v in V1]
-    edges += _circulant(U2, V2, D)
-    edges += [(v, t) for v in V2]
-    edges.append((t, t))
+    edges = np.concatenate((_circulant(U1, V1, D), _edges(V1, V1),
+                            _circulant(U2, V2, D), _edges(V2, t),
+                            _edges(t, t)))
     meta = InstanceMeta(
         family=spec.family, s=U1[0], t=t,
         pi_pre_swap=0.0, pi_post_swap=(1 - a) ** 2 / D, pi_bounds=None,
@@ -319,9 +314,8 @@ def _build_st_avg_adj(spec):
     u = 0
     U2 = _block(1, n)
     V2 = _block(1 + n, n)
-    edges = [(u, u)]
-    edges += _circulant(U2, V2, d)
-    X, W2 = _relay(edges, V2, 1 + 2 * n, L)
+    relay, X, W2 = _relay(V2, 1 + 2 * n, L)
+    edges = np.concatenate((_edges(u, u), _circulant(U2, V2, d), relay))
     group = W2[:L]
     meta = InstanceMeta(
         family=spec.family, s=u, t=group[0],
@@ -341,10 +335,9 @@ def _build_st_avg_jump(spec, lower_equals_upper=False):
     V1 = _block(n, n)
     U2 = _block(2 * n, n)
     V2 = _block(3 * n, n)
-    edges = _circulant(U1, V1, D)
-    edges += [(v, v) for v in V1]
-    edges += _circulant(U2, V2, d2)
-    X, W2 = _relay(edges, V2, 4 * n, L)
+    relay, X, W2 = _relay(V2, 4 * n, L)
+    edges = np.concatenate((_circulant(U1, V1, D), _edges(V1, V1),
+                            _circulant(U2, V2, d2), relay))
     group = W2[:L]
     meta = InstanceMeta(
         family=spec.family, s=U1[0], t=group[0],
@@ -367,10 +360,9 @@ def _build_sn_avg_adj(spec):
     u = n
     U2 = _block(n + 1, n)
     V2 = _block(2 * n + 1, n)
-    edges = [(w, u) for w in U1]
-    edges.append((u, u))
-    edges += _circulant(U2, V2, d)
-    (x,), W2 = _relay(edges, V2, 3 * n + 1, n)
+    relay, (x,), W2 = _relay(V2, 3 * n + 1, n)
+    edges = np.concatenate((_edges(U1, u), _edges(u, u),
+                            _circulant(U2, V2, d), relay))
     total = 4 * n + 2
     # pi(t) for t in W2: t itself, x, all of V2, all of U2 reach it
     base = (1 + (1 - a) / n + (1 - a) ** 2 + (1 - a) ** 3) / total
@@ -388,9 +380,8 @@ def _build_sn_avg_insorted(spec):
     U1 = _block(0, n)
     u = n
     V2 = _block(n + 1, n)
-    edges = [(w, u) for w in U1]
-    edges.append((u, u))
-    (x,), W2 = _relay(edges, V2, 2 * n + 1, n)
+    relay, (x,), W2 = _relay(V2, 2 * n + 1, n)
+    edges = np.concatenate((_edges(U1, u), _edges(u, u), relay))
     total = 3 * n + 2
     base = (1 + (1 - a) / n + (1 - a) ** 2) / total
     meta = InstanceMeta(
@@ -415,14 +406,10 @@ def _build_sn_worst_full(spec):
     V2 = _block(n + 1 + 3 * sm, L)
     t = n + 1 + 3 * sm + L
     total = t + 1
-    edges = [(v, x) for v in X]
-    edges += [(x, u) for u in U1]
-    edges += _complete_layer(U1, V1)
-    edges += [(u, v) for u in U2 for v in V2]
-    edges += [(u, w) for u in U2 for w in T]
-    edges += [(w, w) for w in T]
-    edges += [(v, t) for v in V2]
-    edges.append((t, t))
+    edges = np.concatenate((_edges(X, x), _edges(x, U1),
+                            _complete_layer(U1, V1), _complete(U2, V2),
+                            _complete(U2, T), _edges(T, T), _edges(V2, t),
+                            _edges(t, t)))
     base = (1 + L * (1 - a) + L * (1 - a) ** 2) / total
     meta = InstanceMeta(
         family=spec.family, s=None, t=t,
@@ -447,11 +434,10 @@ def _build_sn_avg_xor(spec, lower_equals_upper=False):
     base_id = n + 1 + u1_size + v1_size
     U2 = _block(base_id, n)
     V2 = _block(base_id + n, n)
-    edges = [(w, u) for w in W1]
-    edges += [(u, v) for v in U1]
-    edges += _complete_layer(U1, V1)
-    edges += _circulant(U2, V2, d2)
-    X, W2 = _relay(edges, V2, base_id + 2 * n, L)
+    relay, X, W2 = _relay(V2, base_id + 2 * n, L)
+    edges = np.concatenate((_edges(W1, u), _edges(u, U1),
+                            _complete_layer(U1, V1), _circulant(U2, V2, d2),
+                            relay))
     total = W2[-1] + 1
     base = (1 + (1 - a) + (1 - a) ** 2 + 2 * (1 - a) / L) / total
     group = W2[:L]
@@ -474,9 +460,7 @@ def _build_output_size_st(spec):
         g = n
         V = _block(n + 1, K)
         total = n + 1 + K
-        edges = [(u, g) for u in U]
-        edges += [(g, v) for v in V]
-        edges += [(v, v) for v in V]
+        edges = np.concatenate((_edges(U, g), _edges(g, V), _edges(V, V)))
         meta = InstanceMeta(
             family=spec.family, s=U[0], t=V[0],
             pi_pre_swap=(1 - a) ** 2 / K, pi_post_swap=(1 - a) ** 2 / K,
@@ -486,8 +470,7 @@ def _build_output_size_st(spec):
     # worst-case variant: t with n in-neighbors and a self-loop
     U = _block(0, n)
     t = n
-    edges = [(u, t) for u in U]
-    edges.append((t, t))
+    edges = np.concatenate((_edges(U, t), _edges(t, t)))
     meta = InstanceMeta(
         family=spec.family, s=U[0], t=t,
         pi_pre_swap=1 - a, pi_post_swap=1 - a, pi_bounds=None,

@@ -144,15 +144,6 @@ class SuperSourceView:
         return int(self.base._rng.integers(self.node_count))
 
 
-def materialize_super_source(g):
-    """Explicit augmented graph for exact cross-checks (desk scale)."""
-    from .graph import build_graph
-
-    n = g.node_count
-    edges = g.edges() + [(n, v) for v in range(n)]
-    return build_graph(edges, n + 1)
-
-
 def adaptive_rounds(n, alpha):
     """Upper bound on adaptive-loop rounds: delta halves from 1 until
     the alpha/(2n) floor."""

@@ -79,6 +79,15 @@ def relay_fan_graph(n_in=2200, n_relays=16, relay_out=32, in_nbr_out=30):
     return g, t
 
 
+def materialize_super_source(g):
+    """Explicit augmented graph for exact cross-checks: g plus a node n
+    with an edge to every node of g, after g's own edges."""
+    n = g.node_count
+    edges = np.column_stack(g.edge_arrays())
+    virtual = np.column_stack((np.full(n, n), np.arange(n)))
+    return build_graph(np.concatenate((edges, virtual)), n + 1)
+
+
 def compute_R(g, state, u):
     """Exact derandomized residue R(u) of a push state on graph g, from
     the stored push amounts.  Reads u's full out-list, which the metered

@@ -3,8 +3,11 @@
 Each digest below is the sha256 of what the code produced when it was
 recorded: the `harness.emit` CSV of a small run of every algorithm, and
 the edge list plus `InstanceMeta` of every instance family, built from
-its preset and from one hand-written spec.  A refactor must leave every
-digest unchanged.  A changed digest is a change to an algorithm or to a
+its preset and from one hand-written spec.  The graph grid hashes every
+CSR array (so in-list and IN-SORTED orders too) of the benchmark's
+instances, of every family at a size with a partial last relay group,
+and of padded specs whose padding block runs through several offsets.
+A refactor must leave every digest unchanged.  A changed digest is a change to an algorithm or to a
 generator and has to be called out in CHANGES.md.
 """
 
@@ -14,11 +17,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pprquery import Capabilities, OracleHandle
+from pprquery import Capabilities, GraphError, OracleHandle
 from pprquery.bidir import (LevelSchedule, backward_phase, derive_params,
                             single_pair_ppr)
 from pprquery.harness import ALGORITHMS, ExperimentConfig, emit, run_experiment
-from pprquery.instances import (FAMILIES, InstanceSpec, generate,
+from pprquery.instances import (FAMILIES, InstanceSpec,
+                                SpecConstraintViolation, generate,
                                 parameter_presets)
 from conftest import relay_fan_graph
 
@@ -135,6 +139,67 @@ PUSH_STATE_DIGEST = \
     "4884da54de0334c89d7ae5280a07a735e27966838a12116a5d86e1349da0c870"
 
 
+# name -> parameter_presets(family, n, m, delta, 0.2) arguments
+GRID_PRESETS = {
+    "mc_walk": ("sp_avg", 4096, 32768, 2.0 ** -6),
+    "bidir_pair": ("sp_avg", 4096, 32768, 2.0 ** -8),
+    "target_large": ("st_avg_full", 20000, 400000, 1e-4),
+    "single_node": ("sn_avg_full", 64, 512, 0.1),
+    # n = 53 is prime, so every relay family with 1 < L < n ends in a
+    # partial group (sn_avg_adj and sn_avg_insorted relay one group of n)
+    **{f"{family}_53": (family, 53, 424, 0.005) for family in FAMILIES},
+}
+
+# name -> InstanceSpec fields: padding blocks that need more offsets
+# than one (m_pad >= 3 n_pad), end mid-round, or wrap the offset cycle
+# back to 1 (a duplicate edge), and a swap edge that is not there
+GRID_SPECS = {
+    "sp_worst_pad": {"family": "sp_worst", "n": 4, "m": 14, "L": 2, "D": 2,
+                     "swap": True, "padding": True},
+    "sn_avg_full_pad": {"family": "sn_avg_full", "n": 6, "m": 23, "L": 2,
+                        "D": 3, "swap": True, "padding": True},
+    "st_worst_full_pad": {"family": "st_worst_full", "n": 3, "m": 9, "D": 2,
+                          "swap": True, "padding": True},
+    "st_worst_full_pad_wrap": {"family": "st_worst_full", "n": 3, "m": 10,
+                               "D": 2, "swap": True, "padding": True},
+    "output_size_st_pad_wrap": {"family": "output_size_st", "n": 2, "m": 6,
+                                "variant": "worst", "padding": True},
+    "sp_worst_missing_swap": {"family": "sp_worst", "n": 5, "m": 12, "L": 2,
+                              "D": 3, "swap": True,
+                              "swap_edges": ((2, 4), (7, 2))},
+}
+
+GRID_DIGESTS = {
+    "mc_walk": "8370181f256a8b47df9048c58defd01c819554f99eb01db54a280d8fbecee8a6",
+    "bidir_pair": "585bab7aca65c66b5875343049d9cbe73b249fdc6d0b3cc5148d230711b440c2",
+    "target_large": "fa6d82801b8569651a44b12fab6d050d2a7f212343dcf83917147f97fd8d4516",
+    "single_node": "6d6fd8f58129102c635db7205610fdfd40503280612b44d98f1a6de481b3d95f",
+    "folklore_pair_53": "3dd90a4e1c5f7d1520c9e0284d110cc01b95ade11826cae582f1200c035c776e",
+    "sp_worst_53": "a5c50df26163e5d3eddfaa4739edcbf2b3059df5e9d0fce2735e1bb98f3d73b0",
+    "sp_avg_53": "8a730a808e842c06f94ab6122a7a95aad28424e2203c55ce730031bf5ad894b1",
+    "st_worst_adj_53": "ef4df2f04a9d21317968f1cf194b041faa7ebe29537e36223c9a123cfcfdaa55",
+    "st_worst_full_53": "a204b3aa05af03c1236a9a54671cdf92cfd433603738cde088a8657cf71adc54",
+    "st_avg_adj_53": "426d8096f11b882c20d3d28df12637ebcac0a29d4deae13a693e98280b30044a",
+    "st_avg_jump_53": "534d424f06bd88f9ef1b83fb0343c5ee95c0eb7613271db48ade519e21724473",
+    "st_avg_full_53": "bede726524d3f8aaa34b9aefa1325e1071603c1e3d18c8c9727af08a5cca6881",
+    "sn_avg_adj_53": "c8c67ddbc329ca5e989251b841a70a875d5b455e1d7499d6017e019e8327d555",
+    "sn_avg_insorted_53": "6949b97a4b4af3533d76a92e4304dc45257ecaf3233aa550b933fa347014a458",
+    "sn_worst_full_53": "3a38731656f55c5774e451797f95f9b50b84391418e9e63823724782a7d05d37",
+    "sn_avg_xor_53": "53186f10d4ab2034b1d76dcd020579b93d25cf072ffd0920f857ffd281aa2c44",
+    "sn_avg_full_53": "9e499e132753cd7aba6b5117be3150decda76a4c222cf77d2f1d27c4340c76a4",
+    "output_size_st_53": "25c2e564600be91ae56c06c7a625990e627ec5fbc405d5e9461dc06ad7aac78f",
+    "sp_worst_pad": "3a8e107c385fd67885eef5abce4bfd3da146186d1f6ec4b640353b6ab87ba0d5",
+    "sn_avg_full_pad": "b1e86537b26d80868d0ceeccbf3cb70971a1c3fd6dc8977b5fbe5a7169fa15a2",
+    "st_worst_full_pad": "77ddebd6fddb592912fee33c7f8393154676c811a77948877fa720aba6ccfb2e",
+    "st_worst_full_pad_wrap": "bde9a212292103b88455fa5fa1e143fe7f38d76c90f9a8328c615ce468219ccc",
+    "output_size_st_pad_wrap": "59ff5317a9dd50c59f22ec767e4240b02c4fccc2f4d63289b070518eceb1eed4",
+    "sp_worst_missing_swap": "44974931893362c14e03e0bd5a788a4999132ee8f314199071376ee566ade6f9",
+}
+
+CSR_ARRAYS = ("out_ptr", "out_nbrs", "out_sorted", "out_deg", "in_ptr",
+              "in_nbrs", "in_sorted", "in_deg")
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -149,6 +214,27 @@ def run_digest(algorithm, tmp_path):
 def instance_digest(spec):
     g, meta = generate(spec)
     return _sha(repr((g.node_count, g.edges(), asdict(meta))).encode())
+
+
+def graph_digest(spec):
+    """sha256 of node_count, every CSR array and the meta, or of the
+    error the spec raises."""
+    try:
+        g, meta = generate(spec)
+    except (GraphError, SpecConstraintViolation) as e:
+        return _sha(repr((type(e).__name__, str(e))).encode())
+    h = hashlib.sha256(repr((g.node_count, asdict(meta))).encode())
+    for name in CSR_ARRAYS:
+        arr = getattr(g, name)
+        h.update(f"{name}:{arr.dtype}:{arr.size}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def grid_spec(name):
+    if name in GRID_PRESETS:
+        return parameter_presets(*GRID_PRESETS[name], 0.2)
+    return InstanceSpec(**GRID_SPECS[name])
 
 
 def test_matrix_covers_every_algorithm_and_family():
@@ -171,6 +257,11 @@ def test_preset_instance(family):
 def test_spec_instance(family):
     spec = InstanceSpec(family=family, **SPECS[family])
     assert instance_digest(spec) == SPEC_DIGESTS[family]
+
+
+@pytest.mark.parametrize("name", [*GRID_PRESETS, *GRID_SPECS])
+def test_graph_grid(name):
+    assert graph_digest(grid_spec(name)) == GRID_DIGESTS[name]
 
 
 def test_randomized_push_state():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pprquery import (build_graph, load_edge_list, save_edge_list,
-                      DanglingNode, DuplicateEdge, NodeIdOutOfRange,
+                      DanglingNode, DuplicateEdge, GraphError, NodeIdOutOfRange,
                       OracleHandle, Capabilities, CapabilityDisabled,
                       IndexOutOfRange)
 from conftest import chain_graph, random_graph, singleton_graph
@@ -254,6 +254,16 @@ class TestEdgeListIO:
         assert h.node_count == g.node_count
         assert h.edges() == g.edges()
 
+    @pytest.mark.parametrize("g", [singleton_graph(), chain_graph(),
+                                   random_graph(5, 25),
+                                   random_graph(6, 1200, d=3)])
+    def test_save_matches_line_writer(self, g, tmp_path):
+        # ids of one to four digits in the largest graph
+        path, ref = tmp_path / "g.txt", tmp_path / "ref.txt"
+        save_edge_list(g, path)
+        reference_save(g, ref)
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_headerless(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 1\n")
@@ -265,6 +275,23 @@ class TestEdgeListIO:
         path.write_text("2 2\n0 1\n0 1\n")
         with pytest.raises(DuplicateEdge):
             load_edge_list(path)
+
+
+def reference_save(g, path):
+    """The line-by-line writer save_edge_list replaced."""
+    with open(path, "w") as f:
+        f.write(f"{g.node_count} {g.edge_count}\n")
+        for u, v in g.edges():
+            f.write(f"{u} {v}\n")
+
+
+CSR_ARRAYS = ("out_ptr", "out_nbrs", "out_sorted", "out_deg", "in_ptr",
+              "in_nbrs", "in_sorted", "in_deg")
+
+
+def edge_array(edges, dtype=np.int64, order="C"):
+    """edges as an (m, 2) array, also when there are none."""
+    return np.array(np.reshape(edges, (-1, 2)), dtype=dtype, order=order)
 
 
 def reference_build(edges, n):
@@ -327,6 +354,18 @@ class TestBuildProperties:
         assert g.edges() == [(u, v) for u in range(n) for v in out[u]]
 
     @settings(max_examples=100, deadline=None)
+    @given(edge_lists(), st.sampled_from([np.int64, np.int32, np.uint16]),
+           st.sampled_from("CF"))
+    def test_array_input_matches_pairs(self, case, dtype, order):
+        edges, n = case
+        want = build_graph(edges, n)
+        g = build_graph(edge_array(edges, dtype, order), n)
+        assert (g.node_count, g.edge_count) == (want.node_count, want.edge_count)
+        for name in CSR_ARRAYS:
+            got, ref = getattr(g, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+    @settings(max_examples=100, deadline=None)
     @given(edge_lists(), st.data())
     def test_faults_raise_like_reference(self, case, data):
         edges, n = case
@@ -352,3 +391,20 @@ class TestBuildProperties:
         with pytest.raises(want) as got:
             build_graph(edges, n)
         assert str(got.value) == str(ref.value)
+        dtype = data.draw(st.sampled_from([np.int64, np.int32]))
+        with pytest.raises(want) as got:
+            build_graph(edge_array(edges, dtype), n)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("edges", [
+        np.array([[0.0, 1.0], [1.0, 1.0]]),
+        np.array([[0, 1], [1, 1]], dtype=bool),
+        np.array([0, 1, 1, 1]),
+        np.array([[0, 1, 1], [1, 1, 0]]),
+        np.array([[[0, 1]], [[1, 1]]]),
+        np.empty(0, dtype=np.int64),
+    ])
+    def test_bad_array_raises_graph_error(self, edges):
+        with pytest.raises(GraphError) as got:
+            build_graph(edges, 2)
+        assert type(got.value) is GraphError

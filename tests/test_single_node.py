@@ -5,10 +5,11 @@ import pytest
 
 from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, exact_pagerank)
-from pprquery.single_node import (SuperSourceView, materialize_super_source,
-                                  adaptive_rounds, single_node_adaptive,
-                                  single_node_avg_jump, single_node_avg_full)
-from conftest import chain_graph, singleton_graph, random_graph
+from pprquery.single_node import (SuperSourceView, adaptive_rounds,
+                                  single_node_adaptive, single_node_avg_jump,
+                                  single_node_avg_full)
+from conftest import (chain_graph, materialize_super_source, random_graph,
+                      singleton_graph)
 
 A = 0.2
 

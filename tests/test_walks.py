@@ -28,8 +28,9 @@ from hypothesis import given, settings, strategies as st
 from pprquery import bidir, build_graph
 from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
                             derive_params, estimate_R_hat)
-from pprquery.classic import (_walk_terminals, mc_walk_count,
-                              single_target_bidir_jump, single_target_jump_mc)
+from pprquery.classic import (_push_walk_estimates, _walk_terminals,
+                              mc_walk_count, single_target_bidir_jump,
+                              single_target_jump_mc)
 from pprquery.oracle import (Capabilities, CapabilityDisabled,
                              IndexOutOfRange, OracleHandle)
 from pprquery.single_node import SuperSourceView
@@ -52,6 +53,18 @@ def reference_walk_terminals(o, s, alpha, rng, count):
             pos += 1
         out.append(cur)
     return out
+
+
+def reference_push_walk_estimates(o, sources, alpha, rng, n_w, p, r):
+    """The per-terminal dict.get loop the dense cumsum replaced."""
+    terms = _walk_terminals(o, sources, alpha, rng, n_w).tolist()
+    est = {}
+    for i, s in enumerate(sources):
+        acc = 0.0
+        for term in terms[i * n_w:(i + 1) * n_w]:
+            acc += r.get(term, 0.0)
+        est[s] = p.get(s, 0.0) + acc / n_w
+    return est
 
 
 def reference_estimate_R_hat(o, state, u_k, params, rng):
@@ -365,6 +378,29 @@ def test_single_target_solvers_match_per_source_walks(solver, monkeypatch):
     monkeypatch.setattr(classic, "_walk_terminals", per_source)
     want = solver(b, *args, np.random.default_rng(3))
     assert list(got.items()) == list(want.items())
+    assert a.stats.as_dict() == b.stats.as_dict()
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(), alpha=ALPHAS, count=COUNTS, seed=st.integers(0, 2**32),
+       data=st.data())
+def test_push_walk_estimates_match_dict_loop(view, g, alpha, count, seed,
+                                             data):
+    # residues of mixed magnitudes, so a different summation order
+    # would show in the last bits
+    a, b = twin_oracles(g, view, seed=seed % 83)
+    top = g.node_count if view else g.node_count - 1
+    nodes = st.integers(0, top)
+    sources = data.draw(st.lists(nodes, min_size=1, max_size=4))
+    values = st.floats(0.0, 1.0) | st.sampled_from([1e-17, 0.1, 1 / 3])
+    p = data.draw(st.dictionaries(nodes, values, max_size=4))
+    r = data.draw(st.dictionaries(nodes, values, max_size=top + 1))
+    ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_push_walk_estimates(a, sources, alpha, ra, count, p, r)
+    got = _push_walk_estimates(b, sources, alpha, rb, count, p, r)
+    assert list(got.items()) == list(want.items())
+    assert {type(x) for x in got.values()} == {float}
     assert a.stats.as_dict() == b.stats.as_dict()
 
 
