@@ -1,7 +1,13 @@
 """Ground-truth solvers for desk-scale graphs.
 
-Dense fixed-point iteration of the one-step recurrence, truncated once
-the geometric tail drops below the requested tolerance.  These solvers
+Fixed-point iteration of the one-step recurrence, truncated once the
+geometric tail drops below the requested tolerance.  An anchored solve
+(pi(s,.) or pi(.,t)) runs only on the anchor's support, the nodes within
+the truncation depth of the anchor along out-edges (source) or in-edges
+(target), found by one frontier BFS over the CSR arrays, when that is
+at most half the graph; PageRank and larger supports iterate over
+every edge.  The terms the restricted solve leaves out are exact zeros,
+so its values are bit-equal to the loop over every edge.  These solvers
 read the graph directly (no oracle, no query metering): they exist to
 check the metered estimators, not to compete with them.
 
@@ -16,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graph import NodeIdOutOfRange
 
 
 class ExplosionGuard(ValueError):
@@ -40,41 +48,114 @@ class PprVector:
         return float(self.values[v])
 
 
+def _entries(ptr, nodes):
+    """Positions in a CSR neighbor array of every entry of `nodes`, in
+    node then list order, and the entry count of each node; O(entries),
+    no pass over the whole array."""
+    lens = ptr[nodes + 1] - ptr[nodes]
+    ends = np.cumsum(lens)
+    starts = np.repeat(ptr[nodes] - (ends - lens), lens)
+    return np.arange(ends[-1]) + starts, lens
+
+
+def _reach(ptr, nbrs, root, depth, limit):
+    """Sorted ids of the nodes within `depth` steps of root along the CSR
+    (ptr, nbrs), or None as soon as they number more than limit.  Each
+    level costs O(frontier entries).  mark[v] is -1 until v is reached;
+    a node reached twice in one level is kept once, at the one position
+    whose mark write survived."""
+    mark = np.full(len(ptr) - 1, -1, dtype=np.intp)
+    mark[root] = 0
+    frontier = np.array([root], dtype=np.intp)
+    count = 1
+    for _ in range(depth):
+        if count > limit:
+            break
+        found = nbrs[_entries(ptr, frontier)[0]]
+        found = found[mark[found] < 0]
+        if not found.size:
+            break
+        pos = np.arange(found.size)
+        mark[found] = pos
+        frontier = found[mark[found] == pos]
+        count += frontier.size
+    return np.flatnonzero(mark >= 0) if count <= limit else None
+
+
 def _propagate(g, init, alpha, tol, backward):
     """sum_k alpha (1-alpha)^k of the k-step propagation of the initial
-    mass: one unit on node `init`, or 1/n on every node when init is
-    None.  Forward steps push mass along out-edges (pi(s,.)); backward
-    steps average over out-neighbors (pi(.,t)).  bincount indexes by
-    intp, so dst is cast once here instead of on every step."""
+    mass, for k = 0..K with (1-alpha)^(K+1) <= tol: one unit on node
+    `init`, or 1/n on every node when init is None.  Forward steps push
+    mass along out-edges (pi(s,.)); backward steps average over
+    out-neighbors (pi(.,t)).
+
+    With an anchor, only nodes within K steps of it (forward: along
+    out-edges; backward: along in-edges) can hold mass, so when at most
+    n/2 of them do, the loop runs on them alone: relabelled in
+    increasing id order, with their out-edges in list order and without
+    the edges whose head lies outside, and the full d_out.  Every term
+    dropped is an exact +0.0 added to a non-negative sum, and each
+    bincount bucket adds the surviving terms in the same order as over
+    all edges, so the values are bit-equal.  bincount indexes by intp,
+    so dst is cast once here instead of on every step."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0,1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol={tol} outside (0,1)")
     n = g.node_count
-    src, dst = g.edge_arrays()
-    dst = dst.astype(np.intp)
-    dout = g.out_deg.astype(np.float64)
+    if init is not None and not 0 <= init < n:
+        raise NodeIdOutOfRange(f"anchor {init} outside [0, {n})")
+    # K = smallest count with (1-alpha)^(K+1) <= tol
+    K = math.ceil(math.log(tol) / math.log(1.0 - alpha))
+    nodes = None
+    if init is not None:
+        ptr, nbrs = ((g.in_ptr, g.in_nbrs) if backward
+                     else (g.out_ptr, g.out_nbrs))
+        nodes = _reach(ptr, nbrs, init, K, n // 2)
+    if nodes is None:
+        src, dst = g.edge_arrays()
+        dst = dst.astype(np.intp)
+        dout = g.out_deg.astype(np.float64)
+        size = n
+    else:
+        size = len(nodes)
+        local = np.full(n, -1, dtype=np.intp)
+        local[nodes] = np.arange(size)
+        idx, lens = _entries(g.out_ptr, nodes)
+        src = np.repeat(np.arange(size), lens)
+        dst = local[g.out_nbrs[idx]]
+        keep = dst >= 0
+        src, dst = src[keep], dst[keep]
+        dout = g.out_deg[nodes].astype(np.float64)
+        init = local[init]
     if init is None:
         cur = np.full(n, 1.0 / n)
     else:
-        cur = np.zeros(n)
+        cur = np.zeros(size)
         cur[init] = 1.0
-    acc = np.zeros(n)
-    # K = smallest count with (1-alpha)^(K+1) <= tol
-    K = max(1, math.ceil(math.log(tol) / math.log(1.0 - alpha)))
+    acc = np.zeros(size)
     for _ in range(K + 1):
         acc += alpha * cur
         if backward:
             # pi_k+1(u) = (1-alpha)/d_out(u) * sum_{v in N_out(u)} pi_k(v)
-            cur = np.bincount(src, weights=cur[dst], minlength=n) * (1.0 - alpha) / dout
+            cur = (np.bincount(src, weights=cur[dst], minlength=size)
+                   * (1.0 - alpha) / dout)
         else:
             w = (1.0 - alpha) * cur / dout
-            cur = np.bincount(dst, weights=w[src], minlength=n)
-    return acc
+            cur = np.bincount(dst, weights=w[src], minlength=size)
+    if nodes is None:
+        return acc
+    values = np.zeros(n)
+    values[nodes] = acc
+    return values
 
 
 def exact_single_source(g, s, alpha, tol=1e-12):
-    """pi(s, .) for all targets, each entry within tol of the truth."""
+    """pi(s, .) for all targets, each entry within tol of the truth.
+
+    Raises NodeIdOutOfRange for s outside [0, n) (exact_single_target
+    likewise for t) and, like every solver here, ValueError for alpha or
+    tol outside (0, 1)."""
     return PprVector(_propagate(g, s, alpha, tol, False), s, "source", tol)
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
-                      exact_single_source, brute_force_pair, InstanceSpec,
-                      generate, build_graph)
+                      exact_single_source, exact_single_target,
+                      brute_force_pair, InstanceSpec, generate, build_graph)
 from pprquery.classic import (_walk_terminals, monte_carlo_pair, push_back,
                               approx_contributions, power_iteration_target,
                               bippr_pair, rbs_single_target, PushFrontier,
@@ -149,12 +149,27 @@ class TestApproxContributions:
         o = handle(g)
         st = approx_contributions(o, t, A, r_max)
         assert all(r < r_max for r in st.r.values())
-        from pprquery import exact_single_target
         tv = exact_single_target(g, t, A, 1e-13)
         for s in range(g.node_count):
             ps = st.p.get(s, 0.0)
             assert ps <= tv[s] + 1e-9
             assert tv[s] < ps + r_max + 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 30),
+           d=st.integers(1, 5), alpha=st.floats(0.05, 0.95),
+           r_max=st.floats(1e-3, 1.0))
+    def test_push_invariant_random(self, seed, n, d, alpha, r_max):
+        # pi(u,t) = p(u) + sum_v pi(u,v) r(v) for every u once pushing stops
+        g = random_graph(seed, n, d)
+        t = seed % n
+        state = approx_contributions(handle(g), t, alpha, r_max)
+        tv = exact_single_target(g, t, alpha, 1e-13)
+        for u in range(n):
+            row = exact_single_source(g, u, alpha, 1e-13)
+            rhs = state.p.get(u, 0.0) + sum(row[v] * rv
+                                            for v, rv in state.r.items())
+            assert abs(tv[u] - rhs) <= 1e-9
 
     def test_average_cost_scales_with_d_over_rmax(self):
         # Eq-(4)-style bound: mean pushes cost over all targets <= c*d/r_max
@@ -190,13 +205,25 @@ class TestPowerIteration:
         t = 11
         o = handle(g)
         est = power_iteration_target(o, t, A, L)
-        from pprquery import exact_single_target
         tv = exact_single_target(g, t, A, 1e-13)
         for s in range(g.node_count):
             assert abs(est.get(s, 0.0) - tv[s]) <= (1 - A) ** L + 1e-12
         for s in (0, 13, 29):
             bf = brute_force_pair(g, s, t, A, L)
             assert est.get(s, 0.0) == pytest.approx(bf, abs=1e-12)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 30),
+           d=st.integers(1, 5), alpha=st.floats(0.05, 0.95),
+           L=st.integers(1, 20))
+    def test_matches_brute_force_random(self, seed, n, d, alpha, L):
+        g = random_graph(seed, n, d)
+        t = seed % n
+        est = power_iteration_target(handle(g), t, alpha, L)
+        for s in range(n):
+            assert est.get(s, 0.0) == pytest.approx(
+                brute_force_pair(g, s, t, alpha, L), abs=1e-12)
 
 
 class TestBippr:

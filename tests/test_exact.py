@@ -1,8 +1,14 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pprquery import (exact_single_source, exact_single_target,
-                      exact_pagerank, brute_force_pair, ExplosionGuard)
+from pprquery import (cli, exact_single_source, exact_single_target,
+                      exact_pagerank, brute_force_pair, build_graph,
+                      save_edge_list, ExplosionGuard, NodeIdOutOfRange)
+from pprquery.exact import _reach
 from conftest import (chain_graph, star_graph, cycle_graph, singleton_graph,
                       random_graph)
 
@@ -111,3 +117,158 @@ def test_dump_csv(tmp_path):
     assert lines[0] == "node,value"
     assert len(lines) == 3
     assert float(lines[2].split(",")[1]) == pytest.approx(0.8, abs=1e-12)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("solve", [exact_single_source,
+                                       exact_single_target])
+    @pytest.mark.parametrize("anchor", [-1, -3, 3, 10])
+    def test_anchor_outside_graph(self, solve, anchor):
+        with pytest.raises(NodeIdOutOfRange, match=f"anchor {anchor} "):
+            solve(star_graph(), anchor, ALPHA)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, 1.0, 2.0, math.nan])
+    def test_tol_outside_unit_interval(self, tol):
+        g = star_graph()
+        for solve in (lambda: exact_single_source(g, 0, ALPHA, tol),
+                      lambda: exact_single_target(g, 0, ALPHA, tol),
+                      lambda: exact_pagerank(g, ALPHA, tol)):
+            with pytest.raises(ValueError, match="tol"):
+                solve()
+
+    def test_cli_negative_node(self, tmp_path):
+        edge = tmp_path / "g.txt"
+        save_edge_list(star_graph(), edge)
+        with pytest.raises(NodeIdOutOfRange, match="anchor -1 "):
+            cli.main(["exact", "--graph", str(edge), "--mode", "source",
+                      "--node", "-1", "--out", str(tmp_path / "v.csv")])
+        assert not (tmp_path / "v.csv").exists()
+
+
+def reference_propagate(g, init, alpha, tol, backward):
+    """The dense loop over every edge that the support-restricted solve
+    replaced, kept verbatim."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0,1)")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    n = g.node_count
+    src, dst = g.edge_arrays()
+    dst = dst.astype(np.intp)
+    dout = g.out_deg.astype(np.float64)
+    if init is None:
+        cur = np.full(n, 1.0 / n)
+    else:
+        cur = np.zeros(n)
+        cur[init] = 1.0
+    acc = np.zeros(n)
+    # K = smallest count with (1-alpha)^(K+1) <= tol
+    K = max(1, math.ceil(math.log(tol) / math.log(1.0 - alpha)))
+    for _ in range(K + 1):
+        acc += alpha * cur
+        if backward:
+            # pi_k+1(u) = (1-alpha)/d_out(u) * sum_{v in N_out(u)} pi_k(v)
+            cur = np.bincount(src, weights=cur[dst], minlength=n) * (1.0 - alpha) / dout
+        else:
+            w = (1.0 - alpha) * cur / dout
+            cur = np.bincount(dst, weights=w[src], minlength=n)
+    return acc
+
+
+def reference_reach(adj, root, depth, limit):
+    """Plain BFS: sorted nodes within depth steps of root, or None if
+    more than limit."""
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        if dist[u] < depth:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+    return sorted(dist) if len(dist) <= limit else None
+
+
+@st.composite
+def bridged_graphs(draw, max_n=24):
+    """Graph on n shuffled ids: component A (the first a of them, under
+    the shuffle) and component B (the rest), each strongly connected
+    through a hub joined both ways to every member, plus random extra
+    edges inside each component and one to three one-way bridge edges
+    from A to B.  a = n is one component; a near n/2 puts the support
+    of a hub anchor just below or just above n/2 (B's hub for a
+    source solve, A's for a target solve).  Edges are inserted in a
+    drawn order, so out-lists are not sorted by id."""
+    n = draw(st.integers(1, max_n))
+    a = draw(st.sampled_from([n // 2, n - n // 2, n]) | st.integers(1, n))
+    a = max(a, 1)
+    ids = draw(st.permutations(range(n)))
+    comps = [ids[:a], ids[a:]]
+    edges = set()
+    for comp in comps:
+        if not comp:
+            continue
+        hub = comp[0]
+        for v in comp:
+            edges.update(((hub, v), (v, hub)))
+            extra = draw(st.lists(st.sampled_from(comp), max_size=4))
+            edges.update((v, w) for w in extra)
+    if a < n:
+        bridges = draw(st.lists(st.tuples(st.sampled_from(comps[0]),
+                                           st.sampled_from(comps[1])),
+                                min_size=1, max_size=3))
+        edges.update(bridges)
+    g = build_graph(draw(st.permutations(sorted(edges))), n)
+    anchors = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+    return g, [comps[0][0], comps[-1][0] if comps[-1] else ids[0], *anchors]
+
+
+class TestSupportRestriction:
+    """The support-restricted solves against the dense loop they
+    replaced: the same bytes, not just close values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bridged_graphs(), st.floats(0.05, 0.95),
+           st.sampled_from([1e-6, 1e-12, 1e-13]))
+    def test_bit_equal_to_dense_loop(self, case, alpha, tol):
+        g, anchors = case
+        for x in anchors:
+            assert exact_single_source(g, x, alpha, tol).values.tobytes() == \
+                reference_propagate(g, x, alpha, tol, False).tobytes()
+            assert exact_single_target(g, x, alpha, tol).values.tobytes() == \
+                reference_propagate(g, x, alpha, tol, True).tobytes()
+        assert exact_pagerank(g, alpha, tol).values.tobytes() == \
+            reference_propagate(g, None, alpha, tol, False).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_on_random_graphs(self, seed):
+        g = random_graph(seed, 200, d=6)
+        for x in (0, 57, 199):
+            for tol in (1e-6, 1e-12):
+                assert exact_single_source(g, x, 0.3, tol).values.tobytes() == \
+                    reference_propagate(g, x, 0.3, tol, False).tobytes()
+                assert exact_single_target(g, x, 0.3, tol).values.tobytes() == \
+                    reference_propagate(g, x, 0.3, tol, True).tobytes()
+
+    def test_long_cycle_support_is_depth_bounded(self):
+        # every node is reachable, but only the K + 1 nearest hold mass
+        g = cycle_graph(1000)
+        v = exact_single_source(g, 10, 0.5, 1e-6)
+        assert np.flatnonzero(v.values).tolist() == list(range(10, 31))
+        assert v.values.tobytes() == \
+            reference_propagate(g, 10, 0.5, 1e-6, False).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(bridged_graphs(), st.integers(0, 30), st.integers(0, 30))
+    def test_reach_matches_plain_bfs(self, case, depth, limit):
+        g, anchors = case
+        n = g.node_count
+        outs = [g.out_list(v) for v in range(n)]
+        ins = [g.in_list(v) for v in range(n)]
+        for x in anchors:
+            for ptr, nbrs, adj in ((g.out_ptr, g.out_nbrs, outs),
+                                   (g.in_ptr, g.in_nbrs, ins)):
+                got = _reach(ptr, nbrs, x, depth, limit)
+                want = reference_reach(adj, x, depth, limit)
+                assert (None if got is None else got.tolist()) == want

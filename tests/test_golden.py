@@ -7,17 +7,22 @@ its preset and from one hand-written spec.  The graph grid hashes every
 CSR array (so in-list and IN-SORTED orders too) of the benchmark's
 instances, of every family at a size with a partial last relay group,
 and of padded specs whose padding block runs through several offsets.
+The exact grid hashes the ground-truth vectors pi(s,.), pi(.,t) and
+pi(.) of the benchmark's instances and of a relay fan.
 A refactor must leave every digest unchanged.  A changed digest is a change to an algorithm or to a
 generator and has to be called out in CHANGES.md.
 """
 
+import functools
 import hashlib
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from pprquery import Capabilities, GraphError, OracleHandle
+from pprquery import (Capabilities, GraphError, OracleHandle,
+                      exact_pagerank, exact_single_source,
+                      exact_single_target)
 from pprquery.bidir import (LevelSchedule, backward_phase, derive_params,
                             single_pair_ppr)
 from pprquery.harness import ALGORITHMS, ExperimentConfig, emit, run_experiment
@@ -196,6 +201,27 @@ GRID_DIGESTS = {
     "sp_worst_missing_swap": "44974931893362c14e03e0bd5a788a4999132ee8f314199071376ee566ade6f9",
 }
 
+# name -> sha256 of the .values bytes of each exact solve at alpha 0.2 on
+# the GRID_PRESETS graph (the relay fan: relay_fan_graph() with s its
+# first in-neighbor tier node); s is 0 where the instance has none
+EXACT_DIGESTS = {
+    ("mc_walk", "source"): "ef5957cc3e27bf71b17f4fbee3a78899864729863377d39bd75b216b1441442e",
+    ("mc_walk", "target"): "f051d477e3521d07daf6c326e8bd97afb77d1c648f84c1f2e833d1cff95fc72b",
+    ("mc_walk", "pagerank"): "b2c664e05cdf92c022e66a0824bc8162d48b9d5bdbbc33dbcc8eac0e0d6a750c",
+    ("bidir_pair", "source"): "53b387176d976ea1f0da458ef4d4e65689245e6c2d88ff8d45debc783d6d7cdb",
+    ("bidir_pair", "target"): "c9af11e75ea3e24fa636fd2b8c962fed102916fc5cd0f0c98b010b13ae9576ed",
+    ("bidir_pair", "pagerank"): "a0572307164f7262180de13e43cd3e4194bcb82e0e3c27e4fbeb8383c5eec899",
+    ("target_large", "source"): "488097d66c4454cc4bdaba5ac92545c0394640f812e1e5a352bf7b6821ba9480",
+    ("target_large", "target"): "4a6397b48d25b94ea9ae23711672093d985a8a524efe8b84b93d754c6c9f55ce",
+    ("target_large", "pagerank"): "393f7d4a04f5778e9ab2e015edb141d45e3d8dbe4248539019133f6766cb1ada",
+    ("single_node", "source"): "a1f53f64eaecbc576f4bd1eee196ce3a26d3a29e6409d34528177089b3752326",
+    ("single_node", "target"): "e970777c360b7cbb5fe94acc66073d7e36b29b8ef2cfd60b87962b8a81b46b7e",
+    ("single_node", "pagerank"): "b2e429d8d081f1bf78b7f9f0ad79d67c2a2d0a321da779168e95f0f7b4ddf98a",
+    ("relay_fan", "source"): "c0b256a6da6d847db9f577b1d0ce17a574a1b3dcbd1b375f1c9a237b0b372807",
+    ("relay_fan", "target"): "6ae1f9f8eac648adf792ffc243276317d512fb5f64409a905b7dc6932792cdef",
+    ("relay_fan", "pagerank"): "8e2af84aed86736f3f3b36621d3b3b31af7be9d693d551367ac72480a7c195c8",
+}
+
 CSR_ARRAYS = ("out_ptr", "out_nbrs", "out_sorted", "out_deg", "in_ptr",
               "in_nbrs", "in_sorted", "in_deg")
 
@@ -231,6 +257,16 @@ def graph_digest(spec):
     return h.hexdigest()
 
 
+@functools.cache
+def exact_graph(name):
+    """(graph, s, t) of an exact-grid entry."""
+    if name == "relay_fan":
+        g, t = relay_fan_graph()
+        return g, 48, t
+    g, meta = generate(grid_spec(name))
+    return g, meta.s or 0, meta.t
+
+
 def grid_spec(name):
     if name in GRID_PRESETS:
         return parameter_presets(*GRID_PRESETS[name], 0.2)
@@ -262,6 +298,15 @@ def test_spec_instance(family):
 @pytest.mark.parametrize("name", [*GRID_PRESETS, *GRID_SPECS])
 def test_graph_grid(name):
     assert graph_digest(grid_spec(name)) == GRID_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,mode", list(EXACT_DIGESTS))
+def test_exact_grid(name, mode):
+    g, s, t = exact_graph(name)
+    vec = {"source": lambda: exact_single_source(g, s, 0.2),
+           "target": lambda: exact_single_target(g, t, 0.2),
+           "pagerank": lambda: exact_pagerank(g, 0.2)}[mode]()
+    assert _sha(vec.values.tobytes()) == EXACT_DIGESTS[name, mode]
 
 
 def test_randomized_push_state():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, exact_pagerank)
@@ -24,6 +25,15 @@ class TestSuperSourceView:
         va = exact_single_source(ga, g.node_count, A, 1e-13)
         for t in range(g.node_count):
             assert abs(va[t] - (1 - A) * pr[t]) <= 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 40),
+           d=st.integers(1, 6), alpha=st.floats(0.05, 0.95))
+    def test_reduction_identity_random(self, seed, n, d, alpha):
+        g = random_graph(seed, n, d)
+        pr = exact_pagerank(g, alpha, 1e-13)
+        va = exact_single_source(materialize_super_source(g), n, alpha, 1e-13)
+        assert np.abs(va.values[:n] - (1 - alpha) * pr.values).max() <= 1e-9
 
     def test_view_mechanics(self):
         g = chain_graph()
