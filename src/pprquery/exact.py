@@ -5,11 +5,11 @@ geometric tail drops below the requested tolerance.  An anchored solve
 (pi(s,.) or pi(.,t)) runs only on the anchor's support, the nodes within
 the truncation depth of the anchor along out-edges (source) or in-edges
 (target), found by one frontier BFS over the CSR arrays, when that is
-at most half the graph; PageRank and larger supports iterate over
-every edge.  The terms the restricted solve leaves out are exact zeros,
-so its values are bit-equal to the loop over every edge.  These solvers
-read the graph directly (no oracle, no query metering): they exist to
-check the metered estimators, not to compete with them.
+at most half the graph; PageRank and larger supports take every node as
+the support.  The terms the restricted solve leaves out are exact
+zeros, so its values are bit-equal to the loop over every edge.  These
+solvers read the graph directly (no oracle, no query metering): they
+exist to check the metered estimators, not to compete with them.
 
 brute_force_pair is an independent oracle: it sums discounted k-step
 transition mass through dense numpy matrix products, sharing no code
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NodeIdOutOfRange
+from .graph import NodeIdOutOfRange, csr_entries
 
 
 class ExplosionGuard(ValueError):
@@ -48,16 +48,6 @@ class PprVector:
         return float(self.values[v])
 
 
-def _entries(ptr, nodes):
-    """Positions in a CSR neighbor array of every entry of `nodes`, in
-    node then list order, and the entry count of each node; O(entries),
-    no pass over the whole array."""
-    lens = ptr[nodes + 1] - ptr[nodes]
-    ends = np.cumsum(lens)
-    starts = np.repeat(ptr[nodes] - (ends - lens), lens)
-    return np.arange(ends[-1]) + starts, lens
-
-
 def _reach(ptr, nbrs, root, depth, limit):
     """Sorted ids of the nodes within `depth` steps of root along the CSR
     (ptr, nbrs), or None as soon as they number more than limit.  Each
@@ -71,7 +61,7 @@ def _reach(ptr, nbrs, root, depth, limit):
     for _ in range(depth):
         if count > limit:
             break
-        found = nbrs[_entries(ptr, frontier)[0]]
+        found = nbrs[csr_entries(ptr, frontier)[0]]
         found = found[mark[found] < 0]
         if not found.size:
             break
@@ -91,13 +81,15 @@ def _propagate(g, init, alpha, tol, backward):
 
     With an anchor, only nodes within K steps of it (forward: along
     out-edges; backward: along in-edges) can hold mass, so when at most
-    n/2 of them do, the loop runs on them alone: relabelled in
-    increasing id order, with their out-edges in list order and without
-    the edges whose head lies outside, and the full d_out.  Every term
-    dropped is an exact +0.0 added to a non-negative sum, and each
+    n/2 of them do, the loop runs on them alone; otherwise (and for
+    PageRank) the support is every node.  The support is relabelled in
+    increasing id order, its out-edges taken from their CSR slices in
+    list order, minus the edges whose head lies outside, with the full
+    d_out, so the arrays scale with the support's out-edges.  Every
+    term dropped is an exact +0.0 added to a non-negative sum, and each
     bincount bucket adds the surviving terms in the same order as over
     all edges, so the values are bit-equal.  bincount indexes by intp,
-    so dst is cast once here instead of on every step."""
+    so dst is built as intp once here instead of cast on every step."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0,1)")
     if not 0.0 < tol < 1.0:
@@ -113,26 +105,22 @@ def _propagate(g, init, alpha, tol, backward):
                      else (g.out_ptr, g.out_nbrs))
         nodes = _reach(ptr, nbrs, init, K, n // 2)
     if nodes is None:
-        src, dst = g.edge_arrays()
-        dst = dst.astype(np.intp)
-        dout = g.out_deg.astype(np.float64)
-        size = n
-    else:
-        size = len(nodes)
-        local = np.full(n, -1, dtype=np.intp)
-        local[nodes] = np.arange(size)
-        idx, lens = _entries(g.out_ptr, nodes)
-        src = np.repeat(np.arange(size), lens)
-        dst = local[g.out_nbrs[idx]]
-        keep = dst >= 0
-        src, dst = src[keep], dst[keep]
-        dout = g.out_deg[nodes].astype(np.float64)
-        init = local[init]
+        nodes = np.arange(n)
+    size = len(nodes)
+    local = np.full(n, -1, dtype=np.intp)
+    local[nodes] = np.arange(size)
+    idx, lens = csr_entries(g.out_ptr, nodes)
+    dst = local[g.out_nbrs[idx]]
+    del idx  # up to m entries: freed before the filter copies
+    keep = dst >= 0
+    src = np.repeat(np.arange(size), lens)[keep]
+    dst = dst[keep]
+    dout = g.out_deg[nodes].astype(np.float64)
     if init is None:
         cur = np.full(n, 1.0 / n)
     else:
         cur = np.zeros(size)
-        cur[init] = 1.0
+        cur[local[init]] = 1.0
     acc = np.zeros(size)
     for _ in range(K + 1):
         acc += alpha * cur
@@ -143,8 +131,6 @@ def _propagate(g, init, alpha, tol, backward):
         else:
             w = (1.0 - alpha) * cur / dout
             cur = np.bincount(dst, weights=w[src], minlength=size)
-    if nodes is None:
-        return acc
     values = np.zeros(n)
     values[nodes] = acc
     return values

@@ -79,6 +79,18 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.node_count}, m={self.edge_count})"
 
 
+def csr_entries(ptr, nodes):
+    """Positions in a CSR neighbor array of every entry of `nodes`, in
+    node then list order, and the entry count of each node; O(entries),
+    no pass over the whole array."""
+    starts = ptr[nodes]
+    lens = ptr[nodes + 1] - starts
+    ends = np.cumsum(lens)
+    idx = np.repeat(starts - (ends - lens), lens)
+    idx += np.arange(idx.size)
+    return idx, lens
+
+
 def _csr(keys, vals, n):
     """(ptr, vals grouped by key in stable order, per-key counts)."""
     deg = np.bincount(keys, minlength=n)

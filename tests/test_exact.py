@@ -224,6 +224,30 @@ def bridged_graphs(draw, max_n=24):
     return g, [comps[0][0], comps[-1][0] if comps[-1] else ids[0], *anchors]
 
 
+def block_chain_graph(seed, blocks=8, size=25, link=5):
+    """Graph on shuffled ids: `blocks` strongly connected blocks of
+    `size` nodes (a cycle plus two random out-edges per node), each
+    joined one way to the next by a path of `link` nodes.  Returns the
+    graph and the first node of each block."""
+    rng = np.random.default_rng(seed)
+    n = blocks * size + (blocks - 1) * link
+    ids = rng.permutation(n)
+    edges, heads, pos = [], [], 0
+    for b in range(blocks):
+        block = ids[pos:pos + size]
+        heads.append(int(block[0]))
+        edges += zip(block, np.roll(block, -1))
+        edges += zip(np.repeat(block, 2), rng.choice(block, 2 * size))
+        pos += size
+        if b < blocks - 1:
+            path = [block[-1], *ids[pos:pos + link], ids[pos + link]]
+            edges += zip(path[:-1], path[1:])
+            pos += link
+    edges = sorted({(int(u), int(v)) for u, v in edges})
+    rng.shuffle(edges)
+    return build_graph(edges, n), heads
+
+
 class TestSupportRestriction:
     """The support-restricted solves against the dense loop they
     replaced: the same bytes, not just close values."""
@@ -242,14 +266,24 @@ class TestSupportRestriction:
             reference_propagate(g, None, alpha, tol, False).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_bit_equal_on_random_graphs(self, seed):
-        g = random_graph(seed, 200, d=6)
-        for x in (0, 57, 199):
+    def test_bit_equal_on_block_chains(self, seed):
+        # anchors in the first, two middle and the last block: forward and
+        # backward supports run from one block to past n/2, and the
+        # restricted ones cross bridge paths over many BFS levels
+        g, heads = block_chain_graph(seed)
+        n = g.node_count
+        restricted = 0
+        for x in (heads[0], heads[2], heads[5], heads[-1]):
             for tol in (1e-6, 1e-12):
-                assert exact_single_source(g, x, 0.3, tol).values.tobytes() == \
-                    reference_propagate(g, x, 0.3, tol, False).tobytes()
-                assert exact_single_target(g, x, 0.3, tol).values.tobytes() == \
-                    reference_propagate(g, x, 0.3, tol, True).tobytes()
+                K = math.ceil(math.log(tol) / math.log(0.7))
+                for backward, ptr, nbrs, solve in (
+                        (False, g.out_ptr, g.out_nbrs, exact_single_source),
+                        (True, g.in_ptr, g.in_nbrs, exact_single_target)):
+                    support = _reach(ptr, nbrs, x, K, n // 2)
+                    restricted += support is not None and support.size > 40
+                    assert solve(g, x, 0.3, tol).values.tobytes() == \
+                        reference_propagate(g, x, 0.3, tol, backward).tobytes()
+        assert restricted >= 4
 
     def test_long_cycle_support_is_depth_bounded(self):
         # every node is reachable, but only the K + 1 nearest hold mass
