@@ -4,12 +4,12 @@ Fixed-point iteration of the one-step recurrence, truncated once the
 geometric tail drops below the requested tolerance.  An anchored solve
 (pi(s,.) or pi(.,t)) runs only on the anchor's support, the nodes within
 the truncation depth of the anchor along out-edges (source) or in-edges
-(target), found by one frontier BFS over the CSR arrays, when that is
-at most half the graph; PageRank and larger supports take every node as
-the support.  The terms the restricted solve leaves out are exact
-zeros, so its values are bit-equal to the loop over every edge.  These
-solvers read the graph directly (no oracle, no query metering): they
-exist to check the metered estimators, not to compete with them.
+(target), found by one frontier BFS over the CSR arrays; PageRank takes
+every node as the support.  The terms the restricted solve leaves out
+are exact zeros, so its values are bit-equal to the loop over every
+edge.  These solvers read the graph directly (no oracle, no query
+metering): they exist to check the metered estimators, not to compete
+with them.
 
 brute_force_pair is an independent oracle: it sums discounted k-step
 transition mass through dense numpy matrix products, sharing no code
@@ -48,19 +48,15 @@ class PprVector:
         return float(self.values[v])
 
 
-def _reach(ptr, nbrs, root, depth, limit):
+def _reach(ptr, nbrs, root, depth):
     """Sorted ids of the nodes within `depth` steps of root along the CSR
-    (ptr, nbrs), or None as soon as they number more than limit.  Each
-    level costs O(frontier entries).  mark[v] is -1 until v is reached;
-    a node reached twice in one level is kept once, at the one position
-    whose mark write survived."""
+    (ptr, nbrs).  Each level costs O(frontier entries).  mark[v] is -1
+    until v is reached; a node reached twice in one level is kept once,
+    at the one position whose mark write survived."""
     mark = np.full(len(ptr) - 1, -1, dtype=np.intp)
     mark[root] = 0
     frontier = np.array([root], dtype=np.intp)
-    count = 1
     for _ in range(depth):
-        if count > limit:
-            break
         found = nbrs[csr_entries(ptr, frontier)[0]]
         found = found[mark[found] < 0]
         if not found.size:
@@ -68,8 +64,7 @@ def _reach(ptr, nbrs, root, depth, limit):
         pos = np.arange(found.size)
         mark[found] = pos
         frontier = found[mark[found] == pos]
-        count += frontier.size
-    return np.flatnonzero(mark >= 0) if count <= limit else None
+    return np.flatnonzero(mark >= 0)
 
 
 def _propagate(g, init, alpha, tol, backward):
@@ -80,16 +75,16 @@ def _propagate(g, init, alpha, tol, backward):
     out-neighbors (pi(.,t)).
 
     With an anchor, only nodes within K steps of it (forward: along
-    out-edges; backward: along in-edges) can hold mass, so when at most
-    n/2 of them do, the loop runs on them alone; otherwise (and for
-    PageRank) the support is every node.  The support is relabelled in
-    increasing id order, its out-edges taken from their CSR slices in
-    list order, minus the edges whose head lies outside, with the full
-    d_out, so the arrays scale with the support's out-edges.  Every
-    term dropped is an exact +0.0 added to a non-negative sum, and each
-    bincount bucket adds the surviving terms in the same order as over
-    all edges, so the values are bit-equal.  bincount indexes by intp,
-    so dst is built as intp once here instead of cast on every step."""
+    out-edges; backward: along in-edges) can hold mass, so the loop runs
+    on them alone; for PageRank the support is every node.  The support
+    is relabelled in increasing id order, its out-edges taken from their
+    CSR slices in list order, minus the edges whose head lies outside,
+    with the full d_out, so the arrays scale with the support's
+    out-edges.  Every term dropped is an exact +0.0 added to a
+    non-negative sum, and each bincount bucket adds the surviving terms
+    in the same order as over all edges, so the values are bit-equal.
+    bincount indexes by intp, so dst is built as intp once here instead
+    of cast on every step."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0,1)")
     if not 0.0 < tol < 1.0:
@@ -99,13 +94,12 @@ def _propagate(g, init, alpha, tol, backward):
         raise NodeIdOutOfRange(f"anchor {init} outside [0, {n})")
     # K = smallest count with (1-alpha)^(K+1) <= tol
     K = math.ceil(math.log(tol) / math.log(1.0 - alpha))
-    nodes = None
-    if init is not None:
+    if init is None:
+        nodes = np.arange(n)
+    else:
         ptr, nbrs = ((g.in_ptr, g.in_nbrs) if backward
                      else (g.out_ptr, g.out_nbrs))
-        nodes = _reach(ptr, nbrs, init, K, n // 2)
-    if nodes is None:
-        nodes = np.arange(n)
+        nodes = _reach(ptr, nbrs, init, K)
     size = len(nodes)
     local = np.full(n, -1, dtype=np.intp)
     local[nodes] = np.arange(size)

@@ -15,6 +15,7 @@ and out_sorted each out-list sorted by id, for ADJ by bisection.
 
 from __future__ import annotations
 
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -153,45 +154,42 @@ def build_graph(edges, node_count):
 
 
 def save_edge_list(g, path):
-    """Write "n m" header then one "u v" line per edge, in edges() order.
-    Each id is spelled right-aligned in a fixed-width byte row ending in
-    its separator, and the rows are joined without their padding."""
-    ids = np.column_stack(g.edge_arrays()).ravel()
-    width = len(str(int(ids.max())))
-    rows = np.empty((ids.size, width + 1), dtype=np.uint8)
-    rows[0::2, width], rows[1::2, width] = ord(" "), ord("\n")
-    rest = ids.astype(np.int32)
-    for k in range(width - 1, -1, -1):
-        rest, rows[:, k] = np.divmod(rest, 10)
-    rows[:, :width] += ord("0")
-    pad = (ids[:, None] < 10 ** np.arange(width - 1, 0, -1)).sum(axis=1)
+    """Write the edge-list format: an "n m" header line, then one
+    "u v" line per edge, in edges() order."""
+    ids = np.column_stack(g.edge_arrays()).ravel().tolist()
     with open(path, "wb") as f:
-        f.write(f"{g.node_count} {g.edge_count}\n".encode())
-        f.write(rows[np.arange(width + 1) >= pad[:, None]].tobytes())
+        f.write(b"%d %d\n" % (g.node_count, g.edge_count))
+        f.write((b"%d %d\n" * g.edge_count) % tuple(ids))
 
 
 def load_edge_list(path):
-    """Load an edge-list text file (header line "n m" optional).
+    """Load a file in the format save_edge_list writes: an "n m" header
+    line, then exactly m "u v" lines.  Blank lines and "#" comments are
+    skipped.
 
-    The first line is treated as a header iff its second field equals
-    the number of remaining lines; otherwise every line is an edge and
-    node_count is max id + 1.
+    Raises GraphError for an empty file, a row without exactly two
+    integer fields, n < 1, or m other than the number of edge rows;
+    DanglingNode for n > m, before any n-sized array is allocated; then
+    build_graph's NodeIdOutOfRange, DuplicateEdge and DanglingNode.
     """
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"malformed line: {line!r}")
-            rows.append((int(parts[0]), int(parts[1])))
-    if not rows:
-        raise GraphError("empty edge list")
-    head_n, head_m = rows[0]
-    if (head_m == len(rows) - 1 and head_n >= 1
-            and all(0 <= u < head_n and 0 <= v < head_n for u, v in rows[1:])):
-        return build_graph(rows[1:], head_n)
-    node_count = 1 + max(max(u, v) for u, v in rows)
-    return build_graph(rows, node_count)
+    with warnings.catch_warnings():  # loadtxt warns on an empty file
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+        except ValueError as e:
+            raise GraphError(f"malformed edge list {path}: {e}") from None
+    if not rows.size:
+        raise GraphError(f"empty edge list {path}: no \"n m\" header")
+    if rows.shape[1] != 2:
+        raise GraphError(f"malformed edge list {path}: rows have "
+                         f"{rows.shape[1]} fields, not 2")
+    n, m = rows[0].tolist()
+    if n < 1:
+        raise GraphError(f"header n={n} in {path}: must be >= 1")
+    if m != len(rows) - 1:
+        raise GraphError(f"header m={m} in {path}, but the file has "
+                         f"{len(rows) - 1} edge rows")
+    if n > m:
+        raise DanglingNode(f"header n={n} exceeds m={m} in {path}: some "
+                           f"node has out-degree 0")
+    return build_graph(rows[1:], n)

@@ -108,6 +108,7 @@ class TrialResult:
     wall_time_s: float = 0.0
 
 
+# the multipliers derive_params takes
 _PARAM_MULTIPLIERS = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
 
 
@@ -115,52 +116,54 @@ def _walks(cfg):
     return cfg.multipliers.get("c_walks", 16.0)
 
 
-def _param_mult(cfg):
-    """The multipliers forwarded to derive_params."""
-    return {k: v for k, v in cfg.multipliers.items() if k in _PARAM_MULTIPLIERS}
-
-
-# algorithm registry: name -> (variant, required capabilities, runner),
-# runner(o, s, t, delta, cfg, rng) -> float.  Runners look estimators up
-# in this module's namespace when they run, not when they are defined.
+# algorithm registry: name -> (variant, required capabilities, multiplier
+# keys its runner reads, runner), runner(o, s, t, delta, cfg, rng) -> float.
+# Runners look estimators up in this module's namespace when they run,
+# not when they are defined.
 ALGORITHMS = {
-    "monte_carlo": ("pair", (), lambda o, s, t, d, cfg, rng:
+    "monte_carlo": ("pair", (), ("c_walks",), lambda o, s, t, d, cfg, rng:
         monte_carlo_pair(o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
                          c=_walks(cfg))[0]),
-    "bippr": ("pair", (), lambda o, s, t, d, cfg, rng:
+    "bippr": ("pair", (), ("r_max", "c_walks"), lambda o, s, t, d, cfg, rng:
         bippr_pair(o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f,
                    cfg.multipliers.get("r_max") or default_r_max_pair(o, d),
                    rng, c=_walks(cfg))),
-    "power_iteration": ("target", (), lambda o, s, t, d, cfg, rng:
+    "power_iteration": ("target", (), (), lambda o, s, t, d, cfg, rng:
         power_iteration_target(
             o, t, cfg.alpha, rbs_levels(cfg.alpha, d, cfg.eps)).get(s, 0.0)),
-    "approx_contributions": ("target", (), lambda o, s, t, d, cfg, rng:
+    "approx_contributions": ("target", (), (), lambda o, s, t, d, cfg, rng:
         approx_contributions(o, t, cfg.alpha, cfg.eps * d).p.get(s, 0.0)),
-    "rbs": ("target", ("in_sorted",), lambda o, s, t, d, cfg, rng:
-        rbs_single_target(
-            o, t, cfg.alpha, d,
-            cfg.multipliers.get("rbs_theta") or cfg.eps * d, rng,
-            eps=cfg.eps).get(s, 0.0)),
-    "st_jump_mc": ("target", ("jump",), lambda o, s, t, d, cfg, rng:
-        single_target_jump_mc(o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
-                              c=_walks(cfg)).get(s, 0.0)),
-    "st_bidir_jump": ("target", ("jump",), lambda o, s, t, d, cfg, rng:
-        single_target_bidir_jump(o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
-                                 c=_walks(cfg)).get(s, 0.0)),
-    "single_pair_ppr": ("pair", ("in_sorted", "adj"), lambda o, s, t, d, cfg, rng:
-        single_pair_ppr(o, s, t, derive_params(
-            cfg.alpha, d, cfg.eps, cfg.p_f, o.node_count,
-            **_param_mult(cfg)), rng)),
-    "sn_adaptive": ("node", ("in_sorted",), lambda o, s, t, d, cfg, rng:
-        single_node_adaptive(
-            o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
-            theta_mult=cfg.multipliers.get("rbs_theta_mult", 1.0))),
-    "sn_avg_jump": ("node", ("jump",), lambda o, s, t, d, cfg, rng:
-        single_node_avg_jump(o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
-                             c=cfg.multipliers.get("c_walks"))),
-    "sn_avg_full": ("node", ("jump", "in_sorted", "adj"), lambda o, s, t, d, cfg, rng:
-        single_node_avg_full(o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
-                             multipliers=_param_mult(cfg))),
+    "rbs": ("target", ("in_sorted",), ("rbs_theta",),
+            lambda o, s, t, d, cfg, rng: rbs_single_target(
+                o, t, cfg.alpha, d,
+                cfg.multipliers.get("rbs_theta") or cfg.eps * d, rng,
+                eps=cfg.eps).get(s, 0.0)),
+    "st_jump_mc": ("target", ("jump",), ("c_walks",),
+                   lambda o, s, t, d, cfg, rng: single_target_jump_mc(
+                       o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
+                       c=_walks(cfg)).get(s, 0.0)),
+    "st_bidir_jump": ("target", ("jump",), ("c_walks",),
+                      lambda o, s, t, d, cfg, rng: single_target_bidir_jump(
+                          o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
+                          c=_walks(cfg)).get(s, 0.0)),
+    "single_pair_ppr": ("pair", ("in_sorted", "adj"), _PARAM_MULTIPLIERS,
+                        lambda o, s, t, d, cfg, rng: single_pair_ppr(
+                            o, s, t, derive_params(
+                                cfg.alpha, d, cfg.eps, cfg.p_f, o.node_count,
+                                **cfg.multipliers), rng)),
+    "sn_adaptive": ("node", ("in_sorted",), ("rbs_theta_mult",),
+                    lambda o, s, t, d, cfg, rng: single_node_adaptive(
+                        o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
+                        theta_mult=cfg.multipliers.get("rbs_theta_mult",
+                                                       1.0))),
+    "sn_avg_jump": ("node", ("jump",), ("c_walks",),
+                    lambda o, s, t, d, cfg, rng: single_node_avg_jump(
+                        o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
+                        c=cfg.multipliers.get("c_walks"))),
+    "sn_avg_full": ("node", ("jump", "in_sorted", "adj"), _PARAM_MULTIPLIERS,
+                    lambda o, s, t, d, cfg, rng: single_node_avg_full(
+                        o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
+                        multipliers=cfg.multipliers)),
 }
 
 
@@ -195,10 +198,14 @@ def _check_config(cfg):
     """Reject a bad config before any instance is generated."""
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    variant, required, runner = ALGORITHMS[cfg.algorithm]
+    variant, required, keys, runner = ALGORITHMS[cfg.algorithm]
     missing = [c for c in required if c not in cfg.capabilities]
     if missing:
         raise CapabilityMismatch(f"{cfg.algorithm} needs capabilities {missing}")
+    unknown = sorted(set(cfg.multipliers) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown multipliers {unknown} for "
+                          f"{cfg.algorithm}, which reads {list(keys)}")
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     inst = cfg.instance

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pprquery import (build_graph, load_edge_list, save_edge_list,
                       DanglingNode, DuplicateEdge, GraphError, NodeIdOutOfRange,
@@ -245,6 +245,24 @@ class TestAccountingCompleteness:
         assert inner.stats.total == proxy.calls > 0
 
 
+@st.composite
+def saved_graphs(draw):
+    """Random graph whose largest id has 1 to 4 digits: one out-edge
+    per node, a drawn share of them self-loops, plus extra random
+    edges, inserted in a shuffled order."""
+    digits = draw(st.integers(1, 4))
+    n = draw(st.integers(10 ** (digits - 1), min(10 ** digits - 1, 1500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nodes = np.arange(n)
+    heads = np.where(rng.random(n) < draw(st.floats(0, 1)), nodes,
+                     rng.integers(0, n, n))
+    extra = rng.integers(0, n, (draw(st.integers(0, 2 * n)), 2))
+    edges = np.unique(np.concatenate((np.column_stack((nodes, heads)),
+                                      extra)), axis=0)
+    rng.shuffle(edges)
+    return build_graph(edges, n)
+
+
 class TestEdgeListIO:
     def test_round_trip(self, tmp_path):
         g = random_graph(5, 25)
@@ -264,11 +282,56 @@ class TestEdgeListIO:
         reference_save(g, ref)
         assert path.read_bytes() == ref.read_bytes()
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(g=st.just(singleton_graph()) | saved_graphs())
+    def test_round_trip_property(self, tmp_path, g):
+        path, again = tmp_path / "g.txt", tmp_path / "again.txt"
+        save_edge_list(g, path)
+        h = load_edge_list(path)
+        assert h.node_count == g.node_count
+        assert h.edges() == g.edges()
+        save_edge_list(h, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_headerless(self, tmp_path):
+        # read as a header, "0 1" is n = 0: rejected, not guessed
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 1\n")
+        with pytest.raises(GraphError, match="n=0"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("text, cause", [
+        ("", "empty"),
+        ("# a comment\n\n# and another\n", "empty"),
+        ("2 2\n0\n1 0\n", "malformed"),
+        ("2 2\n0 1 1\n1 0\n", "malformed"),
+        ("7\n", "malformed.*1 fields"),
+        ("2 2\n0 x\n1 0\n", "malformed.*'x'"),
+        ("2 2\n0 1.5\n1 0\n", "malformed.*'1.5'"),
+        ("0 0\n", "n=0"),
+        ("2 3\n0 1\n1 0\n", "m=3 .* 2 edge rows"),
+        ("2 1\n0 1\n1 0\n", "m=1 .* 2 edge rows"),
+    ])
+    def test_rejects_malformed_file(self, tmp_path, text, cause):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=cause):
+            load_edge_list(path)
+
+    def test_header_n_above_m_is_dangling(self, tmp_path):
+        # a node count no edge list of m rows can cover fails before any
+        # array of n entries is built
+        path = tmp_path / "bad.txt"
+        path.write_text("1000000000000 1\n0 0\n")
+        with pytest.raises(DanglingNode, match="n=1000000000000"):
+            load_edge_list(path)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# graph\n2 3\n\n0 1  # first edge\n 0 0\n1\t0\n")
         g = load_edge_list(path)
-        assert g.node_count == 2 and g.edge_count == 2
+        assert g.node_count == 2 and g.edges() == [(0, 1), (0, 0), (1, 0)]
 
     def test_loader_validates(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -213,6 +213,17 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="nope"):
             run_experiment(self.bad(algorithm="nope"))
 
+    @pytest.mark.parametrize("algorithm,key", [
+        ("monte_carlo", "c_walk"), ("single_pair_ppr", "c_walks"),
+        ("power_iteration", "c_walks"), ("sn_avg_full", "rbs_theta")])
+    def test_unknown_multiplier(self, algorithm, key):
+        # a key the algorithm never reads, such as a typo of c_walks,
+        # would otherwise run silently with the default
+        with pytest.raises(ConfigError, match=rf"unknown multipliers \['{key}'\]"):
+            run_experiment(self.bad(algorithm=algorithm,
+                                    capabilities=["jump", "in_sorted", "adj"],
+                                    multipliers={key: 1.0}))
+
     def test_trials_below_one(self):
         with pytest.raises(ConfigError, match="trials"):
             run_experiment(self.bad(trials=0))

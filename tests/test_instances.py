@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pprquery import (InstanceSpec, generate, closed_form_pi,
                       parameter_presets, exact_single_source, exact_pagerank,
                       save_edge_list, load_edge_list, OracleHandle,
                       power_iteration_target, SpecConstraintViolation,
                       NoClosedForm, RegimeUndefined)
+from pprquery.instances import _apply_swap
 
 A = 0.2
 
@@ -126,6 +128,29 @@ class TestStructure:
         assert np.array_equal(base.out_deg, swapped.out_deg)
         assert np.array_equal(base.in_deg, swapped.in_deg)
         assert base.edge_count == swapped.edge_count
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_swap_property(self, data):
+        # random distinct edges, two of them designated: only the heads
+        # of their two rows trade places, so every source keeps each
+        # out-list position and every degree holds
+        n = data.draw(st.integers(2, 12))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   min_size=2, max_size=40, unique=True))
+        edges = np.array(pairs, dtype=np.int64)
+        i, j = data.draw(st.lists(st.integers(0, len(pairs) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        before = edges.copy()
+        _apply_swap(edges, pairs[i], pairs[j])
+        heads = before[:, 1].copy()
+        heads[[i, j]] = heads[[j, i]]
+        assert np.array_equal(edges[:, 0], before[:, 0])
+        assert np.array_equal(edges[:, 1], heads)
+        for col in (0, 1):
+            assert np.array_equal(np.bincount(edges[:, col], minlength=n),
+                                  np.bincount(before[:, col], minlength=n))
 
     def test_padding_neutrality(self):
         spec = InstanceSpec("sp_worst", L=3, D=3, alpha=A, swap=True)
