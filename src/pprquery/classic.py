@@ -8,6 +8,10 @@ query: 2 queries per step.  All walks run through one lockstep engine,
 `_walk_terminals`, which advances every live walk by one step per round
 with the batch queries `deg_out_many` and `out_nbr_many`; each charges
 one query per element, so a step still costs exactly 2 queries.
+Power iteration and RBS share one leveled backward loop,
+`_leveled_backward`: one scan batch and one numpy merge per level, with
+estimates keyed in first-reach order (single_node_adaptive sums them
+in that order).
 
 Walk counts carry explicit constant multipliers (default
 16*log(1/p_f)/eps^2 per 1/delta); the underlying analyses only give
@@ -162,32 +166,64 @@ def approx_contributions(o, t, alpha, r_max):
     return state
 
 
+def _first_seen(ids, slot):
+    """Mask of the first occurrence of each id in `ids`.  Written last to
+    first, slot[u] (an n-length scratch array) ends as u's first
+    position."""
+    pos = np.arange(ids.size)
+    slot[ids[::-1]] = pos[::-1]
+    return slot[ids] == pos
+
+
+def _leveled_backward(o, t, alpha, L, push):
+    """Level-synchronous backward propagation from t for L levels: the
+    sparse estimates sum_level alpha * r_level(v), keyed in first-reach
+    order (single_node_adaptive sums the values in that order).
+
+    Level 0 is residue 1 on t.  push(vs, rv) takes a level's nodes with
+    positive residue and returns its pushes (us, x) in push order.  The
+    next level holds each pushed node once, in first-appearance order,
+    with the sum of its pushes added left to right from 0.0 (bincount),
+    so values, key order and queries are those of a dict filled push by
+    push.
+    """
+    if not L >= 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    n = o.node_count
+    est = np.zeros(n)
+    slot = np.empty(n, dtype=np.intp)
+    vs, rv = np.array([t], dtype=np.int64), np.ones(1)
+    levels = []
+    for level in range(L + 1):
+        est[vs] += alpha * rv
+        levels.append(vs)
+        if level == L:
+            break
+        live = rv > 0.0
+        us, x = push(vs[live], rv[live])
+        if not us.size:  # later levels would add, charge, draw nothing
+            break
+        vs = us[_first_seen(us, slot)]
+        slot[vs] = np.arange(vs.size)
+        rv = np.bincount(slot[us], weights=x, minlength=vs.size)
+    keys = np.concatenate(levels)
+    keys = keys[_first_seen(keys, slot)]
+    return dict(zip(keys.tolist(), est[keys].tolist()))
+
+
 def power_iteration_target(o, t, alpha, L):
     """Synchronous leveled backward push; estimates pi(s,t) for all s.
 
     Returns a sparse dict equal to sum_{k<=L} alpha (1-alpha)^k P^k[.,t],
     i.e. brute_force_pair truncated at the same horizon; the dropped
-    tail is at most (1-alpha)^L.
+    tail is at most (1-alpha)^L.  A level reads the full IN lists of
+    its nodes as one `in_scans` batch.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    est = {}
-    r = {t: 1.0}
-    for level in range(L + 1):
-        for v, rv in r.items():
-            est[v] = est.get(v, 0.0) + alpha * rv
-        if level == L:
-            break
-        nxt = {}
-        for v, rv in r.items():
-            if rv == 0.0:
-                continue
-            spread = (1.0 - alpha) * rv
-            for i in range(o.deg_in(v)):
-                u = o.in_nbr(v, i)
-                nxt[u] = nxt.get(u, 0.0) + spread / o.deg_out(u)
-        r = nxt
-    return est
+    def push(vs, rv):
+        us, d, rows = o.in_scans(vs)
+        return us, ((1.0 - alpha) * rv)[rows] / d
+
+    return _leveled_backward(o, t, alpha, L, push)
 
 
 def default_r_max_pair(o, delta):
@@ -225,22 +261,22 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     per (node, level) scan of the out-degree-sorted in-list, pushing
     theta for each scanned edge that was not deterministic, up to the
     first edge below both.  Increments are unbiased but not independent
-    within a scan.  A level's scans go to the oracle as one
-    `in_sorted_scans` batch, which charges what the scalar scans would.
-    Returns sparse per-source estimates of pi(s,t).
+    within a scan.  A level's nodes are scanned in id order, drawing one
+    uniform each, as one `in_sorted_scans` batch, which charges what
+    the scalar scans would.  Returns sparse per-source estimates of
+    pi(s,t), keyed in first-reach order, the order in which
+    single_node_adaptive sums them.
     """
+    if not theta > 0:
+        raise ValueError(f"rbs_single_target: theta must be positive, got {theta}")
     if L is None:
         L = rbs_levels(alpha, delta, eps)
-    est = {}
-    r = {t: 1.0}
-    for level in range(L + 1):
-        for v, rv in r.items():
-            est[v] = est.get(v, 0.0) + alpha * rv
-        if level == L or not r:  # later levels would add, charge, draw nothing
-            break
-        vs = sorted(v for v, rv in r.items() if rv > 0.0)
-        spread = (1.0 - alpha) * np.array([r[v] for v in vs])
-        rand = rng.random(len(vs)) * theta
+
+    def push(vs, rv):
+        order = vs.argsort()
+        vs = vs[order]
+        spread = (1.0 - alpha) * rv[order]
+        rand = rng.random(vs.size) * theta
 
         def stop(rows, d):
             chi = spread[rows] / d
@@ -248,12 +284,11 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
 
         us, d, rows = o.in_sorted_scans(vs, stop)
         chi = spread[rows] / d
-        go = ~stop(rows, d)
-        r = {}
-        for u, x in zip(us[go].tolist(),
-                        np.where(chi >= theta, chi, theta)[go].tolist()):
-            r[u] = r.get(u, 0.0) + x
-    return est
+        big = chi >= theta
+        go = big | (chi > rand[rows])  # not stop(rows, d)
+        return us[go], np.where(big, chi, theta)[go]
+
+    return _leveled_backward(o, t, alpha, L, push)
 
 
 def _cover_sources(o, extra=8.0):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, asdict
 
@@ -126,7 +127,7 @@ ALGORITHMS = {
                          c=_walks(cfg))[0]),
     "bippr": ("pair", (), ("r_max", "c_walks"), lambda o, s, t, d, cfg, rng:
         bippr_pair(o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f,
-                   cfg.multipliers.get("r_max") or default_r_max_pair(o, d),
+                   cfg.multipliers.get("r_max", default_r_max_pair(o, d)),
                    rng, c=_walks(cfg))),
     "power_iteration": ("target", (), (), lambda o, s, t, d, cfg, rng:
         power_iteration_target(
@@ -136,7 +137,7 @@ ALGORITHMS = {
     "rbs": ("target", ("in_sorted",), ("rbs_theta",),
             lambda o, s, t, d, cfg, rng: rbs_single_target(
                 o, t, cfg.alpha, d,
-                cfg.multipliers.get("rbs_theta") or cfg.eps * d, rng,
+                cfg.multipliers.get("rbs_theta", cfg.eps * d), rng,
                 eps=cfg.eps).get(s, 0.0)),
     "st_jump_mc": ("target", ("jump",), ("c_walks",),
                    lambda o, s, t, d, cfg, rng: single_target_jump_mc(
@@ -206,6 +207,11 @@ def _check_config(cfg):
     if unknown:
         raise ConfigError(f"unknown multipliers {unknown} for "
                           f"{cfg.algorithm}, which reads {list(keys)}")
+    for key, val in cfg.multipliers.items():
+        if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                or not 0.0 < val < math.inf):
+            raise ConfigError(f"multiplier {key}={val!r} is not a finite "
+                              f"positive number")
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     inst = cfg.instance

@@ -11,7 +11,10 @@ which return Python ints; ADJ bisects the id-sorted out-range.  The
 batch methods `deg_out_many`, `out_nbr_many`, `adj_many` and
 `jump_many` index the arrays with numpy and charge exactly one query
 per element, so batching changes the wall time of a run, never its
-query count.
+query count.  The scan batches `in_scans` (whole IN lists) and
+`in_sorted_scans` (IN-SORTED prefixes) charge DEG-IN per list and IN
+or IN-SORTED plus DEG-OUT per entry read, as a loop of scalar queries
+would.
 
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
@@ -22,6 +25,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 import numpy as np
+
+from .graph import csr_entries
 
 QUERY_KINDS = ("deg_in", "deg_out", "in", "out", "in_sorted", "adj", "jump")
 
@@ -226,6 +231,26 @@ class OracleHandle:
         found[found] = g.out_sorted[lo[found]] == vs[found]
         return found
 
+    def _in_entries(self, lists, vs):
+        """Every entry of the in-lists of `vs`, list after list, read from
+        the CSR array `lists` (in_nbrs or in_sorted): (nbrs, their
+        out-degrees, the position in `vs` of each entry's list)."""
+        g = self.graph
+        idx, lens = csr_entries(g.in_ptr, vs)
+        nbrs = lists[idx]
+        return nbrs, g.out_deg[nbrs], np.arange(vs.size).repeat(lens)
+
+    def in_scans(self, vs):
+        """Read the whole IN list of each node v of `vs`: DEG-IN(v), then
+        IN(v, i) and DEG-OUT of its answer for every i, charging exactly
+        those queries.  Returns (nbrs, degs, rows), list after list."""
+        vs = np.asarray(vs, dtype=np.int64)
+        nbrs, degs, rows = self._in_entries(self.graph.in_nbrs, vs)
+        self.stats.deg_in += vs.size
+        self.stats.in_q += rows.size
+        self.stats.deg_out += rows.size
+        return nbrs, degs, rows
+
     def in_sorted_scans(self, vs, stop):
         """Scan the IN-SORTED list of each node v of `vs`: DEG-IN(v), then
         IN-SORTED(v, i) and DEG-OUT of its answer for i = 0, 1, ... up to
@@ -236,18 +261,14 @@ class OracleHandle:
         (nbrs, degs, rows) of the scanned prefixes, scan after scan."""
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
-        g = self.graph
         vs = np.asarray(vs, dtype=np.int64)
-        lens = g.in_deg[vs]
-        rows = np.arange(vs.size).repeat(lens)
-        pos = np.arange(rows.size) - (lens.cumsum() - lens)[rows]
-        nbrs = g.in_sorted[g.in_ptr[vs][rows] + pos]
-        degs = g.out_deg[nbrs]
-        # stop is monotone, so each list reads its non-stop prefix plus one
-        read = np.minimum(np.bincount(rows[~stop(rows, degs)],
-                                      minlength=vs.size) + 1, lens)
-        keep = pos < read[rows]
-        total = int(read.sum())
+        nbrs, degs, rows = self._in_entries(self.graph.in_sorted, vs)
+        # stop is monotone, so a list reads its non-stop prefix plus one:
+        # an entry is read unless the entry before it in its list stopped
+        halt = stop(rows, degs)
+        keep = np.ones(rows.size, dtype=bool)
+        keep[1:] = ~(halt[:-1] & (rows[1:] == rows[:-1]))
+        total = int(np.count_nonzero(keep))
         self.stats.deg_in += vs.size
         self.stats.in_sorted += total
         self.stats.deg_out += total

@@ -185,7 +185,57 @@ class TestApproxContributions:
         assert avg <= 12 * d / r_max  # generous fitted constant
 
 
+def reference_power_iteration(o, t, alpha, L):
+    """The scalar-query loop that power_iteration_target's IN list
+    batches replaced."""
+    est = {}
+    r = {t: 1.0}
+    for level in range(L + 1):
+        for v, rv in r.items():
+            est[v] = est.get(v, 0.0) + alpha * rv
+        if level == L:
+            break
+        nxt = {}
+        for v, rv in r.items():
+            if rv == 0.0:
+                continue
+            spread = (1.0 - alpha) * rv
+            for i in range(o.deg_in(v)):
+                u = o.in_nbr(v, i)
+                nxt[u] = nxt.get(u, 0.0) + spread / o.deg_out(u)
+        r = nxt
+    return est
+
+
+def with_unreached_node(g):
+    """g plus node n, with one out-edge to node 0 and no in-edge."""
+    n = g.node_count
+    edges = np.column_stack(g.edge_arrays())
+    return build_graph(np.concatenate((edges, [[n, 0]])), n + 1)
+
+
 class TestPowerIteration:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 40),
+           d=st.integers(1, 6), alpha=st.sampled_from([0.1, 0.2, 0.5]),
+           L=st.integers(1, 12), unreached=st.booleans())
+    def test_matches_scalar_reference(self, seed, n, d, alpha, L, unreached):
+        # same estimates (keys, order and bits) and queries; a target with
+        # in-degree 0 has no residue left after level 0
+        g, t = random_graph(seed, n, d), seed % n
+        if unreached:
+            g, t = with_unreached_node(g), n
+        a, b = handle(g), handle(g)
+        want = reference_power_iteration(a, t, alpha, L)
+        got = power_iteration_target(b, t, alpha, L)
+        assert list(got.items()) == list(want.items())
+        assert a.stats.as_dict() == b.stats.as_dict()
+
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_levels_below_one(self, L):
+        with pytest.raises(ValueError, match=r"\bL\b"):
+            power_iteration_target(handle(chain_graph()), 1, A, L)
+
     def test_singleton_tail(self):
         o = handle(singleton_graph())
         est = power_iteration_target(o, 0, A, 10)[0]
@@ -292,14 +342,42 @@ class TestRbs:
            theta=st.floats(1e-4, 0.5), L=st.integers(1, 12))
     def test_matches_scalar_reference(self, seed, n, d, alpha, theta, L):
         # same estimates (keys, order and bits), queries and RNG end state
-        g = random_graph(seed, n, d)
+        self.assert_matches_reference(random_graph(seed, n, d), seed % n,
+                                      alpha, theta, L, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 8.0])
+    def test_matches_scalar_reference_fan_in(self, seed, scale):
+        # the 16 relays share their 2,200 in-neighbors, so each of those
+        # takes 16 pushes at level 2 and the merge order shows
+        from conftest import relay_fan_graph
+        g, t = relay_fan_graph()
+        chi = (1 - A) * ((1 - A) / 32) / 30  # per-edge increment of a relay push
+        self.assert_matches_reference(g, t, A, scale * chi, 4, seed)
+
+    @staticmethod
+    def assert_matches_reference(g, t, alpha, theta, L, seed):
         a, b = (OracleHandle(g, Capabilities(in_sorted=True)) for _ in "ab")
         ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = reference_rbs(a, seed % n, alpha, theta, ra, L)
-        got = rbs_single_target(b, seed % n, alpha, 0.1, theta, rb, L=L)
+        want = reference_rbs(a, t, alpha, theta, ra, L)
+        got = rbs_single_target(b, t, alpha, 0.1, theta, rb, L=L)
         assert list(got.items()) == list(want.items())
         assert a.stats.as_dict() == b.stats.as_dict()
         assert ra.bit_generator.state == rb.bit_generator.state
+
+    @pytest.mark.parametrize("theta", [0.0, -0.1, float("nan")])
+    def test_theta_not_positive(self, theta, rng):
+        # NaN used to push NaN residues
+        o = OracleHandle(chain_graph(), Capabilities(in_sorted=True))
+        with pytest.raises(ValueError, match="theta"):
+            rbs_single_target(o, 1, A, 0.1, theta, rng, L=3)
+
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_levels_below_one(self, L, rng):
+        # L = 0 used to return {t: alpha}
+        o = OracleHandle(chain_graph(), Capabilities(in_sorted=True))
+        with pytest.raises(ValueError, match=r"\bL\b"):
+            rbs_single_target(o, 1, A, 0.1, 0.01, rng, L=L)
 
     @pytest.mark.parametrize("name,bad", [
         ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.2), ("alpha", 1.5),

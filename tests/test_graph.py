@@ -1,4 +1,5 @@
 import math
+from fnmatch import fnmatch
 
 import numpy as np
 import pytest
@@ -209,11 +210,38 @@ class CountingProxy:
     def out_nbr_many(self, vs, idx):
         return self._count_many(self.inner.out_nbr_many, vs, idx)
 
-    # one DEG-IN per scan, one IN-SORTED and one DEG-OUT per neighbor read
+    def adj_many(self, us, vs):
+        return self._count_many(self.inner.adj_many, us, vs)
+
+    def jump_many(self, count):
+        self.calls += int(count)
+        return self.inner.jump_many(count)
+
+    # one DEG-IN per list, one IN or IN-SORTED and one DEG-OUT per
+    # neighbor read
+    def in_scans(self, vs):
+        nbrs, degs, rows = self.inner.in_scans(vs)
+        self.calls += len(vs) + 2 * len(nbrs)
+        return nbrs, degs, rows
+
     def in_sorted_scans(self, vs, stop):
         nbrs, degs, rows = self.inner.in_sorted_scans(vs, stop)
         self.calls += len(vs) + 2 * len(nbrs)
         return nbrs, degs, rows
+
+
+_QUERY_PATTERNS = ("deg_*", "*_nbr*", "in_sorted*", "adj*", "jump*",
+                   "*_many", "*_scans")
+
+
+def test_counting_proxy_counts_every_query():
+    # a query method missing from the proxy would reach the oracle through
+    # __getattr__ uncounted, and the accounting tests would miss it
+    queries = [name for name in dir(OracleHandle)
+               if not name.startswith("_")
+               and any(fnmatch(name, p) for p in _QUERY_PATTERNS)]
+    assert {"in_nbr", "adj_many", "jump_many", "in_scans"} <= set(queries)
+    assert [q for q in queries if q not in vars(CountingProxy)] == []
 
 
 class TestAccountingCompleteness:
@@ -242,6 +270,12 @@ class TestAccountingCompleteness:
         inner, proxy = self._proxy()
         from pprquery import rbs_single_target
         rbs_single_target(proxy, 7, 0.2, 0.05, 0.01, rng)
+        assert inner.stats.total == proxy.calls > 0
+
+    def test_power_iteration_accounting(self):
+        inner, proxy = self._proxy()
+        from pprquery import power_iteration_target
+        power_iteration_target(proxy, 7, 0.2, 6)
         assert inner.stats.total == proxy.calls > 0
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,18 @@ class TestConfigErrors:
             run_experiment(self.bad(algorithm=algorithm,
                                     capabilities=["jump", "in_sorted", "adj"],
                                     multipliers={key: 1.0}))
+
+    @pytest.mark.parametrize("algorithm,key", [
+        ("monte_carlo", "c_walks"), ("bippr", "r_max"), ("rbs", "rbs_theta"),
+        ("single_pair_ppr", "c_ns")])
+    @pytest.mark.parametrize("val", [0.0, -1.0, math.nan, math.inf, True, "2"])
+    def test_multiplier_value_not_finite_positive(self, algorithm, key, val):
+        # 0.0 used to run (r_max and rbs_theta silently fell back to their
+        # defaults), a string failed late with a bare TypeError
+        with pytest.raises(ConfigError, match=re.escape(f"{key}={val!r}")):
+            run_experiment(self.bad(algorithm=algorithm,
+                                    capabilities=["in_sorted", "adj"],
+                                    multipliers={key: val}))
 
     def test_trials_below_one(self):
         with pytest.raises(ConfigError, match="trials"):

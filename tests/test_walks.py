@@ -267,6 +267,23 @@ def test_in_sorted_scans_match_scalar_scans(g, data):
         OracleHandle(g).in_sorted_scans(vs, lambda rows, d: d > 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_in_scans_match_scalar_scans(g, data):
+    """A full-list IN batch reads and charges what a loop of scalar
+    queries does: DEG-IN(v), then IN and DEG-OUT for every in-neighbor."""
+    a, b = twin_oracles(g, view=False, caps=Capabilities())
+    vs = data.draw(st.lists(st.integers(0, g.node_count - 1), max_size=12))
+    want = []
+    for j, v in enumerate(vs):
+        for i in range(a.deg_in(v)):
+            u = a.in_nbr(v, i)
+            want.append((u, a.deg_out(u), j))
+    nbrs, degs, rows = b.in_scans(vs)
+    assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist())) == want
+    assert a.stats.as_dict() == b.stats.as_dict()
+
+
 @settings(max_examples=30, deadline=None)
 @given(g=graphs(), k=st.integers(0, 50))
 def test_jump_many_matches_scalar_jumps(g, k):
