@@ -16,8 +16,7 @@ from .classic import (PushFrontier, monte_carlo_pair, push_back,
                       default_r_max_pair)
 from .bidir import (LevelSchedule, NewAlgoParams, RandPushState,
                     ConstraintViolation, derive_params, rand_push_threshold,
-                    backward_phase, estimate_R_hat, single_pair_ppr,
-                    unpushed_bound_holds)
+                    backward_phase, estimate_R_hat, single_pair_ppr)
 from .single_node import (SuperSourceView, single_node_adaptive,
                           single_node_avg_jump, single_node_avg_full)
 from .instances import (InstanceSpec, InstanceMeta, generate, closed_form_pi,

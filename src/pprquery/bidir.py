@@ -9,6 +9,14 @@ sorted-scan Bernoulli passes (IN-SORTED gives in-neighbors by
 non-decreasing out-degree, so each scan stops at the first increment
 below its uniform threshold).
 
+The randomized scans fire rarely.  A push of amount a randomizes at an
+in-neighbor u only when (1-alpha) * a / d_out(u) < gamma * theta, and
+pushes start at a > theta, so this needs d_out(u) >~ (1-alpha)/gamma.
+Under derive_params at delta = 0.01 (alpha = eps = 0.2) that is about
+5.7e4 at n = 4,096 and 8.5e4 at n = 10^6.  On graphs whose
+out-degrees stay below that, single_pair_ppr and single_node_avg_full
+never draw a scan uniform.
+
 Forward phase: walks from the source; each terminal u_k is scored by an
 estimate R_hat(u_k) of the derandomized residue R(u_k), combining exact
 ADJ-checked contributions of heavy-reserve nodes with uniform sampling
@@ -32,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import _walk_terminals
+from .classic import _walk_terminals, check_params
 from .oracle import CapabilityDisabled
 
 log = logging.getLogger(__name__)
@@ -121,10 +129,8 @@ def derive_params(alpha, delta, eps, p_f, n, c_theta=1.0, c_L=1.0,
     n_r >= theta * log(1/p_f)/(eps*delta), n_r*n_s/tau >=
     log(1/p_f)/(alpha*eps*delta)); n_s = ceil(c_ns / delta^(1/3)).
     """
-    for name, val in (("alpha", alpha), ("delta", delta), ("eps", eps),
-                      ("p_f", p_f)):
-        if not 0.0 < val < 1.0 and not (name == "delta" and val == 1.0):
-            raise ValueError(f"{name} must be in (0,1), got {val}")
+    check_params(alpha=alpha, delta=delta, eps=eps, p_f=p_f, c_theta=c_theta,
+                 c_L=c_L, c_gamma=c_gamma, c_nr=c_nr, c_ns=c_ns, c_tau=c_tau)
     if n < 1:
         raise ValueError("n must be >= 1")
     theta0 = c_theta * delta ** (2.0 / 3.0)
@@ -174,9 +180,6 @@ class RandPushState:
     def indicator(self, u, i):
         """1_i(u): u was never pushed at level i."""
         return u not in self.pushed_amount[i]
-
-    def r_hat_total(self, u):
-        return sum(level.get(u, 0.0) for level in self.r_hat)
 
 
 def rand_push_threshold(o, v, i, state, rng):
@@ -255,20 +258,6 @@ def backward_phase(o, t, params, rng):
         log.warning("heavy set V_P has %d nodes (tau=%.3g); R_hat cost degrades",
                     len(state.heavy), params.tau)
     return state
-
-
-def unpushed_bound_holds(state):
-    """Deterministic termination bound: r_hat_prime_i(u) <= theta_i for
-    every unpushed (u, i) with i < L.  Returns (ok, worst_excess)."""
-    sched = state.schedule
-    worst = 0.0
-    for i in range(sched.L):
-        th = sched.theta[i]
-        pushed = state.pushed_amount[i]
-        for u, val in state.r_hat_prime[i].items():
-            if u not in pushed and val > th:
-                worst = max(worst, val - th)
-    return worst == 0.0, worst
 
 
 def _chi_num_sum(state, u, v):

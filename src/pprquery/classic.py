@@ -21,12 +21,30 @@ Theta(.), so the constants are exposed as parameters.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_WALK_MULT = 16.0
+
+# name -> (upper bound, bound included)
+_RANGES = {"alpha": (1.0, False), "eps": (1.0, False),
+           "p_f": (1.0, False), "delta": (1.0, True)}
+
+
+def check_params(**named):
+    """Raise ValueError naming the first value outside its range: alpha,
+    eps and p_f in (0,1), delta in (0,1], any other name (a multiplier,
+    r_max or theta) in (0,inf).  bool and non-numbers are rejected.
+    Every estimator calls this before its first query or random draw."""
+    for name, val in named.items():
+        hi, closed = _RANGES.get(name, (math.inf, False))
+        if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                or not (0.0 < val <= hi if closed else 0.0 < val < hi)):
+            raise ValueError(f"{name}={val!r} outside "
+                             f"(0,{hi:g}{']' if closed else ')'}")
 
 
 @dataclass
@@ -98,9 +116,7 @@ def _lockstep(o, starts, moves, us):
 def mc_walk_count(delta, eps, p_f, c=DEFAULT_WALK_MULT):
     """Walks needed for a (1 +- eps) estimate of a probability >= delta
     with failure probability p_f: c * log(1/p_f) / (eps^2 delta)."""
-    for name, val in (("delta", delta), ("eps", eps), ("p_f", p_f)):
-        if not val > 0:
-            raise ValueError(f"mc_walk_count: {name} must be positive, got {val}")
+    check_params(delta=delta, eps=eps, p_f=p_f, c=c)
     return max(1, math.ceil(c * math.log(1.0 / p_f) / (eps * eps * delta)))
 
 
@@ -110,6 +126,7 @@ def monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     Returns (estimate, walk_count); walk_count is exposed for
     complexity accounting.
     """
+    check_params(alpha=alpha)
     n_w = mc_walk_count(delta, eps, p_f, c)
     return _push_walk_estimates(o, [s], alpha, rng, n_w, {}, {t: 1.0})[s], n_w
 
@@ -153,8 +170,7 @@ def approx_contributions(o, t, alpha, r_max):
     Afterwards p(s) <= pi(s,t) < p(s) + r_max for every s.  Push
     eligibility is r(v) >= r_max (so r_max=1 pushes the seed once).
     """
-    if not 0.0 < r_max:
-        raise ValueError("r_max must be positive")
+    check_params(alpha=alpha, r_max=r_max)
     state = PushFrontier(r_max=r_max)
     state.add_residue(t, 1.0)
     while state.active:
@@ -219,6 +235,8 @@ def power_iteration_target(o, t, alpha, L):
     tail is at most (1-alpha)^L.  A level reads the full IN lists of
     its nodes as one `in_scans` batch.
     """
+    check_params(alpha=alpha)
+
     def push(vs, rv):
         us, d, rows = o.in_scans(vs)
         return us, ((1.0 - alpha) * rv)[rows] / d
@@ -239,6 +257,7 @@ def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT)
     r(terminal).  With r_max > 1 no push happens and this degenerates to
     plain Monte Carlo.
     """
+    check_params(delta=delta, eps=eps, p_f=p_f, c=c)
     state = approx_contributions(o, t, alpha, r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
     return _push_walk_estimates(o, [s], alpha, rng, n_w, state.p, state.r)[s]
@@ -246,11 +265,7 @@ def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT)
 
 def rbs_levels(alpha, delta, eps):
     """Default level count ceil(log_{1/(1-alpha)} 1/(eps*delta))."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"rbs_levels: alpha must be in (0,1), got {alpha}")
-    for name, val in (("delta", delta), ("eps", eps)):
-        if not val > 0:
-            raise ValueError(f"rbs_levels: {name} must be positive, got {val}")
+    check_params(alpha=alpha, delta=delta, eps=eps)
     return max(1, math.ceil(math.log(1.0 / (eps * delta)) / math.log(1.0 / (1.0 - alpha))))
 
 
@@ -267,8 +282,7 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     pi(s,t), keyed in first-reach order, the order in which
     single_node_adaptive sums them.
     """
-    if not theta > 0:
-        raise ValueError(f"rbs_single_target: theta must be positive, got {theta}")
+    check_params(alpha=alpha, delta=delta, eps=eps, theta=theta)
     if L is None:
         L = rbs_levels(alpha, delta, eps)
 
@@ -311,6 +325,7 @@ def single_target_jump_mc(o, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT
     """Worst-case single-target solver: JUMP to cover sources, then
     plain Monte Carlo per discovered source, all sources walked in one
     lockstep (needs JUMP)."""
+    check_params(alpha=alpha)
     n_w = mc_walk_count(delta, eps, p_f, c)
     return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w,
                                 {}, {t: 1.0})
@@ -321,6 +336,7 @@ def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
     """Average-case single-target solver: one backward push at
     r_max = sqrt(d delta / n), then per-source walks scored by residue
     (needs JUMP)."""
+    check_params(delta=delta, eps=eps, p_f=p_f, c=c)
     n = o.node_count
     if r_max is None:
         d = o.edge_count / n

@@ -57,15 +57,6 @@ class DirectedGraph:
     out_degrees = property(lambda self: memoryview(self.out_deg))
     in_degrees = property(lambda self: memoryview(self.in_deg))
 
-    def out_list(self, v):
-        """OUT list of v, in insertion order."""
-        return self.out_nbrs[self.out_ptr[v]:self.out_ptr[v + 1]].tolist()
-
-    def in_list(self, v, by_out_degree=False):
-        """IN list of v, in insertion order or in IN-SORTED order."""
-        nbrs = self.in_sorted if by_out_degree else self.in_nbrs
-        return nbrs[self.in_ptr[v]:self.in_ptr[v + 1]].tolist()
-
     def edge_arrays(self):
         """Per-edge (src, dst) arrays in (source id, list order)."""
         src = np.repeat(np.arange(self.node_count, dtype=np.int64),

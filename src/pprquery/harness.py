@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, asdict
 
@@ -24,7 +23,7 @@ from .exact import exact_single_source, exact_pagerank
 from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
-                      default_r_max_pair)
+                      default_r_max_pair, check_params)
 from .bidir import derive_params, single_pair_ppr
 from .single_node import (single_node_adaptive, single_node_avg_jump,
                           single_node_avg_full)
@@ -160,7 +159,7 @@ ALGORITHMS = {
     "sn_avg_jump": ("node", ("jump",), ("c_walks",),
                     lambda o, s, t, d, cfg, rng: single_node_avg_jump(
                         o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
-                        c=cfg.multipliers.get("c_walks"))),
+                        c=_walks(cfg))),
     "sn_avg_full": ("node", ("jump", "in_sorted", "adj"), _PARAM_MULTIPLIERS,
                     lambda o, s, t, d, cfg, rng: single_node_avg_full(
                         o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
@@ -207,11 +206,6 @@ def _check_config(cfg):
     if unknown:
         raise ConfigError(f"unknown multipliers {unknown} for "
                           f"{cfg.algorithm}, which reads {list(keys)}")
-    for key, val in cfg.multipliers.items():
-        if (isinstance(val, bool) or not isinstance(val, numbers.Real)
-                or not 0.0 < val < math.inf):
-            raise ConfigError(f"multiplier {key}={val!r} is not a finite "
-                              f"positive number")
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     inst = cfg.instance
@@ -226,13 +220,13 @@ def _check_config(cfg):
         raise ConfigError(f"unknown instance keys {unknown}")
     if not cfg.deltas:
         raise ConfigError("deltas is empty")
-    bad = [d for d in cfg.deltas if not 0.0 < d <= 1.0]
-    if bad:
-        raise ConfigError(f"deltas {bad} outside (0,1]")
-    for name in ("eps", "p_f", "alpha"):
-        val = getattr(cfg, name)
-        if not 0.0 < val < 1.0:
-            raise ConfigError(f"{name}={val} outside (0,1)")
+    try:
+        check_params(eps=cfg.eps, p_f=cfg.p_f, alpha=cfg.alpha,
+                     **cfg.multipliers)
+        for d in cfg.deltas:
+            check_params(delta=d)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return variant, required, runner
 
 
@@ -370,11 +364,3 @@ def fit_scaling(xs, ys):
     var = float((resid ** 2).sum()) / max(k - 2, 1)
     stderr = math.sqrt(var / sxx)
     return slope, stderr
-
-
-def mean_queries_by_cell(results):
-    """cell -> (delta, mean total queries) from TrialResults."""
-    acc = {}
-    for r in results:
-        acc.setdefault(r.cell, (r.delta, []))[1].append(r.queries["total"])
-    return {c: (d, sum(v) / len(v)) for c, (d, v) in acc.items()}

@@ -28,6 +28,7 @@ from functools import partial
 
 import numpy as np
 
+from .classic import check_params
 from .graph import build_graph
 
 FAMILIES = (
@@ -509,8 +510,10 @@ def parameter_presets(family, n, m, delta, alpha):
     """InstanceSpec with L, D set per the family's regime for (n, m,
     delta), including the stated (1-alpha)^k factors."""
     _require(1 <= n <= m <= n * n, f"need n <= m <= n^2, got n={n}, m={m}")
-    if not 0 < delta <= 1:
-        raise RegimeUndefined(f"delta={delta} outside (0,1]")
+    try:
+        check_params(delta=delta)
+    except ValueError as e:
+        raise RegimeUndefined(str(e)) from None
     d = m / n
     spec = InstanceSpec(family=family, n=n, m=m, alpha=alpha, swap=True)
 

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .classic import (bippr_pair, default_r_max_pair, rbs_single_target,
-                      rbs_levels)
+from .classic import (DEFAULT_WALK_MULT, bippr_pair, check_params,
+                      default_r_max_pair, rbs_single_target, rbs_levels)
 from .bidir import derive_params, single_pair_ppr
 from .oracle import CapabilityDisabled, IndexOutOfRange
 
@@ -160,6 +160,7 @@ def single_node_adaptive(o, t, alpha, eps, p_f, rng, theta_mult=1.0):
     """
     if not o.caps.in_sorted:
         raise CapabilityDisabled("single_node_adaptive needs IN-SORTED")
+    check_params(alpha=alpha, eps=eps, p_f=p_f, theta_mult=theta_mult)
     n = o.node_count
     rounds = adaptive_rounds(n, alpha)
     eps_in = eps / 2.0
@@ -175,18 +176,18 @@ def single_node_adaptive(o, t, alpha, eps, p_f, rng, theta_mult=1.0):
         delta /= 2.0
 
 
-def single_node_avg_jump(o, t, alpha, eps, p_f, rng, c=None):
+def single_node_avg_jump(o, t, alpha, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     """Super-source reduction run through the bidirectional walk/push
     pair estimator at delta = alpha/(2n) (needs JUMP)."""
     if not o.caps.jump:
         raise CapabilityDisabled("single_node_avg_jump needs JUMP")
+    check_params(alpha=alpha)
     view = SuperSourceView(o)
     n = o.node_count
     delta = alpha / (2.0 * n)
     r_max = default_r_max_pair(view, delta)
-    kwargs = {} if c is None else {"c": c}
     est = bippr_pair(view, view.virtual, t, alpha, delta, eps, p_f, r_max,
-                     rng, **kwargs)
+                     rng, c=c)
     return est / (1.0 - alpha)
 
 

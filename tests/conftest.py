@@ -88,11 +88,49 @@ def materialize_super_source(g):
     return build_graph(np.concatenate((edges, virtual)), n + 1)
 
 
+def out_list(g, v):
+    """OUT list of v, in insertion order."""
+    return g.out_nbrs[g.out_ptr[v]:g.out_ptr[v + 1]].tolist()
+
+
+def in_list(g, v, by_out_degree=False):
+    """IN list of v, in insertion order or in IN-SORTED order."""
+    nbrs = g.in_sorted if by_out_degree else g.in_nbrs
+    return nbrs[g.in_ptr[v]:g.in_ptr[v + 1]].tolist()
+
+
+def r_hat_total(state, u):
+    """u's residue summed over every level of a backward-phase state."""
+    return sum(level.get(u, 0.0) for level in state.r_hat)
+
+
+def unpushed_bound_holds(state):
+    """Deterministic termination bound: r_hat_prime_i(u) <= theta_i for
+    every unpushed (u, i) with i < L.  Returns (ok, worst_excess)."""
+    sched = state.schedule
+    worst = 0.0
+    for i in range(sched.L):
+        th = sched.theta[i]
+        pushed = state.pushed_amount[i]
+        for u, val in state.r_hat_prime[i].items():
+            if u not in pushed and val > th:
+                worst = max(worst, val - th)
+    return worst == 0.0, worst
+
+
+def mean_queries_by_cell(results):
+    """cell -> (delta, mean total queries) from TrialResults."""
+    acc = {}
+    for r in results:
+        acc.setdefault(r.cell, (r.delta, []))[1].append(r.queries["total"])
+    return {c: (d, sum(v) / len(v)) for c, (d, v) in acc.items()}
+
+
 def compute_R(g, state, u):
     """Exact derandomized residue R(u) of a push state on graph g, from
     the stored push amounts.  Reads u's full out-list, which the metered
     algorithm itself never does."""
-    nbrs = g.out_list(u)
+    nbrs = out_list(g, u)
     total = 0.0
     for v in nbrs:
         total += _chi_num_sum(state, u, v)

@@ -20,14 +20,14 @@ from pprquery.classic import (monte_carlo_pair, bippr_pair, push_back,
                               single_target_bidir_jump, default_r_max_pair,
                               PushFrontier, rbs_levels)
 from pprquery.bidir import (LevelSchedule, derive_params, backward_phase,
-                            estimate_R_hat, single_pair_ppr,
-                            unpushed_bound_holds)
+                            estimate_R_hat, single_pair_ppr)
 from pprquery.single_node import (single_node_adaptive, single_node_avg_jump,
                                   single_node_avg_full)
 from pprquery.harness import (ExperimentConfig, run_experiment, emit,
-                              fit_scaling, mean_queries_by_cell)
+                              fit_scaling)
 from conftest import (chain_graph, compute_R, star_graph, cycle_graph,
-                      random_graph, relay_fan_graph)
+                      random_graph, relay_fan_graph, mean_queries_by_cell,
+                      r_hat_total, unpushed_bound_holds)
 
 A = 0.2
 EPS = 0.2
@@ -281,10 +281,10 @@ def test_criterion_5_unbiasedness_chain():
     r_tot, R_tot, inv = [], [], []
     for i in range(200):
         st = backward_phase(_oracle(g, i), 1, params, rng)
-        r_tot.append(st.r_hat_total(0))
+        r_tot.append(r_hat_total(st, 0))
         R_tot.append(compute_R(g, st, 0))
         inv.append(st.p_hat.get(0, 0.0) + sum(
-            pi_row[u] * st.r_hat_total(u) for u in range(2)))
+            pi_row[u] * r_hat_total(st, u) for u in range(2)))
     d, se = _mean_vs(r_tot, R_tot)
     results.append(("chain E[r]=R", d <= 4 * se, d, se))
     d2 = abs(np.mean(inv) - pi_row[1])
@@ -303,7 +303,7 @@ def test_criterion_5_unbiasedness_chain():
     r_tot, R_tot, inv = [], [], []
     for i in range(reps):
         st = backward_phase(_oracle(g3, i), meta.t, params3, rng)
-        r_tot.append(st.r_hat_total(u_probe))
+        r_tot.append(r_hat_total(st, u_probe))
         R_tot.append(compute_R(g3, st, u_probe))
         tot = st.p_hat.get(meta.s, 0.0)
         for level in st.r_hat:

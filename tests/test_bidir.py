@@ -7,10 +7,10 @@ from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, InstanceSpec, generate)
 from pprquery.bidir import (LevelSchedule, ConstraintViolation, derive_params,
                             rand_push_threshold, backward_phase,
-                            estimate_R_hat, single_pair_ppr,
-                            unpushed_bound_holds, RandPushState)
+                            estimate_R_hat, single_pair_ppr, RandPushState)
 from conftest import (chain_graph, compute_R, singleton_graph, fan_graph,
-                      random_graph, relay_fan_graph)
+                      random_graph, relay_fan_graph, out_list, r_hat_total,
+                      unpushed_bound_holds)
 
 A = 0.2
 
@@ -148,7 +148,7 @@ class TestRandPush:
 
         def rebuilt_R(u, contrib):
             tot = 0.0
-            for v in g.out_list(u):
+            for v in out_list(g, u):
                 for lvl, val in contrib.get(v, ()):
                     if st.indicator(u, lvl):
                         tot += val
@@ -313,7 +313,7 @@ class TestEstimators:
         rng = np.random.default_rng(5)
         for i in range(reps):
             st = backward_phase(all_caps(g, i), 0, params, rng)
-            acc[i] = st.r_hat_total(u)
+            acc[i] = r_hat_total(st, u)
             r = compute_R(g, st, u)
             if R_val is None:
                 R_val = r
@@ -381,7 +381,7 @@ class TestEstimators:
             for u in range(g.node_count):
                 du = g.out_degrees[u]
                 per_level = {}
-                for v in g.out_list(u):
+                for v in out_list(g, u):
                     for lvl, val in st.contrib.get(v, ()):
                         per_level[lvl] = per_level.get(lvl, 0.0) + val / du
                 for i, ri in per_level.items():

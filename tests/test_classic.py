@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from pprquery.classic import (_walk_terminals, monte_carlo_pair, push_back,
                               bippr_pair, rbs_single_target, PushFrontier,
                               single_target_jump_mc, single_target_bidir_jump,
                               default_r_max_pair, rbs_levels)
+from pprquery.single_node import single_node_adaptive, single_node_avg_jump
 from conftest import (chain_graph, singleton_graph, cycle_graph,
                       random_graph, fan_graph)
 
@@ -383,7 +385,8 @@ class TestRbs:
         ("alpha", 0.0), ("alpha", 1.0), ("alpha", -0.2), ("alpha", 1.5),
         ("alpha", float("nan")), ("delta", 0.0), ("delta", -0.5),
         ("delta", float("nan")), ("eps", 0.0), ("eps", -0.5),
-        ("eps", float("nan"))])
+        ("eps", float("nan")), ("alpha", 1.2), ("delta", 1.5), ("eps", 2),
+        ("eps", 0)])
     def test_levels_name_bad_parameter(self, name, bad):
         kw = {"alpha": 0.2, "delta": 0.1, "eps": 0.2, name: bad}
         with pytest.raises(ValueError, match=name):
@@ -472,3 +475,45 @@ class TestJumpFamily:
         o = OracleHandle(chain_graph(), Capabilities(jump=True), seed=6)
         est = single_target_bidir_jump(o, 1, A, 0.1, 0.2, 0.1, rng, r_max=1.0)
         assert abs(est[0] - 0.8) <= 0.2
+
+
+# valid arguments of each estimator besides o and rng; t = 29 is a node
+# of random_graph(3, 30)
+VALID_ARGS = {
+    power_iteration_target: dict(t=29, alpha=A, L=3),
+    rbs_single_target: dict(t=29, alpha=A, delta=0.1, theta=0.01, L=3),
+    monte_carlo_pair: dict(s=0, t=29, alpha=A, delta=0.1, eps=0.2, p_f=0.1),
+    bippr_pair: dict(s=0, t=29, alpha=A, delta=0.1, eps=0.2, p_f=0.1,
+                     r_max=0.1),
+    approx_contributions: dict(t=29, alpha=A, r_max=0.01),
+    single_node_avg_jump: dict(t=29, alpha=A, eps=0.2, p_f=0.1),
+    single_node_adaptive: dict(t=29, alpha=A, eps=0.2, p_f=0.1),
+}
+
+
+@pytest.mark.parametrize("f,name,bad", [
+    (power_iteration_target, "alpha", 1.5),  # used to return
+    (rbs_single_target, "alpha", 1.5),  # used to return
+    (monte_carlo_pair, "p_f", 1.5),  # used to return (0.0, 1)
+    (monte_carlo_pair, "eps", 2),  # used to run 93 walks
+    (monte_carlo_pair, "alpha", 0),  # failed inside numpy's geometric
+    (bippr_pair, "alpha", 1.2),  # failed inside numpy's geometric
+    (single_node_avg_jump, "alpha", 1.5),  # failed inside numpy's geometric
+    (approx_contributions, "alpha", -1),  # used to hang
+    (single_node_adaptive, "p_f", 2),  # used to return 0.0346
+    (single_node_adaptive, "eps", 0),  # used to name the inner eps/2
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_direct_call_rejects_bad_parameter(f, name, bad):
+    """A bad parameter is named, with the caller's value, before any
+    query is charged or any random number drawn."""
+    o = OracleHandle(random_graph(3, 30),
+                     Capabilities(in_sorted=True, adj=True, jump=True))
+    rng = np.random.default_rng(7)
+    states = rng.bit_generator.state, o._rng.bit_generator.state
+    kw = {**VALID_ARGS[f], name: bad}
+    if "rng" in inspect.signature(f).parameters:
+        kw["rng"] = rng
+    with pytest.raises(ValueError, match=rf"^{name}={bad!r} outside"):
+        f(o, **kw)
+    assert o.stats.total == 0
+    assert (rng.bit_generator.state, o._rng.bit_generator.state) == states

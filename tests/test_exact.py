@@ -10,7 +10,7 @@ from pprquery import (cli, exact_single_source, exact_single_target,
                       save_edge_list, ExplosionGuard, NodeIdOutOfRange)
 from pprquery.exact import _reach
 from conftest import (chain_graph, star_graph, cycle_graph, singleton_graph,
-                      random_graph)
+                      random_graph, in_list, out_list)
 
 ALPHA = 0.2
 
@@ -297,8 +297,8 @@ class TestSupportRestriction:
     def test_reach_matches_plain_bfs(self, case, depth):
         g, anchors = case
         n = g.node_count
-        outs = [g.out_list(v) for v in range(n)]
-        ins = [g.in_list(v) for v in range(n)]
+        outs = [out_list(g, v) for v in range(n)]
+        ins = [in_list(g, v) for v in range(n)]
         for x in anchors:
             for ptr, nbrs, adj in ((g.out_ptr, g.out_nbrs, outs),
                                    (g.in_ptr, g.in_nbrs, ins)):

@@ -9,7 +9,8 @@ from pprquery import (build_graph, load_edge_list, save_edge_list,
                       DanglingNode, DuplicateEdge, GraphError, NodeIdOutOfRange,
                       OracleHandle, Capabilities, CapabilityDisabled,
                       IndexOutOfRange)
-from conftest import chain_graph, random_graph, singleton_graph
+from conftest import (chain_graph, in_list, out_list, random_graph,
+                      singleton_graph)
 
 
 class TestBuild:
@@ -21,16 +22,16 @@ class TestBuild:
     def test_in_sorted_tie_broken_by_id(self):
         # d_out(0) == d_out(1) == 1, so ties resolve by ascending id
         g = build_graph([(0, 1), (1, 1)], 2)
-        assert g.in_list(1, by_out_degree=True) == [0, 1]
+        assert in_list(g, 1, by_out_degree=True) == [0, 1]
 
     def test_in_sorted_equal_degrees_id_order(self):
         g = build_graph([(0, 2), (1, 2), (2, 2)], 3)
-        assert g.in_list(2, by_out_degree=True) == [0, 1, 2]
+        assert in_list(g, 2, by_out_degree=True) == [0, 1, 2]
 
     def test_in_sorted_orders_by_out_degree(self):
         # node 3's in-neighbors: 1 and 3 with d_out 1, then 0 with d_out 3
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 3), (2, 2), (3, 3)], 4)
-        assert g.in_list(3, by_out_degree=True) == [1, 3, 0]
+        assert in_list(g, 3, by_out_degree=True) == [1, 3, 0]
 
     def test_dangling_rejected(self):
         with pytest.raises(DanglingNode):
@@ -49,12 +50,12 @@ class TestBuild:
         g = random_graph(seed, 60)
         assert sum(g.out_degrees) == sum(g.in_degrees) == g.edge_count
         for u in range(g.node_count):
-            for v in g.out_list(u):
-                assert u in g.in_list(v)
+            for v in out_list(g, u):
+                assert u in in_list(g, v)
         dout = g.out_degrees
         for v in range(g.node_count):
-            lst = g.in_list(v, by_out_degree=True)
-            assert sorted(lst) == sorted(g.in_list(v))
+            lst = in_list(g, v, by_out_degree=True)
+            assert sorted(lst) == sorted(in_list(g, v))
             assert all(dout[lst[i]] <= dout[lst[i + 1]]
                        for i in range(len(lst) - 1))
 
@@ -119,7 +120,7 @@ class TestOracle:
         o = OracleHandle(g, Capabilities(in_sorted=True))
         for v in range(g.node_count):
             got = [o.in_sorted(v, i) for i in range(g.in_degrees[v])]
-            assert sorted(got) == sorted(g.in_list(v))
+            assert sorted(got) == sorted(in_list(g, v))
 
     def test_counter_accounting_completeness(self):
         g = random_graph(1, 20)
@@ -434,9 +435,9 @@ class TestBuildProperties:
         assert (g.node_count, g.edge_count) == (n, len(edges))
         o = OracleHandle(g, Capabilities.all())
         for v in range(n):
-            assert g.out_list(v) == out[v]
-            assert g.in_list(v) == inn[v]
-            assert g.in_list(v, by_out_degree=True) == ins[v]
+            assert out_list(g, v) == out[v]
+            assert in_list(g, v) == inn[v]
+            assert in_list(g, v, by_out_degree=True) == ins[v]
             assert g.out_degrees[v] == len(out[v])
             assert g.in_degrees[v] == len(inn[v])
             assert type(g.out_degrees[v]) is int and type(g.in_degrees[v]) is int

@@ -7,12 +7,12 @@ import pytest
 
 from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               emit, read_results, fit_scaling,
-                              mean_queries_by_cell, eq1_success, eq5_success,
+                              eq1_success, eq5_success,
                               CapabilityMismatch, ConfigError,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
 from pprquery import cli, generate, harness, save_edge_list
-from conftest import chain_graph
+from conftest import chain_graph, mean_queries_by_cell
 
 
 def tiny_config(**over):
