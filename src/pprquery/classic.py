@@ -7,7 +7,9 @@ its cost.  Walk sampling queries DEG-OUT once per step and then one OUT
 query: 2 queries per step.  All walks run through one lockstep engine,
 `_walk_terminals`, which advances every live walk by one step per round
 with the batch queries `deg_out_many` and `out_nbr_many`; each charges
-one query per element, so a step still costs exactly 2 queries.
+one query per element, so a step still costs exactly 2 queries.  After
+the first round the walks are sorted once by length, longest first, so
+each later round advances a shrinking prefix in place.
 Power iteration and RBS share one leveled backward loop,
 `_leveled_backward`: one scan batch and one numpy merge per level, with
 estimates keyed in first-reach order (single_node_adaptive sums them
@@ -96,20 +98,32 @@ def _lockstep(o, starts, moves, us):
     reads us[offset[j] + k], where offset[j] is the sum of moves[:j],
     so every walk consumes the same uniforms as if it were walked alone.
     A view's virtual source has no in-edges, so walks stand on it only
-    in the first round, in walk order: its JUMPs are drawn in the same
-    order as by walking one walk after the other.
+    in round 0, which runs in walk order: its JUMPs are drawn in the
+    same order as by walking one walk after the other.  After round 0
+    the walks are sorted once by moves, longest first (stable, on a key
+    of the narrowest unsigned dtype, which numpy radix-sorts up to 16
+    bits), so the walks still moving in round r are a prefix of that
+    order, of a length read off one bincount; each round advances the
+    prefix in place, and one scatter restores walk order at the end.
     """
     cur = np.array(starts, dtype=np.int64)
-    alive = np.flatnonzero(moves)
-    end = np.cumsum(moves)
-    pos, end = (end - moves)[alive], end[alive]
-    while alive.size:
-        vs = cur[alive]
+    off = np.cumsum(moves) - moves
+    mx = int(moves.max(initial=0))
+    first = np.flatnonzero(moves)
+    vs = cur[first]
+    d = o.deg_out_many(vs)
+    cur[first] = o.out_nbr_many(vs, (us[off[first]] * d).astype(np.int64))
+    order = np.argsort((mx - moves).astype(np.min_scalar_type(mx)),
+                       kind="stable")
+    cur_s, off_s = cur[order], off[order]
+    # left[r]: walks with more than r moves
+    left = (moves.size - np.cumsum(np.bincount(moves))).tolist()
+    for r in range(1, mx):
+        k = left[r]
+        vs = cur_s[:k]
         d = o.deg_out_many(vs)
-        cur[alive] = o.out_nbr_many(vs, (us[pos] * d).astype(np.int64))
-        pos += 1
-        keep = pos < end
-        alive, pos, end = alive[keep], pos[keep], end[keep]
+        vs[:] = o.out_nbr_many(vs, (us[off_s[:k] + r] * d).astype(np.int64))
+    cur[order] = cur_s
     return cur
 
 

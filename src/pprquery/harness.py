@@ -346,11 +346,18 @@ def fit_scaling(xs, ys):
     """Least-squares slope of log(y) vs log(x); returns (slope, stderr).
 
     Used to exhibit query-count scaling exponents from delta sweeps.
+    Raises ValueError naming the first point whose x or y is not a
+    finite positive number, which has no logarithm.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     if len(xs) < 4:
         raise InsufficientPoints(f"need >= 4 sweep points, got {len(xs)}")
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        for name, v in (("x", x), ("y", y)):
+            if not 0.0 < float(v) < math.inf:
+                raise ValueError(f"point {i}: {name}={v!r} is not a finite "
+                                 f"positive number")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     k = len(lx)

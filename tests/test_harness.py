@@ -136,6 +136,19 @@ class TestFitScaling:
         with pytest.raises(InsufficientPoints):
             fit_scaling([1, 2, 4], [1, 2, 3])
 
+    @pytest.mark.parametrize("xs, ys, msg", [
+        ([1, 2, 4, 8], [0, 1, 2, 3], "point 0: y=0 "),
+        ([1, 2, 4, 8], [-1, 1, 2, 3], "point 0: y=-1 "),
+        ([0, 2, 4, 8], [1, 1, 2, 3], "point 0: x=0 "),
+        ([1, 2, -4, 8], [1, 1, 2, 3], "point 2: x=-4 "),
+        ([1, 2, 4, 8], [1, 2, math.nan, 3], "point 2: y=nan "),
+        ([1, 2, 4, math.inf], [1, 2, 3, 4], "point 3: x=inf "),
+        ([1, 2, 4, 8], [1, 2, 3, -math.inf], "point 3: y=-inf "),
+    ])
+    def test_rejects_point_without_log(self, xs, ys, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            fit_scaling(xs, ys)
+
 
 class TestCli:
     def test_generate_exact_run_fit(self, tmp_path):
@@ -156,6 +169,9 @@ class TestCli:
         out = tmp_path / "res.csv"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert cli.main(["fit", "--results", str(out)]) == 0
+        # Monte Carlo makes no IN-SORTED query: no log-log slope exists
+        with pytest.raises(ValueError, match=re.escape("point 0: y=0.0 ")):
+            cli.main(["fit", "--results", str(out), "--y", "q_in_sorted"])
 
     def test_run_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

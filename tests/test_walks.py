@@ -28,9 +28,9 @@ from hypothesis import given, settings, strategies as st
 from pprquery import bidir, build_graph
 from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
                             derive_params, estimate_R_hat)
-from pprquery.classic import (_push_walk_estimates, _walk_terminals,
-                              mc_walk_count, single_target_bidir_jump,
-                              single_target_jump_mc)
+from pprquery.classic import (_lockstep, _push_walk_estimates,
+                              _walk_terminals, mc_walk_count,
+                              single_target_bidir_jump, single_target_jump_mc)
 from pprquery.oracle import (Capabilities, CapabilityDisabled,
                              IndexOutOfRange, OracleHandle)
 from pprquery.single_node import SuperSourceView
@@ -373,6 +373,40 @@ def test_long_walks_on_random_graph():
     assert a.stats.as_dict() == b.stats.as_dict()
     assert ra.bit_generator.state == rb.bit_generator.state
     assert jump_state(a) == jump_state(b)
+
+
+class ReadLog(np.ndarray):
+    """An array that records every index it is read at."""
+
+    def __getitem__(self, idx):
+        self.reads.append(np.asarray(idx).ravel())
+        return np.asarray(super().__getitem__(idx))
+
+
+@pytest.mark.parametrize("n_walks", [3, 4, 7],
+                         ids=["uint8-key", "uint16-key", "uint32-key"])
+def test_lockstep_crosses_key_widths(n_walks):
+    # the longest walk sets the sort key's dtype: 255, 256 and 65,536
+    # moves need 8, 16 and 32 bits
+    moves = np.array([0, 1, 255, 256, 65_536, 3, 256][:n_walks])
+    starts = np.array([0, 1, 2, 3, 4, 0, 1][:n_walks])
+    # a 5-cycle with a chord out of every node: each step's uniform
+    # picks one of two out-neighbors
+    g = build_graph([(i, (i + j) % 5) for i in range(5) for j in (1, 2)], 5)
+    a, b = twin_oracles(g, view=False)
+    us = np.random.default_rng(8).random(int(moves.sum()))
+    want, pos = [], 0
+    for s, m in zip(starts.tolist(), moves.tolist()):
+        for _ in range(m):
+            s = a.out_nbr(s, int(us[pos] * a.deg_out(s)))
+            pos += 1
+        want.append(s)
+    log = us.view(ReadLog)
+    log.reads = []
+    assert _lockstep(b, starts, moves, log).tolist() == want
+    assert a.stats.as_dict() == b.stats.as_dict()
+    # every uniform is read exactly once
+    assert np.sort(np.concatenate(log.reads)).tolist() == list(range(us.size))
 
 
 @pytest.mark.parametrize("solver", [single_target_jump_mc,
