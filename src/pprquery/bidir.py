@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classic import _walk_terminals, check_params
+from .graph import check_nodes
 from .oracle import CapabilityDisabled
 
 log = logging.getLogger(__name__)
@@ -61,10 +61,9 @@ class LevelSchedule:
     def __post_init__(self):
         if len(self.theta) != len(self.gamma) or len(self.theta) < 2:
             raise ValueError("theta/gamma must share a length >= 2")
-        if any(t <= 0 for t in self.theta):
-            raise ValueError("theta_i must be positive")
-        if any(not 0 < g <= 1 for g in self.gamma):
-            raise ValueError("gamma_i must be in (0,1]")
+        for name, xs in (("theta", self.theta), ("gamma", self.gamma)):
+            # each distinct value once, at its first level: every trial builds one
+            check_params(**{f"{name}[{xs.index(x)}]": x for x in dict.fromkeys(xs)})
 
     @property
     def L(self):
@@ -89,7 +88,6 @@ class NewAlgoParams:
     n_r: int
     n_s: int
     tau: float
-    multipliers: dict = field(default_factory=dict)
     constraint_margins: dict = field(default_factory=dict)
 
 
@@ -119,8 +117,11 @@ def verify_constraints(params, n):
     return margins
 
 
-def derive_params(alpha, delta, eps, p_f, n, c_theta=1.0, c_L=1.0,
-                  c_gamma=1.0, c_nr=1.0, c_ns=1.0, c_tau=1.0):
+# derive_params's schedule multipliers, each 1.0 unless given
+MULTIPLIERS = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
+
+
+def derive_params(alpha, delta, eps, p_f, n, **multipliers):
     """Concrete parameter schedule for the target error profile.
 
     theta_i = c_theta * delta^(2/3) uniformly; L covers the geometric
@@ -128,25 +129,26 @@ def derive_params(alpha, delta, eps, p_f, n, c_theta=1.0, c_L=1.0,
     their defining constraints (gamma_i <= eps^2/(L^2 log nL),
     n_r >= theta * log(1/p_f)/(eps*delta), n_r*n_s/tau >=
     log(1/p_f)/(alpha*eps*delta)); n_s = ceil(c_ns / delta^(1/3)).
+    `multipliers` takes any of MULTIPLIERS; another name is a TypeError.
     """
-    check_params(alpha=alpha, delta=delta, eps=eps, p_f=p_f, c_theta=c_theta,
-                 c_L=c_L, c_gamma=c_gamma, c_nr=c_nr, c_ns=c_ns, c_tau=c_tau)
+    c = {k: multipliers.pop(k, 1.0) for k in MULTIPLIERS}
+    if multipliers:
+        raise TypeError(f"unknown multipliers {sorted(multipliers)}")
+    check_params(alpha=alpha, delta=delta, eps=eps, p_f=p_f, **c)
     if n < 1:
         raise ValueError("n must be >= 1")
-    theta0 = c_theta * delta ** (2.0 / 3.0)
-    L = 1 if theta0 >= 1.0 else max(1, math.ceil(c_L * math.log(1.0 / theta0) / alpha))
+    theta0 = c["c_theta"] * delta ** (2.0 / 3.0)
+    L = 1 if theta0 >= 1.0 else max(1, math.ceil(c["c_L"] * math.log(1.0 / theta0) / alpha))
     lg = math.log(max(n * L, 2))
-    gamma = min(1.0, c_gamma * eps * eps / (L * L * lg))
+    gamma = min(1.0, c["c_gamma"] * eps * eps / (L * L * lg))
     sched = LevelSchedule.uniform(L, theta0, gamma)
     log_pf = math.log(1.0 / p_f)
-    n_r = max(1, math.ceil(c_nr * sched.theta_sum * log_pf / (eps * delta)))
-    n_s = max(1, math.ceil(c_ns / delta ** (1.0 / 3.0)))
-    tau = c_tau * n_r * n_s * alpha * eps * delta / log_pf
+    n_r = max(1, math.ceil(c["c_nr"] * sched.theta_sum * log_pf / (eps * delta)))
+    n_s = max(1, math.ceil(c["c_ns"] / delta ** (1.0 / 3.0)))
+    tau = c["c_tau"] * n_r * n_s * alpha * eps * delta / log_pf
     params = NewAlgoParams(
         alpha=alpha, delta=delta, eps=eps, p_f=p_f, schedule=sched,
-        n_r=n_r, n_s=n_s, tau=tau,
-        multipliers={"c_theta": c_theta, "c_L": c_L, "c_gamma": c_gamma,
-                     "c_nr": c_nr, "c_ns": c_ns, "c_tau": c_tau})
+        n_r=n_r, n_s=n_s, tau=tau)
     params.constraint_margins = verify_constraints(params, n)
     return params
 
@@ -159,9 +161,9 @@ class RandPushState:
     copies; pushed_amount[i] maps v to the residue amount pushed from
     (v, i), which doubles as the not-1_i(v) flag and reconstructs any
     chi_{i+1}(u, v).  heavy is V_P = {v : p_hat(v) > tau}.  Each push
-    keeps two read-side views current: contrib maps v to its
-    (receiving level, (1-alpha) * pushed amount) entries for non-zero
-    pushes, in level order, and heavy_sorted lists V_P in ascending id.
+    keeps contrib current: it maps v to its (receiving level,
+    (1-alpha) * pushed amount) entries for non-zero pushes, in level
+    order.
     """
 
     schedule: LevelSchedule
@@ -175,7 +177,6 @@ class RandPushState:
     heavy: set
     push_counts: list
     contrib: dict = field(default_factory=dict)
-    heavy_sorted: list = field(default_factory=list)
 
     def indicator(self, u, i):
         """1_i(u): u was never pushed at level i."""
@@ -227,9 +228,8 @@ def rand_push_threshold(o, v, i, state, rng):
                         break
     pv = state.p_hat.get(v, 0.0) + alpha * amount
     state.p_hat[v] = pv
-    if pv > state.tau and v not in state.heavy:
+    if pv > state.tau:
         state.heavy.add(v)
-        insort(state.heavy_sorted, v)
     state.r_hat[i][v] = 0.0
     return state
 
@@ -307,6 +307,7 @@ def estimate_R_hat(o, state, terminals, params, rng):
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
     us = np.asarray(terminals, dtype=np.int64)
+    heavy = np.array(sorted(state.heavy), dtype=np.int64)
     memo = {}
 
     def chi(u, v):
@@ -318,21 +319,21 @@ def estimate_R_hat(o, state, terminals, params, rng):
 
     step = max(1, _BLOCK_SAMPLES // params.n_s)
     return np.concatenate([np.empty(0)] + [
-        _score_block(o, state, chi, us[a:a + step], params.n_s, rng)
+        _score_block(o, state, chi, us[a:a + step], heavy, params.n_s, rng)
         for a in range(0, us.size, step)])
 
 
-def _score_block(o, state, chi, us, n_s, rng):
-    """R_hat of every terminal of `us` (see estimate_R_hat)."""
+def _score_block(o, state, chi, us, heavy, n_s, rng):
+    """R_hat of every terminal of `us`, V_P ascending in `heavy`."""
     ul = us.tolist()
     k = us.size
-    heavy = np.array(state.heavy_sorted, dtype=np.int64)
     du = o.deg_out_many(us)
     is_nbr = o.adj_many(np.repeat(us, heavy.size),
                         np.tile(heavy, k)).reshape(k, heavy.size)
     num = [0.0] * k
-    for row, col in zip(*(a.tolist() for a in np.nonzero(is_nbr))):
-        num[row] += chi(ul[row], state.heavy_sorted[col])
+    rows, cols = np.nonzero(is_nbr)
+    for row, v in zip(rows.tolist(), heavy[cols].tolist()):
+        num[row] += chi(ul[row], v)
     pool = du - is_nbr.sum(axis=1)
     owner = np.repeat(np.arange(k), np.where(pool > 0, n_s, 0))
     u = rng.random(owner.size)
@@ -393,6 +394,7 @@ def single_pair_ppr(o, s, t, params, rng):
     """
     if not (o.caps.in_sorted and o.caps.adj):
         raise CapabilityDisabled("single_pair_ppr needs IN-SORTED and ADJ")
+    check_nodes(o.node_count, s=s, t=t)
     state = backward_phase(o, t, params, rng)
     n_r = params.n_r
     terminals = _walk_terminals(o, [s], params.alpha, rng, n_r)

@@ -29,20 +29,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import check_nodes
+
 DEFAULT_WALK_MULT = 16.0
 
 # name -> (upper bound, bound included)
-_RANGES = {"alpha": (1.0, False), "eps": (1.0, False),
-           "p_f": (1.0, False), "delta": (1.0, True)}
+_RANGES = {"alpha": (1.0, False), "eps": (1.0, False), "p_f": (1.0, False),
+           "tol": (1.0, False), "delta": (1.0, True), "gamma": (1.0, True)}
 
 
 def check_params(**named):
     """Raise ValueError naming the first value outside its range: alpha,
-    eps and p_f in (0,1), delta in (0,1], any other name (a multiplier,
-    r_max or theta) in (0,inf).  bool and non-numbers are rejected.
-    Every estimator calls this before its first query or random draw."""
+    eps, p_f and tol in (0,1), delta and gamma in (0,1], any other name
+    (a multiplier, r_max or theta) in (0,inf); gamma[3] is gamma's.
+    bool and non-numbers are rejected.  Every estimator calls this
+    before its first query or random draw."""
     for name, val in named.items():
-        hi, closed = _RANGES.get(name, (math.inf, False))
+        hi, closed = _RANGES.get(name.partition("[")[0], (math.inf, False))
         if (isinstance(val, bool) or not isinstance(val, numbers.Real)
                 or not (0.0 < val <= hi if closed else 0.0 < val < hi)):
             raise ValueError(f"{name}={val!r} outside "
@@ -140,6 +143,7 @@ def monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     Returns (estimate, walk_count); walk_count is exposed for
     complexity accounting.
     """
+    check_nodes(o.node_count, s=s, t=t)
     check_params(alpha=alpha)
     n_w = mc_walk_count(delta, eps, p_f, c)
     return _push_walk_estimates(o, [s], alpha, rng, n_w, {}, {t: 1.0})[s], n_w
@@ -184,6 +188,7 @@ def approx_contributions(o, t, alpha, r_max):
     Afterwards p(s) <= pi(s,t) < p(s) + r_max for every s.  Push
     eligibility is r(v) >= r_max (so r_max=1 pushes the seed once).
     """
+    check_nodes(o.node_count, t=t)
     check_params(alpha=alpha, r_max=r_max)
     state = PushFrontier(r_max=r_max)
     state.add_residue(t, 1.0)
@@ -249,6 +254,7 @@ def power_iteration_target(o, t, alpha, L):
     tail is at most (1-alpha)^L.  A level reads the full IN lists of
     its nodes as one `in_scans` batch.
     """
+    check_nodes(o.node_count, t=t)
     check_params(alpha=alpha)
 
     def push(vs, rv):
@@ -271,6 +277,7 @@ def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT)
     r(terminal).  With r_max > 1 no push happens and this degenerates to
     plain Monte Carlo.
     """
+    check_nodes(o.node_count, s=s, t=t)
     check_params(delta=delta, eps=eps, p_f=p_f, c=c)
     state = approx_contributions(o, t, alpha, r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
@@ -296,6 +303,7 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     pi(s,t), keyed in first-reach order, the order in which
     single_node_adaptive sums them.
     """
+    check_nodes(o.node_count, t=t)
     check_params(alpha=alpha, delta=delta, eps=eps, theta=theta)
     if L is None:
         L = rbs_levels(alpha, delta, eps)
@@ -339,6 +347,7 @@ def single_target_jump_mc(o, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT
     """Worst-case single-target solver: JUMP to cover sources, then
     plain Monte Carlo per discovered source, all sources walked in one
     lockstep (needs JUMP)."""
+    check_nodes(o.node_count, t=t)
     check_params(alpha=alpha)
     n_w = mc_walk_count(delta, eps, p_f, c)
     return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w,
@@ -350,6 +359,7 @@ def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
     """Average-case single-target solver: one backward push at
     r_max = sqrt(d delta / n), then per-source walks scored by residue
     (needs JUMP)."""
+    check_nodes(o.node_count, t=t)
     check_params(delta=delta, eps=eps, p_f=p_f, c=c)
     n = o.node_count
     if r_max is None:

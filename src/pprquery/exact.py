@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NodeIdOutOfRange, csr_entries
+from .classic import check_params
+from .graph import check_nodes, csr_entries
 
 
 class ExplosionGuard(ValueError):
@@ -85,13 +86,10 @@ def _propagate(g, init, alpha, tol, backward):
     in the same order as over all edges, so the values are bit-equal.
     bincount indexes by intp, so dst is built as intp once here instead
     of cast on every step."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0,1)")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol={tol} outside (0,1)")
+    check_params(alpha=alpha, tol=tol)
     n = g.node_count
-    if init is not None and not 0 <= init < n:
-        raise NodeIdOutOfRange(f"anchor {init} outside [0, {n})")
+    if init is not None:
+        check_nodes(n, anchor=init)
     # K = smallest count with (1-alpha)^(K+1) <= tol
     K = math.ceil(math.log(tol) / math.log(1.0 - alpha))
     if init is None:
@@ -133,7 +131,7 @@ def _propagate(g, init, alpha, tol, backward):
 def exact_single_source(g, s, alpha, tol=1e-12):
     """pi(s, .) for all targets, each entry within tol of the truth.
 
-    Raises NodeIdOutOfRange for s outside [0, n) (exact_single_target
+    Raises NodeIdOutOfRange unless s is a node id (exact_single_target
     likewise for t) and, like every solver here, ValueError for alpha or
     tol outside (0, 1)."""
     return PprVector(_propagate(g, s, alpha, tol, False), s, "source", tol)

@@ -15,6 +15,7 @@ and out_sorted each out-list sorted by id, for ADJ by bisection.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from itertools import chain
 
@@ -35,6 +36,16 @@ class DuplicateEdge(GraphError):
 
 class NodeIdOutOfRange(GraphError):
     pass
+
+
+def check_nodes(n, **ids):
+    """Raise NodeIdOutOfRange naming the first of `ids` that is not a node
+    id of an n-node graph: a non-bool integer, Python or numpy, in
+    [0, n).  Every estimator checks its s and t with this before its
+    first query or random draw."""
+    for name, v in ids.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not 0 <= v < n:
+            raise NodeIdOutOfRange(f"{name}={v!r} outside [0, {n})")
 
 
 class DirectedGraph:

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .graph import load_edge_list
-from .oracle import OracleHandle, Capabilities
+from .graph import NodeIdOutOfRange, check_nodes, load_edge_list
+from .oracle import OracleHandle, Capabilities, QUERY_KINDS
 from .exact import exact_single_source, exact_pagerank
 from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
-                      default_r_max_pair, check_params)
-from .bidir import derive_params, single_pair_ppr
+                      default_r_max_pair, check_params, DEFAULT_WALK_MULT)
+from .bidir import MULTIPLIERS, derive_params, single_pair_ppr
 from .single_node import (single_node_adaptive, single_node_avg_jump,
                           single_node_avg_full)
 from .instances import InstanceSpec, generate, parameter_presets
@@ -108,12 +108,8 @@ class TrialResult:
     wall_time_s: float = 0.0
 
 
-# the multipliers derive_params takes
-_PARAM_MULTIPLIERS = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
-
-
 def _walks(cfg):
-    return cfg.multipliers.get("c_walks", 16.0)
+    return cfg.multipliers.get("c_walks", DEFAULT_WALK_MULT)
 
 
 # algorithm registry: name -> (variant, required capabilities, multiplier
@@ -146,7 +142,7 @@ ALGORITHMS = {
                       lambda o, s, t, d, cfg, rng: single_target_bidir_jump(
                           o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
                           c=_walks(cfg)).get(s, 0.0)),
-    "single_pair_ppr": ("pair", ("in_sorted", "adj"), _PARAM_MULTIPLIERS,
+    "single_pair_ppr": ("pair", ("in_sorted", "adj"), MULTIPLIERS,
                         lambda o, s, t, d, cfg, rng: single_pair_ppr(
                             o, s, t, derive_params(
                                 cfg.alpha, d, cfg.eps, cfg.p_f, o.node_count,
@@ -160,16 +156,17 @@ ALGORITHMS = {
                     lambda o, s, t, d, cfg, rng: single_node_avg_jump(
                         o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
                         c=_walks(cfg))),
-    "sn_avg_full": ("node", ("jump", "in_sorted", "adj"), _PARAM_MULTIPLIERS,
+    "sn_avg_full": ("node", ("jump", "in_sorted", "adj"), MULTIPLIERS,
                     lambda o, s, t, d, cfg, rng: single_node_avg_full(
                         o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
                         multipliers=cfg.multipliers)),
 }
 
 
-# InstanceSpec keys read from a family instance without a preset
-_SPEC_KEYS = ("family", "n", "m", "L", "D", "D2", "swap", "variant",
-              "padding", "flip_upper")
+# InstanceSpec keys a family instance without a preset may set: alpha comes
+# from the config, and swap_edges is left to the family
+_SPEC_KEYS = tuple(f.name for f in fields(InstanceSpec)
+                   if f.name not in ("alpha", "swap_edges"))
 
 
 def _resolve_instance(inst, delta, alpha):
@@ -235,9 +232,10 @@ def _run_cell(cfg, cell):
     caps = Capabilities.from_names(cfg.capabilities)
     delta = cfg.deltas[cell]
     g, s, t, label = _resolve_instance(cfg.instance, delta, cfg.alpha)
-    for name, v in (("s", s), ("t", t)):
-        if not 0 <= v < g.node_count:
-            raise ConfigError(f"{name}={v} outside [0, {g.node_count})")
+    try:
+        check_nodes(g.node_count, s=s, t=t)
+    except NodeIdOutOfRange as e:
+        raise ConfigError(str(e)) from None
     exact = None
     if g.node_count <= cfg.exact_cap:
         if variant == "node":
@@ -292,11 +290,10 @@ def run_experiment(cfg, threads=1):
     return results
 
 
-CSV_COLUMNS = ("algorithm", "instance", "cell", "delta", "eps", "p_f",
-               "alpha", "trial", "s", "t", "estimate", "exact", "abs_error",
-               "rel_error", "success",
-               "q_deg_in", "q_deg_out", "q_in", "q_out", "q_in_sorted",
-               "q_adj", "q_jump", "q_total")
+# TrialResult's fields but queries and wall_time_s, then q_<kind> and q_total
+CSV_COLUMNS = (*(f.name for f in fields(TrialResult)
+                 if f.name not in ("queries", "wall_time_s")),
+               *(f"q_{k}" for k in (*QUERY_KINDS, "total")))
 
 
 def _row(r):
@@ -309,13 +306,8 @@ def _row(r):
             return repr(x)
         return str(x)
 
-    q = r.queries
-    vals = (r.algorithm, r.instance, r.cell, r.delta, r.eps, r.p_f, r.alpha,
-            r.trial, r.s, r.t, r.estimate, r.exact, r.abs_error, r.rel_error,
-            r.success, q.get("deg_in", 0), q.get("deg_out", 0),
-            q.get("in", 0), q.get("out", 0), q.get("in_sorted", 0),
-            q.get("adj", 0), q.get("jump", 0), q.get("total", 0))
-    return [fmt(v) for v in vals]
+    return [fmt(r.queries.get(c[2:], 0) if c.startswith("q_")
+                else getattr(r, c)) for c in CSV_COLUMNS]
 
 
 def emit(results, fmt, path):

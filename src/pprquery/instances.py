@@ -31,14 +31,6 @@ import numpy as np
 from .classic import check_params
 from .graph import build_graph
 
-FAMILIES = (
-    "folklore_pair", "sp_worst", "sp_avg",
-    "st_worst_adj", "st_worst_full", "st_avg_adj", "st_avg_jump", "st_avg_full",
-    "sn_avg_adj", "sn_avg_insorted", "sn_worst_full", "sn_avg_xor", "sn_avg_full",
-    "output_size_st",
-)
-
-
 class SpecConstraintViolation(ValueError):
     pass
 
@@ -495,6 +487,7 @@ _BUILDERS = {
     "sn_avg_full": partial(_build_sn_avg_xor, lower_equals_upper=True),
     "output_size_st": _build_output_size_st,
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ each create their own handle over the shared immutable graph.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,61 +41,51 @@ class IndexOutOfRange(ValueError):
 
 
 class QueryStats:
-    """Per-kind query counters; monotonically non-decreasing."""
+    """Per-kind query counters, one slot per QUERY_KINDS entry in its
+    order (in_q and out_q hold in and out, since in is a keyword);
+    monotonically non-decreasing."""
 
-    __slots__ = ("deg_in", "deg_out", "in_q", "out_q", "in_sorted", "adj", "jump")
+    __slots__ = tuple({"in": "in_q", "out": "out_q"}.get(k, k) for k in QUERY_KINDS)
 
     def __init__(self):
-        self.deg_in = 0
-        self.deg_out = 0
-        self.in_q = 0
-        self.out_q = 0
-        self.in_sorted = 0
-        self.adj = 0
-        self.jump = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     @property
     def total(self):
-        return (self.deg_in + self.deg_out + self.in_q + self.out_q
-                + self.in_sorted + self.adj + self.jump)
+        return sum(getattr(self, name) for name in self.__slots__)
 
     def as_dict(self):
-        return {"deg_in": self.deg_in, "deg_out": self.deg_out,
-                "in": self.in_q, "out": self.out_q,
-                "in_sorted": self.in_sorted, "adj": self.adj,
-                "jump": self.jump, "total": self.total}
+        counts = {k: getattr(self, name)
+                  for k, name in zip(QUERY_KINDS, self.__slots__)}
+        return {**counts, "total": sum(counts.values())}
 
     def __repr__(self):
         return f"QueryStats({self.as_dict()})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Capabilities:
-    """Optional query capabilities; immutable after oracle creation."""
+    """Optional query capabilities, one field each; immutable."""
 
-    __slots__ = ("jump", "in_sorted", "adj")
-
-    def __init__(self, jump=False, in_sorted=False, adj=False):
-        self.jump = jump
-        self.in_sorted = in_sorted
-        self.adj = adj
+    jump: bool = False
+    in_sorted: bool = False
+    adj: bool = False
 
     @classmethod
     def all(cls):
-        return cls(jump=True, in_sorted=True, adj=True)
+        return cls(**dict.fromkeys(cls.__slots__, True))
 
     @classmethod
     def from_names(cls, names):
         names = set(names)
-        unknown = names - {"jump", "in_sorted", "adj"}
+        unknown = names - set(cls.__slots__)
         if unknown:
             raise ValueError(f"unknown capabilities: {sorted(unknown)}")
-        return cls(jump="jump" in names, in_sorted="in_sorted" in names,
-                   adj="adj" in names)
+        return cls(**{c: c in names for c in cls.__slots__})
 
     def names(self):
-        return [n for n, on in (("jump", self.jump),
-                                ("in_sorted", self.in_sorted),
-                                ("adj", self.adj)) if on]
+        return [c for c in self.__slots__ if getattr(self, c)]
 
     def __repr__(self):
         return f"Capabilities({'+'.join(self.names()) or 'base'})"

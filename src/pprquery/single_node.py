@@ -15,6 +15,7 @@ import numpy as np
 from .classic import (DEFAULT_WALK_MULT, bippr_pair, check_params,
                       default_r_max_pair, rbs_single_target, rbs_levels)
 from .bidir import derive_params, single_pair_ppr
+from .graph import check_nodes
 from .oracle import CapabilityDisabled, IndexOutOfRange
 
 
@@ -160,6 +161,7 @@ def single_node_adaptive(o, t, alpha, eps, p_f, rng, theta_mult=1.0):
     """
     if not o.caps.in_sorted:
         raise CapabilityDisabled("single_node_adaptive needs IN-SORTED")
+    check_nodes(o.node_count, t=t)
     check_params(alpha=alpha, eps=eps, p_f=p_f, theta_mult=theta_mult)
     n = o.node_count
     rounds = adaptive_rounds(n, alpha)
@@ -181,10 +183,10 @@ def single_node_avg_jump(o, t, alpha, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     pair estimator at delta = alpha/(2n) (needs JUMP)."""
     if not o.caps.jump:
         raise CapabilityDisabled("single_node_avg_jump needs JUMP")
+    check_nodes(o.node_count, t=t)
     check_params(alpha=alpha)
     view = SuperSourceView(o)
-    n = o.node_count
-    delta = alpha / (2.0 * n)
+    delta = alpha / (2.0 * o.node_count)
     r_max = default_r_max_pair(view, delta)
     est = bippr_pair(view, view.virtual, t, alpha, delta, eps, p_f, r_max,
                      rng, c=c)
@@ -196,9 +198,9 @@ def single_node_avg_full(o, t, alpha, eps, p_f, rng, multipliers=None):
     single-pair estimator (needs JUMP, IN-SORTED and ADJ)."""
     if not (o.caps.jump and o.caps.in_sorted and o.caps.adj):
         raise CapabilityDisabled("single_node_avg_full needs JUMP+IN-SORTED+ADJ")
+    check_nodes(o.node_count, t=t)
     view = SuperSourceView(o)
-    n = o.node_count
-    delta = alpha / (2.0 * n)
+    delta = alpha / (2.0 * o.node_count)
     params = derive_params(alpha, delta, eps, p_f, view.node_count,
                            **(multipliers or {}))
     est = single_pair_ppr(view, view.virtual, t, params, rng)

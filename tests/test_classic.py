@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, exact_single_target,
-                      brute_force_pair, InstanceSpec, generate, build_graph)
+                      brute_force_pair, InstanceSpec, generate, build_graph,
+                      NodeIdOutOfRange, derive_params, single_pair_ppr)
 from pprquery.classic import (_walk_terminals, monte_carlo_pair, push_back,
                               approx_contributions, power_iteration_target,
                               bippr_pair, rbs_single_target, PushFrontier,
                               single_target_jump_mc, single_target_bidir_jump,
                               default_r_max_pair, rbs_levels)
-from pprquery.single_node import single_node_adaptive, single_node_avg_jump
+from pprquery.single_node import (single_node_adaptive, single_node_avg_jump,
+                                  single_node_avg_full)
 from conftest import (chain_graph, singleton_graph, cycle_graph,
                       random_graph, fan_graph)
 
@@ -477,8 +479,8 @@ class TestJumpFamily:
         assert abs(est[0] - 0.8) <= 0.2
 
 
-# valid arguments of each estimator besides o and rng; t = 29 is a node
-# of random_graph(3, 30)
+# valid arguments of each of the 11 estimators besides o and rng; t = 29
+# is a node of random_graph(3, 30)
 VALID_ARGS = {
     power_iteration_target: dict(t=29, alpha=A, L=3),
     rbs_single_target: dict(t=29, alpha=A, delta=0.1, theta=0.01, L=3),
@@ -488,6 +490,12 @@ VALID_ARGS = {
     approx_contributions: dict(t=29, alpha=A, r_max=0.01),
     single_node_avg_jump: dict(t=29, alpha=A, eps=0.2, p_f=0.1),
     single_node_adaptive: dict(t=29, alpha=A, eps=0.2, p_f=0.1),
+    single_target_jump_mc: dict(t=29, alpha=A, delta=0.1, eps=0.2, p_f=0.1),
+    single_target_bidir_jump: dict(t=29, alpha=A, delta=0.1, eps=0.2,
+                                   p_f=0.1),
+    single_pair_ppr: dict(s=0, t=29,
+                          params=derive_params(A, 0.1, 0.2, 0.1, 30)),
+    single_node_avg_full: dict(t=29, alpha=A, eps=0.2, p_f=0.1),
 }
 
 
@@ -502,10 +510,16 @@ VALID_ARGS = {
     (approx_contributions, "alpha", -1),  # used to hang
     (single_node_adaptive, "p_f", 2),  # used to return 0.0346
     (single_node_adaptive, "eps", 0),  # used to name the inner eps/2
+] + [
+    # node ids, n of the base graph for the super-source reductions:
+    # -1 wrapped to the last node, True read as node 1, n scored a
+    # reduction's super-source, and the rest failed inside numpy
+    (f, name, bad) for f, kw in VALID_ARGS.items() for name in ("s", "t")
+    if name in kw for bad in (-1, 30, True, 1.5)
 ], ids=lambda x: getattr(x, "__name__", str(x)))
 def test_direct_call_rejects_bad_parameter(f, name, bad):
-    """A bad parameter is named, with the caller's value, before any
-    query is charged or any random number drawn."""
+    """A bad parameter or node id is named, with the caller's value,
+    before any query is charged or any random number drawn."""
     o = OracleHandle(random_graph(3, 30),
                      Capabilities(in_sorted=True, adj=True, jump=True))
     rng = np.random.default_rng(7)
@@ -513,7 +527,8 @@ def test_direct_call_rejects_bad_parameter(f, name, bad):
     kw = {**VALID_ARGS[f], name: bad}
     if "rng" in inspect.signature(f).parameters:
         kw["rng"] = rng
-    with pytest.raises(ValueError, match=rf"^{name}={bad!r} outside"):
+    err = NodeIdOutOfRange if name in ("s", "t") else ValueError
+    with pytest.raises(err, match=rf"^{name}={bad!r} outside"):
         f(o, **kw)
     assert o.stats.total == 0
     assert (rng.bit_generator.state, o._rng.bit_generator.state) == states

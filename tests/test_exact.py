@@ -122,9 +122,9 @@ def test_dump_csv(tmp_path):
 class TestBadInput:
     @pytest.mark.parametrize("solve", [exact_single_source,
                                        exact_single_target])
-    @pytest.mark.parametrize("anchor", [-1, -3, 3, 10])
+    @pytest.mark.parametrize("anchor", [-1, -3, 3, 10, True, 1.5])
     def test_anchor_outside_graph(self, solve, anchor):
-        with pytest.raises(NodeIdOutOfRange, match=f"anchor {anchor} "):
+        with pytest.raises(NodeIdOutOfRange, match=f"anchor={anchor} "):
             solve(star_graph(), anchor, ALPHA)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, 1.0, 2.0, math.nan])
@@ -139,7 +139,7 @@ class TestBadInput:
     def test_cli_negative_node(self, tmp_path):
         edge = tmp_path / "g.txt"
         save_edge_list(star_graph(), edge)
-        with pytest.raises(NodeIdOutOfRange, match="anchor -1 "):
+        with pytest.raises(NodeIdOutOfRange, match="anchor=-1 "):
             cli.main(["exact", "--graph", str(edge), "--mode", "source",
                       "--node", "-1", "--out", str(tmp_path / "v.csv")])
         assert not (tmp_path / "v.csv").exists()

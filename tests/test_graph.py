@@ -9,6 +9,7 @@ from pprquery import (build_graph, load_edge_list, save_edge_list,
                       DanglingNode, DuplicateEdge, GraphError, NodeIdOutOfRange,
                       OracleHandle, Capabilities, CapabilityDisabled,
                       IndexOutOfRange)
+from pprquery.graph import check_nodes
 from conftest import (chain_graph, in_list, out_list, random_graph,
                       singleton_graph)
 
@@ -76,6 +77,18 @@ class TestBuild:
         assert (np.diff(g.in_ptr) == g.in_deg).all()
 
 
+@pytest.mark.parametrize("v", [0, 2, np.int64(2), np.int32(0), np.uint8(1)])
+def test_check_nodes_accepts_integer_ids(v):
+    check_nodes(3, s=v, t=v)
+
+
+@pytest.mark.parametrize("v", [-1, 3, np.int64(-1), True, np.bool_(False),
+                               1.0, 1.5, "1", None])
+def test_check_nodes_rejects_non_ids(v):
+    with pytest.raises(NodeIdOutOfRange, match=r"^t=.* outside \[0, 3\)$"):
+        check_nodes(3, s=0, t=v)
+
+
 class TestOracle:
     def test_degree_queries(self):
         o = OracleHandle(chain_graph())
@@ -141,6 +154,14 @@ class TestOracle:
         st = o.stats
         assert st.total == calls
         assert st.total == sum(v for k, v in st.as_dict().items() if k != "total")
+
+    def test_capabilities_by_name(self):
+        assert Capabilities.from_names(["adj", "jump"]).names() == ["jump", "adj"]
+        assert repr(Capabilities.from_names([])) == "Capabilities(base)"
+        assert repr(Capabilities.all()) == "Capabilities(jump+in_sorted+adj)"
+        with pytest.raises(ValueError,
+                           match=r"unknown capabilities: \['IN_SORTED', 'ad'\]"):
+            Capabilities.from_names(["jump", "ad", "IN_SORTED"])
 
     def test_jump_singleton(self):
         o = OracleHandle(singleton_graph(), Capabilities(jump=True), seed=9)

@@ -11,7 +11,8 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               CapabilityMismatch, ConfigError,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
-from pprquery import cli, generate, harness, save_edge_list
+from pprquery import (cli, generate, harness, save_edge_list,
+                      exact_single_target, exact_pagerank)
 from conftest import chain_graph, mean_queries_by_cell
 
 
@@ -66,10 +67,15 @@ class TestRunExperiment:
         with pytest.raises(InstanceLoadError):
             run_experiment(tiny_config(instance={"nope": 1}))
 
-    def test_exact_cap_suppresses_success(self):
+    def test_exact_cap_suppresses_success(self, tmp_path):
         cfg = tiny_config(exact_cap=3)  # instance has 9 nodes
         rows = run_experiment(cfg)
         assert all(r.exact is None and r.success is None for r in rows)
+        # and the emitted CSV leaves the ground-truth fields blank
+        for row in read_results(emit(rows, "csv", tmp_path / "r.csv")):
+            assert [row[c] for c in ("exact", "abs_error", "rel_error",
+                                     "success")] == ["", "", "", ""]
+            assert float(row["estimate"]) >= 0.0 and int(row["q_total"]) > 0
 
     def test_success_matches_reimplementation(self):
         cfg = tiny_config(trials=5, deltas=[0.1, 0.05])
@@ -172,6 +178,19 @@ class TestCli:
         # Monte Carlo makes no IN-SORTED query: no log-log slope exists
         with pytest.raises(ValueError, match=re.escape("point 0: y=0.0 ")):
             cli.main(["fit", "--results", str(out), "--y", "q_in_sorted"])
+
+    @pytest.mark.parametrize("mode,node,solve", [
+        ("target", "1", lambda g: exact_single_target(g, 1, 0.2)),
+        ("pagerank", "0", lambda g: exact_pagerank(g, 0.2))])
+    def test_exact_modes(self, tmp_path, mode, node, solve):
+        edge, out = tmp_path / "g.txt", tmp_path / "v.csv"
+        save_edge_list(chain_graph(), edge)
+        assert cli.main(["exact", "--graph", str(edge), "--mode", mode,
+                         "--node", node, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        want = solve(chain_graph()).values
+        assert lines[0] == "node,value" and len(lines) == 1 + len(want)
+        assert [float(x.split(",")[1]) for x in lines[1:]] == want.tolist()
 
     def test_run_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -279,7 +298,8 @@ class TestConfigErrors:
         monkeypatch.setattr(harness, "OracleHandle", fail)
 
     @pytest.mark.parametrize("name,val", [("t", -1), ("t", 10 ** 6),
-                                          ("s", -1), ("s", 2)])
+                                          ("s", -1), ("s", 2), ("s", True),
+                                          ("t", 1.5)])
     def test_source_or_target_out_of_range(self, name, val, tmp_path,
                                            monkeypatch):
         self.no_trials(monkeypatch)

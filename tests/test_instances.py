@@ -244,6 +244,28 @@ class TestPresets:
         with pytest.raises(RegimeUndefined):
             parameter_presets("sp_worst", 100, 1000, 2.0, A)
 
+    @pytest.mark.parametrize("family,n,m,delta", [
+        ("sp_worst", 4, 16, 0.9),  # (1-alpha)^3 min{m, 1/delta} < 1
+        ("st_avg_adj", 16, 64, 0.6),  # delta > (1-alpha)^3 from here on
+        ("st_avg_jump", 16, 64, 0.6),
+        ("st_avg_full", 16, 64, 0.6)])
+    def test_regime_undefined_at_large_delta(self, family, n, m, delta):
+        with pytest.raises(RegimeUndefined, match=family):
+            parameter_presets(family, n, m, delta, A)
+
+    @pytest.mark.parametrize("family,n,m,delta,L,D", [
+        # delta <= 1/(nm): L = (1-alpha)^4 n, D = d
+        ("sp_avg", 4, 16, 0.01, 2, 4),
+        # delta > 1/m and > d(1-alpha)^3/n: L = (1-alpha)^3/delta, D = 1
+        ("st_avg_jump", 16, 32, 0.1, 5, 1),
+        # delta > 1/m and > (1-alpha)^3/d: L = 1, D = (1-alpha)^3/delta
+        ("st_avg_full", 16, 64, 0.2, 1, 3)])
+    def test_extreme_delta_regimes(self, family, n, m, delta, L, D):
+        spec = parameter_presets(family, n, m, delta, A)
+        assert (spec.L, spec.D) == (L, D)
+        g, meta = generate(spec)
+        assert g.node_count >= 1 and meta.t is not None
+
     def test_presets_generate(self):
         for fam in ("sp_worst", "sp_avg", "st_worst_adj", "st_worst_full",
                     "st_avg_adj", "st_avg_jump", "st_avg_full", "sn_avg_adj",

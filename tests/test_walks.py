@@ -76,7 +76,7 @@ def reference_estimate_R_hat(o, state, u_k, params, rng):
     heavy = state.heavy
     n_heavy_nbrs = 0
     num = 0.0
-    for v in state.heavy_sorted:
+    for v in sorted(state.heavy):
         if o.adj(u_k, v):
             n_heavy_nbrs += 1
             num += _chi_num_sum(state, u_k, v)
@@ -125,7 +125,7 @@ def reference_rounds_R_hat(o, state, terminals, params, rng):
     for a in range(0, len(terminals), step):
         block = terminals[a:a + step]
         du = [o.deg_out(u) for u in block]
-        nbrs = [[v for v in state.heavy_sorted if o.adj(u, v)] for u in block]
+        nbrs = [[v for v in sorted(state.heavy) if o.adj(u, v)] for u in block]
         pool = [d - len(h) for d, h in zip(du, nbrs)]
         sampling = [j for j in range(len(block)) if pool[j] > 0]
         r = iter([rng.random() for _ in range(n_s * len(sampling))])
@@ -540,7 +540,7 @@ def scoring_classes(o, state, terminals):
     seen = set()
     for u in terminals:
         du = o.deg_out(u)
-        nbrs = sum(o.adj(u, v) for v in state.heavy_sorted)
+        nbrs = sum(o.adj(u, v) for v in sorted(state.heavy))
         if du == nbrs:
             seen.add("no pool")
         elif du < 2 * len(state.heavy):
