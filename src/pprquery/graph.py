@@ -6,8 +6,9 @@ dangling nodes are rejected at build time so the discounted walk is
 well defined everywhere.
 
 The only adjacency state is a set of read-only int32 CSR arrays, built
-with numpy sorts and no Python loop over edges.  Node v's out-list is
-out_nbrs[out_ptr[v]:out_ptr[v + 1]] and its in-list
+with numpy sorts in under twice their size (one int64 key at a time,
+sorted in place, and arrays born int32) and no Python loop over edges.
+Node v's out-list is out_nbrs[out_ptr[v]:out_ptr[v + 1]] and its in-list
 in_nbrs[in_ptr[v]:in_ptr[v + 1]], both in edge-list insertion order.
 in_sorted holds each in-list ordered by (d_out(u), u) for IN-SORTED,
 and out_sorted each out-list sorted by id, for ADJ by bisection.
@@ -95,7 +96,8 @@ def csr_entries(ptr, nodes):
 
 
 def _csr(keys, vals, n):
-    """(ptr, vals grouped by key in stable order, per-key counts)."""
+    """(ptr, vals grouped by key in stable order, per-key counts); int32
+    vals give an int32 list, gathered through one int64 argsort index."""
     deg = np.bincount(keys, minlength=n)
     ptr = np.concatenate(([0], np.cumsum(deg)))
     return ptr, vals[np.argsort(keys, kind="stable")], deg
@@ -103,22 +105,26 @@ def _csr(keys, vals, n):
 
 def build_graph(edges, node_count):
     """Build a DirectedGraph from fewer than 2^31 edges: an integer
-    (m, 2) ndarray, read as it is, or an iterable of (u, v) pairs.
+    (m, 2) ndarray, read as it is and never written, or an iterable of
+    (u, v) pairs; node_count is a non-bool integer >= 1, Python or numpy.
 
-    Raises GraphError for a float or misshapen array (or an odd number
-    of ids), then NodeIdOutOfRange, DuplicateEdge and DanglingNode, each
-    naming the first offending edge (in insertion order) or node.
-    Adjacency lists keep the edge-list insertion order.
+    Raises GraphError for a bad node_count, a float or misshapen array
+    (or an odd number of ids), then NodeIdOutOfRange, DuplicateEdge and
+    DanglingNode, each naming the first offending edge (in insertion
+    order) or node.  Adjacency lists keep the edge-list insertion order.
+    At most one m-length int64 key is live at a time, sorted and reduced
+    in place, and every m-length array is born int32.
     """
-    if node_count < 1:
-        raise GraphError("node_count must be >= 1")
-    n = node_count
+    if (isinstance(node_count, bool) or not isinstance(node_count, numbers.Integral)
+            or node_count < 1):
+        raise GraphError(f"node_count={node_count!r} must be an integer >= 1")
+    n = int(node_count)
     if isinstance(edges, np.ndarray):
         if (not np.issubdtype(edges.dtype, np.integer) or edges.ndim != 2
                 or edges.shape[1] != 2):
             raise GraphError(f"edge array must be integer (m, 2), got "
                              f"{edges.dtype} {edges.shape}")
-        pairs = edges.astype(np.int64, copy=False)
+        pairs = edges.astype(np.int64, copy=False)  # may be the caller's
     else:
         pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
         if pairs.size % 2:
@@ -129,27 +135,36 @@ def build_graph(edges, node_count):
     if bad.any():
         j = int(np.argmax(bad))
         raise NodeIdOutOfRange(f"edge ({src[j]},{dst[j]}) with node_count={n}")
-    key = src * n + dst
-    sorted_key = np.sort(key)
-    if (sorted_key[1:] == sorted_key[:-1]).any():
-        first = np.unique(key, return_index=True)[1]
-        j = np.setdiff1d(np.arange(len(key)), first)[0]
+    key = src * n
+    key += dst
+    key.sort()
+    if (key[1:] == key[:-1]).any():
+        first = np.unique(src * n + dst, return_index=True)[1]
+        j = np.setdiff1d(np.arange(len(src)), first)[0]
         raise DuplicateEdge(f"edge ({src[j]},{dst[j]}) appears twice")
-    out_ptr, out_nbrs, out_deg = _csr(src, dst, n)
+    out_sorted = np.remainder(key, n, out=key).astype(np.int32)
+    del key
+    src32, dst32 = src.astype(np.int32), dst.astype(np.int32)
+    out_ptr, out_nbrs, out_deg = _csr(src32, dst32, n)
     if not out_deg.all():
         raise DanglingNode(f"node {int(np.argmin(out_deg))} has out-degree 0")
-    in_ptr, in_nbrs, in_deg = _csr(dst, src, n)
-    # rank[u] = position of u in (d_out(u), u) order
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(out_deg, kind="stable")] = np.arange(n)
+    in_ptr, in_nbrs, in_deg = _csr(dst32, src32, n)
+    del src32, dst32
+    # rank inverts order, the (d_out(u), u) order, so order[key % n] is src
+    order = np.argsort(out_deg, kind="stable")
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    key = dst * n
+    key += rank[src]
+    key.sort()
+    in_sorted = order.astype(np.int32)[np.remainder(key, n, out=key)]
     g = DirectedGraph()
     g.node_count, g.edge_count = n, len(src)
     for name, arr in (("out_ptr", out_ptr), ("out_nbrs", out_nbrs),
-                      ("out_sorted", sorted_key % n), ("out_deg", out_deg),
+                      ("out_sorted", out_sorted), ("out_deg", out_deg),
                       ("in_ptr", in_ptr), ("in_nbrs", in_nbrs),
-                      ("in_sorted", src[np.argsort(dst * n + rank[src])]),
-                      ("in_deg", in_deg)):
-        arr = arr.astype(np.int32)
+                      ("in_sorted", in_sorted), ("in_deg", in_deg)):
+        arr = arr.astype(np.int32, copy=False)
         arr.flags.writeable = False
         setattr(g, name, arr)
     return g

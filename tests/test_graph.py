@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from fnmatch import fnmatch
 
 import numpy as np
@@ -87,6 +89,26 @@ def test_check_nodes_accepts_integer_ids(v):
 def test_check_nodes_rejects_non_ids(v):
     with pytest.raises(NodeIdOutOfRange, match=r"^t=.* outside \[0, 3\)$"):
         check_nodes(3, s=0, t=v)
+
+
+TWO_CYCLE = [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("edges,node_count,cause", [
+    ([(0, 0)], True, "node_count=True"), (TWO_CYCLE, True, "node_count=True"),
+    (TWO_CYCLE, 2.0, "node_count=2.0"), (TWO_CYCLE, 2.5, "node_count=2.5"),
+    (TWO_CYCLE, "2", "node_count='2'"), (TWO_CYCLE, 0, "node_count=0"),
+    (TWO_CYCLE, np.int64(2), None)])
+def test_build_checks_node_count(edges, node_count, cause):
+    if cause is None:
+        g = build_graph(edges, node_count)
+        assert type(g.node_count) is int and g.node_count == 2
+        assert json.dumps(g.node_count) == "2"
+        return
+    with pytest.raises(GraphError) as got:
+        build_graph(edges, node_count)
+    assert type(got.value) is GraphError
+    assert str(got.value) == f"{cause} must be an integer >= 1"
 
 
 class TestOracle:
@@ -527,3 +549,43 @@ class TestBuildProperties:
         with pytest.raises(GraphError) as got:
             build_graph(edges, 2)
         assert type(got.value) is GraphError
+
+
+def test_build_peak_under_twice_retained():
+    """The build's traced peak stays within 2x the eight CSR arrays it
+    keeps."""
+    n, d = 20_000, 10
+    u = np.repeat(np.arange(n), d)
+    edges = np.column_stack((u, (7 * u + 131 * np.tile(np.arange(d), n)) % n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = build_graph(edges, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(g, name).nbytes for name in CSR_ARRAYS)
+    assert peak <= 2 * kept, f"build peak {peak / kept:.2f}x the graph"
+
+
+@pytest.mark.parametrize("fault", [None, NodeIdOutOfRange, DuplicateEdge,
+                                   DanglingNode])
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_build_never_writes_its_input(dtype, order, fault):
+    edges = [(2, 1), (0, 2), (1, 0), (2, 2), (0, 1)]
+    if fault is NodeIdOutOfRange:
+        edges.append((1, 3))
+    elif fault is DuplicateEdge:
+        edges.append((2, 1))
+    elif fault is DanglingNode:
+        edges = [e for e in edges if e[0] != 1]
+    arr = edge_array(edges, dtype, order)
+    before = arr.copy()
+    if fault is None:
+        build_graph(arr, 3)
+    else:
+        with pytest.raises(fault):
+            build_graph(arr, 3)
+    assert arr.dtype == before.dtype and np.array_equal(arr, before)
