@@ -6,8 +6,8 @@ object with the same query methods), so QueryStats fully accounts for
 its cost.  Walk sampling queries DEG-OUT once per step and then one OUT
 query: 2 queries per step.  All walks run through one lockstep engine,
 `_walk_terminals`, which advances every live walk by one step per round
-with the batch queries `deg_out_many` and `out_nbr_many`; each charges
-one query per element, so a step still costs exactly 2 queries.  After
+with one `walk_step_many` batch; it charges one DEG-OUT and one OUT
+per element, so a step still costs exactly 2 queries.  After
 the first round the walks are sorted once by length, longest first, so
 each later round advances a shrinking prefix in place.
 Power iteration and RBS share one leveled backward loop,
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -32,6 +33,8 @@ import numpy as np
 from .graph import check_nodes
 
 DEFAULT_WALK_MULT = 16.0
+
+_scratch = threading.local()  # the walk engine's arrays, see _scratch_array
 
 # name -> (upper bound, bound included)
 _RANGES = {"alpha": (1.0, False), "eps": (1.0, False), "p_f": (1.0, False),
@@ -75,59 +78,86 @@ class PushFrontier:
             self.queued.add(u)
 
 
+def _scratch_array(name, size, dtype, keep=0):
+    """The first `size` elements of this thread's grow-only scratch array
+    `name`; a grow at least doubles it and carries over its first
+    `keep` elements.  The walk engine reuses these arrays across calls,
+    so a trial does not fault freshly mapped pages back in; nothing it
+    returns aliases them."""
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size:
+        grown = np.empty(max(size, 0 if buf is None else 2 * buf.size), dtype)
+        if keep:
+            grown[:keep] = buf[:keep]
+        buf = grown
+        setattr(_scratch, name, buf)
+    return buf[:size]
+
+
 def _walk_terminals(o, sources, alpha, rng, count):
     """Terminals of `count` independent walks from each node of
     `sources`, as one int64 array ordered source by source.
 
     All randomness is drawn up front, source by source: one geometric
     array of walk lengths, then one uniform array with every step draw
-    of those walks, walk after walk.
+    of those walks, walk after walk.  Each source's draws go into its
+    own slice of the scratch arrays.
     """
-    moves, us = [], []
-    for _ in sources:
-        m = rng.geometric(alpha, size=count) - 1
-        moves.append(m)
-        us.append(rng.random(size=int(m.sum())))
-    moves, us = np.concatenate(moves), np.concatenate(us)  # frees the parts
+    moves = _scratch_array("moves", len(sources) * count, np.int64)
+    us = _scratch_array("us", 0, np.float64)
+    for j in range(len(sources)):
+        m = moves[j * count:(j + 1) * count]
+        np.subtract(rng.geometric(alpha, size=count), 1, out=m)
+        steps = us.size
+        us = _scratch_array("us", steps + int(m.sum()), np.float64, keep=steps)
+        rng.random(out=us[steps:])
     starts = np.repeat(np.asarray(sources, dtype=np.int64), count)
     return _lockstep(o, starts, moves, us)
 
 
 def _lockstep(o, starts, moves, us):
-    """Walk j moves moves[j] times from starts[j]; returns the terminals.
+    """Walk j moves moves[j] times from starts[j]; returns the terminals
+    as a fresh array.  The arguments are only read.
 
     Each round advances every walk with moves left by one step, through
-    one deg_out_many and one out_nbr_many batch.  Walk j's k-th step
-    reads us[offset[j] + k], where offset[j] is the sum of moves[:j],
-    so every walk consumes the same uniforms as if it were walked alone.
-    A view's virtual source has no in-edges, so walks stand on it only
-    in round 0, which runs in walk order: its JUMPs are drawn in the
-    same order as by walking one walk after the other.  After round 0
-    the walks are sorted once by moves, longest first (stable, on a key
-    of the narrowest unsigned dtype, which numpy radix-sorts up to 16
+    one walk_step_many batch.  Walk j's k-th step reads
+    us[offset[j] + k], where offset[j] is the sum of moves[:j], so every
+    walk consumes the same uniforms as if it were walked alone.  A
+    view's virtual source has no in-edges, so walks stand on it only in
+    round 0, which runs in walk order: its JUMPs are drawn in the same
+    order as by walking one walk after the other.  After round 0 the
+    walks are sorted once by moves, longest first (stable, on a key of
+    the narrowest unsigned dtype, which numpy radix-sorts up to 16
     bits), so the walks still moving in round r are a prefix of that
     order, of a length read off one bincount; each round advances the
     prefix in place, and one scatter restores walk order at the end.
     """
-    cur = np.array(starts, dtype=np.int64)
-    off = np.cumsum(moves) - moves
+    n = moves.size
+    off = _scratch_array("off", n, np.int64)
+    np.cumsum(moves, out=off)
+    off -= moves
+    cur = _scratch_array("cur", n, np.int64)
+    cur[:] = starts
     mx = int(moves.max(initial=0))
-    first = np.flatnonzero(moves)
-    vs = cur[first]
-    d = o.deg_out_many(vs)
-    cur[first] = o.out_nbr_many(vs, (us[off[first]] * d).astype(np.int64))
+    first = np.flatnonzero(moves > 0)  # faster on a bool mask
+    cur[first] = o.walk_step_many(cur[first], us[off[first]])
     order = np.argsort((mx - moves).astype(np.min_scalar_type(mx)),
                        kind="stable")
-    cur_s, off_s = cur[order], off[order]
+    # order is a permutation, so "clip" clips nothing; "raise" would
+    # copy `out` through a fresh buffer
+    cur_s = np.take(cur, order, out=_scratch_array("cur_s", n, np.int64),
+                    mode="clip")
+    off_s = np.take(off, order, out=_scratch_array("off_s", n, np.int64),
+                    mode="clip")
     # left[r]: walks with more than r moves
-    left = (moves.size - np.cumsum(np.bincount(moves))).tolist()
+    left = (n - np.cumsum(np.bincount(moves))).tolist()
     for r in range(1, mx):
         k = left[r]
         vs = cur_s[:k]
-        d = o.deg_out_many(vs)
-        vs[:] = o.out_nbr_many(vs, (us[off_s[:k] + r] * d).astype(np.int64))
-    cur[order] = cur_s
-    return cur
+        vs[:] = o.walk_step_many(vs, us[off_s[:k] + r])
+    terms = np.empty(n, dtype=np.int64)
+    terms[order] = cur_s
+    return terms
 
 
 def mc_walk_count(delta, eps, p_f, c=DEFAULT_WALK_MULT):

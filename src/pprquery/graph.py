@@ -113,7 +113,8 @@ def build_graph(edges, node_count):
     DanglingNode, each naming the first offending edge (in insertion
     order) or node.  Adjacency lists keep the edge-list insertion order.
     At most one m-length int64 key is live at a time, sorted and reduced
-    in place, and every m-length array is born int32.
+    in place, every m-length array is born int32, and the int64 copy of
+    a non-int64 edge input is freed after the first key.
     """
     if (isinstance(node_count, bool) or not isinstance(node_count, numbers.Integral)
             or node_count < 1):
@@ -145,21 +146,23 @@ def build_graph(edges, node_count):
     out_sorted = np.remainder(key, n, out=key).astype(np.int32)
     del key
     src32, dst32 = src.astype(np.int32), dst.astype(np.int32)
+    del pairs, src, dst  # an int64 copy unless the caller passed int64
     out_ptr, out_nbrs, out_deg = _csr(src32, dst32, n)
     if not out_deg.all():
         raise DanglingNode(f"node {int(np.argmin(out_deg))} has out-degree 0")
     in_ptr, in_nbrs, in_deg = _csr(dst32, src32, n)
     del src32, dst32
-    # rank inverts order, the (d_out(u), u) order, so order[key % n] is src
+    # rank inverts order, the (d_out(u), u) order; the key v * n + rank[u]
+    # of each in-list entry u of v, sorted, gives order[key % n] = u
     order = np.argsort(out_deg, kind="stable")
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
-    key = dst * n
-    key += rank[src]
+    key = np.repeat(np.arange(0, n * n, n, dtype=np.int64), in_deg)
+    key += rank[in_nbrs]
     key.sort()
     in_sorted = order.astype(np.int32)[np.remainder(key, n, out=key)]
     g = DirectedGraph()
-    g.node_count, g.edge_count = n, len(src)
+    g.node_count, g.edge_count = n, len(out_nbrs)
     for name, arr in (("out_ptr", out_ptr), ("out_nbrs", out_nbrs),
                       ("out_sorted", out_sorted), ("out_deg", out_deg),
                       ("in_ptr", in_ptr), ("in_nbrs", in_nbrs),

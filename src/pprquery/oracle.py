@@ -11,10 +11,11 @@ which return Python ints; ADJ bisects the id-sorted out-range.  The
 batch methods `deg_out_many`, `out_nbr_many`, `adj_many` and
 `jump_many` index the arrays with numpy and charge exactly one query
 per element, so batching changes the wall time of a run, never its
-query count.  The scan batches `in_scans` (whole IN lists) and
-`in_sorted_scans` (IN-SORTED prefixes) charge DEG-IN per list and IN
-or IN-SORTED plus DEG-OUT per entry read, as a loop of scalar queries
-would.
+query count; `walk_step_many`, a DEG-OUT and an OUT fused into one
+walk step, charges both.  The scan batches `in_scans` (whole IN
+lists) and `in_sorted_scans` (IN-SORTED prefixes) charge DEG-IN per
+list and IN or IN-SORTED plus DEG-OUT per entry read, as a loop of
+scalar queries would.
 
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
@@ -197,6 +198,20 @@ class OracleHandle:
             j = int(np.argmax(bad))
             raise IndexOutOfRange(f"OUT({vs[j]},{idx[j]}) with d_out={d[j]}")
         return g.out_nbrs[g.out_ptr[vs] + idx]
+
+    def walk_step_many(self, vs, u):
+        """One walk step from every node of `vs`: OUT(v, floor(u[j] * d))
+        with v = vs[j] and d = DEG-OUT(v), charging one DEG-OUT and one
+        OUT per element, for uniforms u[j] in [0, 1).  Such an index
+        needs no bounds check: u <= 1 - 2^-53, so u * d rounds below d
+        for every d < 2^53 and its floor is at most d - 1."""
+        vs = np.asarray(vs, dtype=np.int64)
+        g = self.graph
+        self.stats.deg_out += vs.size
+        self.stats.out_q += vs.size
+        idx = (np.asarray(u, dtype=np.float64) * g.out_deg[vs]).astype(np.int64)
+        idx += g.out_ptr[vs]
+        return g.out_nbrs[idx]
 
     def adj_many(self, us, vs):
         """ADJ(us[j], vs[j]) for every j, as a bool array: one bisection

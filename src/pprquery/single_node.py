@@ -30,11 +30,12 @@ class SuperSourceView:
     (sizes, s' degrees) is free; all real accesses are forwarded to the
     base handle and metered there.
 
-    The batch methods `deg_out_many`, `out_nbr_many` and `adj_many`
-    split off the virtual elements: their degree and their ADJ pairs
-    are free, and each of their OUT queries is one JUMP of the base
-    handle (`jump_many`), drawn in element order.  Everything else goes
-    to the base's batch methods, one query per element.
+    The batch methods `deg_out_many`, `out_nbr_many`, `walk_step_many`
+    and `adj_many` split off the virtual elements: their degree and
+    their ADJ pairs are free, and each of their OUT queries (or walk
+    steps) is one JUMP of the base handle (`jump_many`), drawn in
+    element order.  Everything else goes to the base's batch methods,
+    one query per element.
     """
 
     def __init__(self, base):
@@ -98,6 +99,19 @@ class SuperSourceView:
         out = np.empty(vs.shape, dtype=np.int64)
         real = ~virt
         out[real] = self.base.out_nbr_many(vs[real], idx[real])
+        out[virt] = self.base.jump_many(k)
+        return out
+
+    def walk_step_many(self, vs, u):
+        vs = np.asarray(vs, dtype=np.int64)
+        virt = vs == self.virtual
+        k = np.count_nonzero(virt)
+        if not k:
+            return self.base.walk_step_many(vs, u)
+        u = np.asarray(u, dtype=np.float64)
+        out = np.empty(vs.shape, dtype=np.int64)
+        real = ~virt
+        out[real] = self.base.walk_step_many(vs[real], u[real])
         out[virt] = self.base.jump_many(k)
         return out
 

@@ -20,18 +20,19 @@ query counts follow the per-terminal scorer's distribution.
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pprquery import bidir, build_graph
+from pprquery import bidir, build_graph, classic
 from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
                             derive_params, estimate_R_hat)
 from pprquery.classic import (_lockstep, _push_walk_estimates,
                               _walk_terminals, mc_walk_count,
                               single_target_bidir_jump, single_target_jump_mc)
-from pprquery.oracle import (Capabilities, CapabilityDisabled,
+from pprquery.oracle import (QUERY_KINDS, Capabilities, CapabilityDisabled,
                              IndexOutOfRange, OracleHandle)
 from pprquery.single_node import SuperSourceView
 
@@ -303,11 +304,55 @@ def test_jump_batches_need_jump(g):
     view = SuperSourceView(o)
     with pytest.raises(CapabilityDisabled):
         view.out_nbr_many([0, view.virtual], [0, 0])
+    with pytest.raises(CapabilityDisabled):
+        view.walk_step_many([0, view.virtual], [0.0, 0.0])
     # virtual degrees are construction knowledge: free and always allowed
     before = o.stats.as_dict()
     assert view.deg_out_many([view.virtual]).tolist() == [g.node_count]
     assert o.stats.as_dict() == before
     assert o.stats.jump == 0
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_walk_step_matches_degree_then_neighbor(view, data):
+    """A fused walk step answers and charges what DEG-OUT batch and then
+    an OUT batch at floor(u * d) do, JUMPs included."""
+    g, vs, us = data.draw(node_batches(view))
+    a, b = twin_oracles(g, view)
+    vs, us = np.array(vs, dtype=np.int64), np.array(us, dtype=np.float64)
+    d = a.deg_out_many(vs)
+    want = a.out_nbr_many(vs, (us * d).astype(np.int64))
+    assert b.walk_step_many(vs, us).tolist() == want.tolist()
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert jump_state(a) == jump_state(b)
+
+
+def test_view_walk_step_is_one_jump_per_virtual_element():
+    g = random_graph(2, 30)
+    a, b = (OracleHandle(g, Capabilities(jump=True), seed=4) for _ in range(2))
+    view = SuperSourceView(b)
+    vs = np.array([30, 3, 30, 30, 7, 30])
+    us = np.array([0.0, 0.5, 0.25, 0.999, 0.75, 0.5])
+    got = view.walk_step_many(vs, us)
+    virt = vs == view.virtual
+    assert got[virt].tolist() == [a.jump() for _ in range(4)]
+    assert got[~virt].tolist() == [a.out_nbr(3, int(0.5 * a.deg_out(3))),
+                                   a.out_nbr(7, int(0.75 * a.deg_out(7)))]
+    # the virtual degree is free: the real steps charge DEG-OUT and OUT
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert b.stats.as_dict() == {**dict.fromkeys(QUERY_KINDS, 0), "deg_out": 2,
+                                 "out": 2, "jump": 4, "total": 8}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 2**20 + 1, 2**31 - 1])
+def test_largest_uniform_steps_to_last_neighbor(d):
+    # walk_step_many's index, floor(u * d) in float64 for an int32 degree,
+    # stays below d for the largest uniform, 1 - 2^-53
+    u = np.array([np.nextafter(1.0, 0.0)])
+    assert u[0] == 1.0 - 2.0**-53
+    assert (u * np.array([d], dtype=np.int32)).astype(np.int64).tolist() == [d - 1]
 
 
 # -- the walk engine against the step-by-step walk -----------------------
@@ -407,6 +452,69 @@ def test_lockstep_crosses_key_widths(n_walks):
     assert a.stats.as_dict() == b.stats.as_dict()
     # every uniform is read exactly once
     assert np.sort(np.concatenate(log.reads)).tolist() == list(range(us.size))
+
+
+def reference_draws(sources, alpha, rng, count):
+    """The draws of _walk_terminals as allocating calls, concatenated."""
+    moves, us = [], []
+    for _ in sources:
+        m = rng.geometric(alpha, size=count) - 1
+        moves.append(m)
+        us.append(rng.random(size=int(m.sum())))
+    return np.concatenate(moves), np.concatenate(us)
+
+
+@pytest.mark.parametrize("sources", [[3], [0, 4, 4, 9]],
+                         ids=["one-source", "many-sources"])
+def test_scratch_draws_match_allocating_draws(sources, monkeypatch):
+    # the walk engine's arrays start empty, so every source's uniforms
+    # grow them and must keep the uniforms drawn before
+    monkeypatch.setattr(classic, "_scratch", threading.local())
+    seen = []
+
+    def spy(o, starts, moves, us):
+        seen.append((starts.copy(), moves.copy(), us.copy()))
+        return _lockstep(o, starts, moves, us)
+
+    monkeypatch.setattr(classic, "_lockstep", spy)
+    o = OracleHandle(random_graph(3, 20), seed=0)
+    ra, rb = np.random.default_rng(12), np.random.default_rng(12)
+    _walk_terminals(o, sources, 0.1, ra, 300)
+    moves, us = reference_draws(sources, 0.1, rb, 300)
+    ((starts, got_moves, got_us),) = seen
+    assert starts.tolist() == np.repeat(sources, 300).tolist()
+    assert got_moves.tolist() == moves.tolist()
+    assert got_us.tolist() == us.tolist()
+    assert ra.bit_generator.state == rb.bit_generator.state
+
+
+def test_terminals_never_alias_the_scratch(monkeypatch):
+    monkeypatch.setattr(classic, "_scratch", threading.local())
+    g = random_graph(8, 300, d=6)
+    a, b = twin_oracles(g, view=False)
+    ra, rb = np.random.default_rng(31), np.random.default_rng(31)
+    first = _walk_terminals(b, [17], 0.2, rb, 500)
+    assert first.tolist() == reference_walk_terminals(a, 17, 0.2, ra, 500)
+    kept = first.copy()
+    # a smaller draw reuses every scratch array, a larger one grows them
+    for s, alpha, count in ((9, 0.5, 20), (5, 0.05, 4000)):
+        want = reference_walk_terminals(a, s, alpha, ra, count)
+        assert _walk_terminals(b, [s], alpha, rb, count).tolist() == want
+        assert np.array_equal(first, kept)
+
+
+def test_lockstep_only_reads_its_arguments():
+    g = random_graph(3, 50)
+    rng = np.random.default_rng(2)
+    moves = rng.geometric(0.2, 400) - 1
+    starts = rng.integers(0, 50, 400)
+    us = rng.random(int(moves.sum()))
+    args = (starts, moves, us)
+    saved = [x.copy() for x in args]
+    for x in args:
+        x.flags.writeable = False
+    _lockstep(OracleHandle(g), *args)
+    assert all(np.array_equal(x, y) for x, y in zip(args, saved))
 
 
 @pytest.mark.parametrize("solver", [single_target_jump_mc,
