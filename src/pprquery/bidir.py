@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import _walk_terminals, check_params
-from .graph import check_nodes
+from .classic import _scratch_array, _walk_terminals, check_params
+from .graph import NodeIdOutOfRange, check_nodes
 from .oracle import CapabilityDisabled
 
 log = logging.getLogger(__name__)
@@ -303,43 +303,42 @@ def estimate_R_hat(o, state, terminals, params, rng):
     light out-neighbors with one more uniform.  On a view, each OUT
     query of the virtual source is one JUMP, so its tries need no
     branch here.
+
+    A terminal outside [0, o.node_count) raises NodeIdOutOfRange before
+    any query or draw.  V_P and the keys of state.contrib are node masks,
+    _chi_num_sum runs once per distinct (terminal, node) pair, bincount
+    sums left to right, and the per-sample arrays are reused scratch.
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
+    n = o.node_count
     us = np.asarray(terminals, dtype=np.int64)
+    bad = us[(us < 0) | (us >= n)]
+    if bad.size:
+        raise NodeIdOutOfRange(f"terminal {bad[0]} outside [0, {n})")
     heavy = np.array(sorted(state.heavy), dtype=np.int64)
-    memo = {}
-
-    def chi(u, v):
-        """_chi_num_sum(state, u, v), once per pair of the call."""
-        c = memo.get((u, v))
-        if c is None:
-            c = memo[u, v] = _chi_num_sum(state, u, v)
-        return c
-
+    is_heavy, has_chi = np.zeros((2, n), dtype=bool)
+    is_heavy[heavy] = True
+    has_chi[np.fromiter(state.contrib, np.int64, len(state.contrib))] = True
+    memo = {}  # pair key u*n + v -> _chi_num_sum(state, u, v)
     step = max(1, _BLOCK_SAMPLES // params.n_s)
     return np.concatenate([np.empty(0)] + [
-        _score_block(o, state, chi, us[a:a + step], heavy, params.n_s, rng)
-        for a in range(0, us.size, step)])
+        _score_block(o, state, memo, us[a:a + step], heavy, is_heavy, has_chi,
+                     params.n_s, rng) for a in range(0, us.size, step)])
 
 
-def _score_block(o, state, chi, us, heavy, n_s, rng):
+def _score_block(o, state, memo, us, heavy, is_heavy, has_chi, n_s, rng):
     """R_hat of every terminal of `us`, V_P ascending in `heavy`."""
-    ul = us.tolist()
     k = us.size
     du = o.deg_out_many(us)
     is_nbr = o.adj_many(np.repeat(us, heavy.size),
                         np.tile(heavy, k)).reshape(k, heavy.size)
-    num = [0.0] * k
-    rows, cols = np.nonzero(is_nbr)
-    for row, v in zip(rows.tolist(), heavy[cols].tolist()):
-        num[row] += chi(ul[row], v)
     pool = du - is_nbr.sum(axis=1)
-    owner = np.repeat(np.arange(k), np.where(pool > 0, n_s, 0))
-    u = rng.random(owner.size)
-    nodes = np.empty(owner.size, dtype=np.int64)
+    sampling = np.flatnonzero(pool > 0)
+    u = _scratch_array("u", sampling.size * n_s, np.float64).reshape(-1, n_s)
+    rng.random(out=u)  # a row per sampling terminal
 
-    def pick_light(ts, x):
+    def pick_light(ts, x, out=None):
         """Read the out-list of each terminal ts[j] (d_out OUT queries)
         and pick, for each uniform of row x[j], among its light
         out-neighbors."""
@@ -347,43 +346,54 @@ def _score_block(o, state, chi, us, heavy, n_s, rng):
         row = np.arange(ts.size).repeat(lens)
         pos = np.arange(row.size) - (lens.cumsum() - lens)[row]
         cand = o.out_nbr_many(us[ts][row], pos)
-        ok = ~np.isin(cand, heavy)
+        ok = ~is_heavy[cand]
         clen = np.bincount(row[ok], minlength=ts.size)
         if not clen.all():
             raise IndexError("no light out-neighbor to sample")
-        return cand[ok][(clen.cumsum() - clen)[:, None]
-                        + (x * clen[:, None]).astype(np.int64)]
+        idx = _scratch_array("idx", x.size, np.int64).reshape(x.shape)
+        np.multiply(x, clen[:, None], out=idx, casting="unsafe")  # truncates
+        idx += (clen.cumsum() - clen)[:, None]
+        # idx is in range: "clip" clips nothing, "raise" would copy `out`
+        return np.take(cand[ok].astype(np.int64), idx, out=out, mode="clip")
 
-    # open samples (ids and terminals) for the rejection rounds
-    open_, t = np.arange(owner.size), owner
-    light_terminal = (pool > 0) & (du < 2 * heavy.size)
-    if light_terminal.any():
-        light = light_terminal[owner]
-        nodes[light] = pick_light(np.flatnonzero(light_terminal),
-                                  u[light].reshape(-1, n_s)).ravel()
-        open_ = np.flatnonzero(~light)
-        u, t = u[open_], owner[open_]
+    # light terminals' samples first; each terminal's stay in order
+    light = du[sampling] < 2 * heavy.size
+    ts = np.concatenate((sampling[light], sampling[~light]))
+    nodes = _scratch_array("nodes", u.size, np.int64)
+    split = np.count_nonzero(light) * n_s
+    if split:
+        pick_light(ts[:split // n_s], u[light], nodes[:split].reshape(-1, n_s))
+        u = u[~light]
     # one try (a uniform and an OUT query) per open sample and round
+    tried, x, open_ = nodes[split:], u.ravel(), slice(None)
+    t = ts[split // n_s:].repeat(n_s)
     for rnd in range(64):
-        if not open_.size:
+        if not t.size:
             break
         if rnd:
-            u = rng.random(open_.size)
-        got = o.out_nbr_many(us[t], (u * du[t]).astype(np.int64))
-        nodes[open_] = got
-        keep = np.isin(got, heavy)
-        open_, t = open_[keep], t[keep]
-    if open_.size:
-        nodes[open_] = pick_light(t, rng.random((open_.size, 1))).ravel()
-    # sum chi over each terminal's samples in sample order; samples
-    # outside state.contrib add 0.0, so skip them
-    acc = [0.0] * k
-    hit = np.flatnonzero(np.isin(nodes, np.fromiter(
-        state.contrib, dtype=np.int64, count=len(state.contrib))))
-    for j, v in zip(owner[hit].tolist(), nodes[hit].tolist()):
-        acc[j] += chi(ul[j], v)
+            x = rng.random(t.size)
+        idx = _scratch_array("idx", t.size, np.int64)
+        np.multiply(x, du[t], out=idx, casting="unsafe")  # truncates
+        got = o.out_nbr_many(us[t], idx)
+        tried[open_] = got
+        keep = is_heavy[got]
+        open_, t = np.flatnonzero(keep) if rnd == 0 else open_[keep], t[keep]
+    if t.size:
+        tried[open_] = pick_light(t, rng.random((t.size, 1))).ravel()
+    # chi of each V_P neighbor, then of each sample in contrib (the rest add 0)
+    rows, cols = np.nonzero(is_nbr)
+    hit = np.flatnonzero(has_chi[nodes])
+    who, n = np.concatenate((rows, ts[hit // n_s])), is_heavy.size
+    pairs = us[who] * n + np.concatenate((heavy[cols], nodes[hit]))
+    keys, inv = np.unique(pairs, return_inverse=True)
+    for key in keys.tolist():
+        if key not in memo:
+            memo[key] = _chi_num_sum(state, *divmod(key, n))
+    chi = np.array([memo[key] for key in keys.tolist()])[inv]
+    num = np.bincount(rows, chi[:rows.size], minlength=k)
+    acc = np.bincount(who[rows.size:], chi[rows.size:], minlength=k)
     seed = np.where(us == state.target, _seed_term(state, state.target), 0.0)
-    return seed + (np.array(num) + np.array(acc) * pool / n_s) / du
+    return seed + (num + acc * pool / n_s) / du
 
 
 def single_pair_ppr(o, s, t, params, rng):
@@ -398,8 +408,7 @@ def single_pair_ppr(o, s, t, params, rng):
     state = backward_phase(o, t, params, rng)
     n_r = params.n_r
     terminals = _walk_terminals(o, [s], params.alpha, rng, n_r)
-    acc = 0.0
-    for x in estimate_R_hat(o, state, terminals, params, rng).tolist():
-        acc += x  # left to right: np.sum adds pairwise and rounds otherwise
-    return state.p_hat.get(s, 0.0) + acc / n_r
+    # accumulate adds left to right; np.sum adds pairwise and rounds otherwise
+    acc = np.add.accumulate(estimate_R_hat(o, state, terminals, params, rng))
+    return state.p_hat.get(s, 0.0) + float(acc[-1]) / n_r
 

@@ -34,7 +34,7 @@ from .graph import check_nodes
 
 DEFAULT_WALK_MULT = 16.0
 
-_scratch = threading.local()  # the walk engine's arrays, see _scratch_array
+_scratch = threading.local()  # walk and R_hat arrays, see _scratch_array
 
 # name -> (upper bound, bound included)
 _RANGES = {"alpha": (1.0, False), "eps": (1.0, False), "p_f": (1.0, False),
@@ -81,9 +81,9 @@ class PushFrontier:
 def _scratch_array(name, size, dtype, keep=0):
     """The first `size` elements of this thread's grow-only scratch array
     `name`; a grow at least doubles it and carries over its first
-    `keep` elements.  The walk engine reuses these arrays across calls,
-    so a trial does not fault freshly mapped pages back in; nothing it
-    returns aliases them."""
+    `keep` elements.  The walk engine and R_hat scoring reuse these
+    arrays across calls, so a trial does not fault freshly mapped pages
+    back in; nothing they return aliases them."""
     buf = getattr(_scratch, name, None)
     if buf is None or buf.size < size:
         grown = np.empty(max(size, 0 if buf is None else 2 * buf.size), dtype)

@@ -24,9 +24,9 @@ from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
                       default_r_max_pair, check_params, DEFAULT_WALK_MULT)
-from .bidir import MULTIPLIERS, derive_params, single_pair_ppr
-from .single_node import (single_node_adaptive, single_node_avg_jump,
-                          single_node_avg_full)
+from .bidir import MULTIPLIERS, single_pair_ppr
+from .single_node import (_cell_params, single_node_adaptive,
+                          single_node_avg_jump, single_node_avg_full)
 from .instances import InstanceSpec, generate, parameter_presets
 
 
@@ -144,7 +144,7 @@ ALGORITHMS = {
                           c=_walks(cfg)).get(s, 0.0)),
     "single_pair_ppr": ("pair", ("in_sorted", "adj"), MULTIPLIERS,
                         lambda o, s, t, d, cfg, rng: single_pair_ppr(
-                            o, s, t, derive_params(
+                            o, s, t, _cell_params(
                                 cfg.alpha, d, cfg.eps, cfg.p_f, o.node_count,
                                 **cfg.multipliers), rng)),
     "sn_adaptive": ("node", ("in_sorted",), ("rbs_theta_mult",),

@@ -8,6 +8,7 @@ using pi_aug(s', t) = (1-alpha) * pi(t).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,11 @@ from .classic import (DEFAULT_WALK_MULT, bippr_pair, check_params,
 from .bidir import derive_params, single_pair_ppr
 from .graph import check_nodes
 from .oracle import CapabilityDisabled, IndexOutOfRange
+
+
+# derive_params once per argument set: the trials of a harness cell share
+# the result (here and in the single_pair_ppr runner), so never mutate it
+_cell_params = functools.lru_cache(maxsize=16, typed=True)(derive_params)
 
 
 class SuperSourceView:
@@ -215,7 +221,8 @@ def single_node_avg_full(o, t, alpha, eps, p_f, rng, multipliers=None):
     check_nodes(o.node_count, t=t)
     view = SuperSourceView(o)
     delta = alpha / (2.0 * o.node_count)
-    params = derive_params(alpha, delta, eps, p_f, view.node_count,
-                           **(multipliers or {}))
+    check_params(**(multipliers or {}))  # named, before the cache hashes them
+    params = _cell_params(alpha, delta, eps, p_f, view.node_count,
+                          **(multipliers or {}))
     est = single_pair_ppr(view, view.virtual, t, params, rng)
     return est / (1.0 - alpha)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
+                      NodeIdOutOfRange, SuperSourceView, bidir,
                       exact_single_source, InstanceSpec, generate)
 from pprquery.bidir import (LevelSchedule, ConstraintViolation, derive_params,
                             rand_push_threshold, backward_phase,
@@ -31,6 +32,24 @@ def fresh_state(g, t, schedule, tau=math.inf):
     st.r_hat[0][t] = 1.0
     st.r_hat_prime[0][t] = 1.0
     return st
+
+
+def loop_sum(xs):
+    acc = 0.0
+    for x in xs.tolist():
+        acc += x
+    return acc
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 16, 17, 128, 129, 1000,
+                                  4560, 10 ** 4])
+def test_add_accumulate_matches_left_to_right_loop(size):
+    """single_pair_ppr's sum: the last element of np.add.accumulate is
+    the loop's sum bit for bit, over magnitudes 12 decades apart."""
+    gen = np.random.default_rng(size)
+    for _ in range(20):
+        xs = gen.random(size) * 10.0 ** gen.integers(-12, 1, size)
+        assert np.add.accumulate(xs)[-1] == loop_sum(xs)
 
 
 class TestDeriveParams:
@@ -425,6 +444,51 @@ class TestEstimators:
         assert checks > 0
         assert mid_viol <= 0.01 * checks
         assert last_viol <= 0.01 * 200 * g.node_count
+
+    @pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+    def test_R_hat_rejects_terminal_out_of_range(self, view):
+        """Checked before any query or draw; on a view the last id, the
+        virtual source, is a terminal like any other."""
+        o = all_caps(random_graph(1, 40, d=6), 3)
+        o = SuperSourceView(o) if view else o
+        n = o.node_count
+        params = derive_params(A, 0.05, 0.2, 0.1, n, c_theta=0.1)
+        st = backward_phase(o, 0, params, np.random.default_rng(7))
+        assert st.heavy and st.contrib
+        rng = np.random.default_rng(5)
+
+        def seen():
+            return (o.stats.as_dict(), rng.bit_generator.state,
+                    getattr(o, "base", o)._rng.bit_generator.state)
+
+        before = seen()
+        for bad in (-1, n):
+            with pytest.raises(NodeIdOutOfRange,
+                               match=rf"^terminal {bad} outside \[0, {n}\)"):
+                estimate_R_hat(o, st, [0, n - 1, bad, 1], params, rng)
+            assert seen() == before
+        assert estimate_R_hat(o, st, [n - 1, 0], params, rng).shape == (2,)
+
+    def test_single_pair_sums_scores_left_to_right(self, monkeypatch):
+        """The n_r scores are added in walk order, as a loop would:
+        np.sum's pairwise adds round these scores differently."""
+        g = chain_graph()
+        params = derive_params(A, 0.1, 0.2, 0.1, 2)
+        n_r, gen = params.n_r, np.random.default_rng(0)
+        draws = (gen.random(n_r) * 10.0 ** gen.integers(-9, 3, n_r)
+                 for _ in range(100))
+        scores = next(x for x in draws if np.sum(x) != loop_sum(x))
+        seen = []
+
+        def fixed(o, state, terminals, params, rng):
+            seen.append(state)
+            return scores.copy()
+
+        monkeypatch.setattr(bidir, "estimate_R_hat", fixed)
+        est = single_pair_ppr(all_caps(g), 0, 1, params,
+                              np.random.default_rng(1))
+        assert type(est) is float
+        assert est == seen[0].p_hat.get(0, 0.0) + loop_sum(scores) / n_r
 
     def test_single_pair_needs_both_caps(self, rng):
         g = chain_graph()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ class TestAverageCase:
         o = OracleHandle(chain_graph(), Capabilities(jump=True, adj=True))
         with pytest.raises(CapabilityDisabled):
             single_node_avg_full(o, 1, A, 0.2, 0.1, rng)
+
+    @pytest.mark.parametrize("bad", [[2.0], "2", 0.0, True])
+    def test_avg_full_names_bad_multiplier(self, bad, rng):
+        """An unhashable value too is named, not refused by the cache of
+        derived parameters."""
+        o = OracleHandle(chain_graph(), Capabilities.all())
+        with pytest.raises(ValueError, match=re.escape(f"c_nr={bad!r}")):
+            single_node_avg_full(o, 1, A, 0.2, 0.1, rng,
+                                 multipliers={"c_nr": bad})
+        assert o.stats.total == 0
 
     def test_random_graph_agreement(self):
         g = random_graph(3, 60, d=5)

@@ -727,7 +727,10 @@ def test_scores_match_in_every_sampling_class(case):
 
 
 def test_scores_match_across_blocks(monkeypatch):
-    """Blocks of a few samples each: every block runs its own rounds."""
+    """Blocks of a few samples each: every block runs its own rounds.
+    The scratch arrays start empty, so some block grows each of them
+    and the next reuses it."""
+    monkeypatch.setattr(classic, "_scratch", threading.local())
     monkeypatch.setattr(bidir, "_BLOCK_SAMPLES", 7)
     for gseed, n, d, view, mult, _ in SCORING_CASES[:3]:
         g = random_graph(gseed, n, d=d)
@@ -735,9 +738,39 @@ def test_scores_match_across_blocks(monkeypatch):
                             7, **mult)
 
 
+def test_scores_unchanged_after_larger_and_smaller_calls(monkeypatch):
+    """Scoring reuses the scratch arrays, so a call must not depend on
+    what a larger or a smaller call before it left there."""
+    monkeypatch.setattr(classic, "_scratch", threading.local())
+    for gseed, n, d, view, mult, _ in SCORING_CASES[:4]:
+        g = random_graph(gseed, n, d=d)
+        terminals = scoring_case_terminals(g, gseed, view)
+        for size in (len(terminals) // 3, len(terminals), 5,
+                     len(terminals) // 3):
+            assert_scores_match(g, view, 0, terminals[:size], 7, **mult)
+
+
+def test_scores_never_alias_the_scratch(monkeypatch):
+    monkeypatch.setattr(classic, "_scratch", threading.local())
+    g = random_graph(1, 40, d=6)
+    o = SuperSourceView(OracleHandle(g, Capabilities.all()))
+    params = derive_params(0.2, 0.05, 0.2, 0.1, 41, c_theta=0.1)
+    state = backward_phase(o, 0, params, np.random.default_rng(7))
+    rng = np.random.default_rng(3)
+    first = estimate_R_hat(o, state, [o.virtual, 4, 11] * 40, params, rng)
+    kept = first.copy()
+    scratch = list(vars(classic._scratch).values())
+    assert scratch and not any(np.shares_memory(first, a) for a in scratch)
+    # a larger call grows the scratch, a smaller one rewrites it
+    for terminals in ([o.virtual, 3] * 400, [7, o.virtual]):
+        estimate_R_hat(o, state, terminals, params, rng)
+        assert np.array_equal(first, kept)
+
+
 class Scripted:
-    """Stands in for a numpy Generator: `random` and `integers` hand out
-    fixed cycles of values; `calls` counts the values handed out."""
+    """Stands in for a numpy Generator: `random` (into `out` if given)
+    and `integers` hand out fixed cycles of values; `calls` counts the
+    values handed out."""
 
     def __init__(self, uniforms=(0.5,), ints=(0,)):
         self._u = itertools.cycle(uniforms)
@@ -751,8 +784,11 @@ class Scripted:
         return np.array([next(it) for _ in range(int(np.prod(size)))]
                         ).reshape(size)
 
-    def random(self, size=None):
-        return self._take(self._u, size)
+    def random(self, size=None, out=None):
+        if out is None:
+            return self._take(self._u, size)
+        out[...] = self._take(self._u, out.shape)
+        return out
 
     def integers(self, high, size=None):
         return self._take(self._i, size)
