@@ -307,7 +307,8 @@ def estimate_R_hat(o, state, terminals, params, rng):
     A terminal outside [0, o.node_count) raises NodeIdOutOfRange before
     any query or draw.  V_P and the keys of state.contrib are node masks,
     _chi_num_sum runs once per distinct (terminal, node) pair, bincount
-    sums left to right, and the per-sample arrays are reused scratch.
+    sums left to right, and the per-sample arrays reuse the walk
+    engine's scratch (classic._scratch_array).
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
@@ -335,7 +336,7 @@ def _score_block(o, state, memo, us, heavy, is_heavy, has_chi, n_s, rng):
                         np.tile(heavy, k)).reshape(k, heavy.size)
     pool = du - is_nbr.sum(axis=1)
     sampling = np.flatnonzero(pool > 0)
-    u = _scratch_array("u", sampling.size * n_s, np.float64).reshape(-1, n_s)
+    u = _scratch_array("us", sampling.size * n_s, np.float64).reshape(-1, n_s)
     rng.random(out=u)  # a row per sampling terminal
 
     def pick_light(ts, x, out=None):
@@ -350,7 +351,7 @@ def _score_block(o, state, memo, us, heavy, is_heavy, has_chi, n_s, rng):
         clen = np.bincount(row[ok], minlength=ts.size)
         if not clen.all():
             raise IndexError("no light out-neighbor to sample")
-        idx = _scratch_array("idx", x.size, np.int64).reshape(x.shape)
+        idx = _scratch_array("off", x.size, np.int64).reshape(x.shape)
         np.multiply(x, clen[:, None], out=idx, casting="unsafe")  # truncates
         idx += (clen.cumsum() - clen)[:, None]
         # idx is in range: "clip" clips nothing, "raise" would copy `out`
@@ -359,7 +360,7 @@ def _score_block(o, state, memo, us, heavy, is_heavy, has_chi, n_s, rng):
     # light terminals' samples first; each terminal's stay in order
     light = du[sampling] < 2 * heavy.size
     ts = np.concatenate((sampling[light], sampling[~light]))
-    nodes = _scratch_array("nodes", u.size, np.int64)
+    nodes = _scratch_array("cur", u.size, np.int64)
     split = np.count_nonzero(light) * n_s
     if split:
         pick_light(ts[:split // n_s], u[light], nodes[:split].reshape(-1, n_s))
@@ -372,7 +373,7 @@ def _score_block(o, state, memo, us, heavy, is_heavy, has_chi, n_s, rng):
             break
         if rnd:
             x = rng.random(t.size)
-        idx = _scratch_array("idx", t.size, np.int64)
+        idx = _scratch_array("off", t.size, np.int64)
         np.multiply(x, du[t], out=idx, casting="unsafe")  # truncates
         got = o.out_nbr_many(us[t], idx)
         tried[open_] = got

@@ -81,9 +81,11 @@ class PushFrontier:
 def _scratch_array(name, size, dtype, keep=0):
     """The first `size` elements of this thread's grow-only scratch array
     `name`; a grow at least doubles it and carries over its first
-    `keep` elements.  The walk engine and R_hat scoring reuse these
-    arrays across calls, so a trial does not fault freshly mapped pages
-    back in; nothing they return aliases them."""
+    `keep` elements.  The walk engine reuses these arrays across calls,
+    so a trial does not fault freshly mapped pages back in, and R_hat
+    scoring draws into its `us`, `cur` and `off`, which are dead once
+    the walks have returned their terminals as a fresh array; nothing
+    either returns aliases them."""
     buf = getattr(_scratch, name, None)
     if buf is None or buf.size < size:
         grown = np.empty(max(size, 0 if buf is None else 2 * buf.size), dtype)

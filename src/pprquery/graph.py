@@ -161,12 +161,17 @@ def build_graph(edges, node_count):
     key += rank[in_nbrs]
     key.sort()
     in_sorted = order.astype(np.int32)[np.remainder(key, n, out=key)]
+    return frozen_graph(n, len(out_nbrs), out_ptr=out_ptr, out_nbrs=out_nbrs,
+                        out_sorted=out_sorted, out_deg=out_deg, in_ptr=in_ptr,
+                        in_nbrs=in_nbrs, in_sorted=in_sorted, in_deg=in_deg)
+
+
+def frozen_graph(n, m, **arrays):
+    """A DirectedGraph of n nodes and m edges holding each of its eight
+    CSR `arrays` as a read-only int32 array."""
     g = DirectedGraph()
-    g.node_count, g.edge_count = n, len(out_nbrs)
-    for name, arr in (("out_ptr", out_ptr), ("out_nbrs", out_nbrs),
-                      ("out_sorted", out_sorted), ("out_deg", out_deg),
-                      ("in_ptr", in_ptr), ("in_nbrs", in_nbrs),
-                      ("in_sorted", in_sorted), ("in_deg", in_deg)):
+    g.node_count, g.edge_count = n, m
+    for name, arr in arrays.items():
         arr = arr.astype(np.int32, copy=False)
         arr.flags.writeable = False
         setattr(g, name, arr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, asdict
 
@@ -193,6 +194,22 @@ def _resolve_instance(inst, delta, alpha):
 
 def _check_config(cfg):
     """Reject a bad config before any instance is generated."""
+    for name, low in (("trials", 1), ("master_seed", 0), ("exact_cap", 0)):
+        val = getattr(cfg, name)
+        if (isinstance(val, bool) or not isinstance(val, numbers.Integral)
+                or val < low):
+            raise ConfigError(f"{name} must be an integer >= {low}, got {val!r}")
+    for name, kinds in (("instance", (dict,)), ("multipliers", (dict,)),
+                        ("capabilities", (list, tuple)),
+                        ("deltas", (list, tuple))):
+        val = getattr(cfg, name)
+        if not isinstance(val, kinds):
+            raise ConfigError(f"{name} must be a {kinds[0].__name__}, "
+                              f"got {val!r}")
+    try:
+        Capabilities.from_names(cfg.capabilities)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"capabilities: {e}") from None
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     variant, required, keys, runner = ALGORITHMS[cfg.algorithm]
@@ -203,8 +220,6 @@ def _check_config(cfg):
     if unknown:
         raise ConfigError(f"unknown multipliers {unknown} for "
                           f"{cfg.algorithm}, which reads {list(keys)}")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     inst = cfg.instance
     if "file" not in inst and "family" not in inst:
         raise InstanceLoadError("instance needs 'file' or 'family'")

@@ -17,6 +17,13 @@ lists) and `in_sorted_scans` (IN-SORTED prefixes) charge DEG-IN per
 list and IN or IN-SORTED plus DEG-OUT per entry read, as a loop of
 scalar queries would.
 
+A super-source view (single_node.SuperSourceView) sets `virtual` to
+s', a node with an out-edge to every other one (None on a plain
+handle), and charges by one rule in scalar calls, batches and walk
+steps alike: queries about s' are free (its degrees, IN and IN-SORTED
+entries equal to s', ADJ pairs with s'), and each OUT(s', .) query is
+one JUMP over the other nodes, drawn in element order.
+
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
 """
@@ -100,13 +107,14 @@ class OracleHandle:
     JUMP draws from a dedicated seeded PRNG so runs are replayable.
     """
 
-    __slots__ = ("graph", "caps", "stats", "_rng", "_n", "_dout", "_din",
-                 "_optr", "_iptr", "_out", "_in", "_ins", "_adj")
+    __slots__ = ("graph", "caps", "stats", "virtual", "_rng", "_n", "_dout",
+                 "_din", "_optr", "_iptr", "_out", "_in", "_ins", "_adj")
 
     def __init__(self, graph, caps=None, rng=None, seed=0):
         self.graph = graph
         self.caps = caps if caps is not None else Capabilities()
         self.stats = QueryStats()
+        self.virtual = None  # s' on a super-source view
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self._n = graph.node_count
         # local memoryviews keep the per-query overhead low
@@ -127,61 +135,92 @@ class OracleHandle:
     def edge_count(self):
         return self.graph.edge_count
 
+    def _paid(self, us, vs=None):
+        """The super-source rule: how many of the queries about the ids in
+        the int array `us` (and `vs`, for ADJ pairs) are charged, all but
+        those with an argument equal to s'.  Scalar queries test this
+        inline after `virtual is None`; a call costs more than a query."""
+        s = self.virtual
+        if s is None:
+            return us.size
+        return int(np.count_nonzero(us != s if vs is None else
+                                    (us != s) & (vs != s)))
+
+    def _draw(self, high, size=None):
+        """JUMP draws uniform over [0, high), one JUMP charged each: one,
+        or an array of `size`.  jump() draws over every node, a view's
+        OUT(s', .) over [0, s')."""
+        if not self.caps.jump:
+            raise CapabilityDisabled("JUMP is not enabled")
+        size = None if size is None else int(size)  # counters stay Python ints
+        self.stats.jump += 1 if size is None else size
+        return self._rng.integers(high, size=size)
+
     # -- always-available queries -------------------------------------
 
     def deg_out(self, v):
-        self.stats.deg_out += 1
+        if self.virtual is None or v != self.virtual:
+            self.stats.deg_out += 1
         return self._dout[v]
 
     def deg_in(self, v):
-        self.stats.deg_in += 1
+        if self.virtual is None or v != self.virtual:
+            self.stats.deg_in += 1
         return self._din[v]
 
     def out_nbr(self, v, i):
-        self.stats.out_q += 1
+        paid = self.virtual is None or v != self.virtual
+        if paid:
+            self.stats.out_q += 1
         d = self._dout[v]
         if i >= d or i < 0:
             raise IndexOutOfRange(f"OUT({v},{i}) with d_out={d}")
-        return self._out[self._optr[v] + i]
+        return self._out[self._optr[v] + i] if paid else int(self._draw(v))
 
     def in_nbr(self, v, i):
-        self.stats.in_q += 1
         d = self._din[v]
         if i >= d or i < 0:
+            if self.virtual is None or v != self.virtual:
+                self.stats.in_q += 1
             raise IndexOutOfRange(f"IN({v},{i}) with d_in={d}")
-        return self._in[self._iptr[v] + i]
+        u = self._in[self._iptr[v] + i]
+        if self.virtual is None or u != self.virtual:
+            self.stats.in_q += 1
+        return u
 
     # -- capability-gated queries --------------------------------------
 
     def in_sorted(self, v, i):
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
-        self.stats.in_sorted += 1
         d = self._din[v]
         if i >= d or i < 0:
+            if self.virtual is None or v != self.virtual:
+                self.stats.in_sorted += 1
             raise IndexOutOfRange(f"IN-SORTED({v},{i}) with d_in={d}")
-        return self._ins[self._iptr[v] + i]
+        u = self._ins[self._iptr[v] + i]
+        if self.virtual is None or u != self.virtual:
+            self.stats.in_sorted += 1
+        return u
 
     def adj(self, u, v):
         if not self.caps.adj:
             raise CapabilityDisabled("ADJ is not enabled")
-        self.stats.adj += 1
+        if self.virtual is None or self.virtual not in (u, v):
+            self.stats.adj += 1
         hi = self._optr[u + 1]
         k = bisect_left(self._adj, v, self._optr[u], hi)
         return k < hi and self._adj[k] == v
 
     def jump(self):
-        if not self.caps.jump:
-            raise CapabilityDisabled("JUMP is not enabled")
-        self.stats.jump += 1
-        return int(self._rng.integers(self._n))
+        return int(self._draw(self._n))
 
     # -- batch queries: one query charged per element -------------------
 
     def deg_out_many(self, vs):
         """DEG-OUT of every node of the int array `vs`."""
         vs = np.asarray(vs, dtype=np.int64)
-        self.stats.deg_out += vs.size
+        self.stats.deg_out += self._paid(vs)
         return self.graph.out_deg[vs]
 
     def out_nbr_many(self, vs, idx):
@@ -190,14 +229,18 @@ class OracleHandle:
         vs = np.asarray(vs, dtype=np.int64)
         idx = np.asarray(idx, dtype=np.int64)
         g = self.graph
-        self.stats.out_q += vs.size
+        paid = self._paid(vs)
+        self.stats.out_q += paid
         d = g.out_deg[vs]
         # read as unsigned, a negative index is huge: one test covers both ends
         bad = idx.view(np.uint64) >= d.view(np.uint32)
         if np.count_nonzero(bad):
             j = int(np.argmax(bad))
             raise IndexOutOfRange(f"OUT({vs[j]},{idx[j]}) with d_out={d[j]}")
-        return g.out_nbrs[g.out_ptr[vs] + idx]
+        out = g.out_nbrs[g.out_ptr[vs] + idx]
+        if paid < vs.size:
+            out[vs == self.virtual] = self._draw(self.virtual, vs.size - paid)
+        return out
 
     def walk_step_many(self, vs, u):
         """One walk step from every node of `vs`: OUT(v, floor(u[j] * d))
@@ -207,11 +250,15 @@ class OracleHandle:
         for every d < 2^53 and its floor is at most d - 1."""
         vs = np.asarray(vs, dtype=np.int64)
         g = self.graph
-        self.stats.deg_out += vs.size
-        self.stats.out_q += vs.size
+        paid = self._paid(vs)
+        self.stats.deg_out += paid
+        self.stats.out_q += paid
         idx = (np.asarray(u, dtype=np.float64) * g.out_deg[vs]).astype(np.int64)
         idx += g.out_ptr[vs]
-        return g.out_nbrs[idx]
+        out = g.out_nbrs[idx]
+        if paid < vs.size:
+            out[vs == self.virtual] = self._draw(self.virtual, vs.size - paid)
+        return out
 
     def adj_many(self, us, vs):
         """ADJ(us[j], vs[j]) for every j, as a bool array: one bisection
@@ -222,12 +269,16 @@ class OracleHandle:
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         g = self.graph
-        self.stats.adj += us.size
+        paid = self._paid(us, vs)
+        self.stats.adj += paid
         lo = g.out_ptr[us].astype(np.int64)
         end = g.out_ptr[us + 1].astype(np.int64)
         hi = end.copy()
+        if paid < us.size:  # s' lists 0..n-1, so v sits at offset v: settled
+            virt = us == self.virtual
+            hi[virt] = lo[virt] = lo[virt] + vs[virt]
         # bisect_left: a range of w ids settles in w.bit_length() steps
-        for _ in range(int((end - lo).max(initial=0)).bit_length()):
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
             open_ = lo < hi
             mid = (lo + hi) >> 1
             less = open_ & (g.out_sorted[np.where(open_, mid, 0)] < vs)
@@ -237,25 +288,35 @@ class OracleHandle:
         found[found] = g.out_sorted[lo[found]] == vs[found]
         return found
 
-    def _in_entries(self, lists, vs):
-        """Every entry of the in-lists of `vs`, list after list, read from
-        the CSR array `lists` (in_nbrs or in_sorted): (nbrs, their
-        out-degrees, the position in `vs` of each entry's list)."""
+    def _scan(self, lists, vs, stop=None):
+        """Read the in-lists of `vs` in the CSR array `lists`, each up to
+        and including its first entry where `stop` holds (or all of it),
+        charging DEG-IN per list and DEG-OUT per entry read.  Returns the
+        IN or IN-SORTED count to charge and (nbrs, degs, rows)."""
         g = self.graph
+        vs = np.asarray(vs, dtype=np.int64)
         idx, lens = csr_entries(g.in_ptr, vs)
         nbrs = lists[idx]
-        return nbrs, g.out_deg[nbrs], np.arange(vs.size).repeat(lens)
+        degs, rows = g.out_deg[nbrs], np.arange(vs.size).repeat(lens)
+        if stop is not None:
+            # stop is monotone, so a list reads its non-stop prefix plus
+            # one: an entry is read unless the entry before it stopped
+            halt = stop(rows, degs)
+            keep = np.ones(rows.size, dtype=bool)
+            keep[1:] = ~(halt[:-1] & (rows[1:] == rows[:-1]))
+            nbrs, degs, rows = nbrs[keep], degs[keep], rows[keep]
+        paid = self._paid(nbrs)
+        self.stats.deg_in += self._paid(vs)
+        self.stats.deg_out += paid
+        return paid, (nbrs, degs, rows)
 
     def in_scans(self, vs):
         """Read the whole IN list of each node v of `vs`: DEG-IN(v), then
         IN(v, i) and DEG-OUT of its answer for every i, charging exactly
         those queries.  Returns (nbrs, degs, rows), list after list."""
-        vs = np.asarray(vs, dtype=np.int64)
-        nbrs, degs, rows = self._in_entries(self.graph.in_nbrs, vs)
-        self.stats.deg_in += vs.size
-        self.stats.in_q += rows.size
-        self.stats.deg_out += rows.size
-        return nbrs, degs, rows
+        paid, read = self._scan(self.graph.in_nbrs, vs)
+        self.stats.in_q += paid
+        return read
 
     def in_sorted_scans(self, vs, stop):
         """Scan the IN-SORTED list of each node v of `vs`: DEG-IN(v), then
@@ -267,24 +328,11 @@ class OracleHandle:
         (nbrs, degs, rows) of the scanned prefixes, scan after scan."""
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
-        vs = np.asarray(vs, dtype=np.int64)
-        nbrs, degs, rows = self._in_entries(self.graph.in_sorted, vs)
-        # stop is monotone, so a list reads its non-stop prefix plus one:
-        # an entry is read unless the entry before it in its list stopped
-        halt = stop(rows, degs)
-        keep = np.ones(rows.size, dtype=bool)
-        keep[1:] = ~(halt[:-1] & (rows[1:] == rows[:-1]))
-        total = int(np.count_nonzero(keep))
-        self.stats.deg_in += vs.size
-        self.stats.in_sorted += total
-        self.stats.deg_out += total
-        return nbrs[keep], degs[keep], rows[keep]
+        paid, read = self._scan(self.graph.in_sorted, vs, stop)
+        self.stats.in_sorted += paid
+        return read
 
     def jump_many(self, count):
         """`count` JUMP draws: the same values, in the same order, as
         `count` calls of jump()."""
-        if not self.caps.jump:
-            raise CapabilityDisabled("JUMP is not enabled")
-        count = int(count)  # counters stay Python ints
-        self.stats.jump += count
-        return self._rng.integers(self._n, size=count)
+        return self._draw(self._n, count)

@@ -1,9 +1,10 @@
 """Single-node (PageRank-style) estimation of pi(t).
 
 Three routes: an adaptive-threshold loop over the randomized backward
-single-target solver, and two reductions that bolt a virtual uniform
-super-source onto the graph and run a single-pair estimator from it,
-using pi_aug(s', t) = (1-alpha) * pi(t).
+single-target solver, and two reductions that add a virtual source
+s' = n with an out-edge to every node and run a single-pair estimator
+from it, using pi_aug(s', t) = (1-alpha) * pi(t), on a SuperSourceView,
+which charges by the oracle module's super-source rule.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 from .classic import (DEFAULT_WALK_MULT, bippr_pair, check_params,
                       default_r_max_pair, rbs_single_target, rbs_levels)
 from .bidir import derive_params, single_pair_ppr
-from .graph import check_nodes
-from .oracle import CapabilityDisabled, IndexOutOfRange
+from .graph import check_nodes, frozen_graph
+from .oracle import CapabilityDisabled, OracleHandle
 
 
 # derive_params once per argument set: the trials of a harness cell share
@@ -25,144 +26,35 @@ from .oracle import CapabilityDisabled, IndexOutOfRange
 _cell_params = functools.lru_cache(maxsize=16, typed=True)(derive_params)
 
 
-class SuperSourceView:
-    """Oracle view of the base graph plus a virtual source s' = n.
+@functools.lru_cache(maxsize=1)
+def _augmented(g):
+    """g plus s' = n with an out-edge to every node, from g's CSR arrays:
+    g's lists keep their order and s' ends every IN and IN-SORTED list
+    (its out-degree n and id are maximal).  Cached, so a cell's trials
+    share one copy; only the last g and its copy stay alive."""
+    n, m = g.node_count, g.edge_count
+    real, ends = np.arange(n), g.in_ptr[1:]
+    return frozen_graph(
+        n + 1, m + n, out_ptr=np.append(g.out_ptr, m + n),
+        out_nbrs=np.append(g.out_nbrs, real), out_deg=np.append(g.out_deg, n),
+        out_sorted=np.append(g.out_sorted, real),
+        in_ptr=np.append(g.in_ptr + np.arange(n + 1), m + n),
+        in_nbrs=np.insert(g.in_nbrs, ends, n), in_deg=np.append(g.in_deg + 1, 0),
+        in_sorted=np.insert(g.in_sorted, ends, n))
 
-    s' has an out-edge to every real node (served through JUMP, so a
-    fresh out-neighbor draw costs one query) and no in-edges; every
-    real node reports s' as one extra in-neighbor, placed last in both
-    the plain and the out-degree-sorted in-lists (d_out(s') = n is
-    maximal and s' carries the largest id).  Construction knowledge
-    (sizes, s' degrees) is free; all real accesses are forwarded to the
-    base handle and metered there.
 
-    The batch methods `deg_out_many`, `out_nbr_many`, `walk_step_many`
-    and `adj_many` split off the virtual elements: their degree and
-    their ADJ pairs are free, and each of their OUT queries (or walk
-    steps) is one JUMP of the base handle (`jump_many`), drawn in
-    element order.  Everything else goes to the base's batch methods,
-    one query per element.
-    """
+class SuperSourceView(OracleHandle):
+    """Oracle handle over the base's graph plus s' = n (`_augmented`)
+    that shares the base's capabilities, counters and JUMP generator;
+    its own jump() is uniform over all n + 1 nodes."""
+
+    __slots__ = ("base",)
 
     def __init__(self, base):
+        super().__init__(_augmented(base.graph), base.caps, base._rng)
+        self.stats = base.stats
         self.base = base
         self.virtual = base.node_count
-        self.caps = base.caps
-        self.graph = None  # not materialized; exact checks build it separately
-        self._din = base.graph.in_degrees
-
-    @property
-    def node_count(self):
-        return self.base.node_count + 1
-
-    @property
-    def edge_count(self):
-        return self.base.edge_count + self.base.node_count
-
-    @property
-    def stats(self):
-        return self.base.stats
-
-    def deg_out(self, v):
-        if v == self.virtual:
-            return self.base.node_count
-        return self.base.deg_out(v)
-
-    def deg_in(self, v):
-        if v == self.virtual:
-            return 0
-        return self.base.deg_in(v) + 1
-
-    def out_nbr(self, v, i):
-        if v == self.virtual:
-            if not 0 <= i < self.virtual:
-                raise IndexOutOfRange(f"OUT({v},{i}) with d_out={self.virtual}")
-            return self.base.jump()
-        return self.base.out_nbr(v, i)
-
-    def deg_out_many(self, vs):
-        vs = np.asarray(vs, dtype=np.int64)
-        virt = vs == self.virtual
-        if not np.count_nonzero(virt):
-            return self.base.deg_out_many(vs)
-        d = np.full(vs.shape, self.virtual, dtype=np.int64)
-        real = ~virt
-        d[real] = self.base.deg_out_many(vs[real])
-        return d
-
-    def out_nbr_many(self, vs, idx):
-        vs = np.asarray(vs, dtype=np.int64)
-        idx = np.asarray(idx, dtype=np.int64)
-        virt = vs == self.virtual
-        k = np.count_nonzero(virt)
-        if not k:
-            return self.base.out_nbr_many(vs, idx)
-        vi = idx[virt]
-        bad = (vi < 0) | (vi >= self.virtual)
-        if bad.any():
-            raise IndexOutOfRange(f"OUT({self.virtual},{vi[np.argmax(bad)]}) "
-                                  f"with d_out={self.virtual}")
-        out = np.empty(vs.shape, dtype=np.int64)
-        real = ~virt
-        out[real] = self.base.out_nbr_many(vs[real], idx[real])
-        out[virt] = self.base.jump_many(k)
-        return out
-
-    def walk_step_many(self, vs, u):
-        vs = np.asarray(vs, dtype=np.int64)
-        virt = vs == self.virtual
-        k = np.count_nonzero(virt)
-        if not k:
-            return self.base.walk_step_many(vs, u)
-        u = np.asarray(u, dtype=np.float64)
-        out = np.empty(vs.shape, dtype=np.int64)
-        real = ~virt
-        out[real] = self.base.walk_step_many(vs[real], u[real])
-        out[virt] = self.base.jump_many(k)
-        return out
-
-    def in_nbr(self, v, i):
-        if v == self.virtual:
-            raise IndexOutOfRange("virtual source has no in-neighbors")
-        if i == self._din[v]:
-            return self.virtual
-        return self.base.in_nbr(v, i)
-
-    def in_sorted(self, v, i):
-        if v == self.virtual:
-            raise IndexOutOfRange("virtual source has no in-neighbors")
-        if i == self._din[v]:
-            if not self.caps.in_sorted:
-                raise CapabilityDisabled("IN-SORTED is not enabled")
-            return self.virtual
-        return self.base.in_sorted(v, i)
-
-    def adj(self, u, v):
-        if u == self.virtual or v == self.virtual:
-            if not self.caps.adj:
-                raise CapabilityDisabled("ADJ is not enabled")
-            return u == self.virtual != v
-        return self.base.adj(u, v)
-
-    def adj_many(self, us, vs):
-        if not self.caps.adj:
-            raise CapabilityDisabled("ADJ is not enabled")
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        virt_u, virt_v = us == self.virtual, vs == self.virtual
-        real = ~(virt_u | virt_v)
-        if real.all():
-            return self.base.adj_many(us, vs)
-        out = virt_u & ~virt_v
-        out[real] = self.base.adj_many(us[real], vs[real])
-        return out
-
-    def jump(self):
-        # uniform over the n+1 view nodes, charged as one JUMP
-        if not self.caps.jump:
-            raise CapabilityDisabled("JUMP is not enabled")
-        self.base.stats.jump += 1
-        return int(self.base._rng.integers(self.node_count))
 
 
 def adaptive_rounds(n, alpha):

@@ -290,6 +290,35 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="trials"):
             run_experiment(self.bad(trials=0))
 
+    @pytest.mark.parametrize("name,val", [
+        ("trials", True), ("trials", 2.5), ("trials", "3"),
+        ("master_seed", True), ("master_seed", 1.5), ("master_seed", -1),
+        ("exact_cap", "x"), ("exact_cap", False), ("exact_cap", -1),
+        ("deltas", 0.1), ("multipliers", ["c_walks"]),
+        ("capabilities", "jump"), ("instance", "sp_worst")])
+    def test_mistyped_field_named(self, name, val):
+        # True used to run as 1 trial or seed 1, the others failed late
+        # with a bare TypeError (exact_cap only after generation), numpy's
+        # ValueError (seed -1) or the letters of "jump" as capabilities
+        with pytest.raises(ConfigError, match=rf"{name} must be .*"
+                                              rf"{re.escape(repr(val))}"):
+            run_experiment(tiny_config(**{"instance": {"family": "no_such"},
+                                          name: val}))
+
+    @pytest.mark.parametrize("caps", [["jmp"], [["jump"]]])
+    def test_bad_capability_names_named(self, caps):
+        with pytest.raises(ConfigError, match="capabilities"):
+            run_experiment(self.bad(capabilities=caps))
+
+    @pytest.mark.parametrize("name,val", [("trials", np.int64(2)),
+                                          ("master_seed", 0),
+                                          ("exact_cap", 0),
+                                          ("capabilities", ("jump",)),
+                                          ("deltas", (0.1,))])
+    def test_integer_and_tuple_fields_accepted(self, name, val):
+        with pytest.raises(AssertionError, match="instance generated"):
+            run_experiment(self.bad(**{name: val}))
+
     def test_delta_one_accepted(self):
         with pytest.raises(AssertionError, match="instance generated"):
             run_experiment(self.bad(deltas=[1.0]))

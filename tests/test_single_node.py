@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
-                      exact_single_source, exact_pagerank)
+                      exact_single_source, exact_pagerank, generate,
+                      parameter_presets)
 from pprquery.single_node import (SuperSourceView, adaptive_rounds,
                                   single_node_adaptive, single_node_avg_jump,
                                   single_node_avg_full)
-from conftest import (chain_graph, materialize_super_source, random_graph,
-                      singleton_graph)
+from conftest import (chain_graph, in_list, materialize_super_source,
+                      out_list, random_graph, singleton_graph)
 
 A = 0.2
+CSR_ARRAYS = ("out_ptr", "out_nbrs", "out_sorted", "out_deg", "in_ptr",
+              "in_nbrs", "in_sorted", "in_deg")
 
 
 class TestSuperSourceView:
@@ -36,20 +39,54 @@ class TestSuperSourceView:
         va = exact_single_source(materialize_super_source(g), n, alpha, 1e-13)
         assert np.abs(va.values[:n] - (1 - alpha) * pr.values).max() <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_augmented_layout_matches_materialized(self, seed):
+        # random_graph lists its edges by source, so rebuilding from
+        # edge_arrays() keeps every in-list's order: all arrays agree
+        g = random_graph(seed, 5 + 7 * seed, d=1 + seed % 4)
+        got = SuperSourceView(OracleHandle(g, Capabilities.all())).graph
+        want = materialize_super_source(g)
+        assert (got.node_count, got.edge_count) == \
+            (want.node_count, want.edge_count)
+        for name in CSR_ARRAYS:
+            arr = getattr(got, name)
+            assert arr.dtype == np.int32 and not arr.flags.writeable, name
+            assert np.array_equal(arr, getattr(want, name)), name
+        with pytest.raises(ValueError):
+            got.in_nbrs[0] = 0
+
+    def test_augmented_in_lists_keep_insertion_order(self):
+        # sp_avg's edge list is not source-ordered, so a rebuild from
+        # edge_arrays() reorders some in-lists; the view keeps g's order
+        # (BiPPR's push_back follows it) and appends s'
+        g, _ = generate(parameter_presets("sp_avg", 64, 512, 0.1, A))
+        n = g.node_count
+        aug = SuperSourceView(OracleHandle(g, Capabilities.all())).graph
+        rebuilt = materialize_super_source(g)
+        assert any(in_list(rebuilt, v) != in_list(g, v) + [n]
+                   for v in range(n))
+        for v in range(n):
+            assert in_list(aug, v) == in_list(g, v) + [n]
+            assert in_list(aug, v, True) == in_list(g, v, True) + [n]
+        assert in_list(aug, n) == [] and out_list(aug, n) == list(range(n))
+
     def test_view_mechanics(self):
         g = chain_graph()
         base = OracleHandle(g, Capabilities.all(), seed=4)
         view = SuperSourceView(base)
         v = view.virtual
         assert view.node_count == 3 and view.edge_count == 4
+        assert view.deg_in(0) == g.in_degrees[0] + 1
+        assert base.stats.as_dict()["total"] == 1
+        # queries about s' are free: its degrees, entries and ADJ pairs
         assert view.deg_out(v) == 2
         assert view.deg_in(v) == 0
-        assert view.deg_in(0) == g.in_degrees[0] + 1
         # virtual source is the last (highest out-degree) in-neighbor
         assert view.in_nbr(0, g.in_degrees[0]) == v
         assert view.in_sorted(0, g.in_degrees[0]) == v
         assert view.adj(v, 0) and view.adj(v, 1)
         assert not view.adj(0, v) and not view.adj(v, v)
+        assert base.stats.as_dict()["total"] == 1
         before = base.stats.jump
         nbr = view.out_nbr(v, 0)
         assert nbr in (0, 1)

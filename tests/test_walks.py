@@ -242,14 +242,17 @@ def test_batch_out_of_range_raises(view, data):
         o.out_nbr_many(vs, idx)
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(), data=st.data())
-def test_in_sorted_scans_match_scalar_scans(g, data):
+def test_in_sorted_scans_match_scalar_scans(view, g, data):
     """A scan batch reads and charges what a loop of scalar queries does:
     DEG-IN(v), then IN-SORTED and DEG-OUT up to the first in-neighbor
-    whose out-degree reaches the scan's bound."""
-    a, b = twin_oracles(g, view=False)
-    vs = data.draw(st.lists(st.integers(0, g.node_count - 1), max_size=12))
+    whose out-degree reaches the scan's bound.  On a view, s' ends every
+    real list and its entries, its degrees and its empty list are free."""
+    a, b = twin_oracles(g, view)
+    top = g.node_count if view else g.node_count - 1
+    vs = data.draw(st.lists(st.integers(0, top), max_size=12))
     bound = np.array(data.draw(st.lists(st.integers(1, g.node_count + 1),
                                         min_size=len(vs), max_size=len(vs))),
                      dtype=np.int64)
@@ -265,16 +268,20 @@ def test_in_sorted_scans_match_scalar_scans(g, data):
     assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist())) == want
     assert a.stats.as_dict() == b.stats.as_dict()
     with pytest.raises(CapabilityDisabled):
-        OracleHandle(g).in_sorted_scans(vs, lambda rows, d: d > 0)
+        twin_oracles(g, view, caps=Capabilities())[0].in_sorted_scans(
+            vs, lambda rows, d: d > 0)
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(), data=st.data())
-def test_in_scans_match_scalar_scans(g, data):
+def test_in_scans_match_scalar_scans(view, g, data):
     """A full-list IN batch reads and charges what a loop of scalar
-    queries does: DEG-IN(v), then IN and DEG-OUT for every in-neighbor."""
-    a, b = twin_oracles(g, view=False, caps=Capabilities())
-    vs = data.draw(st.lists(st.integers(0, g.node_count - 1), max_size=12))
+    queries does: DEG-IN(v), then IN and DEG-OUT for every in-neighbor
+    (on a view, with s' free as in the scalar queries)."""
+    a, b = twin_oracles(g, view, caps=Capabilities())
+    top = g.node_count if view else g.node_count - 1
+    vs = data.draw(st.lists(st.integers(0, top), max_size=12))
     want = []
     for j, v in enumerate(vs):
         for i in range(a.deg_in(v)):
@@ -283,6 +290,13 @@ def test_in_scans_match_scalar_scans(g, data):
     nbrs, degs, rows = b.in_scans(vs)
     assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist())) == want
     assert a.stats.as_dict() == b.stats.as_dict()
+    # what a plain handle charges for the real lists, s' entries free
+    real = [v for v in vs if v < g.node_count]
+    entries = sum(g.in_degrees[v] for v in real)
+    assert b.stats.as_dict() == {**dict.fromkeys(QUERY_KINDS, 0),
+                                 "deg_in": len(real), "in": entries,
+                                 "deg_out": entries,
+                                 "total": len(real) + 2 * entries}
 
 
 @settings(max_examples=30, deadline=None)
