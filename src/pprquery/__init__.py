@@ -14,9 +14,9 @@ from .classic import (PushFrontier, monte_carlo_pair, push_back,
                       power_iteration_target, bippr_pair, rbs_single_target,
                       single_target_jump_mc, single_target_bidir_jump,
                       default_r_max_pair)
-from .bidir import (LevelSchedule, NewAlgoParams, RandPushState,
-                    ConstraintViolation, derive_params, rand_push_threshold,
-                    backward_phase, estimate_R_hat, single_pair_ppr)
+from .bidir import (NewAlgoParams, RandPushState, ConstraintViolation,
+                    derive_params, rand_push_threshold, backward_phase,
+                    estimate_R_hat, single_pair_ppr)
 from .single_node import (SuperSourceView, single_node_adaptive,
                           single_node_avg_jump, single_node_avg_full)
 from .instances import (InstanceSpec, InstanceMeta, generate, closed_form_pi,

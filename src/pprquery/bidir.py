@@ -2,12 +2,11 @@
 
 Backward phase: leveled randomized PushBack from the target.  A node v
 is pushed at level i when its independent residue copy exceeds the
-level threshold; the push updates both residue copies of each
+threshold theta; the push updates both residue copies of each
 in-neighbor, deterministically when the increment is at least
-gamma*theta for the receiving level and otherwise by two independent
-sorted-scan Bernoulli passes (IN-SORTED gives in-neighbors by
-non-decreasing out-degree, so each scan stops at the first increment
-below its uniform threshold).
+gamma*theta and otherwise by two independent sorted-scan Bernoulli
+passes (IN-SORTED gives in-neighbors by non-decreasing out-degree, so
+each scan stops at the first increment below its uniform threshold).
 
 The randomized scans fire rarely.  A push of amount a randomizes at an
 in-neighbor u only when (1-alpha) * a / d_out(u) < gamma * theta, and
@@ -23,23 +22,18 @@ ADJ-checked contributions of heavy-reserve nodes with uniform sampling
 of the remaining out-neighbors.  `estimate_R_hat` scores all terminals
 in one pass of batch queries and draws the samples by rejection in
 vectorized rounds, one try per still-open sample per round.
-
-Indexing convention: a push from level i uses the receiving level's
-threshold gamma_{i+1} * theta_{i+1} (immaterial for the default uniform
-schedule).  chi values are never stored per edge; each pushed (v, i)
-records its pushed amount, from which chi_{i+1}(u, v) =
-(1-alpha) * amount / d_out(u) is reconstructed for any out-edge.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classic import _scratch_array, _walk_terminals, check_params
+from .classic import _scratch_array, _walk_terminals, check_counts, check_params
 from .graph import NodeIdOutOfRange, check_nodes
 from .oracle import CapabilityDisabled
 
@@ -51,44 +45,26 @@ class ConstraintViolation(ValueError):
 
 
 @dataclass(frozen=True)
-class LevelSchedule:
-    """Per-level thresholds theta_i and sampling granularities gamma_i,
-    i = 0..L (pushes happen at levels 0..L-1)."""
-
-    theta: tuple
-    gamma: tuple
-
-    def __post_init__(self):
-        if len(self.theta) != len(self.gamma) or len(self.theta) < 2:
-            raise ValueError("theta/gamma must share a length >= 2")
-        for name, xs in (("theta", self.theta), ("gamma", self.gamma)):
-            # each distinct value once, at its first level: every trial builds one
-            check_params(**{f"{name}[{xs.index(x)}]": x for x in dict.fromkeys(xs)})
-
-    @property
-    def L(self):
-        return len(self.theta) - 1
-
-    @property
-    def theta_sum(self):
-        return sum(self.theta)
-
-    @classmethod
-    def uniform(cls, L, theta, gamma):
-        return cls((theta,) * (L + 1), (gamma,) * (L + 1))
-
-
-@dataclass
 class NewAlgoParams:
+    """Parameters of one randomized bidirectional run: every level has
+    threshold theta and sampling granularity gamma, and pushes happen
+    at levels 0..L-1."""
+
     alpha: float
     delta: float
     eps: float
     p_f: float
-    schedule: LevelSchedule
+    theta: float
+    gamma: float
+    L: int
     n_r: int
     n_s: int
     tau: float
     constraint_margins: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_params(theta=self.theta, gamma=self.gamma)
+        check_counts(L=self.L, n_r=self.n_r, n_s=self.n_s)
 
 
 def verify_constraints(params, n):
@@ -97,16 +73,14 @@ def verify_constraints(params, n):
     Margins are (satisfied quantity) / (required quantity); a margin
     below 1 raises ConstraintViolation naming the constraint.
     """
-    sched = params.schedule
-    L = sched.L
+    L, theta = params.L, params.theta
     eps, delta, p_f, alpha = params.eps, params.delta, params.p_f, params.alpha
     lg = math.log(max(n * L, 2))
     margins = {}
-    margins["gamma_bound"] = min(
-        (eps * eps) / (g * L * L * lg) for g in sched.gamma)
-    need_L = math.log(1.0 / sched.theta[L]) / alpha
+    margins["gamma_bound"] = (eps * eps) / (params.gamma * L * L * lg)
+    need_L = math.log(1.0 / theta) / alpha
     margins["level_count"] = L / need_L if need_L > 0 else math.inf
-    need_nr = sched.theta_sum * math.log(1.0 / p_f) / (eps * delta)
+    need_nr = sum((theta,) * (L + 1)) * math.log(1.0 / p_f) / (eps * delta)
     margins["walk_count"] = params.n_r / need_nr
     need_ratio = math.log(1.0 / p_f) / (alpha * eps * delta)
     margins["sample_ratio"] = (params.n_r * params.n_s / params.tau) / need_ratio
@@ -117,40 +91,43 @@ def verify_constraints(params, n):
     return margins
 
 
-# derive_params's schedule multipliers, each 1.0 unless given
+# derive_params's multipliers, each 1.0 unless given
 MULTIPLIERS = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
 
 
 def derive_params(alpha, delta, eps, p_f, n, **multipliers):
-    """Concrete parameter schedule for the target error profile.
+    """Concrete parameters for the target error profile on n nodes.
 
-    theta_i = c_theta * delta^(2/3) uniformly; L covers the geometric
-    decay of residues; gamma_i, n_r and tau are sized directly from
-    their defining constraints (gamma_i <= eps^2/(L^2 log nL),
-    n_r >= theta * log(1/p_f)/(eps*delta), n_r*n_s/tau >=
-    log(1/p_f)/(alpha*eps*delta)); n_s = ceil(c_ns / delta^(1/3)).
+    theta = c_theta * delta^(2/3); L covers the geometric decay of
+    residues; gamma, n_r and tau are sized directly from their defining
+    constraints (gamma <= eps^2/(L^2 log nL), n_r >= (L+1) theta
+    log(1/p_f)/(eps*delta), n_r*n_s/tau >= log(1/p_f)/(alpha*eps*delta));
+    n_s = ceil(c_ns / delta^(1/3)).
     `multipliers` takes any of MULTIPLIERS; another name is a TypeError.
     """
     c = {k: multipliers.pop(k, 1.0) for k in MULTIPLIERS}
     if multipliers:
         raise TypeError(f"unknown multipliers {sorted(multipliers)}")
     check_params(alpha=alpha, delta=delta, eps=eps, p_f=p_f, **c)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    theta0 = c["c_theta"] * delta ** (2.0 / 3.0)
-    L = 1 if theta0 >= 1.0 else max(1, math.ceil(c["c_L"] * math.log(1.0 / theta0) / alpha))
+    check_counts(n=n)
+    theta = c["c_theta"] * delta ** (2.0 / 3.0)
+    L = 1 if theta >= 1.0 else max(1, math.ceil(c["c_L"] * math.log(1.0 / theta) / alpha))
     lg = math.log(max(n * L, 2))
     gamma = min(1.0, c["c_gamma"] * eps * eps / (L * L * lg))
-    sched = LevelSchedule.uniform(L, theta0, gamma)
     log_pf = math.log(1.0 / p_f)
-    n_r = max(1, math.ceil(c["c_nr"] * sched.theta_sum * log_pf / (eps * delta)))
+    # theta added level by level: (L + 1) * theta rounds n_r differently
+    n_r = max(1, math.ceil(c["c_nr"] * sum((theta,) * (L + 1)) * log_pf / (eps * delta)))
     n_s = max(1, math.ceil(c["c_ns"] / delta ** (1.0 / 3.0)))
     tau = c["c_tau"] * n_r * n_s * alpha * eps * delta / log_pf
     params = NewAlgoParams(
-        alpha=alpha, delta=delta, eps=eps, p_f=p_f, schedule=sched,
-        n_r=n_r, n_s=n_s, tau=tau)
-    params.constraint_margins = verify_constraints(params, n)
-    return params
+        alpha=alpha, delta=delta, eps=eps, p_f=p_f, theta=theta, gamma=gamma,
+        L=L, n_r=n_r, n_s=n_s, tau=tau)
+    return replace(params, constraint_margins=verify_constraints(params, n))
+
+
+# derive_params once per argument set: the trials of a harness cell share
+# the result (the single_pair_ppr runner and single_node_avg_full)
+_cell_params = functools.lru_cache(maxsize=16, typed=True)(derive_params)
 
 
 @dataclass
@@ -166,10 +143,8 @@ class RandPushState:
     order.
     """
 
-    schedule: LevelSchedule
-    alpha: float
+    params: NewAlgoParams
     target: int
-    tau: float
     r_hat: list
     r_hat_prime: list
     p_hat: dict
@@ -191,15 +166,15 @@ def rand_push_threshold(o, v, i, state, rng):
     own uniform thresholds add gamma*theta increments, each stopping at
     the first in-neighbor whose increment falls below its threshold.
     """
-    sched = state.schedule
-    if i >= sched.L:
-        raise ValueError(f"push level {i} out of range (L={sched.L})")
-    alpha = state.alpha
+    p = state.params
+    if i >= p.L:
+        raise ValueError(f"push level {i} out of range (L={p.L})")
+    alpha = p.alpha
     amount = state.r_hat[i].get(v, 0.0)
     state.pushed_amount[i][v] = amount
     state.push_counts[i] += 1
     if amount > 0.0:
-        thr = sched.gamma[i + 1] * sched.theta[i + 1]
+        thr = p.gamma * p.theta
         spread = (1.0 - alpha) * amount
         state.contrib.setdefault(v, []).append((i + 1, spread))
         rn = state.r_hat[i + 1]
@@ -228,21 +203,21 @@ def rand_push_threshold(o, v, i, state, rng):
                         break
     pv = state.p_hat.get(v, 0.0) + alpha * amount
     state.p_hat[v] = pv
-    if pv > state.tau:
+    if pv > p.tau:
         state.heavy.add(v)
     state.r_hat[i][v] = 0.0
     return state
 
 
 def backward_phase(o, t, params, rng):
-    """Run levels 0..L-1; eligibility r_hat_prime_i(v) > theta_i, nodes
+    """Run levels 0..L-1; eligibility r_hat_prime_i(v) > theta, nodes
     processed in ascending id within a level."""
     if not o.caps.in_sorted:
         raise CapabilityDisabled("backward_phase needs IN-SORTED")
-    sched = params.schedule
-    L = sched.L
+    check_nodes(o.node_count, t=t)
+    L, theta = params.L, params.theta
     state = RandPushState(
-        schedule=sched, alpha=params.alpha, target=t, tau=params.tau,
+        params=params, target=t,
         r_hat=[{} for _ in range(L + 1)],
         r_hat_prime=[{} for _ in range(L + 1)],
         p_hat={}, pushed_amount=[{} for _ in range(L + 1)],
@@ -250,8 +225,7 @@ def backward_phase(o, t, params, rng):
     state.r_hat[0][t] = 1.0
     state.r_hat_prime[0][t] = 1.0
     for i in range(L):
-        th = sched.theta[i]
-        eligible = sorted(v for v, val in state.r_hat_prime[i].items() if val > th)
+        eligible = sorted(v for v, val in state.r_hat_prime[i].items() if val > theta)
         for v in eligible:
             rand_push_threshold(o, v, i, state, rng)
     if len(state.heavy) > 8 * (params.n_r + 1):
@@ -304,16 +278,21 @@ def estimate_R_hat(o, state, terminals, params, rng):
     query of the virtual source is one JUMP, so its tries need no
     branch here.
 
-    A terminal outside [0, o.node_count) raises NodeIdOutOfRange before
-    any query or draw.  V_P and the keys of state.contrib are node masks,
-    _chi_num_sum runs once per distinct (terminal, node) pair, bincount
-    sums left to right, and the per-sample arrays reuse the walk
-    engine's scratch (classic._scratch_array).
+    A terminal that is not an integer in [0, o.node_count) raises
+    NodeIdOutOfRange before any query or draw.  V_P and the keys of
+    state.contrib are node masks, _chi_num_sum runs once per distinct
+    (terminal, node) pair, bincount sums left to right, and the
+    per-sample arrays reuse the walk engine's scratch
+    (classic._scratch_array).
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
     n = o.node_count
-    us = np.asarray(terminals, dtype=np.int64)
+    us = np.asarray(terminals)
+    if us.size and us.dtype.kind not in "iu":
+        raise NodeIdOutOfRange(f"terminal {us.flat[0]} outside [0, {n}): "
+                               f"{us.dtype} is not an integer type")
+    us = us.astype(np.int64, copy=False)
     bad = us[(us < 0) | (us >= n)]
     if bad.size:
         raise NodeIdOutOfRange(f"terminal {bad[0]} outside [0, {n})")

@@ -44,15 +44,22 @@ _RANGES = {"alpha": (1.0, False), "eps": (1.0, False), "p_f": (1.0, False),
 def check_params(**named):
     """Raise ValueError naming the first value outside its range: alpha,
     eps, p_f and tol in (0,1), delta and gamma in (0,1], any other name
-    (a multiplier, r_max or theta) in (0,inf); gamma[3] is gamma's.
-    bool and non-numbers are rejected.  Every estimator calls this
-    before its first query or random draw."""
+    (a multiplier, r_max or theta) in (0,inf).  bool and non-numbers
+    are rejected.  Every estimator calls this before its first query or
+    random draw."""
     for name, val in named.items():
-        hi, closed = _RANGES.get(name.partition("[")[0], (math.inf, False))
+        hi, closed = _RANGES.get(name, (math.inf, False))
         if (isinstance(val, bool) or not isinstance(val, numbers.Real)
                 or not (0.0 < val <= hi if closed else 0.0 < val < hi)):
             raise ValueError(f"{name}={val!r} outside "
                              f"(0,{hi:g}{']' if closed else ')'}")
+
+
+def check_counts(**named):
+    """Raise ValueError naming the first value that is not an integer >= 1."""
+    for name, val in named.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+            raise ValueError(f"{name}={val!r} must be an integer >= 1")
 
 
 @dataclass
@@ -254,8 +261,7 @@ def _leveled_backward(o, t, alpha, L, push):
     so values, key order and queries are those of a dict filled push by
     push.
     """
-    if not L >= 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+    check_counts(L=L)
     n = o.node_count
     est = np.zeros(n)
     slot = np.empty(n, dtype=np.intp)

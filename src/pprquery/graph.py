@@ -64,7 +64,7 @@ class DirectedGraph:
 
     __slots__ = ("node_count", "edge_count", "out_ptr", "out_nbrs",
                  "out_sorted", "out_deg", "in_ptr", "in_nbrs", "in_sorted",
-                 "in_deg")
+                 "in_deg", "__weakref__")
 
     out_degrees = property(lambda self: memoryview(self.out_deg))
     in_degrees = property(lambda self: memoryview(self.in_deg))

@@ -25,9 +25,9 @@ from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
                       default_r_max_pair, check_params, DEFAULT_WALK_MULT)
-from .bidir import MULTIPLIERS, single_pair_ppr
-from .single_node import (_cell_params, single_node_adaptive,
-                          single_node_avg_jump, single_node_avg_full)
+from .bidir import MULTIPLIERS, _cell_params, single_pair_ppr
+from .single_node import (single_node_adaptive, single_node_avg_jump,
+                          single_node_avg_full)
 from .instances import InstanceSpec, generate, parameter_presets
 
 

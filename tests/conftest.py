@@ -107,10 +107,9 @@ def r_hat_total(state, u):
 def unpushed_bound_holds(state):
     """Deterministic termination bound: r_hat_prime_i(u) <= theta_i for
     every unpushed (u, i) with i < L.  Returns (ok, worst_excess)."""
-    sched = state.schedule
+    th = state.params.theta
     worst = 0.0
-    for i in range(sched.L):
-        th = sched.theta[i]
+    for i in range(state.params.L):
         pushed = state.pushed_amount[i]
         for u, val in state.r_hat_prime[i].items():
             if u not in pushed and val > th:

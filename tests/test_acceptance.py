@@ -5,6 +5,7 @@ Statistical criteria use 200 seeded trials and the binomial slack
 1 - p_f - 3*sqrt(p_f(1-p_f)/trials) at p_f = 0.1, eps = 0.2.
 """
 
+import dataclasses
 import math
 import time
 
@@ -19,7 +20,7 @@ from pprquery.classic import (monte_carlo_pair, bippr_pair, push_back,
                               rbs_single_target, single_target_jump_mc,
                               single_target_bidir_jump, default_r_max_pair,
                               PushFrontier, rbs_levels)
-from pprquery.bidir import (LevelSchedule, derive_params, backward_phase,
+from pprquery.bidir import (derive_params, backward_phase,
                             estimate_R_hat, single_pair_ppr)
 from pprquery.single_node import (single_node_adaptive, single_node_avg_jump,
                                   single_node_avg_full)
@@ -293,9 +294,9 @@ def test_criterion_5_unbiasedness_chain():
     # -- wide sp_avg: randomized increments active --------------------------
     g3, meta = _wide_sp_avg()
     pi_row3 = exact_single_source(g3, meta.s, A, 1e-13).values
-    sched = LevelSchedule.uniform(18, 0.0292, 0.342)  # thr ~ 0.01 > chi(U2)
-    params3 = derive_params(A, 0.005, EPS, P_F, g3.node_count)
-    params3.schedule = sched
+    params3 = dataclasses.replace(  # thr ~ 0.01 > chi(U2)
+        derive_params(A, 0.005, EPS, P_F, g3.node_count),
+        L=18, theta=0.0292, gamma=0.342)
     # U2[2] feeds pushed group members V2[1..3]; its increments are
     # randomized under this schedule (chi = 0.008 < gamma*theta = 0.01)
     u_probe = meta.roles["U2"][2]
@@ -350,8 +351,8 @@ def test_criterion_6_termination_bound():
     cases.append((g3, meta3.t, derive_params(A, 0.005, EPS, P_F,
                                              g3.node_count)))
     gf, tf = relay_fan_graph(n_in=400, in_nbr_out=64)
-    pf = derive_params(A, 0.01, EPS, P_F, gf.node_count)
-    pf.schedule = LevelSchedule.uniform(6, 0.01, 0.25)
+    pf = dataclasses.replace(derive_params(A, 0.01, EPS, P_F, gf.node_count),
+                             L=6, theta=0.01, gamma=0.25)
     cases.append((gf, tf, pf))
     for seed in range(10):
         g = random_graph(700 + seed, 60, d=5)

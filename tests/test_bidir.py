@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,9 +8,10 @@ import pytest
 from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
                       NodeIdOutOfRange, SuperSourceView, bidir,
                       exact_single_source, InstanceSpec, generate)
-from pprquery.bidir import (LevelSchedule, ConstraintViolation, derive_params,
+from pprquery.bidir import (ConstraintViolation, derive_params,
                             rand_push_threshold, backward_phase,
-                            estimate_R_hat, single_pair_ppr, RandPushState)
+                            estimate_R_hat, single_pair_ppr, RandPushState,
+                            _cell_params)
 from conftest import (chain_graph, compute_R, singleton_graph, fan_graph,
                       random_graph, relay_fan_graph, out_list, r_hat_total,
                       unpushed_bound_holds)
@@ -21,10 +23,16 @@ def all_caps(g, seed=0):
     return OracleHandle(g, Capabilities.all(), seed=seed)
 
 
-def fresh_state(g, t, schedule, tau=math.inf):
-    L = schedule.L
+def with_levels(L, theta, gamma, tau=math.inf):
+    """A derive_params record at alpha A with these levels and tau."""
+    return dataclasses.replace(derive_params(A, 0.1, 0.2, 0.1, 100), L=L,
+                               theta=theta, gamma=gamma, tau=tau)
+
+
+def fresh_state(g, t, params):
+    L = params.L
     st = RandPushState(
-        schedule=schedule, alpha=A, target=t, tau=tau,
+        params=params, target=t,
         r_hat=[{} for _ in range(L + 1)],
         r_hat_prime=[{} for _ in range(L + 1)],
         p_hat={}, pushed_amount=[{} for _ in range(L + 1)],
@@ -55,7 +63,7 @@ def test_add_accumulate_matches_left_to_right_loop(size):
 class TestDeriveParams:
     def test_delta_one_degenerate_but_valid(self):
         p = derive_params(A, 1.0, 0.2, 0.1, 100)
-        assert p.schedule.L == 1
+        assert p.L == 1
         assert p.n_s == 1
         assert p.n_r >= 1
 
@@ -87,42 +95,62 @@ class TestDeriveParams:
 
     def test_theta_uniform_delta_scaling(self):
         p = derive_params(A, 1e-3, 0.1, 0.1, 100)
-        assert len(set(p.schedule.theta)) == 1
-        assert p.schedule.theta[0] == pytest.approx(1e-2)
+        assert p.theta == pytest.approx(1e-2)
+
+    @pytest.mark.parametrize("n", [0, True, 2.5, 4.0])
+    def test_node_count_named(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r} must be an integer")):
+            derive_params(A, 0.1, 0.2, 0.1, n)
+
+    def test_walk_count_sums_theta_level_by_level(self):
+        """n_r sizes from theta added over levels 0..L one at a time.
+        c_nr puts the walk count on an integer, where (L + 1) * theta,
+        larger in the last bit here, would round n_r up by one."""
+        c_nr = 1.004806952823657
+        p = derive_params(A, 0.1, 0.2, 0.1, 100, c_theta=0.5, c_nr=c_nr)
+        assert (p.L, p.n_r) == (12, 162)
+        log_pf = math.log(1.0 / p.p_f)
+        assert math.ceil(c_nr * (13 * p.theta) * log_pf / (p.eps * p.delta)) == 163
 
 
-class TestLevelSchedule:
+class TestNewAlgoParams:
     @pytest.mark.parametrize("theta,gamma,bad", [
-        ((math.nan, 0.1), (0.5, 0.5), "theta[0]=nan"),
-        ((math.inf, 0.1), (0.5, 0.5), "theta[0]=inf"),
-        ((0.1, 0.0), (0.5, 0.5), "theta[1]=0.0"),
-        ((0.1, -1.0), (0.5, 0.5), "theta[1]=-1.0"),
-        ((0.1, 0.1), (0.5, math.nan), "gamma[1]=nan"),
-        ((0.1, 0.1), (math.inf, 0.5), "gamma[0]=inf"),
-        ((0.1, 0.1), (0.5, 1.5), "gamma[1]=1.5"),
-        ((0.1, 0.1), (0.0, 0.5), "gamma[0]=0.0"),
-        ((0.1, True), (0.5, 0.5), "theta[1]=True")])
-    def test_range_named_with_level(self, theta, gamma, bad):
+        (math.nan, 0.5, "theta=nan"),
+        (math.inf, 0.5, "theta=inf"),
+        (0.0, 0.5, "theta=0.0"),
+        (-1.0, 0.5, "theta=-1.0"),
+        (0.1, math.nan, "gamma=nan"),
+        (0.1, math.inf, "gamma=inf"),
+        (0.1, 1.5, "gamma=1.5"),
+        (0.1, 0.0, "gamma=0.0"),
+        (True, 0.5, "theta=True")])
+    def test_range_named(self, theta, gamma, bad):
         with pytest.raises(ValueError, match=re.escape(bad) + " outside"):
-            LevelSchedule(theta, gamma)
+            with_levels(2, theta, gamma)
 
     def test_bounds_accepted(self):
-        s = LevelSchedule((1e9, 1e-12), (1.0, 1e-12))
-        assert s.L == 1
+        assert with_levels(1, 1e9, 1e-12).L == 1
+        assert with_levels(np.int64(3), 0.1, 1.0).L == 3
 
-    def test_lengths_checked(self):
-        with pytest.raises(ValueError, match="length"):
-            LevelSchedule((0.1,), (0.5,))
-        with pytest.raises(ValueError, match="length"):
-            LevelSchedule((0.1, 0.1), (0.5, 0.5, 0.5))
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.5, None])
+    @pytest.mark.parametrize("name", ["L", "n_r", "n_s"])
+    def test_count_named(self, name, bad):
+        # n_s = 0 used to divide by zero in R_hat, n_r = 0 to index an empty sum
+        with pytest.raises(ValueError, match=re.escape(f"{name}={bad!r} must be an integer >= 1")):
+            dataclasses.replace(with_levels(2, 0.1, 0.5), **{name: bad})
+
+    def test_cached_record_frozen(self):
+        p = _cell_params(A, 0.1, 0.2, 0.1, 100)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.theta = 0.5
+        assert _cell_params(A, 0.1, 0.2, 0.1, 100) is p
 
 
 class TestRandPush:
     def test_fully_deterministic_push_equal_copies(self, rng):
         # chi = (1-A)/d_out >= gamma*theta for every in-neighbor
         g = fan_graph(n_in=5, d_out=4)
-        sched = LevelSchedule.uniform(2, 0.05, 1.0)  # thr = 0.05 < 0.2
-        st = fresh_state(g, 0, sched)
+        st = fresh_state(g, 0, with_levels(2, 0.05, 1.0))  # thr = 0.05 < 0.2
         rand_push_threshold(all_caps(g), 0, 0, st, rng)
         assert st.r_hat[1] == st.r_hat_prime[1]
         assert st.r_hat[1][0] == pytest.approx(1 - A)  # t's self-loop
@@ -133,8 +161,7 @@ class TestRandPush:
 
     def test_singleton_level0(self, rng):
         g = singleton_graph()
-        sched = LevelSchedule.uniform(1, 0.1, 1.0)
-        st = fresh_state(g, 0, sched)
+        st = fresh_state(g, 0, with_levels(1, 0.1, 1.0))
         rand_push_threshold(all_caps(g), 0, 0, st, rng)
         assert st.r_hat[1][0] == pytest.approx(1 - A)
 
@@ -144,13 +171,13 @@ class TestRandPush:
         g = fan_graph(n_in=6, d_out=d_out)
         chi = (1 - A) / d_out
         thr = 4 * chi  # gamma*theta above every chi: all increments random
-        sched = LevelSchedule((0.5, 0.5), (1.0, thr / 0.5))
+        params = with_levels(1, 0.5, thr / 0.5)
         reps = 100_000
         acc = np.zeros(2)  # increments to r_hat and r_hat_prime of u=1
         rng = np.random.default_rng(777)
         o = all_caps(g)
         for _ in range(reps):
-            st = fresh_state(g, 0, sched)
+            st = fresh_state(g, 0, params)
             rand_push_threshold(o, 0, 0, st, rng)
             acc[0] += st.r_hat[1].get(1, 0.0)
             acc[1] += st.r_hat_prime[1].get(1, 0.0)
@@ -165,13 +192,13 @@ class TestRandPush:
         g = fan_graph(n_in=3, d_out=d_out)
         chi = (1 - A) / d_out
         thr = 4 * chi
-        sched = LevelSchedule((0.5, 0.5), (1.0, thr / 0.5))
+        params = with_levels(1, 0.5, thr / 0.5)
         rng = np.random.default_rng(42)
         o = all_caps(g)
         reps = 40_000
         both = 0
         for _ in range(reps):
-            st = fresh_state(g, 0, sched)
+            st = fresh_state(g, 0, params)
             rand_push_threshold(o, 0, 0, st, rng)
             if st.r_hat[1].get(1) and st.r_hat_prime[1].get(1):
                 both += 1
@@ -184,8 +211,8 @@ class TestRandPush:
         # must always equal a rebuild from the push amounts
         g, t = relay_fan_graph(n_in=40, n_relays=2, relay_out=8,
                                in_nbr_out=10)
-        sched = LevelSchedule.uniform(3, 0.01, 1.0)
-        st = fresh_state(g, t, sched, tau=0.01)
+        params = with_levels(3, 0.01, 1.0, tau=0.01)
+        st = fresh_state(g, t, params)
         o = all_caps(g)
 
         def rebuilt_contrib():
@@ -206,7 +233,7 @@ class TestRandPush:
             return tot / g.out_degrees[u] + seed
 
         readings = []
-        for i in range(sched.L):
+        for i in range(params.L):
             for v in sorted(st.r_hat_prime[i]):
                 rand_push_threshold(o, v, i, st, rng)
                 contrib = rebuilt_contrib()
@@ -231,9 +258,8 @@ class TestBackwardPhase:
 
     def test_singleton_reserve_converges(self, rng):
         g = singleton_graph()
-        sched = LevelSchedule.uniform(30, 1e-4, 1.0)
-        params = derive_params(A, 0.5, 0.2, 0.1, 1)
-        params.schedule = sched
+        params = dataclasses.replace(derive_params(A, 0.5, 0.2, 0.1, 1),
+                                     L=30, theta=1e-4, gamma=1.0)
         st = backward_phase(all_caps(g), 0, params, rng)
         assert st.p_hat[0] >= 1 - (1 - A) ** 30 - 1e-9
 
@@ -242,6 +268,15 @@ class TestBackwardPhase:
         params = derive_params(A, 0.1, 0.2, 0.1, 2)
         with pytest.raises(CapabilityDisabled):
             backward_phase(OracleHandle(g), 1, params, rng)
+
+    @pytest.mark.parametrize("t", [7, -1, 1.0, True, None])
+    def test_target_named(self, t, rng):
+        # t = 7 used to raise a bare IndexError, t = 1.0 a memoryview TypeError
+        o = all_caps(random_graph(0, 3))
+        params = derive_params(A, 0.1, 0.2, 0.1, 3)
+        with pytest.raises(NodeIdOutOfRange, match=re.escape(f"t={t!r} outside [0, 3)")):
+            backward_phase(o, t, params, rng)
+        assert o.stats.total == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_termination_bound_hard(self, seed):
@@ -260,9 +295,9 @@ class TestBackwardPhase:
         pi_row = exact_single_source(g, s, A, 1e-13).values
         pi_st = pi_row[t]
         assert pi_st > 0
-        sched = LevelSchedule.uniform(4, 0.02, 0.5)
-        params = derive_params(A, 0.1, 0.2, 0.1, g.node_count)
-        params.schedule = sched
+        params = dataclasses.replace(
+            derive_params(A, 0.1, 0.2, 0.1, g.node_count),
+            L=4, theta=0.02, gamma=0.5)
         reps = 10_000
         vals = np.empty(reps)
         rng = np.random.default_rng(9)
@@ -284,20 +319,19 @@ class TestBackwardPhase:
         s = 11
         n = g.node_count
         pi_row = exact_single_source(g, s, A, 1e-13).values
-        sched = LevelSchedule.uniform(4, 0.02, 0.5)
+        params = with_levels(4, 0.02, 0.5)
         reps = 4000
         vals = np.empty(reps)
         rng = np.random.default_rng(44)
         for rep in range(reps):
-            st = fresh_state(g, t, sched)
+            st = fresh_state(g, t, params)
             o = all_caps(g, rep)
             done = 0
-            for i in range(sched.L):
+            for i in range(params.L):
                 if done >= 3:
                     break
-                th = sched.theta[i]
                 for v in sorted(v for v, x in st.r_hat_prime[i].items()
-                                if x > th):
+                                if x > params.theta):
                     rand_push_threshold(o, v, i, st, rng)
                     done += 1
                     if done >= 3:
@@ -320,9 +354,9 @@ class TestBackwardPhase:
         for gm in gammas:
             tot = 0
             for seed in range(60):
-                sched = LevelSchedule.uniform(4, 0.01, gm)
-                params = derive_params(A, 0.1, 0.2, 0.1, g.node_count)
-                params.schedule = sched
+                params = dataclasses.replace(
+                    derive_params(A, 0.1, 0.2, 0.1, g.node_count),
+                    L=4, theta=0.01, gamma=gm)
                 o = all_caps(g, seed)
                 backward_phase(o, t, params, np.random.default_rng(seed))
                 tot += o.stats.total
@@ -352,9 +386,9 @@ class TestEstimators:
         d_out = 16
         g = fan_graph(n_in=6, d_out=d_out)
         chi = (1 - A) / d_out
-        sched = LevelSchedule((0.5, 0.5), (1.0, (4 * chi) / 0.5))
-        params = derive_params(A, 0.1, 0.2, 0.1, g.node_count)
-        params.schedule = sched
+        params = dataclasses.replace(
+            derive_params(A, 0.1, 0.2, 0.1, g.node_count),
+            L=1, theta=0.5, gamma=(4 * chi) / 0.5)
         reps = 10_000
         u = 1
         acc = np.empty(reps)
@@ -420,8 +454,7 @@ class TestEstimators:
         # R_i(u) <= 2 theta_i and R_L(u) <= theta_L hold in >= 99% of cases
         g, meta = self._sp_avg_desk()
         params = derive_params(A, 0.01, 0.2, 0.1, g.node_count)
-        sched = params.schedule
-        L = sched.L
+        L, theta = params.L, params.theta
         rng = np.random.default_rng(23)
         checks = mid_viol = last_viol = 0
         for seed in range(200):
@@ -436,10 +469,10 @@ class TestEstimators:
                 for i, ri in per_level.items():
                     if i < L and st.indicator(u, i):
                         checks += 1
-                        if ri > 2 * sched.theta[i]:
+                        if ri > 2 * theta:
                             mid_viol += 1
                 rl = per_level.get(L, 0.0)
-                if rl > sched.theta[L]:
+                if rl > theta:
                     last_viol += 1
         assert checks > 0
         assert mid_viol <= 0.01 * checks
@@ -466,6 +499,11 @@ class TestEstimators:
             with pytest.raises(NodeIdOutOfRange,
                                match=rf"^terminal {bad} outside \[0, {n}\)"):
                 estimate_R_hat(o, st, [0, n - 1, bad, 1], params, rng)
+            assert seen() == before
+        # [1.7] used to score node 1
+        for bad in ([1.7], [0, 1.5], [True], np.array([1.0])):
+            with pytest.raises(NodeIdOutOfRange, match="is not an integer type"):
+                estimate_R_hat(o, st, bad, params, rng)
             assert seen() == before
         assert estimate_R_hat(o, st, [n - 1, 0], params, rng).shape == (2,)
 

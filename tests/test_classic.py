@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,9 +236,10 @@ class TestPowerIteration:
         assert list(got.items()) == list(want.items())
         assert a.stats.as_dict() == b.stats.as_dict()
 
-    @pytest.mark.parametrize("L", [0, -1])
+    @pytest.mark.parametrize("L", [0, -1, True, 2.5])
     def test_levels_below_one(self, L):
-        with pytest.raises(ValueError, match=r"\bL\b"):
+        # L = True used to run one level, and L = 2.5 failed inside range()
+        with pytest.raises(ValueError, match=re.escape(f"L={L!r} must be an integer >= 1")):
             power_iteration_target(handle(chain_graph()), 1, A, L)
 
     def test_singleton_tail(self):
@@ -376,11 +378,11 @@ class TestRbs:
         with pytest.raises(ValueError, match="theta"):
             rbs_single_target(o, 1, A, 0.1, theta, rng, L=3)
 
-    @pytest.mark.parametrize("L", [0, -1])
+    @pytest.mark.parametrize("L", [0, -1, True, 2.5])
     def test_levels_below_one(self, L, rng):
         # L = 0 used to return {t: alpha}
         o = OracleHandle(chain_graph(), Capabilities(in_sorted=True))
-        with pytest.raises(ValueError, match=r"\bL\b"):
+        with pytest.raises(ValueError, match=re.escape(f"L={L!r} must be an integer >= 1")):
             rbs_single_target(o, 1, A, 0.1, 0.01, rng, L=L)
 
     @pytest.mark.parametrize("name,bad", [

@@ -15,7 +15,7 @@ generator and has to be called out in CHANGES.md.
 
 import functools
 import hashlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -23,8 +23,7 @@ import pytest
 from pprquery import (Capabilities, GraphError, OracleHandle,
                       exact_pagerank, exact_single_source,
                       exact_single_target)
-from pprquery.bidir import (LevelSchedule, backward_phase, derive_params,
-                            single_pair_ppr)
+from pprquery.bidir import backward_phase, derive_params, single_pair_ppr
 from pprquery.harness import ALGORITHMS, ExperimentConfig, emit, run_experiment
 from pprquery.instances import (FAMILIES, InstanceSpec,
                                 SpecConstraintViolation, generate,
@@ -314,9 +313,8 @@ def test_randomized_push_state():
     # randomized sorted scans run; the instance families above never
     # reach them at these sizes
     g, t = relay_fan_graph(n_in=120, n_relays=4, relay_out=16, in_nbr_out=12)
-    params = derive_params(0.2, 0.05, 0.5, 0.1, g.node_count)
-    params.schedule = LevelSchedule.uniform(3, 0.004, 1.0)
-    params.tau = 0.004
+    params = replace(derive_params(0.2, 0.05, 0.5, 0.1, g.node_count),
+                     L=3, theta=0.004, gamma=1.0, tau=0.004)
     caps = Capabilities.all()
     o = OracleHandle(g, caps, seed=3)
     st = backward_phase(o, t, params, np.random.default_rng(5))

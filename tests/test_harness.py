@@ -11,7 +11,7 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               CapabilityMismatch, ConfigError,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
-from pprquery import (cli, generate, harness, save_edge_list, single_node,
+from pprquery import (bidir, cli, generate, harness, save_edge_list,
                       exact_single_target, exact_pagerank)
 from conftest import chain_graph, mean_queries_by_cell
 
@@ -59,12 +59,12 @@ class TestRunExperiment:
         """The trials of a cell share one derive_params call (a miss of
         its cache).  sn_avg_full derives at delta = alpha/(2n), whatever
         the cell's delta, so its cells on one instance share one call."""
-        single_node._cell_params.cache_clear()
+        bidir._cell_params.cache_clear()
         rows = run_experiment(tiny_config(
             algorithm=algorithm, capabilities=["jump", "in_sorted", "adj"],
             deltas=deltas, trials=3, multipliers={"c_nr": 2.0}))
         calls = len(deltas) if algorithm == "single_pair_ppr" else 1
-        info = single_node._cell_params.cache_info()
+        info = bidir._cell_params.cache_info()
         assert (info.misses, info.hits) == (calls, len(rows) - calls)
 
     def test_capability_mismatch(self):
