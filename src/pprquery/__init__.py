@@ -6,7 +6,7 @@ from .graph import (DirectedGraph, build_graph, load_edge_list,
                     NodeIdOutOfRange, GraphError)
 from .oracle import (OracleHandle, Capabilities, QueryStats,
                      CapabilityDisabled, IndexOutOfRange)
-from .exact import (PprVector, exact_single_source, exact_single_target,
+from .exact import (exact_single_source, exact_single_target,
                     exact_pagerank, brute_force_pair, ExplosionGuard,
                     dump_csv)
 from .classic import (PushFrontier, monte_carlo_pair, push_back,

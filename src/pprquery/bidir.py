@@ -63,7 +63,7 @@ class NewAlgoParams:
     constraint_margins: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_params(theta=self.theta, gamma=self.gamma)
+        check_params(theta=self.theta, gamma=self.gamma, tau=self.tau)
         check_counts(L=self.L, n_r=self.n_r, n_s=self.n_s)
 
 
@@ -165,10 +165,16 @@ def rand_push_threshold(o, v, i, state, rng):
     increment in both copies; past it, two independent scans with their
     own uniform thresholds add gamma*theta increments, each stopping at
     the first in-neighbor whose increment falls below its threshold.
+    Raises ValueError before any write unless 0 <= i < L and v holds an
+    unpushed residue copy at level i.
     """
     p = state.params
-    if i >= p.L:
-        raise ValueError(f"push level {i} out of range (L={p.L})")
+    if not 0 <= i < p.L:
+        raise ValueError(f"push level i={i!r} outside [0, {p.L})")
+    if v not in state.r_hat_prime[i]:
+        raise ValueError(f"v={v!r} holds no residue copy at level {i}")
+    if v in state.pushed_amount[i]:
+        raise ValueError(f"v={v!r} already pushed at level {i}")
     alpha = p.alpha
     amount = state.r_hat[i].get(v, 0.0)
     state.pushed_amount[i][v] = amount

@@ -38,15 +38,16 @@ _scratch = threading.local()  # walk and R_hat arrays, see _scratch_array
 
 # name -> (upper bound, bound included)
 _RANGES = {"alpha": (1.0, False), "eps": (1.0, False), "p_f": (1.0, False),
-           "tol": (1.0, False), "delta": (1.0, True), "gamma": (1.0, True)}
+           "tol": (1.0, False), "delta": (1.0, True), "gamma": (1.0, True),
+           "tau": (math.inf, True)}
 
 
 def check_params(**named):
     """Raise ValueError naming the first value outside its range: alpha,
-    eps, p_f and tol in (0,1), delta and gamma in (0,1], any other name
-    (a multiplier, r_max or theta) in (0,inf).  bool and non-numbers
-    are rejected.  Every estimator calls this before its first query or
-    random draw."""
+    eps, p_f and tol in (0,1), delta and gamma in (0,1], tau in (0,inf]
+    (inf leaves V_P empty), any other name (a multiplier, r_max or
+    theta) in (0,inf).  bool and non-numbers are rejected.  Every
+    estimator calls this before its first query or random draw."""
     for name, val in named.items():
         hi, closed = _RANGES.get(name, (math.inf, False))
         if (isinstance(val, bool) or not isinstance(val, numbers.Real)
@@ -231,12 +232,9 @@ def approx_contributions(o, t, alpha, r_max):
     check_params(alpha=alpha, r_max=r_max)
     state = PushFrontier(r_max=r_max)
     state.add_residue(t, 1.0)
+    # a queued residue only grows until popped, so each pop is eligible
     while state.active:
-        v = state.active.popleft()
-        if state.r.get(v, 0.0) >= r_max:
-            push_back(o, v, state, alpha)
-        else:
-            state.queued.discard(v)
+        push_back(o, state.active.popleft(), state, alpha)
     return state
 
 

@@ -19,7 +19,6 @@ with the adjacency-list iteration above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,24 +28,6 @@ from .graph import check_nodes, csr_entries
 
 class ExplosionGuard(ValueError):
     """brute_force_pair only accepts tiny graphs (dense matrix powers)."""
-
-
-@dataclass
-class PprVector:
-    """Per-node probabilities anchored at a fixed source or target.
-
-    direction is "source" (values[t] ~ pi(anchor,t)), "target"
-    (values[s] ~ pi(s,anchor)) or "pagerank" (values[t] ~ pi(t),
-    anchor None).
-    """
-
-    values: np.ndarray
-    anchor: int | None
-    direction: str
-    tolerance: float
-
-    def __getitem__(self, v):
-        return float(self.values[v])
 
 
 def _reach(ptr, nbrs, root, depth):
@@ -129,23 +110,23 @@ def _propagate(g, init, alpha, tol, backward):
 
 
 def exact_single_source(g, s, alpha, tol=1e-12):
-    """pi(s, .) for all targets, each entry within tol of the truth.
+    """pi(s, .) for all targets as a float64 n-vector, each entry within
+    tol of the truth.
 
     Raises NodeIdOutOfRange unless s is a node id (exact_single_target
     likewise for t) and, like every solver here, ValueError for alpha or
     tol outside (0, 1)."""
-    return PprVector(_propagate(g, s, alpha, tol, False), s, "source", tol)
+    return _propagate(g, s, alpha, tol, False)
 
 
 def exact_single_target(g, t, alpha, tol=1e-12):
     """pi(., t) for all sources via the backward form of the recurrence."""
-    return PprVector(_propagate(g, t, alpha, tol, True), t, "target", tol)
+    return _propagate(g, t, alpha, tol, True)
 
 
 def exact_pagerank(g, alpha, tol=1e-12):
     """pi(t) = (1/n) sum_s pi(s,t): forward iteration from uniform mass."""
-    return PprVector(_propagate(g, None, alpha, tol, False), None,
-                     "pagerank", tol)
+    return _propagate(g, None, alpha, tol, False)
 
 
 def brute_force_pair(g, s, t, alpha, horizon):
@@ -173,9 +154,9 @@ def brute_force_pair(g, s, t, alpha, horizon):
     return float(total)
 
 
-def dump_csv(vec, path):
-    """Write a PprVector as "node,value" rows."""
+def dump_csv(values, path):
+    """Write a solver's vector as "node,value" rows."""
     with open(path, "w") as f:
         f.write("node,value\n")
-        for v, x in enumerate(vec.values):
+        for v, x in enumerate(values):
             f.write(f"{v},{float(x)!r}\n")

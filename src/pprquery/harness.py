@@ -254,9 +254,9 @@ def _run_cell(cfg, cell):
     exact = None
     if g.node_count <= cfg.exact_cap:
         if variant == "node":
-            exact = exact_pagerank(g, cfg.alpha)[t]
+            exact = float(exact_pagerank(g, cfg.alpha)[t])
         else:
-            exact = exact_single_source(g, s, cfg.alpha)[t]
+            exact = float(exact_single_source(g, s, cfg.alpha)[t])
     results = []
     for trial in range(cfg.trials):
         ss = np.random.SeedSequence((cfg.master_seed, cell, trial))

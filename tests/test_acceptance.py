@@ -94,7 +94,7 @@ def _trivial_cases():
 
 def _random_case(seed, delta):
     g = random_graph(10_000 + seed, 500, d=8)
-    row = exact_single_source(g, 0, A, 1e-13).values
+    row = exact_single_source(g, 0, A, 1e-13)
     t = int(np.argmin(np.abs(row[1:] - delta))) + 1
     return g, 0, t, float(row[t])
 
@@ -208,7 +208,7 @@ def test_criterion_3_push_invariant():
         n = 20 + (seed % 9) * 10  # 20..100
         g = random_graph(500 + seed, n, d=4)
         s, t = 1 % n, (7 * seed + 3) % n
-        pi_row = exact_single_source(g, s, A, 1e-13).values
+        pi_row = exact_single_source(g, s, A, 1e-13)
         o = _oracle(g, seed)
         st = PushFrontier(r_max=r_max)
         st.add_residue(t, 1.0)
@@ -218,7 +218,7 @@ def test_criterion_3_push_invariant():
             lhs = st.p.get(s, 0.0) + sum(pi_row[u] * ru
                                          for u, ru in st.r.items() if ru)
             worst_inv = max(worst_inv, abs(lhs - pi_row[t]))
-        tv = exact_single_target(g, t, A, 1e-13).values
+        tv = exact_single_target(g, t, A, 1e-13)
         for u in range(n):
             pu = st.p.get(u, 0.0)
             worst_sandwich = max(worst_sandwich, pu - tv[u],
@@ -241,7 +241,7 @@ def test_criterion_4_power_iteration():
         for t in range(0, 50, 10):
             o = _oracle(g, seed)
             est = power_iteration_target(o, t, A, L)
-            tv = exact_single_target(g, t, A, 1e-13).values
+            tv = exact_single_target(g, t, A, 1e-13)
             for s in range(50):
                 worst_err = max(worst_err, abs(est.get(s, 0.0) - tv[s]))
             for s in (0, 23, 41):
@@ -277,7 +277,7 @@ def test_criterion_5_unbiasedness_chain():
     # -- chain graph: everything deterministic, equalities exact ---------
     g = chain_graph()
     params = derive_params(A, 0.1, EPS, P_F, 2)
-    pi_row = exact_single_source(g, 0, A, 1e-13).values
+    pi_row = exact_single_source(g, 0, A, 1e-13)
     rng = np.random.default_rng(1)
     r_tot, R_tot, inv = [], [], []
     for i in range(200):
@@ -293,7 +293,7 @@ def test_criterion_5_unbiasedness_chain():
 
     # -- wide sp_avg: randomized increments active --------------------------
     g3, meta = _wide_sp_avg()
-    pi_row3 = exact_single_source(g3, meta.s, A, 1e-13).values
+    pi_row3 = exact_single_source(g3, meta.s, A, 1e-13)
     params3 = dataclasses.replace(  # thr ~ 0.01 > chi(U2)
         derive_params(A, 0.005, EPS, P_F, g3.node_count),
         L=18, theta=0.0292, gamma=0.342)
@@ -413,7 +413,7 @@ def test_criterion_8_single_node(name):
     t0 = time.perf_counter()
     g = random_graph(4242, 200, d=8)
     pr = exact_pagerank(g, A, 1e-13)
-    order = np.argsort(pr.values)
+    order = np.argsort(pr)
     targets = [int(order[0]), int(order[50]), int(order[100]), int(order[-1])]
     caps = {"sn_adaptive": Capabilities(in_sorted=True),
             "sn_avg_jump": Capabilities(jump=True),

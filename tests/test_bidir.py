@@ -131,6 +131,12 @@ class TestNewAlgoParams:
     def test_bounds_accepted(self):
         assert with_levels(1, 1e9, 1e-12).L == 1
         assert with_levels(np.int64(3), 0.1, 1.0).L == 3
+        assert with_levels(1, 0.1, 1.0, tau=math.inf).tau == math.inf
+
+    @pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0, True])
+    def test_tau_named(self, tau):
+        with pytest.raises(ValueError, match=re.escape(f"tau={tau!r} outside (0,inf]")):
+            with_levels(2, 0.1, 0.5, tau=tau)
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.5, None])
     @pytest.mark.parametrize("name", ["L", "n_r", "n_s"])
@@ -164,6 +170,36 @@ class TestRandPush:
         st = fresh_state(g, 0, with_levels(1, 0.1, 1.0))
         rand_push_threshold(all_caps(g), 0, 0, st, rng)
         assert st.r_hat[1][0] == pytest.approx(1 - A)
+
+    @pytest.mark.parametrize("v,i,msg", [
+        (0, -1, "push level i=-1 outside [0, 2)"),  # would index from the end
+        (0, 2, "push level i=2 outside [0, 2)"),
+        (99, 0, "v=99 holds no residue copy at level 0"),  # not a node
+        (1, 0, "v=1 holds no residue copy at level 0"),
+        (0, 1, "v=0 holds no residue copy at level 1")],
+        ids=["negative_level", "level_L", "not_a_node", "no_residue",
+             "next_level"])
+    def test_push_outside_state_named(self, v, i, msg, rng):
+        g = random_graph(0, 30)
+        o = all_caps(g)
+        st = fresh_state(g, 0, with_levels(2, 0.1, 1.0))
+        snapshot = repr(st)
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            rand_push_threshold(o, v, i, st, rng)
+        assert repr(st) == snapshot and o.stats.total == 0
+
+    def test_second_push_named(self, rng):
+        # a second push would overwrite pushed_amount 1.0 with the zeroed
+        # residue while contrib kept the first push's entry
+        g = random_graph(0, 30)
+        o = all_caps(g)
+        st = fresh_state(g, 0, with_levels(2, 0.1, 1.0))
+        rand_push_threshold(o, 0, 0, st, rng)
+        snapshot, queries = repr(st), o.stats.total
+        with pytest.raises(ValueError, match=re.escape("v=0 already pushed at level 0")):
+            rand_push_threshold(o, 0, 0, st, rng)
+        assert repr(st) == snapshot and o.stats.total == queries
+        assert st.pushed_amount[0] == {0: 1.0} and st.push_counts[0] == 1
 
     def test_increment_unbiasedness_4sigma(self):
         # randomized region: chi = (1-A)/d_out below gamma*theta
@@ -292,7 +328,7 @@ class TestBackwardPhase:
         # increments active (relay-style funnel, thr above every chi)
         g, t = relay_fan_graph(n_in=40, n_relays=2, relay_out=8, in_nbr_out=10)
         s = 11  # one of the in-neighbors of the relays
-        pi_row = exact_single_source(g, s, A, 1e-13).values
+        pi_row = exact_single_source(g, s, A, 1e-13)
         pi_st = pi_row[t]
         assert pi_st > 0
         params = dataclasses.replace(
@@ -318,7 +354,7 @@ class TestBackwardPhase:
         g, t = relay_fan_graph(n_in=40, n_relays=2, relay_out=8, in_nbr_out=10)
         s = 11
         n = g.node_count
-        pi_row = exact_single_source(g, s, A, 1e-13).values
+        pi_row = exact_single_source(g, s, A, 1e-13)
         params = with_levels(4, 0.02, 0.5)
         reps = 4000
         vals = np.empty(reps)
@@ -437,7 +473,7 @@ class TestEstimators:
         rng = np.random.default_rng(17)
         o = all_caps(g, 8)
         st = backward_phase(o, meta.t, params, rng)
-        pi_row = exact_single_source(g, meta.s, A, 1e-13).values
+        pi_row = exact_single_source(g, meta.s, A, 1e-13)
         want = st.p_hat.get(meta.s, 0.0) + sum(
             pi_row[u] * compute_R(g, st, u) for u in range(g.node_count)
             if compute_R(g, st, u) > 0)

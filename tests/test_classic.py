@@ -121,7 +121,7 @@ class TestPushBack:
         g = random_graph(seed, 40)
         o = handle(g)
         s, t = 3, 17
-        pi_row = exact_single_source(g, s, A, 1e-13).values
+        pi_row = exact_single_source(g, s, A, 1e-13)
         st = PushFrontier(r_max=0.05)
         st.add_residue(t, 1.0)
         pi_st = pi_row[t]

@@ -42,6 +42,16 @@ class TestTrivialValues:
         assert v[1] == pytest.approx(0.4, abs=1e-12)
         assert v[2] == pytest.approx(0.4, abs=1e-12)
 
+    @pytest.mark.parametrize("solve", [
+        lambda g: exact_single_source(g, 3, ALPHA),
+        lambda g: exact_single_target(g, 3, ALPHA),
+        lambda g: exact_pagerank(g, ALPHA)])
+    def test_returns_float64_vector(self, solve):
+        g = random_graph(0, 12)
+        v = solve(g)
+        assert type(v) is np.ndarray
+        assert v.dtype == np.float64 and v.shape == (g.node_count,)
+
 
 class TestInvariants:
     TOL = 1e-12
@@ -62,20 +72,20 @@ class TestInvariants:
         g = random_graph(seed, 40)
         for s in (0, 17, 39):
             v = exact_single_source(g, s, ALPHA, self.TOL)
-            assert abs(v.values.sum() - 1.0) <= g.node_count * self.TOL
+            assert abs(v.sum() - 1.0) <= g.node_count * self.TOL
             assert v[s] >= ALPHA - self.TOL
 
     def test_pagerank_floor(self):
         g = random_graph(9, 30)
         v = exact_pagerank(g, ALPHA)
-        assert v.values.min() >= ALPHA / g.node_count - 1e-12
-        assert abs(v.values.sum() - 1.0) <= g.node_count * 1e-12
+        assert v.min() >= ALPHA / g.node_count - 1e-12
+        assert abs(v.sum() - 1.0) <= g.node_count * 1e-12
 
     def test_pagerank_is_average_of_sources(self):
         g = random_graph(4, 15)
         n = g.node_count
-        avg = sum(exact_single_source(g, s, ALPHA).values for s in range(n)) / n
-        assert np.allclose(avg, exact_pagerank(g, ALPHA).values, atol=1e-11)
+        avg = sum(exact_single_source(g, s, ALPHA) for s in range(n)) / n
+        assert np.allclose(avg, exact_pagerank(g, ALPHA), atol=1e-11)
 
 
 class TestBruteForce:
@@ -257,11 +267,11 @@ class TestSupportRestriction:
     def test_bit_equal_to_dense_loop(self, case, alpha, tol):
         g, anchors = case
         for x in anchors:
-            assert exact_single_source(g, x, alpha, tol).values.tobytes() == \
+            assert exact_single_source(g, x, alpha, tol).tobytes() == \
                 reference_propagate(g, x, alpha, tol, False).tobytes()
-            assert exact_single_target(g, x, alpha, tol).values.tobytes() == \
+            assert exact_single_target(g, x, alpha, tol).tobytes() == \
                 reference_propagate(g, x, alpha, tol, True).tobytes()
-        assert exact_pagerank(g, alpha, tol).values.tobytes() == \
+        assert exact_pagerank(g, alpha, tol).tobytes() == \
             reference_propagate(g, None, alpha, tol, False).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -280,7 +290,7 @@ class TestSupportRestriction:
                         (True, g.in_ptr, g.in_nbrs, exact_single_target)):
                     support = _reach(ptr, nbrs, x, K)
                     restricted += 40 < support.size <= n // 2
-                    assert solve(g, x, 0.3, tol).values.tobytes() == \
+                    assert solve(g, x, 0.3, tol).tobytes() == \
                         reference_propagate(g, x, 0.3, tol, backward).tobytes()
         assert restricted >= 4
 
@@ -288,8 +298,8 @@ class TestSupportRestriction:
         # every node is reachable, but only the K + 1 nearest hold mass
         g = cycle_graph(1000)
         v = exact_single_source(g, 10, 0.5, 1e-6)
-        assert np.flatnonzero(v.values).tolist() == list(range(10, 31))
-        assert v.values.tobytes() == \
+        assert np.flatnonzero(v).tolist() == list(range(10, 31))
+        assert v.tobytes() == \
             reference_propagate(g, 10, 0.5, 1e-6, False).tobytes()
 
     @settings(max_examples=150, deadline=None)

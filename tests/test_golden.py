@@ -200,7 +200,7 @@ GRID_DIGESTS = {
     "sp_worst_missing_swap": "44974931893362c14e03e0bd5a788a4999132ee8f314199071376ee566ade6f9",
 }
 
-# name -> sha256 of the .values bytes of each exact solve at alpha 0.2 on
+# name -> sha256 of the float64 bytes of each exact solve at alpha 0.2 on
 # the GRID_PRESETS graph (the relay fan: relay_fan_graph() with s its
 # first in-neighbor tier node); s is 0 where the instance has none
 EXACT_DIGESTS = {
@@ -305,7 +305,7 @@ def test_exact_grid(name, mode):
     vec = {"source": lambda: exact_single_source(g, s, 0.2),
            "target": lambda: exact_single_target(g, t, 0.2),
            "pagerank": lambda: exact_pagerank(g, 0.2)}[mode]()
-    assert _sha(vec.values.tobytes()) == EXACT_DIGESTS[name, mode]
+    assert _sha(vec.tobytes()) == EXACT_DIGESTS[name, mode]
 
 
 def test_randomized_push_state():

@@ -97,6 +97,16 @@ class TestRunExperiment:
             want = abs(r.estimate - r.exact) < r.eps * max(r.exact, r.delta)
             assert r.success == want
 
+    @pytest.mark.parametrize("algorithm,caps", [("monte_carlo", []),
+                                                ("sn_avg_jump", ["jump"])])
+    def test_exact_is_python_float(self, algorithm, caps):
+        # the pair and node variants read one entry of a float64 vector;
+        # a numpy scalar would print as np.float64(...) under numpy 2
+        rows = run_experiment(tiny_config(algorithm=algorithm,
+                                          capabilities=caps))
+        assert {type(r.exact) for r in rows} == {float}
+        assert {type(r.success) for r in rows} == {bool}
+
     def test_file_instance(self, tmp_path):
         p = tmp_path / "chain.txt"
         save_edge_list(chain_graph(), p)
@@ -202,7 +212,7 @@ class TestCli:
         assert cli.main(["exact", "--graph", str(edge), "--mode", mode,
                          "--node", node, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        want = solve(chain_graph()).values
+        want = solve(chain_graph())
         assert lines[0] == "node,value" and len(lines) == 1 + len(want)
         assert [float(x.split(",")[1]) for x in lines[1:]] == want.tolist()
 
