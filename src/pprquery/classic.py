@@ -253,25 +253,29 @@ def _leveled_backward(o, t, alpha, L, push):
     order (single_node_adaptive sums the values in that order).
 
     Level 0 is residue 1 on t.  push(vs, rv) takes a level's nodes with
-    positive residue and returns its pushes (us, x) in push order.  The
-    next level holds each pushed node once, in first-appearance order,
-    with the sum of its pushes added left to right from 0.0 (bincount),
-    so values, key order and queries are those of a dict filled push by
-    push.
+    positive residue and returns its pushes (us, x) in push order.  Node
+    ids are intp throughout, as the scan batches return them, so no
+    index converts them again; rbs drops the entries that ended their
+    scans by in_sorted_scans' stop flag.  The next level holds each
+    pushed node once, in first-appearance order, with the sum of its
+    pushes added left to right from 0.0 (bincount), so values, key
+    order and queries are those of a dict filled push by push.
     """
     check_counts(L=L)
     n = o.node_count
     est = np.zeros(n)
     slot = np.empty(n, dtype=np.intp)
-    vs, rv = np.array([t], dtype=np.int64), np.ones(1)
+    vs, rv = np.array([t], dtype=np.intp), np.ones(1)
     levels = []
     for level in range(L + 1):
         est[vs] += alpha * rv
         levels.append(vs)
         if level == L:
             break
-        live = rv > 0.0
-        us, x = push(vs[live], rv[live])
+        if not rv.all():  # residues are >= 0: drop the zeros
+            live = rv > 0.0
+            vs, rv = vs[live], rv[live]
+        us, x = push(vs, rv)
         if not us.size:  # later levels would add, charge, draw nothing
             break
         vs = us[_first_seen(us, slot)]
@@ -343,22 +347,26 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     check_params(alpha=alpha, delta=delta, eps=eps, theta=theta)
     if L is None:
         L = rbs_levels(alpha, delta, eps)
+    # chi < theta as chi <= below: theta's float predecessor
+    below = np.nextafter(theta, 0.0)
 
     def push(vs, rv):
         order = vs.argsort()
         vs = vs[order]
         spread = (1.0 - alpha) * rv[order]
-        rand = rng.random(vs.size) * theta
+        # a list stops at its first chi = spread / d below both theta and
+        # its uniform threshold: chi <= lim
+        lim = np.minimum(rng.random(vs.size) * theta, below)
 
         def stop(rows, d):
-            chi = spread[rows] / d
-            return (chi < theta) & (chi <= rand[rows])
+            return spread[rows] / d <= lim[rows]
 
-        us, d, rows = o.in_sorted_scans(vs, stop)
-        chi = spread[rows] / d
-        big = chi >= theta
-        go = big | (chi > rand[rows])  # not stop(rows, d)
-        return us[go], np.where(big, chi, theta)[go]
+        us, d, rows, stopped = o.in_sorted_scans(vs, stop)
+        x = np.maximum(spread[rows] / d, theta)  # chi, or theta below it
+        if np.count_nonzero(stopped):  # only a stopping entry pushes nothing
+            go = ~stopped
+            us, x = us[go], x[go]
+        return us, x
 
     return _leveled_backward(o, t, alpha, L, push)
 

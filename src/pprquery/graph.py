@@ -85,12 +85,11 @@ class DirectedGraph:
 
 def csr_entries(ptr, nodes):
     """Positions in a CSR neighbor array of every entry of `nodes`, in
-    node then list order, and the entry count of each node; O(entries),
-    no pass over the whole array."""
-    starts = ptr[nodes]
+    node then list order, and the entry count of each node, both intp;
+    O(entries), no pass over the whole array."""
+    starts = ptr[nodes].astype(np.intp)
     lens = ptr[nodes + 1] - starts
-    ends = np.cumsum(lens)
-    idx = np.repeat(starts - (ends - lens), lens)
+    idx = (starts - lens.cumsum() + lens).repeat(lens)
     idx += np.arange(idx.size)
     return idx, lens
 
@@ -132,9 +131,9 @@ def build_graph(edges, node_count):
             raise GraphError("every edge must be a (u, v) pair")
         pairs = pairs.reshape(-1, 2)
     src, dst = pairs[:, 0], pairs[:, 1]
-    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
-    if bad.any():
-        j = int(np.argmax(bad))
+    # two reductions test every id; the per-edge mask only names the edge
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        j = int(np.argmax(((pairs < 0) | (pairs >= n)).any(axis=1)))
         raise NodeIdOutOfRange(f"edge ({src[j]},{dst[j]}) with node_count={n}")
     key = src * n
     key += dst

@@ -15,7 +15,10 @@ query count; `walk_step_many`, a DEG-OUT and an OUT fused into one
 walk step, charges both.  The scan batches `in_scans` (whole IN
 lists) and `in_sorted_scans` (IN-SORTED prefixes) charge DEG-IN per
 list and IN or IN-SORTED plus DEG-OUT per entry read, as a loop of
-scalar queries would.
+scalar queries would.  They return the ids read as intp, converted
+once, so the caller's fancy indexes take them as they are, and
+`in_sorted_scans` also returns its stop predicate's value on each
+entry read, so the caller need not evaluate it again.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -292,31 +295,40 @@ class OracleHandle:
         """Read the in-lists of `vs` in the CSR array `lists`, each up to
         and including its first entry where `stop` holds (or all of it),
         charging DEG-IN per list and DEG-OUT per entry read.  Returns the
-        IN or IN-SORTED count to charge and (nbrs, degs, rows)."""
+        IN or IN-SORTED count to charge and (nbrs, degs, rows, stopped):
+        intp ids, int32 degrees, positions in `vs` and, with a `stop`,
+        whether each read entry stopped its list (None without)."""
         g = self.graph
-        vs = np.asarray(vs, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.intp)
         idx, lens = csr_entries(g.in_ptr, vs)
-        nbrs = lists[idx]
+        nbrs = lists[idx].astype(np.intp)
         degs, rows = g.out_deg[nbrs], np.arange(vs.size).repeat(lens)
+        halt = None
         if stop is not None:
-            # stop is monotone, so a list reads its non-stop prefix plus
-            # one: an entry is read unless the entry before it stopped
             halt = stop(rows, degs)
-            keep = np.ones(rows.size, dtype=bool)
-            keep[1:] = ~(halt[:-1] & (rows[1:] == rows[:-1]))
-            nbrs, degs, rows = nbrs[keep], degs[keep], rows[keep]
+            if np.count_nonzero(halt):
+                # stop is monotone, so a list reads its non-stop prefix
+                # plus one: an entry is read unless the entry before it
+                # in its list stopped
+                cut = np.zeros(halt.size + 1, dtype=bool)
+                cut[1:] = halt
+                cut[lens.cumsum() - lens] = False  # list starts
+                keep = np.flatnonzero(~cut[:-1])
+                nbrs, degs, rows, halt = (nbrs[keep], degs[keep], rows[keep],
+                                          halt[keep])
         paid = self._paid(nbrs)
         self.stats.deg_in += self._paid(vs)
         self.stats.deg_out += paid
-        return paid, (nbrs, degs, rows)
+        return paid, (nbrs, degs, rows, halt)
 
     def in_scans(self, vs):
         """Read the whole IN list of each node v of `vs`: DEG-IN(v), then
         IN(v, i) and DEG-OUT of its answer for every i, charging exactly
-        those queries.  Returns (nbrs, degs, rows), list after list."""
+        those queries.  Returns (nbrs, degs, rows), list after list: intp
+        ids, their out-degrees and their lists' positions in `vs`."""
         paid, read = self._scan(self.graph.in_nbrs, vs)
         self.stats.in_q += paid
-        return read
+        return read[:3]
 
     def in_sorted_scans(self, vs, stop):
         """Scan the IN-SORTED list of each node v of `vs`: DEG-IN(v), then
@@ -325,7 +337,10 @@ class OracleHandle:
         if none), charging exactly those queries.  stop(rows, degs) maps
         scan positions in `vs` and out-degrees to booleans and must be
         monotone along a list, which is sorted by out-degree.  Returns
-        (nbrs, degs, rows) of the scanned prefixes, scan after scan."""
+        (nbrs, degs, rows, stopped) of the scanned prefixes, scan after
+        scan: intp ids, their out-degrees, their lists' positions in `vs`
+        and stop's value on each, true only on an entry that ended its
+        list, so ~stopped is stop's complement without a second call."""
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
         paid, read = self._scan(self.graph.in_sorted, vs, stop)

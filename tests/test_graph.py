@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fnmatch import fnmatch
 
@@ -11,7 +12,7 @@ from pprquery import (build_graph, load_edge_list, save_edge_list,
                       DanglingNode, DuplicateEdge, GraphError, NodeIdOutOfRange,
                       OracleHandle, Capabilities, CapabilityDisabled,
                       IndexOutOfRange)
-from pprquery.graph import check_nodes
+from pprquery.graph import check_nodes, csr_entries
 from conftest import (chain_graph, in_list, out_list, random_graph,
                       singleton_graph)
 
@@ -47,6 +48,19 @@ class TestBuild:
     def test_out_of_range_rejected(self):
         with pytest.raises(NodeIdOutOfRange):
             build_graph([(0, 2)], 2)
+
+    @pytest.mark.parametrize("edges,cause", [
+        ([(0, 0), (1, 0), (2, 1), (0, 3), (-1, 1)], "edge (0,3)"),
+        (np.array([[0, 0], [-1, 1], [3, 0]]), "edge (-1,1)"),
+        ([(0, 0), (1, 1), (2, 2), (2, -5)], "edge (2,-5)")])
+    def test_out_of_range_names_first_bad_edge(self, edges, cause):
+        with pytest.raises(NodeIdOutOfRange, match=rf"^{re.escape(cause)} "):
+            build_graph(edges, 3)
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64)])
+    def test_no_edges_is_dangling(self, edges):
+        with pytest.raises(DanglingNode, match="node 0"):
+            build_graph(edges, 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariants_on_random_graphs(self, seed):
@@ -274,9 +288,9 @@ class CountingProxy:
         return nbrs, degs, rows
 
     def in_sorted_scans(self, vs, stop):
-        nbrs, degs, rows = self.inner.in_sorted_scans(vs, stop)
+        nbrs, degs, rows, stopped = self.inner.in_sorted_scans(vs, stop)
         self.calls += len(vs) + 2 * len(nbrs)
-        return nbrs, degs, rows
+        return nbrs, degs, rows, stopped
 
 
 _QUERY_PATTERNS = ("deg_*", "*_nbr*", "in_sorted*", "adj*", "jump*",
@@ -344,6 +358,36 @@ def saved_graphs(draw):
                                       extra)), axis=0)
     rng.shuffle(edges)
     return build_graph(edges, n)
+
+
+def _loop_entries(ptr, nodes):
+    return ([i for v in nodes for i in range(ptr[v], ptr[v + 1])],
+            [int(ptr[v + 1] - ptr[v]) for v in nodes])
+
+
+def _check_entries(ptr, nodes):
+    idx, lens = csr_entries(ptr, np.array(nodes, dtype=np.intp))
+    assert idx.dtype == lens.dtype == np.intp
+    assert (idx.tolist(), lens.tolist()) == _loop_entries(ptr, nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=saved_graphs(), data=st.data())
+def test_csr_entries_match_loop(g, data):
+    """csr_entries lists every entry of every node, repeats included,
+    in node then list order, as a loop over ptr does."""
+    for ptr in (g.in_ptr, g.out_ptr):
+        _check_entries(ptr, data.draw(st.lists(
+            st.integers(0, g.node_count - 1), max_size=20)))
+
+
+def test_csr_entries_empty_lists_and_no_nodes():
+    g = build_graph([(0, 1), (1, 1), (2, 1), (3, 2)], 4)  # d_in 0, 3, 1, 0
+    _check_entries(g.in_ptr, [0, 1, 3, 0, 2, 1, 0])
+    _check_entries(g.in_ptr, [0])
+    _check_entries(g.in_ptr, [])
+    assert _loop_entries(g.in_ptr, [3, 0, 2, 1]) == ([3, 0, 1, 2],
+                                                     [0, 0, 1, 3])
 
 
 class TestEdgeListIO:

@@ -261,11 +261,14 @@ def test_in_sorted_scans_match_scalar_scans(view, g, data):
         for i in range(a.deg_in(v)):
             u = a.in_sorted(v, i)
             d = a.deg_out(u)
-            want.append((u, d, j))
+            want.append((u, d, j, d >= bound[j]))
             if d >= bound[j]:
                 break
-    nbrs, degs, rows = b.in_sorted_scans(vs, lambda rows, d: d >= bound[rows])
-    assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist())) == want
+    nbrs, degs, rows, stopped = b.in_sorted_scans(
+        vs, lambda rows, d: d >= bound[rows])
+    assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist(),
+                    stopped.tolist())) == want
+    assert nbrs.dtype == np.intp and stopped.dtype == bool
     assert a.stats.as_dict() == b.stats.as_dict()
     with pytest.raises(CapabilityDisabled):
         twin_oracles(g, view, caps=Capabilities())[0].in_sorted_scans(
@@ -289,6 +292,7 @@ def test_in_scans_match_scalar_scans(view, g, data):
             want.append((u, a.deg_out(u), j))
     nbrs, degs, rows = b.in_scans(vs)
     assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist())) == want
+    assert nbrs.dtype == np.intp
     assert a.stats.as_dict() == b.stats.as_dict()
     # what a plain handle charges for the real lists, s' entries free
     real = [v for v in vs if v < g.node_count]
