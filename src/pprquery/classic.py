@@ -9,7 +9,9 @@ query: 2 queries per step.  All walks run through one lockstep engine,
 with one `walk_step_many` batch; it charges one DEG-OUT and one OUT
 per element, so a step still costs exactly 2 queries.  After
 the first round the walks are sorted once by length, longest first, so
-each later round advances a shrinking prefix in place.
+each later round advances a shrinking prefix in place.  Walk lengths
+are numpy's geometric draws, bit for bit, but below alpha = 1/3 they
+come from one exponential fill and one divide (`_draw_moves`).
 Power iteration and RBS share one leveled backward loop,
 `_leveled_backward`: one scan batch and one numpy merge per level, with
 estimates keyed in first-reach order (single_node_adaptive sums them
@@ -108,21 +110,49 @@ def _walk_terminals(o, sources, alpha, rng, count):
     """Terminals of `count` independent walks from each node of
     `sources`, as one int64 array ordered source by source.
 
-    All randomness is drawn up front, source by source: one geometric
-    array of walk lengths, then one uniform array with every step draw
-    of those walks, walk after walk.  Each source's draws go into its
-    own slice of the scratch arrays.
+    All randomness is drawn up front, source by source: the moves of
+    its walks (geometric lengths minus one, see _draw_moves), then one
+    uniform array with every step draw of those walks, walk after walk.
+    Each source's draws go into its own slice of the scratch arrays.
     """
     moves = _scratch_array("moves", len(sources) * count, np.int64)
     us = _scratch_array("us", 0, np.float64)
     for j in range(len(sources)):
         m = moves[j * count:(j + 1) * count]
-        np.subtract(rng.geometric(alpha, size=count), 1, out=m)
+        _draw_moves(m, alpha, rng)
         steps = us.size
         us = _scratch_array("us", steps + int(m.sum()), np.float64, keep=steps)
         rng.random(out=us[steps:])
     starts = np.repeat(np.asarray(sources, dtype=np.int64), count)
     return _lockstep(o, starts, moves, us)
+
+
+def _draw_moves(m, alpha, rng):
+    """Fill the int64 array m with rng.geometric(alpha, m.size) - 1: the
+    same values and generator end state, with no second array.
+
+    Below alpha = 1/3 numpy's geometric draw is ceil(-E / log1p(-alpha))
+    for one standard exponential E, clamped to INT64_MAX, but its
+    generic per-draw call evaluates log1p every time.  Here the
+    exponentials fill m's memory as float64 and one divide by libm's
+    log1p (math.log1p, which numpy's C code calls too; not the np.log1p
+    ufunc) and a few in-place passes finish them.  The passes hold
+    h = floor(E / log1p(-alpha)) = -ceil(...), which an int64 holds
+    down to -2^63, so the clamp is one at -INT64_MAX, and ~h = -h - 1.
+    From alpha = 1/3 on numpy searches over uniforms instead, so the
+    geometric call draws there.
+    """
+    if alpha >= 1.0 / 3.0:
+        np.subtract(rng.geometric(alpha, size=m.size), 1, out=m)
+        return
+    x = m.view(np.float64)
+    rng.standard_exponential(out=x)
+    x /= math.log1p(-alpha)
+    np.floor(x, out=x)
+    np.maximum(x, -2.0**63, out=x)  # -inf too, for a tiny alpha
+    np.copyto(m, x, casting="unsafe")  # same memory: converted in place
+    np.maximum(m, 1 - 2**63, out=m)  # -INT64_MAX
+    np.invert(m, out=m)
 
 
 def _lockstep(o, starts, moves, us):

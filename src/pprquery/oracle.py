@@ -12,13 +12,16 @@ batch methods `deg_out_many`, `out_nbr_many`, `adj_many` and
 `jump_many` index the arrays with numpy and charge exactly one query
 per element, so batching changes the wall time of a run, never its
 query count; `walk_step_many`, a DEG-OUT and an OUT fused into one
-walk step, charges both.  The scan batches `in_scans` (whole IN
-lists) and `in_sorted_scans` (IN-SORTED prefixes) charge DEG-IN per
-list and IN or IN-SORTED plus DEG-OUT per entry read, as a loop of
-scalar queries would.  They return the ids read as intp, converted
-once, so the caller's fancy indexes take them as they are, and
-`in_sorted_scans` also returns its stop predicate's value on each
-entry read, so the caller need not evaluate it again.
+walk step, charges both.  A walk step computes its index from float64
+out-degrees and intp offsets, tables built once per graph on its first
+walk step or OUT batch and freed with it, so no step converts the
+int32 arrays.  The scan batches `in_scans` (whole IN lists) and
+`in_sorted_scans` (IN-SORTED prefixes) charge DEG-IN per list and IN
+or IN-SORTED plus DEG-OUT per entry read, as a loop of scalar queries
+would.  They return the ids read as intp, converted once, so the
+caller's fancy indexes take them as they are, and `in_sorted_scans`
+also returns its stop predicate's value on each entry read, so the
+caller need not evaluate it again.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -33,6 +36,7 @@ each create their own handle over the shared immutable graph.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -41,6 +45,8 @@ import numpy as np
 from .graph import csr_entries
 
 QUERY_KINDS = ("deg_in", "deg_out", "in", "out", "in_sorted", "adj", "jump")
+
+_step_tables_of = weakref.WeakKeyDictionary()  # graph -> _step_tables(graph)
 
 
 class CapabilityDisabled(RuntimeError):
@@ -100,6 +106,20 @@ class Capabilities:
 
     def __repr__(self):
         return f"Capabilities({'+'.join(self.names()) or 'base'})"
+
+
+def _step_tables(g):
+    """g's out-degrees as float64 and out_ptr as intp, read-only: the
+    operand types of a walk step's index arithmetic, so no step mixes
+    int32 arrays into it.  Built on first use, not by build_graph (a
+    graph nobody walks never holds them), and kept while g lives."""
+    tabs = _step_tables_of.get(g)
+    if tabs is None:
+        tabs = g.out_deg.astype(np.float64), g.out_ptr.astype(np.intp)
+        for a in tabs:
+            a.flags.writeable = False
+        _step_tables_of[g] = tabs
+    return tabs
 
 
 class OracleHandle:
@@ -240,7 +260,7 @@ class OracleHandle:
         if np.count_nonzero(bad):
             j = int(np.argmax(bad))
             raise IndexOutOfRange(f"OUT({vs[j]},{idx[j]}) with d_out={d[j]}")
-        out = g.out_nbrs[g.out_ptr[vs] + idx]
+        out = g.out_nbrs[_step_tables(g)[1][vs] + idx]
         if paid < vs.size:
             out[vs == self.virtual] = self._draw(self.virtual, vs.size - paid)
         return out
@@ -253,11 +273,15 @@ class OracleHandle:
         for every d < 2^53 and its floor is at most d - 1."""
         vs = np.asarray(vs, dtype=np.int64)
         g = self.graph
+        deg, ptr = _step_tables(g)
         paid = self._paid(vs)
         self.stats.deg_out += paid
         self.stats.out_q += paid
-        idx = (np.asarray(u, dtype=np.float64) * g.out_deg[vs]).astype(np.int64)
-        idx += g.out_ptr[vs]
+        x = deg[vs]
+        x *= u
+        idx = x.view(np.intp)
+        np.copyto(idx, x, casting="unsafe")  # floor, in x's own memory
+        idx += ptr[vs]
         out = g.out_nbrs[idx]
         if paid < vs.size:
             out[vs == self.virtual] = self._draw(self.virtual, vs.size - paid)

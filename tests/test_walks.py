@@ -18,15 +18,18 @@ chi-square test over thousands of seeds checks that its scores and
 query counts follow the per-terminal scorer's distribution.
 """
 
+import gc
 import itertools
 import math
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pprquery import bidir, build_graph, classic
+from pprquery import bidir, build_graph, classic, oracle
 from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
                             derive_params, estimate_R_hat)
 from pprquery.classic import (_lockstep, _push_walk_estimates,
@@ -373,6 +376,54 @@ def test_largest_uniform_steps_to_last_neighbor(d):
     assert (u * np.array([d], dtype=np.int32)).astype(np.int64).tolist() == [d - 1]
 
 
+def test_step_tables_built_on_first_step_and_freed_with_graph():
+    """A walk step's float64 degrees and intp offsets are built on the
+    first step (or OUT batch), once per graph, never by build_graph or
+    the other queries, and go when their graph goes."""
+    g = random_graph(0, 40)
+    o = OracleHandle(g, Capabilities.all(), seed=1)
+    view = SuperSourceView(o)
+    for q in (o, view):
+        q.deg_out(3), q.deg_out_many([1, 2]), q.adj_many([1], [2])
+        q.in_scans([0, 5]), q.in_sorted_scans([0, 5], lambda rows, d: d > 2)
+    assert g not in oracle._step_tables_of
+    assert view.graph not in oracle._step_tables_of
+    o.walk_step_many([0, 1], [0.5, 0.25])
+    deg, ptr = tabs = oracle._step_tables_of[g]
+    assert deg.dtype == np.float64 and ptr.dtype == np.intp
+    assert deg.tolist() == g.out_deg.tolist()
+    assert ptr.tolist() == g.out_ptr.tolist()
+    assert not deg.flags.writeable and not ptr.flags.writeable
+    o.walk_step_many([2], [0.5])
+    o.out_nbr_many([2], [0])
+    OracleHandle(g).walk_step_many([3], [0.5])
+    assert oracle._step_tables_of[g] is tabs  # built once per graph
+    assert view.graph not in oracle._step_tables_of
+    view.walk_step_many([0, 7], [0.5, 0.5])
+    aug = oracle._step_tables_of[view.graph]
+    assert aug[0].size == g.node_count + 1 and aug[0][-1] == g.node_count
+    refs = [weakref.ref(a) for a in tabs + aug]
+    del g, o, view, q, tabs, deg, ptr, aug
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_build_graph_holds_no_step_tables():
+    # a graph nobody walks keeps only its CSR arrays: on 20k nodes the
+    # tables would add 320 kB
+    edges = random_graph(0, 20_000).edges()
+    tracemalloc.start()
+    try:
+        g = build_graph(edges, 20_000)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(g, name).nbytes for name in
+               ("out_ptr", "out_nbrs", "out_sorted", "out_deg", "in_ptr",
+                "in_nbrs", "in_sorted", "in_deg"))
+    assert retained - kept < 4096, (retained, kept)
+
+
 # -- the walk engine against the step-by-step walk -----------------------
 
 ALPHAS = st.sampled_from([0.05, 0.2, 0.5, 0.9, 1.0])
@@ -482,12 +533,9 @@ def reference_draws(sources, alpha, rng, count):
     return np.concatenate(moves), np.concatenate(us)
 
 
-@pytest.mark.parametrize("sources", [[3], [0, 4, 4, 9]],
-                         ids=["one-source", "many-sources"])
-def test_scratch_draws_match_allocating_draws(sources, monkeypatch):
-    # the walk engine's arrays start empty, so every source's uniforms
-    # grow them and must keep the uniforms drawn before
-    monkeypatch.setattr(classic, "_scratch", threading.local())
+def spy_draws(monkeypatch):
+    """The (starts, moves, us) that _walk_terminals hands to _lockstep,
+    copied, one entry per call."""
     seen = []
 
     def spy(o, starts, moves, us):
@@ -495,6 +543,16 @@ def test_scratch_draws_match_allocating_draws(sources, monkeypatch):
         return _lockstep(o, starts, moves, us)
 
     monkeypatch.setattr(classic, "_lockstep", spy)
+    return seen
+
+
+@pytest.mark.parametrize("sources", [[3], [0, 4, 4, 9]],
+                         ids=["one-source", "many-sources"])
+def test_scratch_draws_match_allocating_draws(sources, monkeypatch):
+    # the walk engine's arrays start empty, so every source's uniforms
+    # grow them and must keep the uniforms drawn before
+    monkeypatch.setattr(classic, "_scratch", threading.local())
+    seen = spy_draws(monkeypatch)
     o = OracleHandle(random_graph(3, 20), seed=0)
     ra, rb = np.random.default_rng(12), np.random.default_rng(12)
     _walk_terminals(o, sources, 0.1, ra, 300)
@@ -504,6 +562,64 @@ def test_scratch_draws_match_allocating_draws(sources, monkeypatch):
     assert got_moves.tolist() == moves.tolist()
     assert got_us.tolist() == us.tolist()
     assert ra.bit_generator.state == rb.bit_generator.state
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.2, np.nextafter(1 / 3, 0), 1 / 3,
+                                   0.5, 1.0],
+                         ids=["0.01", "0.2", "below-1/3", "1/3", "0.5", "1"])
+@pytest.mark.parametrize("sources", [[3], [0, 4, 4, 9]],
+                         ids=["one-source", "many-sources"])
+def test_walk_lengths_match_geometric(alpha, sources, monkeypatch):
+    """Below 1/3 the moves come from one exponential fill and a divide,
+    from 1/3 on from numpy's geometric call: either way the values and
+    both generators' end states are those of rng.geometric."""
+    seen = spy_draws(monkeypatch)
+    o = OracleHandle(random_graph(3, 20), seed=0)
+    for seed in range(8):
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        _walk_terminals(o, sources, alpha, ra, 700)
+        moves, us = reference_draws(sources, alpha, rb, 700)
+        _, got_moves, got_us = seen.pop()
+        assert got_moves.tolist() == moves.tolist()
+        assert got_us.tolist() == us.tolist()
+        assert ra.bit_generator.state == rb.bit_generator.state
+    if alpha == 1.0:
+        assert not moves.any() and o.stats.total == 0
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-17, 1e-19])
+def test_draw_moves_keeps_numpys_int64_clamp(alpha):
+    # numpy returns INT64_MAX for a ceil value >= 2^63: at 1e-19 most
+    # draws, at 1e-17 none, and the divide alone would give 1.02e19
+    for seed in range(5):
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        m = np.empty(3000, dtype=np.int64)
+        classic._draw_moves(m, alpha, ra)
+        want = rb.geometric(alpha, size=3000) - 1
+        assert m.tolist() == want.tolist()
+        assert ra.bit_generator.state == rb.bit_generator.state
+    clamped = np.count_nonzero(want == np.iinfo(np.int64).max - 1)
+    assert (clamped > 1000) if alpha == 1e-19 else clamped == 0
+
+
+@pytest.mark.parametrize("alpha,count,error", [
+    (1e-19, 1, ValueError), (1e-19, 2, IndexError),
+    (1e-12, 300, MemoryError)])
+def test_tiny_alpha_fails_as_geometric_draws_do(alpha, count, error,
+                                                monkeypatch):
+    """Walks of about 1e12 moves, or clamped at INT64_MAX, fail with the
+    exception the allocating geometric draw gives, before any query:
+    too big an array, an index into an empty one (the int64 sum of the
+    moves wraps), or an allocation of petabytes."""
+    def geometric_moves(m, alpha, rng):
+        np.subtract(rng.geometric(alpha, size=m.size), 1, out=m)
+
+    for draw in (classic._draw_moves, geometric_moves):
+        monkeypatch.setattr(classic, "_draw_moves", draw)
+        o = OracleHandle(random_graph(3, 20), seed=0)
+        with pytest.raises(error):
+            _walk_terminals(o, [3], alpha, np.random.default_rng(5), count)
+        assert o.stats.total == 0
 
 
 def test_terminals_never_alias_the_scratch(monkeypatch):
