@@ -14,7 +14,10 @@ from .graph import load_edge_list, save_edge_list
 from .exact import exact_single_source, exact_single_target, exact_pagerank, dump_csv
 from .harness import (ExperimentConfig, run_experiment, emit, read_results,
                       fit_scaling)
-from .instances import InstanceSpec, generate, parameter_presets
+from .instances import FAMILIES, InstanceSpec, generate, parameter_presets
+
+# the spec fields `generate --preset` sets from the family's regime
+_PRESET_FIELDS = ("L", "D", "D2", "variant")
 
 
 def _cmd_generate(args):
@@ -23,10 +26,11 @@ def _cmd_generate(args):
                                  args.alpha)
         spec.swap = args.swap if args.swap is not None else spec.swap
     else:
-        spec = InstanceSpec(family=args.family, n=args.n, m=args.m, L=args.L,
-                            D=args.D, D2=args.D2, alpha=args.alpha,
-                            swap=bool(args.swap), variant=args.variant,
-                            padding=args.padding)
+        spec = InstanceSpec(family=args.family, n=args.n, m=args.m,
+                            alpha=args.alpha, swap=bool(args.swap),
+                            **{k: getattr(args, k) for k in _PRESET_FIELDS
+                               if getattr(args, k) is not None})
+    spec.padding = args.padding
     g, meta = generate(spec)
     save_edge_list(g, args.out)
     if args.meta:
@@ -96,19 +100,19 @@ def main(argv=None):
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a hard instance")
-    g.add_argument("--family", required=True)
+    g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--n", type=int, default=0)
     g.add_argument("--m", type=int, default=0)
-    g.add_argument("--L", type=int, default=1)
-    g.add_argument("--D", type=int, default=1)
-    g.add_argument("--D2", type=int, default=0)
+    g.add_argument("--L", type=int, help="default 1")
+    g.add_argument("--D", type=int, help="default 1")
+    g.add_argument("--D2", type=int, help="default 0 (use D)")
     g.add_argument("--delta", type=float, default=0.01,
                    help="threshold for --preset parameterization")
     g.add_argument("--alpha", type=float, default=0.2)
     g.add_argument("--swap", action=argparse.BooleanOptionalAction, default=None)
     g.add_argument("--preset", action="store_true",
                    help="set L/D from the family's regime for (n,m,delta)")
-    g.add_argument("--variant", default="")
+    g.add_argument("--variant", help="output_size_st: worst (default) or avg")
     g.add_argument("--padding", action="store_true")
     g.add_argument("--out", required=True)
     g.add_argument("--meta", help="also write instance metadata JSON")
@@ -142,6 +146,10 @@ def main(argv=None):
     f.set_defaults(func=_cmd_fit)
 
     args = p.parse_args(argv)
+    if args.func is _cmd_generate and args.preset:
+        fixed = [f"--{k}" for k in _PRESET_FIELDS if getattr(args, k) is not None]
+        if fixed:
+            g.error(f"--preset sets {', '.join(fixed)} itself")
     return args.func(args)
 
 

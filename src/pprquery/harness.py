@@ -24,7 +24,8 @@ from .exact import exact_single_source, exact_pagerank
 from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
-                      default_r_max_pair, check_params, DEFAULT_WALK_MULT)
+                      default_r_max_pair, check_counts, check_params,
+                      DEFAULT_WALK_MULT)
 from .bidir import MULTIPLIERS, _cell_params, single_pair_ppr
 from .single_node import (single_node_adaptive, single_node_avg_jump,
                           single_node_avg_full)
@@ -239,6 +240,11 @@ def _check_config(cfg):
             check_params(delta=d)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    if inst.get("preset"):
+        try:
+            check_counts(n=inst.get("n"), m=inst.get("m"))
+        except ValueError as e:
+            raise ConfigError(f"preset instance: {e}") from None
     return variant, required, runner
 
 

@@ -25,10 +25,11 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classic import check_params
+from .classic import check_counts, check_params
 from .graph import build_graph
 
 class SpecConstraintViolation(ValueError):
@@ -134,6 +135,17 @@ def _relay(V2, start, L):
     return np.concatenate((rows, _edges(W2, W2))), X, W2
 
 
+def _lower_relay(base, n, degree, L):
+    """The lower half the relay families share: U2, V2 and then the
+    relay's X and W2 take ids from `base`, U2 -> V2 is a circulant of
+    `degree`, and V2 feeds the relay in groups of L.  Returns (edges,
+    U2, V2, X, W2), the circulant's edges and then the relay's."""
+    U2 = _block(base, n)
+    V2 = _block(base + n, n)
+    relay, X, W2 = _relay(V2, base + 2 * n, L)
+    return np.concatenate((_circulant(U2, V2, degree), relay)), U2, V2, X, W2
+
+
 def _apply_swap(edges, e1, e2):
     """Replace the first rows equal to e1 -> (u1, v2) and e2 -> (u2, v1)."""
     (u1, v1), (u2, v2) = e1, e2
@@ -160,8 +172,8 @@ def generate(spec):
     """Build the family's graph and meta; optionally swap and pad."""
     if spec.family not in FAMILIES:
         raise SpecConstraintViolation(f"unknown family {spec.family!r}")
-    builder = _BUILDERS[spec.family]
-    edges, node_count, meta = builder(spec)
+    _check(SpecConstraintViolation, check_params, alpha=spec.alpha)
+    edges, node_count, meta = FAMILIES[spec.family].builder(spec)
     if spec.swap and meta.swap_edges is not None:
         e1, e2 = spec.swap_edges if spec.swap_edges else meta.swap_edges
         _apply_swap(edges, tuple(e1), tuple(e2))
@@ -244,12 +256,8 @@ def _build_sp_avg(spec):
     s = 0
     U1 = _block(1, u1_size)
     V1 = _block(1 + u1_size, v1_size)
-    base = 1 + u1_size + v1_size
-    U2 = _block(base, n)
-    V2 = _block(base + n, n)
-    relay, X, W2 = _relay(V2, base + 2 * n, L)
-    edges = np.concatenate((_edges(s, U1), _complete_layer(U1, V1),
-                            _circulant(U2, V2, D), relay))
+    lower, U2, V2, X, W2 = _lower_relay(1 + u1_size + v1_size, n, D, L)
+    edges = np.concatenate((_edges(s, U1), _complete_layer(U1, V1), lower))
     group = W2[:L]  # designated target group (always full-size)
     pi_post = (1 - a) ** 4 / (u1_size * v1_size * len(group))
     meta = InstanceMeta(
@@ -305,10 +313,8 @@ def _build_st_avg_adj(spec):
     _require(n >= 1 and 1 <= L <= n, "st_avg_adj needs 1 <= L <= n")
     _require(1 <= d <= n, "st_avg_adj needs 1 <= d <= n")
     u = 0
-    U2 = _block(1, n)
-    V2 = _block(1 + n, n)
-    relay, X, W2 = _relay(V2, 1 + 2 * n, L)
-    edges = np.concatenate((_edges(u, u), _circulant(U2, V2, d), relay))
+    lower, U2, V2, X, W2 = _lower_relay(1, n, d, L)
+    edges = np.concatenate((_edges(u, u), lower))
     group = W2[:L]
     meta = InstanceMeta(
         family=spec.family, s=u, t=group[0],
@@ -326,11 +332,8 @@ def _build_st_avg_jump(spec, lower_equals_upper=False):
     _require(1 <= D <= n and 1 <= d2 <= n, "needs 1 <= D, d2 <= n")
     U1 = _block(0, n)
     V1 = _block(n, n)
-    U2 = _block(2 * n, n)
-    V2 = _block(3 * n, n)
-    relay, X, W2 = _relay(V2, 4 * n, L)
-    edges = np.concatenate((_circulant(U1, V1, D), _edges(V1, V1),
-                            _circulant(U2, V2, d2), relay))
+    lower, U2, V2, X, W2 = _lower_relay(2 * n, n, d2, L)
+    edges = np.concatenate((_circulant(U1, V1, D), _edges(V1, V1), lower))
     group = W2[:L]
     meta = InstanceMeta(
         family=spec.family, s=U1[0], t=group[0],
@@ -341,27 +344,20 @@ def _build_st_avg_jump(spec, lower_equals_upper=False):
     return edges, W2[-1] + 1, meta
 
 
-def _band(value, lo_factor=0.5, hi_factor=2.0):
-    return (lo_factor * value, hi_factor * value)
-
-
 def _build_sn_avg_adj(spec):
     n, a = spec.n, spec.alpha
     d = spec.D2 or spec.D
     _require(n >= 1 and 1 <= d <= n, "sn_avg_adj needs 1 <= d <= n")
     U1 = _block(0, n)
     u = n
-    U2 = _block(n + 1, n)
-    V2 = _block(2 * n + 1, n)
-    relay, (x,), W2 = _relay(V2, 3 * n + 1, n)
-    edges = np.concatenate((_edges(U1, u), _edges(u, u),
-                            _circulant(U2, V2, d), relay))
+    lower, U2, V2, (x,), W2 = _lower_relay(n + 1, n, d, n)
+    edges = np.concatenate((_edges(U1, u), _edges(u, u), lower))
     total = 4 * n + 2
     # pi(t) for t in W2: t itself, x, all of V2, all of U2 reach it
     base = (1 + (1 - a) / n + (1 - a) ** 2 + (1 - a) ** 3) / total
     meta = InstanceMeta(
         family=spec.family, s=None, t=W2[0],
-        pi_pre_swap=None, pi_post_swap=None, pi_bounds=_band(base, 0.9, 1.1),
+        pi_pre_swap=None, pi_post_swap=None, pi_bounds=(0.9 * base, 1.1 * base),
         roles={"U1": U1, "u": [u], "U2": U2, "V2": V2, "x": [x], "W2": W2},
         swap_edges=((u, u), (U2[0], V2[0])))
     return edges, total, meta
@@ -379,7 +375,7 @@ def _build_sn_avg_insorted(spec):
     base = (1 + (1 - a) / n + (1 - a) ** 2) / total
     meta = InstanceMeta(
         family=spec.family, s=None, t=W2[0],
-        pi_pre_swap=None, pi_post_swap=None, pi_bounds=_band(base, 0.9, 1.1),
+        pi_pre_swap=None, pi_post_swap=None, pi_bounds=(0.9 * base, 1.1 * base),
         roles={"U1": U1, "u": [u], "V2": V2, "x": [x], "W2": W2},
         swap_edges=((u, u), (V2[0], x)))
     return edges, total, meta
@@ -406,7 +402,7 @@ def _build_sn_worst_full(spec):
     base = (1 + L * (1 - a) + L * (1 - a) ** 2) / total
     meta = InstanceMeta(
         family=spec.family, s=None, t=t,
-        pi_pre_swap=None, pi_post_swap=None, pi_bounds=_band(base, 0.9, 1.1),
+        pi_pre_swap=None, pi_post_swap=None, pi_bounds=(0.9 * base, 1.1 * base),
         roles={"X": X, "x": [x], "U1": U1, "V1": V1, "U2": U2, "T": T,
                "V2": V2, "t": [t]},
         swap_edges=((U1[0], V1[0]), (U2[0], V2[0])))
@@ -424,19 +420,15 @@ def _build_sn_avg_xor(spec, lower_equals_upper=False):
     u = n
     U1 = _block(n + 1, u1_size)
     V1 = _block(n + 1 + u1_size, v1_size)
-    base_id = n + 1 + u1_size + v1_size
-    U2 = _block(base_id, n)
-    V2 = _block(base_id + n, n)
-    relay, X, W2 = _relay(V2, base_id + 2 * n, L)
+    lower, U2, V2, X, W2 = _lower_relay(n + 1 + u1_size + v1_size, n, d2, L)
     edges = np.concatenate((_edges(W1, u), _edges(u, U1),
-                            _complete_layer(U1, V1), _circulant(U2, V2, d2),
-                            relay))
+                            _complete_layer(U1, V1), lower))
     total = W2[-1] + 1
     base = (1 + (1 - a) + (1 - a) ** 2 + 2 * (1 - a) / L) / total
     group = W2[:L]
     meta = InstanceMeta(
         family=spec.family, s=None, t=group[0],
-        pi_pre_swap=None, pi_post_swap=None, pi_bounds=_band(base, 0.5, 2.0),
+        pi_pre_swap=None, pi_post_swap=None, pi_bounds=(0.5 * base, 2.0 * base),
         roles={"W1": W1, "u": [u], "U1": U1, "V1": V1, "U2": U2, "V2": V2,
                "X": X, "W2": W2},
         target_group=group, swap_edges=((U1[0], V1[0]), (U2[0], V2[0])))
@@ -471,27 +463,8 @@ def _build_output_size_st(spec):
     return edges, n + 1, meta
 
 
-_BUILDERS = {
-    "folklore_pair": _build_folklore_pair,
-    "sp_worst": _build_sp_worst,
-    "sp_avg": _build_sp_avg,
-    "st_worst_adj": _build_st_worst_adj,
-    "st_worst_full": _build_st_worst_full,
-    "st_avg_adj": _build_st_avg_adj,
-    "st_avg_jump": _build_st_avg_jump,
-    "st_avg_full": partial(_build_st_avg_jump, lower_equals_upper=True),
-    "sn_avg_adj": _build_sn_avg_adj,
-    "sn_avg_insorted": _build_sn_avg_insorted,
-    "sn_worst_full": _build_sn_worst_full,
-    "sn_avg_xor": _build_sn_avg_xor,
-    "sn_avg_full": partial(_build_sn_avg_xor, lower_equals_upper=True),
-    "output_size_st": _build_output_size_st,
-}
-FAMILIES = tuple(_BUILDERS)
-
-
 # ---------------------------------------------------------------------------
-# parameter presets: per-regime L/D choices for each family
+# the family table: each family's builder and its per-regime L/D preset
 # ---------------------------------------------------------------------------
 
 
@@ -499,114 +472,121 @@ def _clamp(x, lo, hi):
     return max(lo, min(hi, int(round(x))))
 
 
+def _guarded_c(family, k, delta, alpha):
+    """c = (1-alpha)^k, for the families whose bounds assume delta <= c."""
+    c = (1 - alpha) ** k
+    if delta > c:
+        raise RegimeUndefined(f"{family} assumes delta <= (1-alpha)^{k}={c}")
+    return c
+
+
+def _preset_sp_worst(n, m, d, delta, alpha):
+    val = math.sqrt((1 - alpha) ** 3 * min(m, 1.0 / delta))
+    if val < 1:
+        raise RegimeUndefined("min{m,1/delta} too small for sp_worst")
+    side = _clamp(val, 1, math.isqrt(m))
+    return {"L": side, "D": side}
+
+
+def _preset_sp_avg(n, m, d, delta, alpha):
+    # regimes of the IN-SORTED+ADJ bound min{m, (d/delta)^0.5, delta^-2/3}
+    c = (1 - alpha) ** 4
+    if delta <= 1.0 / (n * m):
+        return {"L": _clamp(c * n, 1, n), "D": _clamp(d, 1, n)}
+    if delta <= c / d ** 3:
+        return {"L": _clamp(math.sqrt(c / (d * delta)), 1, n), "D": _clamp(d, 1, n)}
+    side = _clamp((c / delta) ** (1.0 / 3.0), 1, n)
+    return {"L": side, "D": side}
+
+
+def _preset_st_worst_full(n, m, d, delta, alpha):
+    c = _guarded_c("st_worst_full", 2, delta, alpha)
+    return {"D": _clamp(d if delta <= c / d else c / delta, 1, n)}
+
+
+def _preset_st_avg_adj(n, m, d, delta, alpha):
+    c = _guarded_c("st_avg_adj", 3, delta, alpha)
+    return {"L": _clamp(c * n if delta <= 1.0 / n else c / delta, 1, n),
+            "D2": _clamp(d, 1, n)}
+
+
+def _preset_st_avg_jump(n, m, d, delta, alpha):
+    c = _guarded_c("st_avg_jump", 3, delta, alpha)
+    if delta <= 1.0 / m:
+        L, D = _clamp(c * n, 1, n), _clamp(d, 1, n)
+    elif delta <= d * c / n:
+        L = _clamp(math.sqrt(n * c / (d * delta)), 1, n)
+        D = _clamp(math.sqrt(d * c / (n * delta)), 1, n)
+    else:
+        L, D = _clamp(c / delta, 1, n), 1
+    return {"L": L, "D": D, "D2": _clamp(d, 1, n)}
+
+
+def _preset_st_avg_full(n, m, d, delta, alpha):
+    c = _guarded_c("st_avg_full", 3, delta, alpha)
+    if delta <= 1.0 / m:
+        return {"L": _clamp(c * n, 1, n), "D": _clamp(d, 1, n)}
+    if delta <= c / d:
+        return {"L": _clamp(c / (d * delta), 1, n), "D": _clamp(d, 1, n)}
+    return {"L": 1, "D": _clamp(c / delta, 1, n)}
+
+
+class Family(NamedTuple):
+    builder: Callable   # spec -> (edges, node_count, meta)
+    preset: Callable    # (n, m, d = m/n, delta, alpha) -> {spec field: value}
+
+
+FAMILIES = {
+    "folklore_pair": Family(_build_folklore_pair, lambda n, m, d, delta, alpha: {
+        "L": _clamp(min(n, 1.0 / delta), 1, n)}),
+    "sp_worst": Family(_build_sp_worst, _preset_sp_worst),
+    "sp_avg": Family(_build_sp_avg, _preset_sp_avg),
+    "st_worst_adj": Family(_build_st_worst_adj, lambda n, m, d, delta, alpha: {
+        "D": _clamp(d, 1, n)}),
+    "st_worst_full": Family(_build_st_worst_full, _preset_st_worst_full),
+    "st_avg_adj": Family(_build_st_avg_adj, _preset_st_avg_adj),
+    "st_avg_jump": Family(_build_st_avg_jump, _preset_st_avg_jump),
+    "st_avg_full": Family(partial(_build_st_avg_jump, lower_equals_upper=True),
+                          _preset_st_avg_full),
+    "sn_avg_adj": Family(_build_sn_avg_adj, lambda n, m, d, delta, alpha: {
+        "D2": _clamp(d, 1, n)}),
+    "sn_avg_insorted": Family(_build_sn_avg_insorted,
+                              lambda n, m, d, delta, alpha: {}),
+    "sn_worst_full": Family(_build_sn_worst_full, lambda n, m, d, delta, alpha: {
+        "L": _clamp(math.sqrt(n) / m ** 0.25, 1, max(1, math.isqrt(m))),
+        "swap": False}),
+    "sn_avg_xor": Family(_build_sn_avg_xor, lambda n, m, d, delta, alpha: {
+        "L": _clamp(math.sqrt(n / d), 1, n), "D": _clamp(d, 1, n),
+        "D2": _clamp(d, 1, n)}),
+    "sn_avg_full": Family(partial(_build_sn_avg_xor, lower_equals_upper=True),
+                          lambda n, m, d, delta, alpha: {
+        "L": _clamp(n ** (1.0 / 3.0), 1, n),
+        "D": _clamp(math.sqrt(m) / n ** (1.0 / 3.0), 1, n)}),
+    "output_size_st": Family(_build_output_size_st, lambda n, m, d, delta, alpha: {
+        "L": _clamp(min(n, 1.0 / delta), 1, n), "variant": "avg",
+        "swap": False}),
+}
+
+
+def _check(error, check, **named):
+    """Run a classic range check, re-raising its ValueError as `error`."""
+    try:
+        check(**named)
+    except ValueError as e:
+        raise error(str(e)) from None
+
+
 def parameter_presets(family, n, m, delta, alpha):
     """InstanceSpec with L, D set per the family's regime for (n, m,
-    delta), including the stated (1-alpha)^k factors."""
-    _require(1 <= n <= m <= n * n, f"need n <= m <= n^2, got n={n}, m={m}")
-    try:
-        check_params(delta=delta)
-    except ValueError as e:
-        raise RegimeUndefined(str(e)) from None
-    d = m / n
-    spec = InstanceSpec(family=family, n=n, m=m, alpha=alpha, swap=True)
-
-    if family == "folklore_pair":
-        spec.L = _clamp(min(n, 1.0 / delta), 1, n)
-        return spec
-
-    if family == "sp_worst":
-        c = (1 - alpha) ** 3
-        val = math.sqrt(c * min(m, 1.0 / delta))
-        if val < 1:
-            raise RegimeUndefined("min{m,1/delta} too small for sp_worst")
-        spec.L = spec.D = _clamp(val, 1, math.isqrt(m))
-        return spec
-
-    if family == "sp_avg":
-        # regimes of the IN-SORTED+ADJ bound min{m, (d/delta)^0.5, delta^-2/3}
-        c = (1 - alpha) ** 4
-        if delta <= 1.0 / (n * m):
-            spec.L, spec.D = _clamp(c * n, 1, n), _clamp(d, 1, n)
-        elif delta <= c / d ** 3:
-            spec.L = _clamp(math.sqrt(c / (d * delta)), 1, n)
-            spec.D = _clamp(d, 1, n)
-        else:
-            side = (c / delta) ** (1.0 / 3.0)
-            spec.L = spec.D = _clamp(side, 1, n)
-        return spec
-
-    if family == "st_worst_adj":
-        spec.D = _clamp(d, 1, n)
-        spec.swap = True
-        return spec
-
-    if family == "st_worst_full":
-        c = (1 - alpha) ** 2
-        if delta > c:
-            raise RegimeUndefined(f"st_worst_full assumes delta <= (1-alpha)^2={c}")
-        if delta <= c / d:
-            spec.D = _clamp(d, 1, n)
-        else:
-            spec.D = _clamp(c / delta, 1, n)
-        return spec
-
-    c = (1 - alpha) ** 3
-    if family in ("st_avg_adj", "st_avg_jump", "st_avg_full") and delta > c:
-        raise RegimeUndefined(f"{family} assumes delta <= (1-alpha)^3={c}")
-
-    if family == "st_avg_adj":
-        spec.L = _clamp(c * n if delta <= 1.0 / n else c / delta, 1, n)
-        spec.D2 = _clamp(d, 1, n)
-        return spec
-
-    if family == "st_avg_jump":
-        if delta <= 1.0 / m:
-            spec.L, spec.D = _clamp(c * n, 1, n), _clamp(d, 1, n)
-        elif delta <= d * c / n:
-            spec.L = _clamp(math.sqrt(n * c / (d * delta)), 1, n)
-            spec.D = _clamp(math.sqrt(d * c / (n * delta)), 1, n)
-        else:
-            spec.L, spec.D = _clamp(c / delta, 1, n), 1
-        spec.D2 = _clamp(d, 1, n)
-        return spec
-
-    if family == "st_avg_full":
-        if delta <= 1.0 / m:
-            spec.L, spec.D = _clamp(c * n, 1, n), _clamp(d, 1, n)
-        elif delta <= c / d:
-            spec.L = _clamp(c / (d * delta), 1, n)
-            spec.D = _clamp(d, 1, n)
-        else:
-            spec.L, spec.D = 1, _clamp(c / delta, 1, n)
-        return spec
-
-    if family == "sn_avg_adj":
-        spec.D2 = _clamp(d, 1, n)
-        return spec
-
-    if family == "sn_avg_insorted":
-        return spec
-
-    if family == "sn_worst_full":
-        sm = max(1, math.isqrt(m))
-        spec.L = _clamp(math.sqrt(n) / m ** 0.25, 1, sm)
-        spec.swap = False
-        return spec
-
-    if family == "sn_avg_xor":
-        spec.L = _clamp(math.sqrt(n / d), 1, n)
-        spec.D = spec.D2 = _clamp(d, 1, n)
-        return spec
-
-    if family == "sn_avg_full":
-        spec.L = _clamp(n ** (1.0 / 3.0), 1, n)
-        spec.D = _clamp(math.sqrt(m) / n ** (1.0 / 3.0), 1, n)
-        return spec
-
-    if family == "output_size_st":
-        spec.variant = "avg"
-        spec.L = _clamp(min(n, 1.0 / delta), 1, n)
-        spec.swap = False
-        return spec
-
-    raise RegimeUndefined(f"no preset for family {family!r}")
+    delta), including the stated (1-alpha)^k factors.  Raises
+    SpecConstraintViolation for n, m or alpha out of range, and
+    RegimeUndefined for a delta outside (0,1] or the family's regimes
+    and for a family not in FAMILIES."""
+    _check(SpecConstraintViolation, check_counts, n=n, m=m)
+    _check(SpecConstraintViolation, check_params, alpha=alpha)
+    _require(n <= m <= n * n, f"need n <= m <= n^2, got n={n}, m={m}")
+    _check(RegimeUndefined, check_params, delta=delta)
+    if family not in FAMILIES:
+        raise RegimeUndefined(f"no preset for family {family!r}")
+    fields = FAMILIES[family].preset(n, m, m / n, delta, alpha)
+    return InstanceSpec(family, n, m, alpha=alpha, **{"swap": True, **fields})

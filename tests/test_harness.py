@@ -12,7 +12,8 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
 from pprquery import (bidir, cli, generate, harness, save_edge_list,
-                      exact_single_target, exact_pagerank)
+                      load_edge_list, exact_single_target, exact_pagerank,
+                      SpecConstraintViolation)
 from conftest import chain_graph, mean_queries_by_cell
 
 
@@ -224,6 +225,54 @@ class TestCli:
         cli.main(["run", "--config", str(cfg), "--out", str(b), "--seed", "10"])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_generate_unknown_family_is_a_usage_error(self, tmp_path, capsys):
+        # it used to print a RegimeUndefined traceback
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--family", "no_such", "--n", "16", "--m",
+                      "64", "--preset", "--out", str(tmp_path / "x.txt")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'no_such'" in err
+        assert "'sp_avg'" in err and "'output_size_st'" in err
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("flag,val", [("--L", "3"), ("--D", "2"),
+                                          ("--D2", "4"), ("--variant", "avg")])
+    def test_generate_preset_rejects_explicit_fields(self, tmp_path, capsys,
+                                                     flag, val):
+        # the preset used to overwrite these silently
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--family", "sp_avg", "--n", "16", "--m",
+                      "64", "--preset", flag, val,
+                      "--out", str(tmp_path / "x.txt")])
+        assert exc.value.code == 2
+        assert f"--preset sets {flag} itself" in capsys.readouterr().err
+
+    def test_generate_preset_applies_padding(self, tmp_path):
+        # --padding used to be dropped under --preset
+        args = ["generate", "--family", "sp_avg", "--n", "16", "--m", "64",
+                "--delta", "0.1", "--preset"]
+        plain, padded = tmp_path / "plain.txt", tmp_path / "padded.txt"
+        meta = tmp_path / "m.json"
+        assert cli.main([*args, "--out", str(plain)]) == 0
+        assert cli.main([*args, "--padding", "--out", str(padded),
+                         "--meta", str(meta)]) == 0
+        g, gp = load_edge_list(plain), load_edge_list(padded)
+        assert gp.node_count == g.node_count + 16
+        assert gp.edge_count == g.edge_count + 64
+        payload = json.loads(meta.read_text())
+        assert payload["spec"]["padding"] is True
+        assert payload["roles"]["padding"] == [g.node_count, gp.node_count - 1]
+
+    def test_generate_preset_rejects_bad_alpha(self, tmp_path):
+        # alpha 1.5 used to exit 0 and write pi_post_swap 0.0078125
+        with pytest.raises(SpecConstraintViolation, match=r"alpha=1.5 outside"):
+            cli.main(["generate", "--family", "sp_avg", "--n", "16", "--m",
+                      "64", "--alpha", "1.5", "--preset",
+                      "--out", str(tmp_path / "x.txt"),
+                      "--meta", str(tmp_path / "m.json")])
+        assert not (tmp_path / "m.json").exists()
+
     def test_preset_generate(self, tmp_path):
         edge = tmp_path / "g.txt"
         assert cli.main(["generate", "--family", "sp_avg", "--n", "64",
@@ -361,6 +410,24 @@ class TestConfigErrors:
         cfg = tiny_config(instance={"file": str(p), name: val})
         with pytest.raises(ConfigError, match=rf"{name}={val} outside \[0, 2\)"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("over,bad", [
+        ({}, "n=None"), ({"n": 16}, "m=None"), ({"n": 16.5, "m": 64}, "n=16.5"),
+        ({"n": True, "m": 64}, "n=True"), ({"n": 16, "m": "64"}, "m='64'"),
+        ({"n": 0, "m": 64}, "n=0")])
+    def test_preset_counts_named(self, over, bad):
+        # a missing n used to fail in _resolve_instance with KeyError: 'n',
+        # 16.5 with a bare TypeError, True only at generation
+        inst = {"family": "sp_avg", "preset": True, **over}
+        with pytest.raises(ConfigError, match=rf"preset instance: "
+                                              rf"{re.escape(bad)} must be"):
+            run_experiment(tiny_config(instance=inst))
+
+    def test_preset_numpy_counts_accepted(self):
+        inst = {"family": "sp_avg", "preset": True, "n": np.int64(16),
+                "m": np.int64(64)}
+        with pytest.raises(AssertionError, match="instance generated"):
+            run_experiment(tiny_config(instance=inst))
 
     def test_family_target_out_of_range(self, monkeypatch):
         self.no_trials(monkeypatch)

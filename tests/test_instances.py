@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,8 @@ from pprquery import (InstanceSpec, generate, closed_form_pi,
                       save_edge_list, load_edge_list, OracleHandle,
                       power_iteration_target, SpecConstraintViolation,
                       NoClosedForm, RegimeUndefined)
-from pprquery.instances import _apply_swap
+from pprquery import cli, instances
+from pprquery.instances import FAMILIES, Family, _apply_swap
 
 A = 0.2
 
@@ -266,11 +270,102 @@ class TestPresets:
         g, meta = generate(spec)
         assert g.node_count >= 1 and meta.t is not None
 
-    def test_presets_generate(self):
-        for fam in ("sp_worst", "sp_avg", "st_worst_adj", "st_worst_full",
-                    "st_avg_adj", "st_avg_jump", "st_avg_full", "sn_avg_adj",
-                    "sn_avg_insorted", "sn_worst_full", "sn_avg_xor",
-                    "sn_avg_full", "folklore_pair", "output_size_st"):
-            spec = parameter_presets(fam, 64, 512, 0.02, A)
-            g, _ = generate(spec)
-            assert g.node_count >= 1
+    # (n, m) -> family -> [(boundary, (L, D, D2) at it, (L, D, D2) just
+    # above it)]; `boundary` computes each delta as the preset does, with
+    # c = (1-alpha)^k and d = m/n.  At (20, 70) d = 3.5, so a branch that
+    # rounds c/delta lands on 3 just above the boundary, not on round(d)
+    REGIME_BOUNDARIES = {
+        (16, 64): {
+            "sp_avg": [("1/(n m)", (7, 4, 0), (10, 4, 0)),
+                       ("c4/d^3", (4, 4, 0), (4, 4, 0))],
+            "st_worst_full": [("c2/d", (1, 4, 0), (1, 4, 0))],
+            "st_avg_adj": [("1/n", (8, 1, 4), (8, 1, 4))],
+            "st_avg_jump": [("1/m", (8, 4, 4), (11, 3, 4)),
+                            ("d c3/n", (4, 1, 4), (4, 1, 4))],
+            "st_avg_full": [("1/m", (8, 4, 0), (8, 4, 0)),
+                            ("c3/d", (1, 4, 0), (1, 4, 0))]},
+        (20, 70): {
+            "sp_avg": [("1/(n m)", (8, 4, 0), (13, 4, 0)),
+                       ("c4/d^3", (4, 4, 0), (3, 3, 0))],
+            "st_worst_full": [("c2/d", (1, 4, 0), (1, 3, 0))],
+            "st_avg_adj": [("1/n", (10, 1, 4), (10, 1, 4))],
+            "st_avg_jump": [("1/m", (10, 4, 4), (14, 3, 4)),
+                            ("d c3/n", (6, 1, 4), (6, 1, 4))],
+            "st_avg_full": [("1/m", (10, 4, 0), (10, 4, 0)),
+                            ("c3/d", (1, 4, 0), (1, 3, 0))]},
+    }
+
+    @staticmethod
+    def boundary(name, n, m):
+        d = m / n
+        c2, c3, c4 = (1 - A) ** 2, (1 - A) ** 3, (1 - A) ** 4
+        return {"1/(n m)": 1.0 / (n * m), "c4/d^3": c4 / d ** 3,
+                "c2/d": c2 / d, "1/n": 1.0 / n, "1/m": 1.0 / m,
+                "d c3/n": d * c3 / n, "c3/d": c3 / d}[name]
+
+    @pytest.mark.parametrize("n,m,family,name,at,above", [
+        (n, m, family, name, at, above)
+        for (n, m), families in REGIME_BOUNDARIES.items()
+        for family, cases in families.items()
+        for name, at, above in cases])
+    def test_regime_boundaries(self, n, m, family, name, at, above):
+        b = self.boundary(name, n, m)
+        for delta, want in ((b, at), (np.nextafter(b, 1), above)):
+            spec = parameter_presets(family, n, m, delta, A)
+            assert (spec.L, spec.D, spec.D2) == want, (delta, want)
+
+    @pytest.mark.parametrize("fam", FAMILIES)
+    def test_presets_generate(self, fam):
+        spec = parameter_presets(fam, 64, 512, 0.02, A)
+        g, _ = generate(spec)
+        assert g.node_count >= 1
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2, math.nan, True,
+                                       "0.2"])
+    def test_alpha_outside_open_unit_interval(self, alpha):
+        # alpha 1.5 used to build a spec and an instance with pi_post_swap
+        # (1 - 1.5)^4 / 8
+        with pytest.raises(SpecConstraintViolation,
+                           match=rf"alpha={re.escape(repr(alpha))} outside"):
+            parameter_presets("sp_avg", 16, 64, 0.1, alpha)
+        with pytest.raises(SpecConstraintViolation,
+                           match=rf"alpha={re.escape(repr(alpha))} outside"):
+            generate(InstanceSpec("sp_worst", L=2, D=2, alpha=alpha))
+
+    @pytest.mark.parametrize("n,m,bad", [
+        (16.5, 64, "n=16.5"), (16.0, 64, "n=16.0"), (True, 64, "n=True"),
+        ("16", 64, "n='16'"), (0, 64, "n=0"), (16, 64.0, "m=64.0"),
+        (16, False, "m=False"), (16, None, "m=None")])
+    def test_non_integer_counts(self, n, m, bad):
+        # 16.5 used to return a spec
+        with pytest.raises(SpecConstraintViolation,
+                           match=f"{re.escape(bad)} must be an integer >= 1"):
+            parameter_presets("sp_avg", n, m, 0.1, A)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = parameter_presets("sp_avg", np.int64(16), np.int32(64), 0.1, A)
+        assert spec == parameter_presets("sp_avg", 16, 64, 0.1, A)
+
+    def test_unknown_family(self):
+        with pytest.raises(RegimeUndefined, match="no preset for family 'nope'"):
+            parameter_presets("nope", 16, 64, 0.1, A)
+        with pytest.raises(SpecConstraintViolation, match="unknown family"):
+            generate(InstanceSpec("nope", n=16, m=64))
+
+    def test_one_entry_adds_a_family(self, monkeypatch, tmp_path):
+        # generate, parameter_presets and the CLI all read the table
+        def build(spec):
+            edges = np.array([[0, 1], [1, 1]], np.int64)
+            return edges, 2, instances.InstanceMeta(
+                spec.family, 0, 1, 0.0, 0.0, None, roles={"s": [0]})
+
+        monkeypatch.setitem(FAMILIES, "toy", Family(
+            build, lambda n, m, d, delta, alpha: {"L": n, "swap": False}))
+        spec = parameter_presets("toy", 4, 8, 0.1, A)
+        assert (spec.family, spec.L, spec.swap) == ("toy", 4, False)
+        g, meta = generate(spec)
+        assert (g.node_count, g.edge_count, meta.t) == (2, 2, 1)
+        out = tmp_path / "toy.txt"
+        assert cli.main(["generate", "--family", "toy", "--n", "4", "--m", "8",
+                         "--preset", "--out", str(out)]) == 0
+        assert load_edge_list(out).edges() == g.edges()
