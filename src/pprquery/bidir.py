@@ -19,9 +19,9 @@ never draw a scan uniform.
 Forward phase: walks from the source; each terminal u_k is scored by an
 estimate R_hat(u_k) of the derandomized residue R(u_k), combining exact
 ADJ-checked contributions of heavy-reserve nodes with uniform sampling
-of the remaining out-neighbors.  `estimate_R_hat` scores all terminals
-in one pass of batch queries and draws the samples by rejection in
-vectorized rounds, one try per still-open sample per round.
+of the remaining out-neighbors.  `estimate_R_hat` queries each terminal
+once per call and draws the samples block by block, by rejection in
+vectorized rounds of one try per still-open sample.
 """
 
 from __future__ import annotations
@@ -271,25 +271,23 @@ def estimate_R_hat(o, state, terminals, params, rng):
     of heavy-reserve out-neighbors via ADJ, uniform sampling of the
     rest.
 
-    Per block of terminals: one DEG-OUT batch and one ADJ batch over
-    terminals x V_P, then one uniform per sample (n_s per terminal with
-    a non-empty light pool, in terminal order).  A terminal with
-    d_out < 2|V_P| reads its out-list once (d_out OUT queries) and its
-    samples pick among the light out-neighbors.  Every other sample is
-    drawn by rejection in rounds: each round is one OUT batch over the
-    open samples, the first round uses their uniforms and each later
-    one draws one fresh uniform per open sample.  A sample still open
+    Once per call: one DEG-OUT batch, one ADJ batch over terminals x
+    V_P, and one out-list read (d_out OUT queries) of each light
+    terminal (d_out < 2|V_P|), whose samples pick among its light
+    out-neighbors (IndexError, before any sample uniform, if it has
+    none).  Per block of terminals, one uniform per sample (n_s per
+    terminal with a non-empty light pool, in terminal order); the other
+    samples are drawn by rejection in rounds of one try (out_step_many)
+    per open sample, at its own uniform, then one fresh uniform per
+    round; with V_P empty there is one round.  A sample still open
     after 64 tries reads its terminal's out-list and picks among the
-    light out-neighbors with one more uniform.  On a view, each OUT
-    query of the virtual source is one JUMP, so its tries need no
-    branch here.
+    light out-neighbors with one more uniform.
 
     A terminal that is not an integer in [0, o.node_count) raises
     NodeIdOutOfRange before any query or draw.  V_P and the keys of
     state.contrib are node masks, _chi_num_sum runs once per distinct
-    (terminal, node) pair, bincount sums left to right, and the
-    per-sample arrays reuse the walk engine's scratch
-    (classic._scratch_array).
+    (terminal, node) pair, bincount sums left to right, and the samples
+    reuse the walk engine's scratch (classic._scratch_array).
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
@@ -307,79 +305,95 @@ def estimate_R_hat(o, state, terminals, params, rng):
     is_heavy[heavy] = True
     has_chi[np.fromiter(state.contrib, np.int64, len(state.contrib))] = True
     memo = {}  # pair key u*n + v -> _chi_num_sum(state, u, v)
-    step = max(1, _BLOCK_SAMPLES // params.n_s)
-    return np.concatenate([np.empty(0)] + [
-        _score_block(o, state, memo, us[a:a + step], heavy, is_heavy, has_chi,
-                     params.n_s, rng) for a in range(0, us.size, step)])
 
+    def chi(who, vs):
+        """_chi_num_sum(state, us[who[i]], vs[i]) for every i."""
+        keys, inv = np.unique(us[who] * n + vs, return_inverse=True)
+        keys = keys.tolist()
+        memo.update((key, _chi_num_sum(state, *divmod(key, n)))
+                    for key in keys if key not in memo)
+        return np.array([memo[key] for key in keys])[inv]
 
-def _score_block(o, state, memo, us, heavy, is_heavy, has_chi, n_s, rng):
-    """R_hat of every terminal of `us`, V_P ascending in `heavy`."""
-    k = us.size
+    k, n_s = us.size, params.n_s
     du = o.deg_out_many(us)
     is_nbr = o.adj_many(np.repeat(us, heavy.size),
                         np.tile(heavy, k)).reshape(k, heavy.size)
-    pool = du - is_nbr.sum(axis=1)
-    sampling = np.flatnonzero(pool > 0)
-    u = _scratch_array("us", sampling.size * n_s, np.float64).reshape(-1, n_s)
-    rng.random(out=u)  # a row per sampling terminal
-
-    def pick_light(ts, x, out=None):
-        """Read the out-list of each terminal ts[j] (d_out OUT queries)
-        and pick, for each uniform of row x[j], among its light
-        out-neighbors."""
-        lens = du[ts]
-        row = np.arange(ts.size).repeat(lens)
-        pos = np.arange(row.size) - (lens.cumsum() - lens)[row]
-        cand = o.out_nbr_many(us[ts][row], pos)
-        ok = ~is_heavy[cand]
-        clen = np.bincount(row[ok], minlength=ts.size)
-        if not clen.all():
-            raise IndexError("no light out-neighbor to sample")
-        idx = _scratch_array("off", x.size, np.int64).reshape(x.shape)
-        np.multiply(x, clen[:, None], out=idx, casting="unsafe")  # truncates
-        idx += (clen.cumsum() - clen)[:, None]
-        # idx is in range: "clip" clips nothing, "raise" would copy `out`
-        return np.take(cand[ok].astype(np.int64), idx, out=out, mode="clip")
-
-    # light terminals' samples first; each terminal's stay in order
-    light = du[sampling] < 2 * heavy.size
-    ts = np.concatenate((sampling[light], sampling[~light]))
-    nodes = _scratch_array("cur", u.size, np.int64)
-    split = np.count_nonzero(light) * n_s
-    if split:
-        pick_light(ts[:split // n_s], u[light], nodes[:split].reshape(-1, n_s))
-        u = u[~light]
-    # one try (a uniform and an OUT query) per open sample and round
-    tried, x, open_ = nodes[split:], u.ravel(), slice(None)
-    t = ts[split // n_s:].repeat(n_s)
-    for rnd in range(64):
-        if not t.size:
-            break
-        if rnd:
-            x = rng.random(t.size)
-        idx = _scratch_array("off", t.size, np.int64)
-        np.multiply(x, du[t], out=idx, casting="unsafe")  # truncates
-        got = o.out_nbr_many(us[t], idx)
-        tried[open_] = got
-        keep = is_heavy[got]
-        open_, t = np.flatnonzero(keep) if rnd == 0 else open_[keep], t[keep]
-    if t.size:
-        tried[open_] = pick_light(t, rng.random((t.size, 1))).ravel()
-    # chi of each V_P neighbor, then of each sample in contrib (the rest add 0)
     rows, cols = np.nonzero(is_nbr)
-    hit = np.flatnonzero(has_chi[nodes])
-    who, n = np.concatenate((rows, ts[hit // n_s])), is_heavy.size
-    pairs = us[who] * n + np.concatenate((heavy[cols], nodes[hit]))
-    keys, inv = np.unique(pairs, return_inverse=True)
-    for key in keys.tolist():
-        if key not in memo:
-            memo[key] = _chi_num_sum(state, *divmod(key, n))
-    chi = np.array([memo[key] for key in keys.tolist()])[inv]
-    num = np.bincount(rows, chi[:rows.size], minlength=k)
-    acc = np.bincount(who[rows.size:], chi[rows.size:], minlength=k)
+    num = np.bincount(rows, chi(rows, heavy[cols]), minlength=k)
+    pool = du - is_nbr.sum(axis=1)
+    light = (pool > 0) & (du < 2 * heavy.size)
+    clen, start = np.zeros((2, k), dtype=np.int64)
+    cand, clen[light], start[light] = _light_out(o, us[light], du[light],
+                                                 is_heavy)
+    acc = np.zeros(k)
+    step = max(1, _BLOCK_SAMPLES // n_s)
+    for a in range(0, k, step):
+        ts, nodes = _sample_block(
+            o, us, du, a + np.flatnonzero(pool[a:a + step] > 0),
+            (cand, clen, start), is_heavy if heavy.size else None, n_s, rng)
+        hit = np.flatnonzero(has_chi[nodes])  # chi is 0 off contrib's keys
+        who, block = ts[hit // n_s], acc[a:a + step]
+        block[:] = np.bincount(who - a, chi(who, nodes[hit]),
+                               minlength=block.size)
     seed = np.where(us == state.target, _seed_term(state, state.target), 0.0)
     return seed + (num + acc * pool / n_s) / du
+
+
+def _light_out(o, vs, lens, is_heavy):
+    """Read the out-list of each node vs[j] (lens[j] = d_out OUT queries)
+    and keep its light entries: (cand, clen, start), those entries list
+    after list, their count and start per list; IndexError if none."""
+    row = np.arange(vs.size).repeat(lens)
+    pos = np.arange(row.size) - (lens.cumsum() - lens)[row]
+    cand = o.out_nbr_many(vs[row], pos)
+    ok = ~is_heavy[cand]
+    clen = np.bincount(row[ok], minlength=vs.size)
+    if not clen.all():
+        raise IndexError("no light out-neighbor to sample")
+    return cand[ok].astype(np.int64), clen, clen.cumsum() - clen
+
+
+def _pick(picks, rows, x, out=None):
+    """cand[start[r] + floor(u * clen[r])], r = rows[j], per u in x[j]."""
+    cand, clen, start = picks
+    idx = _scratch_array("off", x.size, np.int64).reshape(x.shape)
+    np.multiply(x, clen[rows, None], out=idx, casting="unsafe")  # truncates
+    idx += start[rows, None]
+    # idx is in range: "clip" clips nothing, "raise" would copy `out`
+    return np.take(cand, idx, out=out, mode="clip")
+
+
+def _sample_block(o, us, du, ts, picks, is_heavy, n_s, rng):
+    """n_s samples for us[j], j in `ts` ascending: `ts` with its light
+    terminals (clen > 0 in picks) first, and the samples, n_s per j in
+    that order, in scratch `cur`.  is_heavy: V_P mask, None if empty."""
+    x = _scratch_array("us", ts.size * n_s, np.float64).reshape(-1, n_s)
+    rng.random(out=x)  # a row per terminal of ts
+    light = picks[1][ts] > 0
+    ts = np.concatenate((ts[light], ts[~light]))
+    split = np.count_nonzero(light)
+    nodes = _scratch_array("cur", x.size, np.int64)
+    if split:
+        _pick(picks, ts[:split], x[light],
+              nodes[:split * n_s].reshape(-1, n_s))
+        x = x[~light]
+    tried = nodes[split * n_s:]  # the first tries: their own uniforms
+    tried[:] = o.out_step_many(us[ts[split:]].repeat(n_s), x.ravel())
+    if is_heavy is None:  # no try is rejected
+        return ts, nodes
+    open_ = np.flatnonzero(is_heavy[tried])
+    t = ts[split:][open_ // n_s]
+    for _ in range(63):
+        if not t.size:
+            break
+        got = o.out_step_many(us[t], rng.random(t.size))
+        tried[open_] = got
+        keep = is_heavy[got]
+        open_, t = open_[keep], t[keep]
+    if t.size:
+        tried[open_] = _pick(_light_out(o, us[t], du[t], is_heavy),
+                             slice(None), rng.random((t.size, 1))).ravel()
+    return ts, nodes
 
 
 def single_pair_ppr(o, s, t, params, rng):

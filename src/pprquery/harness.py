@@ -24,8 +24,7 @@ from .exact import exact_single_source, exact_pagerank
 from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
-                      default_r_max_pair, check_counts, check_params,
-                      DEFAULT_WALK_MULT)
+                      default_r_max_pair, check_params, DEFAULT_WALK_MULT)
 from .bidir import MULTIPLIERS, _cell_params, single_pair_ppr
 from .single_node import (single_node_adaptive, single_node_avg_jump,
                           single_node_avg_full)
@@ -241,8 +240,10 @@ def _check_config(cfg):
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if inst.get("preset"):
-        try:
-            check_counts(n=inst.get("n"), m=inst.get("m"))
+        try:  # every cell's preset; none builds a graph
+            for d in cfg.deltas:
+                parameter_presets(inst["family"], inst.get("n"), inst.get("m"),
+                                  d, cfg.alpha)
         except ValueError as e:
             raise ConfigError(f"preset instance: {e}") from None
     return variant, required, runner

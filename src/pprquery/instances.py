@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from functools import partial
 from typing import Callable, NamedTuple
@@ -169,10 +170,15 @@ def _pad(next_id, n_pad, m_pad):
 
 
 def generate(spec):
-    """Build the family's graph and meta; optionally swap and pad."""
+    """Build the family's graph and meta; optionally swap and pad.  A bad
+    family, alpha or integer field is named before any building."""
     if spec.family not in FAMILIES:
         raise SpecConstraintViolation(f"unknown family {spec.family!r}")
     _check(SpecConstraintViolation, check_params, alpha=spec.alpha)
+    for name in ("n", "m", "L", "D", "D2"):
+        val = getattr(spec, name)
+        ok = isinstance(val, numbers.Integral) and not isinstance(val, bool)
+        _require(ok, f"{name}={val!r} must be an integer")
     edges, node_count, meta = FAMILIES[spec.family].builder(spec)
     if spec.swap and meta.swap_edges is not None:
         e1, e2 = spec.swap_edges if spec.swap_edges else meta.swap_edges

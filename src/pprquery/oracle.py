@@ -11,17 +11,17 @@ which return Python ints; ADJ bisects the id-sorted out-range.  The
 batch methods `deg_out_many`, `out_nbr_many`, `adj_many` and
 `jump_many` index the arrays with numpy and charge exactly one query
 per element, so batching changes the wall time of a run, never its
-query count; `walk_step_many`, a DEG-OUT and an OUT fused into one
-walk step, charges both.  A walk step computes its index from float64
+query count.  `out_step_many(vs, u)`, OUT at floor(u * d_out(v)) for
+uniforms u, charges one OUT each; `walk_step_many`, a walk step, is a
+DEG-OUT batch and then that batch.  Both index through float64
 out-degrees and intp offsets, tables built once per graph on its first
-walk step or OUT batch and freed with it, so no step converts the
-int32 arrays.  The scan batches `in_scans` (whole IN lists) and
-`in_sorted_scans` (IN-SORTED prefixes) charge DEG-IN per list and IN
-or IN-SORTED plus DEG-OUT per entry read, as a loop of scalar queries
-would.  They return the ids read as intp, converted once, so the
-caller's fancy indexes take them as they are, and `in_sorted_scans`
-also returns its stop predicate's value on each entry read, so the
-caller need not evaluate it again.
+step or OUT batch and freed with it.  The scan batches `in_scans`
+(whole IN lists) and `in_sorted_scans` (IN-SORTED prefixes) charge
+DEG-IN per list and IN or IN-SORTED plus DEG-OUT per entry read, as a
+loop of scalar queries would.  They return the ids read as intp,
+converted once, so the caller's fancy indexes take them as they are,
+and `in_sorted_scans` also returns its stop predicate's value on each
+entry read, so the caller need not evaluate it again.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -265,17 +265,14 @@ class OracleHandle:
             out[vs == self.virtual] = self._draw(self.virtual, vs.size - paid)
         return out
 
-    def walk_step_many(self, vs, u):
-        """One walk step from every node of `vs`: OUT(v, floor(u[j] * d))
-        with v = vs[j] and d = DEG-OUT(v), charging one DEG-OUT and one
-        OUT per element, for uniforms u[j] in [0, 1).  Such an index
-        needs no bounds check: u <= 1 - 2^-53, so u * d rounds below d
-        for every d < 2^53 and its floor is at most d - 1."""
+    def out_step_many(self, vs, u):
+        """OUT(v, floor(u[j] * d_out(v))) with v = vs[j], charging one OUT
+        per element, for uniforms u[j] in [0, 1).  No bounds check: u <=
+        1 - 2^-53, so u * d rounds below d for every d < 2^53."""
         vs = np.asarray(vs, dtype=np.int64)
         g = self.graph
         deg, ptr = _step_tables(g)
         paid = self._paid(vs)
-        self.stats.deg_out += paid
         self.stats.out_q += paid
         x = deg[vs]
         x *= u
@@ -285,6 +282,13 @@ class OracleHandle:
         out = g.out_nbrs[idx]
         if paid < vs.size:
             out[vs == self.virtual] = self._draw(self.virtual, vs.size - paid)
+        return out
+
+    def walk_step_many(self, vs, u):
+        """One walk step from every node of `vs`: DEG-OUT, then OUT at u."""
+        out_q = self.stats.out_q
+        out = self.out_step_many(vs, u)
+        self.stats.deg_out += self.stats.out_q - out_q  # paid where OUT is
         return out
 
     def adj_many(self, us, vs):

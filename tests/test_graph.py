@@ -271,6 +271,9 @@ class CountingProxy:
     def adj_many(self, us, vs):
         return self._count_many(self.inner.adj_many, us, vs)
 
+    def out_step_many(self, vs, u):
+        return self._count_many(self.inner.out_step_many, vs, u)
+
     # a walk step is a DEG-OUT and an OUT call per element
     def walk_step_many(self, vs, u):
         self.calls += len(vs)

@@ -423,6 +423,19 @@ class TestConfigErrors:
                                               rf"{re.escape(bad)} must be"):
             run_experiment(tiny_config(instance=inst))
 
+    @pytest.mark.parametrize("over,err", [
+        ({"family": "no_such"}, "no preset for family 'no_such'"),
+        ({"m": 8}, "need n <= m <= n^2, got n=16, m=8"),
+        ({"m": 257}, "need n <= m <= n^2, got n=16, m=257"),
+        ({"family": "st_avg_adj"}, "st_avg_adj assumes delta <=")])
+    def test_bad_preset_named_before_generation(self, over, err):
+        # each used to fail at generation: RegimeUndefined or
+        # SpecConstraintViolation from parameter_presets
+        inst = {"family": "sp_avg", "preset": True, "n": 16, "m": 64, **over}
+        with pytest.raises(ConfigError,
+                           match=rf"preset instance: {re.escape(err)}"):
+            run_experiment(tiny_config(instance=inst, deltas=[0.1, 0.6]))
+
     def test_preset_numpy_counts_accepted(self):
         inst = {"family": "sp_avg", "preset": True, "n": np.int64(16),
                 "m": np.int64(64)}

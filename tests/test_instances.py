@@ -188,6 +188,30 @@ class TestStructure:
         with pytest.raises(SpecConstraintViolation):
             generate(InstanceSpec("sn_worst_full", n=10, m=16, L=7))
 
+    @pytest.mark.parametrize("field,val", [
+        ("L", 2.5), ("D", "2"), ("L", True), ("D2", 1.0), ("n", 16.0),
+        ("m", None), ("D", np.float64(2.0)), ("m", np.bool_(True))])
+    def test_mistyped_integer_field_named(self, monkeypatch, field, val):
+        # L=2.5 and D="2" used to raise a bare TypeError, L=True built L=1
+        def fail(spec):
+            raise AssertionError("builder ran on a mistyped spec")
+
+        monkeypatch.setitem(FAMILIES, "sp_worst", Family(
+            fail, FAMILIES["sp_worst"].preset))
+        spec = InstanceSpec("sp_worst", **{"n": 16, "m": 64, "L": 2, "D": 2,
+                                           field: val})
+        with pytest.raises(SpecConstraintViolation,
+                           match=f"{field}={re.escape(repr(val))} must be an "
+                                 f"integer"):
+            generate(spec)
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = InstanceSpec("sp_worst", n=np.int64(16), m=np.int32(64),
+                            L=np.int64(2), D=np.uint8(2), D2=np.int16(0))
+        g, _ = generate(spec)
+        assert g.edges() == generate(InstanceSpec("sp_worst", n=16, m=64, L=2,
+                                                  D=2))[0].edges()
+
     def test_flip_upper_keeps_pi(self):
         a = InstanceSpec("sp_avg", n=16, L=4, D=2, alpha=A, swap=True)
         b = InstanceSpec("sp_avg", n=16, L=4, D=2, alpha=A, swap=True,

@@ -350,6 +350,41 @@ def test_walk_step_matches_degree_then_neighbor(view, data):
     assert jump_state(a) == jump_state(b)
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_out_step_matches_neighbor_at_floor(view, data):
+    """An OUT batch at uniforms answers and charges what an OUT batch at
+    floor(u * d) does: one OUT per element and, on a view, one JUMP per
+    virtual element in element order, with no DEG-OUT; a walk step is
+    a DEG-OUT batch and then this batch."""
+    g, vs, us = data.draw(node_batches(view))
+    vs, us = np.array(vs, dtype=np.int64), np.array(us, dtype=np.float64)
+    a, b = twin_oracles(g, view)
+    c, d = twin_oracles(g, view)
+    idx = (us * a.graph.out_deg[vs]).astype(np.int64)  # degrees unmetered
+    want = a.out_nbr_many(vs, idx)
+    assert b.out_step_many(vs, us).tolist() == want.tolist()
+    virt = int(np.count_nonzero(vs == b.virtual)) if view else 0
+    assert a.stats.as_dict() == b.stats.as_dict() == {
+        **dict.fromkeys(QUERY_KINDS, 0), "out": vs.size - virt, "jump": virt,
+        "total": vs.size}
+    assert jump_state(a) == jump_state(b)
+    c.deg_out_many(vs)
+    want = c.out_step_many(vs, us)
+    assert d.walk_step_many(vs, us).tolist() == want.tolist()
+    assert c.stats.as_dict() == d.stats.as_dict()
+    assert jump_state(c) == jump_state(d) == jump_state(a)
+
+
+def test_largest_uniform_out_step_is_last_neighbor():
+    g = random_graph(3, 60, d=9)
+    o = OracleHandle(g)
+    vs = np.arange(g.node_count)
+    u = np.full(vs.size, np.nextafter(1.0, 0.0))
+    assert o.out_step_many(vs, u).tolist() == [out_list(g, v)[-1] for v in vs]
+
+
 def test_view_walk_step_is_one_jump_per_virtual_element():
     g = random_graph(2, 30)
     a, b = (OracleHandle(g, Capabilities(jump=True), seed=4) for _ in range(2))
@@ -870,6 +905,32 @@ def test_scores_match_across_blocks(monkeypatch):
         g = random_graph(gseed, n, d=d)
         assert_scores_match(g, view, 0, scoring_case_terminals(g, gseed, view),
                             7, **mult)
+
+
+def test_terminal_queries_once_per_call(monkeypatch):
+    """Blocks of a few samples each, so a call runs many blocks: it still
+    issues one DEG-OUT batch and one ADJ batch over all its terminals,
+    and its scores match the round order."""
+    monkeypatch.setattr(bidir, "_BLOCK_SAMPLES", 7)
+    calls = []
+    for name in ("deg_out_many", "adj_many"):
+        def spy(self, *args, _real=getattr(OracleHandle, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(OracleHandle, name, spy)
+    blocks = []
+    sample_block = bidir._sample_block
+    monkeypatch.setattr(bidir, "_sample_block",
+                        lambda *a: blocks.append(1) or sample_block(*a))
+    for gseed, n, d, view, mult, _ in SCORING_CASES[:3]:
+        g = random_graph(gseed, n, d=d)
+        calls.clear()
+        blocks.clear()
+        assert_scores_match(g, view, 0, scoring_case_terminals(g, gseed, view),
+                            7, **mult)
+        assert sorted(calls) == ["adj_many", "deg_out_many"]
+        assert len(blocks) > 10
 
 
 def test_scores_unchanged_after_larger_and_smaller_calls(monkeypatch):
