@@ -283,12 +283,11 @@ def _leveled_backward(o, t, alpha, L, push):
     order (single_node_adaptive sums the values in that order).
 
     Level 0 is residue 1 on t.  push(vs, rv) takes a level's nodes with
-    positive residue and returns its pushes (us, x) in push order.  Node
-    ids are intp throughout, as the scan batches return them, so no
-    index converts them again; rbs drops the entries that ended their
-    scans by in_sorted_scans' stop flag.  The next level holds each
-    pushed node once, in first-appearance order, with the sum of its
-    pushes added left to right from 0.0 (bincount), so values, key
+    positive residue and returns its pushes (us, x) in push order, read
+    off one scan batch at spreads (1 - alpha) * rv.  Node ids are intp
+    throughout, as the scan batches return them.  The next level holds
+    each pushed node once, in first-appearance order, with the sum of
+    its pushes added left to right from 0.0 (bincount), so values, key
     order and queries are those of a dict filled push by push.
     """
     check_counts(L=L)
@@ -322,14 +321,13 @@ def power_iteration_target(o, t, alpha, L):
     Returns a sparse dict equal to sum_{k<=L} alpha (1-alpha)^k P^k[.,t],
     i.e. brute_force_pair truncated at the same horizon; the dropped
     tail is at most (1-alpha)^L.  A level reads the full IN lists of
-    its nodes as one `in_scans` batch.
+    its nodes as one `in_scans` batch, whose increments it pushes.
     """
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha)
 
     def push(vs, rv):
-        us, d, rows = o.in_scans(vs)
-        return us, ((1.0 - alpha) * rv)[rows] / d
+        return o.in_scans(vs, (1.0 - alpha) * rv)
 
     return _leveled_backward(o, t, alpha, L, push)
 
@@ -369,9 +367,11 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     first edge below both.  Increments are unbiased but not independent
     within a scan.  A level's nodes are scanned in id order, drawing one
     uniform each, as one `in_sorted_scans` batch, which charges what
-    the scalar scans would.  Returns sparse per-source estimates of
-    pi(s,t), keyed in first-reach order, the order in which
-    single_node_adaptive sums them.
+    the scalar scans would: at spread (1-alpha) r(v) and limit
+    min(uniform * theta, theta's float predecessor), v's scan ends at
+    its first increment chi <= limit, and each entry before it pushes
+    max(chi, theta).  Returns sparse per-source estimates of pi(s,t),
+    keyed in first-reach order, the order single_node_adaptive sums in.
     """
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha, delta=delta, eps=eps, theta=theta)
@@ -384,19 +384,12 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
         order = vs.argsort()
         vs = vs[order]
         spread = (1.0 - alpha) * rv[order]
-        # a list stops at its first chi = spread / d below both theta and
-        # its uniform threshold: chi <= lim
         lim = np.minimum(rng.random(vs.size) * theta, below)
-
-        def stop(rows, d):
-            return spread[rows] / d <= lim[rows]
-
-        us, d, rows, stopped = o.in_sorted_scans(vs, stop)
-        x = np.maximum(spread[rows] / d, theta)  # chi, or theta below it
+        us, chi, stopped = o.in_sorted_scans(vs, spread, lim)
         if np.count_nonzero(stopped):  # only a stopping entry pushes nothing
             go = ~stopped
-            us, x = us[go], x[go]
-        return us, x
+            us, chi = us[go], chi[go]
+        return us, np.maximum(chi, theta)  # chi, or theta below it
 
     return _leveled_backward(o, t, alpha, L, push)
 

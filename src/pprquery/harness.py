@@ -192,10 +192,11 @@ def _resolve_instance(inst, delta, alpha):
     return g, s, t, inst["family"]
 
 
-def _check_config(cfg):
-    """Reject a bad config before any instance is generated."""
-    for name, low in (("trials", 1), ("master_seed", 0), ("exact_cap", 0)):
-        val = getattr(cfg, name)
+def _check_config(cfg, threads=1):
+    """Reject a bad config or worker count before any instance is generated."""
+    for name, val, low in (("trials", cfg.trials, 1),
+                           ("master_seed", cfg.master_seed, 0),
+                           ("exact_cap", cfg.exact_cap, 0), ("threads", threads, 1)):
         if (isinstance(val, bool) or not isinstance(val, numbers.Integral)
                 or val < low):
             raise ConfigError(f"{name} must be an integer >= {low}, got {val!r}")
@@ -296,9 +297,10 @@ def run_experiment(cfg, threads=1):
 
     threads > 1 runs whole cells in worker processes; per-trial seeding
     depends only on (master seed, cell, trial), and assembly is sorted,
-    so the output is identical to a sequential run.
+    so the output is identical to a sequential run.  ConfigError before
+    any cell runs unless threads is a non-bool integer >= 1.
     """
-    _check_config(cfg)
+    _check_config(cfg, threads)
     cells = range(len(cfg.deltas))
     if threads > 1 and len(cfg.deltas) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -18,10 +18,10 @@ out-degrees and intp offsets, tables built once per graph on its first
 step or OUT batch and freed with it.  The scan batches `in_scans`
 (whole IN lists) and `in_sorted_scans` (IN-SORTED prefixes) charge
 DEG-IN per list and IN or IN-SORTED plus DEG-OUT per entry read, as a
-loop of scalar queries would.  They return the ids read as intp,
-converted once, so the caller's fancy indexes take them as they are,
-and `in_sorted_scans` also returns its stop predicate's value on each
-entry read, so the caller need not evaluate it again.
+loop of scalar queries would.  List j comes with a spread, and each
+entry u read returns its intp id (converted once, for the caller's
+fancy indexes) and its push increment chi = spread[j] / d_out(u);
+`in_sorted_scans` stops list j at its first chi <= lim[j], flagged.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -36,6 +36,7 @@ each create their own handle over the shared immutable graph.
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -319,63 +320,66 @@ class OracleHandle:
         found[found] = g.out_sorted[lo[found]] == vs[found]
         return found
 
-    def _scan(self, lists, vs, stop=None):
-        """Read the in-lists of `vs` in the CSR array `lists`, each up to
-        and including its first entry where `stop` holds (or all of it),
-        charging DEG-IN per list and DEG-OUT per entry read.  Returns the
-        IN or IN-SORTED count to charge and (nbrs, degs, rows, stopped):
-        intp ids, int32 degrees, positions in `vs` and, with a `stop`,
-        whether each read entry stopped its list (None without)."""
+    def _scan(self, lists, vs, spread, lim=None):
+        """Read the in-lists of `vs` in the CSR array `lists`, list j up to
+        and including its first entry u with chi = spread[j] / d_out(u)
+        <= lim[j] (all of it without `lim`), charging DEG-IN per list and
+        DEG-OUT per entry read.  Returns the IN or IN-SORTED count to
+        charge and (nbrs, chi, stopped) of the entries read: intp ids,
+        float64 chi and, with `lim`, stop flags (None without)."""
         g = self.graph
         vs = np.asarray(vs, dtype=np.intp)
         idx, lens = csr_entries(g.in_ptr, vs)
         nbrs = lists[idx].astype(np.intp)
-        degs, rows = g.out_deg[nbrs], np.arange(vs.size).repeat(lens)
+        rows = np.arange(vs.size).repeat(lens)
+        chi = np.asarray(spread, dtype=np.float64)[rows] / g.out_deg[nbrs]
         halt = None
-        if stop is not None:
-            halt = stop(rows, degs)
+        if lim is not None:
+            halt = chi <= np.asarray(lim, dtype=np.float64)[rows]
             if np.count_nonzero(halt):
-                # stop is monotone, so a list reads its non-stop prefix
-                # plus one: an entry is read unless the entry before it
-                # in its list stopped
+                # chi falls along a sorted list (spread >= 0), so it reads
+                # its non-stop prefix plus one: an entry is read unless
+                # the entry before it in its list stopped
                 cut = np.zeros(halt.size + 1, dtype=bool)
                 cut[1:] = halt
                 cut[lens.cumsum() - lens] = False  # list starts
                 keep = np.flatnonzero(~cut[:-1])
-                nbrs, degs, rows, halt = (nbrs[keep], degs[keep], rows[keep],
-                                          halt[keep])
+                nbrs, chi, halt = nbrs[keep], chi[keep], halt[keep]
         paid = self._paid(nbrs)
         self.stats.deg_in += self._paid(vs)
         self.stats.deg_out += paid
-        return paid, (nbrs, degs, rows, halt)
+        return paid, (nbrs, chi, halt)
 
-    def in_scans(self, vs):
-        """Read the whole IN list of each node v of `vs`: DEG-IN(v), then
-        IN(v, i) and DEG-OUT of its answer for every i, charging exactly
-        those queries.  Returns (nbrs, degs, rows), list after list: intp
-        ids, their out-degrees and their lists' positions in `vs`."""
-        paid, read = self._scan(self.graph.in_nbrs, vs)
+    def in_scans(self, vs, spread):
+        """Read the whole IN list of each node v = vs[j]: DEG-IN(v), then
+        IN(v, i) and DEG-OUT of its answer u for every i, charging exactly
+        those queries.  Returns (nbrs, chi), list after list: the intp
+        ids u and their increments spread[j] / d_out(u)."""
+        paid, read = self._scan(self.graph.in_nbrs, vs, spread)
         self.stats.in_q += paid
-        return read[:3]
+        return read[:2]
 
-    def in_sorted_scans(self, vs, stop):
-        """Scan the IN-SORTED list of each node v of `vs`: DEG-IN(v), then
-        IN-SORTED(v, i) and DEG-OUT of its answer for i = 0, 1, ... up to
-        and including the first answer where `stop` holds (the whole list
-        if none), charging exactly those queries.  stop(rows, degs) maps
-        scan positions in `vs` and out-degrees to booleans and must be
-        monotone along a list, which is sorted by out-degree.  Returns
-        (nbrs, degs, rows, stopped) of the scanned prefixes, scan after
-        scan: intp ids, their out-degrees, their lists' positions in `vs`
-        and stop's value on each, true only on an entry that ended its
-        list, so ~stopped is stop's complement without a second call."""
+    def in_sorted_scans(self, vs, spread, lim):
+        """Scan the IN-SORTED list of each node v = vs[j]: DEG-IN(v), then
+        IN-SORTED(v, i) and DEG-OUT of its answer u for i = 0, 1, ... up
+        to and including the first u whose increment chi = spread[j] /
+        d_out(u) is <= lim[j] (the whole list if none), charging exactly
+        those queries.  With spread >= 0 chi falls along the list, so
+        lim < 0 reads it all and lim = inf stops at its first entry.
+        Returns (nbrs, chi, stopped) of the scanned prefixes, scan after
+        scan: intp ids, their increments and whether each ended its
+        list, so ~stopped marks the entries with chi > lim."""
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
-        paid, read = self._scan(self.graph.in_sorted, vs, stop)
+        paid, read = self._scan(self.graph.in_sorted, vs, spread, lim)
         self.stats.in_sorted += paid
         return read
 
     def jump_many(self, count):
         """`count` JUMP draws: the same values, in the same order, as
-        `count` calls of jump()."""
+        `count` calls of jump(); ValueError, charging and drawing
+        nothing, unless count is a non-bool integer >= 0."""
+        if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
+                or count < 0):
+            raise ValueError(f"count={count!r} must be an integer >= 0")
         return self._draw(self._n, count)

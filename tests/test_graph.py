@@ -285,15 +285,15 @@ class CountingProxy:
 
     # one DEG-IN per list, one IN or IN-SORTED and one DEG-OUT per
     # neighbor read
-    def in_scans(self, vs):
-        nbrs, degs, rows = self.inner.in_scans(vs)
+    def in_scans(self, vs, spread):
+        nbrs, chi = self.inner.in_scans(vs, spread)
         self.calls += len(vs) + 2 * len(nbrs)
-        return nbrs, degs, rows
+        return nbrs, chi
 
-    def in_sorted_scans(self, vs, stop):
-        nbrs, degs, rows, stopped = self.inner.in_sorted_scans(vs, stop)
+    def in_sorted_scans(self, vs, spread, lim):
+        nbrs, chi, stopped = self.inner.in_sorted_scans(vs, spread, lim)
         self.calls += len(vs) + 2 * len(nbrs)
-        return nbrs, degs, rows, stopped
+        return nbrs, chi, stopped
 
 
 _QUERY_PATTERNS = ("deg_*", "*_nbr*", "in_sorted*", "adj*", "jump*",

@@ -225,6 +225,16 @@ class TestCli:
         cli.main(["run", "--config", str(cfg), "--out", str(b), "--seed", "10"])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_run_with_zero_threads_fails_before_any_cell(self, tmp_path):
+        # --threads 0 used to run sequentially
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(tiny_config().to_json())
+        out = tmp_path / "t.csv"
+        with pytest.raises(ConfigError, match="threads must be an integer >= 1"):
+            cli.main(["run", "--config", str(cfg), "--out", str(out),
+                      "--threads", "0"])
+        assert not out.exists()
+
     def test_generate_unknown_family_is_a_usage_error(self, tmp_path, capsys):
         # it used to print a RegimeUndefined traceback
         with pytest.raises(SystemExit) as exc:
@@ -363,6 +373,18 @@ class TestConfigErrors:
                                               rf"{re.escape(repr(val))}"):
             run_experiment(tiny_config(**{"instance": {"family": "no_such"},
                                           name: val}))
+
+    @pytest.mark.parametrize("threads", [0, -2, 2.5, "2", True])
+    def test_threads_not_an_integer_from_one(self, threads, monkeypatch):
+        # 0 and -2 used to run sequentially, 2.5 and "2" failed with a bare
+        # TypeError
+        def fail(cfg, cell):
+            raise AssertionError("a cell ran with a bad thread count")
+
+        monkeypatch.setattr(harness, "_run_cell", fail)
+        with pytest.raises(ConfigError, match=r"threads must be an integer >= 1, "
+                                              rf"got {re.escape(repr(threads))}"):
+            run_experiment(tiny_config(), threads=threads)
 
     @pytest.mark.parametrize("caps", [["jmp"], [["jump"]]])
     def test_bad_capability_names_named(self, caps):

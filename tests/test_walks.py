@@ -21,6 +21,7 @@ query counts follow the per-terminal scorer's distribution.
 import gc
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 import weakref
@@ -245,58 +246,79 @@ def test_batch_out_of_range_raises(view, data):
         o.out_nbr_many(vs, idx)
 
 
+@st.composite
+def scan_batches(draw, g, view):
+    """(nodes, spreads, limits) for a scan batch on g: nodes may include
+    the virtual source, spreads are >= 0 and may be 0, and a limit may
+    be < 0 (read the whole list), inf (stop at the first entry), any
+    float, or spread / k, which an entry of out-degree k meets exactly."""
+    top = g.node_count if view else g.node_count - 1
+    vs = draw(st.lists(st.integers(0, top), max_size=12))
+    spread = [draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))) for _ in vs]
+    lim = [draw(st.one_of(st.just(-1.0), st.just(math.inf), st.floats(0.0, 2.0),
+                          st.integers(1, g.node_count + 1).map(lambda k: sj / k)))
+           for sj in spread]
+    return vs, np.array(spread), np.array(lim)
+
+
+def bits(xs):
+    return np.asarray(xs, dtype=np.float64).view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(), data=st.data())
 def test_in_sorted_scans_match_scalar_scans(view, g, data):
-    """A scan batch reads and charges what a loop of scalar queries does:
-    DEG-IN(v), then IN-SORTED and DEG-OUT up to the first in-neighbor
-    whose out-degree reaches the scan's bound.  On a view, s' ends every
-    real list and its entries, its degrees and its empty list are free."""
+    """A scan batch reads, returns and charges what a loop of scalar
+    queries does: DEG-IN(v), then IN-SORTED and DEG-OUT up to the first
+    in-neighbor u whose increment chi = spread / d_out(u) is <= the
+    list's limit, chi bit-equal to the scalar division.  On a view, s'
+    ends every real list and its entries, its degrees and its empty list
+    are free."""
     a, b = twin_oracles(g, view)
-    top = g.node_count if view else g.node_count - 1
-    vs = data.draw(st.lists(st.integers(0, top), max_size=12))
-    bound = np.array(data.draw(st.lists(st.integers(1, g.node_count + 1),
-                                        min_size=len(vs), max_size=len(vs))),
-                     dtype=np.int64)
+    vs, spread, lim = data.draw(scan_batches(g, view))
     want = []
     for j, v in enumerate(vs):
         for i in range(a.deg_in(v)):
             u = a.in_sorted(v, i)
-            d = a.deg_out(u)
-            want.append((u, d, j, d >= bound[j]))
-            if d >= bound[j]:
+            chi = spread[j] / a.deg_out(u)
+            want.append((u, chi, bool(chi <= lim[j])))
+            if chi <= lim[j]:
                 break
-    nbrs, degs, rows, stopped = b.in_sorted_scans(
-        vs, lambda rows, d: d >= bound[rows])
-    assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist(),
-                    stopped.tolist())) == want
-    assert nbrs.dtype == np.intp and stopped.dtype == bool
+    nbrs, chi, stopped = b.in_sorted_scans(vs, spread, lim)
+    assert nbrs.tolist() == [u for u, _, _ in want]
+    assert bits(chi) == bits([c for _, c, _ in want])
+    assert stopped.tolist() == [h for _, _, h in want]
+    assert nbrs.dtype == np.intp and chi.dtype == np.float64
+    assert stopped.dtype == bool
     assert a.stats.as_dict() == b.stats.as_dict()
+    assert jump_state(a) == jump_state(b)
     with pytest.raises(CapabilityDisabled):
         twin_oracles(g, view, caps=Capabilities())[0].in_sorted_scans(
-            vs, lambda rows, d: d > 0)
+            vs, spread, lim)
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(), data=st.data())
 def test_in_scans_match_scalar_scans(view, g, data):
-    """A full-list IN batch reads and charges what a loop of scalar
-    queries does: DEG-IN(v), then IN and DEG-OUT for every in-neighbor
-    (on a view, with s' free as in the scalar queries)."""
+    """A full-list IN batch reads, returns and charges what a loop of
+    scalar queries does: DEG-IN(v), then IN and DEG-OUT for every
+    in-neighbor u, with chi = spread / d_out(u) bit-equal to the scalar
+    division (on a view, with s' free as in the scalar queries)."""
     a, b = twin_oracles(g, view, caps=Capabilities())
-    top = g.node_count if view else g.node_count - 1
-    vs = data.draw(st.lists(st.integers(0, top), max_size=12))
+    vs, spread, _ = data.draw(scan_batches(g, view))
     want = []
     for j, v in enumerate(vs):
         for i in range(a.deg_in(v)):
             u = a.in_nbr(v, i)
-            want.append((u, a.deg_out(u), j))
-    nbrs, degs, rows = b.in_scans(vs)
-    assert list(zip(nbrs.tolist(), degs.tolist(), rows.tolist())) == want
-    assert nbrs.dtype == np.intp
+            want.append((u, spread[j] / a.deg_out(u)))
+    nbrs, chi = b.in_scans(vs, spread)
+    assert nbrs.tolist() == [u for u, _ in want]
+    assert bits(chi) == bits([c for _, c in want])
+    assert nbrs.dtype == np.intp and chi.dtype == np.float64
     assert a.stats.as_dict() == b.stats.as_dict()
+    assert jump_state(a) == jump_state(b)
     # what a plain handle charges for the real lists, s' entries free
     real = [v for v in vs if v < g.node_count]
     entries = sum(g.in_degrees[v] for v in real)
@@ -313,6 +335,21 @@ def test_jump_many_matches_scalar_jumps(g, k):
     assert b.jump_many(k).tolist() == [a.jump() for _ in range(k)]
     assert a.stats.as_dict() == b.stats.as_dict()
     assert jump_state(a) == jump_state(b)
+
+
+@pytest.mark.parametrize("count", [-3, 2.7, True, "2", None])
+def test_jump_many_rejects_bad_count_before_drawing(count):
+    # a negative count would leave stats.jump below zero, a float would
+    # silently draw its floor and True one JUMP
+    g = random_graph(0, 20)
+    o, twin = (OracleHandle(g, Capabilities(jump=True), seed=3) for _ in range(2))
+    before = jump_state(o)
+    with pytest.raises(ValueError, match=re.escape(f"count={count!r}")):
+        o.jump_many(count)
+    assert o.stats.jump == 0 and jump_state(o) == before
+    # numpy integers pass
+    assert o.jump_many(np.int64(2)).tolist() == [twin.jump(), twin.jump()]
+    assert o.stats.jump == 2
 
 
 @settings(max_examples=20, deadline=None)
@@ -420,7 +457,8 @@ def test_step_tables_built_on_first_step_and_freed_with_graph():
     view = SuperSourceView(o)
     for q in (o, view):
         q.deg_out(3), q.deg_out_many([1, 2]), q.adj_many([1], [2])
-        q.in_scans([0, 5]), q.in_sorted_scans([0, 5], lambda rows, d: d > 2)
+        q.in_scans([0, 5], [0.5, 1.0])
+        q.in_sorted_scans([0, 5], [0.5, 1.0], [0.1, -1.0])
     assert g not in oracle._step_tables_of
     assert view.graph not in oracle._step_tables_of
     o.walk_step_many([0, 1], [0.5, 0.25])
