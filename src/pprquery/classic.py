@@ -13,9 +13,9 @@ each later round advances a shrinking prefix in place.  Walk lengths
 are numpy's geometric draws, bit for bit, but below alpha = 1/3 they
 come from one exponential fill and one divide (`_draw_moves`).
 Power iteration and RBS share one leveled backward loop,
-`_leveled_backward`: one scan batch and one numpy merge per level, with
-estimates keyed in first-reach order (single_node_adaptive sums them
-in that order).
+`_leveled_backward`: one scan batch and one numpy merge per level, and
+one merge of all levels that sums the estimates in level order, keyed
+in first-reach order (single_node_adaptive sums them in that order).
 
 Walk counts carry explicit constant multipliers (default
 16*log(1/p_f)/eps^2 per 1/delta); the underlying analyses only give
@@ -268,13 +268,15 @@ def approx_contributions(o, t, alpha, r_max):
     return state
 
 
-def _first_seen(ids, slot):
-    """Mask of the first occurrence of each id in `ids`.  Written last to
-    first, slot[u] (an n-length scratch array) ends as u's first
-    position."""
+def _merge(ids, weights, slot):
+    """Each id of `ids` once, in first-appearance order, with its weights
+    summed left to right from 0.0 (bincount).  Written last to first,
+    slot[u] (an n-length scratch array) ends as u's first position."""
     pos = np.arange(ids.size)
     slot[ids[::-1]] = pos[::-1]
-    return slot[ids] == pos
+    at = slot[ids]
+    first = at == pos
+    return ids[first], np.bincount(at, weights, ids.size)[first]
 
 
 def _leveled_backward(o, t, alpha, L, push):
@@ -287,32 +289,29 @@ def _leveled_backward(o, t, alpha, L, push):
     off one scan batch at spreads (1 - alpha) * rv.  Node ids are intp
     throughout, as the scan batches return them.  The next level holds
     each pushed node once, in first-appearance order, with the sum of
-    its pushes added left to right from 0.0 (bincount), so values, key
-    order and queries are those of a dict filled push by push.
+    its pushes added left to right from 0.0 (`_merge`), so values, key
+    order and queries are those of a dict filled push by push; one
+    `_merge` of all levels sums the estimates, in level order.
     """
     check_counts(L=L)
-    n = o.node_count
-    est = np.zeros(n)
-    slot = np.empty(n, dtype=np.intp)
+    slot = np.empty(o.node_count, dtype=np.intp)
     vs, rv = np.array([t], dtype=np.intp), np.ones(1)
-    levels = []
+    levels, residues = [], []
     for level in range(L + 1):
-        est[vs] += alpha * rv
         levels.append(vs)
+        residues.append(rv)
         if level == L:
             break
-        if not rv.all():  # residues are >= 0: drop the zeros
+        if np.count_nonzero(rv) < rv.size:  # residues are >= 0: drop the zeros
             live = rv > 0.0
             vs, rv = vs[live], rv[live]
         us, x = push(vs, rv)
         if not us.size:  # later levels would add, charge, draw nothing
             break
-        vs = us[_first_seen(us, slot)]
-        slot[vs] = np.arange(vs.size)
-        rv = np.bincount(slot[us], weights=x, minlength=vs.size)
-    keys = np.concatenate(levels)
-    keys = keys[_first_seen(keys, slot)]
-    return dict(zip(keys.tolist(), est[keys].tolist()))
+        vs, rv = _merge(us, x, slot)
+    keys, est = _merge(np.concatenate(levels),
+                       alpha * np.concatenate(residues), slot)
+    return dict(zip(keys.tolist(), est.tolist()))
 
 
 def power_iteration_target(o, t, alpha, L):
@@ -325,11 +324,8 @@ def power_iteration_target(o, t, alpha, L):
     """
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha)
-
-    def push(vs, rv):
-        return o.in_scans(vs, (1.0 - alpha) * rv)
-
-    return _leveled_backward(o, t, alpha, L, push)
+    return _leveled_backward(
+        o, t, alpha, L, lambda vs, rv: o.in_scans(vs, (1.0 - alpha) * rv))
 
 
 def default_r_max_pair(o, delta):
@@ -369,9 +365,10 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     uniform each, as one `in_sorted_scans` batch, which charges what
     the scalar scans would: at spread (1-alpha) r(v) and limit
     min(uniform * theta, theta's float predecessor), v's scan ends at
-    its first increment chi <= limit, and each entry before it pushes
-    max(chi, theta).  Returns sparse per-source estimates of pi(s,t),
-    keyed in first-reach order, the order single_node_adaptive sums in.
+    its first increment chi <= limit, and each entry before it, which
+    the batch returns, pushes max(chi, theta).  Returns sparse
+    per-source estimates of pi(s,t), summed in level order and keyed in
+    first-reach order, the order single_node_adaptive sums in.
     """
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha, delta=delta, eps=eps, theta=theta)
@@ -385,10 +382,7 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
         vs = vs[order]
         spread = (1.0 - alpha) * rv[order]
         lim = np.minimum(rng.random(vs.size) * theta, below)
-        us, chi, stopped = o.in_sorted_scans(vs, spread, lim)
-        if np.count_nonzero(stopped):  # only a stopping entry pushes nothing
-            go = ~stopped
-            us, chi = us[go], chi[go]
+        us, chi, _ = o.in_sorted_scans(vs, spread, lim)
         return us, np.maximum(chi, theta)  # chi, or theta below it
 
     return _leveled_backward(o, t, alpha, L, push)

@@ -12,7 +12,8 @@ import sys
 
 from .graph import load_edge_list, save_edge_list
 from .exact import exact_single_source, exact_single_target, exact_pagerank, dump_csv
-from .harness import (ExperimentConfig, run_experiment, emit, read_results,
+from .harness import (CapabilityMismatch, ConfigError, ExperimentConfig,
+                      InstanceLoadError, run_experiment, emit, read_results,
                       fit_scaling)
 from .instances import FAMILIES, InstanceSpec, generate, parameter_presets
 
@@ -150,7 +151,10 @@ def main(argv=None):
         fixed = [f"--{k}" for k in _PRESET_FIELDS if getattr(args, k) is not None]
         if fixed:
             g.error(f"--preset sets {', '.join(fixed)} itself")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, CapabilityMismatch, InstanceLoadError) as e:
+        p.error(str(e))  # a bad config is a usage error: exit 2, no traceback
 
 
 if __name__ == "__main__":

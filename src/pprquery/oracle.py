@@ -18,10 +18,11 @@ out-degrees and intp offsets, tables built once per graph on its first
 step or OUT batch and freed with it.  The scan batches `in_scans`
 (whole IN lists) and `in_sorted_scans` (IN-SORTED prefixes) charge
 DEG-IN per list and IN or IN-SORTED plus DEG-OUT per entry read, as a
-loop of scalar queries would.  List j comes with a spread, and each
-entry u read returns its intp id (converted once, for the caller's
-fancy indexes) and its push increment chi = spread[j] / d_out(u);
-`in_sorted_scans` stops list j at its first chi <= lim[j], flagged.
+loop of scalar queries would.  List j comes with a spread, and entry u
+has the push increment chi = spread[j] / d_out(u), returned with its
+intp id.  With spread >= 0, chi never rises along an IN-SORTED list,
+so its entries with chi <= lim[j] are a suffix: `in_sorted_scans`
+reads up to the first of them and returns only the entries before it.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -321,34 +322,35 @@ class OracleHandle:
         return found
 
     def _scan(self, lists, vs, spread, lim=None):
-        """Read the in-lists of `vs` in the CSR array `lists`, list j up to
-        and including its first entry u with chi = spread[j] / d_out(u)
-        <= lim[j] (all of it without `lim`), charging DEG-IN per list and
-        DEG-OUT per entry read.  Returns the IN or IN-SORTED count to
-        charge and (nbrs, chi, stopped) of the entries read: intp ids,
-        float64 chi and, with `lim`, stop flags (None without)."""
+        """Read the in-lists of `vs` in the CSR array `lists`, all of each
+        without `lim`, charging DEG-IN per list and DEG-OUT per entry
+        read.  Returns the IN or IN-SORTED count to charge and the scan
+        batch's return value (see in_scans and in_sorted_scans)."""
         g = self.graph
         vs = np.asarray(vs, dtype=np.intp)
         idx, lens = csr_entries(g.in_ptr, vs)
         nbrs = lists[idx].astype(np.intp)
-        rows = np.arange(vs.size).repeat(lens)
-        chi = np.asarray(spread, dtype=np.float64)[rows] / g.out_deg[nbrs]
-        halt = None
-        if lim is not None:
-            halt = chi <= np.asarray(lim, dtype=np.float64)[rows]
-            if np.count_nonzero(halt):
-                # chi falls along a sorted list (spread >= 0), so it reads
-                # its non-stop prefix plus one: an entry is read unless
-                # the entry before it in its list stopped
-                cut = np.zeros(halt.size + 1, dtype=bool)
-                cut[1:] = halt
-                cut[lens.cumsum() - lens] = False  # list starts
-                keep = np.flatnonzero(~cut[:-1])
-                nbrs, chi, halt = nbrs[keep], chi[keep], halt[keep]
-        paid = self._paid(nbrs)
+        chi = np.asarray(spread, dtype=np.float64).repeat(lens) / g.out_deg[nbrs]
+        if lim is None:
+            paid, read = self._paid(nbrs), (nbrs, chi)
+        else:
+            # stop[1:] flags chi <= lim; a list halted iff its last entry
+            # stops (an empty list reads the pad or the list before it)
+            stop = np.zeros(chi.size + 1, dtype=bool)
+            np.less_equal(chi, np.asarray(lim, dtype=np.float64).repeat(lens),
+                          out=stop[1:])
+            ends = lens.cumsum()
+            halted = np.logical_and(lens, stop[ends])
+            keep = ~stop[1:]
+            read = nbrs[keep], chi[keep], halted
+            paid = read[0].size + int(np.count_nonzero(halted))
+            if self.virtual is not None:  # s' read, kept or stopping, is free
+                kept = np.append(0, keep.cumsum())
+                stops = (ends - lens + kept[ends] - kept[ends - lens])[halted]
+                paid = self._paid(read[0]) + self._paid(nbrs[stops])
         self.stats.deg_in += self._paid(vs)
         self.stats.deg_out += paid
-        return paid, (nbrs, chi, halt)
+        return paid, read
 
     def in_scans(self, vs, spread):
         """Read the whole IN list of each node v = vs[j]: DEG-IN(v), then
@@ -357,18 +359,16 @@ class OracleHandle:
         ids u and their increments spread[j] / d_out(u)."""
         paid, read = self._scan(self.graph.in_nbrs, vs, spread)
         self.stats.in_q += paid
-        return read[:2]
+        return read
 
     def in_sorted_scans(self, vs, spread, lim):
         """Scan the IN-SORTED list of each node v = vs[j]: DEG-IN(v), then
         IN-SORTED(v, i) and DEG-OUT of its answer u for i = 0, 1, ... up
         to and including the first u whose increment chi = spread[j] /
         d_out(u) is <= lim[j] (the whole list if none), charging exactly
-        those queries.  With spread >= 0 chi falls along the list, so
-        lim < 0 reads it all and lim = inf stops at its first entry.
-        Returns (nbrs, chi, stopped) of the scanned prefixes, scan after
-        scan: intp ids, their increments and whether each ended its
-        list, so ~stopped marks the entries with chi > lim."""
+        those queries.  Returns (nbrs, chi, halted): the intp ids and
+        increments of the entries read with chi > lim[j], scan after
+        scan, and per list whether it read that stop entry."""
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
         paid, read = self._scan(self.graph.in_sorted, vs, spread, lim)

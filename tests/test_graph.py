@@ -284,16 +284,16 @@ class CountingProxy:
         return self.inner.jump_many(count)
 
     # one DEG-IN per list, one IN or IN-SORTED and one DEG-OUT per
-    # neighbor read
+    # neighbor read: every one returned, and a sorted scan's stop entry
     def in_scans(self, vs, spread):
         nbrs, chi = self.inner.in_scans(vs, spread)
         self.calls += len(vs) + 2 * len(nbrs)
         return nbrs, chi
 
     def in_sorted_scans(self, vs, spread, lim):
-        nbrs, chi, stopped = self.inner.in_sorted_scans(vs, spread, lim)
-        self.calls += len(vs) + 2 * len(nbrs)
-        return nbrs, chi, stopped
+        nbrs, chi, halted = self.inner.in_sorted_scans(vs, spread, lim)
+        self.calls += len(vs) + 2 * (len(nbrs) + np.count_nonzero(halted))
+        return nbrs, chi, halted
 
 
 _QUERY_PATTERNS = ("deg_*", "*_nbr*", "in_sorted*", "adj*", "jump*",

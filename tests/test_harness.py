@@ -225,14 +225,42 @@ class TestCli:
         cli.main(["run", "--config", str(cfg), "--out", str(b), "--seed", "10"])
         assert a.read_bytes() != b.read_bytes()
 
-    def test_run_with_zero_threads_fails_before_any_cell(self, tmp_path):
-        # --threads 0 used to run sequentially
+    def test_run_with_zero_threads_fails_before_any_cell(self, tmp_path,
+                                                         capsys):
+        # --threads 0 used to run sequentially, and then to end in a
+        # ConfigError traceback with exit status 1
         cfg = tmp_path / "cfg.json"
         cfg.write_text(tiny_config().to_json())
         out = tmp_path / "t.csv"
-        with pytest.raises(ConfigError, match="threads must be an integer >= 1"):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--config", str(cfg), "--out", str(out),
                       "--threads", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "pprquery: error: threads must be an integer >= 1, got 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("over,message", [
+        ({"algorithm": "rbs"}, "rbs needs capabilities ['in_sorted']"),
+        ({"instance": {"n": 16}}, "instance needs 'file' or 'family'"),
+        ({"instance": {"file": "no_such.txt"}}, "no_such.txt not found"),
+    ], ids=["capability_mismatch", "no_file_or_family", "missing_file"])
+    def test_run_with_bad_config_is_a_usage_error(self, tmp_path, capsys,
+                                                  over, message):
+        # CapabilityMismatch and InstanceLoadError (before any cell, or
+        # from a cell), which run_experiment raises by name, exit 2 with
+        # one line, as argparse errors and a ConfigError do
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(tiny_config(**over).to_json())
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^pprquery: error: .*" + re.escape(message), err,
+                         re.M)
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_generate_unknown_family_is_a_usage_error(self, tmp_path, capsys):
