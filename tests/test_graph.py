@@ -606,7 +606,8 @@ class TestBuildProperties:
 @pytest.mark.parametrize("form", ["int64", "int32", "list"])
 def test_build_peak_under_twice_retained(form):
     """The build's traced peak stays within 2x the eight CSR arrays it
-    keeps, also when it has to make its own int64 copy of the edges."""
+    keeps, also when it has to make its own copy of the edges, and
+    within 1.7x for an int32 array, which it reads through views."""
     n, d = 20_000, 10
     u = np.repeat(np.arange(n), d)
     edges = np.column_stack((u, (7 * u + 131 * np.tile(np.arange(d), n)) % n))
@@ -621,7 +622,28 @@ def test_build_peak_under_twice_retained(form):
     finally:
         tracemalloc.stop()
     kept = sum(getattr(g, name).nbytes for name in CSR_ARRAYS)
-    assert peak <= 2 * kept, f"build peak {peak / kept:.2f}x the graph"
+    limit = 1.7 if form == "int32" else 2
+    assert peak <= limit * kept, f"build peak {peak / kept:.2f}x the graph"
+
+
+@pytest.mark.parametrize("edges,node_count,cause", [
+    ([(0, 0)], 2 ** 31 + 1, "node_count=2147483649 exceeds 2^31"),
+    # a zero-stride view: 2^31 rows in 8 bytes of memory
+    (np.broadcast_to(np.zeros((1, 2), np.int32), (2 ** 31, 2)), 1,
+     "2147483648 edges"),
+])
+def test_build_rejects_what_int32_cannot_hold(edges, node_count, cause):
+    """Ids and offsets are stored int32, so past 2^31 nodes or 2^31 - 1
+    edges the build raises, before any n- or m-length allocation."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match=re.escape(cause)) as got:
+            build_graph(edges, node_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(got.value) is GraphError
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("fault", [None, NodeIdOutOfRange, DuplicateEdge,

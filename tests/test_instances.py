@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,22 @@ class TestPresets:
         with pytest.raises(SpecConstraintViolation, match="unknown family"):
             generate(InstanceSpec("nope", n=16, m=64))
 
+    def test_node_count_past_int32_rejected(self, monkeypatch):
+        # ids are int32 from the builders on, so a larger graph is named
+        # before build_graph, whose n-length arrays would need 16 GB here
+        def build(spec):
+            edges = np.array([[0, 0]], np.int32)
+            return edges, 2 ** 31 + 1, instances.InstanceMeta(
+                spec.family, 0, 0, 0.0, 0.0, None)
+
+        monkeypatch.setitem(FAMILIES, "toy", Family(
+            build, FAMILIES["sp_worst"].preset))
+        monkeypatch.setattr(instances, "build_graph", None)
+        with pytest.raises(SpecConstraintViolation,
+                           match=r"2147483649 nodes: int32 ids allow at most "
+                                 r"2\^31"):
+            generate(InstanceSpec("toy", n=1))
+
     def test_one_entry_adds_a_family(self, monkeypatch, tmp_path):
         # generate, parameter_presets and the CLI all read the table
         def build(spec):
@@ -393,3 +410,39 @@ class TestPresets:
         assert cli.main(["generate", "--family", "toy", "--n", "4", "--m", "8",
                          "--preset", "--out", str(out)]) == 0
         assert load_edge_list(out).edges() == g.edges()
+
+
+def _int32_rows(edges):
+    return (edges.dtype == np.int32 and edges.ndim == 2
+            and edges.shape[1] == 2 and edges.flags.c_contiguous)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_builders_emit_int32_rows(fam):
+    spec = parameter_presets(fam, 64, 512, 0.02, A)
+    edges, node_count, _ = FAMILIES[fam].builder(spec)
+    assert _int32_rows(edges), (edges.dtype, edges.shape, edges.flags)
+    assert len(edges) and 0 <= edges.min() and edges.max() < node_count
+
+
+def test_pad_emits_int32_rows():
+    edges = instances._pad(10, 4, 11)
+    assert _int32_rows(edges) and len(edges) == 11
+    assert edges.min() == 10 and edges.max() == 13
+
+
+def test_generate_peak_per_edge():
+    """generate on target_large's family holds its int32 edges while it
+    builds: at most 45 traced bytes per edge, of which the CSR arrays
+    keep 17.8."""
+    spec = parameter_presets("st_avg_full", 2000, 40000, 1e-4, A)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g, _ = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 88_000
+    assert peak <= 45 * g.edge_count, f"{peak / g.edge_count:.1f} B/edge"
