@@ -10,11 +10,11 @@ import argparse
 import json
 import sys
 
-from .graph import load_edge_list, save_edge_list
+from .graph import save_edge_list
 from .exact import exact_single_source, exact_single_target, exact_pagerank, dump_csv
 from .harness import (CapabilityMismatch, ConfigError, ExperimentConfig,
-                      InstanceLoadError, run_experiment, emit, read_results,
-                      fit_scaling)
+                      InstanceLoadError, load_instance_file, run_experiment,
+                      emit, read_results, fit_scaling)
 from .instances import FAMILIES, InstanceSpec, generate, parameter_presets
 
 # the spec fields `generate --preset` sets from the family's regime
@@ -51,7 +51,7 @@ def _cmd_generate(args):
 
 
 def _cmd_exact(args):
-    g = load_edge_list(args.graph)
+    g = load_instance_file(args.graph)  # a bad file is a usage error
     if args.mode == "source":
         vec = exact_single_source(g, args.node, args.alpha, args.tol)
     elif args.mode == "target":

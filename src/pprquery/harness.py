@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .graph import NodeIdOutOfRange, check_nodes, load_edge_list
+from .graph import GraphError, NodeIdOutOfRange, check_nodes, load_edge_list
 from .oracle import OracleHandle, Capabilities, QUERY_KINDS
 from .exact import exact_single_source, exact_pagerank
 from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
@@ -170,13 +170,18 @@ _SPEC_KEYS = tuple(f.name for f in fields(InstanceSpec)
                    if f.name not in ("alpha", "swap_edges"))
 
 
+def load_instance_file(path):
+    """load_edge_list, a missing or bad file raised as InstanceLoadError."""
+    try:
+        return load_edge_list(path)
+    except (OSError, GraphError) as e:
+        raise InstanceLoadError(f"edge list {path}: {e}") from None
+
+
 def _resolve_instance(inst, delta, alpha):
     """(graph, s, t, label) for one cell."""
     if "file" in inst:
-        try:
-            g = load_edge_list(inst["file"])
-        except OSError as e:
-            raise InstanceLoadError(str(e))
+        g = load_instance_file(inst["file"])
         s = inst.get("s", 0)
         t = inst.get("t", g.node_count - 1)
         return g, s, t, inst["file"]

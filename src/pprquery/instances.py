@@ -15,12 +15,13 @@ instance.
 
 Builders emit one C-contiguous int32 (m, 2) edge array, assembled in
 numpy with no Python loop over edges.  Its row order is the insertion
-order that fixes every out-list and in-list.  Ids stay int32 from here
-to the CSR arrays: build_graph reads the array through its column
-views, and generate rejects a node count past 2^31 before it builds.
-generate peaks at 42 traced bytes per edge on st_avg_full: 8 for the
-edges, 17.8 for the CSR arrays kept, the rest build temporaries and meta.
-The meta holds Python lists and ints only.
+order that fixes every out-list and in-list.  Role blocks are ranges
+until InstanceMeta stores them as lists.  Ids stay int32 from here to
+the CSR arrays (read through build_graph's column views), and generate
+rejects a node count past 2^31 before it builds.  generate peaks at 41
+traced bytes per edge on st_avg_full: 8 for the edges, 17.8 for the CSR
+arrays kept, 4.5 for the meta's lists of Python ints, the rest build
+temporaries.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, asdict
 from functools import partial
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -84,6 +86,11 @@ class InstanceMeta:
     target_group: list = field(default_factory=list)
     swap_edges: tuple | None = None
 
+    def __post_init__(self):
+        # builders pass role blocks as ranges; the meta keeps plain lists
+        self.roles = {k: list(v) for k, v in self.roles.items()}
+        self.target_group = list(self.target_group)
+
     def designated_pi(self, swapped):
         return self.pi_post_swap if swapped else self.pi_pre_swap
 
@@ -93,15 +100,23 @@ def _require(cond, msg):
         raise SpecConstraintViolation(msg)
 
 
-def _block(start, size):
-    return list(range(start, start + size))
+def _blocks(start, *sizes):
+    """Consecutive role blocks, ranges of the given sizes, from id start."""
+    ends = list(accumulate(sizes, initial=start))
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _ids(ids):
+    """ids as an array; a role block (a range) as np.arange."""
+    return (np.arange(ids.start, ids.stop, ids.step)
+            if isinstance(ids, range) else np.asarray(ids))
 
 
 def _edges(u, v):
     """C-contiguous int32 (m, 2) rows (u, v) over the broadcast of u and
     v, row-major.  Ids past 2^31 - 1 would wrap here; generate rejects
     such a node count before it builds."""
-    u, v = np.asarray(u), np.asarray(v)
+    u, v = _ids(u), _ids(v)
     rows = np.empty(np.broadcast(u, v).shape + (2,), np.int32)
     rows[..., 0], rows[..., 1] = u, v
     return rows.reshape(-1, 2)
@@ -109,7 +124,7 @@ def _edges(u, v):
 
 def _complete(U, V):
     """Every U node points at every V node, U-major."""
-    return _edges(np.asarray(U)[:, None], V)
+    return _edges(_ids(U)[:, None], V)
 
 
 def _circulant(src_block, dst_block, degree):
@@ -117,8 +132,10 @@ def _circulant(src_block, dst_block, degree):
     n = len(dst_block)
     _require(len(src_block) == n, "circulant layers must have equal size")
     _require(1 <= degree <= n, f"circulant degree {degree} outside [1,{n}]")
-    offsets = (np.arange(n)[:, None] + np.arange(degree)) % n
-    return _edges(np.asarray(src_block)[offsets], np.asarray(dst_block)[:, None])
+    src = np.concatenate((_ids(src_block),) * 2)
+    # row i views src[i:i + degree], read-only use of a strided window
+    window = np.ndarray((n, degree), src.dtype, src, 0, src.strides * 2)
+    return _edges(window, _ids(dst_block)[:, None])
 
 
 def _complete_layer(U1, V1):
@@ -132,8 +149,7 @@ def _relay(V2, start, L):
     self-loop.  X and then W2 (as many nodes as V2) take ids from
     `start`.  Returns (edges, X, W2), the edges group by group (V2 into
     X[i], then X[i] out to W2); the designated target group is W2[:L]."""
-    X = _block(start, math.ceil(len(V2) / L))
-    W2 = _block(start + len(X), len(V2))
+    X, W2 = _blocks(start, math.ceil(len(V2) / L), len(V2))
     j = np.arange(len(V2))
     first = j // L * L  # index of the first node of j's group
     rows = np.empty((2 * len(V2), 2), np.int32)
@@ -147,17 +163,17 @@ def _lower_relay(base, n, degree, L):
     relay's X and W2 take ids from `base`, U2 -> V2 is a circulant of
     `degree`, and V2 feeds the relay in groups of L.  Returns (edges,
     U2, V2, X, W2), the circulant's edges and then the relay's."""
-    U2 = _block(base, n)
-    V2 = _block(base + n, n)
-    relay, X, W2 = _relay(V2, base + 2 * n, L)
+    U2, V2 = _blocks(base, n, n)
+    relay, X, W2 = _relay(V2, V2.stop, L)
     return np.concatenate((_circulant(U2, V2, degree), relay)), U2, V2, X, W2
 
 
 def _apply_swap(edges, e1, e2):
-    """Replace the first rows equal to e1 -> (u1, v2) and e2 -> (u2, v1)."""
+    """Replace the first rows equal to e1 -> (u1, v2) and e2 -> (u2, v1).
+    Each lookup scans column 0 and tests column 1 on its hits only."""
     (u1, v1), (u2, v2) = e1, e2
-    hits = [np.flatnonzero((edges[:, 0] == u) & (edges[:, 1] == v))[:1]
-            for u, v in (e1, e2)]
+    rows = [np.flatnonzero(edges[:, 0] == u) for u, _ in (e1, e2)]
+    hits = [r[edges[r, 1] == v][:1] for r, (_, v) in zip(rows, (e1, e2))]
     if not all(h.size for h in hits):
         raise SpecConstraintViolation(f"swap edges {e1}, {e2} not in instance")
     edges[hits[0]] = (u1, v2)
@@ -197,7 +213,7 @@ def generate(spec):
     if spec.padding:
         edges = np.concatenate((edges, _pad(node_count, n_pad,
                                             max(spec.m, n_pad))))
-        meta.roles["padding"] = _block(node_count, n_pad)
+        meta.roles["padding"] = list(range(node_count, node_count + n_pad))
         node_count += n_pad
     return build_graph(edges, node_count), meta
 
@@ -227,11 +243,8 @@ def _build_folklore_pair(spec):
     K = spec.L
     _require(K >= 1, "folklore_pair needs L = K >= 1")
     a = spec.alpha
-    s = 0
-    outs = _block(1, K)
-    ins = _block(1 + K, K)
-    t = 1 + 2 * K
-    heads = ins[:1] + outs[1:] if spec.swap else outs
+    (s,), outs, ins, (t,) = _blocks(0, 1, K, K, 1)
+    heads = [ins[0], *outs[1:]] if spec.swap else outs
     edges = np.concatenate((_edges(s, outs), _edges(outs, heads),
                             _edges(ins, t), _edges(t, t)))
     meta = InstanceMeta(
@@ -247,12 +260,7 @@ def _build_sp_worst(spec):
     _require(L >= 1 and D >= 1, "sp_worst needs L, D >= 1")
     if spec.m:
         _require(L * D <= spec.m, f"sp_worst needs L*D <= m, got {L * D} > {spec.m}")
-    s = 0
-    U1 = _block(1, L)
-    V1 = _block(1 + L, D)
-    U2 = _block(1 + L + D, L)
-    V2 = _block(1 + 2 * L + D, D)
-    t = 1 + 2 * L + 2 * D
+    (s,), U1, V1, U2, V2, (t,) = _blocks(0, 1, L, D, L, D, 1)
     edges = np.concatenate((_edges(s, U1), _complete_layer(U1, V1),
                             _complete(U2, V2), _edges(V2, t), _edges(t, t)))
     meta = InstanceMeta(
@@ -268,10 +276,8 @@ def _build_sp_avg(spec):
     _require(n >= 1 and L >= 1 and D >= 1, "sp_avg needs n, L, D >= 1")
     _require(L <= n and D <= n, "sp_avg needs L, D <= n")
     u1_size, v1_size = (D, L) if spec.flip_upper else (L, D)
-    s = 0
-    U1 = _block(1, u1_size)
-    V1 = _block(1 + u1_size, v1_size)
-    lower, U2, V2, X, W2 = _lower_relay(1 + u1_size + v1_size, n, D, L)
+    (s,), U1, V1 = _blocks(0, 1, u1_size, v1_size)
+    lower, U2, V2, X, W2 = _lower_relay(V1.stop, n, D, L)
     edges = np.concatenate((_edges(s, U1), _complete_layer(U1, V1), lower))
     group = W2[:L]  # designated target group (always full-size)
     pi_post = (1 - a) ** 4 / (u1_size * v1_size * len(group))
@@ -289,10 +295,7 @@ def _build_st_worst_adj(spec):
     d = spec.D2 or spec.D
     _require(n >= 1 and d >= 1, "st_worst_adj needs n, d >= 1")
     _require(d <= n, "st_worst_adj needs d <= n")
-    u = 0
-    U2 = _block(1, n)
-    V2 = _block(1 + n, n)
-    t = 1 + 2 * n
+    (u,), U2, V2, (t,) = _blocks(0, 1, n, n, 1)
     edges = np.concatenate((_edges(u, u), _circulant(U2, V2, d),
                             _edges(V2, t), _edges(t, t)))
     meta = InstanceMeta(
@@ -306,11 +309,7 @@ def _build_st_worst_adj(spec):
 def _build_st_worst_full(spec):
     n, D, a = spec.n, spec.D, spec.alpha
     _require(n >= 1 and 1 <= D <= n, "st_worst_full needs 1 <= D <= n")
-    U1 = _block(0, n)
-    V1 = _block(n, n)
-    U2 = _block(2 * n, n)
-    V2 = _block(3 * n, n)
-    t = 4 * n
+    U1, V1, U2, V2, (t,) = _blocks(0, n, n, n, n, 1)
     edges = np.concatenate((_circulant(U1, V1, D), _edges(V1, V1),
                             _circulant(U2, V2, D), _edges(V2, t),
                             _edges(t, t)))
@@ -345,9 +344,8 @@ def _build_st_avg_jump(spec, lower_equals_upper=False):
     d2 = D if lower_equals_upper else (spec.D2 or D)
     _require(n >= 1 and 1 <= L <= n, "needs 1 <= L <= n")
     _require(1 <= D <= n and 1 <= d2 <= n, "needs 1 <= D, d2 <= n")
-    U1 = _block(0, n)
-    V1 = _block(n, n)
-    lower, U2, V2, X, W2 = _lower_relay(2 * n, n, d2, L)
+    U1, V1 = _blocks(0, n, n)
+    lower, U2, V2, X, W2 = _lower_relay(V1.stop, n, d2, L)
     edges = np.concatenate((_circulant(U1, V1, D), _edges(V1, V1), lower))
     group = W2[:L]
     meta = InstanceMeta(
@@ -363,9 +361,8 @@ def _build_sn_avg_adj(spec):
     n, a = spec.n, spec.alpha
     d = spec.D2 or spec.D
     _require(n >= 1 and 1 <= d <= n, "sn_avg_adj needs 1 <= d <= n")
-    U1 = _block(0, n)
-    u = n
-    lower, U2, V2, (x,), W2 = _lower_relay(n + 1, n, d, n)
+    U1, (u,) = _blocks(0, n, 1)
+    lower, U2, V2, (x,), W2 = _lower_relay(u + 1, n, d, n)
     edges = np.concatenate((_edges(U1, u), _edges(u, u), lower))
     total = 4 * n + 2
     # pi(t) for t in W2: t itself, x, all of V2, all of U2 reach it
@@ -381,10 +378,8 @@ def _build_sn_avg_adj(spec):
 def _build_sn_avg_insorted(spec):
     n, a = spec.n, spec.alpha
     _require(n >= 1, "sn_avg_insorted needs n >= 1")
-    U1 = _block(0, n)
-    u = n
-    V2 = _block(n + 1, n)
-    relay, (x,), W2 = _relay(V2, 2 * n + 1, n)
+    U1, (u,), V2 = _blocks(0, n, 1, n)
+    relay, (x,), W2 = _relay(V2, V2.stop, n)
     edges = np.concatenate((_edges(U1, u), _edges(u, u), relay))
     total = 3 * n + 2
     base = (1 + (1 - a) / n + (1 - a) ** 2) / total
@@ -401,14 +396,7 @@ def _build_sn_worst_full(spec):
     _require(n >= 1 and m >= 1, "sn_worst_full needs n, m >= 1")
     sm = max(1, math.isqrt(m))
     _require(1 <= L <= sm, f"sn_worst_full needs 1 <= L <= sqrt(m)={sm}")
-    X = _block(0, n)
-    x = n
-    U1 = _block(n + 1, L)
-    V1 = _block(n + 1 + L, sm)
-    U2 = _block(n + 1 + L + sm, sm)
-    T = _block(n + 1 + L + 2 * sm, sm - L)
-    V2 = _block(n + 1 + 3 * sm, L)
-    t = n + 1 + 3 * sm + L
+    X, (x,), U1, V1, U2, T, V2, (t,) = _blocks(0, n, 1, L, sm, sm, sm - L, L, 1)
     total = t + 1
     edges = np.concatenate((_edges(X, x), _edges(x, U1),
                             _complete_layer(U1, V1), _complete(U2, V2),
@@ -431,11 +419,8 @@ def _build_sn_avg_xor(spec, lower_equals_upper=False):
     _require(n >= 1 and 1 <= L <= n, "needs 1 <= L <= n")
     _require(1 <= D <= n and 1 <= d2 <= n, "needs 1 <= D, d2 <= n")
     u1_size, v1_size = (D, L) if spec.flip_upper else (L, D)
-    W1 = _block(0, n)
-    u = n
-    U1 = _block(n + 1, u1_size)
-    V1 = _block(n + 1 + u1_size, v1_size)
-    lower, U2, V2, X, W2 = _lower_relay(n + 1 + u1_size + v1_size, n, d2, L)
+    W1, (u,), U1, V1 = _blocks(0, n, 1, u1_size, v1_size)
+    lower, U2, V2, X, W2 = _lower_relay(V1.stop, n, d2, L)
     edges = np.concatenate((_edges(W1, u), _edges(u, U1),
                             _complete_layer(U1, V1), lower))
     total = W2[-1] + 1
@@ -456,10 +441,8 @@ def _build_output_size_st(spec):
     if spec.variant == "avg":
         K = spec.L
         _require(K >= 1, "output_size_st avg needs L = K >= 1")
-        U = _block(0, n)
-        g = n
-        V = _block(n + 1, K)
-        total = n + 1 + K
+        U, (g,), V = _blocks(0, n, 1, K)
+        total = V.stop
         edges = np.concatenate((_edges(U, g), _edges(g, V), _edges(V, V)))
         meta = InstanceMeta(
             family=spec.family, s=U[0], t=V[0],
@@ -468,8 +451,7 @@ def _build_output_size_st(spec):
             roles={"U": U, "g": [g], "V": V})
         return edges, total, meta
     # worst-case variant: t with n in-neighbors and a self-loop
-    U = _block(0, n)
-    t = n
+    U, (t,) = _blocks(0, n, 1)
     edges = np.concatenate((_edges(U, t), _edges(t, t)))
     meta = InstanceMeta(
         family=spec.family, s=U[0], t=t,

@@ -603,6 +603,67 @@ class TestBuildProperties:
         assert type(got.value) is GraphError
 
 
+def reference_csr(edges, n):
+    """The eight CSR arrays of a valid (m, 2) edge array by stable
+    argsorts of the source and target columns and a sorted (v, rank[u])
+    key: the formulation build_graph's run-aware sorts replaced."""
+    src, dst = (edges[:, c].astype(np.int64) for c in (0, 1))
+
+    def csr(keys, vals):
+        deg = np.bincount(keys, minlength=n)
+        ptr = np.concatenate(([0], np.cumsum(deg)))
+        return ptr, vals[np.argsort(keys, kind="stable")], deg
+
+    out_ptr, out_nbrs, out_deg = csr(src, dst)
+    in_ptr, in_nbrs, in_deg = csr(dst, src)
+    order = np.argsort(out_deg, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    key = np.repeat(np.arange(n) * n, in_deg) + rank[in_nbrs]
+    return {"out_ptr": out_ptr, "out_nbrs": out_nbrs,
+            "out_sorted": np.sort(src * n + dst) % n, "out_deg": out_deg,
+            "in_ptr": in_ptr, "in_nbrs": in_nbrs,
+            "in_sorted": order[np.sort(key) % n], "in_deg": in_deg}
+
+
+def large_edge_orders():
+    """One 30k-edge set on 3,000 nodes (out-degrees 1-19, distinct heads
+    per source) in five row orders: sources in id order with each
+    out-list shuffled, sorted by (source, target), that reversed,
+    grouped by target, and shuffled.  Far past the hypothesis graphs'
+    n <= 8, so the sorts merge runs longer than timsort's minrun."""
+    rng = np.random.default_rng(2024)
+    n = 3000
+    deg = rng.integers(1, 20, n)
+    src = np.repeat(np.arange(n), deg)
+    dst = np.concatenate([rng.choice(n, d, replace=False) for d in deg])
+    grouped = np.column_stack((src, dst))
+    ordered = grouped[np.lexsort((dst, src))]
+    return n, {"source_grouped": grouped, "id_sorted": ordered,
+               "reversed": ordered[::-1],
+               "target_grouped": grouped[np.argsort(dst, kind="stable")],
+               "shuffled": grouped[rng.permutation(len(grouped))]}
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_large_build_matches_reference_in_every_row_order(dtype):
+    n, orders = large_edge_orders()
+    for name, edges in orders.items():
+        edges = np.ascontiguousarray(edges, dtype=dtype)
+        g = build_graph(edges, n)
+        for array, want in reference_csr(edges, n).items():
+            got = getattr(g, array)
+            assert got.dtype == np.int32, (name, array)
+            assert np.array_equal(got, want), (name, array)
+        # one repeated edge late in the rows: the same first-edge message
+        # whatever the order
+        u, v = edges[5]
+        late = np.insert(edges, len(edges) - 3, (u, v), axis=0)
+        with pytest.raises(DuplicateEdge) as got:
+            build_graph(late, n)
+        assert str(got.value) == f"edge ({u},{v}) appears twice", name
+
+
 @pytest.mark.parametrize("form", ["int64", "int32", "list"])
 def test_build_peak_under_twice_retained(form):
     """The build's traced peak stays within 2x the eight CSR arrays it

@@ -263,6 +263,30 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["run", "exact"])
+    def test_bad_edge_list_is_a_usage_error(self, tmp_path, capsys, verb):
+        # a "3 2" header (node 2 has no out-edge) used to end both verbs in
+        # a DanglingNode traceback with exit status 1
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 2\n0 1\n1 0\n")
+        out = tmp_path / "out.csv"
+        if verb == "run":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(tiny_config(instance={"file": str(bad)}).to_json())
+            argv = ["run", "--config", str(cfg), "--out", str(out)]
+        else:
+            argv = ["exact", "--graph", str(bad), "--mode", "pagerank",
+                    "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.fullmatch(
+            r"(?s).*\npprquery: error: edge list " + re.escape(str(bad))
+            + r": header n=3 exceeds m=2 in .*out-degree 0\n", err)
+        assert not out.exists()
+
     def test_generate_unknown_family_is_a_usage_error(self, tmp_path, capsys):
         # it used to print a RegimeUndefined traceback
         with pytest.raises(SystemExit) as exc:

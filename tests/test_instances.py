@@ -157,6 +157,30 @@ class TestStructure:
             assert np.array_equal(np.bincount(edges[:, col], minlength=n),
                                   np.bincount(before[:, col], minlength=n))
 
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_swap_finds_the_head_among_its_source_rows(self, dtype, order):
+        # source 3 heads eight rows and target 7 four, but the edge (3, 7)
+        # is one row near the end: that row and e2's are the only writes
+        edges = [(3, v) for v in range(6)] + [(1, 7), (2, 7), (4, 0),
+                                              (3, 9), (5, 7), (3, 7), (4, 2)]
+        arr = np.array(edges, dtype=dtype, order=order)
+        want = arr.copy()
+        want[11] = (3, 2)
+        want[12] = (4, 7)
+        _apply_swap(arr, (3, 7), (4, 2))
+        assert arr.dtype == dtype and np.array_equal(arr, want)
+
+    @pytest.mark.parametrize("e2", [(3, 8), (8, 1)],
+                             ids=["source_present", "source_absent"])
+    def test_swap_of_absent_edge_writes_nothing(self, e2):
+        arr = np.array([(3, v) for v in range(6)] + [(1, 8), (3, 7)],
+                       dtype=np.int32)
+        before = arr.copy()
+        with pytest.raises(SpecConstraintViolation, match="not in instance"):
+            _apply_swap(arr, (3, 7), e2)
+        assert np.array_equal(arr, before)
+
     def test_padding_neutrality(self):
         spec = InstanceSpec("sp_worst", L=3, D=3, alpha=A, swap=True)
         g, meta = generate(spec)
