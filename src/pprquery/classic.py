@@ -35,6 +35,7 @@ import numpy as np
 from .graph import check_nodes
 
 DEFAULT_WALK_MULT = 16.0
+_COVER_EXTRA = 8.0  # coupon-collector slack of _cover_sources
 
 _scratch = threading.local()  # walk and R_hat arrays, see _scratch_array
 
@@ -388,14 +389,14 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     return _leveled_backward(o, t, alpha, L, push)
 
 
-def _cover_sources(o, extra=8.0):
+def _cover_sources(o):
     """JUMP until every node is seen with high probability.
 
-    Coupon collector: n (ln n + extra) jumps miss a fixed node with
-    probability <= e^-extra.
+    Coupon collector: n (ln n + _COVER_EXTRA) jumps miss a fixed node
+    with probability <= e^-_COVER_EXTRA = e^-8.
     """
     n = o.node_count
-    n_jumps = max(n, math.ceil(n * (math.log(n) + extra)))
+    n_jumps = max(n, math.ceil(n * (math.log(n) + _COVER_EXTRA)))
     seen = set()
     for _ in range(n_jumps):
         seen.add(o.jump())

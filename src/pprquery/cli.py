@@ -15,7 +15,8 @@ from .exact import exact_single_source, exact_single_target, exact_pagerank, dum
 from .harness import (CapabilityMismatch, ConfigError, ExperimentConfig,
                       InstanceLoadError, load_instance_file, run_experiment,
                       emit, read_results, fit_scaling)
-from .instances import FAMILIES, InstanceSpec, generate, parameter_presets
+from .instances import (FAMILIES, InstanceSpec, RegimeUndefined,
+                        SpecConstraintViolation, generate, parameter_presets)
 
 # the spec fields `generate --preset` sets from the family's regime
 _PRESET_FIELDS = ("L", "D", "D2", "variant")
@@ -40,7 +41,7 @@ def _cmd_generate(args):
                    "pi_pre_swap": meta.pi_pre_swap,
                    "pi_post_swap": meta.pi_post_swap,
                    "pi_bounds": meta.pi_bounds,
-                   "target_group": meta.target_group,
+                   "target_group": list(meta.target_group),
                    "swap_edges": meta.swap_edges,
                    "roles": {k: [v[0], v[-1]] for k, v in meta.roles.items() if v}}
         with open(args.meta, "w") as f:
@@ -153,8 +154,9 @@ def main(argv=None):
             g.error(f"--preset sets {', '.join(fixed)} itself")
     try:
         return args.func(args)
-    except (ConfigError, CapabilityMismatch, InstanceLoadError) as e:
-        p.error(str(e))  # a bad config is a usage error: exit 2, no traceback
+    except (ConfigError, CapabilityMismatch, InstanceLoadError,
+            SpecConstraintViolation, RegimeUndefined) as e:
+        p.error(str(e))  # a bad config or spec is a usage error: exit 2
 
 
 if __name__ == "__main__":

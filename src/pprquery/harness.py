@@ -164,10 +164,9 @@ ALGORITHMS = {
 }
 
 
-# InstanceSpec keys a family instance without a preset may set: alpha comes
-# from the config, and swap_edges is left to the family
-_SPEC_KEYS = tuple(f.name for f in fields(InstanceSpec)
-                   if f.name not in ("alpha", "swap_edges"))
+# InstanceSpec keys a family instance without a preset may set: all but
+# alpha, which comes from the config
+_SPEC_KEYS = tuple(f.name for f in fields(InstanceSpec) if f.name != "alpha")
 
 
 def load_instance_file(path):

@@ -15,13 +15,12 @@ instance.
 
 Builders emit one C-contiguous int32 (m, 2) edge array, assembled in
 numpy with no Python loop over edges.  Its row order is the insertion
-order that fixes every out-list and in-list.  Role blocks are ranges
-until InstanceMeta stores them as lists.  Ids stay int32 from here to
-the CSR arrays (read through build_graph's column views), and generate
-rejects a node count past 2^31 before it builds.  generate peaks at 41
-traced bytes per edge on st_avg_full: 8 for the edges, 17.8 for the CSR
-arrays kept, 4.5 for the meta's lists of Python ints, the rest build
-temporaries.
+order that fixes every out-list and in-list.  Role blocks, the target
+group and the padding block are ranges, in the meta too.  Ids stay
+int32 from here to the CSR arrays (read through build_graph's column
+views), and generate rejects a node count past 2^31 before it builds.
+generate peaks at 36.5 traced bytes per edge on st_avg_full: 8 for the
+edges, 17.8 for the CSR arrays kept, the rest build temporaries.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class InstanceSpec:
     D2: int = 0           # lower-layer degree where it differs from D (0 = use D)
     alpha: float = 0.2
     swap: bool = False
-    swap_edges: tuple | None = None   # explicit ((u1,v1),(u2,v2)) override
     padding: bool = False
     variant: str = ""     # output_size_st: "worst" | "avg"
     flip_upper: bool = False  # ADJ-without-IN-SORTED variant: swap |U1| and |V1|
@@ -82,17 +80,9 @@ class InstanceMeta:
     pi_pre_swap: float | None
     pi_post_swap: float | None
     pi_bounds: tuple | None       # (lo, hi) for Theta-band families
-    roles: dict = field(default_factory=dict)
-    target_group: list = field(default_factory=list)
+    roles: dict = field(default_factory=dict)   # name -> range or [id]
+    target_group: range = range(0)
     swap_edges: tuple | None = None
-
-    def __post_init__(self):
-        # builders pass role blocks as ranges; the meta keeps plain lists
-        self.roles = {k: list(v) for k, v in self.roles.items()}
-        self.target_group = list(self.target_group)
-
-    def designated_pi(self, swapped):
-        return self.pi_post_swap if swapped else self.pi_pre_swap
 
 
 def _require(cond, msg):
@@ -193,8 +183,9 @@ def _pad(next_id, n_pad, m_pad):
 
 def generate(spec):
     """Build the family's graph and meta; optionally swap and pad.  A bad
-    family, alpha or integer field is named before any building, and a
-    node count past 2^31, padding included, before build_graph."""
+    family, alpha, integer field, flag or variant is named before any
+    building, and a node count past 2^31, padding included, before
+    build_graph."""
     if spec.family not in FAMILIES:
         raise SpecConstraintViolation(f"unknown family {spec.family!r}")
     _check(SpecConstraintViolation, check_params, alpha=spec.alpha)
@@ -202,18 +193,21 @@ def generate(spec):
         val = getattr(spec, name)
         ok = isinstance(val, numbers.Integral) and not isinstance(val, bool)
         _require(ok, f"{name}={val!r} must be an integer")
+    for name in ("swap", "padding", "flip_upper"):
+        val = getattr(spec, name)
+        _require(isinstance(val, bool), f"{name}={val!r} must be a bool")
+    _require(spec.variant in ("", "worst", "avg"),
+             f"variant={spec.variant!r} must be '', 'worst' or 'avg'")
     edges, node_count, meta = FAMILIES[spec.family].builder(spec)
     n_pad = max(1, spec.n) if spec.padding else 0
     _require(node_count + n_pad <= MAX_IDS, f"{node_count + n_pad} nodes: "
              f"int32 ids allow at most 2^31")
     if spec.swap and meta.swap_edges is not None:
-        e1, e2 = spec.swap_edges if spec.swap_edges else meta.swap_edges
-        _apply_swap(edges, tuple(e1), tuple(e2))
-        meta.swap_edges = (tuple(e1), tuple(e2))
+        _apply_swap(edges, *meta.swap_edges)
     if spec.padding:
         edges = np.concatenate((edges, _pad(node_count, n_pad,
                                             max(spec.m, n_pad))))
-        meta.roles["padding"] = list(range(node_count, node_count + n_pad))
+        meta.roles["padding"] = range(node_count, node_count + n_pad)
         node_count += n_pad
     return build_graph(edges, node_count), meta
 
@@ -223,7 +217,7 @@ def closed_form_pi(spec):
     exact oracle within 1e-9 at desk scale; NoClosedForm for families
     where only a Theta band is stated."""
     _, meta = generate(spec)
-    val = meta.designated_pi(spec.swap)
+    val = meta.pi_post_swap if spec.swap else meta.pi_pre_swap
     if val is None:
         raise NoClosedForm(f"{spec.family} has only a Theta band; "
                            f"use meta.pi_bounds")

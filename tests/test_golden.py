@@ -16,6 +16,7 @@ generator and has to be called out in CHANGES.md.
 import functools
 import hashlib
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,8 +82,9 @@ RUN_DIGESTS = {
     "st_jump_mc": "ab6fcee2f68f6fc4c03c7112693bb0d2d0f5d7dd427208769ae04c9a933277ca",
 }
 
-# family -> hand-written InstanceSpec fields (swap, padding, explicit
-# swap edges, flipped upper layer and the output-size variants)
+# family -> hand-written InstanceSpec fields (swap, padding, flipped upper
+# layer and the output-size variants) and swap edges that replace the
+# family's own (see spec_and_swap)
 SPECS = {
     "folklore_pair": {"L": 3, "swap": True},
     "sp_worst": {"n": 5, "m": 12, "L": 2, "D": 3, "swap": True,
@@ -236,19 +238,53 @@ def run_digest(algorithm, tmp_path):
     return _sha(path.read_bytes())
 
 
-def instance_digest(spec):
-    g, meta = generate(spec)
-    return _sha(repr((g.node_count, g.edges(), asdict(meta))).encode())
+def spec_and_swap(fields):
+    """(InstanceSpec, swap edges or None) of a SPECS or GRID_SPECS entry,
+    whose "swap_edges" entry is no spec field."""
+    fields = dict(fields)
+    swap_edges = fields.pop("swap_edges", None)
+    return InstanceSpec(**fields), swap_edges
 
 
-def graph_digest(spec):
+def generate_swapping(spec, swap_edges=None):
+    """generate(spec), its builder's designated swap edges replaced by
+    swap_edges when given."""
+    if swap_edges is None:
+        return generate(spec)
+    family = FAMILIES[spec.family]
+
+    def builder(spec):
+        edges, node_count, meta = family.builder(spec)
+        meta.swap_edges = swap_edges
+        return edges, node_count, meta
+
+    with mock.patch.dict(FAMILIES,
+                         {spec.family: family._replace(builder=builder)}):
+        return generate(spec)
+
+
+def _meta(meta):
+    """asdict(meta) with its ranges as lists, the form the digests were
+    recorded in."""
+    fields = asdict(meta)
+    fields["roles"] = {k: list(v) for k, v in meta.roles.items()}
+    fields["target_group"] = list(meta.target_group)
+    return fields
+
+
+def instance_digest(spec, swap_edges=None):
+    g, meta = generate_swapping(spec, swap_edges)
+    return _sha(repr((g.node_count, g.edges(), _meta(meta))).encode())
+
+
+def graph_digest(spec, swap_edges=None):
     """sha256 of node_count, every CSR array and the meta, or of the
     error the spec raises."""
     try:
-        g, meta = generate(spec)
+        g, meta = generate_swapping(spec, swap_edges)
     except (GraphError, SpecConstraintViolation) as e:
         return _sha(repr((type(e).__name__, str(e))).encode())
-    h = hashlib.sha256(repr((g.node_count, asdict(meta))).encode())
+    h = hashlib.sha256(repr((g.node_count, _meta(meta))).encode())
     for name in CSR_ARRAYS:
         arr = getattr(g, name)
         h.update(f"{name}:{arr.dtype}:{arr.size}".encode())
@@ -262,14 +298,15 @@ def exact_graph(name):
     if name == "relay_fan":
         g, t = relay_fan_graph()
         return g, 48, t
-    g, meta = generate(grid_spec(name))
+    g, meta = generate_swapping(*grid_spec(name))
     return g, meta.s or 0, meta.t
 
 
 def grid_spec(name):
+    """(InstanceSpec, swap edges or None) of a grid entry."""
     if name in GRID_PRESETS:
-        return parameter_presets(*GRID_PRESETS[name], 0.2)
-    return InstanceSpec(**GRID_SPECS[name])
+        return parameter_presets(*GRID_PRESETS[name], 0.2), None
+    return spec_and_swap(GRID_SPECS[name])
 
 
 def test_matrix_covers_every_algorithm_and_family():
@@ -290,13 +327,13 @@ def test_preset_instance(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_spec_instance(family):
-    spec = InstanceSpec(family=family, **SPECS[family])
-    assert instance_digest(spec) == SPEC_DIGESTS[family]
+    spec, swap_edges = spec_and_swap({"family": family, **SPECS[family]})
+    assert instance_digest(spec, swap_edges) == SPEC_DIGESTS[family]
 
 
 @pytest.mark.parametrize("name", [*GRID_PRESETS, *GRID_SPECS])
 def test_graph_grid(name):
-    assert graph_digest(grid_spec(name)) == GRID_DIGESTS[name]
+    assert graph_digest(*grid_spec(name)) == GRID_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name,mode", list(EXACT_DIGESTS))

@@ -12,8 +12,7 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
 from pprquery import (bidir, cli, generate, harness, save_edge_list,
-                      load_edge_list, exact_single_target, exact_pagerank,
-                      SpecConstraintViolation)
+                      load_edge_list, exact_single_target, exact_pagerank)
 from conftest import chain_graph, mean_queries_by_cell
 
 
@@ -245,12 +244,20 @@ class TestCli:
         ({"algorithm": "rbs"}, "rbs needs capabilities ['in_sorted']"),
         ({"instance": {"n": 16}}, "instance needs 'file' or 'family'"),
         ({"instance": {"file": "no_such.txt"}}, "no_such.txt not found"),
-    ], ids=["capability_mismatch", "no_file_or_family", "missing_file"])
+        ({"instance": {"family": "sp_avg", "n": 8, "L": 0, "D": 2}},
+         "sp_avg needs n, L, D >= 1"),
+        ({"instance": {"family": "sp_avg", "n": 8, "L": 2, "D": 2,
+                       "swap": "false"}}, "swap='false' must be a bool"),
+    ], ids=["capability_mismatch", "no_file_or_family", "missing_file",
+            "bad_spec", "non_bool_swap"])
     def test_run_with_bad_config_is_a_usage_error(self, tmp_path, capsys,
                                                   over, message):
         # CapabilityMismatch and InstanceLoadError (before any cell, or
-        # from a cell), which run_experiment raises by name, exit 2 with
-        # one line, as argparse errors and a ConfigError do
+        # from a cell), which run_experiment raises by name, and a
+        # SpecConstraintViolation from a cell's instance exit 2 with one
+        # line, as argparse errors and a ConfigError do; the last two used
+        # to end in a traceback, and swap "false" used to run the swapped
+        # instance
         cfg = tmp_path / "cfg.json"
         cfg.write_text(tiny_config(**over).to_json())
         out = tmp_path / "t.csv"
@@ -326,14 +333,43 @@ class TestCli:
         assert payload["spec"]["padding"] is True
         assert payload["roles"]["padding"] == [g.node_count, gp.node_count - 1]
 
-    def test_generate_preset_rejects_bad_alpha(self, tmp_path):
-        # alpha 1.5 used to exit 0 and write pi_post_swap 0.0078125
-        with pytest.raises(SpecConstraintViolation, match=r"alpha=1.5 outside"):
+    def test_generate_preset_rejects_bad_alpha(self, tmp_path, capsys):
+        # alpha 1.5 used to exit 0 and write pi_post_swap 0.0078125, and
+        # then to end in a SpecConstraintViolation traceback
+        with pytest.raises(SystemExit) as exc:
             cli.main(["generate", "--family", "sp_avg", "--n", "16", "--m",
                       "64", "--alpha", "1.5", "--preset",
                       "--out", str(tmp_path / "x.txt"),
                       "--meta", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^pprquery: error: alpha=1.5 outside", err, re.M)
+        assert "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--n", "8", "--L", "0", "--D", "2"], "sp_avg needs n, L, D >= 1"),
+        (["--n", "16", "--m", "8", "--preset"], "need n <= m <= n^2"),
+        (["--n", "16", "--m", "64", "--delta", "2", "--preset"],
+         "delta=2.0 outside (0,1]"),
+        (["--n", "16", "--variant", "bogus"], "variant='bogus' must be"),
+    ], ids=["bad_spec", "bad_preset_counts", "bad_preset_delta",
+            "bad_variant"])
+    def test_generate_bad_spec_is_a_usage_error(self, tmp_path, capsys,
+                                                args, message):
+        # SpecConstraintViolation and RegimeUndefined used to end in a
+        # traceback with exit status 1, and variant "bogus" to build the
+        # worst case
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--family", "sp_avg", *args,
+                      "--out", str(tmp_path / "x.txt"),
+                      "--meta", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^pprquery: error: .*" + re.escape(message), err,
+                         re.M)
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_preset_generate(self, tmp_path):
         edge = tmp_path / "g.txt"
