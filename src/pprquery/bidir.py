@@ -19,8 +19,11 @@ never draw a scan uniform.
 Forward phase: walks from the source; each terminal u_k is scored by an
 estimate R_hat(u_k) of the derandomized residue R(u_k), combining exact
 ADJ-checked contributions of heavy-reserve nodes with uniform sampling
-of the remaining out-neighbors.  `estimate_R_hat` queries each terminal
-once per call and draws the samples block by block, by rejection in
+of the remaining out-neighbors.  Walk terminals repeat, and a
+terminal's ADJ answers, heavy chi sums and light out-list do not depend
+on its samples: `estimate_R_hat` finds them once per distinct terminal
+in a call, charging every occurrence the queries it would have made,
+and draws the samples per occurrence, block by block, by rejection in
 vectorized rounds of one try per still-open sample.
 """
 
@@ -33,7 +36,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classic import _scratch_array, _walk_terminals, check_counts, check_params
+from .classic import (_merge, _scratch_array, _walk_terminals, check_counts,
+                      check_params)
 from .graph import NodeIdOutOfRange, check_nodes
 from .oracle import CapabilityDisabled
 
@@ -271,23 +275,31 @@ def estimate_R_hat(o, state, terminals, params, rng):
     of heavy-reserve out-neighbors via ADJ, uniform sampling of the
     rest.
 
-    Once per call: one DEG-OUT batch, one ADJ batch over terminals x
-    V_P, and one out-list read (d_out OUT queries) of each light
-    terminal (d_out < 2|V_P|), whose samples pick among its light
-    out-neighbors (IndexError, before any sample uniform, if it has
-    none).  Per block of terminals, one uniform per sample (n_s per
-    terminal with a non-empty light pool, in terminal order); the other
-    samples are drawn by rejection in rounds of one try (out_step_many)
-    per open sample, at its own uniform, then one fresh uniform per
-    round; with V_P empty there is one round.  A sample still open
-    after 64 tries reads its terminal's out-list and picks among the
-    light out-neighbors with one more uniform.
+    Once per call: one DEG-OUT batch over the terminals, one ADJ batch
+    over terminals x V_P, and one out-list read (d_out OUT queries) of
+    each light terminal (d_out < 2|V_P|), whose samples pick among its
+    light out-neighbors (IndexError, before any sample uniform, if it
+    has none).  A terminal's ADJ answers, chi sums over its V_P
+    neighbors and light out-list are fixed, so the ADJ batch and the
+    out-list read hold each distinct terminal once and charge it once
+    per occurrence (their `times`); with V_P empty the ADJ batch is
+    empty and no chi sum or out-list read runs.  OUT(s', .) answers are
+    JUMP draws, so a light s' reads its out-list at every occurrence,
+    in order.  Per block of terminals, one uniform per sample (n_s per terminal with a
+    non-empty light pool, in terminal order); the other samples are
+    drawn by rejection in rounds of one try (out_step_many) per open
+    sample, at its own uniform, then one fresh uniform per round; with
+    V_P empty there is one round.  A sample still open after 64 tries
+    reads its terminal's out-list and picks among the light
+    out-neighbors with one more uniform.
 
     A terminal that is not an integer in [0, o.node_count) raises
     NodeIdOutOfRange before any query or draw.  V_P and the keys of
     state.contrib are node masks, _chi_num_sum runs once per distinct
-    (terminal, node) pair, bincount sums left to right, and the samples
-    reuse the walk engine's scratch (classic._scratch_array).
+    (terminal, node) pair, bincount sums left to right, and the
+    n-length slot that finds the distinct terminals (classic._merge)
+    and the samples reuse the walk engine's scratch
+    (classic._scratch_array).
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
@@ -306,46 +318,70 @@ def estimate_R_hat(o, state, terminals, params, rng):
     has_chi[np.fromiter(state.contrib, np.int64, len(state.contrib))] = True
     memo = {}  # pair key u*n + v -> _chi_num_sum(state, u, v)
 
-    def chi(who, vs):
-        """_chi_num_sum(state, us[who[i]], vs[i]) for every i."""
-        keys, inv = np.unique(us[who] * n + vs, return_inverse=True)
+    def chi(xs, vs):
+        """_chi_num_sum(state, xs[i], vs[i]) for every i."""
+        keys, back = np.unique(xs * n + vs, return_inverse=True)
         keys = keys.tolist()
         memo.update((key, _chi_num_sum(state, *divmod(key, n)))
                     for key in keys if key not in memo)
-        return np.array([memo[key] for key in keys])[inv]
+        return np.array([memo[key] for key in keys])[back]
 
-    k, n_s = us.size, params.n_s
+    k, n_s, h = us.size, params.n_s, heavy.size
     du = o.deg_out_many(us)
-    is_nbr = o.adj_many(np.repeat(us, heavy.size),
-                        np.tile(heavy, k)).reshape(k, heavy.size)
-    rows, cols = np.nonzero(is_nbr)
-    num = np.bincount(rows, chi(rows, heavy[cols]), minlength=k)
-    pool = du - is_nbr.sum(axis=1)
-    light = (pool > 0) & (du < 2 * heavy.size)
-    clen, start = np.zeros((2, k), dtype=np.int64)
-    cand, clen[light], start[light] = _light_out(o, us[light], du[light],
-                                                 is_heavy)
+    if h:
+        # distinct terminals ds in first-appearance order, each with its
+        # occurrence count; inv maps each occurrence to its ds entry
+        slot = _scratch_array("slot", n, np.intp)
+        ds, times = _merge(us, None, slot)
+        dd = du[slot[ds]]
+        slot[ds] = np.arange(ds.size)
+        inv = slot[us]
+        is_nbr = o.adj_many(np.repeat(ds, h), np.tile(heavy, ds.size),
+                            np.repeat(times, h)).reshape(-1, h)
+        rows, cols = np.nonzero(is_nbr)
+        num = np.bincount(rows, chi(ds[rows], heavy[cols]),
+                          minlength=ds.size)
+        pool = dd - is_nbr.sum(axis=1)
+        light = (pool > 0) & (dd < 2 * h)
+        # one out-list read per light terminal lr, but OUT(s', .) answers
+        # are JUMP draws: a light s' reads at each occurrence occ, after lr
+        lr, occ = np.flatnonzero(light), us[:0]
+        if o.virtual is not None and light[ds == o.virtual].any():
+            occ = np.flatnonzero(us == o.virtual)
+            lr = lr[ds[lr] != o.virtual]
+        cand, c, s = _light_out(o, np.append(ds[lr], us[occ]),
+                                np.append(dd[lr], du[occ]), is_heavy,
+                                np.append(times[lr], np.ones_like(occ)))
+        picks = np.zeros((2, ds.size), dtype=np.int64)
+        picks[:, lr] = c[:lr.size], s[:lr.size]
+        num, pool, (clen, start) = num[inv], pool[inv], picks[:, inv]
+        clen[occ], start[occ] = c[lr.size:], s[lr.size:]
+    else:  # V_P empty: no V_P neighbor to sum over, no light terminal
+        o.adj_many(us[:0], heavy)  # the ADJ batch, terminals x V_P, is empty
+        num, pool, cand = 0.0, du, us[:0]
+        clen = start = np.zeros(k, dtype=np.int64)
     acc = np.zeros(k)
     step = max(1, _BLOCK_SAMPLES // n_s)
     for a in range(0, k, step):
         ts, nodes = _sample_block(
             o, us, du, a + np.flatnonzero(pool[a:a + step] > 0),
-            (cand, clen, start), is_heavy if heavy.size else None, n_s, rng)
+            (cand, clen, start), is_heavy if h else None, n_s, rng)
         hit = np.flatnonzero(has_chi[nodes])  # chi is 0 off contrib's keys
         who, block = ts[hit // n_s], acc[a:a + step]
-        block[:] = np.bincount(who - a, chi(who, nodes[hit]),
+        block[:] = np.bincount(who - a, chi(us[who], nodes[hit]),
                                minlength=block.size)
     seed = np.where(us == state.target, _seed_term(state, state.target), 0.0)
     return seed + (num + acc * pool / n_s) / du
 
 
-def _light_out(o, vs, lens, is_heavy):
-    """Read the out-list of each node vs[j] (lens[j] = d_out OUT queries)
-    and keep its light entries: (cand, clen, start), those entries list
-    after list, their count and start per list; IndexError if none."""
+def _light_out(o, vs, lens, is_heavy, times=None):
+    """Read the out-list of each node vs[j] (lens[j] = d_out OUT queries,
+    charged times[j] times each, once without `times`) and keep its
+    light entries: (cand, clen, start), those entries list after list,
+    their count and start per list; IndexError if none."""
     row = np.arange(vs.size).repeat(lens)
     pos = np.arange(row.size) - (lens.cumsum() - lens)[row]
-    cand = o.out_nbr_many(vs[row], pos)
+    cand = o.out_nbr_many(vs[row], pos, None if times is None else times[row])
     ok = ~is_heavy[cand]
     clen = np.bincount(row[ok], minlength=vs.size)
     if not clen.all():

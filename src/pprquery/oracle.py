@@ -11,25 +11,31 @@ which return Python ints; ADJ bisects the id-sorted out-range.  The
 batch methods `deg_out_many`, `out_nbr_many`, `adj_many` and
 `jump_many` index the arrays with numpy and charge exactly one query
 per element, so batching changes the wall time of a run, never its
-query count.  `out_step_many(vs, u)`, OUT at floor(u * d_out(v)) for
-uniforms u, charges one OUT each; `walk_step_many`, a walk step, is a
-DEG-OUT batch and then that batch.  Both index through float64
-out-degrees and intp offsets, tables built once per graph on its first
-step or OUT batch and freed with it.  The scan batches `in_scans`
-(whole IN lists) and `in_sorted_scans` (IN-SORTED prefixes) charge
-DEG-IN per list and IN or IN-SORTED plus DEG-OUT per entry read, as a
-loop of scalar queries would.  List j comes with a spread, and entry u
-has the push increment chi = spread[j] / d_out(u), returned with its
-intp id.  With spread >= 0, chi never rises along an IN-SORTED list,
-so its entries with chi <= lim[j] are a suffix: `in_sorted_scans`
-reads up to the first of them and returns only the entries before it.
+query count.  `adj_many` and `out_nbr_many` also take a multiplicity
+`times`: element j then stands for times[j] equal queries, answered
+once and charged times[j] times, so a caller that asks a repeated
+query once still pays for every repeat.  `out_step_many(vs, u)`, OUT
+at floor(u * d_out(v)) for uniforms u, charges one OUT each;
+`walk_step_many`, a walk step, is a DEG-OUT batch and then that batch.
+Both index through float64 out-degrees and intp offsets, tables built
+once per graph on its first step or OUT batch and freed with it.  The
+scan batches `in_scans` (whole IN lists) and `in_sorted_scans`
+(IN-SORTED prefixes) charge DEG-IN per list and IN or IN-SORTED plus
+DEG-OUT per entry read, as a loop of scalar queries would.  List j
+comes with a spread, and entry u has the push increment chi =
+spread[j] / d_out(u), returned with its intp id.  With spread >= 0,
+chi never rises along an IN-SORTED list, so its entries with chi <=
+lim[j] are a suffix: `in_sorted_scans` reads up to the first of them
+and returns only the entries before it.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
 handle), and charges by one rule in scalar calls, batches and walk
 steps alike: queries about s' are free (its degrees, IN and IN-SORTED
 entries equal to s', ADJ pairs with s'), and each OUT(s', .) query is
-one JUMP over the other nodes, drawn in element order.
+one JUMP over the other nodes, drawn in element order.  So an
+OUT(s', .) answer is never shared: `out_nbr_many` raises ValueError
+for an s' element with a multiplicity other than 1.
 
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
@@ -124,6 +130,20 @@ def _step_tables(g):
     return tabs
 
 
+def _multiplicity(times, size):
+    """A batch's optional `times` as an int64 array: element j stands for
+    times[j] equal queries, and is charged that many times unless the
+    super-source rule makes it free.  ValueError, before any charge,
+    unless it holds `size` integers >= 1."""
+    if times is None:
+        return None
+    times = np.asarray(times)
+    if (times.shape != (size,) or times.dtype.kind not in "iu"
+            or (size and times.min() < 1)):
+        raise ValueError(f"times must hold {size} integers >= 1")
+    return times.astype(np.int64, copy=False)
+
+
 class OracleHandle:
     """Query-metered view of a DirectedGraph (the adjacency-list model).
 
@@ -160,16 +180,19 @@ class OracleHandle:
     def edge_count(self):
         return self.graph.edge_count
 
-    def _paid(self, us, vs=None):
+    def _paid(self, us, vs=None, times=None):
         """The super-source rule: how many of the queries about the ids in
         the int array `us` (and `vs`, for ADJ pairs) are charged, all but
-        those with an argument equal to s'.  Scalar queries test this
-        inline after `virtual is None`; a call costs more than a query."""
+        those with an argument equal to s'.  Element j stands for times[j]
+        equal queries (see _multiplicity), one each without `times`.
+        Scalar queries test this inline after `virtual is None`; a call
+        costs more than a query."""
         s = self.virtual
         if s is None:
-            return us.size
-        return int(np.count_nonzero(us != s if vs is None else
-                                    (us != s) & (vs != s)))
+            return us.size if times is None else int(times.sum())
+        paid = us != s if vs is None else (us != s) & (vs != s)
+        return int(times[paid].sum() if times is not None else
+                   np.count_nonzero(paid))
 
     def _draw(self, high, size=None):
         """JUMP draws uniform over [0, high), one JUMP charged each: one,
@@ -248,14 +271,21 @@ class OracleHandle:
         self.stats.deg_out += self._paid(vs)
         return self.graph.out_deg[vs]
 
-    def out_nbr_many(self, vs, idx):
-        """OUT(vs[j], idx[j]) for every j; IndexOutOfRange if any idx[j]
-        lies outside [0, d_out(vs[j]))."""
+    def out_nbr_many(self, vs, idx, times=None):
+        """OUT(vs[j], idx[j]) for every j, charged times[j] times each if
+        given (see _multiplicity); IndexOutOfRange if any idx[j] lies
+        outside [0, d_out(vs[j])).  An OUT(s', .) answer is a JUMP draw,
+        never shared: ValueError, before any charge, if such an element
+        has times[j] != 1."""
         vs = np.asarray(vs, dtype=np.int64)
         idx = np.asarray(idx, dtype=np.int64)
+        times = _multiplicity(times, vs.size)
         g = self.graph
-        paid = self._paid(vs)
-        self.stats.out_q += paid
+        virt = None if self.virtual is None else vs == self.virtual
+        free = 0 if virt is None else int(np.count_nonzero(virt))  # JUMPs
+        if free and times is not None and np.any(times[virt] != 1):
+            raise ValueError("OUT(s', .) answers are JUMP draws: times must be 1")
+        self.stats.out_q += self._paid(vs, times=times)
         d = g.out_deg[vs]
         # read as unsigned, a negative index is huge: one test covers both ends
         bad = idx.view(np.uint64) >= d.view(np.uint32)
@@ -263,8 +293,8 @@ class OracleHandle:
             j = int(np.argmax(bad))
             raise IndexOutOfRange(f"OUT({vs[j]},{idx[j]}) with d_out={d[j]}")
         out = g.out_nbrs[_step_tables(g)[1][vs] + idx]
-        if paid < vs.size:
-            out[vs == self.virtual] = self._draw(self.virtual, vs.size - paid)
+        if free:
+            out[virt] = self._draw(self.virtual, free)
         return out
 
     def out_step_many(self, vs, u):
@@ -293,21 +323,22 @@ class OracleHandle:
         self.stats.deg_out += self.stats.out_q - out_q  # paid where OUT is
         return out
 
-    def adj_many(self, us, vs):
-        """ADJ(us[j], vs[j]) for every j, as a bool array: one bisection
+    def adj_many(self, us, vs, times=None):
+        """ADJ(us[j], vs[j]) for every j, as a bool array, charged
+        times[j] times each if given (see _multiplicity): one bisection
         per pair inside the id-sorted out-range of us[j], all pairs
         stepped together."""
         if not self.caps.adj:
             raise CapabilityDisabled("ADJ is not enabled")
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
+        times = _multiplicity(times, us.size)
         g = self.graph
-        paid = self._paid(us, vs)
-        self.stats.adj += paid
+        self.stats.adj += self._paid(us, vs, times)
         lo = g.out_ptr[us].astype(np.int64)
         end = g.out_ptr[us + 1].astype(np.int64)
         hi = end.copy()
-        if paid < us.size:  # s' lists 0..n-1, so v sits at offset v: settled
+        if self.virtual is not None:  # s' lists 0..n-1: v at offset v, settled
             virt = us == self.virtual
             hi[virt] = lo[virt] = lo[virt] + vs[virt]
         # bisect_left: a range of w ids settles in w.bit_length() steps

@@ -257,19 +257,22 @@ class CountingProxy:
     def jump(self):
         return self._count(self.inner.jump)
 
-    # a batch call is one oracle call per element
-    def _count_many(self, method, vs, *args):
-        self.calls += len(vs)
+    # a batch call is one oracle call per query an element stands for:
+    # one, or times[j] for element j of a batch given `times`
+    def _count_many(self, method, vs, *args, times=None):
+        self.calls += len(vs) if times is None else int(np.sum(times))
         return method(vs, *args)
 
     def deg_out_many(self, vs):
         return self._count_many(self.inner.deg_out_many, vs)
 
-    def out_nbr_many(self, vs, idx):
-        return self._count_many(self.inner.out_nbr_many, vs, idx)
+    def out_nbr_many(self, vs, idx, times=None):
+        return self._count_many(self.inner.out_nbr_many, vs, idx, times,
+                                times=times)
 
-    def adj_many(self, us, vs):
-        return self._count_many(self.inner.adj_many, us, vs)
+    def adj_many(self, us, vs, times=None):
+        return self._count_many(self.inner.adj_many, us, vs, times,
+                                times=times)
 
     def out_step_many(self, vs, u):
         return self._count_many(self.inner.out_step_many, vs, u)
@@ -330,6 +333,21 @@ class TestAccountingCompleteness:
         from pprquery import derive_params, single_pair_ppr
         params = derive_params(0.2, 0.05, 0.2, 0.1, 60)
         single_pair_ppr(proxy, 0, 7, params, rng)
+        assert inner.stats.total == proxy.calls > 0
+
+    def test_new_algorithm_accounting_with_heavy_set(self, rng, monkeypatch):
+        """c_tau = 1e-3 puts pushed nodes in V_P, so R_hat's ADJ batch and
+        light out-list read run once per distinct terminal, charged per
+        occurrence."""
+        inner, proxy = self._proxy()
+        from pprquery import bidir, derive_params, single_pair_ppr
+        states = []
+        backward = bidir.backward_phase
+        monkeypatch.setattr(bidir, "backward_phase",
+                            lambda *a: states.append(backward(*a)) or states[0])
+        params = derive_params(0.2, 0.05, 0.2, 0.1, 60, c_tau=1e-3)
+        single_pair_ppr(proxy, 0, 7, params, rng)
+        assert states[0].heavy
         assert inner.stats.total == proxy.calls > 0
 
     def test_rbs_accounting(self, rng):

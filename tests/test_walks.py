@@ -228,6 +228,46 @@ def test_batch_matches_scalar_queries(view, data):
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batch_multiplicity_charges_each_repeat(view, data):
+    """Element j with times[j] answers once and charges as times[j] equal
+    scalar queries; an OUT(s', .) element, a JUMP draw, has times 1."""
+    g, vs, us = data.draw(node_batches(view))
+    a, b = twin_oracles(g, view)
+    times = [1 if v == a.virtual else data.draw(st.integers(1, 4))
+             for v in vs]
+    idx = [int(u * a.graph.out_deg[v]) for u, v in zip(us, vs)]
+    ws = data.draw(st.lists(st.integers(0, a.node_count - 1),
+                            min_size=len(vs), max_size=len(vs)))
+    want_nbr, want_adj = [], []
+    for v, i, w, k in zip(vs, idx, ws, times):
+        want_nbr += [a.out_nbr(v, i) for _ in range(k)][-1:]
+        want_adj += [a.adj(v, w) for _ in range(k)][-1:]
+    times = np.array(times, dtype=np.int64)
+    got_nbr = b.out_nbr_many(vs, idx, times)
+    assert b.adj_many(vs, ws, times).tolist() == want_adj
+    assert got_nbr.tolist() == want_nbr
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert jump_state(a) == jump_state(b)
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+def test_bad_multiplicity_raises_before_any_charge(view):
+    o = twin_oracles(random_graph(1, 10), view)[0]
+    before, jumps = o.stats.as_dict(), jump_state(o)
+    for times in ([1], [1, 0], [2, -1], [1.0, 2.0], [True, True], [[1, 1]]):
+        with pytest.raises(ValueError, match="times"):
+            o.out_nbr_many([0, 1], [0, 0], times)
+        with pytest.raises(ValueError, match="times"):
+            o.adj_many([0, 1], [1, 0], times)
+    if view:  # an OUT(s', .) answer is a JUMP draw: never shared
+        with pytest.raises(ValueError, match="JUMP"):
+            o.out_nbr_many([0, o.virtual], [0, 0], [1, 2])
+    assert o.stats.as_dict() == before and jump_state(o) == jumps
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_batch_out_of_range_raises(view, data):
@@ -975,6 +1015,52 @@ def test_terminal_queries_once_per_call(monkeypatch):
                             7, **mult)
         assert sorted(calls) == ["adj_many", "deg_out_many"]
         assert len(blocks) > 10
+
+
+def test_fixed_terminal_work_once_per_distinct_terminal(monkeypatch):
+    """A call's ADJ batch holds each distinct terminal x V_P once, and its
+    light out-list read each distinct light terminal once, but a light
+    s' at every occurrence (OUT(s', .) answers are JUMP draws); the
+    charges stay per occurrence, as in the round order."""
+    pairs, reads, sampling = [], [], []
+
+    def adj_spy(self, us, vs, *rest, _real=OracleHandle.adj_many):
+        pairs.extend(zip(np.asarray(us).tolist(), np.asarray(vs).tolist()))
+        return _real(self, us, vs, *rest)
+
+    def light_spy(o, vs, *rest, _real=bidir._light_out):
+        if not sampling:  # the per-call read, not a fallback after 64 tries
+            reads.extend(vs.tolist())
+        return _real(o, vs, *rest)
+
+    sample_block = bidir._sample_block
+    monkeypatch.setattr(OracleHandle, "adj_many", adj_spy)
+    monkeypatch.setattr(bidir, "_light_out", light_spy)
+    monkeypatch.setattr(bidir, "_sample_block",
+                        lambda *a: sampling.append(1) or sample_block(*a))
+    light_virtual = 0
+    for gseed, n, d, view, mult, _ in SCORING_CASES:
+        g = random_graph(gseed, n, d=d)
+        terminals = scoring_case_terminals(g, gseed, view)
+        pairs.clear()
+        reads.clear()
+        sampling.clear()
+        state = assert_scores_match(g, view, 0, terminals, 7, **mult)
+        o = twin_oracles(g, view)[0]
+        heavy = sorted(state.heavy)
+        distinct = list(dict.fromkeys(terminals))
+        assert sorted(pairs) == sorted((u, v) for u in distinct for v in heavy)
+
+        def light(u):
+            du = o.deg_out(u)
+            return du < 2 * len(heavy) and du > sum(o.adj(u, v) for v in heavy)
+
+        want = [u for u in distinct if u != o.virtual and light(u)]
+        if view and light(o.virtual):
+            want += [u for u in terminals if u == o.virtual]
+            light_virtual += 1
+        assert sorted(reads) == sorted(want)
+    assert light_virtual  # some case reads s' once per occurrence
 
 
 def test_scores_unchanged_after_larger_and_smaller_calls(monkeypatch):
