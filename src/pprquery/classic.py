@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import check_nodes
+from .graph import check_nodes, positions
 
 DEFAULT_WALK_MULT = 16.0
 _COVER_EXTRA = 8.0  # coupon-collector slack of _cover_sources
@@ -115,6 +115,7 @@ def _walk_terminals(o, sources, alpha, rng, count):
     its walks (geometric lengths minus one, see _draw_moves), then one
     uniform array with every step draw of those walks, walk after walk.
     Each source's draws go into its own slice of the scratch arrays.
+    ValueError, before any query or its uniforms, at 2^53 steps or more.
     """
     moves = _scratch_array("moves", len(sources) * count, np.int64)
     us = _scratch_array("us", 0, np.float64)
@@ -122,7 +123,10 @@ def _walk_terminals(o, sources, alpha, rng, count):
         m = moves[j * count:(j + 1) * count]
         _draw_moves(m, alpha, rng)
         steps = us.size
-        us = _scratch_array("us", steps + int(m.sum()), np.float64, keep=steps)
+        total = steps + m.sum(dtype=np.float64)  # one pass, no int64 wrap
+        if total >= 2.0 ** 53:
+            raise ValueError(f"alpha={alpha!r}, count={count}: {total:.4g} steps >= 2^53")
+        us = _scratch_array("us", int(total), np.float64, keep=steps)
         rng.random(out=us[steps:])
     starts = np.repeat(np.asarray(sources, dtype=np.int64), count)
     return _lockstep(o, starts, moves, us)
@@ -271,9 +275,9 @@ def approx_contributions(o, t, alpha, r_max):
 
 def _merge(ids, weights, slot):
     """Each id of `ids` once, in first-appearance order, with its weights
-    summed left to right from 0.0 (bincount).  Written last to first,
-    slot[u] (an n-length scratch array) ends as u's first position."""
-    pos = np.arange(ids.size)
+    summed left to right from 0.0, or its count without them (bincount).
+    Written last to first, scratch slot[u] ends as u's first position."""
+    pos = positions(ids.size)
     slot[ids[::-1]] = pos[::-1]
     at = slot[ids]
     first = at == pos
@@ -285,17 +289,18 @@ def _leveled_backward(o, t, alpha, L, push):
     sparse estimates sum_level alpha * r_level(v), keyed in first-reach
     order (single_node_adaptive sums the values in that order).
 
-    Level 0 is residue 1 on t.  push(vs, rv) takes a level's nodes with
-    positive residue and returns its pushes (us, x) in push order, read
-    off one scan batch at spreads (1 - alpha) * rv.  Node ids are intp
-    throughout, as the scan batches return them.  The next level holds
-    each pushed node once, in first-appearance order, with the sum of
-    its pushes added left to right from 0.0 (`_merge`), so values, key
-    order and queries are those of a dict filled push by push; one
-    `_merge` of all levels sums the estimates, in level order.
+    Level 0 is residue 1 on t.  push(vs, spread) takes a level's nodes
+    with positive residue rv and their spreads (1 - alpha) * rv, and
+    returns its pushes (us, x) in push order, read off one scan batch.
+    Node ids are intp throughout, as the scan batches return them.  The
+    next level holds each pushed node once, in first-appearance order,
+    with the sum of its pushes added left to right from 0.0 (`_merge`),
+    so values, key order and queries are those of a dict filled push by
+    push; one `_merge` of all levels sums the estimates, in level order.
     """
     check_counts(L=L)
     slot = np.empty(o.node_count, dtype=np.intp)
+    keep = np.asarray(1.0 - alpha)  # 0-d: no Python-float conversion
     vs, rv = np.array([t], dtype=np.intp), np.ones(1)
     levels, residues = [], []
     for level in range(L + 1):
@@ -306,7 +311,7 @@ def _leveled_backward(o, t, alpha, L, push):
         if np.count_nonzero(rv) < rv.size:  # residues are >= 0: drop the zeros
             live = rv > 0.0
             vs, rv = vs[live], rv[live]
-        us, x = push(vs, rv)
+        us, x = push(vs, keep * rv)
         if not us.size:  # later levels would add, charge, draw nothing
             break
         vs, rv = _merge(us, x, slot)
@@ -325,8 +330,7 @@ def power_iteration_target(o, t, alpha, L):
     """
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha)
-    return _leveled_backward(
-        o, t, alpha, L, lambda vs, rv: o.in_scans(vs, (1.0 - alpha) * rv))
+    return _leveled_backward(o, t, alpha, L, o.in_scans)
 
 
 def default_r_max_pair(o, delta):
@@ -375,15 +379,13 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     check_params(alpha=alpha, delta=delta, eps=eps, theta=theta)
     if L is None:
         L = rbs_levels(alpha, delta, eps)
-    # chi < theta as chi <= below: theta's float predecessor
-    below = np.nextafter(theta, 0.0)
+    theta = np.asarray(theta, dtype=np.float64)  # 0-d operands
+    below = np.nextafter(theta, 0.0, out=np.empty(()))  # chi < theta: chi <= below
 
-    def push(vs, rv):
-        order = vs.argsort()
-        vs = vs[order]
-        spread = (1.0 - alpha) * rv[order]
+    def push(vs, spread):
+        order = vs.argsort(kind="stable")  # distinct ids in few runs: timsort
         lim = np.minimum(rng.random(vs.size) * theta, below)
-        us, chi, _ = o.in_sorted_scans(vs, spread, lim)
+        us, chi, _ = o.in_sorted_scans(vs[order], spread[order], lim)
         return us, np.maximum(chi, theta)  # chi, or theta below it
 
     return _leveled_backward(o, t, alpha, L, push)

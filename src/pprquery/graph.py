@@ -30,6 +30,7 @@ import numpy as np
 
 # ids and offsets are stored int32: at most 2^31 nodes, 2^31 - 1 edges
 MAX_IDS = 2 ** 31
+_arange = np.arange(0)  # grow-only and read-only: see positions
 
 
 class GraphError(ValueError):
@@ -92,14 +93,23 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.node_count}, m={self.edge_count})"
 
 
+def positions(size):
+    """np.arange(size) as a read-only slice of one grow-only arange."""
+    global _arange
+    if _arange.size < size:
+        _arange = np.arange(max(size, 2 * _arange.size))
+        _arange.flags.writeable = False
+    return _arange[:size]
+
+
 def csr_entries(ptr, nodes):
     """Positions in a CSR neighbor array of every entry of `nodes`, in
     node then list order, and the entry count of each node, both intp;
     O(entries), no pass over the whole array."""
     starts = ptr[nodes].astype(np.intp)
-    lens = ptr[nodes + 1] - starts
+    lens = ptr[1:][nodes] - starts
     idx = (starts - lens.cumsum() + lens).repeat(lens)
-    idx += np.arange(idx.size)
+    idx += positions(idx.size)
     return idx, lens
 
 

@@ -17,16 +17,16 @@ once and charged times[j] times, so a caller that asks a repeated
 query once still pays for every repeat.  `out_step_many(vs, u)`, OUT
 at floor(u * d_out(v)) for uniforms u, charges one OUT each;
 `walk_step_many`, a walk step, is a DEG-OUT batch and then that batch.
-Both index through float64 out-degrees and intp offsets, tables built
-once per graph on its first step or OUT batch and freed with it.  The
-scan batches `in_scans` (whole IN lists) and `in_sorted_scans`
+The scan batches `in_scans` (whole IN lists) and `in_sorted_scans`
 (IN-SORTED prefixes) charge DEG-IN per list and IN or IN-SORTED plus
 DEG-OUT per entry read, as a loop of scalar queries would.  List j
 comes with a spread, and entry u has the push increment chi =
 spread[j] / d_out(u), returned with its intp id.  With spread >= 0,
 chi never rises along an IN-SORTED list, so its entries with chi <=
 lim[j] are a suffix: `in_sorted_scans` reads up to the first of them
-and returns only the entries before it.
+and returns only the entries before it.  Scans and walk steps keep one
+operand rule: int32 storage (the CSR), intp gather indices and float64
+divisors (see _out_degf and _step_tables).
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -54,6 +54,7 @@ from .graph import csr_entries
 
 QUERY_KINDS = ("deg_in", "deg_out", "in", "out", "in_sorted", "adj", "jump")
 
+_out_degf_of = weakref.WeakKeyDictionary()  # graph -> _out_degf(graph)
 _step_tables_of = weakref.WeakKeyDictionary()  # graph -> _step_tables(graph)
 
 
@@ -116,17 +117,24 @@ class Capabilities:
         return f"Capabilities({'+'.join(self.names()) or 'base'})"
 
 
+def _out_degf(g):
+    """g's out-degrees as float64, read-only, built on g's first scan
+    batch or walk step (not by build_graph) and kept while g lives."""
+    deg = _out_degf_of.get(g)
+    if deg is None:
+        deg = _out_degf_of[g] = g.out_deg.astype(np.float64)
+        deg.flags.writeable = False
+    return deg
+
+
 def _step_tables(g):
-    """g's out-degrees as float64 and out_ptr as intp, read-only: the
-    operand types of a walk step's index arithmetic, so no step mixes
-    int32 arrays into it.  Built on first use, not by build_graph (a
-    graph nobody walks never holds them), and kept while g lives."""
+    """(_out_degf(g), out_ptr as intp, read-only): a walk step's operands;
+    the offsets are built on g's first step or OUT batch, kept while g lives."""
     tabs = _step_tables_of.get(g)
     if tabs is None:
-        tabs = g.out_deg.astype(np.float64), g.out_ptr.astype(np.intp)
-        for a in tabs:
-            a.flags.writeable = False
-        _step_tables_of[g] = tabs
+        ptr = g.out_ptr.astype(np.intp)
+        ptr.flags.writeable = False
+        tabs = _step_tables_of[g] = _out_degf(g), ptr
     return tabs
 
 
@@ -361,7 +369,7 @@ class OracleHandle:
         vs = np.asarray(vs, dtype=np.intp)
         idx, lens = csr_entries(g.in_ptr, vs)
         nbrs = lists[idx].astype(np.intp)
-        chi = np.asarray(spread, dtype=np.float64).repeat(lens) / g.out_deg[nbrs]
+        chi = np.asarray(spread, dtype=np.float64).repeat(lens) / _out_degf(g)[nbrs]
         if lim is None:
             paid, read = self._paid(nbrs), (nbrs, chi)
         else:
@@ -371,7 +379,7 @@ class OracleHandle:
             np.less_equal(chi, np.asarray(lim, dtype=np.float64).repeat(lens),
                           out=stop[1:])
             ends = lens.cumsum()
-            halted = np.logical_and(lens, stop[ends])
+            halted = stop[ends] & lens.astype(bool)
             keep = ~stop[1:]
             read = nbrs[keep], chi[keep], halted
             paid = read[0].size + int(np.count_nonzero(halted))

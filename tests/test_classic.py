@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
+from pprquery import (classic, OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, exact_single_target,
                       brute_force_pair, InstanceSpec, generate, build_graph,
                       NodeIdOutOfRange, derive_params, single_pair_ppr)
@@ -339,6 +339,40 @@ def reference_rbs(o, t, alpha, theta, rng, L):
                 idx += 1
         r = nxt
     return est
+
+
+def _merge_case(draw, n, size, weighted):
+    ids = draw(st.lists(st.integers(0, n - 1), max_size=size))
+    weights = (draw(st.lists(st.one_of(st.just(-0.0), st.floats(-1e300, 1e300)),
+                             min_size=len(ids), max_size=len(ids)))
+               if weighted else None)
+    return (np.array(ids, dtype=np.intp),
+            None if weights is None else np.array(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), weighted=st.booleans())
+def test_merge_matches_dict_loop(data, n, weighted):
+    """classic._merge returns each id once, in first-appearance order,
+    with its weights summed left to right from 0.0 (bit-equal to a dict
+    filled id by id), or its count without weights, whatever an earlier
+    call left in the slot."""
+    slot = np.empty(n, dtype=np.intp)
+    stale = _merge_case(data.draw, n, 30, data.draw(st.booleans()))
+    classic._merge(*stale, slot)
+    ids, weights = _merge_case(data.draw, n, 40, weighted)
+    want = {}
+    for u, w in zip(ids.tolist(), [1] * ids.size if weights is None
+                    else weights.tolist()):
+        want[u] = want.get(u, 0 if weights is None else 0.0) + w
+    keys, sums = classic._merge(ids, weights, slot)
+    assert keys.tolist() == list(want)
+    if weights is None:
+        assert sums.dtype.kind == "i" and sums.tolist() == list(want.values())
+    else:
+        assert (sums.view(np.uint64).tolist()
+                == np.array(list(want.values()), dtype=np.float64)
+                .view(np.uint64).tolist())
 
 
 class TestRbs:

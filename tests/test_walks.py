@@ -495,9 +495,10 @@ def test_largest_uniform_steps_to_last_neighbor(d):
 
 
 def test_step_tables_built_on_first_step_and_freed_with_graph():
-    """A walk step's float64 degrees and intp offsets are built on the
-    first step (or OUT batch), once per graph, never by build_graph or
-    the other queries, and go when their graph goes."""
+    """A walk step's tables, the float64 degrees and the intp offsets,
+    are built on the first step (or OUT batch) if no scan built the
+    degrees before, once per graph, never by build_graph or the other
+    queries, and go when their graph goes."""
     g = random_graph(0, 40)
     o = OracleHandle(g, Capabilities.all(), seed=1)
     view = SuperSourceView(o)
@@ -523,6 +524,34 @@ def test_step_tables_built_on_first_step_and_freed_with_graph():
     assert aug[0].size == g.node_count + 1 and aug[0][-1] == g.node_count
     refs = [weakref.ref(a) for a in tabs + aug]
     del g, o, view, q, tabs, deg, ptr, aug
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_scans_build_only_the_float_degrees():
+    """A graph that is only scanned gets its float64 out-degrees on its
+    first scan batch, never from build_graph or scalar queries: once per
+    graph, bit-equal to out_deg and read-only, then shared with its walk
+    steps, and freed with the graph.  Its intp offsets wait for the
+    first walk step or OUT batch."""
+    g = random_graph(0, 40)
+    o = OracleHandle(g, Capabilities.all(), seed=1)
+    v = int(np.argmax(g.in_deg))
+    o.deg_out(v), o.deg_in(v), o.out_nbr(v, 0), o.in_nbr(v, 0)
+    o.in_sorted(v, 0), o.adj(v, 2), o.jump(), o.deg_out_many([1, v])
+    assert g not in oracle._out_degf_of
+    o.in_sorted_scans([0, 5], [0.5, 1.0], [0.1, -1.0])
+    deg = oracle._out_degf_of[g]
+    assert deg.dtype == np.float64 and not deg.flags.writeable
+    assert bits(deg) == bits(g.out_deg)
+    o.in_scans([1, 2], [1.0, 0.25])
+    OracleHandle(g, Capabilities.all()).in_sorted_scans([7], [1.0], [0.0])
+    assert oracle._out_degf_of[g] is deg  # built once per graph
+    assert g not in oracle._step_tables_of
+    o.walk_step_many([0, 1], [0.5, 0.25])
+    assert oracle._step_tables_of[g][0] is deg
+    refs = [weakref.ref(a) for a in oracle._step_tables_of[g]]
+    del g, o, deg
     gc.collect()
     assert all(r() is None for r in refs)
 
@@ -722,23 +751,33 @@ def test_draw_moves_keeps_numpys_int64_clamp(alpha):
 
 
 @pytest.mark.parametrize("alpha,count,error", [
-    (1e-19, 1, ValueError), (1e-19, 2, IndexError),
+    (1e-19, 1, ValueError), (1e-19, 2, ValueError),
     (1e-12, 300, MemoryError)])
 def test_tiny_alpha_fails_as_geometric_draws_do(alpha, count, error,
                                                 monkeypatch):
-    """Walks of about 1e12 moves, or clamped at INT64_MAX, fail with the
-    exception the allocating geometric draw gives, before any query:
-    too big an array, an index into an empty one (the int64 sum of the
-    moves wraps), or an allocation of petabytes."""
+    """Walks clamped at INT64_MAX moves take 2^53 steps or more, which
+    the step count's float64 sum holds inexactly: a ValueError naming
+    alpha, count and the step total, before any query or uniform draw,
+    where the int64 sum would wrap.  Walks of about 1e12 moves fail, as
+    the allocating geometric draw does, on petabytes of uniforms."""
+    named = error is ValueError
+    match = (rf"^alpha={alpha!r}, count={count}: \d\.\d+e\+1[89] steps "
+             rf">= 2\^53$") if named else None
+
     def geometric_moves(m, alpha, rng):
         np.subtract(rng.geometric(alpha, size=m.size), 1, out=m)
 
     for draw in (classic._draw_moves, geometric_moves):
         monkeypatch.setattr(classic, "_draw_moves", draw)
         o = OracleHandle(random_graph(3, 20), seed=0)
-        with pytest.raises(error):
-            _walk_terminals(o, [3], alpha, np.random.default_rng(5), count)
+        rng = np.random.default_rng(5)
+        with pytest.raises(error, match=match):
+            _walk_terminals(o, [3], alpha, rng, count)
         assert o.stats.total == 0
+        if named:  # the moves, and no uniform, were drawn
+            want = np.random.default_rng(5)
+            draw(np.empty(count, dtype=np.int64), alpha, want)
+            assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_terminals_never_alias_the_scratch(monkeypatch):
