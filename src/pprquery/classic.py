@@ -7,7 +7,8 @@ its cost.  Walk sampling queries DEG-OUT once per step and then one OUT
 query: 2 queries per step.  All walks run through one lockstep engine,
 `_walk_terminals`, which advances every live walk by one step per round
 with one `walk_step_many` batch; it charges one DEG-OUT and one OUT
-per element, so a step still costs exactly 2 queries.  After
+per element, so a step still costs exactly 2 queries; a walk settled
+in a self-loop sink stops, its remaining steps charged as repeats.  After
 the first round the walks are sorted once by length, longest first, so
 each later round advances a shrinking prefix in place.  Walk lengths
 are numpy's geometric draws, bit for bit, but below alpha = 1/3 they
@@ -166,16 +167,18 @@ def _lockstep(o, starts, moves, us):
 
     Each round advances every walk with moves left by one step, through
     one walk_step_many batch.  Walk j's k-th step reads
-    us[offset[j] + k], where offset[j] is the sum of moves[:j], so every
-    walk consumes the same uniforms as if it were walked alone.  A
-    view's virtual source has no in-edges, so walks stand on it only in
-    round 0, which runs in walk order: its JUMPs are drawn in the same
-    order as by walking one walk after the other.  After round 0 the
-    walks are sorted once by moves, longest first (stable, on a key of
-    the narrowest unsigned dtype, which numpy radix-sorts up to 16
-    bits), so the walks still moving in round r are a prefix of that
-    order, of a length read off one bincount; each round advances the
-    prefix in place, and one scatter restores walk order at the end.
+    us[offset[j] + k], where offset[j] is the sum of moves[:j], until a
+    step settles it: every walk reads a prefix of its uniforms.  A view's
+    virtual source has no in-edges and never settles, so walks stand on
+    it only in round 0, which runs in walk order: its JUMPs are drawn in
+    the same order as by walking one walk after the other.  After round
+    0 the walks are sorted once by moves, longest first (stable, on a
+    key of the narrowest unsigned dtype, which numpy radix-sorts up to
+    16 bits), so the walks still moving in round r are a prefix of that
+    order, of a length read off a bincount, advanced in place.  A round
+    in which walks settle writes the terminals so far and compacts the
+    rest of the prefix, in order, into the arrays the sort left dead; one
+    last batch charges their remaining moves, one element per node.
     """
     n = moves.size
     off = _scratch_array("off", n, np.int64)
@@ -185,23 +188,42 @@ def _lockstep(o, starts, moves, us):
     cur[:] = starts
     mx = int(moves.max(initial=0))
     first = np.flatnonzero(moves > 0)  # faster on a bool mask
-    cur[first] = o.walk_step_many(cur[first], us[off[first]])
-    order = np.argsort((mx - moves).astype(np.min_scalar_type(mx)),
-                       kind="stable")
+    cur[first], settled = o.walk_step_many(cur[first], us[off[first]])
+    narrow = np.min_scalar_type(mx)
+    order = np.argsort((mx - moves).astype(narrow), kind="stable")
+    if settled.any():  # in sorted order, as the later rounds have it
+        settled = np.isin(order[:first.size], first[settled])
     # order is a permutation, so "clip" clips nothing; "raise" would
     # copy `out` through a fresh buffer
     cur_s = np.take(cur, order, out=_scratch_array("cur_s", n, np.int64),
                     mode="clip")
     off_s = np.take(off, order, out=_scratch_array("off_s", n, np.int64),
                     mode="clip")
-    # left[r]: walks with more than r moves
-    left = (n - np.cumsum(np.bincount(moves))).tolist()
-    for r in range(1, mx):
+    terms, live, parked = np.empty(n, dtype=np.int64), n, []
+    counts = np.bincount(moves, minlength=mx + 1)  # also for no walks
+    left = (n - counts.cumsum()).tolist()  # left[r]: walks with > r moves
+    mv = np.repeat(np.arange(mx, -1, -1, dtype=narrow), counts[::-1])  # sorted
+    r = 0
+    while r < len(left) - 1:
         k = left[r]
-        vs = cur_s[:k]
-        vs[:] = o.walk_step_many(vs, us[off_s[:k] + r])
-    terms = np.empty(n, dtype=np.int64)
-    terms[order] = cur_s
+        if r:
+            vs = cur_s[:k]
+            vs[:], settled = o.walk_step_many(vs, us[off_s[:k] + r])
+        if settled.any():
+            stay, done = np.flatnonzero(~settled), np.flatnonzero(settled)
+            terms[order[:live]] = cur_s[:live]  # the walks in stay: rewritten
+            parked.append((cur_s.take(done), mv.take(done) - (r + 1)))
+            live = stay.size
+            cur, cur_s = cur_s, np.take(cur_s, stay, out=cur[:live], mode="clip")
+            off, off_s = off_s, np.take(off_s, stay, out=off[:live], mode="clip")
+            order, mv = order.take(stay), mv.take(stay)
+            left = (live - np.bincount(mv).cumsum()).tolist()
+        r += 1
+    terms[order] = cur_s[:live]
+    if parked:  # a node's times sum the moves its walks had left
+        tot = np.bincount(*map(np.concatenate, zip(*parked)))  # exact float64
+        at = np.flatnonzero(tot > 0.0)
+        o.walk_step_many(at, 0.0, times=tot[at].astype(np.int64))
     return terms
 
 

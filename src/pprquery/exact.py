@@ -73,17 +73,17 @@ def _propagate(g, init, alpha, tol, backward):
         check_nodes(n, anchor=init)
     # K = smallest count with (1-alpha)^(K+1) <= tol
     K = math.ceil(math.log(tol) / math.log(1.0 - alpha))
-    if init is None:
-        nodes = np.arange(n)
+    if init is None:  # every node: its out-list positions are 0..m-1
+        nodes, idx, lens = np.arange(n), None, g.out_deg
     else:
         ptr, nbrs = ((g.in_ptr, g.in_nbrs) if backward
                      else (g.out_ptr, g.out_nbrs))
         nodes = _reach(ptr, nbrs, init, K)
+        idx, lens = csr_entries(g.out_ptr, nodes)
     size = len(nodes)
     local = np.full(n, -1, dtype=np.intp)
     local[nodes] = np.arange(size)
-    idx, lens = csr_entries(g.out_ptr, nodes)
-    dst = local[g.out_nbrs[idx]]
+    dst = local[g.out_nbrs if idx is None else g.out_nbrs[idx]]
     del idx  # up to m entries: freed before the filter copies
     keep = dst >= 0
     src = np.repeat(np.arange(size), lens)[keep]

@@ -11,12 +11,14 @@ which return Python ints; ADJ bisects the id-sorted out-range.  The
 batch methods `deg_out_many`, `out_nbr_many`, `adj_many` and
 `jump_many` index the arrays with numpy and charge exactly one query
 per element, so batching changes the wall time of a run, never its
-query count.  `adj_many` and `out_nbr_many` also take a multiplicity
-`times`: element j then stands for times[j] equal queries, answered
-once and charged times[j] times, so a caller that asks a repeated
-query once still pays for every repeat.  `out_step_many(vs, u)`, OUT
-at floor(u * d_out(v)) for uniforms u, charges one OUT each;
-`walk_step_many`, a walk step, is a DEG-OUT batch and then that batch.
+query count.  `adj_many`, `out_nbr_many` and `walk_step_many` also
+take a multiplicity `times`: element j then stands for times[j] equal
+queries (or steps), answered once and charged times[j] times, so a
+caller that asks a repeated query once still pays for every repeat.
+`out_step_many(vs, u)`, OUT at floor(u * d_out(v)) for uniforms u,
+charges one OUT each; `walk_step_many`, a DEG-OUT batch and then that
+batch, flags the steps that settle (d_out(v) = 1 and OUT(v, 0) = v) and
+repeats a step only where no uniform can change it: d_out = 1, not s'.
 The scan batches `in_scans` (whole IN lists) and `in_sorted_scans`
 (IN-SORTED prefixes) charge DEG-IN per list and IN or IN-SORTED plus
 DEG-OUT per entry read, as a loop of scalar queries would.  List j
@@ -324,12 +326,27 @@ class OracleHandle:
             out[vs == self.virtual] = self._draw(self.virtual, vs.size - paid)
         return out
 
-    def walk_step_many(self, vs, u):
-        """One walk step from every node of `vs`: DEG-OUT, then OUT at u."""
+    def walk_step_many(self, vs, u, times=None):
+        """One walk step from every node of `vs`: DEG-OUT, then OUT at u,
+        charged times[j] times for element j if given (see _multiplicity);
+        times[j] > 1 at s' or where d_out != 1 is a ValueError, raised
+        before any charge.  Returns the answers and, per element, whether
+        the step settled: d_out(v) = 1 and OUT(v, 0) = v."""
+        vs = np.asarray(vs, dtype=np.int64)
+        times = _multiplicity(times, vs.size)
+        deg = _out_degf(self.graph)
+        # vs == None is all False on a plain handle
+        if times is not None and np.any((times > 1) & ((deg[vs] != 1.0) | (vs == self.virtual))):
+            raise ValueError("times > 1 needs a real node with d_out = 1")
         out_q = self.stats.out_q
         out = self.out_step_many(vs, u)
+        if times is not None:  # each repeat is of a paid query
+            self.stats.out_q += int(times.sum()) - vs.size
         self.stats.deg_out += self.stats.out_q - out_q  # paid where OUT is
-        return out
+        settled = out == vs
+        if settled.any():  # degrees read only where some walk stayed put
+            settled &= deg[vs] == 1.0
+        return out, settled
 
     def adj_many(self, us, vs, times=None):
         """ADJ(us[j], vs[j]) for every j, as a bool array, charged

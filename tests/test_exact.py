@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pprquery import (cli, exact_single_source, exact_single_target,
                       exact_pagerank, brute_force_pair, build_graph,
                       save_edge_list, ExplosionGuard, NodeIdOutOfRange)
+from pprquery import graph
 from pprquery.exact import _reach
 from conftest import (chain_graph, star_graph, cycle_graph, singleton_graph,
                       random_graph, in_list, out_list)
@@ -273,6 +274,17 @@ class TestSupportRestriction:
                 reference_propagate(g, x, alpha, tol, True).tobytes()
         assert exact_pagerank(g, alpha, tol).tobytes() == \
             reference_propagate(g, None, alpha, tol, False).tobytes()
+
+    def test_pagerank_leaves_the_shared_arange_small(self, monkeypatch):
+        """PageRank's support is every node, whose out-list positions are
+        0..m-1: it reads the CSR whole, so graph.positions' arange, which
+        keeps its largest size for the rest of the process, stays empty."""
+        g = random_graph(0, 400, d=8)
+        monkeypatch.setattr(graph, "_arange", np.arange(0))
+        exact_pagerank(g, ALPHA)
+        assert graph._arange.size == 0 < g.edge_count
+        exact_single_target(g, 3, ALPHA)  # an anchored solve still grows it
+        assert graph._arange.size > 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_equal_on_block_chains(self, seed):

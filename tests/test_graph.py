@@ -13,8 +13,8 @@ from pprquery import (build_graph, load_edge_list, save_edge_list,
                       OracleHandle, Capabilities, CapabilityDisabled,
                       IndexOutOfRange)
 from pprquery.graph import check_nodes, csr_entries
-from conftest import (chain_graph, in_list, out_list, random_graph,
-                      singleton_graph)
+from conftest import (chain_graph, fan_graph, in_list, out_list,
+                      random_graph, singleton_graph)
 
 
 class TestBuild:
@@ -277,10 +277,11 @@ class CountingProxy:
     def out_step_many(self, vs, u):
         return self._count_many(self.inner.out_step_many, vs, u)
 
-    # a walk step is a DEG-OUT and an OUT call per element
-    def walk_step_many(self, vs, u):
-        self.calls += len(vs)
-        return self._count_many(self.inner.walk_step_many, vs, u)
+    # a walk step is a DEG-OUT and an OUT call per query it stands for
+    def walk_step_many(self, vs, u, times=None):
+        self.calls += len(vs) if times is None else int(np.sum(times))
+        return self._count_many(self.inner.walk_step_many, vs, u, times,
+                                times=times)
 
     def jump_many(self, count):
         self.calls += int(count)
@@ -361,6 +362,17 @@ class TestAccountingCompleteness:
         from pprquery import power_iteration_target
         power_iteration_target(proxy, 7, 0.2, 6)
         assert inner.stats.total == proxy.calls > 0
+
+
+def test_settled_walk_accounting(rng):
+    """Monte Carlo walks from an in-neighbor of fan_graph's t settle in its
+    self-loop sinks, whose repeats the proxy counts through `times`."""
+    g = fan_graph(8, 4)
+    inner = OracleHandle(g, Capabilities.all(), seed=3)
+    proxy = CountingProxy(inner)
+    from pprquery import monte_carlo_pair
+    monte_carlo_pair(proxy, 1, 0, 0.2, 0.05, 0.2, 0.1, rng)
+    assert inner.stats.total == proxy.calls > 0
 
 
 @st.composite

@@ -422,13 +422,16 @@ def test_jump_batches_need_jump(g):
 @given(data=st.data())
 def test_walk_step_matches_degree_then_neighbor(view, data):
     """A fused walk step answers and charges what DEG-OUT batch and then
-    an OUT batch at floor(u * d) do, JUMPs included."""
+    an OUT batch at floor(u * d) do, JUMPs included, and reports as
+    settled exactly the steps with d = 1 that answer their own node."""
     g, vs, us = data.draw(node_batches(view))
     a, b = twin_oracles(g, view)
     vs, us = np.array(vs, dtype=np.int64), np.array(us, dtype=np.float64)
     d = a.deg_out_many(vs)
     want = a.out_nbr_many(vs, (us * d).astype(np.int64))
-    assert b.walk_step_many(vs, us).tolist() == want.tolist()
+    got, settled = b.walk_step_many(vs, us)
+    assert got.tolist() == want.tolist()
+    assert settled.tolist() == ((d == 1) & (want == vs)).tolist()
     assert a.stats.as_dict() == b.stats.as_dict()
     assert jump_state(a) == jump_state(b)
 
@@ -455,7 +458,7 @@ def test_out_step_matches_neighbor_at_floor(view, data):
     assert jump_state(a) == jump_state(b)
     c.deg_out_many(vs)
     want = c.out_step_many(vs, us)
-    assert d.walk_step_many(vs, us).tolist() == want.tolist()
+    assert d.walk_step_many(vs, us)[0].tolist() == want.tolist()
     assert c.stats.as_dict() == d.stats.as_dict()
     assert jump_state(c) == jump_state(d) == jump_state(a)
 
@@ -474,8 +477,9 @@ def test_view_walk_step_is_one_jump_per_virtual_element():
     view = SuperSourceView(b)
     vs = np.array([30, 3, 30, 30, 7, 30])
     us = np.array([0.0, 0.5, 0.25, 0.999, 0.75, 0.5])
-    got = view.walk_step_many(vs, us)
+    got, settled = view.walk_step_many(vs, us)
     virt = vs == view.virtual
+    assert not settled[virt].any()  # s' is not in its own out-list
     assert got[virt].tolist() == [a.jump() for _ in range(4)]
     assert got[~virt].tolist() == [a.out_nbr(3, int(0.5 * a.deg_out(3))),
                                    a.out_nbr(7, int(0.75 * a.deg_out(7)))]
@@ -669,6 +673,134 @@ def test_lockstep_crosses_key_widths(n_walks):
     assert a.stats.as_dict() == b.stats.as_dict()
     # every uniform is read exactly once
     assert np.sort(np.concatenate(log.reads)).tolist() == list(range(us.size))
+
+
+# -- settled walks: a step from a node whose only out-edge is a self-loop
+
+@st.composite
+def sink_graphs(draw, max_n=8):
+    """Small random graphs in which a drawn share of the nodes have a
+    self-loop as their only out-edge (sinks), some have a self-loop
+    among other out-edges, and the rest random out-lists."""
+    n = draw(st.integers(1, max_n))
+    edges = []
+    for u in range(n):
+        kind = draw(st.sampled_from(["sink", "loop", "plain"]))
+        outs = {u} if kind == "sink" else set(draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=n)))
+        if kind == "loop":
+            outs.add(u)
+        edges += [(u, v) for v in sorted(outs)]
+    return build_graph(edges, n)
+
+
+def is_sink(g, v):
+    return g.out_deg[v] == 1 and out_list(g, v) == [v]
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(g=sink_graphs(), alpha=ALPHAS, count=COUNTS, seed=st.integers(0, 2**32),
+       data=st.data())
+def test_settled_walks_match_step_by_step_walks(view, g, alpha, count, seed,
+                                                data):
+    """Walks that settle in a sink stop stepping, yet give the terminals,
+    the QueryStats and both generator end states of walking on."""
+    a, b = twin_oracles(g, view, seed=seed % 83)
+    top = g.node_count if view else g.node_count - 1
+    sources = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = []
+    for s in sources:
+        want += reference_walk_terminals(a, s, alpha, ra, count)
+    assert _walk_terminals(b, sources, alpha, rb, count).tolist() == want
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert {type(q) for q in b.stats.as_dict().values()} == {int}
+    assert ra.bit_generator.state == rb.bit_generator.state
+    assert jump_state(a) == jump_state(b)
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(g=sink_graphs(), data=st.data())
+def test_settled_walks_read_no_uniform_after_settling(view, g, data):
+    """Each walk reads its uniforms once each up to and including its
+    settling step, the first step from a sink, and none after it."""
+    a, b = twin_oracles(g, view)
+    top = g.node_count if view else g.node_count - 1
+    starts = np.array(data.draw(st.lists(st.integers(0, top), max_size=12)),
+                      dtype=np.int64)
+    moves = np.array(data.draw(st.lists(st.integers(0, 300), min_size=starts.size,
+                                        max_size=starts.size)), dtype=np.int64)
+    us = np.random.default_rng(data.draw(st.integers(0, 99))).random(
+        int(moves.sum()))
+    want, read, pos = [], [], 0
+    for v, m in zip(starts.tolist(), moves.tolist()):
+        steps = 0
+        for k in range(m):
+            d = a.deg_out(v)
+            w = a.out_nbr(v, int(us[pos + k] * d))
+            steps += 1
+            if v != a.virtual and is_sink(a.graph, v):  # settled: v for good
+                a.deg_out_many(np.full(m - k - 1, v))
+                a.out_nbr_many(np.full(m - k - 1, v), np.zeros(m - k - 1, int))
+                break
+            v = w
+        read += range(pos, pos + steps)
+        want.append(v)
+        pos += m
+    log = us.view(ReadLog)
+    log.reads = []
+    assert _lockstep(b, starts, moves, log).tolist() == want
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert jump_state(a) == jump_state(b)
+    assert np.sort(np.concatenate([[], *log.reads])).tolist() == read
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(g=sink_graphs(), data=st.data())
+def test_walk_step_multiplicity_charges_each_repeat(view, g, data):
+    """Element j with times[j] answers once and charges as times[j] equal
+    walk steps, DEG-OUT and OUT each; times[j] > 1 only where d_out = 1,
+    and an s' element, a JUMP draw, has times 1."""
+    a, b = twin_oracles(g, view)
+    top = g.node_count if view else g.node_count - 1
+    vs = data.draw(st.lists(st.integers(0, top), max_size=20))
+    us = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                            min_size=len(vs), max_size=len(vs)))
+    times = [data.draw(st.integers(1, 4))
+             if v != a.virtual and a.graph.out_deg[v] == 1 else 1 for v in vs]
+    want = []
+    for v, u, k in zip(vs, us, times):
+        want += [a.out_nbr(v, int(u * a.deg_out(v))) for _ in range(k)][-1:]
+    got, settled = b.walk_step_many(vs, us, np.array(times, dtype=np.int64))
+    assert got.tolist() == want
+    assert settled.tolist() == [v != a.virtual and is_sink(a.graph, v)
+                                for v in vs]
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert jump_state(a) == jump_state(b)
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+def test_bad_walk_step_multiplicity_raises_before_any_charge(view):
+    # node 0 has a self-loop among two out-edges, 1 is a sink, 2 has
+    # d_out 1 without a self-loop; on a view of the one-node graph, s'
+    # has d_out 1 too
+    o = twin_oracles(build_graph([(0, 0), (0, 1), (1, 1), (2, 0)], 3), view)[0]
+    before, jumps = o.stats.as_dict(), jump_state(o)
+    for times in ([1], [1, 0], [2, -1], [1.0, 2.0], [True, True], [[1, 1]],
+                  [2, 1]):
+        with pytest.raises(ValueError, match="times"):
+            o.walk_step_many([0, 1], [0.5, 0.5], times)
+    assert o.stats.as_dict() == before and jump_state(o) == jumps
+    o.walk_step_many([1, 2], [0.5, 0.5], [3, 2])  # repeats where d_out = 1
+    assert o.stats.deg_out == o.stats.out_q == 5
+    if view:
+        one = twin_oracles(build_graph([(0, 0)], 1), view=True)[0]
+        with pytest.raises(ValueError, match="times"):
+            one.walk_step_many([0, one.virtual], [0.5, 0.5], [2, 2])
+        assert one.stats.total == 0 and one.stats.jump == 0
 
 
 def reference_draws(sources, alpha, rng, count):
