@@ -13,10 +13,11 @@ the first round the walks are sorted once by length, longest first, so
 each later round advances a shrinking prefix in place.  Walk lengths
 are numpy's geometric draws, bit for bit, but below alpha = 1/3 they
 come from one exponential fill and one divide (`_draw_moves`).
-Power iteration and RBS share one leveled backward loop,
-`_leveled_backward`: one scan batch and one numpy merge per level, and
-one merge of all levels that sums the estimates in level order, keyed
-in first-reach order (single_node_adaptive sums them in that order).
+Power iteration, RBS and BiPPR's push (approx_contributions) share one
+leveled backward loop, `_leveled_backward`: one scan batch and one numpy
+merge per level, and one merge of all levels that sums the estimates in
+level order, keyed in first-reach order (single_node_adaptive sums them
+in that order); BiPPR's push carries the residues below r_max over.
 
 Walk counts carry explicit constant multipliers (default
 16*log(1/p_f)/eps^2 per 1/delta); the underlying analyses only give
@@ -25,11 +26,11 @@ Theta(.), so the constants are exposed as parameters.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,29 +66,6 @@ def check_counts(**named):
     for name, val in named.items():
         if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
             raise ValueError(f"{name}={val!r} must be an integer >= 1")
-
-
-@dataclass
-class PushFrontier:
-    """Reserves/residues of a backward-push run (sparse maps).
-
-    Maintains the push invariant pi(u,t) = p(u) + sum_v pi(u,v) r(v)
-    after every push; `active` queues nodes with r(v) >= r_max.
-    """
-
-    r_max: float
-    p: dict = field(default_factory=dict)
-    r: dict = field(default_factory=dict)
-    active: deque = field(default_factory=deque)
-    queued: set = field(default_factory=set)
-    pushes: int = 0
-
-    def add_residue(self, u, amount):
-        ru = self.r.get(u, 0.0) + amount
-        self.r[u] = ru
-        if ru >= self.r_max and u not in self.queued:
-            self.active.append(u)
-            self.queued.add(u)
 
 
 def _scratch_array(name, size, dtype, keep=0):
@@ -153,7 +131,8 @@ def _draw_moves(m, alpha, rng):
         return
     x = m.view(np.float64)
     rng.standard_exponential(out=x)
-    x /= math.log1p(-alpha)
+    with np.errstate(over="ignore"):  # a tiny alpha's -inf is clamped next
+        x /= math.log1p(-alpha)
     np.floor(x, out=x)
     np.maximum(x, -2.0**63, out=x)  # -inf too, for a tiny alpha
     np.copyto(m, x, casting="unsafe")  # same memory: converted in place
@@ -243,40 +222,28 @@ def monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     check_nodes(o.node_count, s=s, t=t)
     check_params(alpha=alpha)
     n_w = mc_walk_count(delta, eps, p_f, c)
-    return _push_walk_estimates(o, [s], alpha, rng, n_w, {}, {t: 1.0})[s], n_w
+    r = np.eye(1, o.node_count, t)[0]  # one-hot at t
+    return _push_walk_estimates(o, [s], alpha, rng, n_w, {}, r)[s], n_w
 
 
 def _push_walk_estimates(o, sources, alpha, rng, n_w, p, r):
-    """s -> reserve p(s) plus the mean residue r(terminal) of n_w walks
-    from s, for every s in `sources`, all walked in one lockstep (absent
-    keys read 0).  The bidirectional estimators pass the maps their
-    backward push left; plain Monte Carlo is p = {}, r = {t: 1}.  Each
+    """s -> reserve p.get(s, 0) plus the mean residue r[terminal] of n_w
+    walks from s, for every s in `sources`, all walked in one lockstep.
+    The bidirectional estimators pass the dict p and dense vector r their
+    backward push left; plain Monte Carlo is p = {}, r one-hot at t.  Each
     source's residues are summed left to right in walk order (cumsum),
     as a Python loop over its terminals would."""
     terms = _walk_terminals(o, sources, alpha, rng, n_w)
-    dense = np.zeros(o.node_count)
-    dense[np.fromiter(r, np.int64, len(r))] = np.fromiter(r.values(), float,
-                                                         len(r))
-    sums = np.cumsum(dense[terms].reshape(len(sources), n_w), axis=1)[:, -1]
+    sums = np.cumsum(r[terms].reshape(len(sources), n_w), axis=1)[:, -1]
     return {s: p.get(s, 0.0) + acc / n_w
             for s, acc in zip(sources, sums.tolist())}
 
 
-def push_back(o, v, state, alpha):
-    """Move an alpha-fraction of r(v) to p(v), rest to the in-neighbors."""
-    rv = state.r.get(v, 0.0)
-    state.r[v] = 0.0
-    state.queued.discard(v)
-    state.p[v] = state.p.get(v, 0.0) + alpha * rv
-    state.pushes += 1
-    if rv == 0.0:
-        return state
-    spread = (1.0 - alpha) * rv
-    d_in = o.deg_in(v)
-    for i in range(d_in):
-        u = o.in_nbr(v, i)
-        state.add_residue(u, spread / o.deg_out(u))
-    return state
+class Push(NamedTuple):
+    """Reserves p (a dict in first-push order) and dense residues r."""
+
+    p: dict
+    r: np.ndarray
 
 
 def approx_contributions(o, t, alpha, r_max):
@@ -284,15 +251,21 @@ def approx_contributions(o, t, alpha, r_max):
 
     Afterwards p(s) <= pi(s,t) < p(s) + r_max for every s.  Push
     eligibility is r(v) >= r_max (so r_max=1 pushes the seed once).
+    Each level of `_leveled_backward` (PowerPush's synchronous rounds,
+    run backward) pushes every node whose residue reached r_max as one
+    `in_scans` batch; the rest wait in r, where later arrivals add on.
     """
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha, r_max=r_max)
-    state = PushFrontier(r_max=r_max)
-    state.add_residue(t, 1.0)
-    # a queued residue only grows until popped, so each pop is eligible
-    while state.active:
-        push_back(o, state.active.popleft(), state, alpha)
-    return state
+    r = np.zeros(o.node_count)
+
+    def settle(vs, rv):
+        rv += r[vs]  # the residue carried over, added to the arrivals
+        hot = rv >= r_max
+        r[vs] = np.where(hot, 0.0, rv)
+        return vs[hot], rv[hot]
+
+    return Push(_leveled_backward(o, t, alpha, None, o.in_scans, settle), r)
 
 
 def _merge(ids, weights, slot):
@@ -306,10 +279,11 @@ def _merge(ids, weights, slot):
     return ids[first], np.bincount(at, weights, ids.size)[first]
 
 
-def _leveled_backward(o, t, alpha, L, push):
+def _leveled_backward(o, t, alpha, L, push, settle=None):
     """Level-synchronous backward propagation from t for L levels: the
     sparse estimates sum_level alpha * r_level(v), keyed in first-reach
-    order (single_node_adaptive sums the values in that order).
+    order (single_node_adaptive sums the values in that order).  Power
+    iteration, rbs and BiPPR's push (approx_contributions) run on it.
 
     Level 0 is residue 1 on t.  push(vs, spread) takes a level's nodes
     with positive residue rv and their spreads (1 - alpha) * rv, and
@@ -319,13 +293,19 @@ def _leveled_backward(o, t, alpha, L, push):
     with the sum of its pushes added left to right from 0.0 (`_merge`),
     so values, key order and queries are those of a dict filled push by
     push; one `_merge` of all levels sums the estimates, in level order.
+    With `settle`, L is None: settle(vs, rv) takes each level, level 0
+    too, before it is recorded, and returns the part of it to push; the
+    loop runs until a push reads nothing.
     """
-    check_counts(L=L)
+    if settle is None:
+        check_counts(L=L)
     slot = np.empty(o.node_count, dtype=np.intp)
     keep = np.asarray(1.0 - alpha)  # 0-d: no Python-float conversion
     vs, rv = np.array([t], dtype=np.intp), np.ones(1)
     levels, residues = [], []
-    for level in range(L + 1):
+    for level in itertools.count():
+        if settle is not None:
+            vs, rv = settle(vs, rv)
         levels.append(vs)
         residues.append(rv)
         if level == L:
@@ -370,9 +350,9 @@ def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT)
     """
     check_nodes(o.node_count, s=s, t=t)
     check_params(delta=delta, eps=eps, p_f=p_f, c=c)
-    state = approx_contributions(o, t, alpha, r_max)
+    p, r = approx_contributions(o, t, alpha, r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
-    return _push_walk_estimates(o, [s], alpha, rng, n_w, state.p, state.r)[s]
+    return _push_walk_estimates(o, [s], alpha, rng, n_w, p, r)[s]
 
 
 def rbs_levels(alpha, delta, eps):
@@ -437,7 +417,7 @@ def single_target_jump_mc(o, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT
     check_params(alpha=alpha)
     n_w = mc_walk_count(delta, eps, p_f, c)
     return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w,
-                                {}, {t: 1.0})
+                                {}, np.eye(1, o.node_count, t)[0])
 
 
 def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
@@ -451,7 +431,6 @@ def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
     if r_max is None:
         d = o.edge_count / n
         r_max = min(1.0, math.sqrt(d * delta / n))
-    state = approx_contributions(o, t, alpha, r_max)
+    p, r = approx_contributions(o, t, alpha, r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
-    return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w,
-                                state.p, state.r)
+    return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w, p, r)

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from pprquery import (classic, OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, exact_single_target,
                       brute_force_pair, InstanceSpec, generate, build_graph,
                       NodeIdOutOfRange, derive_params, single_pair_ppr)
-from pprquery.classic import (_walk_terminals, monte_carlo_pair, push_back,
+from pprquery.classic import (_walk_terminals, monte_carlo_pair,
                               approx_contributions, power_iteration_target,
-                              bippr_pair, rbs_single_target, PushFrontier,
+                              bippr_pair, rbs_single_target,
                               single_target_jump_mc, single_target_bidir_jump,
                               default_r_max_pair, rbs_levels)
 from pprquery.single_node import (single_node_adaptive, single_node_avg_jump,
@@ -98,48 +99,68 @@ class TestMonteCarlo:
         assert abs(np.mean(ests) - 0.8) <= 4 * se
 
 
+def reference_fifo_push(o, t, alpha, r_max):
+    """The scalar FIFO push over dicts that approx_contributions' rounds
+    replaced: pop a queued node, move alpha r(v) to p(v) and spread the
+    rest over its in-neighbors, one DEG-IN, IN and DEG-OUT call per
+    edge; a node is queued when its residue reaches r_max.  Returns the
+    dicts (p, r)."""
+    p, r, active, queued = {}, {}, deque(), set()
+
+    def add_residue(u, amount):
+        r[u] = r.get(u, 0.0) + amount
+        if r[u] >= r_max and u not in queued:
+            active.append(u)
+            queued.add(u)
+
+    add_residue(t, 1.0)
+    while active:  # a queued residue only grows until popped
+        v = active.popleft()
+        queued.discard(v)
+        rv, r[v] = r[v], 0.0
+        p[v] = p.get(v, 0.0) + alpha * rv
+        spread = (1.0 - alpha) * rv
+        for i in range(o.deg_in(v)):
+            u = o.in_nbr(v, i)
+            add_residue(u, spread / o.deg_out(u))
+    return p, r
+
+
 class TestPushBack:
     def test_singleton_push(self):
+        # r_max = 1 pushes the seed once; its self-loop returns residue
         o = handle(singleton_graph())
-        st = PushFrontier(r_max=2.0)
-        st.add_residue(0, 1.0)
-        push_back(o, 0, st, A)
-        assert st.p[0] == pytest.approx(A)
-        assert st.r[0] == pytest.approx(1 - A)  # self-loop returns residue
+        p, r = approx_contributions(o, 0, A, 1.0)
+        assert p[0] == pytest.approx(A)
+        assert r[0] == pytest.approx(1 - A)
 
     def test_chain_push(self):
         o = handle(chain_graph())
-        st = PushFrontier(r_max=2.0)
-        st.add_residue(1, 1.0)
-        push_back(o, 1, st, A)
-        assert st.p[1] == pytest.approx(0.2)
-        assert st.r[0] == pytest.approx(0.8)
+        p, r = approx_contributions(o, 1, A, 1.0)
+        assert p[1] == pytest.approx(0.2)
+        assert r[0] == pytest.approx(0.8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_against_exact(self, seed):
-        # pi(s,t) = p(s) + sum_v pi(s,v) r(v) after every push
+        # pi(s,t) = p(s) + sum_v pi(s,v) r(v) where the push stops, for
+        # every s, at r_max from one round to many
         g = random_graph(seed, 40)
         o = handle(g)
-        s, t = 3, 17
-        pi_row = exact_single_source(g, s, A, 1e-13)
-        st = PushFrontier(r_max=0.05)
-        st.add_residue(t, 1.0)
-        pi_st = pi_row[t]
-        checks = 0
-        while st.active and checks < 60:
-            v = st.active.popleft()
-            push_back(o, v, st, A)
-            lhs = st.p.get(s, 0.0) + sum(pi_row[u] * ru for u, ru in st.r.items())
-            assert abs(lhs - pi_st) <= 1e-9
-            checks += 1
+        t = 17
+        tv = exact_single_target(g, t, A, 1e-13)
+        rows = [exact_single_source(g, s, A, 1e-13) for s in range(40)]
+        for r_max in (1.0, 0.3, 0.1, 0.05):
+            p, r = approx_contributions(o, t, A, r_max)
+            for s, row in enumerate(rows):
+                assert abs(p.get(s, 0.0) + row @ r - tv[s]) <= 1e-9
 
 
 class TestApproxContributions:
     def test_r_max_one_pushes_seed_once(self):
         o = handle(singleton_graph())
         st = approx_contributions(o, 0, A, 1.0)
-        assert st.pushes >= 1
-        assert all(r < 1.0 for r in st.r.values())
+        assert o.stats.deg_in == 1  # one push, of the seed
+        assert all(r < 1.0 for r in st.r)
 
     def test_chain_sandwich(self):
         o = handle(chain_graph())
@@ -153,7 +174,7 @@ class TestApproxContributions:
         r_max = 0.02
         o = handle(g)
         st = approx_contributions(o, t, A, r_max)
-        assert all(r < r_max for r in st.r.values())
+        assert all(r < r_max for r in st.r)
         tv = exact_single_target(g, t, A, 1e-13)
         for s in range(g.node_count):
             ps = st.p.get(s, 0.0)
@@ -165,16 +186,23 @@ class TestApproxContributions:
            d=st.integers(1, 5), alpha=st.floats(0.05, 0.95),
            r_max=st.floats(1e-3, 1.0))
     def test_push_invariant_random(self, seed, n, d, alpha, r_max):
-        # pi(u,t) = p(u) + sum_v pi(u,v) r(v) for every u once pushing stops
+        # pi(u,t) = p(u) + sum_v pi(u,v) r(v) for every u once pushing
+        # stops, with every residue below r_max, so p(u) <= pi(u,t) <
+        # p(u) + r_max; the FIFO push it replaced stops on the same terms
         g = random_graph(seed, n, d)
         t = seed % n
-        state = approx_contributions(handle(g), t, alpha, r_max)
+        p, r = approx_contributions(handle(g), t, alpha, r_max)
+        fifo_p, fifo_r = reference_fifo_push(handle(g), t, alpha, r_max)
+        dense = np.zeros(n)
+        dense[list(fifo_r)] = list(fifo_r.values())
         tv = exact_single_target(g, t, alpha, 1e-13)
-        for u in range(n):
-            row = exact_single_source(g, u, alpha, 1e-13)
-            rhs = state.p.get(u, 0.0) + sum(row[v] * rv
-                                            for v, rv in state.r.items())
-            assert abs(tv[u] - rhs) <= 1e-9
+        rows = [exact_single_source(g, u, alpha, 1e-13) for u in range(n)]
+        for p, r in ((p, r), (fifo_p, dense)):
+            assert r.max() < r_max
+            for u, row in enumerate(rows):
+                pu = p.get(u, 0.0)
+                assert abs(tv[u] - (pu + row @ r)) <= 1e-9
+                assert pu - 1e-9 <= tv[u] < pu + r_max + 1e-9
 
     def test_average_cost_scales_with_d_over_rmax(self):
         # Eq-(4)-style bound: mean pushes cost over all targets <= c*d/r_max
@@ -286,7 +314,8 @@ class TestBippr:
     def test_degenerate_rmax_is_pure_mc(self, rng):
         o = handle(chain_graph())
         st = approx_contributions(o, 1, A, 1.5)
-        assert st.pushes == 0  # r(t)=1 < r_max: no pushes at all
+        assert o.stats.total == 0  # r(t)=1 < r_max: no pushes at all
+        assert st.p == {} and st.r.tolist() == [0.0, 1.0]
         est = bippr_pair(o, 0, 1, A, 0.1, 0.2, 0.1, 1.5, rng)
         assert abs(est - 0.8) < 0.2 * 0.8
 

@@ -77,7 +77,7 @@ RUN_DIGESTS = {
     "single_pair_ppr": "aed5fbe377f00a13bfdc5db5d86ed85ed7e3d88c08d816922f9f4c5ceb867b11",
     "sn_adaptive": "28c9365006f6a2931a58a5dea30f6b3d7a221c4259c5d71fa32a1b9e0e01c21f",
     "sn_avg_full": "a805b191797eb20db9035ceebfd57eace40b37503bdb06657bb360b94191c7b9",
-    "sn_avg_jump": "f111fee6e0b75013977561e1a6e88d2b7899a56d207b0f73d431f937bcbf1cbd",
+    "sn_avg_jump": "0d4f15ea5c442a874cc0fef5e5f6ceae2a9d9370e19fc5a5769776cadb8df5d5",
     "st_bidir_jump": "fc5db57ab31f12c59098fb31dd6a47ce0ba30dca61f69ca30db5ffb976589183",
     "st_jump_mc": "ab6fcee2f68f6fc4c03c7112693bb0d2d0f5d7dd427208769ae04c9a933277ca",
 }

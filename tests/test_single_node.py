@@ -60,7 +60,7 @@ class TestSuperSourceView:
     def test_augmented_in_lists_keep_insertion_order(self):
         # sp_avg's edge list is not source-ordered, so a rebuild from
         # edge_arrays() reorders some in-lists; the view keeps g's order
-        # (BiPPR's push_back follows it) and appends s'
+        # (the in_scans batches of BiPPR's push read it) and appends s'
         g, _ = generate(parameter_presets("sp_avg", 64, 512, 0.1, A))
         n = g.node_count
         aug = SuperSourceView(OracleHandle(g, Capabilities.all())).graph

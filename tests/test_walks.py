@@ -882,16 +882,19 @@ def test_draw_moves_keeps_numpys_int64_clamp(alpha):
     assert (clamped > 1000) if alpha == 1e-19 else clamped == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("alpha,count,error", [
-    (1e-19, 1, ValueError), (1e-19, 2, ValueError),
+    (1e-19, 1, ValueError), (1e-19, 2, ValueError), (5e-324, 1, ValueError),
     (1e-12, 300, MemoryError)])
 def test_tiny_alpha_fails_as_geometric_draws_do(alpha, count, error,
                                                 monkeypatch):
     """Walks clamped at INT64_MAX moves take 2^53 steps or more, which
     the step count's float64 sum holds inexactly: a ValueError naming
     alpha, count and the step total, before any query or uniform draw,
-    where the int64 sum would wrap.  Walks of about 1e12 moves fail, as
-    the allocating geometric draw does, on petabytes of uniforms."""
+    where the int64 sum would wrap; at the smallest alpha too, whose
+    divide overflows to -inf, with RuntimeWarnings raised as errors.
+    Walks of about 1e12 moves fail, as the allocating geometric draw
+    does, on petabytes of uniforms."""
     named = error is ValueError
     match = (rf"^alpha={alpha!r}, count={count}: \d\.\d+e\+1[89] steps "
              rf">= 2\^53$") if named else None
@@ -980,8 +983,10 @@ def test_push_walk_estimates_match_dict_loop(view, g, alpha, count, seed,
     p = data.draw(st.dictionaries(nodes, values, max_size=4))
     r = data.draw(st.dictionaries(nodes, values, max_size=top + 1))
     ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+    dense = np.zeros(top + 1)
+    dense[list(r)] = list(r.values())
     want = reference_push_walk_estimates(a, sources, alpha, ra, count, p, r)
-    got = _push_walk_estimates(b, sources, alpha, rb, count, p, r)
+    got = _push_walk_estimates(b, sources, alpha, rb, count, p, dense)
     assert list(got.items()) == list(want.items())
     assert {type(x) for x in got.values()} == {float}
     assert a.stats.as_dict() == b.stats.as_dict()
