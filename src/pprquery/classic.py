@@ -12,7 +12,9 @@ in a self-loop sink stops, its remaining steps charged as repeats.  After
 the first round the walks are sorted once by length, longest first, so
 each later round advances a shrinking prefix in place.  Walk lengths
 are numpy's geometric draws, bit for bit, but below alpha = 1/3 they
-come from one exponential fill and one divide (`_draw_moves`).
+come from one exponential fill and one divide (`_draw_moves`).  A batch
+of walks from any number of sources draws all its lengths in one fill,
+then all its step uniforms in one `rng.random` fill.
 Power iteration, RBS and BiPPR's push (approx_contributions) share one
 leveled backward loop, `_leveled_backward`: one scan batch and one numpy
 merge per level, and one merge of all levels that sums the estimates in
@@ -68,20 +70,17 @@ def check_counts(**named):
             raise ValueError(f"{name}={val!r} must be an integer >= 1")
 
 
-def _scratch_array(name, size, dtype, keep=0):
+def _scratch_array(name, size, dtype):
     """The first `size` elements of this thread's grow-only scratch array
-    `name`; a grow at least doubles it and carries over its first
-    `keep` elements.  The walk engine reuses these arrays across calls,
-    so a trial does not fault freshly mapped pages back in, and R_hat
-    scoring draws into its `us`, `cur` and `off`, which are dead once
-    the walks have returned their terminals as a fresh array; nothing
-    either returns aliases them."""
+    `name`; a grow at least doubles it and keeps nothing, since each
+    caller fills its slice whole (one walk batch's moves and uniforms
+    are one fill each).  Reused across calls, so a trial does not fault
+    freshly mapped pages back in; R_hat scoring draws into `us`, `cur`
+    and `off`, dead once the walks return their terminals as a fresh
+    array, and nothing either returns aliases them."""
     buf = getattr(_scratch, name, None)
     if buf is None or buf.size < size:
-        grown = np.empty(max(size, 0 if buf is None else 2 * buf.size), dtype)
-        if keep:
-            grown[:keep] = buf[:keep]
-        buf = grown
+        buf = np.empty(max(size, 0 if buf is None else 2 * buf.size), dtype)
         setattr(_scratch, name, buf)
     return buf[:size]
 
@@ -90,23 +89,19 @@ def _walk_terminals(o, sources, alpha, rng, count):
     """Terminals of `count` independent walks from each node of
     `sources`, as one int64 array ordered source by source.
 
-    All randomness is drawn up front, source by source: the moves of
-    its walks (geometric lengths minus one, see _draw_moves), then one
-    uniform array with every step draw of those walks, walk after walk.
-    Each source's draws go into its own slice of the scratch arrays.
-    ValueError, before any query or its uniforms, at 2^53 steps or more.
+    All randomness is drawn up front, one fill per kind for the batch:
+    the moves of every walk, source by source and walk after walk
+    (geometric lengths minus one, see _draw_moves), then the uniforms of
+    every step, in that order; a one-source batch draws as it always
+    did.  ValueError, before any query or uniform, at 2^53 steps or more.
     """
     moves = _scratch_array("moves", len(sources) * count, np.int64)
-    us = _scratch_array("us", 0, np.float64)
-    for j in range(len(sources)):
-        m = moves[j * count:(j + 1) * count]
-        _draw_moves(m, alpha, rng)
-        steps = us.size
-        total = steps + m.sum(dtype=np.float64)  # one pass, no int64 wrap
-        if total >= 2.0 ** 53:
-            raise ValueError(f"alpha={alpha!r}, count={count}: {total:.4g} steps >= 2^53")
-        us = _scratch_array("us", int(total), np.float64, keep=steps)
-        rng.random(out=us[steps:])
+    _draw_moves(moves, alpha, rng)
+    total = moves.sum(dtype=np.float64)  # one pass, no int64 wrap
+    if total >= 2.0 ** 53:
+        raise ValueError(f"alpha={alpha!r}, count={count}: {total:.4g} steps >= 2^53")
+    us = _scratch_array("us", int(total), np.float64)
+    rng.random(out=us)
     starts = np.repeat(np.asarray(sources, dtype=np.int64), count)
     return _lockstep(o, starts, moves, us)
 

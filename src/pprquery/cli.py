@@ -77,18 +77,34 @@ def _cmd_run(args):
     return 0
 
 
+class FitError(ValueError):
+    """Results that `fit` cannot fit: a usage error, as a bad config is."""
+
+
 def _cmd_fit(args):
-    rows = read_results(args.results)
+    try:
+        rows = read_results(args.results)
+    except OSError as e:
+        raise FitError(f"cannot read {args.results}: {e.strerror}") from None
+    need = ["cell", args.x, args.y] + (["algorithm"] if args.algorithm else [])
+    missing = [c for c in need if rows and c not in rows[0]]
+    if missing:
+        raise FitError(f"{args.results} has no column {missing[0]!r}")
     if args.algorithm:
         rows = [r for r in rows if r["algorithm"] == args.algorithm]
+        if not rows:
+            raise FitError(f"{args.results} has no {args.algorithm} rows")
     cells = {}
     for r in rows:
         cells.setdefault(r["cell"], []).append(r)
-    xs, ys = [], []
-    for cell_rows in cells.values():
-        xs.append(float(cell_rows[0][args.x]))
-        ys.append(sum(float(r[args.y]) for r in cell_rows) / len(cell_rows))
-    slope, stderr = fit_scaling(xs, ys)
+    try:
+        xs, ys = [], []
+        for cell_rows in cells.values():
+            xs.append(float(cell_rows[0][args.x]))
+            ys.append(sum(float(r[args.y]) for r in cell_rows) / len(cell_rows))
+        slope, stderr = fit_scaling(xs, ys)
+    except ValueError as e:  # a non-number, too few points, equal x
+        raise FitError(str(e)) from None
     print(f"slope {slope:+.4f} +- {stderr:.4f}  ({len(xs)} sweep points, "
           f"y={args.y} vs x={args.x})")
     return 0
@@ -155,7 +171,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, CapabilityMismatch, InstanceLoadError,
-            SpecConstraintViolation, RegimeUndefined) as e:
+            SpecConstraintViolation, RegimeUndefined, FitError) as e:
         p.error(str(e))  # a bad config or spec is a usage error: exit 2
 
 

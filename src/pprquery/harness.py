@@ -380,11 +380,11 @@ def fit_scaling(xs, ys):
                                  f"positive number")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
+    if (lx == lx[0]).all():  # their mean may round off their value
+        raise ValueError("all x values identical")
     k = len(lx)
     mx = lx.mean()
     sxx = float(((lx - mx) ** 2).sum())
-    if sxx == 0:
-        raise ValueError("all x values identical")
     slope = float(((lx - mx) * (ly - ly.mean())).sum() / sxx)
     intercept = float(ly.mean() - slope * mx)
     resid = ly - (slope * lx + intercept)

@@ -28,7 +28,12 @@ chi never rises along an IN-SORTED list, so its entries with chi <=
 lim[j] are a suffix: `in_sorted_scans` reads up to the first of them
 and returns only the entries before it.  Scans and walk steps keep one
 operand rule: int32 storage (the CSR), intp gather indices and float64
-divisors (see _out_degf and _step_tables).
+divisors (see _out_degf and _step_tables).  A malformed batch charges
+nothing: each raises ValueError, naming itself, for an element argument
+that is neither one value nor one per node, and `deg_out_many`,
+`out_nbr_many`, `adj_many` and scalar `adj` raise NodeIdOutOfRange for
+an id outside [0, node_count).  The walk-step and scan batches, whose
+ids are earlier answers, check lengths only.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import csr_entries
+from .graph import NodeIdOutOfRange, csr_entries
 
 QUERY_KINDS = ("deg_in", "deg_out", "in", "out", "in_sorted", "adj", "jump")
 
@@ -140,18 +145,31 @@ def _step_tables(g):
     return tabs
 
 
-def _multiplicity(times, size):
+def _multiplicity(method, times, size):
     """A batch's optional `times` as an int64 array: element j stands for
     times[j] equal queries, and is charged that many times unless the
-    super-source rule makes it free.  ValueError, before any charge,
-    unless it holds `size` integers >= 1."""
+    super-source rule makes it free.  ValueError naming `method`, before
+    any charge, unless it holds `size` integers >= 1."""
     if times is None:
         return None
     times = np.asarray(times)
     if (times.shape != (size,) or times.dtype.kind not in "iu"
             or (size and times.min() < 1)):
-        raise ValueError(f"times must hold {size} integers >= 1")
+        raise ValueError(f"{method}: times must hold {size} integers >= 1")
     return times.astype(np.int64, copy=False)
+
+
+def _per_node(method, name, x, size, dtype):
+    """Element argument `name` of a batch of `size` nodes as a `dtype`
+    array of one value per node, a scalar repeated; ValueError naming
+    `method`, before any charge, for any other shape.  O(1) on arrays."""
+    x = np.asarray(x, dtype=dtype)
+    if x.shape != (size,):
+        if x.ndim:
+            raise ValueError(f"{method}: {name} has shape {x.shape}, "
+                             f"not () or ({size},)")
+        x = np.full(size, x)
+    return x
 
 
 class OracleHandle:
@@ -203,6 +221,15 @@ class OracleHandle:
         paid = us != s if vs is None else (us != s) & (vs != s)
         return int(times[paid].sum() if times is not None else
                    np.count_nonzero(paid))
+
+    def _nodes(self, method, vs):
+        """vs as an int64 array of node ids; NodeIdOutOfRange naming
+        `method`, before any charge, at an id outside [0, node_count)."""
+        vs = np.asarray(vs, dtype=np.int64)
+        if vs.size and vs.view(np.uint64).max() >= self._n:  # < 0 reads huge
+            bad = vs[(vs < 0) | (vs >= self._n)].flat[0]
+            raise NodeIdOutOfRange(f"{method}: node {bad} outside [0, {self._n})")
+        return vs
 
     def _draw(self, high, size=None):
         """JUMP draws uniform over [0, high), one JUMP charged each: one,
@@ -264,6 +291,8 @@ class OracleHandle:
     def adj(self, u, v):
         if not self.caps.adj:
             raise CapabilityDisabled("ADJ is not enabled")
+        if not (0 <= u < self._n and 0 <= v < self._n):
+            raise NodeIdOutOfRange(f"ADJ({u},{v}) outside [0, {self._n})")
         if self.virtual is None or self.virtual not in (u, v):
             self.stats.adj += 1
         hi = self._optr[u + 1]
@@ -277,7 +306,7 @@ class OracleHandle:
 
     def deg_out_many(self, vs):
         """DEG-OUT of every node of the int array `vs`."""
-        vs = np.asarray(vs, dtype=np.int64)
+        vs = self._nodes("deg_out_many", vs)
         self.stats.deg_out += self._paid(vs)
         return self.graph.out_deg[vs]
 
@@ -287,9 +316,9 @@ class OracleHandle:
         outside [0, d_out(vs[j])).  An OUT(s', .) answer is a JUMP draw,
         never shared: ValueError, before any charge, if such an element
         has times[j] != 1."""
-        vs = np.asarray(vs, dtype=np.int64)
-        idx = np.asarray(idx, dtype=np.int64)
-        times = _multiplicity(times, vs.size)
+        vs = self._nodes("out_nbr_many", vs)
+        idx = _per_node("out_nbr_many", "idx", idx, vs.size, np.int64)
+        times = _multiplicity("out_nbr_many", times, vs.size)
         g = self.graph
         virt = None if self.virtual is None else vs == self.virtual
         free = 0 if virt is None else int(np.count_nonzero(virt))  # JUMPs
@@ -312,6 +341,7 @@ class OracleHandle:
         per element, for uniforms u[j] in [0, 1).  No bounds check: u <=
         1 - 2^-53, so u * d rounds below d for every d < 2^53."""
         vs = np.asarray(vs, dtype=np.int64)
+        u = _per_node("out_step_many", "u", u, vs.size, np.float64)
         g = self.graph
         deg, ptr = _step_tables(g)
         paid = self._paid(vs)
@@ -333,7 +363,8 @@ class OracleHandle:
         before any charge.  Returns the answers and, per element, whether
         the step settled: d_out(v) = 1 and OUT(v, 0) = v."""
         vs = np.asarray(vs, dtype=np.int64)
-        times = _multiplicity(times, vs.size)
+        u = _per_node("walk_step_many", "u", u, vs.size, np.float64)
+        times = _multiplicity("walk_step_many", times, vs.size)
         deg = _out_degf(self.graph)
         # vs == None is all False on a plain handle
         if times is not None and np.any((times > 1) & ((deg[vs] != 1.0) | (vs == self.virtual))):
@@ -355,9 +386,10 @@ class OracleHandle:
         stepped together."""
         if not self.caps.adj:
             raise CapabilityDisabled("ADJ is not enabled")
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        times = _multiplicity(times, us.size)
+        us = self._nodes("adj_many", us)
+        vs = self._nodes("adj_many", _per_node("adj_many", "vs", vs, us.size,
+                                               np.int64))
+        times = _multiplicity("adj_many", times, us.size)
         g = self.graph
         self.stats.adj += self._paid(us, vs, times)
         lo = g.out_ptr[us].astype(np.int64)
@@ -377,24 +409,26 @@ class OracleHandle:
         found[found] = g.out_sorted[lo[found]] == vs[found]
         return found
 
-    def _scan(self, lists, vs, spread, lim=None):
+    def _scan(self, method, lists, vs, spread, lim=None):
         """Read the in-lists of `vs` in the CSR array `lists`, all of each
         without `lim`, charging DEG-IN per list and DEG-OUT per entry
         read.  Returns the IN or IN-SORTED count to charge and the scan
         batch's return value (see in_scans and in_sorted_scans)."""
         g = self.graph
         vs = np.asarray(vs, dtype=np.intp)
+        spread = _per_node(method, "spread", spread, vs.size, np.float64)
+        if lim is not None:
+            lim = _per_node(method, "lim", lim, vs.size, np.float64)
         idx, lens = csr_entries(g.in_ptr, vs)
         nbrs = lists[idx].astype(np.intp)
-        chi = np.asarray(spread, dtype=np.float64).repeat(lens) / _out_degf(g)[nbrs]
+        chi = spread.repeat(lens) / _out_degf(g)[nbrs]
         if lim is None:
             paid, read = self._paid(nbrs), (nbrs, chi)
         else:
             # stop[1:] flags chi <= lim; a list halted iff its last entry
             # stops (an empty list reads the pad or the list before it)
             stop = np.zeros(chi.size + 1, dtype=bool)
-            np.less_equal(chi, np.asarray(lim, dtype=np.float64).repeat(lens),
-                          out=stop[1:])
+            np.less_equal(chi, lim.repeat(lens), out=stop[1:])
             ends = lens.cumsum()
             halted = stop[ends] & lens.astype(bool)
             keep = ~stop[1:]
@@ -413,7 +447,7 @@ class OracleHandle:
         IN(v, i) and DEG-OUT of its answer u for every i, charging exactly
         those queries.  Returns (nbrs, chi), list after list: the intp
         ids u and their increments spread[j] / d_out(u)."""
-        paid, read = self._scan(self.graph.in_nbrs, vs, spread)
+        paid, read = self._scan("in_scans", self.graph.in_nbrs, vs, spread)
         self.stats.in_q += paid
         return read
 
@@ -427,7 +461,8 @@ class OracleHandle:
         scan, and per list whether it read that stop entry."""
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
-        paid, read = self._scan(self.graph.in_sorted, vs, spread, lim)
+        paid, read = self._scan("in_sorted_scans", self.graph.in_sorted, vs,
+                                spread, lim)
         self.stats.in_sorted += paid
         return read
 

@@ -78,8 +78,8 @@ RUN_DIGESTS = {
     "sn_adaptive": "28c9365006f6a2931a58a5dea30f6b3d7a221c4259c5d71fa32a1b9e0e01c21f",
     "sn_avg_full": "a805b191797eb20db9035ceebfd57eace40b37503bdb06657bb360b94191c7b9",
     "sn_avg_jump": "0d4f15ea5c442a874cc0fef5e5f6ceae2a9d9370e19fc5a5769776cadb8df5d5",
-    "st_bidir_jump": "fc5db57ab31f12c59098fb31dd6a47ce0ba30dca61f69ca30db5ffb976589183",
-    "st_jump_mc": "ab6fcee2f68f6fc4c03c7112693bb0d2d0f5d7dd427208769ae04c9a933277ca",
+    "st_bidir_jump": "6dd6e322d76cf9875f7b443729e6d9c7bde4b9f868d5231c3f1f2adc0725c7f8",
+    "st_jump_mc": "54d22483aa96344d2eef712bae468b6dd246f60062d1b554d461c32221398901",
 }
 
 # family -> hand-written InstanceSpec fields (swap, padding, flipped upper

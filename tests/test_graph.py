@@ -570,8 +570,12 @@ class TestBuildProperties:
             assert [o.in_nbr(v, i) for i in range(len(inn[v]))] == inn[v]
             assert [o.in_sorted(v, i) for i in range(len(ins[v]))] == ins[v]
         for u in range(n):
-            for v in range(-1, n + 1):
+            for v in range(n):
                 assert o.adj(u, v) is (v in out[u])
+            for v in (-1, n):  # no node: named, and not charged
+                with pytest.raises(NodeIdOutOfRange):
+                    o.adj(u, v)
+        assert o.stats.adj == n * n
         assert all(type(x) is int for x in (o.deg_out(0), o.deg_in(0),
                                             o.out_nbr(0, 0)))
         assert g.edges() == [(u, v) for u in range(n) for v in out[u]]

@@ -166,6 +166,13 @@ class TestFitScaling:
         with pytest.raises(InsufficientPoints):
             fit_scaling([1, 2, 4], [1, 2, 3])
 
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_identical_x_named(self, k):
+        # at k = 7 the mean of log(0.2) rounds off it, and a slope with a
+        # stderr of about 1.5e15 used to come back
+        with pytest.raises(ValueError, match="all x values identical"):
+            fit_scaling([0.2] * k, [5, 10, 20, 50, 5, 10, 20, 50][:k])
+
     @pytest.mark.parametrize("xs, ys, msg", [
         ([1, 2, 4, 8], [0, 1, 2, 3], "point 0: y=0 "),
         ([1, 2, 4, 8], [-1, 1, 2, 3], "point 0: y=-1 "),
@@ -181,7 +188,7 @@ class TestFitScaling:
 
 
 class TestCli:
-    def test_generate_exact_run_fit(self, tmp_path):
+    def test_generate_exact_run_fit(self, tmp_path, capsys):
         edge = tmp_path / "g.txt"
         meta = tmp_path / "g.json"
         assert cli.main(["generate", "--family", "sp_worst", "--L", "2",
@@ -200,8 +207,41 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert cli.main(["fit", "--results", str(out)]) == 0
         # Monte Carlo makes no IN-SORTED query: no log-log slope exists
-        with pytest.raises(ValueError, match=re.escape("point 0: y=0.0 ")):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["fit", "--results", str(out), "--y", "q_in_sorted"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "pprquery: error: point 0: y=0.0 " in err
+        assert "Traceback" not in err
+
+    # four monte_carlo cells and three bippr cells, all at alpha 0.2
+    FIT_ROWS = "algorithm,cell,delta,alpha,q_total\n" + "".join(
+        f"{alg},{cell},{delta},0.2,{int(1 / delta)}\n" for alg, cell, delta in
+        [*(("monte_carlo", i, d) for i, d in enumerate([0.2, 0.1, 0.05, 0.02])),
+         *(("bippr", 4 + i, d) for i, d in enumerate([0.2, 0.1, 0.05]))])
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--results", "no_such.csv"], "cannot read no_such.csv: No such file"),
+        (["--x", "bogus"], "res.csv has no column 'bogus'"),
+        (["--y", "bogus"], "res.csv has no column 'bogus'"),
+        (["--algorithm", "rbs"], "res.csv has no rbs rows"),
+        (["--algorithm", "bippr"], "need >= 4 sweep points, got 3"),
+        (["--x", "alpha"], "all x values identical"),
+    ], ids=["missing_file", "unknown_x", "unknown_y", "no_rows",
+            "three_points", "equal_x"])
+    def test_fit_bad_input_is_a_usage_error(self, tmp_path, monkeypatch,
+                                            capsys, flags, message):
+        # each used to end in a traceback with exit status 1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "res.csv").write_text(self.FIT_ROWS)
+        assert cli.main(["fit", "--results", "res.csv"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--results", "res.csv", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "pprquery: error: " + message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("mode,node,solve", [
         ("target", "1", lambda g: exact_single_target(g, 1, 0.2)),

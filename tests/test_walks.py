@@ -3,9 +3,11 @@ oracle queries they run on.
 
 Batch queries must answer and charge exactly like a loop of scalar
 queries.  `_walk_terminals` must reproduce the step-by-step walk it
-replaced (kept below as `reference_walk_terminals`): the same
-terminals, the same QueryStats and the same end state of both the
-estimator's generator and the oracle's JUMP generator.
+replaced (kept below as `reference_walk_terminals`), drawing as the
+engine does, every walk's length in one fill and then every step's
+uniform in another: the same terminals, the same QueryStats and the
+same end state of both the estimator's generator and the oracle's JUMP
+generator.
 
 `estimate_R_hat` draws its samples by rejection in vectorized rounds,
 so where a try is rejected it takes uniforms and JUMPs in another order
@@ -36,6 +38,7 @@ from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
 from pprquery.classic import (_lockstep, _push_walk_estimates,
                               _walk_terminals, mc_walk_count,
                               single_target_bidir_jump, single_target_jump_mc)
+from pprquery.graph import NodeIdOutOfRange
 from pprquery.oracle import (QUERY_KINDS, Capabilities, CapabilityDisabled,
                              IndexOutOfRange, OracleHandle)
 from pprquery.single_node import SuperSourceView
@@ -43,14 +46,16 @@ from pprquery.single_node import SuperSourceView
 from conftest import out_list, random_graph
 
 
-def reference_walk_terminals(o, s, alpha, rng, count):
-    """The step-by-step walk loop the lockstep engine replaced."""
-    lengths = rng.geometric(alpha, size=count)
-    steps = int(lengths.sum()) - count
+def reference_walk_terminals(o, sources, alpha, rng, count):
+    """The step-by-step walk loop the lockstep engine replaced, over
+    `count` walks from each of `sources`: one geometric call for every
+    walk's length, then one random call for every step's uniform."""
+    lengths = rng.geometric(alpha, size=len(sources) * count)
+    steps = int(lengths.sum()) - lengths.size
     us = rng.random(size=steps).tolist() if steps > 0 else []
     out = []
     pos = 0
-    for g in lengths.tolist():
+    for s, g in zip(np.repeat(sources, count).tolist(), lengths.tolist()):
         cur = s
         for _ in range(g - 1):
             d = o.deg_out(cur)
@@ -284,6 +289,42 @@ def test_batch_out_of_range_raises(view, data):
         o.out_nbr(vs[j], idx[j])
     with pytest.raises(IndexOutOfRange):
         o.out_nbr_many(vs, idx)
+
+
+# (method, arguments given the oracle's node count n, error): elements
+# of the wrong length, then ids that are no node
+MALFORMED = [
+    ("adj_many", lambda n: ([1, 2, 3], [5, 6]), ValueError),
+    ("out_nbr_many", lambda n: ([1, 2, 3], [0]), ValueError),
+    ("out_step_many", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
+    ("walk_step_many", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
+    ("in_scans", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
+    ("in_sorted_scans", lambda n: ([1, 2, 3], [0.5, 0.5], [0.1] * 3),
+     ValueError),
+    ("in_sorted_scans", lambda n: ([1, 2, 3], [0.5] * 3, [0.1, 0.1]),
+     ValueError),
+    ("deg_out_many", lambda n: ([-1],), NodeIdOutOfRange),
+    ("deg_out_many", lambda n: ([0, n],), NodeIdOutOfRange),
+    ("out_nbr_many", lambda n: ([n], [0]), NodeIdOutOfRange),
+    ("out_nbr_many", lambda n: ([0, -1], [0, 0]), NodeIdOutOfRange),
+    ("adj_many", lambda n: ([3, n], [0, 1]), NodeIdOutOfRange),
+    ("adj_many", lambda n: ([3, 4], [0, -1]), NodeIdOutOfRange),
+    ("adj", lambda n: (3, 99), NodeIdOutOfRange),
+    ("adj", lambda n: (-1, 3), NodeIdOutOfRange),
+]
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@pytest.mark.parametrize("method,args,error", MALFORMED,
+                         ids=[f"{m}-{i}" for i, (m, _, _) in enumerate(MALFORMED)])
+def test_malformed_batch_charges_nothing(view, method, args, error):
+    """A batch whose element arguments are neither one value nor one per
+    node, or whose caller-given ids are no node, raises an error naming
+    the method (or the ADJ pair) and charges nothing."""
+    o = twin_oracles(random_graph(1, 40), view)[0]
+    with pytest.raises(error, match="ADJ" if method == "adj" else method):
+        getattr(o, method)(*args(o.node_count))
+    assert o.stats.total == 0
 
 
 @st.composite
@@ -591,31 +632,12 @@ def test_engine_matches_step_by_step_walks(view, g, alpha, count, seed, data):
     top = g.node_count if view else g.node_count - 1
     s = data.draw(st.integers(0, top))
     ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = reference_walk_terminals(a, s, alpha, ra, count)
+    want = reference_walk_terminals(a, [s], alpha, ra, count)
     got = _walk_terminals(b, [s], alpha, rb, count)
     assert got.tolist() == want
     assert a.stats.as_dict() == b.stats.as_dict()
     # counters feed the CSV and JSON output: Python ints, never numpy's
     assert {type(q) for q in b.stats.as_dict().values()} == {int}
-    assert ra.bit_generator.state == rb.bit_generator.state
-    assert jump_state(a) == jump_state(b)
-
-
-@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
-@settings(max_examples=30, deadline=None)
-@given(g=graphs(), alpha=ALPHAS, count=COUNTS, seed=st.integers(0, 2**32),
-       data=st.data())
-def test_grouped_walks_match_per_source_calls(view, g, alpha, count, seed,
-                                              data):
-    a, b = twin_oracles(g, view, seed=seed % 89)
-    top = g.node_count if view else g.node_count - 1
-    sources = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
-    ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = []
-    for s in sources:
-        want += _walk_terminals(a, [s], alpha, ra, count).tolist()
-    assert _walk_terminals(b, sources, alpha, rb, count).tolist() == want
-    assert a.stats.as_dict() == b.stats.as_dict()
     assert ra.bit_generator.state == rb.bit_generator.state
     assert jump_state(a) == jump_state(b)
 
@@ -634,7 +656,7 @@ def test_long_walks_on_random_graph():
     a, b = twin_oracles(g, view=True, seed=2)
     ra, rb = np.random.default_rng(31), np.random.default_rng(31)
     for s in (a.virtual, 17):
-        want = reference_walk_terminals(a, s, 0.05, ra, 4000)
+        want = reference_walk_terminals(a, [s], 0.05, ra, 4000)
         assert _walk_terminals(b, [s], 0.05, rb, 4000).tolist() == want
     assert a.stats.as_dict() == b.stats.as_dict()
     assert ra.bit_generator.state == rb.bit_generator.state
@@ -710,9 +732,7 @@ def test_settled_walks_match_step_by_step_walks(view, g, alpha, count, seed,
     top = g.node_count if view else g.node_count - 1
     sources = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
     ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = []
-    for s in sources:
-        want += reference_walk_terminals(a, s, alpha, ra, count)
+    want = reference_walk_terminals(a, sources, alpha, ra, count)
     assert _walk_terminals(b, sources, alpha, rb, count).tolist() == want
     assert a.stats.as_dict() == b.stats.as_dict()
     assert {type(q) for q in b.stats.as_dict().values()} == {int}
@@ -804,13 +824,10 @@ def test_bad_walk_step_multiplicity_raises_before_any_charge(view):
 
 
 def reference_draws(sources, alpha, rng, count):
-    """The draws of _walk_terminals as allocating calls, concatenated."""
-    moves, us = [], []
-    for _ in sources:
-        m = rng.geometric(alpha, size=count) - 1
-        moves.append(m)
-        us.append(rng.random(size=int(m.sum())))
-    return np.concatenate(moves), np.concatenate(us)
+    """The draws of _walk_terminals as allocating calls: one geometric
+    call over every walk of the batch, then one random call."""
+    moves = rng.geometric(alpha, size=len(sources) * count) - 1
+    return moves, rng.random(size=int(moves.sum()))
 
 
 def spy_draws(monkeypatch):
@@ -829,8 +846,8 @@ def spy_draws(monkeypatch):
 @pytest.mark.parametrize("sources", [[3], [0, 4, 4, 9]],
                          ids=["one-source", "many-sources"])
 def test_scratch_draws_match_allocating_draws(sources, monkeypatch):
-    # the walk engine's arrays start empty, so every source's uniforms
-    # grow them and must keep the uniforms drawn before
+    # the walk engine's arrays start empty, so the batch's one fill of
+    # each kind grows them
     monkeypatch.setattr(classic, "_scratch", threading.local())
     seen = spy_draws(monkeypatch)
     o = OracleHandle(random_graph(3, 20), seed=0)
@@ -915,17 +932,37 @@ def test_tiny_alpha_fails_as_geometric_draws_do(alpha, count, error,
             assert rng.bit_generator.state == want.bit_generator.state
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_alpha_guard_counts_the_whole_batch():
+    """The 2^53 guard reads the steps of every walk of the batch: two
+    walks of fewer than 2^53 moves each, 2^53 or more together, raise
+    the named ValueError with the batch total, after the moves fill and
+    before any uniform draw or query."""
+    alpha = 2.0 ** -53
+    want = np.random.default_rng(10)
+    moves = want.geometric(alpha, size=2) - 1
+    total = moves.sum(dtype=np.float64)
+    assert (moves < 2**53).all() and total >= 2**53
+    o = OracleHandle(random_graph(3, 20), seed=0)
+    rng = np.random.default_rng(10)
+    match = re.escape(f"alpha={alpha!r}, count=1: {total:.4g} steps >= 2^53")
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        _walk_terminals(o, [3, 5], alpha, rng, 1)
+    assert o.stats.total == 0
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
 def test_terminals_never_alias_the_scratch(monkeypatch):
     monkeypatch.setattr(classic, "_scratch", threading.local())
     g = random_graph(8, 300, d=6)
     a, b = twin_oracles(g, view=False)
     ra, rb = np.random.default_rng(31), np.random.default_rng(31)
     first = _walk_terminals(b, [17], 0.2, rb, 500)
-    assert first.tolist() == reference_walk_terminals(a, 17, 0.2, ra, 500)
+    assert first.tolist() == reference_walk_terminals(a, [17], 0.2, ra, 500)
     kept = first.copy()
     # a smaller draw reuses every scratch array, a larger one grows them
     for s, alpha, count in ((9, 0.5, 20), (5, 0.05, 4000)):
-        want = reference_walk_terminals(a, s, alpha, ra, count)
+        want = reference_walk_terminals(a, [s], alpha, ra, count)
         assert _walk_terminals(b, [s], alpha, rb, count).tolist() == want
         assert np.array_equal(first, kept)
 
@@ -947,24 +984,26 @@ def test_lockstep_only_reads_its_arguments():
 @pytest.mark.parametrize("solver", [single_target_jump_mc,
                                     single_target_bidir_jump])
 def test_single_target_solvers_match_per_source_walks(solver, monkeypatch):
-    """The JUMP solvers walk all sources in one lockstep; per-source
-    step-by-step walks (the old loop) give bit-equal estimates."""
+    """The JUMP solvers walk all sources in one lockstep; step-by-step
+    walks with the same two draws give bit-equal estimates."""
     from pprquery import classic
 
     g = random_graph(6, 12, d=3)
     args = (4, 0.2, 0.2, 0.3, 0.2)
     a, b = twin_oracles(g, view=False, seed=9)
-    got = solver(a, *args, np.random.default_rng(3))
+    ra, rb = np.random.default_rng(3), np.random.default_rng(3)
+    got = solver(a, *args, ra)
 
-    def per_source(o, sources, alpha, rng, count):
-        return np.array([u for s in sources for u in
-                         reference_walk_terminals(o, s, alpha, rng, count)],
+    def step_by_step(o, sources, alpha, rng, count):
+        return np.array(reference_walk_terminals(o, sources, alpha, rng, count),
                         dtype=np.int64)
 
-    monkeypatch.setattr(classic, "_walk_terminals", per_source)
-    want = solver(b, *args, np.random.default_rng(3))
+    monkeypatch.setattr(classic, "_walk_terminals", step_by_step)
+    want = solver(b, *args, rb)
     assert list(got.items()) == list(want.items())
     assert a.stats.as_dict() == b.stats.as_dict()
+    assert ra.bit_generator.state == rb.bit_generator.state
+    assert jump_state(a) == jump_state(b)
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
@@ -1007,8 +1046,9 @@ def test_walk_count_names_bad_parameter(name, bad):
 @given(g=graphs(), data=st.data())
 def test_adj_many_matches_scalar_adj(view, g, data):
     """Pairs probe both ends of u's id-sorted out-range, the ids next to
-    them (absent unless the range is contiguous), ids outside [0, n)
-    and, on a view, the virtual source at either end."""
+    them (absent unless the range is contiguous) and, on a view, the
+    virtual source at either end.  An id outside [0, n) makes the batch
+    and the scalar query raise NodeIdOutOfRange, charging nothing."""
     a, b = twin_oracles(g, view)
     n = a.node_count
     us, vs = [], []
@@ -1019,9 +1059,19 @@ def test_adj_many_matches_scalar_adj(view, g, data):
         us.append(u)
         vs.append(data.draw(st.sampled_from(
             ends + [ends[0] - 1, ends[1] + 1, n]) | st.integers(-1, n)))
-    want = [a.adj(u, v) for u, v in zip(us, vs)]
-    assert b.adj_many(us, vs).tolist() == want
+    node = [0 <= v < n for v in vs]
+    pairs = [(u, v) for u, v, k in zip(us, vs, node) if k]
+    want = [a.adj(u, v) for u, v in pairs]
+    assert b.adj_many([u for u, _ in pairs],
+                      [v for _, v in pairs]).tolist() == want
     assert a.stats.as_dict() == b.stats.as_dict()
+    if not all(node):
+        j = node.index(False)
+        with pytest.raises(NodeIdOutOfRange):
+            a.adj(us[j], vs[j])
+        with pytest.raises(NodeIdOutOfRange):
+            b.adj_many(us, vs)
+        assert a.stats.as_dict() == b.stats.as_dict()
     caps = Capabilities(jump=True, in_sorted=True)
     for o in twin_oracles(g, view, caps):
         with pytest.raises(CapabilityDisabled):
