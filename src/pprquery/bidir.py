@@ -38,7 +38,7 @@ import numpy as np
 
 from .classic import (_merge, _scratch_array, _walk_terminals, check_counts,
                       check_params)
-from .graph import NodeIdOutOfRange, check_nodes
+from .graph import check_nodes
 from .oracle import CapabilityDisabled
 
 log = logging.getLogger(__name__)
@@ -140,11 +140,12 @@ class RandPushState:
 
     r_hat / r_hat_prime hold per-level residues and their independent
     copies; pushed_amount[i] maps v to the residue amount pushed from
-    (v, i), which doubles as the not-1_i(v) flag and reconstructs any
-    chi_{i+1}(u, v).  heavy is V_P = {v : p_hat(v) > tau}.  Each push
-    keeps contrib current: it maps v to its (receiving level,
-    (1-alpha) * pushed amount) entries for non-zero pushes, in level
-    order.
+    (v, i): u not in pushed_amount[i] is the flag 1_i(u), and the
+    amounts reconstruct any chi_{i+1}(u, v).  Each push keeps contrib
+    current: it maps v to its (receiving level, (1-alpha) * pushed
+    amount) entries for non-zero pushes, in level order.  heavy (V_P =
+    {v : p_hat(v) > tau}, a frozenset; p_hat never falls) and push_counts
+    (pushes per level 0..L) are computed on each access, not stored.
     """
 
     params: NewAlgoParams
@@ -153,13 +154,11 @@ class RandPushState:
     r_hat_prime: list
     p_hat: dict
     pushed_amount: list
-    heavy: set
-    push_counts: list
     contrib: dict = field(default_factory=dict)
 
-    def indicator(self, u, i):
-        """1_i(u): u was never pushed at level i."""
-        return u not in self.pushed_amount[i]
+    heavy = property(lambda self: frozenset(
+        v for v, x in self.p_hat.items() if x > self.params.tau))
+    push_counts = property(lambda self: [len(lv) for lv in self.pushed_amount])
 
 
 def rand_push_threshold(o, v, i, state, rng):
@@ -169,7 +168,8 @@ def rand_push_threshold(o, v, i, state, rng):
     increment in both copies; past it, two independent scans with their
     own uniform thresholds add gamma*theta increments, each stopping at
     the first in-neighbor whose increment falls below its threshold.
-    Raises ValueError before any write unless 0 <= i < L and v holds an
+    Writes only the residues, pushed_amount, contrib and p_hat.  Raises
+    ValueError before any write unless 0 <= i < L and v holds an
     unpushed residue copy at level i.
     """
     p = state.params
@@ -179,42 +179,32 @@ def rand_push_threshold(o, v, i, state, rng):
         raise ValueError(f"v={v!r} holds no residue copy at level {i}")
     if v in state.pushed_amount[i]:
         raise ValueError(f"v={v!r} already pushed at level {i}")
-    alpha = p.alpha
     amount = state.r_hat[i].get(v, 0.0)
     state.pushed_amount[i][v] = amount
-    state.push_counts[i] += 1
     if amount > 0.0:
         thr = p.gamma * p.theta
-        spread = (1.0 - alpha) * amount
+        spread = (1.0 - p.alpha) * amount
         state.contrib.setdefault(v, []).append((i + 1, spread))
-        rn = state.r_hat[i + 1]
-        rpn = state.r_hat_prime[i + 1]
+        rn, rpn = state.r_hat[i + 1], state.r_hat_prime[i + 1]
         d_in = o.deg_in(v)
         idx = 0
         while idx < d_in:
             u = o.in_sorted(v, idx)
             chi = spread / o.deg_out(u)
-            if chi >= thr:
-                rn[u] = rn.get(u, 0.0) + chi
-                rpn[u] = rpn.get(u, 0.0) + chi
-                idx += 1
-            else:
+            if chi < thr:
                 break
+            rn[u] = rn.get(u, 0.0) + chi
+            rpn[u] = rpn.get(u, 0.0) + chi
+            idx += 1
         if idx < d_in:
             for tgt in (rn, rpn):
                 rand = rng.random() * thr
-                j = idx
-                while j < d_in:
+                for j in range(idx, d_in):
                     u = o.in_sorted(v, j)
-                    if spread / o.deg_out(u) > rand:
-                        tgt[u] = tgt.get(u, 0.0) + thr
-                        j += 1
-                    else:
+                    if spread / o.deg_out(u) <= rand:
                         break
-    pv = state.p_hat.get(v, 0.0) + alpha * amount
-    state.p_hat[v] = pv
-    if pv > p.tau:
-        state.heavy.add(v)
+                    tgt[u] = tgt.get(u, 0.0) + thr
+    state.p_hat[v] = state.p_hat.get(v, 0.0) + p.alpha * amount
     state.r_hat[i][v] = 0.0
     return state
 
@@ -228,12 +218,9 @@ def backward_phase(o, t, params, rng):
     L, theta = params.L, params.theta
     state = RandPushState(
         params=params, target=t,
-        r_hat=[{} for _ in range(L + 1)],
-        r_hat_prime=[{} for _ in range(L + 1)],
-        p_hat={}, pushed_amount=[{} for _ in range(L + 1)],
-        heavy=set(), push_counts=[0] * (L + 1))
-    state.r_hat[0][t] = 1.0
-    state.r_hat_prime[0][t] = 1.0
+        r_hat=[{t: 1.0}] + [{} for _ in range(L)],
+        r_hat_prime=[{t: 1.0}] + [{} for _ in range(L)],
+        p_hat={}, pushed_amount=[{} for _ in range(L + 1)])
     for i in range(L):
         eligible = sorted(v for v, val in state.r_hat_prime[i].items() if val > theta)
         for v in eligible:
@@ -261,7 +248,7 @@ def _chi_num_sum(state, u, v):
 def _seed_term(state, u):
     """chi_0(t,t) = 1 seed convention: 1.0 for the target while it is
     unpushed at level 0, else 0.0."""
-    return 1.0 if u == state.target and state.indicator(u, 0) else 0.0
+    return 1.0 if u == state.target and u not in state.pushed_amount[0] else 0.0
 
 
 # Terminals are scored in blocks of about this many samples, which
@@ -285,33 +272,26 @@ def estimate_R_hat(o, state, terminals, params, rng):
     per occurrence (their `times`); with V_P empty the ADJ batch is
     empty and no chi sum or out-list read runs.  OUT(s', .) answers are
     JUMP draws, so a light s' reads its out-list at every occurrence,
-    in order.  Per block of terminals, one uniform per sample (n_s per terminal with a
-    non-empty light pool, in terminal order); the other samples are
-    drawn by rejection in rounds of one try (out_step_many) per open
-    sample, at its own uniform, then one fresh uniform per round; with
-    V_P empty there is one round.  A sample still open after 64 tries
-    reads its terminal's out-list and picks among the light
-    out-neighbors with one more uniform.
+    in order.  Per block of terminals, one uniform per sample (n_s per
+    terminal with a non-empty light pool, in terminal order); the other
+    samples are drawn by rejection in rounds of one try (out_step_many)
+    per open sample, at its own uniform, then one fresh uniform per
+    round; with V_P empty there is one round.  A sample still open
+    after 64 tries reads its terminal's out-list and picks among the
+    light out-neighbors with one more uniform.
 
-    A terminal that is not an integer in [0, o.node_count) raises
-    NodeIdOutOfRange before any query or draw.  V_P and the keys of
-    state.contrib are node masks, _chi_num_sum runs once per distinct
-    (terminal, node) pair, bincount sums left to right, and the
-    n-length slot that finds the distinct terminals (classic._merge)
-    and the samples reuse the walk engine's scratch
-    (classic._scratch_array).
+    The DEG-OUT batch checks the terminals, before any query or draw
+    (OracleHandle._nodes).  V_P and the keys of state.contrib are node
+    masks, _chi_num_sum runs once per distinct (terminal, node) pair,
+    bincount sums left to right, and the n-length slot that finds the
+    distinct terminals (classic._merge) and the samples reuse the walk
+    engine's scratch (classic._scratch_array).
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
     n = o.node_count
-    us = np.asarray(terminals)
-    if us.size and us.dtype.kind not in "iu":
-        raise NodeIdOutOfRange(f"terminal {us.flat[0]} outside [0, {n}): "
-                               f"{us.dtype} is not an integer type")
-    us = us.astype(np.int64, copy=False)
-    bad = us[(us < 0) | (us >= n)]
-    if bad.size:
-        raise NodeIdOutOfRange(f"terminal {bad[0]} outside [0, {n})")
+    du = o.deg_out_many(terminals)  # the first query checks their ids
+    us = np.asarray(terminals, dtype=np.int64)
     heavy = np.array(sorted(state.heavy), dtype=np.int64)
     is_heavy, has_chi = np.zeros((2, n), dtype=bool)
     is_heavy[heavy] = True
@@ -327,7 +307,6 @@ def estimate_R_hat(o, state, terminals, params, rng):
         return np.array([memo[key] for key in keys])[back]
 
     k, n_s, h = us.size, params.n_s, heavy.size
-    du = o.deg_out_many(us)
     if h:
         # distinct terminals ds in first-appearance order, each with its
         # occurrence count; inv maps each occurrence to its ds entry

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .bidir import ConstraintViolation
 from .graph import save_edge_list
 from .exact import exact_single_source, exact_single_target, exact_pagerank, dump_csv
 from .harness import (CapabilityMismatch, ConfigError, ExperimentConfig,
@@ -170,8 +171,8 @@ def main(argv=None):
             g.error(f"--preset sets {', '.join(fixed)} itself")
     try:
         return args.func(args)
-    except (ConfigError, CapabilityMismatch, InstanceLoadError,
-            SpecConstraintViolation, RegimeUndefined, FitError) as e:
+    except (ConfigError, CapabilityMismatch, InstanceLoadError, FitError,
+            SpecConstraintViolation, RegimeUndefined, ConstraintViolation) as e:
         p.error(str(e))  # a bad config or spec is a usage error: exit 2
 
 

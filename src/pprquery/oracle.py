@@ -30,10 +30,13 @@ and returns only the entries before it.  Scans and walk steps keep one
 operand rule: int32 storage (the CSR), intp gather indices and float64
 divisors (see _out_degf and _step_tables).  A malformed batch charges
 nothing: each raises ValueError, naming itself, for an element argument
-that is neither one value nor one per node, and `deg_out_many`,
-`out_nbr_many`, `adj_many` and scalar `adj` raise NodeIdOutOfRange for
-an id outside [0, node_count).  The walk-step and scan batches, whose
-ids are earlier answers, check lengths only.
+that is neither one value nor one per node.  `_nodes` is the one check
+of the ids a caller gives (`deg_out_many`, `out_nbr_many`, `adj_many`):
+NodeIdOutOfRange for a float, bool or out-of-range id.  A non-integer
+OUT index is an IndexOutOfRange, and a scalar query raises
+NodeIdOutOfRange, uncharged, for an id outside [0, node_count), a
+view's s' included.  The walk-step and scan batches, whose ids are
+earlier answers, check lengths only.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -224,8 +227,12 @@ class OracleHandle:
 
     def _nodes(self, method, vs):
         """vs as an int64 array of node ids; NodeIdOutOfRange naming
-        `method`, before any charge, at an id outside [0, node_count)."""
-        vs = np.asarray(vs, dtype=np.int64)
+        `method`, before any charge, for a non-empty array not of an
+        integer type (bool included) or an id outside [0, node_count)."""
+        vs = np.asarray(vs)
+        if vs.size and vs.dtype.kind not in "iu":
+            raise NodeIdOutOfRange(f"{method}: {vs.dtype} is not an integer type")
+        vs = vs.astype(np.int64, copy=False)
         if vs.size and vs.view(np.uint64).max() >= self._n:  # < 0 reads huge
             bad = vs[(vs < 0) | (vs >= self._n)].flat[0]
             raise NodeIdOutOfRange(f"{method}: node {bad} outside [0, {self._n})")
@@ -244,16 +251,22 @@ class OracleHandle:
     # -- always-available queries -------------------------------------
 
     def deg_out(self, v):
+        if not 0 <= v < self._n:
+            raise NodeIdOutOfRange(f"DEG-OUT({v}) outside [0, {self._n})")
         if self.virtual is None or v != self.virtual:
             self.stats.deg_out += 1
         return self._dout[v]
 
     def deg_in(self, v):
+        if not 0 <= v < self._n:
+            raise NodeIdOutOfRange(f"DEG-IN({v}) outside [0, {self._n})")
         if self.virtual is None or v != self.virtual:
             self.stats.deg_in += 1
         return self._din[v]
 
     def out_nbr(self, v, i):
+        if not 0 <= v < self._n:
+            raise NodeIdOutOfRange(f"OUT({v},{i}) outside [0, {self._n})")
         paid = self.virtual is None or v != self.virtual
         if paid:
             self.stats.out_q += 1
@@ -263,6 +276,8 @@ class OracleHandle:
         return self._out[self._optr[v] + i] if paid else int(self._draw(v))
 
     def in_nbr(self, v, i):
+        if not 0 <= v < self._n:
+            raise NodeIdOutOfRange(f"IN({v},{i}) outside [0, {self._n})")
         d = self._din[v]
         if i >= d or i < 0:
             if self.virtual is None or v != self.virtual:
@@ -278,6 +293,8 @@ class OracleHandle:
     def in_sorted(self, v, i):
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
+        if not 0 <= v < self._n:
+            raise NodeIdOutOfRange(f"IN-SORTED({v},{i}) outside [0, {self._n})")
         d = self._din[v]
         if i >= d or i < 0:
             if self.virtual is None or v != self.virtual:
@@ -312,11 +329,14 @@ class OracleHandle:
 
     def out_nbr_many(self, vs, idx, times=None):
         """OUT(vs[j], idx[j]) for every j, charged times[j] times each if
-        given (see _multiplicity); IndexOutOfRange if any idx[j] lies
-        outside [0, d_out(vs[j])).  An OUT(s', .) answer is a JUMP draw,
-        never shared: ValueError, before any charge, if such an element
-        has times[j] != 1."""
+        given (see _multiplicity); IndexOutOfRange for a non-integer idx,
+        uncharged, or an idx[j] outside [0, d_out(vs[j])).  An OUT(s', .)
+        answer is a JUMP draw, never shared: ValueError, before any
+        charge, if such an element has times[j] != 1."""
         vs = self._nodes("out_nbr_many", vs)
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise IndexOutOfRange(f"out_nbr_many: idx {idx.dtype} is not an integer type")
         idx = _per_node("out_nbr_many", "idx", idx, vs.size, np.int64)
         times = _multiplicity("out_nbr_many", times, vs.size)
         g = self.graph
@@ -387,8 +407,8 @@ class OracleHandle:
         if not self.caps.adj:
             raise CapabilityDisabled("ADJ is not enabled")
         us = self._nodes("adj_many", us)
-        vs = self._nodes("adj_many", _per_node("adj_many", "vs", vs, us.size,
-                                               np.int64))
+        vs = _per_node("adj_many", "vs", self._nodes("adj_many", vs), us.size,
+                       np.int64)
         times = _multiplicity("adj_many", times, us.size)
         g = self.graph
         self.stats.adj += self._paid(us, vs, times)

@@ -334,6 +334,30 @@ class TestCli:
             + r": header n=3 exceeds m=2 in .*out-degree 0\n", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithm,caps,margin", [
+        ("single_pair_ppr", ["in_sorted", "adj"], "0.00448"),
+        ("sn_avg_full", ["jump", "in_sorted", "adj"], "0.0003949")],
+        ids=["single_pair_ppr", "sn_avg_full"])
+    def test_constraint_violation_is_a_usage_error(self, tmp_path, capsys,
+                                                   algorithm, caps, margin):
+        # c_nr = 1e-9 leaves derive_params too few walks; the run used to
+        # end in a ConstraintViolation traceback with exit status 1
+        family = "sp_avg" if algorithm == "single_pair_ppr" else algorithm
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(tiny_config(
+            algorithm=algorithm, capabilities=caps,
+            instance={"family": family, "preset": True, "n": 16, "m": 64},
+            multipliers={"c_nr": 1e-9}).to_json())
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("pprquery: error: constraint walk_count "
+                            f"violated: margin {margin}\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_generate_unknown_family_is_a_usage_error(self, tmp_path, capsys):
         # it used to print a RegimeUndefined traceback
         with pytest.raises(SystemExit) as exc:

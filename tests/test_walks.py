@@ -311,6 +311,18 @@ MALFORMED = [
     ("adj_many", lambda n: ([3, 4], [0, -1]), NodeIdOutOfRange),
     ("adj", lambda n: (3, 99), NodeIdOutOfRange),
     ("adj", lambda n: (-1, 3), NodeIdOutOfRange),
+    # ids that are not integers: deg_out_many([1.7, 2.2]) used to answer
+    # nodes 1 and 2, and an index of 0.9 to read index 0
+    ("deg_out_many", lambda n: ([1.7, 2.2],), NodeIdOutOfRange),
+    ("deg_out_many", lambda n: ([True, False],), NodeIdOutOfRange),
+    ("out_nbr_many", lambda n: ([1.0], [0]), NodeIdOutOfRange),
+    ("out_nbr_many", lambda n: ([True], [0]), NodeIdOutOfRange),
+    ("out_nbr_many", lambda n: ([1], [0.9]), IndexOutOfRange),
+    ("out_nbr_many", lambda n: ([1, 2], [True, False]), IndexOutOfRange),
+    ("adj_many", lambda n: ([1.5, 2], [0, 1]), NodeIdOutOfRange),
+    ("adj_many", lambda n: ([1, 2], [0.0, 1.0]), NodeIdOutOfRange),
+    ("adj_many", lambda n: ([1, 2], 1.0), NodeIdOutOfRange),
+    ("adj_many", lambda n: ([1, 2], [True, False]), NodeIdOutOfRange),
 ]
 
 
@@ -325,6 +337,41 @@ def test_malformed_batch_charges_nothing(view, method, args, error):
     with pytest.raises(error, match="ADJ" if method == "adj" else method):
         getattr(o, method)(*args(o.node_count))
     assert o.stats.total == 0
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+def test_empty_batch_of_any_dtype_is_legal(view):
+    o = twin_oracles(random_graph(1, 40), view)[0]
+    assert o.deg_out_many([]).size == 0
+    assert o.out_nbr_many(np.array([], dtype=np.float64), []).size == 0
+    assert o.adj_many([], []).size == 0
+    assert o.stats.total == 0
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@pytest.mark.parametrize("method,query", [
+    ("deg_out", "DEG-OUT({v})"), ("deg_in", "DEG-IN({v})"),
+    ("out_nbr", "OUT({v},0)"), ("in_nbr", "IN({v},0)"),
+    ("in_sorted", "IN-SORTED({v},0)")], ids=lambda x: x.split("(")[0])
+def test_scalar_query_names_a_bad_node_before_charging(view, method, query):
+    """An id outside [0, node_count) is named, charging and drawing
+    nothing: deg_out(-1) used to answer node n-1 and charge it, and
+    deg_out(n) or out_nbr(-1, 0) to charge before a bare IndexError.  A
+    view's s', node_count - 1 there, is an id."""
+    o = twin_oracles(random_graph(1, 40), view)[0]
+    n = o.node_count
+    args = (lambda v: (v,)) if method.startswith("deg") else (lambda v: (v, 0))
+    before, jumps = o.stats.as_dict(), jump_state(o)
+    for v in (-1, n):
+        msg = re.escape(query.format(v=v) + f" outside [0, {n})")
+        with pytest.raises(NodeIdOutOfRange, match=f"^{msg}$"):
+            getattr(o, method)(*args(v))
+        assert o.stats.as_dict() == before and jump_state(o) == jumps
+    if view and method.startswith("in"):  # s' is an id with no in-edge
+        with pytest.raises(IndexOutOfRange):
+            getattr(o, method)(*args(n - 1))
+    elif view:
+        getattr(o, method)(*args(n - 1))
 
 
 @st.composite
