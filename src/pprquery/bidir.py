@@ -328,8 +328,7 @@ def estimate_R_hat(o, state, terminals, params, rng):
         if o.virtual is not None and light[ds == o.virtual].any():
             occ = np.flatnonzero(us == o.virtual)
             lr = lr[ds[lr] != o.virtual]
-        cand, c, s = _light_out(o, np.append(ds[lr], us[occ]),
-                                np.append(dd[lr], du[occ]), is_heavy,
+        cand, c, s = _light_out(o, np.append(ds[lr], us[occ]), is_heavy,
                                 np.append(times[lr], np.ones_like(occ)))
         picks = np.zeros((2, ds.size), dtype=np.int64)
         picks[:, lr] = c[:lr.size], s[:lr.size]
@@ -343,7 +342,7 @@ def estimate_R_hat(o, state, terminals, params, rng):
     step = max(1, _BLOCK_SAMPLES // n_s)
     for a in range(0, k, step):
         ts, nodes = _sample_block(
-            o, us, du, a + np.flatnonzero(pool[a:a + step] > 0),
+            o, us, a + np.flatnonzero(pool[a:a + step] > 0),
             (cand, clen, start), is_heavy if h else None, n_s, rng)
         hit = np.flatnonzero(has_chi[nodes])  # chi is 0 off contrib's keys
         who, block = ts[hit // n_s], acc[a:a + step]
@@ -353,16 +352,14 @@ def estimate_R_hat(o, state, terminals, params, rng):
     return seed + (num + acc * pool / n_s) / du
 
 
-def _light_out(o, vs, lens, is_heavy, times=None):
-    """Read the out-list of each node vs[j] (lens[j] = d_out OUT queries,
-    charged times[j] times each, once without `times`) and keep its
-    light entries: (cand, clen, start), those entries list after list,
-    their count and start per list; IndexError if none."""
-    row = np.arange(vs.size).repeat(lens)
-    pos = np.arange(row.size) - (lens.cumsum() - lens)[row]
-    cand = o.out_nbr_many(vs[row], pos, None if times is None else times[row])
+def _light_out(o, vs, is_heavy, times=None):
+    """Read the whole out-list of each node vs[j] (out_lists: d_out OUT
+    queries, charged times[j] times each, once without `times`) and keep
+    its light entries: (cand, clen, start), those entries list after
+    list, their count and start per list; IndexError if none."""
+    cand, lens = o.out_lists(vs, times)
     ok = ~is_heavy[cand]
-    clen = np.bincount(row[ok], minlength=vs.size)
+    clen = np.bincount(np.arange(vs.size).repeat(lens)[ok], minlength=vs.size)
     if not clen.all():
         raise IndexError("no light out-neighbor to sample")
     return cand[ok].astype(np.int64), clen, clen.cumsum() - clen
@@ -378,7 +375,7 @@ def _pick(picks, rows, x, out=None):
     return np.take(cand, idx, out=out, mode="clip")
 
 
-def _sample_block(o, us, du, ts, picks, is_heavy, n_s, rng):
+def _sample_block(o, us, ts, picks, is_heavy, n_s, rng):
     """n_s samples for us[j], j in `ts` ascending: `ts` with its light
     terminals (clen > 0 in picks) first, and the samples, n_s per j in
     that order, in scratch `cur`.  is_heavy: V_P mask, None if empty."""
@@ -406,7 +403,7 @@ def _sample_block(o, us, du, ts, picks, is_heavy, n_s, rng):
         keep = is_heavy[got]
         open_, t = open_[keep], t[keep]
     if t.size:
-        tried[open_] = _pick(_light_out(o, us[t], du[t], is_heavy),
+        tried[open_] = _pick(_light_out(o, us[t], is_heavy),
                              slice(None), rng.random((t.size, 1))).ravel()
     return ts, nodes
 

@@ -39,6 +39,7 @@ import numpy as np
 from .graph import check_nodes, positions
 
 DEFAULT_WALK_MULT = 16.0
+MAX_WALKS = 2 ** 28  # per walk batch: 2 GiB of int64 moves, drawn up front
 _COVER_EXTRA = 8.0  # coupon-collector slack of _cover_sources
 
 _scratch = threading.local()  # walk and R_hat arrays, see _scratch_array
@@ -47,6 +48,10 @@ _scratch = threading.local()  # walk and R_hat arrays, see _scratch_array
 _RANGES = {"alpha": (1.0, False), "eps": (1.0, False), "p_f": (1.0, False),
            "tol": (1.0, False), "delta": (1.0, True), "gamma": (1.0, True),
            "tau": (math.inf, True)}
+
+
+class WalkBudgetExceeded(ValueError):
+    """A walk batch of more than MAX_WALKS walks."""
 
 
 def check_params(**named):
@@ -93,9 +98,14 @@ def _walk_terminals(o, sources, alpha, rng, count):
     the moves of every walk, source by source and walk after walk
     (geometric lengths minus one, see _draw_moves), then the uniforms of
     every step, in that order; a one-source batch draws as it always
-    did.  ValueError, before any query or uniform, at 2^53 steps or more.
+    did.  WalkBudgetExceeded above MAX_WALKS walks, before any allocation;
+    ValueError at 2^53 steps or more, before any query or uniform.
     """
-    moves = _scratch_array("moves", len(sources) * count, np.int64)
+    walks = len(sources) * count
+    if walks > MAX_WALKS:
+        raise WalkBudgetExceeded(f"{len(sources)} x {count:.4g} walks > "
+                                 f"MAX_WALKS = {MAX_WALKS}")
+    moves = _scratch_array("moves", walks, np.int64)
     _draw_moves(moves, alpha, rng)
     total = moves.sum(dtype=np.float64)  # one pass, no int64 wrap
     if total >= 2.0 ** 53:
@@ -389,18 +399,18 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
 
 
 def _cover_sources(o):
-    """JUMP until every node is seen with high probability.
-
-    Coupon collector: n (ln n + _COVER_EXTRA) jumps miss a fixed node
-    with probability <= e^-_COVER_EXTRA = e^-8.
-    """
+    """JUMP until every node is seen with high probability, in jump_many
+    rounds of min(unseen, budget left): only a round's last draw can see
+    the last node, so JUMPs are drawn as one at a time would be.  Coupon
+    collector: n (ln n + _COVER_EXTRA) jumps miss a fixed node with
+    probability <= e^-_COVER_EXTRA = e^-8."""
     n = o.node_count
-    n_jumps = max(n, math.ceil(n * (math.log(n) + _COVER_EXTRA)))
+    budget = max(n, math.ceil(n * (math.log(n) + _COVER_EXTRA)))
     seen = set()
-    for _ in range(n_jumps):
-        seen.add(o.jump())
-        if len(seen) == n:
-            break
+    while len(seen) < n and budget:
+        k = min(n - len(seen), budget)
+        seen.update(o.jump_many(k).tolist())
+        budget -= k
     return sorted(seen)
 
 

@@ -11,6 +11,7 @@ import json
 import sys
 
 from .bidir import ConstraintViolation
+from .classic import WalkBudgetExceeded
 from .graph import save_edge_list
 from .exact import exact_single_source, exact_single_target, exact_pagerank, dump_csv
 from .harness import (CapabilityMismatch, ConfigError, ExperimentConfig,
@@ -172,7 +173,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, CapabilityMismatch, InstanceLoadError, FitError,
-            SpecConstraintViolation, RegimeUndefined, ConstraintViolation) as e:
+            SpecConstraintViolation, RegimeUndefined, ConstraintViolation,
+            WalkBudgetExceeded) as e:
         p.error(str(e))  # a bad config or spec is a usage error: exit 2
 
 

@@ -7,13 +7,14 @@ IN-SORTED and ADJ are optional capabilities fixed at handle creation.
 Running time claims are measured in query count, not wall clock.
 
 Scalar queries read the graph's int32 CSR arrays through memoryviews,
-which return Python ints; ADJ bisects the id-sorted out-range.  The
-batch methods `deg_out_many`, `out_nbr_many`, `adj_many` and
-`jump_many` index the arrays with numpy and charge exactly one query
-per element, so batching changes the wall time of a run, never its
-query count.  `adj_many`, `out_nbr_many` and `walk_step_many` also
-take a multiplicity `times`: element j then stands for times[j] equal
-queries (or steps), answered once and charged times[j] times, so a
+which return Python ints; ADJ bisects the id-sorted out-range.  Only
+scalar queries take an index.  The batch methods `deg_out_many`,
+`out_lists` (whole OUT lists), `adj_many` and `jump_many` index the
+arrays with numpy and charge exactly one query per element or list
+entry, so batching changes the wall time of a run, never its query
+count.  `adj_many`, `out_lists` and `walk_step_many` also take a
+multiplicity `times`: element j then stands for times[j] equal queries
+(or lists, or steps), answered once and charged times[j] times, so a
 caller that asks a repeated query once still pays for every repeat.
 `out_step_many(vs, u)`, OUT at floor(u * d_out(v)) for uniforms u,
 charges one OUT each; `walk_step_many`, a DEG-OUT batch and then that
@@ -29,14 +30,14 @@ lim[j] are a suffix: `in_sorted_scans` reads up to the first of them
 and returns only the entries before it.  Scans and walk steps keep one
 operand rule: int32 storage (the CSR), intp gather indices and float64
 divisors (see _out_degf and _step_tables).  A malformed batch charges
-nothing: each raises ValueError, naming itself, for an element argument
-that is neither one value nor one per node.  `_nodes` is the one check
-of the ids a caller gives (`deg_out_many`, `out_nbr_many`, `adj_many`):
-NodeIdOutOfRange for a float, bool or out-of-range id.  A non-integer
-OUT index is an IndexOutOfRange, and a scalar query raises
-NodeIdOutOfRange, uncharged, for an id outside [0, node_count), a
-view's s' included.  The walk-step and scan batches, whose ids are
-earlier answers, check lengths only.
+and draws nothing: each raises ValueError, naming itself, for an
+element argument that is neither one value nor one per node.  `_nodes`
+is the one check of the ids a caller gives (`deg_out_many`,
+`out_lists`, `adj_many`): NodeIdOutOfRange for a float, bool or
+out-of-range id.  A scalar query raises NodeIdOutOfRange for an id
+outside [0, node_count), a view's s' included, and IndexOutOfRange
+for an index outside the list, both uncharged.  The walk-step and scan
+batches, whose ids are earlier answers, check lengths only.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -44,8 +45,8 @@ handle), and charges by one rule in scalar calls, batches and walk
 steps alike: queries about s' are free (its degrees, IN and IN-SORTED
 entries equal to s', ADJ pairs with s'), and each OUT(s', .) query is
 one JUMP over the other nodes, drawn in element order.  So an
-OUT(s', .) answer is never shared: `out_nbr_many` raises ValueError
-for an s' element with a multiplicity other than 1.
+OUT(s', .) answer is never shared: `out_lists` raises ValueError for
+an s' list with a multiplicity other than 1.
 
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
@@ -139,7 +140,7 @@ def _out_degf(g):
 
 def _step_tables(g):
     """(_out_degf(g), out_ptr as intp, read-only): a walk step's operands;
-    the offsets are built on g's first step or OUT batch, kept while g lives."""
+    the offsets are built on g's first out_step_many, kept while g lives."""
     tabs = _step_tables_of.get(g)
     if tabs is None:
         ptr = g.out_ptr.astype(np.intp)
@@ -267,21 +268,19 @@ class OracleHandle:
     def out_nbr(self, v, i):
         if not 0 <= v < self._n:
             raise NodeIdOutOfRange(f"OUT({v},{i}) outside [0, {self._n})")
-        paid = self.virtual is None or v != self.virtual
-        if paid:
-            self.stats.out_q += 1
         d = self._dout[v]
         if i >= d or i < 0:
             raise IndexOutOfRange(f"OUT({v},{i}) with d_out={d}")
-        return self._out[self._optr[v] + i] if paid else int(self._draw(v))
+        if self.virtual is None or v != self.virtual:
+            self.stats.out_q += 1
+            return self._out[self._optr[v] + i]
+        return int(self._draw(v))
 
     def in_nbr(self, v, i):
         if not 0 <= v < self._n:
             raise NodeIdOutOfRange(f"IN({v},{i}) outside [0, {self._n})")
         d = self._din[v]
         if i >= d or i < 0:
-            if self.virtual is None or v != self.virtual:
-                self.stats.in_q += 1
             raise IndexOutOfRange(f"IN({v},{i}) with d_in={d}")
         u = self._in[self._iptr[v] + i]
         if self.virtual is None or u != self.virtual:
@@ -297,8 +296,6 @@ class OracleHandle:
             raise NodeIdOutOfRange(f"IN-SORTED({v},{i}) outside [0, {self._n})")
         d = self._din[v]
         if i >= d or i < 0:
-            if self.virtual is None or v != self.virtual:
-                self.stats.in_sorted += 1
             raise IndexOutOfRange(f"IN-SORTED({v},{i}) with d_in={d}")
         u = self._ins[self._iptr[v] + i]
         if self.virtual is None or u != self.virtual:
@@ -327,34 +324,26 @@ class OracleHandle:
         self.stats.deg_out += self._paid(vs)
         return self.graph.out_deg[vs]
 
-    def out_nbr_many(self, vs, idx, times=None):
-        """OUT(vs[j], idx[j]) for every j, charged times[j] times each if
-        given (see _multiplicity); IndexOutOfRange for a non-integer idx,
-        uncharged, or an idx[j] outside [0, d_out(vs[j])).  An OUT(s', .)
-        answer is a JUMP draw, never shared: ValueError, before any
-        charge, if such an element has times[j] != 1."""
-        vs = self._nodes("out_nbr_many", vs)
-        idx = np.asarray(idx)
-        if idx.size and idx.dtype.kind not in "iu":
-            raise IndexOutOfRange(f"out_nbr_many: idx {idx.dtype} is not an integer type")
-        idx = _per_node("out_nbr_many", "idx", idx, vs.size, np.int64)
-        times = _multiplicity("out_nbr_many", times, vs.size)
-        g = self.graph
-        virt = None if self.virtual is None else vs == self.virtual
-        free = 0 if virt is None else int(np.count_nonzero(virt))  # JUMPs
-        if free and times is not None and np.any(times[virt] != 1):
-            raise ValueError("OUT(s', .) answers are JUMP draws: times must be 1")
-        self.stats.out_q += self._paid(vs, times=times)
-        d = g.out_deg[vs]
-        # read as unsigned, a negative index is huge: one test covers both ends
-        bad = idx.view(np.uint64) >= d.view(np.uint32)
-        if np.count_nonzero(bad):
-            j = int(np.argmax(bad))
-            raise IndexOutOfRange(f"OUT({vs[j]},{idx[j]}) with d_out={d[j]}")
-        out = g.out_nbrs[_step_tables(g)[1][vs] + idx]
-        if free:
-            out[virt] = self._draw(self.virtual, free)
-        return out
+    def out_lists(self, vs, times=None):
+        """Each node v = vs[j]'s whole OUT list, list after list, and the
+        list lengths: d_out(v) OUT queries, times[j] times if given (see
+        _multiplicity).  OUT(s', .) answers are JUMP draws in element order,
+        never shared: ValueError for an s' list with times[j] != 1, and
+        CapabilityDisabled for one without JUMP, before any charge or draw."""
+        vs = self._nodes("out_lists", vs)
+        times = _multiplicity("out_lists", times, vs.size)
+        virt = vs == self.virtual  # all False on a plain handle
+        if virt.any():
+            if times is not None and np.any(times[virt] != 1):
+                raise ValueError("OUT(s', .) answers are JUMP draws: times must be 1")
+            if not self.caps.jump:
+                raise CapabilityDisabled("JUMP is not enabled")
+        idx, lens = csr_entries(self.graph.out_ptr, vs)
+        self.stats.out_q += self._paid(vs, times=lens if times is None else lens * times)
+        out = self.graph.out_nbrs[idx]
+        if virt.any():
+            out[virt.repeat(lens)] = self._draw(self.virtual, lens[virt].sum())
+        return out, lens
 
     def out_step_many(self, vs, u):
         """OUT(v, floor(u[j] * d_out(v))) with v = vs[j], charging one OUT

@@ -266,9 +266,11 @@ class CountingProxy:
     def deg_out_many(self, vs):
         return self._count_many(self.inner.deg_out_many, vs)
 
-    def out_nbr_many(self, vs, idx, times=None):
-        return self._count_many(self.inner.out_nbr_many, vs, idx, times,
-                                times=times)
+    # a whole out-list is d_out OUT calls, times[j] times for list j
+    def out_lists(self, vs, times=None):
+        out, lens = self.inner.out_lists(vs, times)
+        self.calls += int(np.sum(lens if times is None else lens * times))
+        return out, lens
 
     def adj_many(self, us, vs, times=None):
         return self._count_many(self.inner.adj_many, us, vs, times,
@@ -301,7 +303,7 @@ class CountingProxy:
 
 
 _QUERY_PATTERNS = ("deg_*", "*_nbr*", "in_sorted*", "adj*", "jump*",
-                   "*_many", "*_scans")
+                   "*_many", "*_scans", "*_lists")
 
 
 def test_counting_proxy_counts_every_query():
@@ -310,7 +312,8 @@ def test_counting_proxy_counts_every_query():
     queries = [name for name in dir(OracleHandle)
                if not name.startswith("_")
                and any(fnmatch(name, p) for p in _QUERY_PATTERNS)]
-    assert {"in_nbr", "adj_many", "jump_many", "in_scans"} <= set(queries)
+    assert {"in_nbr", "adj_many", "jump_many", "in_scans",
+            "out_lists"} <= set(queries)
     assert [q for q in queries if q not in vars(CountingProxy)] == []
 
 

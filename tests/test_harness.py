@@ -11,8 +11,9 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               CapabilityMismatch, ConfigError,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
-from pprquery import (bidir, cli, generate, harness, save_edge_list,
-                      load_edge_list, exact_single_target, exact_pagerank)
+from pprquery import (OracleHandle, bidir, cli, generate, harness,
+                      save_edge_list, load_edge_list, exact_single_target,
+                      exact_pagerank)
 from conftest import chain_graph, mean_queries_by_cell
 
 
@@ -358,6 +359,22 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_walk_budget_is_a_usage_error(self, tmp_path, capsys):
+        # delta = 1e-300 asks Monte Carlo for about 9.2e302 walks; the run
+        # used to end in numpy's "Maximum allowed dimension exceeded"
+        # traceback with exit status 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(tiny_config(deltas=[1e-300]).to_json())
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("pprquery: error: 1 x 9.21e+302 walks > "
+                            "MAX_WALKS = 268435456\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_generate_unknown_family_is_a_usage_error(self, tmp_path, capsys):
         # it used to print a RegimeUndefined traceback
         with pytest.raises(SystemExit) as exc:
@@ -623,6 +640,39 @@ class TestConfigErrors:
                                     "swap": True, "t": 10 ** 6})
         with pytest.raises(ConfigError, match=r"t=1000000 outside \[0, "):
             run_experiment(cfg)
+
+
+SCALAR_QUERIES = ("deg_out", "deg_in", "out_nbr", "in_nbr", "in_sorted",
+                  "adj", "jump")
+
+
+def test_scalar_queries_come_only_from_the_push(monkeypatch):
+    """Every estimator in ALGORITHMS asks its queries in batches, but for
+    the randomized push (bidir.backward_phase), whose scalar queries are
+    DEG-IN, IN-SORTED and DEG-OUT: no other caller of a scalar
+    OracleHandle method is left, a super-source view's included."""
+    calls, in_push = set(), []
+    for name in SCALAR_QUERIES:
+        def counted(self, *args, _name=name, _query=getattr(OracleHandle, name)):
+            calls.add((_name, bool(in_push)))
+            return _query(self, *args)
+        monkeypatch.setattr(OracleHandle, name, counted)
+    backward = bidir.backward_phase
+
+    def marked(*args):
+        in_push.append(True)
+        try:
+            return backward(*args)
+        finally:
+            in_push.pop()
+
+    monkeypatch.setattr(bidir, "backward_phase", marked)
+    for algorithm, (_, caps, _, _) in harness.ALGORITHMS.items():
+        run_experiment(ExperimentConfig(
+            algorithm=algorithm, capabilities=list(caps),
+            instance={"family": "sp_avg", "n": 16, "m": 64, "preset": True},
+            deltas=[0.1], trials=1, master_seed=1))
+    assert calls == {("deg_in", True), ("in_sorted", True), ("deg_out", True)}
 
 
 def test_success_predicates():

@@ -37,7 +37,8 @@ from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
                             derive_params, estimate_R_hat)
 from pprquery.classic import (_lockstep, _push_walk_estimates,
                               _walk_terminals, mc_walk_count,
-                              single_target_bidir_jump, single_target_jump_mc)
+                              monte_carlo_pair, single_target_bidir_jump,
+                              single_target_jump_mc)
 from pprquery.graph import NodeIdOutOfRange
 from pprquery.oracle import (QUERY_KINDS, Capabilities, CapabilityDisabled,
                              IndexOutOfRange, OracleHandle)
@@ -218,16 +219,19 @@ def node_batches(draw, view):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batch_matches_scalar_queries(view, data):
-    g, vs, us = data.draw(node_batches(view))
+    """DEG-OUT batches and whole out-lists (out_lists) answer and charge
+    what scalar loops do, a view's s' lists included, whose entries are
+    JUMP draws in element order."""
+    g, vs, _ = data.draw(node_batches(view))
     a, b = twin_oracles(g, view)
     d_scalar = [a.deg_out(v) for v in vs]
     d_batch = b.deg_out_many(np.array(vs, dtype=np.int64))
     assert d_batch.tolist() == d_scalar
-    idx = [int(u * d) for u, d in zip(us, d_scalar)]
-    nbr_scalar = [a.out_nbr(v, i) for v, i in zip(vs, idx)]
-    nbr_batch = b.out_nbr_many(np.array(vs, dtype=np.int64),
-                               np.array(idx, dtype=np.int64))
+    nbr_scalar = [a.out_nbr(v, i) for v, d in zip(vs, d_scalar)
+                  for i in range(d)]
+    nbr_batch, lens = b.out_lists(np.array(vs, dtype=np.int64))
     assert nbr_batch.tolist() == nbr_scalar
+    assert lens.tolist() == d_scalar
     assert a.stats.as_dict() == b.stats.as_dict()
     assert jump_state(a) == jump_state(b)
 
@@ -238,19 +242,19 @@ def test_batch_matches_scalar_queries(view, data):
 def test_batch_multiplicity_charges_each_repeat(view, data):
     """Element j with times[j] answers once and charges as times[j] equal
     scalar queries; an OUT(s', .) element, a JUMP draw, has times 1."""
-    g, vs, us = data.draw(node_batches(view))
+    g, vs, _ = data.draw(node_batches(view))
     a, b = twin_oracles(g, view)
     times = [1 if v == a.virtual else data.draw(st.integers(1, 4))
              for v in vs]
-    idx = [int(u * a.graph.out_deg[v]) for u, v in zip(us, vs)]
     ws = data.draw(st.lists(st.integers(0, a.node_count - 1),
                             min_size=len(vs), max_size=len(vs)))
     want_nbr, want_adj = [], []
-    for v, i, w, k in zip(vs, idx, ws, times):
-        want_nbr += [a.out_nbr(v, i) for _ in range(k)][-1:]
+    for v, w, k in zip(vs, ws, times):
+        d = int(a.graph.out_deg[v])  # unmetered: out_lists asks no DEG-OUT
+        want_nbr += [[a.out_nbr(v, i) for i in range(d)] for _ in range(k)][-1]
         want_adj += [a.adj(v, w) for _ in range(k)][-1:]
     times = np.array(times, dtype=np.int64)
-    got_nbr = b.out_nbr_many(vs, idx, times)
+    got_nbr, _ = b.out_lists(vs, times)
     assert b.adj_many(vs, ws, times).tolist() == want_adj
     assert got_nbr.tolist() == want_nbr
     assert a.stats.as_dict() == b.stats.as_dict()
@@ -263,39 +267,20 @@ def test_bad_multiplicity_raises_before_any_charge(view):
     before, jumps = o.stats.as_dict(), jump_state(o)
     for times in ([1], [1, 0], [2, -1], [1.0, 2.0], [True, True], [[1, 1]]):
         with pytest.raises(ValueError, match="times"):
-            o.out_nbr_many([0, 1], [0, 0], times)
+            o.out_lists([0, 1], times)
         with pytest.raises(ValueError, match="times"):
             o.adj_many([0, 1], [1, 0], times)
     if view:  # an OUT(s', .) answer is a JUMP draw: never shared
         with pytest.raises(ValueError, match="JUMP"):
-            o.out_nbr_many([0, o.virtual], [0, 0], [1, 2])
+            o.out_lists([0, o.virtual], [1, 2])
     assert o.stats.as_dict() == before and jump_state(o) == jumps
-
-
-@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_batch_out_of_range_raises(view, data):
-    g, vs, _ = data.draw(node_batches(view))
-    if not vs:
-        vs = [0]
-    o = twin_oracles(g, view)[0]
-    d = o.deg_out_many(vs)
-    j = data.draw(st.integers(0, len(vs) - 1))
-    idx = data.draw(st.lists(st.integers(0, 0), min_size=len(vs),
-                             max_size=len(vs)))
-    idx[j] = data.draw(st.sampled_from([-1, int(d[j]), int(d[j]) + 7]))
-    with pytest.raises(IndexOutOfRange):
-        o.out_nbr(vs[j], idx[j])
-    with pytest.raises(IndexOutOfRange):
-        o.out_nbr_many(vs, idx)
 
 
 # (method, arguments given the oracle's node count n, error): elements
 # of the wrong length, then ids that are no node
 MALFORMED = [
     ("adj_many", lambda n: ([1, 2, 3], [5, 6]), ValueError),
-    ("out_nbr_many", lambda n: ([1, 2, 3], [0]), ValueError),
+    ("out_lists", lambda n: ([1, 2, 3], [1, 1]), ValueError),
     ("out_step_many", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
     ("walk_step_many", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
     ("in_scans", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
@@ -305,20 +290,20 @@ MALFORMED = [
      ValueError),
     ("deg_out_many", lambda n: ([-1],), NodeIdOutOfRange),
     ("deg_out_many", lambda n: ([0, n],), NodeIdOutOfRange),
-    ("out_nbr_many", lambda n: ([n], [0]), NodeIdOutOfRange),
-    ("out_nbr_many", lambda n: ([0, -1], [0, 0]), NodeIdOutOfRange),
+    ("out_lists", lambda n: ([n],), NodeIdOutOfRange),
+    ("out_lists", lambda n: ([0, -1],), NodeIdOutOfRange),
     ("adj_many", lambda n: ([3, n], [0, 1]), NodeIdOutOfRange),
     ("adj_many", lambda n: ([3, 4], [0, -1]), NodeIdOutOfRange),
     ("adj", lambda n: (3, 99), NodeIdOutOfRange),
     ("adj", lambda n: (-1, 3), NodeIdOutOfRange),
-    # ids that are not integers: deg_out_many([1.7, 2.2]) used to answer
-    # nodes 1 and 2, and an index of 0.9 to read index 0
+    # ids (and multiplicities) that are not integers: deg_out_many([1.7,
+    # 2.2]) used to answer nodes 1 and 2
     ("deg_out_many", lambda n: ([1.7, 2.2],), NodeIdOutOfRange),
     ("deg_out_many", lambda n: ([True, False],), NodeIdOutOfRange),
-    ("out_nbr_many", lambda n: ([1.0], [0]), NodeIdOutOfRange),
-    ("out_nbr_many", lambda n: ([True], [0]), NodeIdOutOfRange),
-    ("out_nbr_many", lambda n: ([1], [0.9]), IndexOutOfRange),
-    ("out_nbr_many", lambda n: ([1, 2], [True, False]), IndexOutOfRange),
+    ("out_lists", lambda n: ([1.0],), NodeIdOutOfRange),
+    ("out_lists", lambda n: ([True],), NodeIdOutOfRange),
+    ("out_lists", lambda n: ([1], [0.9]), ValueError),
+    ("out_lists", lambda n: ([1, 2], [True, False]), ValueError),
     ("adj_many", lambda n: ([1.5, 2], [0, 1]), NodeIdOutOfRange),
     ("adj_many", lambda n: ([1, 2], [0.0, 1.0]), NodeIdOutOfRange),
     ("adj_many", lambda n: ([1, 2], 1.0), NodeIdOutOfRange),
@@ -343,7 +328,8 @@ def test_malformed_batch_charges_nothing(view, method, args, error):
 def test_empty_batch_of_any_dtype_is_legal(view):
     o = twin_oracles(random_graph(1, 40), view)[0]
     assert o.deg_out_many([]).size == 0
-    assert o.out_nbr_many(np.array([], dtype=np.float64), []).size == 0
+    for dtype in (np.float64, np.int32, bool):
+        assert [x.size for x in o.out_lists(np.array([], dtype=dtype))] == [0, 0]
     assert o.adj_many([], []).size == 0
     assert o.stats.total == 0
 
@@ -372,6 +358,23 @@ def test_scalar_query_names_a_bad_node_before_charging(view, method, query):
             getattr(o, method)(*args(n - 1))
     elif view:
         getattr(o, method)(*args(n - 1))
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@pytest.mark.parametrize("method", ["out_nbr", "in_nbr", "in_sorted"])
+def test_scalar_query_rejects_a_bad_index_before_charging(view, method):
+    """An index outside the list, -1 or its length d, raises
+    IndexOutOfRange, charging and drawing nothing: out_nbr(1, 99) used to
+    charge one OUT first, and in_nbr and in_sorted one IN or IN-SORTED.
+    A view's s' has d_out = n (OUT(s', .) is a JUMP) and d_in = 0."""
+    o = twin_oracles(random_graph(1, 40), view)[0]
+    deg = o.graph.out_deg if method == "out_nbr" else o.graph.in_deg
+    before, jumps = o.stats.as_dict(), jump_state(o)
+    for v in [1, 3] + ([o.virtual] if view else []):
+        for i in (-1, int(deg[v])):
+            with pytest.raises(IndexOutOfRange):
+                getattr(o, method)(v, i)
+            assert o.stats.as_dict() == before and jump_state(o) == jumps
 
 
 @st.composite
@@ -486,6 +489,34 @@ def test_jump_many_rejects_bad_count_before_drawing(count):
     assert o.stats.jump == 2
 
 
+def reference_cover_sources(o):
+    """The one-JUMP-at-a-time cover that _cover_sources replaced."""
+    n = o.node_count
+    seen = set()
+    for _ in range(max(n, math.ceil(n * (math.log(n) + classic._COVER_EXTRA)))):
+        seen.add(o.jump())
+        if len(seen) == n:
+            break
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("extra", [classic._COVER_EXTRA, -10.0],
+                         ids=["default", "short_budget"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 500])
+def test_cover_rounds_match_scalar_jumps(n, extra, monkeypatch):
+    """The cover's jump_many rounds find the sources, charge the JUMPs and
+    leave the JUMP generator as one JUMP at a time until every node is
+    seen; with a budget of n JUMPs (_COVER_EXTRA = -10), which often
+    ends the cover early, too."""
+    monkeypatch.setattr(classic, "_COVER_EXTRA", extra)
+    g = random_graph(3, n)
+    for seed in range(25 if n < 500 else 5):
+        a, b = twin_oracles(g, False, Capabilities(jump=True), seed)
+        assert classic._cover_sources(b) == reference_cover_sources(a)
+        assert a.stats.as_dict() == b.stats.as_dict()
+        assert jump_state(a) == jump_state(b)
+
+
 @settings(max_examples=20, deadline=None)
 @given(g=graphs())
 def test_jump_batches_need_jump(g):
@@ -495,7 +526,8 @@ def test_jump_batches_need_jump(g):
         o.jump_many(3)
     view = SuperSourceView(o)
     with pytest.raises(CapabilityDisabled):
-        view.out_nbr_many([0, view.virtual], [0, 0])
+        view.out_lists([0, view.virtual])
+    assert o.stats.total == 0  # raised before node 0's list was charged
     with pytest.raises(CapabilityDisabled):
         view.walk_step_many([0, view.virtual], [0.0, 0.0])
     # virtual degrees are construction knowledge: free and always allowed
@@ -510,13 +542,15 @@ def test_jump_batches_need_jump(g):
 @given(data=st.data())
 def test_walk_step_matches_degree_then_neighbor(view, data):
     """A fused walk step answers and charges what DEG-OUT batch and then
-    an OUT batch at floor(u * d) do, JUMPs included, and reports as
+    scalar OUT queries at floor(u * d) do, JUMPs included, and reports as
     settled exactly the steps with d = 1 that answer their own node."""
     g, vs, us = data.draw(node_batches(view))
     a, b = twin_oracles(g, view)
     vs, us = np.array(vs, dtype=np.int64), np.array(us, dtype=np.float64)
     d = a.deg_out_many(vs)
-    want = a.out_nbr_many(vs, (us * d).astype(np.int64))
+    want = np.array([a.out_nbr(v, int(u * dv)) for v, u, dv
+                     in zip(vs.tolist(), us.tolist(), d.tolist())],
+                    dtype=np.int64)
     got, settled = b.walk_step_many(vs, us)
     assert got.tolist() == want.tolist()
     assert settled.tolist() == ((d == 1) & (want == vs)).tolist()
@@ -528,17 +562,17 @@ def test_walk_step_matches_degree_then_neighbor(view, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_out_step_matches_neighbor_at_floor(view, data):
-    """An OUT batch at uniforms answers and charges what an OUT batch at
-    floor(u * d) does: one OUT per element and, on a view, one JUMP per
-    virtual element in element order, with no DEG-OUT; a walk step is
-    a DEG-OUT batch and then this batch."""
+    """An OUT batch at uniforms answers and charges what scalar OUT
+    queries at floor(u * d) do: one OUT per element and, on a view, one
+    JUMP per virtual element in element order, with no DEG-OUT; a walk
+    step is a DEG-OUT batch and then this batch."""
     g, vs, us = data.draw(node_batches(view))
     vs, us = np.array(vs, dtype=np.int64), np.array(us, dtype=np.float64)
     a, b = twin_oracles(g, view)
     c, d = twin_oracles(g, view)
     idx = (us * a.graph.out_deg[vs]).astype(np.int64)  # degrees unmetered
-    want = a.out_nbr_many(vs, idx)
-    assert b.out_step_many(vs, us).tolist() == want.tolist()
+    want = [a.out_nbr(v, i) for v, i in zip(vs.tolist(), idx.tolist())]
+    assert b.out_step_many(vs, us).tolist() == want
     virt = int(np.count_nonzero(vs == b.virtual)) if view else 0
     assert a.stats.as_dict() == b.stats.as_dict() == {
         **dict.fromkeys(QUERY_KINDS, 0), "out": vs.size - virt, "jump": virt,
@@ -588,9 +622,9 @@ def test_largest_uniform_steps_to_last_neighbor(d):
 
 def test_step_tables_built_on_first_step_and_freed_with_graph():
     """A walk step's tables, the float64 degrees and the intp offsets,
-    are built on the first step (or OUT batch) if no scan built the
-    degrees before, once per graph, never by build_graph or the other
-    queries, and go when their graph goes."""
+    are built on the first step if no scan built the degrees before,
+    once per graph, never by build_graph or the other queries (whole
+    out-lists included), and go when their graph goes."""
     g = random_graph(0, 40)
     o = OracleHandle(g, Capabilities.all(), seed=1)
     view = SuperSourceView(o)
@@ -598,6 +632,7 @@ def test_step_tables_built_on_first_step_and_freed_with_graph():
         q.deg_out(3), q.deg_out_many([1, 2]), q.adj_many([1], [2])
         q.in_scans([0, 5], [0.5, 1.0])
         q.in_sorted_scans([0, 5], [0.5, 1.0], [0.1, -1.0])
+        q.out_lists([1, 2])
     assert g not in oracle._step_tables_of
     assert view.graph not in oracle._step_tables_of
     o.walk_step_many([0, 1], [0.5, 0.25])
@@ -607,7 +642,6 @@ def test_step_tables_built_on_first_step_and_freed_with_graph():
     assert ptr.tolist() == g.out_ptr.tolist()
     assert not deg.flags.writeable and not ptr.flags.writeable
     o.walk_step_many([2], [0.5])
-    o.out_nbr_many([2], [0])
     OracleHandle(g).walk_step_many([3], [0.5])
     assert oracle._step_tables_of[g] is tabs  # built once per graph
     assert view.graph not in oracle._step_tables_of
@@ -625,7 +659,7 @@ def test_scans_build_only_the_float_degrees():
     first scan batch, never from build_graph or scalar queries: once per
     graph, bit-equal to out_deg and read-only, then shared with its walk
     steps, and freed with the graph.  Its intp offsets wait for the
-    first walk step or OUT batch."""
+    first walk step."""
     g = random_graph(0, 40)
     o = OracleHandle(g, Capabilities.all(), seed=1)
     v = int(np.argmax(g.in_deg))
@@ -810,7 +844,8 @@ def test_settled_walks_read_no_uniform_after_settling(view, g, data):
             steps += 1
             if v != a.virtual and is_sink(a.graph, v):  # settled: v for good
                 a.deg_out_many(np.full(m - k - 1, v))
-                a.out_nbr_many(np.full(m - k - 1, v), np.zeros(m - k - 1, int))
+                for _ in range(m - k - 1):
+                    a.out_nbr(v, 0)
                 break
             v = w
         read += range(pos, pos + steps)
@@ -997,6 +1032,43 @@ def test_tiny_alpha_guard_counts_the_whole_batch():
         _walk_terminals(o, [3, 5], alpha, rng, 1)
     assert o.stats.total == 0
     assert rng.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-9])
+def test_walk_budget_is_checked_before_any_allocation(delta):
+    """Monte Carlo at delta = 1e-300 asks for about 9.2e302 walks and used
+    to end in numpy's "Maximum allowed dimension exceeded"; at 1e-9,
+    about 9.2e11 walks, it would allocate terabytes.  Both raise
+    WalkBudgetExceeded with the count, before the scratch grows and
+    before any query or draw."""
+    o = OracleHandle(random_graph(3, 20), Capabilities.all(), seed=0)
+    rng = np.random.default_rng(5)
+    state, jumps = rng.bit_generator.state, jump_state(o)
+    moves = getattr(classic._scratch, "moves", None)
+    n_w = mc_walk_count(delta, 0.2, 0.1)
+    assert n_w > classic.MAX_WALKS
+    msg = re.escape(f"1 x {n_w:.4g} walks > MAX_WALKS = {2**28}")
+    with pytest.raises(classic.WalkBudgetExceeded, match=f"^{msg}$"):
+        monte_carlo_pair(o, 3, 5, 0.2, delta, 0.2, 0.1, rng)
+    assert getattr(classic._scratch, "moves", None) is moves
+    assert o.stats.total == 0 and jump_state(o) == jumps
+    assert rng.bit_generator.state == state
+
+
+def test_walk_budget_counts_every_source(monkeypatch):
+    """MAX_WALKS bounds len(sources) * count: a batch of exactly
+    MAX_WALKS walks runs, one more walk raises."""
+    monkeypatch.setattr(classic, "MAX_WALKS", 6)
+    o = OracleHandle(random_graph(3, 20), seed=0)
+    rng = np.random.default_rng(5)
+    assert _walk_terminals(o, [3, 5], 0.2, rng, 3).size == 6
+    assert _walk_terminals(o, [3], 0.2, rng, 6).size == 6
+    total, state = o.stats.total, rng.bit_generator.state
+    for sources, count in (([3], 7), ([3, 5], 4), ([3, 5, 7], 3)):
+        msg = f"^{len(sources)} x {count} walks > MAX_WALKS = 6$"
+        with pytest.raises(classic.WalkBudgetExceeded, match=msg):
+            _walk_terminals(o, sources, 0.2, rng, count)
+    assert o.stats.total == total and rng.bit_generator.state == state
 
 
 def test_terminals_never_alias_the_scratch(monkeypatch):
