@@ -141,9 +141,7 @@ class RandPushState:
     r_hat / r_hat_prime hold per-level residues and their independent
     copies; pushed_amount[i] maps v to the residue amount pushed from
     (v, i): u not in pushed_amount[i] is the flag 1_i(u), and the
-    amounts reconstruct any chi_{i+1}(u, v).  Each push keeps contrib
-    current: it maps v to its (receiving level, (1-alpha) * pushed
-    amount) entries for non-zero pushes, in level order.  heavy (V_P =
+    amounts give each chi_{i+1}(u, v) (_chi_num_sum).  heavy (V_P =
     {v : p_hat(v) > tau}, a frozenset; p_hat never falls) and push_counts
     (pushes per level 0..L) are computed on each access, not stored.
     """
@@ -154,7 +152,6 @@ class RandPushState:
     r_hat_prime: list
     p_hat: dict
     pushed_amount: list
-    contrib: dict = field(default_factory=dict)
 
     heavy = property(lambda self: frozenset(
         v for v, x in self.p_hat.items() if x > self.params.tau))
@@ -168,7 +165,7 @@ def rand_push_threshold(o, v, i, state, rng):
     increment in both copies; past it, two independent scans with their
     own uniform thresholds add gamma*theta increments, each stopping at
     the first in-neighbor whose increment falls below its threshold.
-    Writes only the residues, pushed_amount, contrib and p_hat.  Raises
+    Writes only the residues, pushed_amount and p_hat.  Raises
     ValueError before any write unless 0 <= i < L and v holds an
     unpushed residue copy at level i.
     """
@@ -184,7 +181,6 @@ def rand_push_threshold(o, v, i, state, rng):
     if amount > 0.0:
         thr = p.gamma * p.theta
         spread = (1.0 - p.alpha) * amount
-        state.contrib.setdefault(v, []).append((i + 1, spread))
         rn, rpn = state.r_hat[i + 1], state.r_hat_prime[i + 1]
         d_in = o.deg_in(v)
         idx = 0
@@ -232,16 +228,15 @@ def backward_phase(o, t, params, rng):
 
 
 def _chi_num_sum(state, u, v):
-    """sum_i 1_i(u) * (1-alpha) * pushed_amount_{i-1}(v); caller divides
-    by d_out(u).  Levels >= 1 only (the level-0 seed is virtual)."""
-    entries = state.contrib.get(v)
-    if not entries:
-        return 0.0
-    pushed = state.pushed_amount
+    """sum_i 1_{i+1}(u) * (1-alpha) * pushed_amount_i(v) over the levels
+    i < L where v pushed a positive amount, in level order; caller
+    divides by d_out(u).  The level-0 seed is virtual (_seed_term)."""
+    pushed, alpha = state.pushed_amount, state.params.alpha
     tot = 0.0
-    for lvl, val in entries:
-        if u not in pushed[lvl]:
-            tot += val
+    for i in range(state.params.L):
+        amount = pushed[i].get(v, 0.0)
+        if amount > 0.0 and u not in pushed[i + 1]:
+            tot += (1.0 - alpha) * amount
     return tot
 
 
@@ -281,11 +276,11 @@ def estimate_R_hat(o, state, terminals, params, rng):
     light out-neighbors with one more uniform.
 
     The DEG-OUT batch checks the terminals, before any query or draw
-    (OracleHandle._nodes).  V_P and the keys of state.contrib are node
-    masks, _chi_num_sum runs once per distinct (terminal, node) pair,
-    bincount sums left to right, and the n-length slot that finds the
-    distinct terminals (classic._merge) and the samples reuse the walk
-    engine's scratch (classic._scratch_array).
+    (OracleHandle._nodes).  V_P and the nodes that pushed a positive
+    amount are node masks, _chi_num_sum runs once per distinct
+    (terminal, node) pair, bincount sums left to right, and the
+    n-length slot that finds the distinct terminals (classic._merge) and
+    the samples reuse the walk engine's scratch (classic._scratch_array).
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
@@ -295,7 +290,9 @@ def estimate_R_hat(o, state, terminals, params, rng):
     heavy = np.array(sorted(state.heavy), dtype=np.int64)
     is_heavy, has_chi = np.zeros((2, n), dtype=bool)
     is_heavy[heavy] = True
-    has_chi[np.fromiter(state.contrib, np.int64, len(state.contrib))] = True
+    # the positive pushers, not p_hat > 0: alpha * amount can underflow
+    has_chi[[v for lv in state.pushed_amount
+             for v, x in lv.items() if x > 0.0]] = True
     memo = {}  # pair key u*n + v -> _chi_num_sum(state, u, v)
 
     def chi(xs, vs):
@@ -344,7 +341,7 @@ def estimate_R_hat(o, state, terminals, params, rng):
         ts, nodes = _sample_block(
             o, us, a + np.flatnonzero(pool[a:a + step] > 0),
             (cand, clen, start), is_heavy if h else None, n_s, rng)
-        hit = np.flatnonzero(has_chi[nodes])  # chi is 0 off contrib's keys
+        hit = np.flatnonzero(has_chi[nodes])  # chi is 0 off has_chi
         who, block = ts[hit // n_s], acc[a:a + step]
         block[:] = np.bincount(who - a, chi(us[who], nodes[hit]),
                                minlength=block.size)

@@ -334,8 +334,8 @@ def _build_st_avg_adj(spec):
 
 
 def _build_st_avg_jump(spec, lower_equals_upper=False):
-    n, L, D, a = spec.n, spec.L, spec.D, spec.alpha
-    d2 = D if lower_equals_upper else (spec.D2 or D)
+    n, L, D, d2, a = spec.n, spec.L, spec.D, spec.D2 or spec.D, spec.alpha
+    _require(d2 == D or not lower_equals_upper, f"D2={spec.D2} must be 0 or D={D}")
     _require(n >= 1 and 1 <= L <= n, "needs 1 <= L <= n")
     _require(1 <= D <= n and 1 <= d2 <= n, "needs 1 <= D, d2 <= n")
     U1, V1 = _blocks(0, n, n)
@@ -408,8 +408,8 @@ def _build_sn_worst_full(spec):
 
 def _build_sn_avg_xor(spec, lower_equals_upper=False):
     n, L, a = spec.n, spec.L, spec.alpha
-    D = spec.D
-    d2 = D if lower_equals_upper else (spec.D2 or D)
+    D, d2 = spec.D, spec.D2 or spec.D
+    _require(d2 == D or not lower_equals_upper, f"D2={spec.D2} must be 0 or D={D}")
     _require(n >= 1 and 1 <= L <= n, "needs 1 <= L <= n")
     _require(1 <= D <= n and 1 <= d2 <= n, "needs 1 <= D, d2 <= n")
     u1_size, v1_size = (D, L) if spec.flip_upper else (L, D)

@@ -32,11 +32,11 @@ operand rule: int32 storage (the CSR), intp gather indices and float64
 divisors (see _out_degf and _step_tables).  A malformed batch charges
 and draws nothing: each raises ValueError, naming itself, for an
 element argument that is neither one value nor one per node.  `_nodes`
-is the one check of the ids a caller gives (`deg_out_many`,
-`out_lists`, `adj_many`): NodeIdOutOfRange for a float, bool or
-out-of-range id.  A scalar query raises NodeIdOutOfRange for an id
-outside [0, node_count), a view's s' included, and IndexOutOfRange
-for an index outside the list, both uncharged.  The walk-step and scan
+checks the ids given to `deg_out_many`, `out_lists` and `adj_many`,
+and check_nodes those of `adj`: NodeIdOutOfRange for a float, bool or
+out-of-range id.  Other scalar queries raise NodeIdOutOfRange for an
+id outside [0, node_count), a view's s' included, and IndexOutOfRange
+for an index outside the list, both uncharged.  Walk-step and scan
 batches, whose ids are earlier answers, check lengths only.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NodeIdOutOfRange, csr_entries
+from .graph import NodeIdOutOfRange, check_nodes, csr_entries
 
 QUERY_KINDS = ("deg_in", "deg_out", "in", "out", "in_sorted", "adj", "jump")
 
@@ -254,16 +254,18 @@ class OracleHandle:
     def deg_out(self, v):
         if not 0 <= v < self._n:
             raise NodeIdOutOfRange(f"DEG-OUT({v}) outside [0, {self._n})")
+        d = self._dout[v]  # read first: a float id raises uncharged
         if self.virtual is None or v != self.virtual:
             self.stats.deg_out += 1
-        return self._dout[v]
+        return d
 
     def deg_in(self, v):
         if not 0 <= v < self._n:
             raise NodeIdOutOfRange(f"DEG-IN({v}) outside [0, {self._n})")
+        d = self._din[v]  # read first: a float id raises uncharged
         if self.virtual is None or v != self.virtual:
             self.stats.deg_in += 1
-        return self._din[v]
+        return d
 
     def out_nbr(self, v, i):
         if not 0 <= v < self._n:
@@ -305,8 +307,7 @@ class OracleHandle:
     def adj(self, u, v):
         if not self.caps.adj:
             raise CapabilityDisabled("ADJ is not enabled")
-        if not (0 <= u < self._n and 0 <= v < self._n):
-            raise NodeIdOutOfRange(f"ADJ({u},{v}) outside [0, {self._n})")
+        check_nodes(self._n, ADJ_u=u, ADJ_v=v)  # a float or bool id too
         if self.virtual is None or self.virtual not in (u, v):
             self.stats.adj += 1
         hi = self._optr[u + 1]
@@ -354,6 +355,8 @@ class OracleHandle:
         g = self.graph
         deg, ptr = _step_tables(g)
         paid = self._paid(vs)
+        if paid < vs.size and not self.caps.jump:  # s' draws: before any charge
+            raise CapabilityDisabled("JUMP is not enabled")
         self.stats.out_q += paid
         x = deg[vs]
         x *= u

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pprquery import build_graph
-from pprquery.bidir import _chi_num_sum, _seed_term
 
 
 def chain_graph():
@@ -125,6 +124,38 @@ def mean_queries_by_cell(results):
     return {c: (d, sum(v) / len(v)) for c, (d, v) in acc.items()}
 
 
+def contributions(state, v):
+    """v's (receiving level i + 1, (1 - alpha) * amount) pairs, one per
+    positive amount v pushed at level i, in level order."""
+    alpha = state.params.alpha
+    return [(i + 1, (1 - alpha) * amount)
+            for i, level in enumerate(state.pushed_amount)
+            if (amount := level.get(v, 0.0)) > 0.0]
+
+
+def chi_of(entries, pushed_amount, u):
+    """The sum, in order, of the (receiving level, value) entries whose
+    level u has not pushed at."""
+    total = 0.0
+    for lvl, val in entries:
+        if u not in pushed_amount[lvl]:
+            total += val
+    return total
+
+
+def chi_num(state, u, v):
+    """v's chi sum toward u before the division by d_out(u): the
+    contributions of v whose receiving level u has not pushed at,
+    added in level order."""
+    return chi_of(contributions(state, v), state.pushed_amount, u)
+
+
+def seed_term(state, u):
+    """The virtual level-0 seed chi_0(t, t) = 1: 1.0 for the target
+    while it is unpushed at level 0, else 0.0."""
+    return 1.0 if u == state.target and u not in state.pushed_amount[0] else 0.0
+
+
 def compute_R(g, state, u):
     """Exact derandomized residue R(u) of a push state on graph g, from
     the stored push amounts.  Reads u's full out-list, which the metered
@@ -132,8 +163,8 @@ def compute_R(g, state, u):
     nbrs = out_list(g, u)
     total = 0.0
     for v in nbrs:
-        total += _chi_num_sum(state, u, v)
-    return total / len(nbrs) + _seed_term(state, u)
+        total += chi_num(state, u, v)
+    return total / len(nbrs) + seed_term(state, u)
 
 
 @pytest.fixture

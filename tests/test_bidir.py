@@ -12,9 +12,10 @@ from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
 from pprquery.bidir import (ConstraintViolation, derive_params,
                             rand_push_threshold, backward_phase,
                             estimate_R_hat, single_pair_ppr, RandPushState,
-                            _cell_params)
-from conftest import (chain_graph, compute_R, singleton_graph, fan_graph,
-                      random_graph, relay_fan_graph, out_list, r_hat_total,
+                            _cell_params, _chi_num_sum)
+from conftest import (chain_graph, chi_of, compute_R, contributions,
+                      singleton_graph, fan_graph, random_graph,
+                      relay_fan_graph, out_list, r_hat_total,
                       unpushed_bound_holds)
 
 A = 0.2
@@ -44,8 +45,10 @@ def fresh_state(g, t, params):
 
 def reference_backward_phase(o, t, params, rng):
     """backward_phase as the scalar loop it was, with V_P (heavy), the
-    push counts and contrib kept push by push.  Returns the push state's
-    fields and the number of scan uniforms drawn."""
+    push counts and contrib kept push by push: contrib maps v to its
+    (receiving level, (1 - alpha) * amount) entries, one per positive
+    push.  Returns the push state's fields and the number of scan
+    uniforms drawn."""
     L, theta, alpha = params.L, params.theta, params.alpha
     thr = params.gamma * params.theta
     r_hat = [{} for _ in range(L + 1)]
@@ -117,8 +120,14 @@ def push_cases(draw):
     return g, draw(st.integers(0, n)), params, draw(st.integers(0, 2 ** 32))
 
 
-# share of push_cases whose pushes draw scan uniforms, at least: 183 and
-# 167 of the 400 derandomized cases on a handle and on a view draw
+# share of the push_cases with L > 1 whose pushes draw scan uniforms, at
+# least.  With L = 1 only the target's amount 1 is pushed, and its
+# increments (1 - alpha) / d_out fall below gamma * theta <= 0.3 only
+# where d_out > (1 - alpha) / 0.3, so those cases rarely draw and are
+# checked but not counted.  In a full tier-1 run, 156 and 125 of the 270
+# such cases on a handle and on a view draw (130 of the 400 have L = 1).
+# Hypothesis mixes constants found in the loaded modules into its
+# draws, so the counts move with the modules a run imports.
 DRAWING_SHARE = 1 / 3
 
 
@@ -127,7 +136,10 @@ def test_backward_phase_matches_reference(view):
     """backward_phase and the scalar reference loop leave the same push
     state, bit for bit and in the same key order, with V_P and the push
     counts derived rather than kept, the same QueryStats and the same
-    end states of the generator and of the oracle's JUMP generator."""
+    end states of the generator and of the oracle's JUMP generator.
+    _chi_num_sum, read from pushed_amount, equals for every node pair,
+    bit for bit, the sum of the reference's contrib entries of v whose
+    level u has not pushed at."""
     drew = []
 
     @settings(max_examples=400, derandomize=True, deadline=None,
@@ -145,15 +157,20 @@ def test_backward_phase_matches_reference(view):
         for name in ("r_hat", "r_hat_prime", "pushed_amount"):
             assert ([list(level.items()) for level in getattr(got, name)]
                     == [list(level.items()) for level in want[name]]), name
-        for name in ("p_hat", "contrib"):
-            assert list(getattr(got, name).items()) == list(want[name].items())
+        assert list(got.p_hat.items()) == list(want["p_hat"].items())
+        for u in range(a.node_count):
+            for v in range(a.node_count):
+                ref = chi_of(want["contrib"].get(v, ()),
+                             want["pushed_amount"], u)
+                assert _chi_num_sum(got, u, v).hex() == ref.hex(), (u, v)
         assert got.heavy == want["heavy"]
         assert got.push_counts == want["push_counts"]
         assert a.stats.as_dict() == b.stats.as_dict()
         assert ra.bit_generator.state == rb.bit_generator.state
         assert (getattr(a, "base", a)._rng.bit_generator.state
                 == getattr(b, "base", b)._rng.bit_generator.state)
-        drew.append(draws > 0)
+        if params.L > 1:
+            drew.append(draws > 0)
 
     check()
     assert sum(drew) >= DRAWING_SHARE * len(drew), (sum(drew), len(drew))
@@ -307,7 +324,7 @@ class TestRandPush:
 
     def test_second_push_named(self, rng):
         # a second push would overwrite pushed_amount 1.0 with the zeroed
-        # residue while contrib kept the first push's entry
+        # residue, and the first push's chi sums with it
         g = random_graph(0, 30)
         o = all_caps(g)
         st = fresh_state(g, 0, with_levels(2, 0.1, 1.0))
@@ -360,7 +377,7 @@ class TestRandPush:
         assert abs(both / reps - p * p) <= 4 * sigma
 
     def test_read_views_match_rebuild_between_pushes(self, rng):
-        # push, read, push again, read again: contrib and compute_R
+        # push, read, push again, read again: _chi_num_sum and compute_R
         # must always equal a rebuild from the push amounts
         g, t = relay_fan_graph(n_in=40, n_relays=2, relay_out=8,
                                in_nbr_out=10)
@@ -376,21 +393,24 @@ class TestRandPush:
                         out.setdefault(v, []).append((i + 1, (1 - A) * amt))
             return out
 
+        def rebuilt_chi(u, v, contrib):
+            return chi_of(contrib.get(v, ()), st.pushed_amount, u)
+
         def rebuilt_R(u, contrib):
             tot = 0.0
             for v in out_list(g, u):
-                for lvl, val in contrib.get(v, ()):
-                    if u not in st.pushed_amount[lvl]:
-                        tot += val
+                tot += rebuilt_chi(u, v, contrib)
             seed = 1.0 if u == t and t not in st.pushed_amount[0] else 0.0
             return tot / g.out_degrees[u] + seed
 
         readings = []
+        pairs = [(x, y) for x in range(g.node_count) for y in range(g.node_count)]
         for i in range(params.L):
             for v in sorted(st.r_hat_prime[i]):
                 rand_push_threshold(o, v, i, st, rng)
                 contrib = rebuilt_contrib()
-                assert st.contrib == contrib
+                assert ([_chi_num_sum(st, x, y) for x, y in pairs]
+                        == [rebuilt_chi(x, y, contrib) for x, y in pairs])
                 R = [compute_R(g, st, u) for u in range(g.node_count)]
                 assert R == [rebuilt_R(u, contrib)
                              for u in range(g.node_count)]
@@ -617,7 +637,7 @@ class TestEstimators:
                 du = g.out_degrees[u]
                 per_level = {}
                 for v in out_list(g, u):
-                    for lvl, val in st.contrib.get(v, ()):
+                    for lvl, val in contributions(st, v):
                         per_level[lvl] = per_level.get(lvl, 0.0) + val / du
                 for i, ri in per_level.items():
                     if i < L and u not in st.pushed_amount[i]:
@@ -640,7 +660,8 @@ class TestEstimators:
         n = o.node_count
         params = derive_params(A, 0.05, 0.2, 0.1, n, c_theta=0.1)
         st = backward_phase(o, 0, params, np.random.default_rng(7))
-        assert st.heavy and st.contrib
+        assert st.heavy and any(x > 0.0 for lv in st.pushed_amount
+                                for x in lv.values())
         rng = np.random.default_rng(5)
 
         def seen():

@@ -252,6 +252,18 @@ class TestStructure:
                            match=re.escape(f"{field}={val!r} must be {want}")):
             generate(spec)
 
+    @pytest.mark.parametrize("family", ["st_avg_full", "sn_avg_full"])
+    def test_lower_degree_other_than_D_named(self, family):
+        # the builders force the lower degree to D: D2=5 used to build the
+        # D2=0 graph
+        for d2 in (5, -1):
+            with pytest.raises(SpecConstraintViolation,
+                               match=re.escape(f"D2={d2} must be 0 or D=2")):
+                generate(InstanceSpec(family, n=8, L=2, D=2, D2=d2))
+        edges = [generate(InstanceSpec(family, n=8, L=2, D=2, D2=d2))[0].edges()
+                 for d2 in (0, 2)]
+        assert edges[0] == edges[1]
+
     def test_numpy_integer_fields_accepted(self):
         spec = InstanceSpec("sp_worst", n=np.int64(16), m=np.int32(64),
                             L=np.int64(2), D=np.uint8(2), D2=np.int16(0))

@@ -33,8 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pprquery import bidir, build_graph, classic, oracle
-from pprquery.bidir import (_chi_num_sum, _seed_term, backward_phase,
-                            derive_params, estimate_R_hat)
+from pprquery.bidir import backward_phase, derive_params, estimate_R_hat
 from pprquery.classic import (_lockstep, _push_walk_estimates,
                               _walk_terminals, mc_walk_count,
                               monte_carlo_pair, single_target_bidir_jump,
@@ -44,7 +43,7 @@ from pprquery.oracle import (QUERY_KINDS, Capabilities, CapabilityDisabled,
                              IndexOutOfRange, OracleHandle)
 from pprquery.single_node import SuperSourceView
 
-from conftest import out_list, random_graph
+from conftest import chi_num, out_list, random_graph, seed_term
 
 
 def reference_walk_terminals(o, sources, alpha, rng, count):
@@ -83,14 +82,14 @@ def reference_estimate_R_hat(o, state, u_k, params, rng):
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
     du = o.deg_out(u_k)
-    total = _seed_term(state, u_k)
+    total = seed_term(state, u_k)
     heavy = state.heavy
     n_heavy_nbrs = 0
     num = 0.0
     for v in sorted(state.heavy):
         if o.adj(u_k, v):
             n_heavy_nbrs += 1
-            num += _chi_num_sum(state, u_k, v)
+            num += chi_num(state, u_k, v)
     pool = du - n_heavy_nbrs
     if pool > 0:
         n_s = params.n_s
@@ -105,12 +104,12 @@ def reference_estimate_R_hat(o, state, u_k, params, rng):
                     cand = [o.out_nbr(u_k, j) for j in range(du)]
                     cand = [v for v in cand if v not in heavy]
                     v = cand[int(rng.random() * len(cand))]
-                acc += _chi_num_sum(state, u_k, v)
+                acc += chi_num(state, u_k, v)
         else:
             cand = [o.out_nbr(u_k, j) for j in range(du)]
             cand = [v for v in cand if v not in heavy]
             for _ in range(n_s):
-                acc += _chi_num_sum(state, u_k, cand[int(rng.random() * len(cand))])
+                acc += chi_num(state, u_k, cand[int(rng.random() * len(cand))])
         num += acc * pool / n_s
     return total + num / du
 
@@ -164,13 +163,13 @@ def reference_rounds_R_hat(o, state, terminals, params, rng):
         for j, u in enumerate(block):
             num = 0.0
             for v in nbrs[j]:
-                num += _chi_num_sum(state, u, v)
+                num += chi_num(state, u, v)
             if pool[j] > 0:
                 acc = 0.0
                 for q in range(n_s):
-                    acc += _chi_num_sum(state, u, nodes[j, q])
+                    acc += chi_num(state, u, nodes[j, q])
                 num += acc * pool[j] / n_s
-            out.append(_seed_term(state, u) + num / du[j])
+            out.append(seed_term(state, u) + num / du[j])
     return out
 
 
@@ -308,6 +307,12 @@ MALFORMED = [
     ("adj_many", lambda n: ([1, 2], [0.0, 1.0]), NodeIdOutOfRange),
     ("adj_many", lambda n: ([1, 2], 1.0), NodeIdOutOfRange),
     ("adj_many", lambda n: ([1, 2], [True, False]), NodeIdOutOfRange),
+    # adj(1.5, 2) used to charge before a bare TypeError, and adj(1, 2.5)
+    # to answer False and charge one ADJ
+    ("adj", lambda n: (1.5, 2), NodeIdOutOfRange),
+    ("adj", lambda n: (1, 2.5), NodeIdOutOfRange),
+    ("adj", lambda n: (True, 2), NodeIdOutOfRange),
+    ("adj", lambda n: (1, np.float64(2.0)), NodeIdOutOfRange),
 ]
 
 
@@ -358,6 +363,21 @@ def test_scalar_query_names_a_bad_node_before_charging(view, method, query):
             getattr(o, method)(*args(n - 1))
     elif view:
         getattr(o, method)(*args(n - 1))
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@pytest.mark.parametrize("method", ["deg_out", "deg_in"])
+def test_degree_of_a_float_id_charges_nothing(view, method):
+    """deg_out(1.5) and deg_in(1.5) used to charge one query before
+    memoryview's TypeError: they read before they charge.  They check no
+    id type (the push calls them once per edge read), so a numpy id, or
+    a bool as 0 or 1, is read like an int."""
+    o = twin_oracles(random_graph(1, 40), view)[0]
+    with pytest.raises(TypeError):
+        getattr(o, method)(1.5)
+    assert o.stats.total == 0
+    assert getattr(o, method)(np.int64(1)) == getattr(o, method)(True)
+    assert o.stats.total == 2
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
@@ -515,6 +535,19 @@ def test_cover_rounds_match_scalar_jumps(n, extra, monkeypatch):
         assert classic._cover_sources(b) == reference_cover_sources(a)
         assert a.stats.as_dict() == b.stats.as_dict()
         assert jump_state(a) == jump_state(b)
+
+
+@pytest.mark.parametrize("method", ["out_step_many", "walk_step_many"])
+def test_virtual_step_without_jump_charges_nothing(method):
+    """OUT(s', .) is a JUMP draw: a step batch holding s' on a view
+    without JUMP raises before it charges its real nodes' steps (it used
+    to charge node 0's OUT first)."""
+    caps = Capabilities(in_sorted=True, adj=True)
+    o = twin_oracles(random_graph(1, 40), True, caps)[0]
+    jumps = jump_state(o)
+    with pytest.raises(CapabilityDisabled, match="JUMP"):
+        getattr(o, method)([0, o.virtual], [0.5, 0.5])
+    assert o.stats.total == 0 and jump_state(o) == jumps
 
 
 @settings(max_examples=20, deadline=None)
@@ -1318,7 +1351,8 @@ def test_scores_match_in_every_sampling_class(case):
     state = assert_scores_match(g, view, 0, terminals, 7, **mult)
     o = twin_oracles(g, view)[0]
     assert scoring_classes(o, state, terminals) == classes
-    assert state.contrib  # pushed nodes, so samples can score non-zero
+    # a positive push, so samples can score non-zero
+    assert any(x > 0.0 for lv in state.pushed_amount for x in lv.values())
     if rejection_free(g, view, state, terminals):
         assert_scores_match(g, view, 0, terminals, 7,
                             reference=per_terminal_R_hat, **mult)
@@ -1494,7 +1528,7 @@ def test_fallback_after_64_heavy_jumps_virtual_source():
     # light nodes that score apart, so which one is picked shows
     by_chi = {}
     for u in range(40):
-        by_chi.setdefault(_chi_num_sum(state, v, u), u)
+        by_chi.setdefault(chi_num(state, v, u), u)
     by_chi.pop(0.0, None)
     light = itertools.cycle([u for u in by_chi.values() if u != h])
     terminals = [v, 4, v, v, 11] + [v] * 6
@@ -1568,7 +1602,7 @@ def test_scores_and_costs_follow_per_terminal_law():
     (h,) = state.heavy
     # the real terminal whose light out-neighbors score most apart
     u = max((u for u in range(40) if h in out_list(g, u)),
-            key=lambda u: len({_chi_num_sum(state, u, v)
+            key=lambda u: len({chi_num(state, u, v)
                                for v in out_list(g, u) if v != h}))
     terminals = [u, o.virtual]
 
