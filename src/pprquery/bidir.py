@@ -20,11 +20,12 @@ Forward phase: walks from the source; each terminal u_k is scored by an
 estimate R_hat(u_k) of the derandomized residue R(u_k), combining exact
 ADJ-checked contributions of heavy-reserve nodes with uniform sampling
 of the remaining out-neighbors.  Walk terminals repeat, and a
-terminal's ADJ answers, heavy chi sums and light out-list do not depend
-on its samples: `estimate_R_hat` finds them once per distinct terminal
-in a call, charging every occurrence the queries it would have made,
-and draws the samples per occurrence, block by block, by rejection in
-vectorized rounds of one try per still-open sample.
+terminal's ADJ answers and heavy chi sums do not depend on its samples:
+`estimate_R_hat` finds them once per distinct terminal in a call,
+charging every occurrence the queries it would have made, reads a light
+terminal's out-list at every walk, and draws the samples per walk,
+block by block, by rejection in vectorized rounds of one try per
+still-open sample.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ def derive_params(alpha, delta, eps, p_f, n, **multipliers):
     log(1/p_f)/(eps*delta), n_r*n_s/tau >= log(1/p_f)/(alpha*eps*delta));
     n_s = ceil(c_ns / delta^(1/3)).
     `multipliers` takes any of MULTIPLIERS; another name is a TypeError.
+    ConstraintViolation where gamma underflows to 0.0.
     """
     c = {k: multipliers.pop(k, 1.0) for k in MULTIPLIERS}
     if multipliers:
@@ -118,6 +120,9 @@ def derive_params(alpha, delta, eps, p_f, n, **multipliers):
     L = 1 if theta >= 1.0 else max(1, math.ceil(c["c_L"] * math.log(1.0 / theta) / alpha))
     lg = math.log(max(n * L, 2))
     gamma = min(1.0, c["c_gamma"] * eps * eps / (L * L * lg))
+    if gamma == 0.0:  # verify_constraints divides by it
+        raise ConstraintViolation(f"gamma underflows to 0.0 (c_gamma="
+                                  f"{c['c_gamma']!r}, eps={eps!r}, L={L})")
     log_pf = math.log(1.0 / p_f)
     # theta added level by level: (L + 1) * theta rounds n_r differently
     n_r = max(1, math.ceil(c["c_nr"] * sum((theta,) * (L + 1)) * log_pf / (eps * delta)))
@@ -258,22 +263,22 @@ def estimate_R_hat(o, state, terminals, params, rng):
     rest.
 
     Once per call: one DEG-OUT batch over the terminals, one ADJ batch
-    over terminals x V_P, and one out-list read (d_out OUT queries) of
-    each light terminal (d_out < 2|V_P|), whose samples pick among its
-    light out-neighbors (IndexError, before any sample uniform, if it
-    has none).  A terminal's ADJ answers, chi sums over its V_P
-    neighbors and light out-list are fixed, so the ADJ batch and the
-    out-list read hold each distinct terminal once and charge it once
-    per occurrence (their `times`); with V_P empty the ADJ batch is
-    empty and no chi sum or out-list read runs.  OUT(s', .) answers are
-    JUMP draws, so a light s' reads its out-list at every occurrence,
-    in order.  Per block of terminals, one uniform per sample (n_s per
-    terminal with a non-empty light pool, in terminal order); the other
-    samples are drawn by rejection in rounds of one try (out_step_many)
-    per open sample, at its own uniform, then one fresh uniform per
-    round; with V_P empty there is one round.  A sample still open
-    after 64 tries reads its terminal's out-list and picks among the
-    light out-neighbors with one more uniform.
+    over terminals x V_P, and one out-list read (d_out OUT queries) per
+    walk at a light terminal (d_out < 2|V_P|), in walk order, whose
+    samples pick among its light out-neighbors.  An OUT(s', .) answer
+    is a JUMP draw, so a light s' list can miss every light node: such
+    lists are read again, in order, until none is empty (_light_out).
+    A terminal's ADJ answers and chi sums over its V_P neighbors are
+    fixed, so the ADJ batch holds each distinct terminal once and
+    charges it once per occurrence (its `times`); with V_P empty the
+    ADJ batch is empty and no chi sum or out-list read runs.  Per block
+    of terminals, one uniform per sample (n_s per terminal with a
+    non-empty light pool, in terminal order); the other samples are
+    drawn by rejection in rounds of one try (out_step_many) per open
+    sample, at its own uniform, then one fresh uniform per round; with
+    V_P empty there is one round.  A sample still open after 64 tries
+    reads its terminal's out-list and picks among the light
+    out-neighbors with one more uniform.
 
     The DEG-OUT batch checks the terminals, before any query or draw
     (OracleHandle._nodes).  V_P and the nodes that pushed a positive
@@ -297,44 +302,31 @@ def estimate_R_hat(o, state, terminals, params, rng):
 
     def chi(xs, vs):
         """_chi_num_sum(state, xs[i], vs[i]) for every i."""
-        keys, back = np.unique(xs * n + vs, return_inverse=True)
-        keys = keys.tolist()
+        keys = (xs * n + vs).tolist()
         memo.update((key, _chi_num_sum(state, *divmod(key, n)))
-                    for key in keys if key not in memo)
-        return np.array([memo[key] for key in keys])[back]
+                    for key in set(keys) - memo.keys())
+        return np.array([memo[key] for key in keys])
 
     k, n_s, h = us.size, params.n_s, heavy.size
+    clen, start = np.zeros((2, k), dtype=np.int64)  # per walk: light list
     if h:
         # distinct terminals ds in first-appearance order, each with its
-        # occurrence count; inv maps each occurrence to its ds entry
+        # occurrence count; inv maps each walk to its ds entry
         slot = _scratch_array("slot", n, np.intp)
         ds, times = _merge(us, None, slot)
-        dd = du[slot[ds]]
         slot[ds] = np.arange(ds.size)
         inv = slot[us]
         is_nbr = o.adj_many(np.repeat(ds, h), np.tile(heavy, ds.size),
                             np.repeat(times, h)).reshape(-1, h)
         rows, cols = np.nonzero(is_nbr)
         num = np.bincount(rows, chi(ds[rows], heavy[cols]),
-                          minlength=ds.size)
-        pool = dd - is_nbr.sum(axis=1)
-        light = (pool > 0) & (dd < 2 * h)
-        # one out-list read per light terminal lr, but OUT(s', .) answers
-        # are JUMP draws: a light s' reads at each occurrence occ, after lr
-        lr, occ = np.flatnonzero(light), us[:0]
-        if o.virtual is not None and light[ds == o.virtual].any():
-            occ = np.flatnonzero(us == o.virtual)
-            lr = lr[ds[lr] != o.virtual]
-        cand, c, s = _light_out(o, np.append(ds[lr], us[occ]), is_heavy,
-                                np.append(times[lr], np.ones_like(occ)))
-        picks = np.zeros((2, ds.size), dtype=np.int64)
-        picks[:, lr] = c[:lr.size], s[:lr.size]
-        num, pool, (clen, start) = num[inv], pool[inv], picks[:, inv]
-        clen[occ], start[occ] = c[lr.size:], s[lr.size:]
+                          minlength=ds.size)[inv]
+        pool = du - is_nbr.sum(axis=1)[inv]
+        lo = np.flatnonzero((pool > 0) & (du < 2 * h))  # the light walks
+        cand, clen[lo], start[lo] = _light_out(o, us[lo], is_heavy)
     else:  # V_P empty: no V_P neighbor to sum over, no light terminal
         o.adj_many(us[:0], heavy)  # the ADJ batch, terminals x V_P, is empty
         num, pool, cand = 0.0, du, us[:0]
-        clen = start = np.zeros(k, dtype=np.int64)
     acc = np.zeros(k)
     step = max(1, _BLOCK_SAMPLES // n_s)
     for a in range(0, k, step):
@@ -349,17 +341,23 @@ def estimate_R_hat(o, state, terminals, params, rng):
     return seed + (num + acc * pool / n_s) / du
 
 
-def _light_out(o, vs, is_heavy, times=None):
+def _light_out(o, vs, is_heavy):
     """Read the whole out-list of each node vs[j] (out_lists: d_out OUT
-    queries, charged times[j] times each, once without `times`) and keep
-    its light entries: (cand, clen, start), those entries list after
-    list, their count and start per list; IndexError if none."""
-    cand, lens = o.out_lists(vs, times)
+    queries each) and keep its light entries: (cand, clen, start), those
+    entries list after list, their count and start per list.  The lists
+    with no light entry are then read again, in order, until none is
+    empty: only an s' list of JUMP draws can be, since a real node's
+    pool > 0 out-neighbors off V_P are in its list."""
+    cand, lens = o.out_lists(vs)
     ok = ~is_heavy[cand]
     clen = np.bincount(np.arange(vs.size).repeat(lens)[ok], minlength=vs.size)
-    if not clen.all():
-        raise IndexError("no light out-neighbor to sample")
-    return cand[ok].astype(np.int64), clen, clen.cumsum() - clen
+    cand, start = cand[ok].astype(np.int64), clen.cumsum() - clen
+    empty = np.flatnonzero(clen == 0)
+    if empty.size:
+        more, clen[empty], _ = _light_out(o, vs[empty], is_heavy)
+        cand = np.insert(cand, start[empty].repeat(clen[empty]), more)
+        start = clen.cumsum() - clen
+    return cand, clen, start
 
 
 def _pick(picks, rows, x, out=None):

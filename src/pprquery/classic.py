@@ -51,7 +51,7 @@ _RANGES = {"alpha": (1.0, False), "eps": (1.0, False), "p_f": (1.0, False),
 
 
 class WalkBudgetExceeded(ValueError):
-    """A walk batch of more than MAX_WALKS walks."""
+    """A walk count past float range, or a batch past MAX_WALKS walks or 2^53 steps."""
 
 
 def check_params(**named):
@@ -98,8 +98,8 @@ def _walk_terminals(o, sources, alpha, rng, count):
     the moves of every walk, source by source and walk after walk
     (geometric lengths minus one, see _draw_moves), then the uniforms of
     every step, in that order; a one-source batch draws as it always
-    did.  WalkBudgetExceeded above MAX_WALKS walks, before any allocation;
-    ValueError at 2^53 steps or more, before any query or uniform.
+    did.  WalkBudgetExceeded above MAX_WALKS walks, before any allocation,
+    and at 2^53 steps or more, before any query or uniform.
     """
     walks = len(sources) * count
     if walks > MAX_WALKS:
@@ -109,7 +109,8 @@ def _walk_terminals(o, sources, alpha, rng, count):
     _draw_moves(moves, alpha, rng)
     total = moves.sum(dtype=np.float64)  # one pass, no int64 wrap
     if total >= 2.0 ** 53:
-        raise ValueError(f"alpha={alpha!r}, count={count}: {total:.4g} steps >= 2^53")
+        raise WalkBudgetExceeded(
+            f"alpha={alpha!r}, count={count}: {total:.4g} steps >= 2^53")
     us = _scratch_array("us", int(total), np.float64)
     rng.random(out=us)
     starts = np.repeat(np.asarray(sources, dtype=np.int64), count)
@@ -213,9 +214,15 @@ def _lockstep(o, starts, moves, us):
 
 def mc_walk_count(delta, eps, p_f, c=DEFAULT_WALK_MULT):
     """Walks needed for a (1 +- eps) estimate of a probability >= delta
-    with failure probability p_f: c * log(1/p_f) / (eps^2 delta)."""
+    with failure probability p_f: c * log(1/p_f) / (eps^2 delta), or
+    WalkBudgetExceeded where that overflows (eps^2 delta may be 0.0)."""
     check_params(delta=delta, eps=eps, p_f=p_f, c=c)
-    return max(1, math.ceil(c * math.log(1.0 / p_f) / (eps * eps * delta)))
+    den = eps * eps * delta
+    walks = c * math.log(1.0 / p_f) / den if den else math.inf
+    if walks == math.inf:
+        raise WalkBudgetExceeded(f"eps={eps!r}, delta={delta!r}: inf walks "
+                                 f"> MAX_WALKS = {MAX_WALKS}")
+    return max(1, math.ceil(walks))
 
 
 def monte_carlo_pair(o, s, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
@@ -354,9 +361,9 @@ def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT)
     plain Monte Carlo.
     """
     check_nodes(o.node_count, s=s, t=t)
-    check_params(delta=delta, eps=eps, p_f=p_f, c=c)
-    p, r = approx_contributions(o, t, alpha, r_max)
+    check_params(delta=delta, eps=eps, p_f=p_f, c=c, r_max=r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
+    p, r = approx_contributions(o, t, alpha, r_max)
     return _push_walk_estimates(o, [s], alpha, rng, n_w, p, r)[s]
 
 
@@ -436,6 +443,7 @@ def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
     if r_max is None:
         d = o.edge_count / n
         r_max = min(1.0, math.sqrt(d * delta / n))
-    p, r = approx_contributions(o, t, alpha, r_max)
+    check_params(r_max=r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
+    p, r = approx_contributions(o, t, alpha, r_max)
     return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w, p, r)

@@ -12,10 +12,10 @@ scalar queries take an index.  The batch methods `deg_out_many`,
 `out_lists` (whole OUT lists), `adj_many` and `jump_many` index the
 arrays with numpy and charge exactly one query per element or list
 entry, so batching changes the wall time of a run, never its query
-count.  `adj_many`, `out_lists` and `walk_step_many` also take a
-multiplicity `times`: element j then stands for times[j] equal queries
-(or lists, or steps), answered once and charged times[j] times, so a
-caller that asks a repeated query once still pays for every repeat.
+count.  `adj_many` and `walk_step_many` also take a multiplicity
+`times`: element j then stands for times[j] equal queries (or steps),
+answered once and charged times[j] times, so a caller that asks a
+repeated query once still pays for every repeat.
 `out_step_many(vs, u)`, OUT at floor(u * d_out(v)) for uniforms u,
 charges one OUT each; `walk_step_many`, a DEG-OUT batch and then that
 batch, flags the steps that settle (d_out(v) = 1 and OUT(v, 0) = v) and
@@ -44,9 +44,7 @@ s', a node with an out-edge to every other one (None on a plain
 handle), and charges by one rule in scalar calls, batches and walk
 steps alike: queries about s' are free (its degrees, IN and IN-SORTED
 entries equal to s', ADJ pairs with s'), and each OUT(s', .) query is
-one JUMP over the other nodes, drawn in element order.  So an
-OUT(s', .) answer is never shared: `out_lists` raises ValueError for
-an s' list with a multiplicity other than 1.
+one JUMP over the other nodes, drawn in element order.
 
 A handle is single-owner (mutable counters + PRNG); concurrent trials
 each create their own handle over the shared immutable graph.
@@ -325,22 +323,17 @@ class OracleHandle:
         self.stats.deg_out += self._paid(vs)
         return self.graph.out_deg[vs]
 
-    def out_lists(self, vs, times=None):
+    def out_lists(self, vs):
         """Each node v = vs[j]'s whole OUT list, list after list, and the
-        list lengths: d_out(v) OUT queries, times[j] times if given (see
-        _multiplicity).  OUT(s', .) answers are JUMP draws in element order,
-        never shared: ValueError for an s' list with times[j] != 1, and
-        CapabilityDisabled for one without JUMP, before any charge or draw."""
+        list lengths: d_out(v) OUT queries.  OUT(s', .) answers are JUMP
+        draws in element order: CapabilityDisabled for an s' list without
+        JUMP, before any charge or draw."""
         vs = self._nodes("out_lists", vs)
-        times = _multiplicity("out_lists", times, vs.size)
         virt = vs == self.virtual  # all False on a plain handle
-        if virt.any():
-            if times is not None and np.any(times[virt] != 1):
-                raise ValueError("OUT(s', .) answers are JUMP draws: times must be 1")
-            if not self.caps.jump:
-                raise CapabilityDisabled("JUMP is not enabled")
+        if virt.any() and not self.caps.jump:
+            raise CapabilityDisabled("JUMP is not enabled")
         idx, lens = csr_entries(self.graph.out_ptr, vs)
-        self.stats.out_q += self._paid(vs, times=lens if times is None else lens * times)
+        self.stats.out_q += self._paid(vs, times=lens)
         out = self.graph.out_nbrs[idx]
         if virt.any():
             out[virt.repeat(lens)] = self._draw(self.virtual, lens[virt].sum())

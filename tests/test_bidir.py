@@ -223,6 +223,14 @@ class TestDeriveParams:
         with pytest.raises(ConstraintViolation, match="sample_ratio"):
             derive_params(A, 1e-3, 0.1, 0.1, 10 ** 4, c_tau=2.0)
 
+    @pytest.mark.parametrize("eps,c_gamma", [(1e-300, 1.0), (0.2, 1e-320)])
+    def test_gamma_underflow_named(self, eps, c_gamma):
+        # gamma used to underflow to 0.0 and end in NewAlgoParams's bare
+        # ValueError "gamma=0.0 outside (0,1]"
+        with pytest.raises(ConstraintViolation,
+                           match=r"^gamma underflows to 0\.0 "):
+            derive_params(A, 0.1, eps, 0.1, 100, c_gamma=c_gamma)
+
     def test_unknown_multiplier_named(self):
         with pytest.raises(TypeError, match=r"\['c_walks'\]"):
             derive_params(A, 0.1, 0.2, 0.1, 100, c_ns=2.0, c_walks=1.0)

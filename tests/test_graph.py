@@ -266,10 +266,10 @@ class CountingProxy:
     def deg_out_many(self, vs):
         return self._count_many(self.inner.deg_out_many, vs)
 
-    # a whole out-list is d_out OUT calls, times[j] times for list j
-    def out_lists(self, vs, times=None):
-        out, lens = self.inner.out_lists(vs, times)
-        self.calls += int(np.sum(lens if times is None else lens * times))
+    # a whole out-list is d_out OUT calls
+    def out_lists(self, vs):
+        out, lens = self.inner.out_lists(vs)
+        self.calls += int(np.sum(lens))
         return out, lens
 
     def adj_many(self, us, vs, times=None):
@@ -340,9 +340,9 @@ class TestAccountingCompleteness:
         assert inner.stats.total == proxy.calls > 0
 
     def test_new_algorithm_accounting_with_heavy_set(self, rng, monkeypatch):
-        """c_tau = 1e-3 puts pushed nodes in V_P, so R_hat's ADJ batch and
-        light out-list read run once per distinct terminal, charged per
-        occurrence."""
+        """c_tau = 1e-3 puts pushed nodes in V_P, so R_hat's ADJ batch
+        runs once per distinct terminal, charged per occurrence, and its
+        light out-list read once per walk at a light terminal."""
         inner, proxy = self._proxy()
         from pprquery import bidir, derive_params, single_pair_ppr
         states = []
@@ -426,6 +426,42 @@ def test_csr_entries_empty_lists_and_no_nodes():
                                                      [0, 0, 1, 3])
 
 
+# fields of a fuzzed edge-list row: ids in and out of range, huge and
+# negative ints, and tokens that are no int
+_FUZZ_FIELDS = (st.integers(-2, 9).map(str) | st.integers(0, 5).map(str)
+                | st.integers(-2 ** 70, 2 ** 70).map(str)
+                | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+                | st.sampled_from(["0x1", "1.0", "1e3", "+1", "-0", "1_0",
+                                   "x", "\u0663", "0 1", "#"]))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A near-valid edge list: an "n m" header or a variant of it, then a
+    cycle over n nodes, extra (perhaps duplicate) edges and rows of one
+    to three fuzzed fields, in drawn order, with comments and blank
+    lines between them."""
+    n = draw(st.integers(1, 6))
+    rows = [f"{u} {(u + 1) % n}" for u in range(n)]
+    rows += [f"{u} {v}" for u, v in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))]
+    rows += [" ".join(f) for f in draw(st.lists(st.sampled_from(
+        [2, 2, 2, 1, 3]).flatmap(lambda k: st.lists(
+            _FUZZ_FIELDS, min_size=k, max_size=k)), max_size=2))]
+    rows = draw(st.permutations(rows))
+    m = len(rows) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    header = draw(st.sampled_from([f"{n} {m}", f"{n} {m}", f"{n + 1} {m}",
+                                   f"{n}", f"{n} {m} 0", f"{-n} {m}",
+                                   f"{m} {n}", f"{n}.0 {m}",
+                                   f"{n} {m} # header"]))
+    lines = [header]
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "# c", "   "]),
+                               max_size=1)) + [row]
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join(lines) + draw(st.sampled_from(["", sep]))
+
+
 class TestEdgeListIO:
     def test_round_trip(self, tmp_path):
         g = random_graph(5, 25)
@@ -501,6 +537,20 @@ class TestEdgeListIO:
         path.write_text("2 2\n0 1\n0 1\n")
         with pytest.raises(DuplicateEdge):
             load_edge_list(path)
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.binary(max_size=120) | edge_list_texts())
+    def test_fuzzed_file_loads_or_names_its_fault(self, tmp_path, text):
+        """Random bytes and near-valid edge lists: each loads, or raises a
+        GraphError subclass, never another exception."""
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        try:
+            g = load_edge_list(path)
+        except GraphError:
+            return
+        assert g.node_count >= 1 and g.edge_count >= g.node_count
 
 
 def reference_save(g, path):

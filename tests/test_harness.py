@@ -375,6 +375,47 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithm,over,error", [
+        ("monte_carlo", {"eps": 1e-300},
+         r"eps=1e-300, delta=0\.1: inf walks > MAX_WALKS = 268435456"),
+        ("single_pair_ppr", {"eps": 1e-300},
+         r"gamma underflows to 0\.0 \(c_gamma=1\.0, eps=1e-300, L=\d+\)"),
+        ("monte_carlo", {"alpha": 1e-17, "exact_cap": 0},
+         r"alpha=1e-17, count=\d+: \d\.\d+e\+\d+ steps >= 2\^53")],
+        ids=["mc_eps", "single_pair_ppr_eps", "mc_alpha"])
+    def test_tiny_parameter_is_a_usage_error(self, tmp_path, capsys,
+                                             algorithm, over, error):
+        # each used to end in a traceback with exit status 1: eps^2
+        # underflowing in the walk count (ZeroDivisionError) or in gamma
+        # (NewAlgoParams's ValueError), and 2^53 walk steps (ValueError)
+        cfg = tmp_path / "cfg.json"
+        if algorithm == "single_pair_ppr":
+            over = {**over, "capabilities": ["in_sorted", "adj"],
+                    "instance": {"family": "sp_avg", "preset": True,
+                                 "n": 16, "m": 64}}
+        cfg.write_text(tiny_config(algorithm=algorithm, **over).to_json())
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"(?s).*\npprquery: error: {error}\n", err)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_light_super_source_runs_every_trial(self, tmp_path, capsys):
+        # s' is light here (d_out < 2|V_P|), and its JUMP-drawn out-list
+        # can miss every light node: the run used to end in IndexError
+        # "no light out-neighbor to sample"; that list is read again
+        g = tmp_path / "f.txt"
+        cli.main(["generate", "--family", "folklore_pair", "--n", "2",
+                  "--m", "4", "--delta", "0.1", "--preset", "--out", str(g)])
+        results = run_experiment(ExperimentConfig(
+            algorithm="sn_avg_full", instance={"file": str(g), "t": 3},
+            capabilities=["jump", "in_sorted", "adj"],
+            multipliers={"c_tau": 0.001}, trials=20))
+        assert len(results) == 20 and all(r.success for r in results)
+
     def test_generate_unknown_family_is_a_usage_error(self, tmp_path, capsys):
         # it used to print a RegimeUndefined traceback
         with pytest.raises(SystemExit) as exc:

@@ -41,7 +41,7 @@ from pprquery.classic import (_lockstep, _push_walk_estimates,
 from pprquery.graph import NodeIdOutOfRange
 from pprquery.oracle import (QUERY_KINDS, Capabilities, CapabilityDisabled,
                              IndexOutOfRange, OracleHandle)
-from pprquery.single_node import SuperSourceView
+from pprquery.single_node import SuperSourceView, single_node_avg_jump
 
 from conftest import chi_num, out_list, random_graph, seed_term
 
@@ -77,8 +77,31 @@ def reference_push_walk_estimates(o, sources, alpha, rng, n_w, p, r):
     return est
 
 
-def reference_estimate_R_hat(o, state, u_k, params, rng):
-    """The per-terminal scorer the batch engine replaced."""
+def light_lists(o, us, heavy):
+    """The light entries (off V_P) of each node's out-list: every list
+    read in order, d_out OUT queries each and no DEG-OUT, then each list
+    with no light entry read again, in order, until none is empty (only
+    a view's s' list, whose entries are JUMP draws, can be)."""
+    lists, todo = [[] for _ in us], list(range(len(us)))
+    while todo:
+        for j in todo:
+            d = int(o.graph.out_deg[us[j]])  # unmetered, as in out_lists
+            lists[j] = [v for v in (o.out_nbr(us[j], i) for i in range(d))
+                        if v not in heavy]
+        todo = [j for j in todo if not lists[j]]
+    return lists
+
+
+def is_light(g, u, heavy):
+    """Whether u samples from its light out-list (unmetered): a pool off
+    V_P and d_out(u) < 2|V_P|."""
+    d = int(g.out_deg[u])
+    return d < 2 * len(heavy) and d > len(heavy & set(out_list(g, u)))
+
+
+def reference_estimate_R_hat(o, state, u_k, params, rng, light):
+    """The per-terminal scorer the batch engine replaced; a light u_k
+    takes the next list of the iterator `light`."""
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
     du = o.deg_out(u_k)
@@ -101,13 +124,11 @@ def reference_estimate_R_hat(o, state, u_k, params, rng):
                     if v not in heavy:
                         break
                 else:
-                    cand = [o.out_nbr(u_k, j) for j in range(du)]
-                    cand = [v for v in cand if v not in heavy]
+                    (cand,) = light_lists(o, [u_k], heavy)
                     v = cand[int(rng.random() * len(cand))]
                 acc += chi_num(state, u_k, v)
         else:
-            cand = [o.out_nbr(u_k, j) for j in range(du)]
-            cand = [v for v in cand if v not in heavy]
+            cand = next(light)
             for _ in range(n_s):
                 acc += chi_num(state, u_k, cand[int(rng.random() * len(cand))])
         num += acc * pool / n_s
@@ -115,36 +136,33 @@ def reference_estimate_R_hat(o, state, u_k, params, rng):
 
 
 def reference_rounds_R_hat(o, state, terminals, params, rng):
-    """The batch engine's draw order as scalar loops.  Per block of
-    terminals: DEG-OUT and ADJ over V_P of each terminal, one uniform per
-    sample in terminal order, the out-list of each light terminal
-    (d_out < 2|V_P|), then up to 64 rounds with one OUT query per open
+    """The batch engine's draw order as scalar loops.  Once per call:
+    DEG-OUT and ADJ over V_P of each terminal, then the light out-lists
+    (light_lists) of the walks at a light terminal (d_out < 2|V_P|), in
+    walk order.  Per block of terminals: one uniform per sample in
+    terminal order, then up to 64 rounds with one OUT query per open
     sample, which uses the sample's uniform in round 1 and a fresh one
-    after; each sample still open then reads its terminal's out-list and
-    draws one more uniform."""
+    after; the samples still open then read their terminals' light
+    out-lists (light_lists) and draw one more uniform each."""
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
     n_s, heavy = params.n_s, state.heavy
-
-    def light_nbrs(u, du):
-        return [v for v in (o.out_nbr(u, j) for j in range(du))
-                if v not in heavy]
-
+    du = [o.deg_out(u) for u in terminals]
+    nbrs = [[v for v in sorted(heavy) if o.adj(u, v)] for u in terminals]
+    pool = [d - len(h) for d, h in zip(du, nbrs)]
+    lo = [j for j, d in enumerate(du) if pool[j] > 0 and d < 2 * len(heavy)]
+    cands = dict(zip(lo, light_lists(o, [terminals[j] for j in lo], heavy)))
     out = []
     step = max(1, bidir._BLOCK_SAMPLES // n_s)
     for a in range(0, len(terminals), step):
-        block = terminals[a:a + step]
-        du = [o.deg_out(u) for u in block]
-        nbrs = [[v for v in sorted(state.heavy) if o.adj(u, v)] for u in block]
-        pool = [d - len(h) for d, h in zip(du, nbrs)]
-        sampling = [j for j in range(len(block)) if pool[j] > 0]
+        block = range(a, min(a + step, len(terminals)))
+        sampling = [j for j in block if pool[j] > 0]
         r = iter([rng.random() for _ in range(n_s * len(sampling))])
         nodes, first = {}, {}
         for j in sampling:
-            if du[j] < 2 * len(heavy):
-                cand = light_nbrs(block[j], du[j])
+            if j in cands:
                 for q in range(n_s):
-                    nodes[j, q] = cand[int(next(r) * len(cand))]
+                    nodes[j, q] = cands[j][int(next(r) * len(cands[j]))]
             else:
                 for q in range(n_s):
                     first[j, q] = next(r)
@@ -153,14 +171,15 @@ def reference_rounds_R_hat(o, state, terminals, params, rng):
             still = []
             for j, q in open_:
                 x = first[j, q] if rnd == 0 else rng.random()
-                nodes[j, q] = o.out_nbr(block[j], int(x * du[j]))
+                nodes[j, q] = o.out_nbr(terminals[j], int(x * du[j]))
                 if nodes[j, q] in heavy:
                     still.append((j, q))
             open_ = still
-        for j, q in open_:
-            cand = light_nbrs(block[j], du[j])
+        lists = light_lists(o, [terminals[j] for j, _ in open_], heavy)
+        for (j, q), cand in zip(open_, lists):
             nodes[j, q] = cand[int(rng.random() * len(cand))]
-        for j, u in enumerate(block):
+        for j in block:
+            u = terminals[j]
             num = 0.0
             for v in nbrs[j]:
                 num += chi_num(state, u, v)
@@ -174,7 +193,11 @@ def reference_rounds_R_hat(o, state, terminals, params, rng):
 
 
 def per_terminal_R_hat(o, state, terminals, params, rng):
-    return [reference_estimate_R_hat(o, state, u, params, rng)
+    """The per-terminal scorer over `terminals`, with the light lists of
+    the call read up front, as the engine reads them."""
+    light = [u for u in terminals if is_light(o.graph, u, state.heavy)]
+    lists = iter(light_lists(o, light, state.heavy))
+    return [reference_estimate_R_hat(o, state, u, params, rng, lists)
             for u in terminals]
 
 
@@ -240,22 +263,17 @@ def test_batch_matches_scalar_queries(view, data):
 @given(data=st.data())
 def test_batch_multiplicity_charges_each_repeat(view, data):
     """Element j with times[j] answers once and charges as times[j] equal
-    scalar queries; an OUT(s', .) element, a JUMP draw, has times 1."""
+    scalar queries."""
     g, vs, _ = data.draw(node_batches(view))
     a, b = twin_oracles(g, view)
-    times = [1 if v == a.virtual else data.draw(st.integers(1, 4))
-             for v in vs]
+    times = [data.draw(st.integers(1, 4)) for _ in vs]
     ws = data.draw(st.lists(st.integers(0, a.node_count - 1),
                             min_size=len(vs), max_size=len(vs)))
-    want_nbr, want_adj = [], []
+    want_adj = []
     for v, w, k in zip(vs, ws, times):
-        d = int(a.graph.out_deg[v])  # unmetered: out_lists asks no DEG-OUT
-        want_nbr += [[a.out_nbr(v, i) for i in range(d)] for _ in range(k)][-1]
         want_adj += [a.adj(v, w) for _ in range(k)][-1:]
     times = np.array(times, dtype=np.int64)
-    got_nbr, _ = b.out_lists(vs, times)
     assert b.adj_many(vs, ws, times).tolist() == want_adj
-    assert got_nbr.tolist() == want_nbr
     assert a.stats.as_dict() == b.stats.as_dict()
     assert jump_state(a) == jump_state(b)
 
@@ -266,12 +284,7 @@ def test_bad_multiplicity_raises_before_any_charge(view):
     before, jumps = o.stats.as_dict(), jump_state(o)
     for times in ([1], [1, 0], [2, -1], [1.0, 2.0], [True, True], [[1, 1]]):
         with pytest.raises(ValueError, match="times"):
-            o.out_lists([0, 1], times)
-        with pytest.raises(ValueError, match="times"):
             o.adj_many([0, 1], [1, 0], times)
-    if view:  # an OUT(s', .) answer is a JUMP draw: never shared
-        with pytest.raises(ValueError, match="JUMP"):
-            o.out_lists([0, o.virtual], [1, 2])
     assert o.stats.as_dict() == before and jump_state(o) == jumps
 
 
@@ -279,7 +292,7 @@ def test_bad_multiplicity_raises_before_any_charge(view):
 # of the wrong length, then ids that are no node
 MALFORMED = [
     ("adj_many", lambda n: ([1, 2, 3], [5, 6]), ValueError),
-    ("out_lists", lambda n: ([1, 2, 3], [1, 1]), ValueError),
+    ("walk_step_many", lambda n: ([1, 2], [0.5, 0.5], [1]), ValueError),
     ("out_step_many", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
     ("walk_step_many", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
     ("in_scans", lambda n: ([1, 2, 3], [0.5, 0.5]), ValueError),
@@ -301,8 +314,9 @@ MALFORMED = [
     ("deg_out_many", lambda n: ([True, False],), NodeIdOutOfRange),
     ("out_lists", lambda n: ([1.0],), NodeIdOutOfRange),
     ("out_lists", lambda n: ([True],), NodeIdOutOfRange),
-    ("out_lists", lambda n: ([1], [0.9]), ValueError),
-    ("out_lists", lambda n: ([1, 2], [True, False]), ValueError),
+    ("adj_many", lambda n: ([1], [0], [0.9]), ValueError),
+    ("walk_step_many", lambda n: ([1, 2], [0.5, 0.5], [True, False]),
+     ValueError),
     ("adj_many", lambda n: ([1.5, 2], [0, 1]), NodeIdOutOfRange),
     ("adj_many", lambda n: ([1, 2], [0.0, 1.0]), NodeIdOutOfRange),
     ("adj_many", lambda n: ([1, 2], 1.0), NodeIdOutOfRange),
@@ -1021,8 +1035,8 @@ def test_draw_moves_keeps_numpys_int64_clamp(alpha):
 def test_tiny_alpha_fails_as_geometric_draws_do(alpha, count, error,
                                                 monkeypatch):
     """Walks clamped at INT64_MAX moves take 2^53 steps or more, which
-    the step count's float64 sum holds inexactly: a ValueError naming
-    alpha, count and the step total, before any query or uniform draw,
+    the step count's float64 sum holds inexactly: WalkBudgetExceeded, a
+    ValueError, naming alpha, count and the step total, before any query or uniform draw,
     where the int64 sum would wrap; at the smallest alpha too, whose
     divide overflows to -inf, with RuntimeWarnings raised as errors.
     Walks of about 1e12 moves fail, as the allocating geometric draw
@@ -1038,7 +1052,8 @@ def test_tiny_alpha_fails_as_geometric_draws_do(alpha, count, error,
         monkeypatch.setattr(classic, "_draw_moves", draw)
         o = OracleHandle(random_graph(3, 20), seed=0)
         rng = np.random.default_rng(5)
-        with pytest.raises(error, match=match):
+        with pytest.raises(classic.WalkBudgetExceeded if named else error,
+                           match=match):
             _walk_terminals(o, [3], alpha, rng, count)
         assert o.stats.total == 0
         if named:  # the moves, and no uniform, were drawn
@@ -1051,7 +1066,7 @@ def test_tiny_alpha_fails_as_geometric_draws_do(alpha, count, error,
 def test_tiny_alpha_guard_counts_the_whole_batch():
     """The 2^53 guard reads the steps of every walk of the batch: two
     walks of fewer than 2^53 moves each, 2^53 or more together, raise
-    the named ValueError with the batch total, after the moves fill and
+    WalkBudgetExceeded with the batch total, after the moves fill and
     before any uniform draw or query."""
     alpha = 2.0 ** -53
     want = np.random.default_rng(10)
@@ -1061,7 +1076,7 @@ def test_tiny_alpha_guard_counts_the_whole_batch():
     o = OracleHandle(random_graph(3, 20), seed=0)
     rng = np.random.default_rng(10)
     match = re.escape(f"alpha={alpha!r}, count=1: {total:.4g} steps >= 2^53")
-    with pytest.raises(ValueError, match=f"^{match}$"):
+    with pytest.raises(classic.WalkBudgetExceeded, match=f"^{match}$"):
         _walk_terminals(o, [3, 5], alpha, rng, 1)
     assert o.stats.total == 0
     assert rng.bit_generator.state == want.bit_generator.state
@@ -1191,6 +1206,34 @@ def test_walk_count_names_bad_parameter(name, bad):
         mc_walk_count(**kw)
 
 
+@pytest.mark.parametrize("eps", [1e-300, 1e-160])
+def test_walk_count_overflow_is_walk_budget(eps):
+    """eps^2 underflows to 0.0 at eps = 1e-300 and the count overflows to
+    inf at 1e-160: mc_walk_count used to raise ZeroDivisionError and
+    OverflowError.  Each estimator that counts its walks with it raises
+    WalkBudgetExceeded before any query or draw."""
+    msg = re.escape(f"eps={eps!r}, delta=0.01: inf walks > MAX_WALKS = {2**28}")
+    with pytest.raises(classic.WalkBudgetExceeded, match=f"^{msg}$"):
+        mc_walk_count(0.01, eps, 0.1)
+    g = random_graph(3, 20)
+    runs = [
+        lambda o, rng: monte_carlo_pair(o, 3, 5, 0.2, 0.01, eps, 0.1, rng),
+        lambda o, rng: classic.bippr_pair(o, 3, 5, 0.2, 0.01, eps, 0.1, 0.5,
+                                          rng),
+        lambda o, rng: single_target_jump_mc(o, 5, 0.2, 0.01, eps, 0.1, rng),
+        lambda o, rng: single_target_bidir_jump(o, 5, 0.2, 0.01, eps, 0.1,
+                                                rng),
+        lambda o, rng: single_node_avg_jump(o, 5, 0.2, eps, 0.1, rng)]
+    for run in runs:
+        o = OracleHandle(g, Capabilities.all(), seed=0)
+        rng = np.random.default_rng(5)
+        state, jumps = rng.bit_generator.state, jump_state(o)
+        with pytest.raises(classic.WalkBudgetExceeded, match="inf walks"):
+            run(o, rng)
+        assert o.stats.total == 0
+        assert rng.bit_generator.state == state and jump_state(o) == jumps
+
+
 # -- ADJ batches ------------------------------------------------------------
 
 @pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
@@ -1252,12 +1295,7 @@ def assert_scores_match(g, view, t, terminals, seed, rng_a=None, rng_b=None,
     state = backward_phase(o, t, params, np.random.default_rng(seed))
     ra = rng_a or np.random.default_rng(seed)
     rb = rng_b or np.random.default_rng(seed)
-    try:
-        want = reference(a, state, terminals, params, ra)
-    except IndexError:  # a view's light pool drew no light JUMP
-        with pytest.raises(IndexError):
-            estimate_R_hat(b, state, terminals, params, rb)
-        return state
+    want = reference(a, state, terminals, params, ra)
     got = estimate_R_hat(b, state, np.array(terminals, dtype=np.int64),
                          params, rb)
     assert got.dtype == np.float64
@@ -1397,10 +1435,11 @@ def test_terminal_queries_once_per_call(monkeypatch):
 
 
 def test_fixed_terminal_work_once_per_distinct_terminal(monkeypatch):
-    """A call's ADJ batch holds each distinct terminal x V_P once, and its
-    light out-list read each distinct light terminal once, but a light
-    s' at every occurrence (OUT(s', .) answers are JUMP draws); the
-    charges stay per occurrence, as in the round order."""
+    """A call's ADJ batch holds each distinct terminal x V_P once, the
+    charges staying per occurrence, as in the round order; its light
+    out-list read holds every walk at a light terminal, s' included, in
+    walk order, and its re-reads only s' lists that held no light
+    entry."""
     pairs, reads, sampling = [], [], []
 
     def adj_spy(self, us, vs, *rest, _real=OracleHandle.adj_many):
@@ -1409,7 +1448,7 @@ def test_fixed_terminal_work_once_per_distinct_terminal(monkeypatch):
 
     def light_spy(o, vs, *rest, _real=bidir._light_out):
         if not sampling:  # the per-call read, not a fallback after 64 tries
-            reads.extend(vs.tolist())
+            reads.append(vs.tolist())
         return _real(o, vs, *rest)
 
     sample_block = bidir._sample_block
@@ -1417,7 +1456,7 @@ def test_fixed_terminal_work_once_per_distinct_terminal(monkeypatch):
     monkeypatch.setattr(bidir, "_light_out", light_spy)
     monkeypatch.setattr(bidir, "_sample_block",
                         lambda *a: sampling.append(1) or sample_block(*a))
-    light_virtual = 0
+    light_virtual = rereads = 0
     for gseed, n, d, view, mult, _ in SCORING_CASES:
         g = random_graph(gseed, n, d=d)
         terminals = scoring_case_terminals(g, gseed, view)
@@ -1429,17 +1468,33 @@ def test_fixed_terminal_work_once_per_distinct_terminal(monkeypatch):
         heavy = sorted(state.heavy)
         distinct = list(dict.fromkeys(terminals))
         assert sorted(pairs) == sorted((u, v) for u in distinct for v in heavy)
+        light = [u for u in terminals if is_light(o.graph, u, state.heavy)]
+        assert reads[:1] == ([light] if heavy else [])  # V_P empty: none
+        assert all(u == o.virtual for r in reads[1:] for u in r)
+        light_virtual += o.virtual in light
+        rereads += len(reads) > 1
+    assert light_virtual and rereads  # some case reads s', and again
 
-        def light(u):
-            du = o.deg_out(u)
-            return du < 2 * len(heavy) and du > sum(o.adj(u, v) for v in heavy)
 
-        want = [u for u in distinct if u != o.virtual and light(u)]
-        if view and light(o.virtual):
-            want += [u for u in terminals if u == o.virtual]
-            light_virtual += 1
-        assert sorted(reads) == sorted(want)
-    assert light_virtual  # some case reads s' once per occurrence
+def test_light_out_rereads_empty_lists_in_order():
+    """_light_out reads every list once, in order, then each list with no
+    light entry again, in order, until none is empty: the same lists,
+    QueryStats and JUMP state as light_lists on a twin.  With 2 light
+    nodes of 10, about one s' list in 9 misses both, so several of the
+    65 s' lists are read again."""
+    g = random_graph(4, 10, d=2)
+    a, b = twin_oracles(g, True)
+    heavy = frozenset(range(2, 10))
+    is_heavy = np.zeros(a.node_count, dtype=bool)
+    is_heavy[list(heavy)] = True
+    real = [u for u in range(10) if {0, 1} & set(out_list(g, u))]
+    vs = [a.virtual] * 60 + real + [a.virtual] * 5 + real[::-1]
+    want = light_lists(a, vs, heavy)
+    cand, clen, start = bidir._light_out(b, np.array(vs), is_heavy)
+    assert [cand[x:x + c].tolist() for x, c in zip(start, clen)] == want
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert jump_state(a) == jump_state(b)
+    assert b.stats.jump >= 10 * (65 + 3)  # at least three lists read again
 
 
 def test_scores_unchanged_after_larger_and_smaller_calls(monkeypatch):
