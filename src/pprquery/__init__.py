@@ -3,7 +3,7 @@ adjacency-list query model."""
 
 from .graph import (DirectedGraph, build_graph, load_edge_list,
                     save_edge_list, DanglingNode, DuplicateEdge,
-                    NodeIdOutOfRange, GraphError)
+                    NodeIdOutOfRange, GraphError, PprqueryError)
 from .oracle import (OracleHandle, Capabilities, QueryStats,
                      CapabilityDisabled, IndexOutOfRange)
 from .exact import (exact_single_source, exact_single_target,

@@ -37,15 +37,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classic import (_merge, _scratch_array, _walk_terminals, check_counts,
-                      check_params)
-from .graph import check_nodes
+from .classic import (MAX_WALKS, WalkBudgetExceeded, _merge, _scratch_array,
+                      _walk_terminals, check_counts, check_params)
+from .graph import PprqueryError, check_nodes
 from .oracle import CapabilityDisabled
 
 log = logging.getLogger(__name__)
 
 
-class ConstraintViolation(ValueError):
+class ConstraintViolation(PprqueryError):
     pass
 
 
@@ -98,6 +98,7 @@ def verify_constraints(params, n):
 
 # derive_params's multipliers, each 1.0 unless given
 MULTIPLIERS = ("c_theta", "c_L", "c_gamma", "c_nr", "c_ns", "c_tau")
+MAX_LEVELS = 2 ** 20  # push levels derive_params may set
 
 
 def derive_params(alpha, delta, eps, p_f, n, **multipliers):
@@ -109,7 +110,8 @@ def derive_params(alpha, delta, eps, p_f, n, **multipliers):
     log(1/p_f)/(eps*delta), n_r*n_s/tau >= log(1/p_f)/(alpha*eps*delta));
     n_s = ceil(c_ns / delta^(1/3)).
     `multipliers` takes any of MULTIPLIERS; another name is a TypeError.
-    ConstraintViolation where gamma underflows to 0.0.
+    Before each count is used: ConstraintViolation for L > MAX_LEVELS or
+    gamma 0.0, WalkBudgetExceeded for n_r * n_s > MAX_WALKS (each >= 1).
     """
     c = {k: multipliers.pop(k, 1.0) for k in MULTIPLIERS}
     if multipliers:
@@ -117,16 +119,23 @@ def derive_params(alpha, delta, eps, p_f, n, **multipliers):
     check_params(alpha=alpha, delta=delta, eps=eps, p_f=p_f, **c)
     check_counts(n=n)
     theta = c["c_theta"] * delta ** (2.0 / 3.0)
-    L = 1 if theta >= 1.0 else max(1, math.ceil(c["c_L"] * math.log(1.0 / theta) / alpha))
+    levels = 1.0 if theta >= 1.0 else c["c_L"] * math.log(1.0 / theta) / alpha
+    if levels > MAX_LEVELS:  # gamma divides by L^2
+        raise ConstraintViolation(f"L={levels:.4g} > MAX_LEVELS = {MAX_LEVELS}")
+    L = max(1, math.ceil(levels))
     lg = math.log(max(n * L, 2))
     gamma = min(1.0, c["c_gamma"] * eps * eps / (L * L * lg))
     if gamma == 0.0:  # verify_constraints divides by it
         raise ConstraintViolation(f"gamma underflows to 0.0 (c_gamma="
                                   f"{c['c_gamma']!r}, eps={eps!r}, L={L})")
     log_pf = math.log(1.0 / p_f)
+    den = eps * delta
     # theta added level by level: (L + 1) * theta rounds n_r differently
-    n_r = max(1, math.ceil(c["c_nr"] * sum((theta,) * (L + 1)) * log_pf / (eps * delta)))
-    n_s = max(1, math.ceil(c["c_ns"] / delta ** (1.0 / 3.0)))
+    n_r = c["c_nr"] * sum((theta,) * (L + 1)) * log_pf / den if den else math.inf
+    n_s = c["c_ns"] / delta ** (1.0 / 3.0)
+    if max(n_r, 1.0) * max(n_s, 1.0) > MAX_WALKS:
+        raise WalkBudgetExceeded(f"n_r={n_r:.4g} x n_s={n_s:.4g} > MAX_WALKS")
+    n_r, n_s = max(1, math.ceil(n_r)), max(1, math.ceil(n_s))
     tau = c["c_tau"] * n_r * n_s * alpha * eps * delta / log_pf
     params = NewAlgoParams(
         alpha=alpha, delta=delta, eps=eps, p_f=p_f, theta=theta, gamma=gamma,

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import check_nodes, positions
+from .graph import PprqueryError, check_nodes, positions
 
 DEFAULT_WALK_MULT = 16.0
 MAX_WALKS = 2 ** 28  # per walk batch: 2 GiB of int64 moves, drawn up front
@@ -50,12 +50,12 @@ _RANGES = {"alpha": (1.0, False), "eps": (1.0, False), "p_f": (1.0, False),
            "tau": (math.inf, True)}
 
 
-class WalkBudgetExceeded(ValueError):
+class WalkBudgetExceeded(PprqueryError):
     """A walk count past float range, or a batch past MAX_WALKS walks or 2^53 steps."""
 
 
 def check_params(**named):
-    """Raise ValueError naming the first value outside its range: alpha,
+    """Raise PprqueryError naming the first value outside its range: alpha,
     eps, p_f and tol in (0,1), delta and gamma in (0,1], tau in (0,inf]
     (inf leaves V_P empty), any other name (a multiplier, r_max or
     theta) in (0,inf).  bool and non-numbers are rejected.  Every
@@ -64,15 +64,15 @@ def check_params(**named):
         hi, closed = _RANGES.get(name, (math.inf, False))
         if (isinstance(val, bool) or not isinstance(val, numbers.Real)
                 or not (0.0 < val <= hi if closed else 0.0 < val < hi)):
-            raise ValueError(f"{name}={val!r} outside "
-                             f"(0,{hi:g}{']' if closed else ')'}")
+            raise PprqueryError(f"{name}={val!r} outside "
+                                f"(0,{hi:g}{']' if closed else ')'}")
 
 
 def check_counts(**named):
-    """Raise ValueError naming the first value that is not an integer >= 1."""
+    """Raise PprqueryError naming the first value that is not an integer >= 1."""
     for name, val in named.items():
         if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
-            raise ValueError(f"{name}={val!r} must be an integer >= 1")
+            raise PprqueryError(f"{name}={val!r} must be an integer >= 1")
 
 
 def _scratch_array(name, size, dtype):

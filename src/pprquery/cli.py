@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: generate (instance -> edge list), exact (oracle vectors),
-run (experiment -> CSV/JSON), fit (log-log scaling slope).
+run (experiment -> CSV/JSON), fit (log-log scaling slope).  Bad input,
+any PprqueryError, exits 2 with one error line; other errors are bugs.
 """
 
 from __future__ import annotations
@@ -10,15 +11,11 @@ import argparse
 import json
 import sys
 
-from .bidir import ConstraintViolation
-from .classic import WalkBudgetExceeded
-from .graph import save_edge_list
+from .graph import PprqueryError, save_edge_list
 from .exact import exact_single_source, exact_single_target, exact_pagerank, dump_csv
-from .harness import (CapabilityMismatch, ConfigError, ExperimentConfig,
-                      InstanceLoadError, load_instance_file, run_experiment,
+from .harness import (ExperimentConfig, load_instance_file, run_experiment,
                       emit, read_results, fit_scaling)
-from .instances import (FAMILIES, InstanceSpec, RegimeUndefined,
-                        SpecConstraintViolation, generate, parameter_presets)
+from .instances import FAMILIES, InstanceSpec, generate, parameter_presets
 
 # the spec fields `generate --preset` sets from the family's regime
 _PRESET_FIELDS = ("L", "D", "D2", "variant")
@@ -79,7 +76,7 @@ def _cmd_run(args):
     return 0
 
 
-class FitError(ValueError):
+class FitError(PprqueryError):
     """Results that `fit` cannot fit: a usage error, as a bad config is."""
 
 
@@ -172,10 +169,8 @@ def main(argv=None):
             g.error(f"--preset sets {', '.join(fixed)} itself")
     try:
         return args.func(args)
-    except (ConfigError, CapabilityMismatch, InstanceLoadError, FitError,
-            SpecConstraintViolation, RegimeUndefined, ConstraintViolation,
-            WalkBudgetExceeded) as e:
-        p.error(str(e))  # a bad config or spec is a usage error: exit 2
+    except PprqueryError as e:
+        p.error(str(e))  # bad input the package names is a usage error: exit 2
 
 
 if __name__ == "__main__":

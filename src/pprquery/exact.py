@@ -23,11 +23,13 @@ import math
 import numpy as np
 
 from .classic import check_params
-from .graph import check_nodes, csr_entries
+from .graph import PprqueryError, check_nodes, csr_entries
+
+MAX_DEPTH = 10 ** 6  # iterations of a fixed-point solve
 
 
-class ExplosionGuard(ValueError):
-    """brute_force_pair only accepts tiny graphs (dense matrix powers)."""
+class ExplosionGuard(PprqueryError):
+    """brute_force_pair past 64 nodes, or a solve past MAX_DEPTH steps."""
 
 
 def _reach(ptr, nbrs, root, depth):
@@ -71,8 +73,12 @@ def _propagate(g, init, alpha, tol, backward):
     n = g.node_count
     if init is not None:
         check_nodes(n, anchor=init)
-    # K = smallest count with (1-alpha)^(K+1) <= tol
-    K = math.ceil(math.log(tol) / math.log(1.0 - alpha))
+    # K = smallest count with (1-alpha)^(K+1) <= tol; none below alpha 2^-53
+    decay = math.log(1.0 - alpha)
+    K = math.ceil(math.log(tol) / decay) if decay else math.inf
+    if K > MAX_DEPTH:
+        raise ExplosionGuard(f"alpha={alpha!r}, tol={tol!r}: {K:.4g} "
+                             f"steps > MAX_DEPTH = {MAX_DEPTH}")
     if init is None:  # every node: its out-list positions are 0..m-1
         nodes, idx, lens = np.arange(n), None, g.out_deg
     else:
@@ -114,8 +120,9 @@ def exact_single_source(g, s, alpha, tol=1e-12):
     tol of the truth.
 
     Raises NodeIdOutOfRange unless s is a node id (exact_single_target
-    likewise for t) and, like every solver here, ValueError for alpha or
-    tol outside (0, 1)."""
+    likewise for t) and, like every solver here, PprqueryError for alpha
+    or tol outside (0, 1) and ExplosionGuard, before any step, past
+    MAX_DEPTH steps (alpha below about 2.8e-5 at the default tol)."""
     return _propagate(g, s, alpha, tol, False)
 
 

@@ -33,7 +33,11 @@ MAX_IDS = 2 ** 31
 _arange = np.arange(0)  # grow-only and read-only: see positions
 
 
-class GraphError(ValueError):
+class PprqueryError(ValueError):
+    """Bad input, named: the CLI reports any subclass as a usage error."""
+
+
+class GraphError(PprqueryError):
     pass
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .graph import GraphError, NodeIdOutOfRange, check_nodes, load_edge_list
+from .graph import NodeIdOutOfRange, PprqueryError, check_nodes, load_edge_list
 from .oracle import OracleHandle, Capabilities, QUERY_KINDS
 from .exact import exact_single_source, exact_pagerank
 from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
@@ -31,19 +31,19 @@ from .single_node import (single_node_adaptive, single_node_avg_jump,
 from .instances import InstanceSpec, generate, parameter_presets
 
 
-class ConfigError(ValueError):
+class ConfigError(PprqueryError):
     """An ExperimentConfig field is unknown or out of range."""
 
 
-class CapabilityMismatch(ValueError):
+class CapabilityMismatch(PprqueryError):
     pass
 
 
-class InstanceLoadError(ValueError):
+class InstanceLoadError(PprqueryError):
     pass
 
 
-class InsufficientPoints(ValueError):
+class InsufficientPoints(PprqueryError):
     pass
 
 
@@ -173,7 +173,7 @@ def load_instance_file(path):
     """load_edge_list, a missing or bad file raised as InstanceLoadError."""
     try:
         return load_edge_list(path)
-    except (OSError, GraphError) as e:
+    except (OSError, PprqueryError) as e:
         raise InstanceLoadError(f"edge list {path}: {e}") from None
 
 

@@ -36,17 +36,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .classic import check_counts, check_params
-from .graph import MAX_IDS, build_graph
+from .graph import MAX_IDS, PprqueryError, build_graph
 
-class SpecConstraintViolation(ValueError):
+class SpecConstraintViolation(PprqueryError):
     pass
 
 
-class NoClosedForm(ValueError):
+class NoClosedForm(PprqueryError):
     pass
 
 
-class RegimeUndefined(ValueError):
+class RegimeUndefined(PprqueryError):
     pass
 
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NodeIdOutOfRange, check_nodes, csr_entries
+from .graph import NodeIdOutOfRange, PprqueryError, check_nodes, csr_entries
 
 QUERY_KINDS = ("deg_in", "deg_out", "in", "out", "in_sorted", "adj", "jump")
 
@@ -71,7 +71,7 @@ class CapabilityDisabled(RuntimeError):
     pass
 
 
-class IndexOutOfRange(ValueError):
+class IndexOutOfRange(PprqueryError):
     pass
 
 

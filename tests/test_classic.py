@@ -485,8 +485,9 @@ class TestRbs:
     def test_unbiased_mean_chain(self):
         reps = 10_000
         vals = np.empty(reps)
+        g = chain_graph()  # immutable: the oracle and RNG stay per rep
         for i in range(reps):
-            o = OracleHandle(chain_graph(), Capabilities(in_sorted=True), seed=i)
+            o = OracleHandle(g, Capabilities(in_sorted=True), seed=i)
             est = rbs_single_target(o, 1, A, 0.1, 0.4,
                                     np.random.default_rng(i), L=25)
             vals[i] = est.get(0, 0.0)

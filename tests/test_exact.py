@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pprquery import (cli, exact_single_source, exact_single_target,
+from pprquery import (exact_single_source, exact_single_target,
                       exact_pagerank, brute_force_pair, build_graph,
-                      save_edge_list, ExplosionGuard, NodeIdOutOfRange)
+                      ExplosionGuard, NodeIdOutOfRange)
 from pprquery import graph
 from pprquery.exact import _reach
 from conftest import (chain_graph, star_graph, cycle_graph, singleton_graph,
@@ -146,14 +146,6 @@ class TestBadInput:
                       lambda: exact_pagerank(g, ALPHA, tol)):
             with pytest.raises(ValueError, match="tol"):
                 solve()
-
-    def test_cli_negative_node(self, tmp_path):
-        edge = tmp_path / "g.txt"
-        save_edge_list(star_graph(), edge)
-        with pytest.raises(NodeIdOutOfRange, match="anchor=-1 "):
-            cli.main(["exact", "--graph", str(edge), "--mode", "source",
-                      "--node", "-1", "--out", str(tmp_path / "v.csv")])
-        assert not (tmp_path / "v.csv").exists()
 
 
 def reference_propagate(g, init, alpha, tol, backward):

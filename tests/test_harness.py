@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -11,9 +13,10 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               CapabilityMismatch, ConfigError,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
-from pprquery import (OracleHandle, bidir, cli, generate, harness,
-                      save_edge_list, load_edge_list, exact_single_target,
-                      exact_pagerank)
+import pprquery
+from pprquery import (FAMILIES, OracleHandle, PprqueryError, bidir, cli,
+                      generate, harness, save_edge_list, load_edge_list,
+                      exact_single_target, exact_pagerank)
 from conftest import chain_graph, mean_queries_by_cell
 
 
@@ -47,8 +50,15 @@ class TestRunExperiment:
             assert r_old.estimate == r_new.estimate
             assert r_old.queries == r_new.queries
 
-    def test_threads_match_sequential(self):
-        cfg = tiny_config(deltas=[0.1, 0.05, 0.02], trials=2)
+    @pytest.mark.parametrize("algorithm,caps", [
+        ("monte_carlo", []), ("st_jump_mc", ["jump"]),
+        ("st_bidir_jump", ["jump"])], ids=["monte_carlo", "st_jump_mc",
+                                           "st_bidir_jump"])
+    def test_threads_match_sequential(self, algorithm, caps):
+        # the JUMP solvers' walks from every covered source are one
+        # multi-source batch
+        cfg = tiny_config(algorithm=algorithm, capabilities=caps,
+                          deltas=[0.1, 0.05, 0.02], trials=2)
         seq = run_experiment(cfg, threads=1)
         par = run_experiment(cfg, threads=3)
         assert [(r.cell, r.trial, r.estimate, r.queries) for r in seq] == \
@@ -188,6 +198,143 @@ class TestFitScaling:
             fit_scaling(xs, ys)
 
 
+# four monte_carlo cells and three bippr cells, all at alpha 0.2
+FIT_ROWS = "algorithm,cell,delta,alpha,q_total\n" + "".join(
+    f"{alg},{cell},{delta},0.2,{int(1 / delta)}\n" for alg, cell, delta in
+    [*(("monte_carlo", i, d) for i, d in enumerate([0.2, 0.1, 0.05, 0.02])),
+     *(("bippr", 4 + i, d) for i, d in enumerate([0.2, 0.1, 0.05]))])
+
+
+def _error(message, verb=""):
+    """A usage error line with a literal message."""
+    return re.escape(f"pprquery{verb}: error: {message}")
+
+
+def _run(over, message, files=None):
+    """A run of tiny_config(**over) that must fail with `message`."""
+    return ({"cfg.json": tiny_config(**over).to_json(), **(files or {})},
+            ["run", "--config", "cfg.json", "--out", "t.csv"], message)
+
+
+# single_pair_ppr on the sp_avg n=16, m=64 preset
+SP = dict(algorithm="single_pair_ppr", capabilities=["in_sorted", "adj"],
+          instance={"family": "sp_avg", "preset": True, "n": 16, "m": 64})
+BAD_EDGES = {"bad.txt": "3 2\n0 1\n1 0\n"}  # node 2 has no out-edge
+BAD_EDGES_ERROR = _error("edge list bad.txt: header n=3 exceeds m=2 in "
+                         "bad.txt: some node has out-degree 0")
+EXACT = ["exact", "--graph", "g.txt", "--mode", "source", "--out", "e.csv"]
+GENERATE = ["generate", "--out", "x.txt", "--meta", "m.json", "--family"]
+PRESET = [*GENERATE, "sp_avg", "--n", "16", "--m", "64", "--preset"]
+
+# Bad input to the CLI, one row each: (id, the input files it writes,
+# argv, a regex of the one error line, which ends stderr)
+USAGE_ERRORS = [
+    ("fit-missing_file", {"res.csv": FIT_ROWS},
+     ["fit", "--results", "no_such.csv"],
+     _error("cannot read no_such.csv: No such file or directory")),
+    *((f"fit-{name}", {"res.csv": FIT_ROWS},
+       ["fit", "--results", "res.csv", *flags], _error(message))
+      for name, flags, message in [
+          ("unknown_x", ["--x", "bogus"], "res.csv has no column 'bogus'"),
+          ("unknown_y", ["--y", "bogus"], "res.csv has no column 'bogus'"),
+          ("no_rows", ["--algorithm", "rbs"], "res.csv has no rbs rows"),
+          ("three_points", ["--algorithm", "bippr"],
+           "need >= 4 sweep points, got 3"),
+          ("equal_x", ["--x", "alpha"], "all x values identical")]),
+    ("run-zero_threads", {"cfg.json": tiny_config().to_json()},
+     ["run", "--config", "cfg.json", "--out", "t.csv", "--threads", "0"],
+     _error("threads must be an integer >= 1, got 0")),
+    ("run-capability_mismatch", *_run({"algorithm": "rbs"}, _error(
+        "rbs needs capabilities ['in_sorted']"))),
+    ("run-no_file_or_family", *_run({"instance": {"n": 16}}, _error(
+        "instance needs 'file' or 'family'"))),
+    ("run-missing_file", *_run({"instance": {"file": "no_such.txt"}}, _error(
+        "edge list no_such.txt: no_such.txt not found."))),
+    ("run-bad_spec", *_run(
+        {"instance": {"family": "sp_avg", "n": 8, "L": 0, "D": 2}},
+        _error("sp_avg needs n, L, D >= 1"))),
+    ("run-non_bool_swap", *_run(
+        {"instance": {"family": "sp_avg", "n": 8, "L": 2, "D": 2,
+                      "swap": "false"}},
+        _error("swap='false' must be a bool"))),
+    ("run-bad_edge_list", *_run({"instance": {"file": "bad.txt"}},
+                                BAD_EDGES_ERROR, BAD_EDGES)),
+    ("exact-bad_edge_list", BAD_EDGES,
+     ["exact", "--graph", "bad.txt", "--mode", "pagerank", "--out", "e.csv"],
+     BAD_EDGES_ERROR),
+    # c_nr = 1e-9 leaves derive_params too few walks
+    ("run-constraint_single_pair_ppr", *_run(
+        {**SP, "multipliers": {"c_nr": 1e-9}},
+        _error("constraint walk_count violated: margin 0.00448"))),
+    ("run-constraint_sn_avg_full", *_run(
+        {**SP, "algorithm": "sn_avg_full",
+         "capabilities": ["jump", "in_sorted", "adj"],
+         "instance": {**SP["instance"], "family": "sn_avg_full"},
+         "multipliers": {"c_nr": 1e-9}},
+        _error("constraint walk_count violated: margin 0.0003949"))),
+    # delta = 1e-300 asks Monte Carlo for about 9.2e302 walks
+    ("run-walk_budget", *_run({"deltas": [1e-300]}, _error(
+        "1 x 9.21e+302 walks > MAX_WALKS = 268435456"))),
+    # eps^2 underflows in the walk count and in gamma; 2^53 walk steps
+    ("run-mc_eps", *_run({"eps": 1e-300}, _error(
+        "eps=1e-300, delta=0.1: inf walks > MAX_WALKS = 268435456"))),
+    ("run-single_pair_ppr_eps", *_run({**SP, "eps": 1e-300}, _error(
+        "gamma underflows to 0.0 (c_gamma=1.0, eps=1e-300, L=") + r"\d+\)")),
+    ("run-mc_alpha", *_run({"alpha": 1e-17, "exact_cap": 0},
+                           _error("alpha=1e-17, count=")
+                           + r"\d+: \d\.\d+e\+\d+ steps >= 2\^53")),
+    # derive_params at extremes: L past MAX_LEVELS, n_s and eps * delta
+    # past MAX_WALKS
+    ("run-single_pair_ppr_c_L", *_run(
+        {**SP, "multipliers": {"c_L": 1e300}},
+        _error("L=7.675e+300 > MAX_LEVELS = 1048576"))),
+    ("run-single_pair_ppr_c_ns", *_run(
+        {**SP, "multipliers": {"c_ns": 1e300}},
+        _error("n_r=223.2 x n_s=2.154e+300 > MAX_WALKS"))),
+    ("run-single_pair_ppr_eps_delta", *_run(
+        {**SP, "eps": 1e-100, "deltas": [1e-250]},
+        _error("n_r=inf x n_s=2.154e+83 > MAX_WALKS"))),
+    # 1 - alpha rounds to 1.0: the exact solve takes no finite depth
+    ("run-mc_alpha_exact", *_run({"alpha": 1e-300}, _error(
+        "alpha=1e-300, tol=1e-12: inf steps > MAX_DEPTH = 1000000"))),
+    *((f"exact-{name}", {"g.txt": "2 2\n0 1\n1 0\n"}, [*EXACT, *flags],
+       _error(message)) for name, flags, message in [
+          ("node_999", ["--node", "999"], "anchor=999 outside [0, 2)"),
+          ("node_-1", ["--node", "-1"], "anchor=-1 outside [0, 2)"),
+          ("tol_2", ["--tol", "2"], "tol=2.0 outside (0,1)"),
+          ("tol_0", ["--tol", "0"], "tol=0.0 outside (0,1)"),
+          ("alpha_1.5", ["--alpha", "1.5"], "alpha=1.5 outside (0,1)"),
+          ("alpha_1e-300", ["--alpha", "1e-300"],
+           "alpha=1e-300, tol=1e-12: inf steps > MAX_DEPTH = 1000000")]),
+    ("generate-unknown_family", {},
+     ["generate", "--family", "no_such", "--n", "16", "--m", "64",
+      "--preset", "--out", "x.txt"],
+     _error("argument --family: invalid choice: 'no_such' (choose from "
+            + ", ".join(map(repr, FAMILIES)) + ")", " generate")),
+    # fields --preset sets itself
+    *((f"generate-preset_sets_{flag[2:]}", {}, [*PRESET, flag, val],
+       _error(f"--preset sets {flag} itself", " generate"))
+      for flag, val in [("--L", "3"), ("--D", "2"), ("--D2", "4"),
+                        ("--variant", "avg")]),
+    ("generate-preset_bad_alpha", {}, [*PRESET, "--alpha", "1.5"],
+     _error("alpha=1.5 outside (0,1)")),
+    *((f"generate-{name}", {}, [*GENERATE, *flags], _error(message))
+      for name, flags, message in [
+          ("bad_spec", ["sp_avg", "--n", "8", "--L", "0", "--D", "2"],
+           "sp_avg needs n, L, D >= 1"),
+          ("bad_preset_counts",
+           ["sp_avg", "--n", "16", "--m", "8", "--preset"],
+           "need n <= m <= n^2, got n=16, m=8"),
+          ("bad_preset_delta",
+           ["sp_avg", "--n", "16", "--m", "64", "--delta", "2", "--preset"],
+           "delta=2.0 outside (0,1]"),
+          ("bad_variant", ["sp_avg", "--n", "16", "--variant", "bogus"],
+           "variant='bogus' must be '', 'worst' or 'avg'"),
+          ("d2_not_d", ["st_avg_full", "--n", "8", "--L", "2", "--D", "2",
+                        "--D2", "5"], "D2=5 must be 0 or D=2")]),
+]
+
+
 class TestCli:
     def test_generate_exact_run_fit(self, tmp_path, capsys):
         edge = tmp_path / "g.txt"
@@ -207,6 +354,8 @@ class TestCli:
         out = tmp_path / "res.csv"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert cli.main(["fit", "--results", str(out)]) == 0
+        (tmp_path / "rows.csv").write_text(FIT_ROWS)  # the fit-* rows' input
+        assert cli.main(["fit", "--results", str(tmp_path / "rows.csv")]) == 0
         # Monte Carlo makes no IN-SORTED query: no log-log slope exists
         with pytest.raises(SystemExit) as exc:
             cli.main(["fit", "--results", str(out), "--y", "q_in_sorted"])
@@ -215,34 +364,24 @@ class TestCli:
         assert "pprquery: error: point 0: y=0.0 " in err
         assert "Traceback" not in err
 
-    # four monte_carlo cells and three bippr cells, all at alpha 0.2
-    FIT_ROWS = "algorithm,cell,delta,alpha,q_total\n" + "".join(
-        f"{alg},{cell},{delta},0.2,{int(1 / delta)}\n" for alg, cell, delta in
-        [*(("monte_carlo", i, d) for i, d in enumerate([0.2, 0.1, 0.05, 0.02])),
-         *(("bippr", 4 + i, d) for i, d in enumerate([0.2, 0.1, 0.05]))])
-
-    @pytest.mark.parametrize("flags,message", [
-        (["--results", "no_such.csv"], "cannot read no_such.csv: No such file"),
-        (["--x", "bogus"], "res.csv has no column 'bogus'"),
-        (["--y", "bogus"], "res.csv has no column 'bogus'"),
-        (["--algorithm", "rbs"], "res.csv has no rbs rows"),
-        (["--algorithm", "bippr"], "need >= 4 sweep points, got 3"),
-        (["--x", "alpha"], "all x values identical"),
-    ], ids=["missing_file", "unknown_x", "unknown_y", "no_rows",
-            "three_points", "equal_x"])
-    def test_fit_bad_input_is_a_usage_error(self, tmp_path, monkeypatch,
-                                            capsys, flags, message):
-        # each used to end in a traceback with exit status 1
+    @pytest.mark.parametrize("files,argv,line", [r[1:] for r in USAGE_ERRORS],
+                             ids=[r[0] for r in USAGE_ERRORS])
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, files, argv,
+                         line):
+        """Exit status 2, one error line, which `line` matches whole, no
+        traceback, and no file beside the row's inputs."""
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "res.csv").write_text(self.FIT_ROWS)
-        assert cli.main(["fit", "--results", "res.csv"]) == 0
-        capsys.readouterr()
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
         with pytest.raises(SystemExit) as exc:
-            cli.main(["fit", "--results", "res.csv", *flags])
+            cli.main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "pprquery: error: " + message in err
         assert "Traceback" not in err
+        errors = [x for x in err.splitlines() if "error:" in x]
+        assert len(errors) == 1 and re.fullmatch(line, errors[0])
+        assert err.endswith(errors[0] + "\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
     @pytest.mark.parametrize("mode,node,solve", [
         ("target", "1", lambda g: exact_single_target(g, 1, 0.2)),
@@ -265,144 +404,6 @@ class TestCli:
         cli.main(["run", "--config", str(cfg), "--out", str(b), "--seed", "10"])
         assert a.read_bytes() != b.read_bytes()
 
-    def test_run_with_zero_threads_fails_before_any_cell(self, tmp_path,
-                                                         capsys):
-        # --threads 0 used to run sequentially, and then to end in a
-        # ConfigError traceback with exit status 1
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(tiny_config().to_json())
-        out = tmp_path / "t.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", str(cfg), "--out", str(out),
-                      "--threads", "0"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "pprquery: error: threads must be an integer >= 1, got 0" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("over,message", [
-        ({"algorithm": "rbs"}, "rbs needs capabilities ['in_sorted']"),
-        ({"instance": {"n": 16}}, "instance needs 'file' or 'family'"),
-        ({"instance": {"file": "no_such.txt"}}, "no_such.txt not found"),
-        ({"instance": {"family": "sp_avg", "n": 8, "L": 0, "D": 2}},
-         "sp_avg needs n, L, D >= 1"),
-        ({"instance": {"family": "sp_avg", "n": 8, "L": 2, "D": 2,
-                       "swap": "false"}}, "swap='false' must be a bool"),
-    ], ids=["capability_mismatch", "no_file_or_family", "missing_file",
-            "bad_spec", "non_bool_swap"])
-    def test_run_with_bad_config_is_a_usage_error(self, tmp_path, capsys,
-                                                  over, message):
-        # CapabilityMismatch and InstanceLoadError (before any cell, or
-        # from a cell), which run_experiment raises by name, and a
-        # SpecConstraintViolation from a cell's instance exit 2 with one
-        # line, as argparse errors and a ConfigError do; the last two used
-        # to end in a traceback, and swap "false" used to run the swapped
-        # instance
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(tiny_config(**over).to_json())
-        out = tmp_path / "t.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", str(cfg), "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert re.search(r"^pprquery: error: .*" + re.escape(message), err,
-                         re.M)
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("verb", ["run", "exact"])
-    def test_bad_edge_list_is_a_usage_error(self, tmp_path, capsys, verb):
-        # a "3 2" header (node 2 has no out-edge) used to end both verbs in
-        # a DanglingNode traceback with exit status 1
-        bad = tmp_path / "bad.txt"
-        bad.write_text("3 2\n0 1\n1 0\n")
-        out = tmp_path / "out.csv"
-        if verb == "run":
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(tiny_config(instance={"file": str(bad)}).to_json())
-            argv = ["run", "--config", str(cfg), "--out", str(out)]
-        else:
-            argv = ["exact", "--graph", str(bad), "--mode", "pagerank",
-                    "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert re.fullmatch(
-            r"(?s).*\npprquery: error: edge list " + re.escape(str(bad))
-            + r": header n=3 exceeds m=2 in .*out-degree 0\n", err)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("algorithm,caps,margin", [
-        ("single_pair_ppr", ["in_sorted", "adj"], "0.00448"),
-        ("sn_avg_full", ["jump", "in_sorted", "adj"], "0.0003949")],
-        ids=["single_pair_ppr", "sn_avg_full"])
-    def test_constraint_violation_is_a_usage_error(self, tmp_path, capsys,
-                                                   algorithm, caps, margin):
-        # c_nr = 1e-9 leaves derive_params too few walks; the run used to
-        # end in a ConstraintViolation traceback with exit status 1
-        family = "sp_avg" if algorithm == "single_pair_ppr" else algorithm
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(tiny_config(
-            algorithm=algorithm, capabilities=caps,
-            instance={"family": family, "preset": True, "n": 16, "m": 64},
-            multipliers={"c_nr": 1e-9}).to_json())
-        out = tmp_path / "t.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", str(cfg), "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.endswith("pprquery: error: constraint walk_count "
-                            f"violated: margin {margin}\n")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    def test_walk_budget_is_a_usage_error(self, tmp_path, capsys):
-        # delta = 1e-300 asks Monte Carlo for about 9.2e302 walks; the run
-        # used to end in numpy's "Maximum allowed dimension exceeded"
-        # traceback with exit status 1
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(tiny_config(deltas=[1e-300]).to_json())
-        out = tmp_path / "t.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", str(cfg), "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.endswith("pprquery: error: 1 x 9.21e+302 walks > "
-                            "MAX_WALKS = 268435456\n")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("algorithm,over,error", [
-        ("monte_carlo", {"eps": 1e-300},
-         r"eps=1e-300, delta=0\.1: inf walks > MAX_WALKS = 268435456"),
-        ("single_pair_ppr", {"eps": 1e-300},
-         r"gamma underflows to 0\.0 \(c_gamma=1\.0, eps=1e-300, L=\d+\)"),
-        ("monte_carlo", {"alpha": 1e-17, "exact_cap": 0},
-         r"alpha=1e-17, count=\d+: \d\.\d+e\+\d+ steps >= 2\^53")],
-        ids=["mc_eps", "single_pair_ppr_eps", "mc_alpha"])
-    def test_tiny_parameter_is_a_usage_error(self, tmp_path, capsys,
-                                             algorithm, over, error):
-        # each used to end in a traceback with exit status 1: eps^2
-        # underflowing in the walk count (ZeroDivisionError) or in gamma
-        # (NewAlgoParams's ValueError), and 2^53 walk steps (ValueError)
-        cfg = tmp_path / "cfg.json"
-        if algorithm == "single_pair_ppr":
-            over = {**over, "capabilities": ["in_sorted", "adj"],
-                    "instance": {"family": "sp_avg", "preset": True,
-                                 "n": 16, "m": 64}}
-        cfg.write_text(tiny_config(algorithm=algorithm, **over).to_json())
-        out = tmp_path / "t.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", str(cfg), "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert re.fullmatch(rf"(?s).*\npprquery: error: {error}\n", err)
-        assert "Traceback" not in err
-        assert not out.exists()
-
     def test_light_super_source_runs_every_trial(self, tmp_path, capsys):
         # s' is light here (d_out < 2|V_P|), and its JUMP-drawn out-list
         # can miss every light node: the run used to end in IndexError
@@ -415,29 +416,6 @@ class TestCli:
             capabilities=["jump", "in_sorted", "adj"],
             multipliers={"c_tau": 0.001}, trials=20))
         assert len(results) == 20 and all(r.success for r in results)
-
-    def test_generate_unknown_family_is_a_usage_error(self, tmp_path, capsys):
-        # it used to print a RegimeUndefined traceback
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["generate", "--family", "no_such", "--n", "16", "--m",
-                      "64", "--preset", "--out", str(tmp_path / "x.txt")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'no_such'" in err
-        assert "'sp_avg'" in err and "'output_size_st'" in err
-        assert not (tmp_path / "x.txt").exists()
-
-    @pytest.mark.parametrize("flag,val", [("--L", "3"), ("--D", "2"),
-                                          ("--D2", "4"), ("--variant", "avg")])
-    def test_generate_preset_rejects_explicit_fields(self, tmp_path, capsys,
-                                                     flag, val):
-        # the preset used to overwrite these silently
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["generate", "--family", "sp_avg", "--n", "16", "--m",
-                      "64", "--preset", flag, val,
-                      "--out", str(tmp_path / "x.txt")])
-        assert exc.value.code == 2
-        assert f"--preset sets {flag} itself" in capsys.readouterr().err
 
     def test_generate_preset_applies_padding(self, tmp_path):
         # --padding used to be dropped under --preset
@@ -454,44 +432,9 @@ class TestCli:
         payload = json.loads(meta.read_text())
         assert payload["spec"]["padding"] is True
         assert payload["roles"]["padding"] == [g.node_count, gp.node_count - 1]
-
-    def test_generate_preset_rejects_bad_alpha(self, tmp_path, capsys):
-        # alpha 1.5 used to exit 0 and write pi_post_swap 0.0078125, and
-        # then to end in a SpecConstraintViolation traceback
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["generate", "--family", "sp_avg", "--n", "16", "--m",
-                      "64", "--alpha", "1.5", "--preset",
-                      "--out", str(tmp_path / "x.txt"),
-                      "--meta", str(tmp_path / "m.json")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert re.search(r"^pprquery: error: alpha=1.5 outside", err, re.M)
-        assert "Traceback" not in err
-        assert not (tmp_path / "m.json").exists()
-
-    @pytest.mark.parametrize("args,message", [
-        (["--n", "8", "--L", "0", "--D", "2"], "sp_avg needs n, L, D >= 1"),
-        (["--n", "16", "--m", "8", "--preset"], "need n <= m <= n^2"),
-        (["--n", "16", "--m", "64", "--delta", "2", "--preset"],
-         "delta=2.0 outside (0,1]"),
-        (["--n", "16", "--variant", "bogus"], "variant='bogus' must be"),
-    ], ids=["bad_spec", "bad_preset_counts", "bad_preset_delta",
-            "bad_variant"])
-    def test_generate_bad_spec_is_a_usage_error(self, tmp_path, capsys,
-                                                args, message):
-        # SpecConstraintViolation and RegimeUndefined used to end in a
-        # traceback with exit status 1, and variant "bogus" to build the
-        # worst case
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["generate", "--family", "sp_avg", *args,
-                      "--out", str(tmp_path / "x.txt"),
-                      "--meta", str(tmp_path / "m.json")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert re.search(r"^pprquery: error: .*" + re.escape(message), err,
-                         re.M)
-        assert "Traceback" not in err
-        assert not any(tmp_path.iterdir())
+        ids = [payload["target_group"], *payload["roles"].values()]
+        assert all(type(v) is list and all(type(i) is int for i in v)
+                   for v in ids), ids
 
     def test_preset_generate(self, tmp_path):
         edge = tmp_path / "g.txt"
@@ -721,3 +664,17 @@ def test_success_predicates():
     assert not eq1_success(0.2, 0.1, 0.2, 0.05)
     assert eq5_success(0.11, 0.1, 0.2)
     assert not eq5_success(0.13, 0.1, 0.2)
+
+
+def test_every_named_value_error_is_a_usage_error():
+    """Each ValueError subclass a pprquery module defines derives from
+    PprqueryError, the one class the CLI reports as a usage error."""
+    named = {}
+    for info in pkgutil.iter_modules(pprquery.__path__):
+        module = importlib.import_module(f"pprquery.{info.name}")
+        named.update((c.__name__, c) for c in vars(module).values()
+                     if isinstance(c, type) and issubclass(c, ValueError)
+                     and c.__module__ == module.__name__)
+    assert {"GraphError", "IndexOutOfRange", "FitError", "ExplosionGuard",
+            "RegimeUndefined"} <= named.keys()
+    assert [n for n, c in named.items() if not issubclass(c, PprqueryError)] == []
