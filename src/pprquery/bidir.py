@@ -110,8 +110,9 @@ def derive_params(alpha, delta, eps, p_f, n, **multipliers):
     log(1/p_f)/(eps*delta), n_r*n_s/tau >= log(1/p_f)/(alpha*eps*delta));
     n_s = ceil(c_ns / delta^(1/3)).
     `multipliers` takes any of MULTIPLIERS; another name is a TypeError.
-    Before each count is used: ConstraintViolation for L > MAX_LEVELS or
-    gamma 0.0, WalkBudgetExceeded for n_r * n_s > MAX_WALKS (each >= 1).
+    Before each count is used: ConstraintViolation for theta or gamma
+    0.0 and L > MAX_LEVELS, WalkBudgetExceeded for n_r * n_s > MAX_WALKS
+    (each >= 1).
     """
     c = {k: multipliers.pop(k, 1.0) for k in MULTIPLIERS}
     if multipliers:
@@ -119,6 +120,9 @@ def derive_params(alpha, delta, eps, p_f, n, **multipliers):
     check_params(alpha=alpha, delta=delta, eps=eps, p_f=p_f, **c)
     check_counts(n=n)
     theta = c["c_theta"] * delta ** (2.0 / 3.0)
+    if theta == 0.0:  # L takes log(1 / theta)
+        raise ConstraintViolation(f"theta underflows to 0.0 (c_theta="
+                                  f"{c['c_theta']!r}, delta={delta!r})")
     levels = 1.0 if theta >= 1.0 else c["c_L"] * math.log(1.0 / theta) / alpha
     if levels > MAX_LEVELS:  # gamma divides by L^2
         raise ConstraintViolation(f"L={levels:.4g} > MAX_LEVELS = {MAX_LEVELS}")

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Verbs: generate (instance -> edge list), exact (oracle vectors),
-run (experiment -> CSV/JSON), fit (log-log scaling slope).  Bad input,
-any PprqueryError, exits 2 with one error line; other errors are bugs.
+run (experiment -> CSV/JSON), fit (log-log scaling slope).  Bad input
+(a PprqueryError, or an OSError) exits 2 with one line; others are bugs.
 """
 
 from __future__ import annotations
@@ -81,10 +81,7 @@ class FitError(PprqueryError):
 
 
 def _cmd_fit(args):
-    try:
-        rows = read_results(args.results)
-    except OSError as e:
-        raise FitError(f"cannot read {args.results}: {e.strerror}") from None
+    rows = read_results(args.results)
     need = ["cell", args.x, args.y] + (["algorithm"] if args.algorithm else [])
     missing = [c for c in need if rows and c not in rows[0]]
     if missing:
@@ -171,6 +168,8 @@ def main(argv=None):
         return args.func(args)
     except PprqueryError as e:
         p.error(str(e))  # bad input the package names is a usage error: exit 2
+    except OSError as e:  # so is a file the OS refuses: named, with its reason
+        p.error(f"{e.filename}: {e.strerror}" if e.filename else str(e))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ any other, with no Python loop over edges.
 Node v's out-list is out_nbrs[out_ptr[v]:out_ptr[v + 1]] and its in-list
 in_nbrs[in_ptr[v]:in_ptr[v + 1]], both in edge-list insertion order.
 in_sorted holds each in-list ordered by (d_out(u), u) for IN-SORTED,
-and out_sorted each out-list sorted by id, for ADJ by bisection.
+and out_sorted each out-list sorted by id, for ADJ.  Any other table
+is built from these on first use and kept in g.tables (see derived).
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ class DirectedGraph:
     in_sorted, out_sorted  : int32[m] IN-SORTED order, id-sorted out-lists
     out_deg, in_deg        : int32[n] degrees; out_degrees and in_degrees
                              are memoryviews of them, indexed as Python ints
+    tables                 : dict, build -> build(graph) (see derived)
     """
 
     __slots__ = ("node_count", "edge_count", "out_ptr", "out_nbrs",
                  "out_sorted", "out_deg", "in_ptr", "in_nbrs", "in_sorted",
-                 "in_deg", "__weakref__")
+                 "in_deg", "tables")
 
     out_degrees = property(lambda self: memoryview(self.out_deg))
     in_degrees = property(lambda self: memoryview(self.in_deg))
@@ -97,12 +99,24 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.node_count}, m={self.edge_count})"
 
 
+def derived(g, build):
+    """build(g), built on the first call for g and kept in g.tables."""
+    table = g.tables.get(build)
+    if table is None:
+        table = g.tables[build] = build(g)
+    return table
+
+
+def readonly(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 def positions(size):
     """np.arange(size) as a read-only slice of one grow-only arange."""
     global _arange
     if _arange.size < size:
-        _arange = np.arange(max(size, 2 * _arange.size))
-        _arange.flags.writeable = False
+        _arange = readonly(np.arange(max(size, 2 * _arange.size)))
     return _arange[:size]
 
 
@@ -217,13 +231,11 @@ def build_graph(edges, node_count):
 
 def frozen_graph(n, m, **arrays):
     """A DirectedGraph of n nodes and m edges holding each of its eight
-    CSR `arrays` as a read-only int32 array."""
+    CSR `arrays` as a read-only int32 array, and no derived table."""
     g = DirectedGraph()
-    g.node_count, g.edge_count = n, m
+    g.node_count, g.edge_count, g.tables = n, m, {}
     for name, arr in arrays.items():
-        arr = arr.astype(np.int32, copy=False)
-        arr.flags.writeable = False
-        setattr(g, name, arr)
+        setattr(g, name, readonly(arr.astype(np.int32, copy=False)))
     return g
 
 

@@ -76,7 +76,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
+        """The config in `text` (str or bytes): ConfigError unless it is
+        UTF-8 JSON of an object whose every key is a field."""
+        try:
+            data = json.loads(text.decode() if isinstance(text, bytes) else text)
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise ConfigError(f"config is not UTF-8 JSON: {e}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {json.dumps(data)}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
@@ -84,7 +91,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
+        with open(path, "rb") as f:
             return cls.from_json(f.read())
 
 
@@ -215,7 +222,7 @@ def _check_config(cfg, threads=1):
         Capabilities.from_names(cfg.capabilities)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"capabilities: {e}") from None
-    if cfg.algorithm not in ALGORITHMS:
+    if not isinstance(cfg.algorithm, str) or cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     variant, required, keys, runner = ALGORITHMS[cfg.algorithm]
     missing = [c for c in required if c not in cfg.capabilities]

@@ -186,7 +186,7 @@ def generate(spec):
     family, alpha, integer field, flag or variant is named before any
     building, and a node count past 2^31, padding included, before
     build_graph."""
-    if spec.family not in FAMILIES:
+    if not isinstance(spec.family, str) or spec.family not in FAMILIES:
         raise SpecConstraintViolation(f"unknown family {spec.family!r}")
     _check(SpecConstraintViolation, check_params, alpha=spec.alpha)
     for name in ("n", "m", "L", "D", "D2"):
@@ -577,7 +577,7 @@ def parameter_presets(family, n, m, delta, alpha):
     _check(SpecConstraintViolation, check_params, alpha=alpha)
     _require(n <= m <= n * n, f"need n <= m <= n^2, got n={n}, m={m}")
     _check(RegimeUndefined, check_params, delta=delta)
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise RegimeUndefined(f"no preset for family {family!r}")
     fields = FAMILIES[family].preset(n, m, m / n, delta, alpha)
     return InstanceSpec(family, n, m, alpha=alpha, **{"swap": True, **fields})

@@ -12,10 +12,11 @@ scalar queries take an index.  The batch methods `deg_out_many`,
 `out_lists` (whole OUT lists), `adj_many` and `jump_many` index the
 arrays with numpy and charge exactly one query per element or list
 entry, so batching changes the wall time of a run, never its query
-count.  `adj_many` and `walk_step_many` also take a multiplicity
-`times`: element j then stands for times[j] equal queries (or steps),
-answered once and charged times[j] times, so a caller that asks a
-repeated query once still pays for every repeat.
+count.  `adj_many` finds every pair's key u * n + v by one search of
+the ascending keys of out_sorted (_adj_keys).  It and `walk_step_many`
+also take a multiplicity `times`: element j then stands for times[j]
+equal queries (or steps), answered once and charged times[j] times, so
+a caller that asks a repeated query once still pays for every repeat.
 `out_step_many(vs, u)`, OUT at floor(u * d_out(v)) for uniforms u,
 charges one OUT each; `walk_step_many`, a DEG-OUT batch and then that
 batch, flags the steps that settle (d_out(v) = 1 and OUT(v, 0) = v) and
@@ -29,15 +30,17 @@ chi never rises along an IN-SORTED list, so its entries with chi <=
 lim[j] are a suffix: `in_sorted_scans` reads up to the first of them
 and returns only the entries before it.  Scans and walk steps keep one
 operand rule: int32 storage (the CSR), intp gather indices and float64
-divisors (see _out_degf and _step_tables).  A malformed batch charges
-and draws nothing: each raises ValueError, naming itself, for an
-element argument that is neither one value nor one per node.  `_nodes`
-checks the ids given to `deg_out_many`, `out_lists` and `adj_many`,
-and check_nodes those of `adj`: NodeIdOutOfRange for a float, bool or
-out-of-range id.  Other scalar queries raise NodeIdOutOfRange for an
-id outside [0, node_count), a view's s' included, and IndexOutOfRange
-for an index outside the list, both uncharged.  Walk-step and scan
-batches, whose ids are earlier answers, check lengths only.
+divisors (_out_degf, _out_ptr).  Those tables and the ADJ keys are
+read-only, built by the first batch that reads them and kept with the
+graph (graph.derived).  A malformed batch charges and draws nothing:
+each raises ValueError, naming itself, for an element argument that is
+neither one value nor one per node.  `_nodes` checks the ids given to
+`deg_out_many`, `out_lists` and `adj_many`, and check_nodes those of
+`adj`: NodeIdOutOfRange for a float, bool or out-of-range id.  Other
+scalar queries raise NodeIdOutOfRange for an id outside [0,
+node_count), a view's s' included, and IndexOutOfRange for an index
+outside the list, both uncharged.  Walk-step and scan batches, whose
+ids are earlier answers, check lengths only.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -53,18 +56,15 @@ each create their own handle over the shared immutable graph.
 from __future__ import annotations
 
 import numbers
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NodeIdOutOfRange, PprqueryError, check_nodes, csr_entries
+from .graph import (NodeIdOutOfRange, PprqueryError, check_nodes, csr_entries,
+                    derived, readonly)
 
 QUERY_KINDS = ("deg_in", "deg_out", "in", "out", "in_sorted", "adj", "jump")
-
-_out_degf_of = weakref.WeakKeyDictionary()  # graph -> _out_degf(graph)
-_step_tables_of = weakref.WeakKeyDictionary()  # graph -> _step_tables(graph)
 
 
 class CapabilityDisabled(RuntimeError):
@@ -127,24 +127,20 @@ class Capabilities:
 
 
 def _out_degf(g):
-    """g's out-degrees as float64, read-only, built on g's first scan
-    batch or walk step (not by build_graph) and kept while g lives."""
-    deg = _out_degf_of.get(g)
-    if deg is None:
-        deg = _out_degf_of[g] = g.out_deg.astype(np.float64)
-        deg.flags.writeable = False
-    return deg
+    """g's out-degrees as float64: scan and walk-step divisors."""
+    return readonly(g.out_deg.astype(np.float64))
 
 
-def _step_tables(g):
-    """(_out_degf(g), out_ptr as intp, read-only): a walk step's operands;
-    the offsets are built on g's first out_step_many, kept while g lives."""
-    tabs = _step_tables_of.get(g)
-    if tabs is None:
-        ptr = g.out_ptr.astype(np.intp)
-        ptr.flags.writeable = False
-        tabs = _step_tables_of[g] = _out_degf(g), ptr
-    return tabs
+def _out_ptr(g):
+    """g's out-list offsets as intp: walk-step gather indices."""
+    return readonly(g.out_ptr.astype(np.intp))
+
+
+def _adj_keys(g):
+    """u * n + v for each entry v of out_sorted in u's list, as int64
+    (n <= 2^31): ascending, as the lists run by u and each is id-sorted."""
+    src, _ = g.edge_arrays()
+    return readonly(src * g.node_count + g.out_sorted)
 
 
 def _multiplicity(method, times, size):
@@ -346,7 +342,7 @@ class OracleHandle:
         vs = np.asarray(vs, dtype=np.int64)
         u = _per_node("out_step_many", "u", u, vs.size, np.float64)
         g = self.graph
-        deg, ptr = _step_tables(g)
+        deg, ptr = derived(g, _out_degf), derived(g, _out_ptr)
         paid = self._paid(vs)
         if paid < vs.size and not self.caps.jump:  # s' draws: before any charge
             raise CapabilityDisabled("JUMP is not enabled")
@@ -370,7 +366,7 @@ class OracleHandle:
         vs = np.asarray(vs, dtype=np.int64)
         u = _per_node("walk_step_many", "u", u, vs.size, np.float64)
         times = _multiplicity("walk_step_many", times, vs.size)
-        deg = _out_degf(self.graph)
+        deg = derived(self.graph, _out_degf)
         # vs == None is all False on a plain handle
         if times is not None and np.any((times > 1) & ((deg[vs] != 1.0) | (vs == self.virtual))):
             raise ValueError("times > 1 needs a real node with d_out = 1")
@@ -386,33 +382,21 @@ class OracleHandle:
 
     def adj_many(self, us, vs, times=None):
         """ADJ(us[j], vs[j]) for every j, as a bool array, charged
-        times[j] times each if given (see _multiplicity): one bisection
-        per pair inside the id-sorted out-range of us[j], all pairs
-        stepped together."""
+        times[j] times each if given (see _multiplicity): the key
+        us[j] * n + vs[j] searched among the graph's _adj_keys."""
         if not self.caps.adj:
             raise CapabilityDisabled("ADJ is not enabled")
         us = self._nodes("adj_many", us)
         vs = _per_node("adj_many", "vs", self._nodes("adj_many", vs), us.size,
                        np.int64)
         times = _multiplicity("adj_many", times, us.size)
-        g = self.graph
         self.stats.adj += self._paid(us, vs, times)
-        lo = g.out_ptr[us].astype(np.int64)
-        end = g.out_ptr[us + 1].astype(np.int64)
-        hi = end.copy()
-        if self.virtual is not None:  # s' lists 0..n-1: v at offset v, settled
-            virt = us == self.virtual
-            hi[virt] = lo[virt] = lo[virt] + vs[virt]
-        # bisect_left: a range of w ids settles in w.bit_length() steps
-        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-            open_ = lo < hi
-            mid = (lo + hi) >> 1
-            less = open_ & (g.out_sorted[np.where(open_, mid, 0)] < vs)
-            lo = np.where(less, mid + 1, lo)
-            hi = np.where(open_ & ~less, mid, hi)
-        found = lo < end
-        found[found] = g.out_sorted[lo[found]] == vs[found]
-        return found
+        if not us.size:
+            return np.zeros(0, dtype=bool)
+        keys = derived(self.graph, _adj_keys)
+        q = us * self._n + vs
+        i = np.searchsorted(keys, q).clip(max=keys.size - 1)  # q above every key
+        return keys[i] == q
 
     def _scan(self, method, lists, vs, spread, lim=None):
         """Read the in-lists of `vs` in the CSR array `lists`, all of each
@@ -426,7 +410,7 @@ class OracleHandle:
             lim = _per_node(method, "lim", lim, vs.size, np.float64)
         idx, lens = csr_entries(g.in_ptr, vs)
         nbrs = lists[idx].astype(np.intp)
-        chi = spread.repeat(lens) / _out_degf(g)[nbrs]
+        chi = spread.repeat(lens) / derived(g, _out_degf)[nbrs]
         if lim is None:
             paid, read = self._paid(nbrs), (nbrs, chi)
         else:

@@ -10,48 +10,41 @@ which charges by the oracle module's super-source rule.
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
 from .classic import (DEFAULT_WALK_MULT, bippr_pair, check_params,
                       default_r_max_pair, rbs_single_target, rbs_levels)
 from .bidir import _cell_params, single_pair_ppr
-from .graph import check_nodes, frozen_graph
+from .graph import check_nodes, derived, frozen_graph
 from .oracle import CapabilityDisabled, OracleHandle
-
-
-_augmented_of = weakref.WeakKeyDictionary()  # g -> _augmented(g)
 
 
 def _augmented(g):
     """g plus s' = n with an out-edge to every node, from g's CSR arrays:
     g's lists keep their order and s' ends every IN and IN-SORTED list
-    (its out-degree n and id are maximal).  Kept while g lives, so a
-    cell's trials share one copy, and freed with g."""
-    aug = _augmented_of.get(g)
-    if aug is None:
-        n, m = g.node_count, g.edge_count
-        real, ends = np.arange(n), g.in_ptr[1:]
-        aug = _augmented_of[g] = frozen_graph(
-            n + 1, m + n, out_ptr=np.append(g.out_ptr, m + n),
-            out_nbrs=np.append(g.out_nbrs, real), out_deg=np.append(g.out_deg, n),
-            out_sorted=np.append(g.out_sorted, real),
-            in_ptr=np.append(g.in_ptr + np.arange(n + 1), m + n),
-            in_nbrs=np.insert(g.in_nbrs, ends, n), in_deg=np.append(g.in_deg + 1, 0),
-            in_sorted=np.insert(g.in_sorted, ends, n))
-    return aug
+    (its out-degree n and id are maximal)."""
+    n, m = g.node_count, g.edge_count
+    real, ends = np.arange(n), g.in_ptr[1:]
+    return frozen_graph(
+        n + 1, m + n, out_ptr=np.append(g.out_ptr, m + n),
+        out_nbrs=np.append(g.out_nbrs, real), out_deg=np.append(g.out_deg, n),
+        out_sorted=np.append(g.out_sorted, real),
+        in_ptr=np.append(g.in_ptr + np.arange(n + 1), m + n),
+        in_nbrs=np.insert(g.in_nbrs, ends, n), in_deg=np.append(g.in_deg + 1, 0),
+        in_sorted=np.insert(g.in_sorted, ends, n))
 
 
 class SuperSourceView(OracleHandle):
-    """Oracle handle over the base's graph plus s' = n (`_augmented`)
-    that shares the base's capabilities, counters and JUMP generator;
-    its own jump() is uniform over all n + 1 nodes."""
+    """Oracle handle over the base's graph plus s' = n, built once per
+    graph (derived(g, _augmented)), so a cell's trials share one copy,
+    freed with g; it shares the base's capabilities, counters and JUMP
+    generator, and its own jump() is uniform over all n + 1 nodes."""
 
     __slots__ = ("base",)
 
     def __init__(self, base):
-        super().__init__(_augmented(base.graph), base.caps, base._rng)
+        super().__init__(derived(base.graph, _augmented), base.caps, base._rng)
         self.stats = base.stats
         self.base = base
         self.virtual = base.node_count

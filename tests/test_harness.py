@@ -210,10 +210,13 @@ def _error(message, verb=""):
     return re.escape(f"pprquery{verb}: error: {message}")
 
 
+RUN = ["run", "--config", "cfg.json", "--out", "t.csv"]
+
+
 def _run(over, message, files=None):
     """A run of tiny_config(**over) that must fail with `message`."""
     return ({"cfg.json": tiny_config(**over).to_json(), **(files or {})},
-            ["run", "--config", "cfg.json", "--out", "t.csv"], message)
+            RUN, message)
 
 
 # single_pair_ppr on the sp_avg n=16, m=64 preset
@@ -226,12 +229,12 @@ EXACT = ["exact", "--graph", "g.txt", "--mode", "source", "--out", "e.csv"]
 GENERATE = ["generate", "--out", "x.txt", "--meta", "m.json", "--family"]
 PRESET = [*GENERATE, "sp_avg", "--n", "16", "--m", "64", "--preset"]
 
-# Bad input to the CLI, one row each: (id, the input files it writes,
-# argv, a regex of the one error line, which ends stderr)
+# Bad input to the CLI, one row each: (id, the input files it writes, as
+# text or bytes, argv, a regex of the one error line, which ends stderr)
 USAGE_ERRORS = [
     ("fit-missing_file", {"res.csv": FIT_ROWS},
      ["fit", "--results", "no_such.csv"],
-     _error("cannot read no_such.csv: No such file or directory")),
+     _error("no_such.csv: No such file or directory")),
     *((f"fit-{name}", {"res.csv": FIT_ROWS},
        ["fit", "--results", "res.csv", *flags], _error(message))
       for name, flags, message in [
@@ -241,6 +244,43 @@ USAGE_ERRORS = [
           ("three_points", ["--algorithm", "bippr"],
            "need >= 4 sweep points, got 3"),
           ("equal_x", ["--x", "alpha"], "all x values identical")]),
+    # a config that is not UTF-8 JSON of an object, or names its
+    # algorithm or family by a list
+    *((f"run-config_{name}", {"cfg.json": text}, RUN, _error(message))
+      for name, text, message in [
+          ("not_utf8", b'\xff{}', "config is not UTF-8 JSON: 'utf-8' codec "
+           "can't decode byte 0xff in position 0: invalid start byte"),
+          ("malformed", '{"algorithm": }', "config is not UTF-8 JSON: "
+           "Expecting value: line 1 column 15 (char 14)"),
+          ("list", '["algorithm"]',
+           'config must be a JSON object, got ["algorithm"]'),
+          ("number", "5", "config must be a JSON object, got 5"),
+          ("null", "null", "config must be a JSON object, got null")]),
+    ("run-algorithm_list", *_run({"algorithm": ["monte_carlo"]}, _error(
+        "unknown algorithm ['monte_carlo']"))),
+    ("run-family_list", *_run(
+        {"instance": {"family": ["sp_avg"], "n": 8, "L": 2, "D": 2}},
+        _error("unknown family ['sp_avg']"))),
+    ("run-family_list_preset", *_run(
+        {"instance": {"family": ["sp_avg"], "preset": True, "n": 16,
+                      "m": 64}},
+        _error("preset instance: no preset for family ['sp_avg']"))),
+    # files the OS refuses: no output is written into a missing directory
+    ("run-config_missing", {}, ["run", "--config", "no_such.json", "--out",
+                                "t.csv"],
+     _error("no_such.json: No such file or directory")),
+    ("run-config_directory", {}, ["run", "--config", ".", "--out", "t.csv"],
+     _error(".: Is a directory")),
+    ("run-out_missing_dir", {"cfg.json": tiny_config().to_json()},
+     ["run", "--config", "cfg.json", "--out", "no_dir/t.csv"],
+     _error("no_dir/t.csv: No such file or directory")),
+    ("exact-out_missing_dir", {"g.txt": "2 2\n0 1\n1 0\n"},
+     [*EXACT[:-1], "no_dir/e.csv"],
+     _error("no_dir/e.csv: No such file or directory")),
+    ("generate-out_missing_dir", {},
+     ["generate", "--family", "sp_avg", "--n", "16", "--m", "64",
+      "--preset", "--out", "no_dir/g.txt"],
+     _error("no_dir/g.txt: No such file or directory")),
     ("run-zero_threads", {"cfg.json": tiny_config().to_json()},
      ["run", "--config", "cfg.json", "--out", "t.csv", "--threads", "0"],
      _error("threads must be an integer >= 1, got 0")),
@@ -262,6 +302,10 @@ USAGE_ERRORS = [
     ("exact-bad_edge_list", BAD_EDGES,
      ["exact", "--graph", "bad.txt", "--mode", "pagerank", "--out", "e.csv"],
      BAD_EDGES_ERROR),
+    # theta = c_theta * delta^(2/3) underflows before L takes its log
+    ("run-single_pair_ppr_theta", *_run(
+        {**SP, "deltas": [1e-300], "multipliers": {"c_theta": 1e-300}},
+        _error("theta underflows to 0.0 (c_theta=1e-300, delta=1e-300)"))),
     # c_nr = 1e-9 leaves derive_params too few walks
     ("run-constraint_single_pair_ppr", *_run(
         {**SP, "multipliers": {"c_nr": 1e-9}},
@@ -372,7 +416,8 @@ class TestCli:
         traceback, and no file beside the row's inputs."""
         monkeypatch.chdir(tmp_path)
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_bytes(
+                text if isinstance(text, bytes) else text.encode())
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -1,7 +1,5 @@
-import gc
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,25 +69,6 @@ class TestSuperSourceView:
             assert in_list(aug, v) == in_list(g, v) + [n]
             assert in_list(aug, v, True) == in_list(g, v, True) + [n]
         assert in_list(aug, n) == [] and out_list(aug, n) == list(range(n))
-
-    def test_augmented_copy_freed_with_its_graph(self):
-        """A cell's trials share one augmented copy, which goes when its
-        graph goes; a one-slot cache used to keep the last copy alive."""
-        SuperSourceView(OracleHandle(chain_graph(), Capabilities.all()))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            g = random_graph(0, 20_000)
-            views = [SuperSourceView(OracleHandle(g, Capabilities.all()))
-                     for _ in range(2)]
-            assert views[0].graph is views[1].graph
-            live = tracemalloc.get_traced_memory()[0] - base
-            del g, views
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        assert live > 3e6 and held < 1e5, (live, held)
 
     def test_view_mechanics(self):
         g = chain_graph()

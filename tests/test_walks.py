@@ -41,9 +41,11 @@ from pprquery.classic import (_lockstep, _push_walk_estimates,
 from pprquery.graph import NodeIdOutOfRange
 from pprquery.oracle import (QUERY_KINDS, Capabilities, CapabilityDisabled,
                              IndexOutOfRange, OracleHandle)
-from pprquery.single_node import SuperSourceView, single_node_avg_jump
+from pprquery.single_node import (SuperSourceView, _augmented,
+                                  single_node_avg_jump)
 
-from conftest import chi_num, out_list, random_graph, seed_term
+from conftest import (chi_num, materialize_super_source, out_list,
+                      random_graph, seed_term)
 
 
 def reference_walk_terminals(o, sources, alpha, rng, count):
@@ -667,66 +669,114 @@ def test_largest_uniform_steps_to_last_neighbor(d):
     assert (u * np.array([d], dtype=np.int32)).astype(np.int64).tolist() == [d - 1]
 
 
-def test_step_tables_built_on_first_step_and_freed_with_graph():
-    """A walk step's tables, the float64 degrees and the intp offsets,
-    are built on the first step if no scan built the degrees before,
-    once per graph, never by build_graph or the other queries (whole
-    out-lists included), and go when their graph goes."""
-    g = random_graph(0, 40)
-    o = OracleHandle(g, Capabilities.all(), seed=1)
-    view = SuperSourceView(o)
-    for q in (o, view):
-        q.deg_out(3), q.deg_out_many([1, 2]), q.adj_many([1], [2])
-        q.in_scans([0, 5], [0.5, 1.0])
-        q.in_sorted_scans([0, 5], [0.5, 1.0], [0.1, -1.0])
-        q.out_lists([1, 2])
-    assert g not in oracle._step_tables_of
-    assert view.graph not in oracle._step_tables_of
-    o.walk_step_many([0, 1], [0.5, 0.25])
-    deg, ptr = tabs = oracle._step_tables_of[g]
-    assert deg.dtype == np.float64 and ptr.dtype == np.intp
-    assert deg.tolist() == g.out_deg.tolist()
-    assert ptr.tolist() == g.out_ptr.tolist()
-    assert not deg.flags.writeable and not ptr.flags.writeable
-    o.walk_step_many([2], [0.5])
-    OracleHandle(g).walk_step_many([3], [0.5])
-    assert oracle._step_tables_of[g] is tabs  # built once per graph
-    assert view.graph not in oracle._step_tables_of
-    view.walk_step_many([0, 7], [0.5, 0.5])
-    aug = oracle._step_tables_of[view.graph]
-    assert aug[0].size == g.node_count + 1 and aug[0][-1] == g.node_count
-    refs = [weakref.ref(a) for a in tabs + aug]
-    del g, o, view, q, tabs, deg, ptr, aug
-    gc.collect()
-    assert all(r() is None for r in refs)
+# every call that reads no per-graph table or builds one, on a handle or
+# a super-source view q
+CALLS = {
+    "scalars": lambda q: [q.deg_out(3), q.deg_in(3), q.out_nbr(3, 0),
+                          q.in_nbr(int(np.argmax(q.graph.in_deg)), 0),
+                          q.in_sorted(int(np.argmax(q.graph.in_deg)), 0),
+                          q.adj(3, 2), q.jump()],
+    "deg_out_many": lambda q: q.deg_out_many([1, 2]),
+    "out_lists": lambda q: q.out_lists([1, 2]),
+    "jump_many": lambda q: q.jump_many(3),
+    "adj_many_empty": lambda q: q.adj_many([], []),  # bidir_pair's empty V_P
+    "adj_many": lambda q: q.adj_many([1, 3, 3], [2, 3, 0]),
+    "in_scans": lambda q: q.in_scans([0, 5], [0.5, 1.0]),
+    "in_sorted_scans": lambda q: q.in_sorted_scans([0, 5], [0.5, 1.0],
+                                                   [0.1, -1.0]),
+    "out_step_many": lambda q: q.out_step_many([0, 1], [0.5, 0.25]),
+    "walk_step_many": lambda q: q.walk_step_many([0, 1], [0.5, 0.25]),
+    "view": SuperSourceView,
+}
+NO_TABLE = ("scalars", "deg_out_many", "out_lists", "jump_many",
+            "adj_many_empty")
+SCANS = ("in_scans", "in_sorted_scans")
+STEPS = ("out_step_many", "walk_step_many")
 
 
-def test_scans_build_only_the_float_degrees():
-    """A graph that is only scanned gets its float64 out-degrees on its
-    first scan batch, never from build_graph or scalar queries: once per
-    graph, bit-equal to out_deg and read-only, then shared with its walk
-    steps, and freed with the graph.  Its intp offsets wait for the
-    first walk step."""
-    g = random_graph(0, 40)
-    o = OracleHandle(g, Capabilities.all(), seed=1)
-    v = int(np.argmax(g.in_deg))
-    o.deg_out(v), o.deg_in(v), o.out_nbr(v, 0), o.in_nbr(v, 0)
-    o.in_sorted(v, 0), o.adj(v, 2), o.jump(), o.deg_out_many([1, v])
-    assert g not in oracle._out_degf_of
-    o.in_sorted_scans([0, 5], [0.5, 1.0], [0.1, -1.0])
-    deg = oracle._out_degf_of[g]
-    assert deg.dtype == np.float64 and not deg.flags.writeable
-    assert bits(deg) == bits(g.out_deg)
-    o.in_scans([1, 2], [1.0, 0.25])
-    OracleHandle(g, Capabilities.all()).in_sorted_scans([7], [1.0], [0.0])
-    assert oracle._out_degf_of[g] is deg  # built once per graph
-    assert g not in oracle._step_tables_of
-    o.walk_step_many([0, 1], [0.5, 0.25])
-    assert oracle._step_tables_of[g][0] is deg
-    refs = [weakref.ref(a) for a in oracle._step_tables_of[g]]
-    del g, o, deg
-    gc.collect()
+def _sorted_edge_keys(g):
+    src, dst = g.edge_arrays()
+    return np.sort(src * g.node_count + dst)
+
+
+# (id, builder, its definition, the first call that builds it, the calls
+# that must not build it)
+TABLES = [
+    ("out_degf", oracle._out_degf,
+     lambda g: np.diff(g.out_ptr).astype(np.float64), "in_sorted_scans",
+     NO_TABLE + ("adj_many",)),
+    ("out_ptr", oracle._out_ptr, lambda g: g.out_ptr.astype(np.intp),
+     "walk_step_many", NO_TABLE + SCANS + ("adj_many",)),
+    ("adj_keys", oracle._adj_keys, _sorted_edge_keys, "adj_many",
+     NO_TABLE + SCANS + STEPS),
+    ("augmented", _augmented, materialize_super_source, "view",
+     NO_TABLE + SCANS + STEPS + ("adj_many",)),
+]
+CSR_ARRAYS = ("out_ptr", "out_nbrs", "out_sorted", "out_deg", "in_ptr",
+              "in_nbrs", "in_sorted", "in_deg")
+
+
+def _arrays(table):
+    """A table's arrays: itself, or an augmented graph's CSR arrays."""
+    if isinstance(table, np.ndarray):
+        return [table]
+    return [getattr(table, name) for name in CSR_ARRAYS]
+
+
+def _content(table):
+    """A table's sizes, dtypes and bytes: equal means bit for bit."""
+    sizes = [] if isinstance(table, np.ndarray) else [table.node_count,
+                                                      table.edge_count]
+    return sizes + [(a.dtype, a.shape, a.tobytes()) for a in _arrays(table)]
+
+
+@pytest.mark.parametrize("builder,define,first,never",
+                         [row[1:] for row in TABLES],
+                         ids=[row[0] for row in TABLES])
+def test_derived_table_built_on_first_use_and_freed_with_graph(
+        builder, define, first, never):
+    """Each per-graph table is built by its first call, never by
+    build_graph, by the calls in `never` or for a view's graph on the
+    base's behalf; it equals its definition, is read-only, is shared by
+    every handle and call on the same graph (a cell's trials share one
+    augmented copy), and goes when its graph goes (a one-slot cache used
+    to keep the last augmented copy alive)."""
+    def build(q):
+        for name in never:
+            CALLS[name](q)
+        assert builder not in q.graph.tables
+        CALLS[first](q)
+        table = q.graph.tables[builder]
+        assert _content(table) == _content(define(q.graph))
+        assert not any(a.flags.writeable for a in _arrays(table))
+        return table
+
+    for call in CALLS.values():  # first-use costs outside the trace
+        call(SuperSourceView(OracleHandle(random_graph(1, 40),
+                                          Capabilities.all(), seed=1)))
+    edges = np.column_stack(random_graph(0, 20_000).edge_arrays())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build_graph(edges, 20_000)
+        assert g.tables == {}
+        table = build(OracleHandle(g, Capabilities.all(), seed=1))
+        other = OracleHandle(g, Capabilities.all(), seed=2)
+        for call in CALLS.values():
+            call(other)
+        assert g.tables[builder] is table  # built once per graph
+        view = SuperSourceView(other)
+        view_table = build(view)
+        assert view_table is not table
+        live = tracemalloc.get_traced_memory()[0] - base
+        refs = [weakref.ref(a) for a in _arrays(table) + _arrays(view_table)]
+        del g, table, other, view, view_table
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
     assert all(r() is None for r in refs)
+    assert live > 3e6 and held < 1e5, (live, held)
 
 
 def test_build_graph_holds_no_step_tables():
