@@ -40,7 +40,6 @@ from .graph import PprqueryError, check_nodes, positions
 
 DEFAULT_WALK_MULT = 16.0
 MAX_WALKS = 2 ** 28  # per walk batch: 2 GiB of int64 moves, drawn up front
-_COVER_EXTRA = 8.0  # coupon-collector slack of _cover_sources
 
 _scratch = threading.local()  # walk and R_hat arrays, see _scratch_array
 
@@ -405,22 +404,6 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     return _leveled_backward(o, t, alpha, L, push)
 
 
-def _cover_sources(o):
-    """JUMP until every node is seen with high probability, in jump_many
-    rounds of min(unseen, budget left): only a round's last draw can see
-    the last node, so JUMPs are drawn as one at a time would be.  Coupon
-    collector: n (ln n + _COVER_EXTRA) jumps miss a fixed node with
-    probability <= e^-_COVER_EXTRA = e^-8."""
-    n = o.node_count
-    budget = max(n, math.ceil(n * (math.log(n) + _COVER_EXTRA)))
-    seen = set()
-    while len(seen) < n and budget:
-        k = min(n - len(seen), budget)
-        seen.update(o.jump_many(k).tolist())
-        budget -= k
-    return sorted(seen)
-
-
 def single_target_jump_mc(o, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT):
     """Worst-case single-target solver: JUMP to cover sources, then
     plain Monte Carlo per discovered source, all sources walked in one
@@ -428,7 +411,7 @@ def single_target_jump_mc(o, t, alpha, delta, eps, p_f, rng, c=DEFAULT_WALK_MULT
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha)
     n_w = mc_walk_count(delta, eps, p_f, c)
-    return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w,
+    return _push_walk_estimates(o, o.jump_cover(), alpha, rng, n_w,
                                 {}, np.eye(1, o.node_count, t)[0])
 
 
@@ -446,4 +429,4 @@ def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
     check_params(r_max=r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
     p, r = approx_contributions(o, t, alpha, r_max)
-    return _push_walk_estimates(o, _cover_sources(o), alpha, rng, n_w, p, r)
+    return _push_walk_estimates(o, o.jump_cover(), alpha, rng, n_w, p, r)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .graph import PprqueryError, save_edge_list
@@ -52,12 +53,11 @@ def _cmd_generate(args):
 
 def _cmd_exact(args):
     g = load_instance_file(args.graph)  # a bad file is a usage error
-    if args.mode == "source":
-        vec = exact_single_source(g, args.node, args.alpha, args.tol)
-    elif args.mode == "target":
-        vec = exact_single_target(g, args.node, args.alpha, args.tol)
-    else:
+    if args.mode == "pagerank":
         vec = exact_pagerank(g, args.alpha, args.tol)
+    else:
+        solve = exact_single_source if args.mode == "source" else exact_single_target
+        vec = solve(g, args.node, args.alpha, args.tol)
     dump_csv(vec, args.out)
     print(f"wrote {g.node_count} rows to {args.out}")
     return 0
@@ -164,7 +164,10 @@ def main(argv=None):
         fixed = [f"--{k}" for k in _PRESET_FIELDS if getattr(args, k) is not None]
         if fixed:
             g.error(f"--preset sets {', '.join(fixed)} itself")
-    try:
+    try:  # an output path in a missing directory, named before any work
+        for path in filter(None, [getattr(args, k, None) for k in ("out", "meta")]):
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                os.stat(path)  # FileNotFoundError (or NotADirectoryError)
         return args.func(args)
     except PprqueryError as e:
         p.error(str(e))  # bad input the package names is a usage error: exit 2

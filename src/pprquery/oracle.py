@@ -9,9 +9,9 @@ Running time claims are measured in query count, not wall clock.
 Scalar queries read the graph's int32 CSR arrays through memoryviews,
 which return Python ints; ADJ bisects the id-sorted out-range.  Only
 scalar queries take an index.  The batch methods `deg_out_many`,
-`out_lists` (whole OUT lists), `adj_many` and `jump_many` index the
-arrays with numpy and charge exactly one query per element or list
-entry, so batching changes the wall time of a run, never its query
+`out_lists` (whole OUT lists), `adj_many` and `jump_cover` (a whole
+JUMP cover) work in numpy and charge exactly one query per element,
+list entry or JUMP: batching changes the wall time, never the query
 count.  `adj_many` finds every pair's key u * n + v by one search of
 the ascending keys of out_sorted (_adj_keys).  It and `walk_step_many`
 also take a multiplicity `times`: element j then stands for times[j]
@@ -55,7 +55,7 @@ each create their own handle over the shared immutable graph.
 
 from __future__ import annotations
 
-import numbers
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -63,6 +63,8 @@ import numpy as np
 
 from .graph import (NodeIdOutOfRange, PprqueryError, check_nodes, csr_entries,
                     derived, readonly)
+
+_COVER_EXTRA = 8.0  # jump_cover misses a node with probability <= e^-8
 
 QUERY_KINDS = ("deg_in", "deg_out", "in", "out", "in_sorted", "adj", "jump")
 
@@ -455,11 +457,22 @@ class OracleHandle:
         self.stats.in_sorted += paid
         return read
 
-    def jump_many(self, count):
-        """`count` JUMP draws: the same values, in the same order, as
-        `count` calls of jump(); ValueError, charging and drawing
-        nothing, unless count is a non-bool integer >= 0."""
-        if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
-                or count < 0):
-            raise ValueError(f"count={count!r} must be an integer >= 0")
-        return self._draw(self._n, count)
+    def jump_cover(self):
+        """JUMP until all n nodes are seen or n (ln n + _COVER_EXTRA) are
+        drawn; returns the nodes seen, ascending, as Python ints.  One draw
+        of the whole budget finds the cut where the cover completes; the
+        generator is rewound and exactly that many JUMPs drawn, so answer,
+        charge and end state are those of one jump() at a time, as
+        integers(n, size=k) gives the first k values of a longer call and
+        bit_generator.state carries PCG64's buffered 32-bit half.  Peak
+        memory: 8 B per budgeted JUMP plus np.unique's sort (16 MB at 10^5)."""
+        if not self.caps.jump:
+            raise CapabilityDisabled("JUMP is not enabled")
+        n = self._n
+        budget = max(n, math.ceil(n * (math.log(n) + _COVER_EXTRA)))
+        state = self._rng.bit_generator.state
+        seen, first = np.unique(self._rng.integers(n, size=budget),
+                                return_index=True)
+        self._rng.bit_generator.state = state
+        self._draw(n, first.max() + 1 if seen.size == n else budget)
+        return seen.tolist()

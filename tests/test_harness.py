@@ -281,6 +281,11 @@ USAGE_ERRORS = [
      ["generate", "--family", "sp_avg", "--n", "16", "--m", "64",
       "--preset", "--out", "no_dir/g.txt"],
      _error("no_dir/g.txt: No such file or directory")),
+    # named before g.txt is written
+    ("generate-meta_missing_dir", {},
+     ["generate", "--family", "sp_avg", "--n", "16", "--m", "64",
+      "--preset", "--out", "g.txt", "--meta", "no_dir/m.json"],
+     _error("no_dir/m.json: No such file or directory")),
     ("run-zero_threads", {"cfg.json": tiny_config().to_json()},
      ["run", "--config", "cfg.json", "--out", "t.csv", "--threads", "0"],
      _error("threads must be an integer >= 1, got 0")),
@@ -427,6 +432,20 @@ class TestCli:
         assert len(errors) == 1 and re.fullmatch(line, errors[0])
         assert err.endswith(errors[0] + "\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+    def test_run_names_missing_out_dir_before_any_trial(self, tmp_path,
+                                                         monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(tiny_config().to_json())
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run computed trials before naming --out")
+
+        monkeypatch.setattr(cli, "run_experiment", no_trials)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--out",
+                      str(tmp_path / "no_dir" / "t.csv")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("mode,node,solve", [
         ("target", "1", lambda g: exact_single_target(g, 1, 0.2)),

@@ -501,54 +501,32 @@ def test_in_scans_match_scalar_scans(view, g, data):
                                  "total": len(real) + 2 * entries}
 
 
-@settings(max_examples=30, deadline=None)
-@given(g=graphs(), k=st.integers(0, 50))
-def test_jump_many_matches_scalar_jumps(g, k):
-    a, b = twin_oracles(g, view=False)
-    assert b.jump_many(k).tolist() == [a.jump() for _ in range(k)]
-    assert a.stats.as_dict() == b.stats.as_dict()
-    assert jump_state(a) == jump_state(b)
-
-
-@pytest.mark.parametrize("count", [-3, 2.7, True, "2", None])
-def test_jump_many_rejects_bad_count_before_drawing(count):
-    # a negative count would leave stats.jump below zero, a float would
-    # silently draw its floor and True one JUMP
-    g = random_graph(0, 20)
-    o, twin = (OracleHandle(g, Capabilities(jump=True), seed=3) for _ in range(2))
-    before = jump_state(o)
-    with pytest.raises(ValueError, match=re.escape(f"count={count!r}")):
-        o.jump_many(count)
-    assert o.stats.jump == 0 and jump_state(o) == before
-    # numpy integers pass
-    assert o.jump_many(np.int64(2)).tolist() == [twin.jump(), twin.jump()]
-    assert o.stats.jump == 2
-
-
 def reference_cover_sources(o):
-    """The one-JUMP-at-a-time cover that _cover_sources replaced."""
+    """The one-JUMP-at-a-time cover that jump_cover replaced."""
     n = o.node_count
     seen = set()
-    for _ in range(max(n, math.ceil(n * (math.log(n) + classic._COVER_EXTRA)))):
+    for _ in range(max(n, math.ceil(n * (math.log(n) + oracle._COVER_EXTRA)))):
         seen.add(o.jump())
         if len(seen) == n:
             break
     return sorted(seen)
 
 
-@pytest.mark.parametrize("extra", [classic._COVER_EXTRA, -10.0],
+@pytest.mark.parametrize("extra", [oracle._COVER_EXTRA, -10.0],
                          ids=["default", "short_budget"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 500])
 def test_cover_rounds_match_scalar_jumps(n, extra, monkeypatch):
-    """The cover's jump_many rounds find the sources, charge the JUMPs and
-    leave the JUMP generator as one JUMP at a time until every node is
-    seen; with a budget of n JUMPs (_COVER_EXTRA = -10), which often
-    ends the cover early, too."""
-    monkeypatch.setattr(classic, "_COVER_EXTRA", extra)
+    """The cover's one draw finds the sources, as Python ints, charges the
+    JUMPs and leaves the JUMP generator as one JUMP at a time until every
+    node is seen; with a budget of n JUMPs (_COVER_EXTRA = -10), which
+    often ends the cover early, too."""
+    monkeypatch.setattr(oracle, "_COVER_EXTRA", extra)
     g = random_graph(3, n)
     for seed in range(25 if n < 500 else 5):
         a, b = twin_oracles(g, False, Capabilities(jump=True), seed)
-        assert classic._cover_sources(b) == reference_cover_sources(a)
+        sources = b.jump_cover()
+        assert sources == reference_cover_sources(a)
+        assert all(type(v) is int for v in sources)
         assert a.stats.as_dict() == b.stats.as_dict()
         assert jump_state(a) == jump_state(b)
 
@@ -572,7 +550,7 @@ def test_jump_batches_need_jump(g):
     caps = Capabilities(in_sorted=True, adj=True)
     o = OracleHandle(g, caps, seed=1)
     with pytest.raises(CapabilityDisabled):
-        o.jump_many(3)
+        o.jump_cover()
     view = SuperSourceView(o)
     with pytest.raises(CapabilityDisabled):
         view.out_lists([0, view.virtual])
@@ -678,7 +656,7 @@ CALLS = {
                           q.adj(3, 2), q.jump()],
     "deg_out_many": lambda q: q.deg_out_many([1, 2]),
     "out_lists": lambda q: q.out_lists([1, 2]),
-    "jump_many": lambda q: q.jump_many(3),
+    "jump_cover": lambda q: q.jump_cover(),
     "adj_many_empty": lambda q: q.adj_many([], []),  # bidir_pair's empty V_P
     "adj_many": lambda q: q.adj_many([1, 3, 3], [2, 3, 0]),
     "in_scans": lambda q: q.in_scans([0, 5], [0.5, 1.0]),
@@ -688,7 +666,7 @@ CALLS = {
     "walk_step_many": lambda q: q.walk_step_many([0, 1], [0.5, 0.25]),
     "view": SuperSourceView,
 }
-NO_TABLE = ("scalars", "deg_out_many", "out_lists", "jump_many",
+NO_TABLE = ("scalars", "deg_out_many", "out_lists", "jump_cover",
             "adj_many_empty")
 SCANS = ("in_scans", "in_sorted_scans")
 STEPS = ("out_step_many", "walk_step_many")
