@@ -24,7 +24,8 @@ from .exact import exact_single_source, exact_pagerank
 from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
-                      default_r_max_pair, check_params, DEFAULT_WALK_MULT)
+                      default_r_max_pair, check_params, mc_walk_count,
+                      DEFAULT_WALK_MULT, MAX_WALKS, WalkBudgetExceeded)
 from .bidir import MULTIPLIERS, _cell_params, single_pair_ppr
 from .single_node import (single_node_adaptive, single_node_avg_jump,
                           single_node_avg_full)
@@ -258,6 +259,12 @@ def _check_config(cfg, threads=1):
                                   d, cfg.alpha)
         except ValueError as e:
             raise ConfigError(f"preset instance: {e}") from None
+    if cfg.algorithm in ("monte_carlo", "st_jump_mc"):  # graph-free walk counts
+        for d in cfg.deltas:
+            walks = mc_walk_count(d, cfg.eps, cfg.p_f, _walks(cfg))
+            if walks > MAX_WALKS:
+                raise WalkBudgetExceeded(f"1 x {walks:.4g} walks > "
+                                         f"MAX_WALKS = {MAX_WALKS}")
     return variant, required, runner
 
 

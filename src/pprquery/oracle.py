@@ -32,15 +32,21 @@ and returns only the entries before it.  Scans and walk steps keep one
 operand rule: int32 storage (the CSR), intp gather indices and float64
 divisors (_out_degf, _out_ptr).  Those tables and the ADJ keys are
 read-only, built by the first batch that reads them and kept with the
-graph (graph.derived).  A malformed batch charges and draws nothing:
-each raises ValueError, naming itself, for an element argument that is
-neither one value nor one per node.  `_nodes` checks the ids given to
-`deg_out_many`, `out_lists` and `adj_many`, and check_nodes those of
-`adj`: NodeIdOutOfRange for a float, bool or out-of-range id.  Other
-scalar queries raise NodeIdOutOfRange for an id outside [0,
-node_count), a view's s' included, and IndexOutOfRange for an index
-outside the list, both uncharged.  Walk-step and scan batches, whose
-ids are earlier answers, check lengths only.
+graph (graph.derived).  A handle keeps one read plan, the last scan
+batch's list array, a copy of its nodes, and their entry ids (read-only,
+as in_scans returns them), list lengths and divisors; a scan of the
+same array over equal node values reads the plan instead of the CSR
+(leveled loops often repeat a frontier), and any other scan replaces
+it.  Spreads, limits, halts and charges are computed per call.  A
+malformed batch charges and draws nothing: each raises ValueError,
+naming itself, for an element argument that is neither one value nor
+one per node.  `_nodes` checks the ids given to `deg_out_many`,
+`out_lists` and `adj_many`, and check_nodes those of `adj`:
+NodeIdOutOfRange for a float, bool or out-of-range id.  Other scalar
+queries raise NodeIdOutOfRange for an id outside [0, node_count), a
+view's s' included, and IndexOutOfRange for an index outside the list,
+both uncharged.  Walk-step and scan batches, whose ids are earlier
+answers, check lengths only.
 
 A super-source view (single_node.SuperSourceView) sets `virtual` to
 s', a node with an out-edge to every other one (None on a plain
@@ -181,7 +187,8 @@ class OracleHandle:
     """
 
     __slots__ = ("graph", "caps", "stats", "virtual", "_rng", "_n", "_dout",
-                 "_din", "_optr", "_iptr", "_out", "_in", "_ins", "_adj")
+                 "_din", "_optr", "_iptr", "_out", "_in", "_ins", "_adj",
+                 "_plan")
 
     def __init__(self, graph, caps=None, rng=None, seed=0):
         self.graph = graph
@@ -199,6 +206,7 @@ class OracleHandle:
         self._in = memoryview(graph.in_nbrs)
         self._ins = memoryview(graph.in_sorted)
         self._adj = memoryview(graph.out_sorted)
+        self._plan = None  # the last scan batch's read plan (see _scan)
 
     @property
     def node_count(self):
@@ -404,15 +412,23 @@ class OracleHandle:
         """Read the in-lists of `vs` in the CSR array `lists`, all of each
         without `lim`, charging DEG-IN per list and DEG-OUT per entry
         read.  Returns the IN or IN-SORTED count to charge and the scan
-        batch's return value (see in_scans and in_sorted_scans)."""
+        batch's return value (see in_scans and in_sorted_scans), read
+        off the handle's plan when `lists` and the node values repeat."""
         g = self.graph
         vs = np.asarray(vs, dtype=np.intp)
         spread = _per_node(method, "spread", spread, vs.size, np.float64)
         if lim is not None:
             lim = _per_node(method, "lim", lim, vs.size, np.float64)
-        idx, lens = csr_entries(g.in_ptr, vs)
-        nbrs = lists[idx].astype(np.intp)
-        chi = spread.repeat(lens) / derived(g, _out_degf)[nbrs]
+        plan = self._plan
+        if (plan is None or plan[0] is not lists or plan[1].shape != vs.shape
+                or not (plan[1] == vs).all()):
+            self._plan = None  # freed before the next one is built
+            idx, lens = csr_entries(g.in_ptr, vs)
+            nbrs = readonly(lists[idx].astype(np.intp))  # in_scans returns it
+            plan = self._plan = (lists, vs.copy(), nbrs, lens, lens.cumsum(),
+                                 lens.astype(bool), derived(g, _out_degf)[nbrs])
+        _, _, nbrs, lens, ends, filled, degf = plan
+        chi = spread.repeat(lens) / degf
         if lim is None:
             paid, read = self._paid(nbrs), (nbrs, chi)
         else:
@@ -420,8 +436,7 @@ class OracleHandle:
             # stops (an empty list reads the pad or the list before it)
             stop = np.zeros(chi.size + 1, dtype=bool)
             np.less_equal(chi, lim.repeat(lens), out=stop[1:])
-            ends = lens.cumsum()
-            halted = stop[ends] & lens.astype(bool)
+            halted = stop[ends] & filled
             keep = ~stop[1:]
             read = nbrs[keep], chi[keep], halted
             paid = read[0].size + int(np.count_nonzero(halted))
@@ -437,7 +452,8 @@ class OracleHandle:
         """Read the whole IN list of each node v = vs[j]: DEG-IN(v), then
         IN(v, i) and DEG-OUT of its answer u for every i, charging exactly
         those queries.  Returns (nbrs, chi), list after list: the intp
-        ids u and their increments spread[j] / d_out(u)."""
+        ids u (the read plan's, read-only) and their increments
+        spread[j] / d_out(u)."""
         paid, read = self._scan("in_scans", self.graph.in_nbrs, vs, spread)
         self.stats.in_q += paid
         return read

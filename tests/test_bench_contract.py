@@ -9,10 +9,12 @@ per-layer metrics.  These tests load the benchmark's spec and tracer
 read-only and run one tiny traced experiment per workload algorithm.
 They also run the microbenchmarks of perfbench/micro.py on a tiny
 graph, so a graph or oracle API change that breaks `--trace 1` fails
-here.
+here.  And they check the shape of every committed BENCH_pr<N>.json,
+the benchmark trajectory that README's "Benchmark trajectory" describes.
 """
 
 import importlib.util
+import json
 import math
 import pathlib
 import sys
@@ -24,6 +26,7 @@ from conftest import random_graph
 from pprquery.harness import ExperimentConfig, emit, run_experiment
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_FILES = sorted(PERFBENCH.parent.glob("BENCH_pr*.json"))
 
 # layers every workload must reach, and those of each algorithm
 SETUP_LAYERS = {"harness", "instances.generate", "graph.build", "exact.solve"}
@@ -139,3 +142,24 @@ def test_micro_layers_run(micro, spec, tmp_path):
     assert set(metrics) == want
     assert all(math.isfinite(v) and v > 0 for v in metrics.values())
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_trajectory_file(path, workloads):
+    """Every line is JSON: one `--workload all` run on seed 1, then one on
+    seed 7919, each an env line and a metrics line per workload, correct
+    with no failed trial, and the run's merged metrics line (whose keys
+    name the workload); the file's last line holds tier1 and src_lines."""
+    *runs, last = map(json.loads, path.read_text().splitlines())
+    assert {"tier1", "src_lines"} <= set(last)
+    size = 2 * len(workloads) + 1
+    assert len(runs) == 2 * size
+    for seed, (*pairs, merged) in zip((1, 7919), (runs[:size], runs[size:])):
+        for name, env, result in zip(workloads, pairs[::2], pairs[1::2]):
+            assert env["env"]["seed"] == seed, name
+            assert result["correct"] is True and result["failed"] == 0, name
+            assert result["metrics"] == {
+                key.removeprefix(f"{name}."): value
+                for key, value in merged["metrics"].items()
+                if key.startswith(f"{name}.")}, name
+        assert merged["correct"] is True and merged["failed"] == 0

@@ -14,6 +14,7 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
 import pprquery
+from pprquery.classic import WalkBudgetExceeded
 from pprquery import (FAMILIES, OracleHandle, PprqueryError, bidir, cli,
                       generate, harness, save_edge_list, load_edge_list,
                       exact_single_target, exact_pagerank)
@@ -324,6 +325,13 @@ USAGE_ERRORS = [
     # delta = 1e-300 asks Monte Carlo for about 9.2e302 walks
     ("run-walk_budget", *_run({"deltas": [1e-300]}, _error(
         "1 x 9.21e+302 walks > MAX_WALKS = 268435456"))),
+    # monte_carlo at eps 1e-3 on target_large's 100k-node preset: named
+    # before the instance is generated
+    ("run-walk_budget_before_build", *_run(
+        {"eps": 1e-3, "deltas": [1e-4], "instance": {
+            "family": "st_avg_full", "preset": True, "n": 20000,
+            "m": 400000}},
+        _error("1 x 3.684e+11 walks > MAX_WALKS = 268435456"))),
     # eps^2 underflows in the walk count and in gamma; 2^53 walk steps
     ("run-mc_eps", *_run({"eps": 1e-300}, _error(
         "eps=1e-300, delta=0.1: inf walks > MAX_WALKS = 268435456"))),
@@ -446,6 +454,19 @@ class TestCli:
             cli.main(["run", "--config", str(cfg), "--out",
                       str(tmp_path / "no_dir" / "t.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("algorithm,caps", [("monte_carlo", []),
+                                                ("st_jump_mc", ["jump"])])
+    def test_walk_budget_named_before_any_instance(self, algorithm, caps,
+                                                   monkeypatch):
+        def no_instance(*args):
+            raise AssertionError("an instance was resolved")
+
+        monkeypatch.setattr(harness, "_resolve_instance", no_instance)
+        cfg = tiny_config(algorithm=algorithm, capabilities=caps,
+                          deltas=[0.5, 1e-4], eps=1e-3)
+        with pytest.raises(WalkBudgetExceeded, match=r"1 x 3\.684e\+11 walks"):
+            run_experiment(cfg)
 
     @pytest.mark.parametrize("mode,node,solve", [
         ("target", "1", lambda g: exact_single_target(g, 1, 0.2)),

@@ -27,6 +27,7 @@ import re
 import threading
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -414,13 +415,15 @@ def test_scalar_query_rejects_a_bad_index_before_charging(view, method):
 
 
 @st.composite
-def scan_batches(draw, g, view):
-    """(nodes, spreads, limits) for a scan batch on g: nodes may include
-    the virtual source, spreads are >= 0 and may be 0, and a limit may
-    be < 0 (read the whole list), inf (stop at the first entry), any
-    float, or spread / k, which an entry of out-degree k meets exactly."""
+def scan_batches(draw, g, view, vs=None):
+    """(nodes, spreads, limits) for a scan batch on g, over `vs` if given:
+    nodes may include the virtual source, spreads are >= 0 and may be 0,
+    and a limit may be < 0 (read the whole list), inf (stop at the first
+    entry), any float, or spread / k, which an entry of out-degree k
+    meets exactly."""
     top = g.node_count if view else g.node_count - 1
-    vs = draw(st.lists(st.integers(0, top), max_size=12))
+    if vs is None:
+        vs = draw(st.lists(st.integers(0, top), max_size=12))
     spread = [draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))) for _ in vs]
     lim = [draw(st.one_of(st.just(-1.0), st.just(math.inf), st.floats(0.0, 2.0),
                           st.integers(1, g.node_count + 1).map(lambda k: sj / k)))
@@ -499,6 +502,55 @@ def test_in_scans_match_scalar_scans(view, g, data):
                                  "deg_in": len(real), "in": entries,
                                  "deg_out": entries,
                                  "total": len(real) + 2 * entries}
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_scan_plan_matches_fresh_handles(view, g, data):
+    """A handle keeps its last scan batch's read plan, and a batch of the
+    same list array over equal node values reads it instead of the CSR.
+    In runs of 2-6 batches, in_scans and in_sorted_scans interleaved with
+    fresh spreads and limits, each over fresh nodes or the last batch's
+    nodes again as a new array, which the caller may overwrite after its
+    batch, every batch returns and charges what it does on a fresh twin
+    handle, and walks the CSR (csr_entries) exactly when it cannot reuse
+    the plan.  A returned id array is read-only or not the plan's own,
+    and a second handle on the graph walks the CSR for its first batch."""
+    o, second = twin_oracles(g, view)
+    top = g.node_count if view else g.node_count - 1
+    nodes = st.lists(st.integers(0, top), max_size=12)
+    caller = method = planned = None
+    with mock.patch.object(oracle, "csr_entries",
+                           wraps=oracle.csr_entries) as walk:
+        for _ in range(data.draw(st.integers(2, 6))):
+            again = caller is not None and data.draw(st.booleans())
+            vs = np.array(caller if again else data.draw(nodes), dtype=np.intp)
+            _, spread, lim = data.draw(scan_batches(g, view, vs))
+            planned_method, method = method, data.draw(st.sampled_from(SCANS))
+            args = (vs, spread) if method == "in_scans" else (vs, spread, lim)
+            before = o.stats.as_dict()
+            walk.reset_mock()
+            got = getattr(o, method)(*args)
+            assert walk.called != (method == planned_method
+                                   and np.array_equal(planned, vs))
+            fresh = twin_oracles(g, view)[0]
+            want = getattr(fresh, method)(*args)
+            assert got[0].tolist() == want[0].tolist()
+            assert bits(got[1]) == bits(want[1])
+            assert [x.tolist() for x in got[2:]] == [x.tolist() for x in want[2:]]
+            assert {k: c - before[k] for k, c in o.stats.as_dict().items()} \
+                == fresh.stats.as_dict()
+            assert jump_state(o) == jump_state(fresh)
+            assert not got[0].flags.writeable or not any(
+                np.shares_memory(got[0], a) for a in o._plan)
+            caller, planned = vs, vs.copy()
+            if vs.size and data.draw(st.booleans()):  # the caller's own array
+                vs[:] = data.draw(st.lists(st.integers(0, top), min_size=vs.size,
+                                           max_size=vs.size))
+        walk.reset_mock()
+        getattr(second, method)(planned, *args[1:])
+        assert walk.called
 
 
 def reference_cover_sources(o):
