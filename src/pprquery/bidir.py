@@ -19,13 +19,11 @@ never draw a scan uniform.
 Forward phase: walks from the source; each terminal u_k is scored by an
 estimate R_hat(u_k) of the derandomized residue R(u_k), combining exact
 ADJ-checked contributions of heavy-reserve nodes with uniform sampling
-of the remaining out-neighbors.  Walk terminals repeat, and a
-terminal's ADJ answers and heavy chi sums do not depend on its samples:
-`estimate_R_hat` finds them once per distinct terminal in a call,
-charging every occurrence the queries it would have made, reads a light
-terminal's out-list at every walk, and draws the samples per walk,
-block by block, by rejection in vectorized rounds of one try per
-still-open sample.
+of the remaining out-neighbors.  `estimate_R_hat` asks a terminal's ADJ
+questions once per distinct terminal in a call, charged per occurrence,
+draws the samples per walk by rejection in vectorized rounds, and sums
+each distinct (terminal, node) chi pair once per flush of at most
+_BLOCK_SAMPLES pairs, over the node's positive pushes only.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -159,7 +158,7 @@ class RandPushState:
     r_hat / r_hat_prime hold per-level residues and their independent
     copies; pushed_amount[i] maps v to the residue amount pushed from
     (v, i): u not in pushed_amount[i] is the flag 1_i(u), and the
-    amounts give each chi_{i+1}(u, v) (_chi_num_sum).  heavy (V_P =
+    amounts give each chi_{i+1}(u, v) (estimate_R_hat).  heavy (V_P =
     {v : p_hat(v) > tau}, a frozenset; p_hat never falls) and push_counts
     (pushes per level 0..L) are computed on each access, not stored.
     """
@@ -245,27 +244,7 @@ def backward_phase(o, t, params, rng):
     return state
 
 
-def _chi_num_sum(state, u, v):
-    """sum_i 1_{i+1}(u) * (1-alpha) * pushed_amount_i(v) over the levels
-    i < L where v pushed a positive amount, in level order; caller
-    divides by d_out(u).  The level-0 seed is virtual (_seed_term)."""
-    pushed, alpha = state.pushed_amount, state.params.alpha
-    tot = 0.0
-    for i in range(state.params.L):
-        amount = pushed[i].get(v, 0.0)
-        if amount > 0.0 and u not in pushed[i + 1]:
-            tot += (1.0 - alpha) * amount
-    return tot
-
-
-def _seed_term(state, u):
-    """chi_0(t,t) = 1 seed convention: 1.0 for the target while it is
-    unpushed at level 0, else 0.0."""
-    return 1.0 if u == state.target and u not in state.pushed_amount[0] else 0.0
-
-
-# Terminals are scored in blocks of about this many samples, which
-# bounds the batch arrays whatever n_r and n_s are.
+# Most samples per block and chi pairs per flush: bounds R_hat's arrays.
 _BLOCK_SAMPLES = 1 << 14
 
 
@@ -275,30 +254,15 @@ def estimate_R_hat(o, state, terminals, params, rng):
     of heavy-reserve out-neighbors via ADJ, uniform sampling of the
     rest.
 
-    Once per call: one DEG-OUT batch over the terminals, one ADJ batch
-    over terminals x V_P, and one out-list read (d_out OUT queries) per
+    Once per call: one DEG-OUT batch over the terminals (it checks their
+    ids before any query or draw), one ADJ batch over distinct terminals
+    x V_P, charged per occurrence (`times`), and one out-list read per
     walk at a light terminal (d_out < 2|V_P|), in walk order, whose
-    samples pick among its light out-neighbors.  An OUT(s', .) answer
-    is a JUMP draw, so a light s' list can miss every light node: such
-    lists are read again, in order, until none is empty (_light_out).
-    A terminal's ADJ answers and chi sums over its V_P neighbors are
-    fixed, so the ADJ batch holds each distinct terminal once and
-    charges it once per occurrence (its `times`); with V_P empty the
-    ADJ batch is empty and no chi sum or out-list read runs.  Per block
+    samples pick among its light out-neighbors (_light_out).  Per block
     of terminals, one uniform per sample (n_s per terminal with a
-    non-empty light pool, in terminal order); the other samples are
-    drawn by rejection in rounds of one try (out_step_many) per open
-    sample, at its own uniform, then one fresh uniform per round; with
-    V_P empty there is one round.  A sample still open after 64 tries
-    reads its terminal's out-list and picks among the light
-    out-neighbors with one more uniform.
-
-    The DEG-OUT batch checks the terminals, before any query or draw
-    (OracleHandle._nodes).  V_P and the nodes that pushed a positive
-    amount are node masks, _chi_num_sum runs once per distinct
-    (terminal, node) pair, bincount sums left to right, and the
-    n-length slot that finds the distinct terminals (classic._merge) and
-    the samples reuse the walk engine's scratch (classic._scratch_array).
+    non-empty light pool, in terminal order), and rejection rounds for
+    the rest (_sample_block).  The V_P pairs of each distinct terminal,
+    then each sample at a node with a positive push, go to _chi_sums.
     """
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
@@ -308,18 +272,13 @@ def estimate_R_hat(o, state, terminals, params, rng):
     heavy = np.array(sorted(state.heavy), dtype=np.int64)
     is_heavy, has_chi = np.zeros((2, n), dtype=bool)
     is_heavy[heavy] = True
-    # the positive pushers, not p_hat > 0: alpha * amount can underflow
-    has_chi[[v for lv in state.pushed_amount
-             for v, x in lv.items() if x > 0.0]] = True
-    memo = {}  # pair key u*n + v -> _chi_num_sum(state, u, v)
-
-    def chi(xs, vs):
-        """_chi_num_sum(state, xs[i], vs[i]) for every i."""
-        keys = (xs * n + vs).tolist()
-        memo.update((key, _chi_num_sum(state, *divmod(key, n)))
-                    for key in set(keys) - memo.keys())
-        return np.array([memo[key] for key in keys])
-
+    # v -> (pushed_amount[i + 1], amount) per positive push, i < L in order
+    pushes, pushed = defaultdict(list), state.pushed_amount
+    for level, nxt in zip(pushed[:state.params.L], pushed[1:]):
+        for v, x in level.items():
+            if x > 0.0:
+                pushes[v].append((nxt, x))
+    has_chi[list(pushes)] = True  # not p_hat > 0: alpha * x can underflow
     k, n_s, h = us.size, params.n_s, heavy.size
     clen, start = np.zeros((2, k), dtype=np.int64)  # per walk: light list
     if h:
@@ -332,26 +291,67 @@ def estimate_R_hat(o, state, terminals, params, rng):
         is_nbr = o.adj_many(np.repeat(ds, h), np.tile(heavy, ds.size),
                             np.repeat(times, h)).reshape(-1, h)
         rows, cols = np.nonzero(is_nbr)
-        num = np.bincount(rows, chi(ds[rows], heavy[cols]),
-                          minlength=ds.size)[inv]
         pool = du - is_nbr.sum(axis=1)[inv]
         lo = np.flatnonzero((pool > 0) & (du < 2 * h))  # the light walks
         cand, clen[lo], start[lo] = _light_out(o, us[lo], is_heavy)
     else:  # V_P empty: no V_P neighbor to sum over, no light terminal
         o.adj_many(us[:0], heavy)  # the ADJ batch, terminals x V_P, is empty
-        num, pool, cand = 0.0, du, us[:0]
-    acc = np.zeros(k)
+        pool, cand, ds = du, us[:0], us[:0]
     step = max(1, _BLOCK_SAMPLES // n_s)
-    for a in range(0, k, step):
-        ts, nodes = _sample_block(
-            o, us, a + np.flatnonzero(pool[a:a + step] > 0),
-            (cand, clen, start), is_heavy if h else None, n_s, rng)
-        hit = np.flatnonzero(has_chi[nodes])  # chi is 0 off has_chi
-        who, block = ts[hit // n_s], acc[a:a + step]
-        block[:] = np.bincount(who - a, chi(us[who], nodes[hit]),
-                               minlength=block.size)
-    seed = np.where(us == state.target, _seed_term(state, state.target), 0.0)
-    return seed + (num + acc * pool / n_s) / du
+
+    def pairs():  # (keys u*n + v, bins): ds's V_P sums, then the walks'
+        if h:
+            yield ds[rows] * n + heavy[cols], rows
+        for a in range(0, k, step):
+            ts, nodes = _sample_block(
+                o, us, a + np.flatnonzero(pool[a:a + step] > 0),
+                (cand, clen, start), is_heavy if h else None, n_s, rng)
+            hit = np.flatnonzero(has_chi[nodes])  # chi is 0 off has_chi
+            who = ts[hit // n_s]
+            yield us[who] * n + nodes[hit], ds.size + who
+
+    sums = _chi_sums(pairs(), pushes, 1.0 - state.params.alpha, n, ds.size + k)
+    num = sums[:ds.size][inv] if h else 0.0
+    # the seed chi_0(t, t) = 1 holds until t pushes at level 0
+    seed = (us == state.target) * float(state.target not in pushed[0])
+    return seed + (num + sums[ds.size:] * pool / n_s) / du
+
+
+def _chi_sums(pairs, pushes, beta, n, size):
+    """Per bin of `size`, the chi values of the (pair keys u*n + v, bins)
+    chunks of `pairs` added from 0.0 in order; chi(u, v) adds beta * amount
+    over v's `pushes` (level order) at whose next level u is unpushed.
+    Pairs wait in a _BLOCK_SAMPLES scratch buffer, flushed when full."""
+    sums, known, held = np.zeros(size), {}, 0
+    buf = _scratch_array("pairs", 2 * _BLOCK_SAMPLES, np.int64).reshape(2, -1)
+    for keys, bins in pairs:
+        while keys.size:
+            m = min(keys.size, _BLOCK_SAMPLES - held)
+            buf[0, held:held + m], buf[1, held:held + m] = keys[:m], bins[:m]
+            keys, bins, held = keys[m:], bins[m:], held + m
+            if held == _BLOCK_SAMPLES:
+                held = _flush(buf, sums, known, pushes, beta, n)
+    if held:
+        _flush(buf[:, :held], sums, known, pushes, beta, n)
+    return sums
+
+
+def _flush(buf, sums, known, pushes, beta, n):
+    """Score `buf` (keys; bins): one np.unique, one Python sum per distinct
+    pair not in the call's `known`, one gather and one np.add.at into
+    sums, in buffer order even across flushes.  Returns 0, the new fill."""
+    keys, inv = np.unique(buf[0], return_inverse=True)
+    keys = keys.tolist()
+    for key in keys:
+        if key not in known:
+            u, v = divmod(key, n)
+            tot = 0.0
+            for nxt, amount in pushes.get(v, ()):
+                if u not in nxt:
+                    tot += beta * amount
+            known[key] = tot
+    np.add.at(sums, buf[1], np.array([known[key] for key in keys])[inv])
+    return 0
 
 
 def _light_out(o, vs, is_heavy):

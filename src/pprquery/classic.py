@@ -352,6 +352,14 @@ def default_r_max_pair(o, delta):
     return min(1.0, math.sqrt(delta * d))
 
 
+def default_r_max_target(o, delta):
+    """single_target_bidir_jump's r_max = sqrt(d delta / n), clamped to
+    (0,1]."""
+    n = o.node_count
+    d = o.edge_count / n
+    return min(1.0, math.sqrt(d * delta / n))
+
+
 def bippr_pair(o, s, t, alpha, delta, eps, p_f, r_max, rng, c=DEFAULT_WALK_MULT):
     """ApproxContributions from t, then walks from s scored by residue.
 
@@ -422,10 +430,8 @@ def single_target_bidir_jump(o, t, alpha, delta, eps, p_f, rng,
     (needs JUMP)."""
     check_nodes(o.node_count, t=t)
     check_params(delta=delta, eps=eps, p_f=p_f, c=c)
-    n = o.node_count
     if r_max is None:
-        d = o.edge_count / n
-        r_max = min(1.0, math.sqrt(d * delta / n))
+        r_max = default_r_max_target(o, delta)
     check_params(r_max=r_max)
     n_w = mc_walk_count(delta, eps, p_f, c * r_max)
     p, r = approx_contributions(o, t, alpha, r_max)

@@ -24,8 +24,9 @@ from .exact import exact_single_source, exact_pagerank
 from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
-                      default_r_max_pair, check_params, mc_walk_count,
-                      DEFAULT_WALK_MULT, MAX_WALKS, WalkBudgetExceeded)
+                      default_r_max_pair, default_r_max_target, check_params,
+                      mc_walk_count, DEFAULT_WALK_MULT, MAX_WALKS,
+                      WalkBudgetExceeded)
 from .bidir import MULTIPLIERS, _cell_params, single_pair_ppr
 from .single_node import (single_node_adaptive, single_node_avg_jump,
                           single_node_avg_full)
@@ -121,6 +122,24 @@ def _walks(cfg):
     return cfg.multipliers.get("c_walks", DEFAULT_WALK_MULT)
 
 
+def _check_walks(delta, cfg, r_max=1.0):
+    """WalkBudgetExceeded, with the message _walk_terminals gives one
+    source, where mc_walk_count at c_walks * r_max exceeds MAX_WALKS."""
+    walks = mc_walk_count(delta, cfg.eps, cfg.p_f, _walks(cfg) * r_max)
+    if walks > MAX_WALKS:
+        raise WalkBudgetExceeded(f"1 x {walks:.4g} walks > "
+                                 f"MAX_WALKS = {MAX_WALKS}")
+
+
+# r_max(o, delta, cfg) of the estimators whose walk count scales by it;
+# _run_cell checks that count on the built graph before the exact solve
+_R_MAX = {
+    "bippr": lambda o, d, cfg: cfg.multipliers.get(
+        "r_max", default_r_max_pair(o, d)),
+    "st_bidir_jump": lambda o, d, cfg: default_r_max_target(o, d),
+}
+
+
 # algorithm registry: name -> (variant, required capabilities, multiplier
 # keys its runner reads, runner), runner(o, s, t, delta, cfg, rng) -> float.
 # Runners look estimators up in this module's namespace when they run,
@@ -131,8 +150,7 @@ ALGORITHMS = {
                          c=_walks(cfg))[0]),
     "bippr": ("pair", (), ("r_max", "c_walks"), lambda o, s, t, d, cfg, rng:
         bippr_pair(o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f,
-                   cfg.multipliers.get("r_max", default_r_max_pair(o, d)),
-                   rng, c=_walks(cfg))),
+                   _R_MAX["bippr"](o, d, cfg), rng, c=_walks(cfg))),
     "power_iteration": ("target", (), (), lambda o, s, t, d, cfg, rng:
         power_iteration_target(
             o, t, cfg.alpha, rbs_levels(cfg.alpha, d, cfg.eps)).get(s, 0.0)),
@@ -261,10 +279,7 @@ def _check_config(cfg, threads=1):
             raise ConfigError(f"preset instance: {e}") from None
     if cfg.algorithm in ("monte_carlo", "st_jump_mc"):  # graph-free walk counts
         for d in cfg.deltas:
-            walks = mc_walk_count(d, cfg.eps, cfg.p_f, _walks(cfg))
-            if walks > MAX_WALKS:
-                raise WalkBudgetExceeded(f"1 x {walks:.4g} walks > "
-                                         f"MAX_WALKS = {MAX_WALKS}")
+            _check_walks(d, cfg)
     return variant, required, runner
 
 
@@ -277,6 +292,8 @@ def _run_cell(cfg, cell):
         check_nodes(g.node_count, s=s, t=t)
     except NodeIdOutOfRange as e:
         raise ConfigError(str(e)) from None
+    if cfg.algorithm in _R_MAX:
+        _check_walks(delta, cfg, _R_MAX[cfg.algorithm](g, delta, cfg))
     exact = None
     if g.node_count <= cfg.exact_cap:
         if variant == "node":

@@ -150,6 +150,20 @@ def chi_num(state, u, v):
     return chi_of(contributions(state, v), state.pushed_amount, u)
 
 
+def chi_num_sum(state, u, v):
+    """The scalar level-order reference for R_hat's chi sums: the sum of
+    (1 - alpha) * pushed_amount[i][v] over the levels i < L where v
+    pushed a positive amount and u is not a key of pushed_amount[i + 1],
+    from 0.0 in level order; the caller divides by d_out(u)."""
+    pushed, alpha = state.pushed_amount, state.params.alpha
+    tot = 0.0
+    for i in range(state.params.L):
+        amount = pushed[i].get(v, 0.0)
+        if amount > 0.0 and u not in pushed[i + 1]:
+            tot += (1.0 - alpha) * amount
+    return tot
+
+
 def seed_term(state, u):
     """The virtual level-0 seed chi_0(t, t) = 1: 1.0 for the target
     while it is unpushed at level 0, else 0.0."""

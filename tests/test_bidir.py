@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
 from pprquery.bidir import (ConstraintViolation, derive_params,
                             rand_push_threshold, backward_phase,
                             estimate_R_hat, single_pair_ppr, RandPushState,
-                            _cell_params, _chi_num_sum)
-from conftest import (chain_graph, chi_of, compute_R, contributions,
-                      singleton_graph, fan_graph, random_graph,
+                            _cell_params)
+from conftest import (chain_graph, chi_num_sum, chi_of, compute_R,
+                      contributions, singleton_graph, fan_graph, random_graph,
                       relay_fan_graph, out_list, r_hat_total,
                       unpushed_bound_holds)
 
@@ -137,7 +138,7 @@ def test_backward_phase_matches_reference(view):
     state, bit for bit and in the same key order, with V_P and the push
     counts derived rather than kept, the same QueryStats and the same
     end states of the generator and of the oracle's JUMP generator.
-    _chi_num_sum, read from pushed_amount, equals for every node pair,
+    chi_num_sum, read from pushed_amount, equals for every node pair,
     bit for bit, the sum of the reference's contrib entries of v whose
     level u has not pushed at."""
     drew = []
@@ -162,7 +163,7 @@ def test_backward_phase_matches_reference(view):
             for v in range(a.node_count):
                 ref = chi_of(want["contrib"].get(v, ()),
                              want["pushed_amount"], u)
-                assert _chi_num_sum(got, u, v).hex() == ref.hex(), (u, v)
+                assert chi_num_sum(got, u, v).hex() == ref.hex(), (u, v)
         assert got.heavy == want["heavy"]
         assert got.push_counts == want["push_counts"]
         assert a.stats.as_dict() == b.stats.as_dict()
@@ -174,6 +175,65 @@ def test_backward_phase_matches_reference(view):
 
     check()
     assert sum(drew) >= DRAWING_SHARE * len(drew), (sum(drew), len(drew))
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+def test_R_hat_chi_values_match_reference(view):
+    """Each chi value an estimate_R_hat call sums, one per distinct
+    (terminal, node) pair, equals the scalar level-order reference
+    chi_num_sum bit for bit, in flushes of 2, 7 or 64 pairs (so a
+    terminal's samples can span flushes) or the default size.  Among the
+    states: scan-drawing pushes in a third or more of the cases with
+    L > 1, a non-empty V_P, pairs whose u was pushed at the level after
+    a push of v, and pairs whose v made a zero-amount push.  The push
+    leaves one only where v's r_hat copy is 0 while its other copy
+    passed theta, which is rare, so a few are added at unpushed slots."""
+    seen = {"drew": [], "heavy": 0, "next": 0, "zero": 0}
+    calls = []
+    flush = bidir._flush
+
+    def spy(buf, sums, known, *rest):
+        calls.append(known)  # the call's pair key -> chi
+        return flush(buf, sums, known, *rest)
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              database=None)
+    @given(case=push_cases(), block=st.sampled_from([2, 7, 64, None]),
+           terms=st.lists(st.integers(0, 8), min_size=1, max_size=40),
+           zeros=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8)),
+                          max_size=6))
+    def check(case, block, terms, zeros):
+        g, t, params, seed = case
+        o = OracleHandle(g, Capabilities.all(), seed=seed % 97)
+        o = SuperSourceView(o) if view else o
+        n = o.node_count
+        rng = np.random.default_rng(seed)
+        start = rng.bit_generator.state
+        state = backward_phase(o, t % n, params, rng)
+        if params.L > 1:
+            seen["drew"].append(rng.bit_generator.state != start)
+        pushed = state.pushed_amount
+        for i, v in zeros:  # as a push leaves them when its r_hat copy is 0
+            if i < params.L and v < n:
+                pushed[i].setdefault(v, 0.0)
+        calls.clear()
+        with mock.patch.object(bidir, "_flush", spy), mock.patch.object(
+                bidir, "_BLOCK_SAMPLES", block or bidir._BLOCK_SAMPLES):
+            estimate_R_hat(o, state, [u % n for u in terms], params, rng)
+        known = calls[-1] if calls else {}
+        pairs = [divmod(key, n) for key in known]
+        for (u, v), chi in zip(pairs, known.values()):
+            assert chi.hex() == chi_num_sum(state, u, v).hex(), (u, v)
+        seen["heavy"] += bool(state.heavy and pairs)
+        seen["next"] += any(lv.get(v, 0.0) > 0.0 and u in nxt for u, v in pairs
+                            for lv, nxt in zip(pushed, pushed[1:]))
+        seen["zero"] += any(lv.get(v) == 0.0 for _, v in pairs
+                            for lv in pushed)
+
+    check()
+    drew = seen.pop("drew")
+    assert sum(drew) >= DRAWING_SHARE * len(drew), (sum(drew), len(drew))
+    assert min(seen.values()) >= 10, seen
 
 
 def loop_sum(xs):
@@ -385,7 +445,7 @@ class TestRandPush:
         assert abs(both / reps - p * p) <= 4 * sigma
 
     def test_read_views_match_rebuild_between_pushes(self, rng):
-        # push, read, push again, read again: _chi_num_sum and compute_R
+        # push, read, push again, read again: chi_num_sum and compute_R
         # must always equal a rebuild from the push amounts
         g, t = relay_fan_graph(n_in=40, n_relays=2, relay_out=8,
                                in_nbr_out=10)
@@ -417,7 +477,7 @@ class TestRandPush:
             for v in sorted(st.r_hat_prime[i]):
                 rand_push_threshold(o, v, i, st, rng)
                 contrib = rebuilt_contrib()
-                assert ([_chi_num_sum(st, x, y) for x, y in pairs]
+                assert ([chi_num_sum(st, x, y) for x, y in pairs]
                         == [rebuilt_chi(x, y, contrib) for x, y in pairs])
                 R = [compute_R(g, st, u) for u in range(g.node_count)]
                 assert R == [rebuilt_R(u, contrib)

@@ -332,6 +332,11 @@ USAGE_ERRORS = [
             "family": "st_avg_full", "preset": True, "n": 20000,
             "m": 400000}},
         _error("1 x 3.684e+11 walks > MAX_WALKS = 268435456"))),
+    # bippr's walk count scales by the built graph's r_max: named after
+    # the build, before the exact solve
+    ("run-walk_budget_bippr", *_run({"algorithm": "bippr", "eps": 1e-4},
+                                    _error("1 x 1.427e+10 walks > "
+                                           "MAX_WALKS = 268435456"))),
     # eps^2 underflows in the walk count and in gamma; 2^53 walk steps
     ("run-mc_eps", *_run({"eps": 1e-300}, _error(
         "eps=1e-300, delta=0.1: inf walks > MAX_WALKS = 268435456"))),
@@ -466,6 +471,22 @@ class TestCli:
         cfg = tiny_config(algorithm=algorithm, capabilities=caps,
                           deltas=[0.5, 1e-4], eps=1e-3)
         with pytest.raises(WalkBudgetExceeded, match=r"1 x 3\.684e\+11 walks"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("algorithm,caps,walks", [
+        ("bippr", [], r"1\.427e\+10"),
+        ("st_bidir_jump", ["jump"], r"4\.512e\+09")])
+    def test_walk_budget_named_before_exact_solve(self, algorithm, caps,
+                                                  walks, monkeypatch):
+        """bippr's and st_bidir_jump's walk counts scale by r_max, read
+        from the built graph's n and m, and are named before the exact
+        solve and any trial."""
+        def no_solve(*args):
+            raise AssertionError("the exact solve ran")
+
+        monkeypatch.setattr(harness, "exact_single_source", no_solve)
+        cfg = tiny_config(algorithm=algorithm, capabilities=caps, eps=1e-4)
+        with pytest.raises(WalkBudgetExceeded, match=rf"1 x {walks} walks"):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("mode,node,solve", [

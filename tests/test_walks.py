@@ -1477,21 +1477,32 @@ def test_scores_match_in_every_sampling_class(case):
 
 
 def test_scores_match_across_blocks(monkeypatch):
-    """Blocks of a few samples each: every block runs its own rounds.
-    The scratch arrays start empty, so some block grows each of them
-    and the next reuses it."""
+    """Blocks of a few samples each: every block runs its own rounds,
+    and some call scores its chi pairs in three or more flushes, none
+    holding more than 7 pairs.  The scratch arrays start empty, so some
+    block grows each of them and the next reuses it."""
     monkeypatch.setattr(classic, "_scratch", threading.local())
     monkeypatch.setattr(bidir, "_BLOCK_SAMPLES", 7)
+    flushes = []
+    flush = bidir._flush
+    monkeypatch.setattr(bidir, "_flush", lambda buf, *a: flushes.append(
+        buf.shape[1]) or flush(buf, *a))
+    most = 0
     for gseed, n, d, view, mult, _ in SCORING_CASES[:3]:
         g = random_graph(gseed, n, d=d)
+        flushes.clear()
         assert_scores_match(g, view, 0, scoring_case_terminals(g, gseed, view),
                             7, **mult)
+        assert max(flushes) <= 7
+        most = max(most, len(flushes))
+    assert most >= 3
 
 
 def test_terminal_queries_once_per_call(monkeypatch):
     """Blocks of a few samples each, so a call runs many blocks: it still
     issues one DEG-OUT batch and one ADJ batch over all its terminals,
-    and its scores match the round order."""
+    some call scores its chi pairs in three or more flushes, and its
+    scores match the round order."""
     monkeypatch.setattr(bidir, "_BLOCK_SAMPLES", 7)
     calls = []
     for name in ("deg_out_many", "adj_many"):
@@ -1500,18 +1511,23 @@ def test_terminal_queries_once_per_call(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(OracleHandle, name, spy)
-    blocks = []
-    sample_block = bidir._sample_block
+    blocks, flushes, most = [], [], 0
+    sample_block, flush = bidir._sample_block, bidir._flush
     monkeypatch.setattr(bidir, "_sample_block",
                         lambda *a: blocks.append(1) or sample_block(*a))
+    monkeypatch.setattr(bidir, "_flush",
+                        lambda *a: flushes.append(1) or flush(*a))
     for gseed, n, d, view, mult, _ in SCORING_CASES[:3]:
         g = random_graph(gseed, n, d=d)
         calls.clear()
         blocks.clear()
+        flushes.clear()
         assert_scores_match(g, view, 0, scoring_case_terminals(g, gseed, view),
                             7, **mult)
         assert sorted(calls) == ["adj_many", "deg_out_many"]
         assert len(blocks) > 10
+        most = max(most, len(flushes))
+    assert most >= 3
 
 
 def test_fixed_terminal_work_once_per_distinct_terminal(monkeypatch):
