@@ -28,7 +28,6 @@ _BLOCK_SAMPLES pairs, over the node's positive pushes only.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from collections import defaultdict
@@ -144,11 +143,6 @@ def derive_params(alpha, delta, eps, p_f, n, **multipliers):
         alpha=alpha, delta=delta, eps=eps, p_f=p_f, theta=theta, gamma=gamma,
         L=L, n_r=n_r, n_s=n_s, tau=tau)
     return replace(params, constraint_margins=verify_constraints(params, n))
-
-
-# derive_params once per argument set: the trials of a harness cell share
-# the result (the single_pair_ppr runner and single_node_avg_full)
-_cell_params = functools.lru_cache(maxsize=16, typed=True)(derive_params)
 
 
 @dataclass

@@ -214,13 +214,15 @@ def _lockstep(o, starts, moves, us):
 def mc_walk_count(delta, eps, p_f, c=DEFAULT_WALK_MULT):
     """Walks needed for a (1 +- eps) estimate of a probability >= delta
     with failure probability p_f: c * log(1/p_f) / (eps^2 delta), or
-    WalkBudgetExceeded where that overflows (eps^2 delta may be 0.0)."""
+    WalkBudgetExceeded where that overflows (eps^2 delta may be 0.0) or
+    exceeds MAX_WALKS, named before an estimator's first query or draw."""
     check_params(delta=delta, eps=eps, p_f=p_f, c=c)
     den = eps * eps * delta
     walks = c * math.log(1.0 / p_f) / den if den else math.inf
-    if walks == math.inf:
-        raise WalkBudgetExceeded(f"eps={eps!r}, delta={delta!r}: inf walks "
-                                 f"> MAX_WALKS = {MAX_WALKS}")
+    if walks > MAX_WALKS:  # and so is its ceiling
+        what = (f"eps={eps!r}, delta={delta!r}: inf" if walks == math.inf
+                else f"1 x {math.ceil(walks):.4g}")
+        raise WalkBudgetExceeded(f"{what} walks > MAX_WALKS = {MAX_WALKS}")
     return max(1, math.ceil(walks))
 
 

@@ -2,9 +2,10 @@
 
 Runs are fully reproducible: the master seed and the (cell, trial)
 indices determine every estimate and query count bit-exactly, and
-adding cells never perturbs other cells' randomness.  Results are
-emitted as CSV (default) or JSON with a stable column order; wall time
-is kept in memory only so emitted files are byte-stable.
+adding cells never perturbs other cells' randomness.  A cell's budget
+is settled once, by its algorithm's set-up (ALGORITHMS), before its exact
+solve.  Results are emitted as CSV (default) or JSON with a stable column
+order; wall time is kept in memory only so emitted files are byte-stable.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .classic import (monte_carlo_pair, bippr_pair, power_iteration_target,
                       rbs_single_target, rbs_levels, single_target_jump_mc,
                       single_target_bidir_jump, approx_contributions,
                       default_r_max_pair, default_r_max_target, check_params,
-                      mc_walk_count, DEFAULT_WALK_MULT, MAX_WALKS,
-                      WalkBudgetExceeded)
-from .bidir import MULTIPLIERS, _cell_params, single_pair_ppr
-from .single_node import (single_node_adaptive, single_node_avg_jump,
-                          single_node_avg_full)
+                      mc_walk_count, DEFAULT_WALK_MULT)
+from .bidir import MULTIPLIERS, derive_params, single_pair_ppr
+from .single_node import (reduction, single_node_adaptive,
+                          single_node_avg_jump, single_node_avg_full)
 from .instances import InstanceSpec, generate, parameter_presets
 
 
@@ -122,71 +122,70 @@ def _walks(cfg):
     return cfg.multipliers.get("c_walks", DEFAULT_WALK_MULT)
 
 
-def _check_walks(delta, cfg, r_max=1.0):
-    """WalkBudgetExceeded, with the message _walk_terminals gives one
-    source, where mc_walk_count at c_walks * r_max exceeds MAX_WALKS."""
-    walks = mc_walk_count(delta, cfg.eps, cfg.p_f, _walks(cfg) * r_max)
-    if walks > MAX_WALKS:
-        raise WalkBudgetExceeded(f"1 x {walks:.4g} walks > "
-                                 f"MAX_WALKS = {MAX_WALKS}")
+def _walk_count(cfg, d, g, r_max_of=lambda g, d: 1.0):
+    """A walk estimator's set-up: its r_max at delta d on graph g (the
+    multiplier, or r_max_of(g, d)), once mc_walk_count has run at it."""
+    r = cfg.multipliers.get("r_max") or r_max_of(g, d)  # a multiplier is > 0
+    mc_walk_count(d, cfg.eps, cfg.p_f, _walks(cfg) * r)
+    return r
 
 
-# r_max(o, delta, cfg) of the estimators whose walk count scales by it;
-# _run_cell checks that count on the built graph before the exact solve
-_R_MAX = {
-    "bippr": lambda o, d, cfg: cfg.multipliers.get(
-        "r_max", default_r_max_pair(o, d)),
-    "st_bidir_jump": lambda o, d, cfg: default_r_max_target(o, d),
-}
+def _derive(cfg, d, g):
+    """derive_params at delta d on graph g's node count: a set-up."""
+    return derive_params(cfg.alpha, d, cfg.eps, cfg.p_f, g.node_count,
+                         **cfg.multipliers)
 
 
-# algorithm registry: name -> (variant, required capabilities, multiplier
-# keys its runner reads, runner), runner(o, s, t, delta, cfg, rng) -> float.
-# Runners look estimators up in this module's namespace when they run,
-# not when they are defined.
+# name -> (variant, required capabilities, multiplier keys, setup, runner).
+# setup(cfg, delta, g) (None: no budget) names a budget past its bound: for
+# each delta with g None before any instance (one that reads g returns
+# None), then on each cell's graph g before its exact solve, for the x of
+# runner(o, s, t, delta, cfg, rng, x) -> float.  Runners look estimators
+# up in this module's namespace when they run.
 ALGORITHMS = {
-    "monte_carlo": ("pair", (), ("c_walks",), lambda o, s, t, d, cfg, rng:
-        monte_carlo_pair(o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
-                         c=_walks(cfg))[0]),
-    "bippr": ("pair", (), ("r_max", "c_walks"), lambda o, s, t, d, cfg, rng:
-        bippr_pair(o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f,
-                   _R_MAX["bippr"](o, d, cfg), rng, c=_walks(cfg))),
-    "power_iteration": ("target", (), (), lambda o, s, t, d, cfg, rng:
-        power_iteration_target(
+    "monte_carlo": ("pair", (), ("c_walks",), _walk_count,
+        lambda o, s, t, d, cfg, rng, _: monte_carlo_pair(
+            o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng, c=_walks(cfg))[0]),
+    "bippr": ("pair", (), ("r_max", "c_walks"),
+        lambda cfg, d, g: g and _walk_count(cfg, d, g, default_r_max_pair),
+        lambda o, s, t, d, cfg, rng, r_max: bippr_pair(
+            o, s, t, cfg.alpha, d, cfg.eps, cfg.p_f, r_max, rng,
+            c=_walks(cfg))),
+    "power_iteration": ("target", (), (), None,
+        lambda o, s, t, d, cfg, rng, _: power_iteration_target(
             o, t, cfg.alpha, rbs_levels(cfg.alpha, d, cfg.eps)).get(s, 0.0)),
-    "approx_contributions": ("target", (), (), lambda o, s, t, d, cfg, rng:
-        approx_contributions(o, t, cfg.alpha, cfg.eps * d).p.get(s, 0.0)),
-    "rbs": ("target", ("in_sorted",), ("rbs_theta",),
-            lambda o, s, t, d, cfg, rng: rbs_single_target(
-                o, t, cfg.alpha, d,
-                cfg.multipliers.get("rbs_theta", cfg.eps * d), rng,
-                eps=cfg.eps).get(s, 0.0)),
-    "st_jump_mc": ("target", ("jump",), ("c_walks",),
-                   lambda o, s, t, d, cfg, rng: single_target_jump_mc(
-                       o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
-                       c=_walks(cfg)).get(s, 0.0)),
+    "approx_contributions": ("target", (), (), None,
+        lambda o, s, t, d, cfg, rng, _: approx_contributions(
+            o, t, cfg.alpha, cfg.eps * d).p.get(s, 0.0)),
+    "rbs": ("target", ("in_sorted",), ("rbs_theta",), None,
+        lambda o, s, t, d, cfg, rng, _: rbs_single_target(
+            o, t, cfg.alpha, d, cfg.multipliers.get("rbs_theta", cfg.eps * d),
+            rng, eps=cfg.eps).get(s, 0.0)),
+    "st_jump_mc": ("target", ("jump",), ("c_walks",), _walk_count,
+        lambda o, s, t, d, cfg, rng, _: single_target_jump_mc(
+            o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
+            c=_walks(cfg)).get(s, 0.0)),
     "st_bidir_jump": ("target", ("jump",), ("c_walks",),
-                      lambda o, s, t, d, cfg, rng: single_target_bidir_jump(
-                          o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng,
-                          c=_walks(cfg)).get(s, 0.0)),
+        lambda cfg, d, g: g and _walk_count(cfg, d, g, default_r_max_target),
+        lambda o, s, t, d, cfg, rng, r_max: single_target_bidir_jump(
+            o, t, cfg.alpha, d, cfg.eps, cfg.p_f, rng, r_max=r_max,
+            c=_walks(cfg)).get(s, 0.0)),
     "single_pair_ppr": ("pair", ("in_sorted", "adj"), MULTIPLIERS,
-                        lambda o, s, t, d, cfg, rng: single_pair_ppr(
-                            o, s, t, _cell_params(
-                                cfg.alpha, d, cfg.eps, cfg.p_f, o.node_count,
-                                **cfg.multipliers), rng)),
-    "sn_adaptive": ("node", ("in_sorted",), ("rbs_theta_mult",),
-                    lambda o, s, t, d, cfg, rng: single_node_adaptive(
-                        o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
-                        theta_mult=cfg.multipliers.get("rbs_theta_mult",
-                                                       1.0))),
-    "sn_avg_jump": ("node", ("jump",), ("c_walks",),
-                    lambda o, s, t, d, cfg, rng: single_node_avg_jump(
-                        o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
-                        c=_walks(cfg))),
+        lambda cfg, d, g: g and _derive(cfg, d, g),
+        lambda o, s, t, d, cfg, rng, params: single_pair_ppr(
+            o, s, t, params, rng)),
+    "sn_adaptive": ("node", ("in_sorted",), ("rbs_theta_mult",), None,
+        lambda o, s, t, d, cfg, rng, _: single_node_adaptive(
+            o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
+            theta_mult=cfg.multipliers.get("rbs_theta_mult", 1.0))),
+    "sn_avg_jump": ("node", ("jump",), ("c_walks",), lambda cfg, d, g: g and
+        _walk_count(cfg, *reduction(g, cfg.alpha), default_r_max_pair),
+        lambda o, s, t, d, cfg, rng, _: single_node_avg_jump(
+            o, t, cfg.alpha, cfg.eps, cfg.p_f, rng, c=_walks(cfg))),
     "sn_avg_full": ("node", ("jump", "in_sorted", "adj"), MULTIPLIERS,
-                    lambda o, s, t, d, cfg, rng: single_node_avg_full(
-                        o, t, cfg.alpha, cfg.eps, cfg.p_f, rng,
-                        multipliers=cfg.multipliers)),
+        lambda cfg, d, g: g and _derive(cfg, *reduction(g, cfg.alpha)),
+        lambda o, s, t, d, cfg, rng, params: single_node_avg_full(
+            o, t, params, rng)),
 }
 
 
@@ -210,7 +209,7 @@ def _resolve_instance(inst, delta, alpha):
         s = inst.get("s", 0)
         t = inst.get("t", g.node_count - 1)
         return g, s, t, inst["file"]
-    if inst.get("preset"):
+    if inst.get("preset"):  # a bool (_check_config)
         spec = parameter_presets(inst["family"], inst["n"], inst["m"],
                                  delta, alpha)
     else:
@@ -243,7 +242,7 @@ def _check_config(cfg, threads=1):
         raise ConfigError(f"capabilities: {e}") from None
     if not isinstance(cfg.algorithm, str) or cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    variant, required, keys, runner = ALGORITHMS[cfg.algorithm]
+    variant, required, keys, setup, runner = ALGORITHMS[cfg.algorithm]
     missing = [c for c in required if c not in cfg.capabilities]
     if missing:
         raise CapabilityMismatch(f"{cfg.algorithm} needs capabilities {missing}")
@@ -254,6 +253,8 @@ def _check_config(cfg, threads=1):
     inst = cfg.instance
     if "file" not in inst and "family" not in inst:
         raise InstanceLoadError("instance needs 'file' or 'family'")
+    if not isinstance(inst.get("preset", False), bool):
+        raise ConfigError(f"preset={inst['preset']!r} must be a bool")
     # the keys _resolve_instance reads
     known = ({"file", "s", "t"} if "file" in inst else
              {"family", "preset", "n", "m", "s", "t"}.union(
@@ -277,14 +278,13 @@ def _check_config(cfg, threads=1):
                                   d, cfg.alpha)
         except ValueError as e:
             raise ConfigError(f"preset instance: {e}") from None
-    if cfg.algorithm in ("monte_carlo", "st_jump_mc"):  # graph-free walk counts
-        for d in cfg.deltas:
-            _check_walks(d, cfg)
-    return variant, required, runner
+    for d in cfg.deltas if setup else ():  # the graph-free budgets
+        setup(cfg, d, None)
+    return variant, setup, runner
 
 
 def _run_cell(cfg, cell):
-    variant, _required, runner = _check_config(cfg)
+    variant, setup, runner = _check_config(cfg)
     caps = Capabilities.from_names(cfg.capabilities)
     delta = cfg.deltas[cell]
     g, s, t, label = _resolve_instance(cfg.instance, delta, cfg.alpha)
@@ -292,8 +292,7 @@ def _run_cell(cfg, cell):
         check_nodes(g.node_count, s=s, t=t)
     except NodeIdOutOfRange as e:
         raise ConfigError(str(e)) from None
-    if cfg.algorithm in _R_MAX:
-        _check_walks(delta, cfg, _R_MAX[cfg.algorithm](g, delta, cfg))
+    x = setup and setup(cfg, delta, g)  # named before the exact solve
     exact = None
     if g.node_count <= cfg.exact_cap:
         if variant == "node":
@@ -307,7 +306,7 @@ def _run_cell(cfg, cell):
         o = OracleHandle(g, caps, rng=np.random.default_rng(oracle_ss))
         rng = np.random.default_rng(algo_ss)
         t0 = time.perf_counter()
-        est = runner(o, s, t, delta, cfg, rng)
+        est = runner(o, s, t, delta, cfg, rng, x)
         wall = time.perf_counter() - t0
         if exact is None:
             abs_err = rel_err = success = None

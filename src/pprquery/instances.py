@@ -67,10 +67,6 @@ class InstanceSpec:
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
 
 @dataclass
 class InstanceMeta:

@@ -4,18 +4,20 @@ Three routes: an adaptive-threshold loop over the randomized backward
 single-target solver, and two reductions that add a virtual source
 s' = n with an out-edge to every node and run a single-pair estimator
 from it, using pi_aug(s', t) = (1-alpha) * pi(t), on a SuperSourceView,
-which charges by the oracle module's super-source rule.
+which charges by the oracle module's super-source rule.  Both run at
+delta = alpha/(2n) on the view's n + 1 nodes (`reduction`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from .classic import (DEFAULT_WALK_MULT, bippr_pair, check_params,
                       default_r_max_pair, rbs_single_target, rbs_levels)
-from .bidir import _cell_params, single_pair_ppr
+from .bidir import single_pair_ppr
 from .graph import check_nodes, derived, frozen_graph
 from .oracle import CapabilityDisabled, OracleHandle
 
@@ -48,6 +50,16 @@ class SuperSourceView(OracleHandle):
         self.stats = base.stats
         self.base = base
         self.virtual = base.node_count
+
+
+Size = namedtuple("Size", "node_count edge_count")  # what r_max reads
+
+
+def reduction(g, alpha):
+    """delta = alpha/(2n) on a graph g of n nodes and m edges, and the
+    Size of its view, n + 1 nodes and m + n edges; no view is built."""
+    n = g.node_count
+    return alpha / (2.0 * n), Size(n + 1, g.edge_count + n)
 
 
 def adaptive_rounds(n, alpha):
@@ -90,24 +102,20 @@ def single_node_avg_jump(o, t, alpha, eps, p_f, rng, c=DEFAULT_WALK_MULT):
         raise CapabilityDisabled("single_node_avg_jump needs JUMP")
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha)
+    delta, size = reduction(o, alpha)
     view = SuperSourceView(o)
-    delta = alpha / (2.0 * o.node_count)
-    r_max = default_r_max_pair(view, delta)
-    est = bippr_pair(view, view.virtual, t, alpha, delta, eps, p_f, r_max,
-                     rng, c=c)
+    est = bippr_pair(view, view.virtual, t, alpha, delta, eps, p_f,
+                     default_r_max_pair(size, delta), rng, c=c)
     return est / (1.0 - alpha)
 
 
-def single_node_avg_full(o, t, alpha, eps, p_f, rng, multipliers=None):
+def single_node_avg_full(o, t, params, rng):
     """Super-source reduction run through the randomized bidirectional
-    single-pair estimator (needs JUMP, IN-SORTED and ADJ)."""
+    single-pair estimator (needs JUMP, IN-SORTED and ADJ), with params
+    derived at the reduction's delta on its view's node count."""
     if not (o.caps.jump and o.caps.in_sorted and o.caps.adj):
         raise CapabilityDisabled("single_node_avg_full needs JUMP+IN-SORTED+ADJ")
     check_nodes(o.node_count, t=t)
     view = SuperSourceView(o)
-    delta = alpha / (2.0 * o.node_count)
-    check_params(**(multipliers or {}))  # named, before the cache hashes them
-    params = _cell_params(alpha, delta, eps, p_f, view.node_count,
-                          **(multipliers or {}))
     est = single_pair_ppr(view, view.virtual, t, params, rng)
-    return est / (1.0 - alpha)
+    return est / (1.0 - params.alpha)

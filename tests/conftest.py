@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pprquery import build_graph
+from pprquery.bidir import derive_params
+from pprquery.single_node import reduction
 
 
 def chain_graph():
@@ -76,6 +78,15 @@ def relay_fan_graph(n_in=2200, n_relays=16, relay_out=32, in_nbr_out=30):
     edges += [(d, d) for d in udum]
     g = build_graph(edges, n_relays + relay_out + n_in + in_nbr_out - n_relays)
     return g, t
+
+
+def sn_params(g, alpha, eps, p_f, **multipliers):
+    """single_node_avg_full's parameters on graph g, as the harness's
+    sn_avg_full set-up derives them: at the reduction's delta, on its
+    view's node count."""
+    delta, view = reduction(g, alpha)
+    return derive_params(alpha, delta, eps, p_f, view.node_count,
+                         **multipliers)
 
 
 def materialize_super_source(g):

@@ -28,7 +28,7 @@ from pprquery.harness import (ExperimentConfig, run_experiment, emit,
                               fit_scaling)
 from conftest import (chain_graph, compute_R, star_graph, cycle_graph,
                       random_graph, relay_fan_graph, mean_queries_by_cell,
-                      r_hat_total, unpushed_bound_holds)
+                      r_hat_total, sn_params, unpushed_bound_holds)
 
 A = 0.2
 EPS = 0.2
@@ -413,6 +413,7 @@ def test_criterion_8_single_node(name):
     caps = {"sn_adaptive": Capabilities(in_sorted=True),
             "sn_avg_jump": Capabilities(jump=True),
             "sn_avg_full": Capabilities.all()}[name]
+    params = sn_params(g, A, EPS, P_F, **SPP_MULT)
     ok = 0
     for k in range(TRIALS):
         t = targets[k % 4]
@@ -423,8 +424,7 @@ def test_criterion_8_single_node(name):
         elif name == "sn_avg_jump":
             est = single_node_avg_jump(o, t, A, EPS, P_F, rng)
         else:
-            est = single_node_avg_full(o, t, A, EPS, P_F, rng,
-                                       multipliers=SPP_MULT)
+            est = single_node_avg_full(o, t, params, rng)
         ok += abs(est - pr[t]) < EPS * pr[t]
     rate = ok / TRIALS
     elapsed = time.perf_counter() - t0

@@ -12,8 +12,7 @@ from pprquery import (OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, InstanceSpec, generate)
 from pprquery.bidir import (ConstraintViolation, derive_params,
                             rand_push_threshold, backward_phase,
-                            estimate_R_hat, single_pair_ppr, RandPushState,
-                            _cell_params)
+                            estimate_R_hat, single_pair_ppr, RandPushState)
 from conftest import (chain_graph, chi_num_sum, chi_of, compute_R,
                       contributions, singleton_graph, fan_graph, random_graph,
                       relay_fan_graph, out_list, r_hat_total,
@@ -347,11 +346,11 @@ class TestNewAlgoParams:
         with pytest.raises(ValueError, match=re.escape(f"{name}={bad!r} must be an integer >= 1")):
             dataclasses.replace(with_levels(2, 0.1, 0.5), **{name: bad})
 
-    def test_cached_record_frozen(self):
-        p = _cell_params(A, 0.1, 0.2, 0.1, 100)
+    def test_record_frozen(self):
+        """A cell's trials share one record: none of them can change it."""
+        p = derive_params(A, 0.1, 0.2, 0.1, 100)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.theta = 0.5
-        assert _cell_params(A, 0.1, 0.2, 0.1, 100) is p
 
 
 class TestRandPush:

@@ -19,7 +19,7 @@ from pprquery.classic import (_walk_terminals, monte_carlo_pair,
 from pprquery.single_node import (single_node_adaptive, single_node_avg_jump,
                                   single_node_avg_full)
 from conftest import (chain_graph, singleton_graph, cycle_graph,
-                      random_graph, fan_graph)
+                      random_graph, fan_graph, sn_params)
 
 A = 0.2
 
@@ -561,7 +561,8 @@ VALID_ARGS = {
                                    p_f=0.1),
     single_pair_ppr: dict(s=0, t=29,
                           params=derive_params(A, 0.1, 0.2, 0.1, 30)),
-    single_node_avg_full: dict(t=29, alpha=A, eps=0.2, p_f=0.1),
+    single_node_avg_full: dict(
+        t=29, params=sn_params(random_graph(3, 30), A, 0.2, 0.1)),
 }
 
 

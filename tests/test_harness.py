@@ -14,6 +14,7 @@ from pprquery.harness import (ExperimentConfig, TrialResult, run_experiment,
                               InstanceLoadError, InsufficientPoints,
                               CSV_COLUMNS)
 import pprquery
+from pprquery.bidir import ConstraintViolation
 from pprquery.classic import WalkBudgetExceeded
 from pprquery import (FAMILIES, OracleHandle, PprqueryError, bidir, cli,
                       generate, harness, save_edge_list, load_edge_list,
@@ -53,11 +54,15 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("algorithm,caps", [
         ("monte_carlo", []), ("st_jump_mc", ["jump"]),
-        ("st_bidir_jump", ["jump"])], ids=["monte_carlo", "st_jump_mc",
-                                           "st_bidir_jump"])
+        ("st_bidir_jump", ["jump"]), ("bippr", []),
+        ("single_pair_ppr", ["in_sorted", "adj"]),
+        ("sn_avg_full", ["jump", "in_sorted", "adj"])],
+        ids=["monte_carlo", "st_jump_mc", "st_bidir_jump", "bippr",
+             "single_pair_ppr", "sn_avg_full"])
     def test_threads_match_sequential(self, algorithm, caps):
         # the JUMP solvers' walks from every covered source are one
-        # multi-source batch
+        # multi-source batch; the last four rows run on set-up values
+        # (r_max, derived parameters) computed in the worker processes
         cfg = tiny_config(algorithm=algorithm, capabilities=caps,
                           deltas=[0.1, 0.05, 0.02], trials=2)
         seq = run_experiment(cfg, threads=1)
@@ -67,17 +72,28 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("algorithm", ["single_pair_ppr", "sn_avg_full"])
     @pytest.mark.parametrize("deltas", [[0.1], [0.1, 0.05]])
-    def test_derive_params_once_per_cell(self, algorithm, deltas):
-        """The trials of a cell share one derive_params call (a miss of
-        its cache).  sn_avg_full derives at delta = alpha/(2n), whatever
-        the cell's delta, so its cells on one instance share one call."""
-        bidir._cell_params.cache_clear()
+    def test_derive_params_once_per_cell(self, algorithm, deltas,
+                                         monkeypatch):
+        """Each cell calls derive_params once, in its set-up, before its
+        exact solve; its trials share the result, and none calls it."""
+        events, derive = [], bidir.derive_params
+
+        def spy(*args, **kwargs):
+            events.append("derive")
+            return derive(*args, **kwargs)
+
+        def solve(real):
+            return lambda *args: events.append("solve") or real(*args)
+
+        for module in (harness, bidir):
+            monkeypatch.setattr(module, "derive_params", spy)
+        for name in ("exact_single_source", "exact_pagerank"):
+            monkeypatch.setattr(harness, name, solve(getattr(harness, name)))
         rows = run_experiment(tiny_config(
             algorithm=algorithm, capabilities=["jump", "in_sorted", "adj"],
             deltas=deltas, trials=3, multipliers={"c_nr": 2.0}))
-        calls = len(deltas) if algorithm == "single_pair_ppr" else 1
-        info = bidir._cell_params.cache_info()
-        assert (info.misses, info.hits) == (calls, len(rows) - calls)
+        assert len(rows) == 3 * len(deltas)
+        assert events == ["derive", "solve"] * len(deltas)
 
     def test_capability_mismatch(self):
         with pytest.raises(CapabilityMismatch):
@@ -220,9 +236,14 @@ def _run(over, message, files=None):
             RUN, message)
 
 
-# single_pair_ppr on the sp_avg n=16, m=64 preset
+# single_pair_ppr on the sp_avg n=16, m=64 preset, and sn_avg_full on the
+# sn_avg_full family's
 SP = dict(algorithm="single_pair_ppr", capabilities=["in_sorted", "adj"],
           instance={"family": "sp_avg", "preset": True, "n": 16, "m": 64})
+SN = dict(SP, algorithm="sn_avg_full",
+          capabilities=["jump", "in_sorted", "adj"],
+          instance={**SP["instance"], "family": "sn_avg_full"})
+SN_PRESET = {"family": "sn_avg_full", "preset": True, "n": 64, "m": 512}
 BAD_EDGES = {"bad.txt": "3 2\n0 1\n1 0\n"}  # node 2 has no out-edge
 BAD_EDGES_ERROR = _error("edge list bad.txt: header n=3 exceeds m=2 in "
                          "bad.txt: some node has out-degree 0")
@@ -299,6 +320,10 @@ USAGE_ERRORS = [
     ("run-bad_spec", *_run(
         {"instance": {"family": "sp_avg", "n": 8, "L": 0, "D": 2}},
         _error("sp_avg needs n, L, D >= 1"))),
+    # preset used to be read by truthiness: "false" ran the preset path
+    ("run-non_bool_preset", *_run(
+        {"instance": {"family": "sp_avg", "preset": "false", "n": 16,
+                      "m": 64}}, _error("preset='false' must be a bool"))),
     ("run-non_bool_swap", *_run(
         {"instance": {"family": "sp_avg", "n": 8, "L": 2, "D": 2,
                       "swap": "false"}},
@@ -317,10 +342,7 @@ USAGE_ERRORS = [
         {**SP, "multipliers": {"c_nr": 1e-9}},
         _error("constraint walk_count violated: margin 0.00448"))),
     ("run-constraint_sn_avg_full", *_run(
-        {**SP, "algorithm": "sn_avg_full",
-         "capabilities": ["jump", "in_sorted", "adj"],
-         "instance": {**SP["instance"], "family": "sn_avg_full"},
-         "multipliers": {"c_nr": 1e-9}},
+        {**SN, "multipliers": {"c_nr": 1e-9}},
         _error("constraint walk_count violated: margin 0.0003949"))),
     # delta = 1e-300 asks Monte Carlo for about 9.2e302 walks
     ("run-walk_budget", *_run({"deltas": [1e-300]}, _error(
@@ -473,21 +495,34 @@ class TestCli:
         with pytest.raises(WalkBudgetExceeded, match=r"1 x 3\.684e\+11 walks"):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("algorithm,caps,walks", [
-        ("bippr", [], r"1\.427e\+10"),
-        ("st_bidir_jump", ["jump"], r"4\.512e\+09")])
-    def test_walk_budget_named_before_exact_solve(self, algorithm, caps,
-                                                  walks, monkeypatch):
-        """bippr's and st_bidir_jump's walk counts scale by r_max, read
-        from the built graph's n and m, and are named before the exact
-        solve and any trial."""
+    @pytest.mark.parametrize("over,error,message", [
+        ({"algorithm": "bippr", "eps": 1e-4}, WalkBudgetExceeded,
+         "1 x 1.427e+10 walks > MAX_WALKS"),
+        ({"algorithm": "st_bidir_jump", "capabilities": ["jump"],
+          "eps": 1e-4}, WalkBudgetExceeded, "1 x 4.512e+09 walks > MAX_WALKS"),
+        ({"algorithm": "sn_avg_jump", "capabilities": ["jump"], "eps": 1e-4,
+          "instance": SN_PRESET}, WalkBudgetExceeded,
+         "1 x 3.598e+11 walks > MAX_WALKS"),
+        ({**SP, "multipliers": {"c_nr": 0.1}}, ConstraintViolation,
+         "constraint walk_count violated: margin 0.103"),
+        ({**SN, "multipliers": {"c_nr": 1e-9}}, ConstraintViolation,
+         "constraint walk_count violated: margin 0.0003949"),
+        ({**SN, "eps": 1e-7, "instance": SN_PRESET}, WalkBudgetExceeded,
+         "n_r=9.119e+09 x n_s=14.14 > MAX_WALKS")],
+        ids=["bippr", "st_bidir_jump", "sn_avg_jump", "single_pair_ppr",
+             "sn_avg_full", "sn_avg_full-walks"])
+    def test_budget_named_before_exact_solve(self, over, error, message,
+                                             monkeypatch):
+        """A budget that reads the built graph (r_max from its n and m,
+        or derive_params on its n) is named once the graph is built,
+        before the exact solve and any trial."""
         def no_solve(*args):
             raise AssertionError("the exact solve ran")
 
-        monkeypatch.setattr(harness, "exact_single_source", no_solve)
-        cfg = tiny_config(algorithm=algorithm, capabilities=caps, eps=1e-4)
-        with pytest.raises(WalkBudgetExceeded, match=rf"1 x {walks} walks"):
-            run_experiment(cfg)
+        for name in ("exact_single_source", "exact_pagerank"):
+            monkeypatch.setattr(harness, name, no_solve)
+        with pytest.raises(error, match=re.escape(message)):
+            run_experiment(tiny_config(**over))
 
     @pytest.mark.parametrize("mode,node,solve", [
         ("target", "1", lambda g: exact_single_target(g, 1, 0.2)),
@@ -757,7 +792,7 @@ def test_scalar_queries_come_only_from_the_push(monkeypatch):
             in_push.pop()
 
     monkeypatch.setattr(bidir, "backward_phase", marked)
-    for algorithm, (_, caps, _, _) in harness.ALGORITHMS.items():
+    for algorithm, (_, caps, _, _, _) in harness.ALGORITHMS.items():
         run_experiment(ExperimentConfig(
             algorithm=algorithm, capabilities=list(caps),
             instance={"family": "sp_avg", "n": 16, "m": 64, "preset": True},

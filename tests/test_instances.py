@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -200,7 +201,7 @@ class TestStructure:
         path = tmp_path / "inst.txt"
         save_edge_list(g, path)
         h = load_edge_list(path)
-        g2, _ = generate(InstanceSpec.from_json(spec.to_json()))
+        g2, _ = generate(InstanceSpec(**json.loads(spec.to_json())))
         assert h.edges() == g.edges() == g2.edges()
 
     def test_constraint_violations(self):

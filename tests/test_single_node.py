@@ -12,7 +12,7 @@ from pprquery.single_node import (SuperSourceView, adaptive_rounds,
                                   single_node_adaptive, single_node_avg_jump,
                                   single_node_avg_full)
 from conftest import (chain_graph, in_list, materialize_super_source,
-                      out_list, random_graph, singleton_graph)
+                      out_list, random_graph, singleton_graph, sn_params)
 
 A = 0.2
 CSR_ARRAYS = ("out_ptr", "out_nbrs", "out_sorted", "out_deg", "in_ptr",
@@ -158,9 +158,10 @@ class TestAverageCase:
 
     def test_avg_full_chain(self):
         ok = 0
+        params = sn_params(chain_graph(), A, 0.2, 0.1)
         for seed in range(30):
             o = OracleHandle(chain_graph(), Capabilities.all(), seed=seed)
-            est = single_node_avg_full(o, 1, A, 0.2, 0.1,
+            est = single_node_avg_full(o, 1, params,
                                        np.random.default_rng(seed))
             ok += abs(est - 0.9) <= 0.2 * 0.9
         assert ok >= 25
@@ -168,17 +169,14 @@ class TestAverageCase:
     def test_avg_full_needs_all_caps(self, rng):
         o = OracleHandle(chain_graph(), Capabilities(jump=True, adj=True))
         with pytest.raises(CapabilityDisabled):
-            single_node_avg_full(o, 1, A, 0.2, 0.1, rng)
+            single_node_avg_full(o, 1, sn_params(o.graph, A, 0.2, 0.1), rng)
 
     @pytest.mark.parametrize("bad", [[2.0], "2", 0.0, True])
-    def test_avg_full_names_bad_multiplier(self, bad, rng):
-        """An unhashable value too is named, not refused by the cache of
-        derived parameters."""
-        o = OracleHandle(chain_graph(), Capabilities.all())
+    def test_avg_full_names_bad_multiplier(self, bad):
+        """An unhashable value too is named, before any parameter is
+        derived from it."""
         with pytest.raises(ValueError, match=re.escape(f"c_nr={bad!r}")):
-            single_node_avg_full(o, 1, A, 0.2, 0.1, rng,
-                                 multipliers={"c_nr": bad})
-        assert o.stats.total == 0
+            sn_params(chain_graph(), A, 0.2, 0.1, c_nr=bad)
 
     def test_random_graph_agreement(self):
         g = random_graph(3, 60, d=5)

@@ -1167,13 +1167,13 @@ def test_walk_budget_is_checked_before_any_allocation(delta):
     """Monte Carlo at delta = 1e-300 asks for about 9.2e302 walks and used
     to end in numpy's "Maximum allowed dimension exceeded"; at 1e-9,
     about 9.2e11 walks, it would allocate terabytes.  Both raise
-    WalkBudgetExceeded with the count, before the scratch grows and
-    before any query or draw."""
+    WalkBudgetExceeded with the count (mc_walk_count names it), before
+    the scratch grows and before any query or draw."""
     o = OracleHandle(random_graph(3, 20), Capabilities.all(), seed=0)
     rng = np.random.default_rng(5)
     state, jumps = rng.bit_generator.state, jump_state(o)
     moves = getattr(classic._scratch, "moves", None)
-    n_w = mc_walk_count(delta, 0.2, 0.1)
+    n_w = math.ceil(16.0 * math.log(1.0 / 0.1) / (0.2 * 0.2 * delta))
     assert n_w > classic.MAX_WALKS
     msg = re.escape(f"1 x {n_w:.4g} walks > MAX_WALKS = {2**28}")
     with pytest.raises(classic.WalkBudgetExceeded, match=f"^{msg}$"):
@@ -1286,15 +1286,24 @@ def test_walk_count_names_bad_parameter(name, bad):
         mc_walk_count(**kw)
 
 
-@pytest.mark.parametrize("eps", [1e-300, 1e-160])
+# eps -> the count mc_walk_count(0.01, eps, 0.1) names
+OVERFLOW = {1e-300: "eps=1e-300, delta=0.01: inf",
+            1e-160: "eps=1e-160, delta=0.01: inf", 1e-5: "1 x 3.684e+13"}
+
+
+@pytest.mark.parametrize("eps", list(OVERFLOW))
 def test_walk_count_overflow_is_walk_budget(eps):
     """eps^2 underflows to 0.0 at eps = 1e-300 and the count overflows to
     inf at 1e-160: mc_walk_count used to raise ZeroDivisionError and
-    OverflowError.  Each estimator that counts its walks with it raises
-    WalkBudgetExceeded before any query or draw."""
-    msg = re.escape(f"eps={eps!r}, delta=0.01: inf walks > MAX_WALKS = {2**28}")
+    OverflowError.  At 1e-5 the count is finite but past MAX_WALKS, which
+    was found only when the walks were drawn, after a push or a JUMP cover
+    had charged its queries.  Each estimator that counts its walks with
+    mc_walk_count raises WalkBudgetExceeded before any query or draw."""
+    msg = re.escape(f"{OVERFLOW[eps]} walks > MAX_WALKS = {2**28}")
     with pytest.raises(classic.WalkBudgetExceeded, match=f"^{msg}$"):
         mc_walk_count(0.01, eps, 0.1)
+    # the estimators' finite counts scale by their r_max or delta
+    match = "inf walks" if eps < 1e-5 else r"^1 x \S+ walks > MAX_WALKS"
     g = random_graph(3, 20)
     runs = [
         lambda o, rng: monte_carlo_pair(o, 3, 5, 0.2, 0.01, eps, 0.1, rng),
@@ -1308,7 +1317,7 @@ def test_walk_count_overflow_is_walk_budget(eps):
         o = OracleHandle(g, Capabilities.all(), seed=0)
         rng = np.random.default_rng(5)
         state, jumps = rng.bit_generator.state, jump_state(o)
-        with pytest.raises(classic.WalkBudgetExceeded, match="inf walks"):
+        with pytest.raises(classic.WalkBudgetExceeded, match=match):
             run(o, rng)
         assert o.stats.total == 0
         assert rng.bit_generator.state == state and jump_state(o) == jumps
