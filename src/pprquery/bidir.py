@@ -367,7 +367,7 @@ def _light_out(o, vs, is_heavy):
     return cand, clen, start
 
 
-def _pick(picks, rows, x, out=None):
+def _pick(picks, rows, x, out):
     """cand[start[r] + floor(u * clen[r])], r = rows[j], per u in x[j]."""
     cand, clen, start = picks
     idx = _scratch_array("off", x.size, np.int64).reshape(x.shape)
@@ -380,7 +380,9 @@ def _pick(picks, rows, x, out=None):
 def _sample_block(o, us, ts, picks, is_heavy, n_s, rng):
     """n_s samples for us[j], j in `ts` ascending: `ts` with its light
     terminals (clen > 0 in picks) first, and the samples, n_s per j in
-    that order, in scratch `cur`.  is_heavy: V_P mask, None if empty."""
+    that order, in scratch `cur`.  is_heavy: V_P mask, None if empty.
+    The rest retry V_P hits until none is open; d_out >= 2|V_P| there,
+    so a try lands off V_P with probability at least 1/2."""
     x = _scratch_array("us", ts.size * n_s, np.float64).reshape(-1, n_s)
     rng.random(out=x)  # a row per terminal of ts
     light = picks[1][ts] > 0
@@ -397,16 +399,11 @@ def _sample_block(o, us, ts, picks, is_heavy, n_s, rng):
         return ts, nodes
     open_ = np.flatnonzero(is_heavy[tried])
     t = ts[split:][open_ // n_s]
-    for _ in range(63):
-        if not t.size:
-            break
+    while t.size:
         got = o.out_step_many(us[t], rng.random(t.size))
         tried[open_] = got
         keep = is_heavy[got]
         open_, t = open_[keep], t[keep]
-    if t.size:
-        tried[open_] = _pick(_light_out(o, us[t], is_heavy),
-                             slice(None), rng.random((t.size, 1))).ravel()
     return ts, nodes
 
 

@@ -221,7 +221,7 @@ def _resolve_instance(inst, delta, alpha):
     return g, s, t, inst["family"]
 
 
-def _check_config(cfg, threads=1):
+def _check_config(cfg, threads):
     """Reject a bad config or worker count before any instance is generated."""
     for name, val, low in (("trials", cfg.trials, 1),
                            ("master_seed", cfg.master_seed, 0),
@@ -242,7 +242,7 @@ def _check_config(cfg, threads=1):
         raise ConfigError(f"capabilities: {e}") from None
     if not isinstance(cfg.algorithm, str) or cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    variant, required, keys, setup, runner = ALGORITHMS[cfg.algorithm]
+    _, required, keys, setup, _ = ALGORITHMS[cfg.algorithm]
     missing = [c for c in required if c not in cfg.capabilities]
     if missing:
         raise CapabilityMismatch(f"{cfg.algorithm} needs capabilities {missing}")
@@ -280,11 +280,11 @@ def _check_config(cfg, threads=1):
             raise ConfigError(f"preset instance: {e}") from None
     for d in cfg.deltas if setup else ():  # the graph-free budgets
         setup(cfg, d, None)
-    return variant, setup, runner
 
 
 def _run_cell(cfg, cell):
-    variant, setup, runner = _check_config(cfg)
+    """One cell's TrialResults in trial order; run_experiment checked cfg."""
+    variant, _, _, setup, runner = ALGORITHMS[cfg.algorithm]
     caps = Capabilities.from_names(cfg.capabilities)
     delta = cfg.deltas[cell]
     g, s, t, label = _resolve_instance(cfg.instance, delta, cfg.alpha)
@@ -330,9 +330,10 @@ def run_experiment(cfg, threads=1):
     """One TrialResult per (cell, trial); deterministic given master seed.
 
     threads > 1 runs whole cells in worker processes; per-trial seeding
-    depends only on (master seed, cell, trial), and assembly is sorted,
-    so the output is identical to a sequential run.  ConfigError before
-    any cell runs unless threads is a non-bool integer >= 1.
+    depends only on (master seed, cell, trial), and the pool's map gives
+    the cells in order, as the sequential loop does, so the output is
+    identical to a sequential run.  ConfigError before any cell runs
+    unless threads is a non-bool integer >= 1.
     """
     _check_config(cfg, threads)
     cells = range(len(cfg.deltas))
@@ -343,9 +344,7 @@ def run_experiment(cfg, threads=1):
             chunks = list(pool.map(_run_cell, [cfg] * len(cfg.deltas), cells))
     else:
         chunks = [_run_cell(cfg, cell) for cell in cells]
-    results = [r for chunk in chunks for r in chunk]
-    results.sort(key=lambda r: (r.cell, r.trial))
-    return results
+    return [r for chunk in chunks for r in chunk]
 
 
 # TrialResult's fields but queries and wall_time_s, then q_<kind> and q_total

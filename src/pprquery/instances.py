@@ -18,7 +18,8 @@ numpy with no Python loop over edges.  Its row order is the insertion
 order that fixes every out-list and in-list.  Role blocks, the target
 group and the padding block are ranges, in the meta too.  Ids stay
 int32 from here to the CSR arrays (read through build_graph's column
-views), and generate rejects a node count past 2^31 before it builds.
+views); _blocks, which lays out every block, padding included, rejects
+one ending past 2^31 before any array holds its ids.
 generate peaks at 36.5 traced bytes per edge on st_avg_full: 8 for the
 edges, 17.8 for the CSR arrays kept, the rest build temporaries.
 """
@@ -89,6 +90,7 @@ def _require(cond, msg):
 def _blocks(start, *sizes):
     """Consecutive role blocks, ranges of the given sizes, from id start."""
     ends = list(accumulate(sizes, initial=start))
+    _require(ends[-1] <= MAX_IDS, f"{ends[-1]} nodes: int32 ids allow at most 2^31")
     return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
@@ -100,8 +102,8 @@ def _ids(ids):
 
 def _edges(u, v):
     """C-contiguous int32 (m, 2) rows (u, v) over the broadcast of u and
-    v, row-major.  Ids past 2^31 - 1 would wrap here; generate rejects
-    such a node count before it builds."""
+    v, row-major.  Ids past 2^31 - 1 would wrap here; _blocks rejects
+    them before any builder builds."""
     u, v = _ids(u), _ids(v)
     rows = np.empty(np.broadcast(u, v).shape + (2,), np.int32)
     rows[..., 0], rows[..., 1] = u, v
@@ -179,9 +181,9 @@ def _pad(next_id, n_pad, m_pad):
 
 def generate(spec):
     """Build the family's graph and meta; optionally swap and pad.  A bad
-    family, alpha, integer field, flag or variant is named before any
-    building, and a node count past 2^31, padding included, before
-    build_graph."""
+    family, alpha, integer field, flag or variant, or padding past 2^31 - 1
+    edges, is named before any building, and ids past 2^31 (_blocks)
+    before the arrays that hold them."""
     if not isinstance(spec.family, str) or spec.family not in FAMILIES:
         raise SpecConstraintViolation(f"unknown family {spec.family!r}")
     _check(SpecConstraintViolation, check_params, alpha=spec.alpha)
@@ -194,17 +196,18 @@ def generate(spec):
         _require(isinstance(val, bool), f"{name}={val!r} must be a bool")
     _require(spec.variant in ("", "worst", "avg"),
              f"variant={spec.variant!r} must be '', 'worst' or 'avg'")
+    n_pad = max(1, spec.n)
+    m_pad = max(spec.m, n_pad)
+    _require(not spec.padding or m_pad < MAX_IDS, f"{m_pad} padding edges: "
+             f"at most 2^31 - 1 fit int32 offsets")
     edges, node_count, meta = FAMILIES[spec.family].builder(spec)
-    n_pad = max(1, spec.n) if spec.padding else 0
-    _require(node_count + n_pad <= MAX_IDS, f"{node_count + n_pad} nodes: "
-             f"int32 ids allow at most 2^31")
     if spec.swap and meta.swap_edges is not None:
         _apply_swap(edges, *meta.swap_edges)
     if spec.padding:
-        edges = np.concatenate((edges, _pad(node_count, n_pad,
-                                            max(spec.m, n_pad))))
-        meta.roles["padding"] = range(node_count, node_count + n_pad)
-        node_count += n_pad
+        (pad,) = _blocks(node_count, n_pad)
+        edges = np.concatenate((edges, _pad(node_count, n_pad, m_pad)))
+        meta.roles["padding"] = pad
+        node_count = pad.stop
     return build_graph(edges, node_count), meta
 
 

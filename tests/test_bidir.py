@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import re
 from unittest import mock
@@ -517,6 +518,23 @@ class TestBackwardPhase:
         with pytest.raises(NodeIdOutOfRange, match=re.escape(f"t={t!r} outside [0, 3)")):
             backward_phase(o, t, params, rng)
         assert o.stats.total == 0
+
+    def test_large_heavy_set_warned(self, caplog):
+        # V_P past 8 (n_r + 1) nodes makes R_hat ask each terminal that
+        # many ADJ questions, against n_r walks: the phase logs it.  At
+        # tau = 1e-12 every pushed node is in V_P, 30 of them here
+        g = random_graph(1, 40, d=6)
+        base = derive_params(A, 0.05, 0.2, 0.1, 40, c_theta=0.1)
+        for n_r, warned in ((2, True), (3, False)):  # 24 < 30 <= 32
+            caplog.clear()
+            params = dataclasses.replace(base, n_r=n_r, tau=1e-12)
+            with caplog.at_level(logging.WARNING, logger="pprquery.bidir"):
+                st = backward_phase(all_caps(g), 0, params,
+                                    np.random.default_rng(7))
+            assert len(st.heavy) == 30
+            assert [r.getMessage() for r in caplog.records] == [
+                "heavy set V_P has 30 nodes (tau=1e-12); R_hat cost "
+                "degrades"][:warned]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_termination_bound_hard(self, seed):

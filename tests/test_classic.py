@@ -264,6 +264,19 @@ class TestPowerIteration:
         assert list(got.items()) == list(want.items())
         assert a.stats.as_dict() == b.stats.as_dict()
 
+    def test_zero_residues_dropped(self):
+        # at L = 5,000 the residues underflow to 0.0, node by node: a
+        # level pushes only its positive ones, as the scalar loop does,
+        # and the phase stops once none is left (pushing the zeros too
+        # would charge 209,926 queries)
+        g = random_graph(1, 6)
+        a, b = handle(g), handle(g)
+        want = reference_power_iteration(a, 0, A, 5000)
+        got = power_iteration_target(b, 0, A, 5000)
+        assert list(got.items()) == list(want.items())
+        assert a.stats.as_dict() == b.stats.as_dict()
+        assert b.stats.total == 139_729
+
     @pytest.mark.parametrize("L", [0, -1, True, 2.5])
     def test_levels_below_one(self, L):
         # L = True used to run one level, and L = 2.5 failed inside range()

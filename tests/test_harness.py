@@ -95,6 +95,25 @@ class TestRunExperiment:
         assert len(rows) == 3 * len(deltas)
         assert events == ["derive", "solve"] * len(deltas)
 
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_config_checked_once(self, k, monkeypatch):
+        """run_experiment checks a config once, before any cell, so a
+        preset config of k deltas resolves each delta's preset twice: in
+        that check and in its cell (each cell used to check it all again,
+        k^2 + 2k calls)."""
+        calls = []
+        for name in ("_check_config", "parameter_presets"):
+            def spy(*args, _real=getattr(harness, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(harness, name, spy)
+        rows = run_experiment(tiny_config(
+            instance={"family": "sp_avg", "preset": True, "n": 16, "m": 64},
+            deltas=[0.2 / 2 ** i for i in range(k)], trials=1))
+        assert [r.cell for r in rows] == list(range(k))
+        assert calls == ["_check_config"] + ["parameter_presets"] * (2 * k)
+
     def test_capability_mismatch(self):
         with pytest.raises(CapabilityMismatch):
             run_experiment(tiny_config(algorithm="rbs"))
@@ -415,7 +434,20 @@ USAGE_ERRORS = [
           ("bad_variant", ["sp_avg", "--n", "16", "--variant", "bogus"],
            "variant='bogus' must be '', 'worst' or 'avg'"),
           ("d2_not_d", ["st_avg_full", "--n", "8", "--L", "2", "--D", "2",
-                        "--D2", "5"], "D2=5 must be 0 or D=2")]),
+                        "--D2", "5"], "D2=5 must be 0 or D=2"),
+          # sizes past int32 used to end in an OverflowError (the relay's
+          # len) or numpy's "Maximum allowed size exceeded" (_pad)
+          ("huge_n", ["sp_avg", "--n", str(10 ** 20), "--L", "1", "--D", "1"],
+           "200000000000000000003 nodes: int32 ids allow at most 2^31"),
+          ("huge_padding_m", ["sp_worst", "--n", "3", "--m", str(10 ** 20),
+                              "--L", "1", "--D", "1", "--padding"],
+           "100000000000000000000 padding edges: at most 2^31 - 1 fit "
+           "int32 offsets")]),
+    ("run-huge_padding_m", *_run(
+        {"instance": {"family": "sp_worst", "n": 3, "m": 10 ** 20, "L": 1,
+                      "D": 1, "padding": True}},
+        _error("100000000000000000000 padding edges: at most 2^31 - 1 fit "
+               "int32 offsets"))),
 ]
 
 

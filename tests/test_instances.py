@@ -438,19 +438,25 @@ class TestPresets:
 
     def test_node_count_past_int32_rejected(self, monkeypatch):
         # ids are int32 from the builders on, so a larger graph is named
-        # before build_graph, whose n-length arrays would need 16 GB here
+        # as its blocks are laid out (_blocks), the padding block's too,
+        # before _pad or build_graph, whose n-length arrays would need
+        # 16 GB here
         def build(spec):
+            (ids,) = instances._blocks(0, spec.n)
             edges = np.array([[0, 0]], np.int32)
-            return edges, 2 ** 31 + 1, instances.InstanceMeta(
+            return edges, ids.stop, instances.InstanceMeta(
                 spec.family, 0, 0, 0.0, 0.0, None)
 
         monkeypatch.setitem(FAMILIES, "toy", Family(
             build, FAMILIES["sp_worst"].preset))
         monkeypatch.setattr(instances, "build_graph", None)
-        with pytest.raises(SpecConstraintViolation,
-                           match=r"2147483649 nodes: int32 ids allow at most "
-                                 r"2\^31"):
-            generate(InstanceSpec("toy", n=1))
+        monkeypatch.setattr(instances, "_pad", None)
+        for n, padding, nodes in ((2 ** 31 + 1, False, 2 ** 31 + 1),
+                                  (2 ** 30 + 1, True, 2 ** 31 + 2)):
+            with pytest.raises(SpecConstraintViolation,
+                               match=rf"{nodes} nodes: int32 ids allow at "
+                                     r"most 2\^31"):
+                generate(InstanceSpec("toy", n=n, padding=padding))
 
     def test_one_entry_adds_a_family(self, monkeypatch, tmp_path):
         # generate, parameter_presets and the CLI all read the table

@@ -122,13 +122,9 @@ def reference_estimate_R_hat(o, state, u_k, params, rng, light):
         acc = 0.0
         if du >= 2 * len(heavy):
             for _ in range(n_s):
-                for _ in range(64):
+                v = o.out_nbr(u_k, int(rng.random() * du))
+                while v in heavy:
                     v = o.out_nbr(u_k, int(rng.random() * du))
-                    if v not in heavy:
-                        break
-                else:
-                    (cand,) = light_lists(o, [u_k], heavy)
-                    v = cand[int(rng.random() * len(cand))]
                 acc += chi_num(state, u_k, v)
         else:
             cand = next(light)
@@ -143,10 +139,9 @@ def reference_rounds_R_hat(o, state, terminals, params, rng):
     DEG-OUT and ADJ over V_P of each terminal, then the light out-lists
     (light_lists) of the walks at a light terminal (d_out < 2|V_P|), in
     walk order.  Per block of terminals: one uniform per sample in
-    terminal order, then up to 64 rounds with one OUT query per open
-    sample, which uses the sample's uniform in round 1 and a fresh one
-    after; the samples still open then read their terminals' light
-    out-lists (light_lists) and draw one more uniform each."""
+    terminal order, then rounds with one OUT query per open sample,
+    which uses the sample's uniform in round 1 and a fresh one after,
+    until no sample is open."""
     if not o.caps.adj:
         raise CapabilityDisabled("estimate_R_hat needs ADJ")
     n_s, heavy = params.n_s, state.heavy
@@ -169,18 +164,15 @@ def reference_rounds_R_hat(o, state, terminals, params, rng):
             else:
                 for q in range(n_s):
                     first[j, q] = next(r)
-        open_ = list(first)
-        for rnd in range(64):
+        open_, rnd = list(first), 0
+        while open_:
             still = []
             for j, q in open_:
                 x = first[j, q] if rnd == 0 else rng.random()
                 nodes[j, q] = o.out_nbr(terminals[j], int(x * du[j]))
                 if nodes[j, q] in heavy:
                     still.append((j, q))
-            open_ = still
-        lists = light_lists(o, [terminals[j] for j, _ in open_], heavy)
-        for (j, q), cand in zip(open_, lists):
-            nodes[j, q] = cand[int(rng.random() * len(cand))]
+            open_, rnd = still, rnd + 1
         for j in block:
             u = terminals[j]
             num = 0.0
@@ -1545,29 +1537,24 @@ def test_fixed_terminal_work_once_per_distinct_terminal(monkeypatch):
     out-list read holds every walk at a light terminal, s' included, in
     walk order, and its re-reads only s' lists that held no light
     entry."""
-    pairs, reads, sampling = [], [], []
+    pairs, reads = [], []
 
     def adj_spy(self, us, vs, *rest, _real=OracleHandle.adj_many):
         pairs.extend(zip(np.asarray(us).tolist(), np.asarray(vs).tolist()))
         return _real(self, us, vs, *rest)
 
     def light_spy(o, vs, *rest, _real=bidir._light_out):
-        if not sampling:  # the per-call read, not a fallback after 64 tries
-            reads.append(vs.tolist())
+        reads.append(vs.tolist())
         return _real(o, vs, *rest)
 
-    sample_block = bidir._sample_block
     monkeypatch.setattr(OracleHandle, "adj_many", adj_spy)
     monkeypatch.setattr(bidir, "_light_out", light_spy)
-    monkeypatch.setattr(bidir, "_sample_block",
-                        lambda *a: sampling.append(1) or sample_block(*a))
     light_virtual = rereads = 0
     for gseed, n, d, view, mult, _ in SCORING_CASES:
         g = random_graph(gseed, n, d=d)
         terminals = scoring_case_terminals(g, gseed, view)
         pairs.clear()
         reads.clear()
-        sampling.clear()
         state = assert_scores_match(g, view, 0, terminals, 7, **mult)
         o = twin_oracles(g, view)[0]
         heavy = sorted(state.heavy)
@@ -1658,9 +1645,10 @@ class Scripted:
         return self._take(self._i, size)
 
 
-def test_fallback_after_64_heavy_tries_real_terminal():
-    """Every uniform lands on u's heavy out-neighbor: each sample rejects
-    64 tries, then draws among u's light out-neighbors."""
+def test_fallback_after_64_heavy_tries_real_terminal(monkeypatch):
+    """All but one uniform in 101 land on u's heavy out-neighbor: samples
+    stay open past 64 tries, with no out-list read, and each is
+    accepted in the end, as in the uncapped round order."""
     g = random_graph(1, 40, d=6)
     o = twin_oracles(g, False)[0]
     params = derive_params(0.2, 0.05, 0.2, 0.1, 40, c_theta=0.1)
@@ -1669,16 +1657,25 @@ def test_fallback_after_64_heavy_tries_real_terminal():
     u = next(u for u in range(40) if h in out_list(g, u))
     out = out_list(g, u)
     x = (out.index(h) + 0.5) / len(out)
-    rng_a, rng_b = Scripted([x]), Scripted([x])
+    light = (out.index(h) + 1) % len(out) / len(out)
+    script = [x] * 100 + [light]
+    rng_a, rng_b = Scripted(script), Scripted(script)
+    tries = []  # the engine's OUT batches: first tries, then one per round
+
+    def spy(self, *args, _real=OracleHandle.out_step_many):
+        tries.append(1)
+        return _real(self, *args)
+
+    monkeypatch.setattr(OracleHandle, "out_step_many", spy)
     assert_scores_match(g, False, 0, [u, 3, u, u], 7, rng_a, rng_b,
                         c_theta=0.1)
-    assert rng_a.calls > 3 * 64 * params.n_s  # every sample fell back
+    assert len(tries) > 1 + 64  # some sample rejected more than 64 times
 
 
 def test_fallback_after_64_heavy_jumps_virtual_source():
-    """JUMPs of the virtual source are scripted round by round: some
-    samples are accepted in round 1, 2 or 64, the others hit V_P 64
-    times and fall back to n JUMPs each, some of them heavy."""
+    """JUMPs of the virtual source are scripted round by round: samples
+    are accepted in round 1, 2, 3 or 64, and others only after hitting
+    V_P 65 or 99 times, with no out-list read of s'."""
     g = random_graph(1, 40, d=6)
     o = SuperSourceView(OracleHandle(g, Capabilities.all()))
     params = derive_params(0.2, 0.05, 0.2, 0.1, 41, c_theta=0.1)
@@ -1692,14 +1689,12 @@ def test_fallback_after_64_heavy_jumps_virtual_source():
     by_chi.pop(0.0, None)
     light = itertools.cycle([u for u in by_chi.values() if u != h])
     terminals = [v, 4, v, v, 11] + [v] * 6
-    fates = itertools.cycle([1, None, 2, 64, None, 1, 3])
+    fates = itertools.cycle([1, 66, 2, 64, 100, 1, 3])
     fate = [next(fates) for _ in range(terminals.count(v) * params.n_s)]
     script, open_ = [], list(range(len(fate)))
-    for rnd in range(1, 65):
+    for rnd in range(1, max(fate) + 1):
         script += [next(light) if fate[i] == rnd else h for i in open_]
         open_ = [i for i in open_ if fate[i] != rnd]
-    for _ in open_:
-        script += [h if j % 7 == 0 else next(light) for j in range(40)]
     made = []
 
     def jumps():
@@ -1707,7 +1702,7 @@ def test_fallback_after_64_heavy_jumps_virtual_source():
         return made[-1]
 
     assert_scores_match(g, True, 0, terminals, 7, jumps=jumps, c_theta=0.1)
-    assert open_ and [j.calls for j in made] == [len(script)] * 2
+    assert not open_ and [j.calls for j in made] == [len(script)] * 2
 
 
 # -- the engine's law against the per-terminal scorer's ----------------------
