@@ -275,6 +275,7 @@ def estimate_R_hat(o, state, terminals, params, rng):
     has_chi[list(pushes)] = True  # not p_hat > 0: alpha * x can underflow
     k, n_s, h = us.size, params.n_s, heavy.size
     clen, start = np.zeros((2, k), dtype=np.int64)  # per walk: light list
+    need = np.zeros(k, dtype=bool)  # light walks with a chi candidate
     if h:
         # distinct terminals ds in first-appearance order, each with its
         # occurrence count; inv maps each walk to its ds entry
@@ -288,6 +289,7 @@ def estimate_R_hat(o, state, terminals, params, rng):
         pool = du - is_nbr.sum(axis=1)[inv]
         lo = np.flatnonzero((pool > 0) & (du < 2 * h))  # the light walks
         cand, clen[lo], start[lo] = _light_out(o, us[lo], is_heavy)
+        need[lo] = np.logical_or.reduceat(has_chi[cand], start[lo])  # clen >= 1
     else:  # V_P empty: no V_P neighbor to sum over, no light terminal
         o.adj_many(us[:0], heavy)  # the ADJ batch, terminals x V_P, is empty
         pool, cand, ds = du, us[:0], us[:0]
@@ -299,7 +301,7 @@ def estimate_R_hat(o, state, terminals, params, rng):
         for a in range(0, k, step):
             ts, nodes = _sample_block(
                 o, us, a + np.flatnonzero(pool[a:a + step] > 0),
-                (cand, clen, start), is_heavy if h else None, n_s, rng)
+                (cand, clen, start), need, is_heavy if h else None, n_s, rng)
             hit = np.flatnonzero(has_chi[nodes])  # chi is 0 off has_chi
             who = ts[hit // n_s]
             yield us[who] * n + nodes[hit], ds.size + who
@@ -377,21 +379,23 @@ def _pick(picks, rows, x, out):
     return np.take(cand, idx, out=out, mode="clip")
 
 
-def _sample_block(o, us, ts, picks, is_heavy, n_s, rng):
+def _sample_block(o, us, ts, picks, need, is_heavy, n_s, rng):
     """n_s samples for us[j], j in `ts` ascending: `ts` with its light
-    terminals (clen > 0 in picks) first, and the samples, n_s per j in
-    that order, in scratch `cur`.  is_heavy: V_P mask, None if empty.
-    The rest retry V_P hits until none is open; d_out >= 2|V_P| there,
-    so a try lands off V_P with probability at least 1/2."""
+    terminals (clen > 0 in picks) in `need` first, less the light ones
+    not in it, whose samples cannot have chi (their uniforms are drawn),
+    and the samples, n_s per j in that order, in scratch `cur`.
+    is_heavy: V_P mask, None if empty.  The rest retry V_P hits until
+    none is open; d_out >= 2|V_P| there, so a try lands off V_P with
+    probability at least 1/2."""
     x = _scratch_array("us", ts.size * n_s, np.float64).reshape(-1, n_s)
     rng.random(out=x)  # a row per terminal of ts
-    light = picks[1][ts] > 0
-    ts = np.concatenate((ts[light], ts[~light]))
-    split = np.count_nonzero(light)
-    nodes = _scratch_array("cur", x.size, np.int64)
+    light, pick = picks[1][ts] > 0, need[ts]
+    ts = np.concatenate((ts[pick], ts[~light]))
+    split = np.count_nonzero(pick)
+    nodes = _scratch_array("cur", ts.size * n_s, np.int64)
     if split:
-        _pick(picks, ts[:split], x[light],
-              nodes[:split * n_s].reshape(-1, n_s))
+        _pick(picks, ts[:split], x[pick], nodes[:split * n_s].reshape(-1, n_s))
+    if ts.size - split < len(x):  # some row of x is light
         x = x[~light]
     tried = nodes[split * n_s:]  # the first tries: their own uniforms
     tried[:] = o.out_step_many(us[ts[split:]].repeat(n_s), x.ravel())

@@ -281,15 +281,28 @@ def approx_contributions(o, t, alpha, r_max):
     return Push(_leveled_backward(o, t, alpha, None, o.in_scans, settle), r)
 
 
-def _merge(ids, weights, slot):
+def _merge(ids, weights, slot, memo=None):
     """Each id of `ids` once, in first-appearance order, with its weights
     summed left to right from 0.0, or its count without them (bincount).
-    Written last to first, scratch slot[u] ends as u's first position."""
-    pos = positions(ids.size)
-    slot[ids[::-1]] = pos[::-1]
-    at = slot[ids]
-    first = at == pos
-    return ids[first], np.bincount(at, weights, ids.size)[first]
+    Written last to first, scratch slot[u] ends as u's first position.
+    0 or 1 ids return as they are, with the count 1 or weight + 0.0.  A
+    caller's `memo` list keeps the last read-only ids (a reference, never
+    recycled; no one writes them), their first positions and distinct
+    ids: those ids again are one bincount and one gather, same keys."""
+    if ids.size < 2:
+        return ids, (np.ones(ids.size, np.intp) if weights is None
+                     else weights + 0.0)
+    if memo and memo[0] is ids:
+        _, at, first, keys = memo
+    else:
+        pos = positions(ids.size)
+        slot[ids[::-1]] = pos[::-1]
+        at = slot[ids]
+        first = np.flatnonzero(at == pos)
+        keys = ids[first]
+        if memo is not None and not ids.flags.writeable:
+            memo[:] = ids, at, first, keys
+    return keys, np.bincount(at, weights, ids.size)[first]
 
 
 def _leveled_backward(o, t, alpha, L, push, settle=None):
@@ -306,13 +319,15 @@ def _leveled_backward(o, t, alpha, L, push, settle=None):
     with the sum of its pushes added left to right from 0.0 (`_merge`),
     so values, key order and queries are those of a dict filled push by
     push; one `_merge` of all levels sums the estimates, in level order.
-    With `settle`, L is None: settle(vs, rv) takes each level, level 0
-    too, before it is recorded, and returns the part of it to push; the
-    loop runs until a push reads nothing.
+    The level merges share a memo, so a frontier read whole twice (the
+    scan's read-only plan ids again) merges without a scatter into the
+    same frontier array.  With `settle`, L is None: settle(vs, rv) takes
+    each level, level 0 too, before it is recorded, and returns the part
+    of it to push.  The loop stops before an empty push.
     """
     if settle is None:
         check_counts(L=L)
-    slot = np.empty(o.node_count, dtype=np.intp)
+    slot, memo = np.empty(o.node_count, dtype=np.intp), []  # memo: _merge's
     keep = np.asarray(1.0 - alpha)  # 0-d: no Python-float conversion
     vs, rv = np.array([t], dtype=np.intp), np.ones(1)
     levels, residues = [], []
@@ -326,10 +341,9 @@ def _leveled_backward(o, t, alpha, L, push, settle=None):
         if np.count_nonzero(rv) < rv.size:  # residues are >= 0: drop the zeros
             live = rv > 0.0
             vs, rv = vs[live], rv[live]
-        us, x = push(vs, keep * rv)
-        if not us.size:  # later levels would add, charge, draw nothing
+        if not vs.size:
             break
-        vs, rv = _merge(us, x, slot)
+        vs, rv = _merge(*push(vs, keep * rv), slot, memo)
     keys, est = _merge(np.concatenate(levels),
                        alpha * np.concatenate(residues), slot)
     return dict(zip(keys.tolist(), est.tolist()))
@@ -396,7 +410,8 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
     its first increment chi <= limit, and each entry before it, which
     the batch returns, pushes max(chi, theta).  Returns sparse
     per-source estimates of pi(s,t), summed in level order and keyed in
-    first-reach order, the order single_node_adaptive sums in.
+    first-reach order, the order single_node_adaptive sums in.  A repeated
+    frontier array (a `_merge` memo hit) reuses its argsort.
     """
     check_nodes(o.node_count, t=t)
     check_params(alpha=alpha, delta=delta, eps=eps, theta=theta)
@@ -404,11 +419,16 @@ def rbs_single_target(o, t, alpha, delta, theta, rng, L=None, eps=0.5):
         L = rbs_levels(alpha, delta, eps)
     theta = np.asarray(theta, dtype=np.float64)  # 0-d operands
     below = np.nextafter(theta, 0.0, out=np.empty(()))  # chi < theta: chi <= below
+    seen = [None]  # the last frontier pushed, its argsort and sorted copy
 
     def push(vs, spread):
-        order = vs.argsort(kind="stable")  # distinct ids in few runs: timsort
-        lim = np.minimum(rng.random(vs.size) * theta, below)
-        us, chi, _ = o.in_sorted_scans(vs[order], spread[order], lim)
+        if seen[0] is not vs:  # a _merge memo hit returns the same frontier
+            order = vs.argsort(kind="stable")  # distinct ids in few runs
+            seen[:] = vs, order, vs[order]
+        _, order, ordered = seen
+        lim = rng.random(vs.size)  # min(uniform * theta, below), in place
+        np.minimum(np.multiply(lim, theta, out=lim), below, out=lim)
+        us, chi, _ = o.in_sorted_scans(ordered, spread[order], lim)
         return us, np.maximum(chi, theta)  # chi, or theta below it
 
     return _leveled_backward(o, t, alpha, L, push)

@@ -33,11 +33,12 @@ operand rule: int32 storage (the CSR), intp gather indices and float64
 divisors (_out_degf, _out_ptr).  Those tables and the ADJ keys are
 read-only, built by the first batch that reads them and kept with the
 graph (graph.derived).  A handle keeps one read plan, the last scan
-batch's list array, a copy of its nodes, and their entry ids (read-only,
-as in_scans returns them), list lengths and divisors; a scan of the
-same array over equal node values reads the plan instead of the CSR
-(leveled loops often repeat a frontier), and any other scan replaces
-it.  Spreads, limits, halts and charges are computed per call.  A
+batch's list array, a copy of its nodes, and their entry ids (read-only
+and never written; in_scans returns them, and in_sorted_scans does when
+no list halts), list lengths and divisors; a scan of the same array
+over equal node values reads the plan instead of the CSR (leveled
+loops often repeat a frontier), and any other scan replaces it.
+Spreads, limits, halts and charges are computed per call.  A
 malformed batch charges and draws nothing: each raises ValueError,
 naming itself, for an element argument that is neither one value nor
 one per node.  `_nodes` checks the ids given to `deg_out_many`,
@@ -437,11 +438,14 @@ class OracleHandle:
             stop = np.zeros(chi.size + 1, dtype=bool)
             np.less_equal(chi, lim.repeat(lens), out=stop[1:])
             halted = stop[ends] & filled
-            keep = ~stop[1:]
-            read = nbrs[keep], chi[keep], halted
-            paid = read[0].size + int(np.count_nonzero(halted))
+            stopped = int(np.count_nonzero(halted))
+            read = nbrs, chi, halted  # nothing halted: the plan's own ids
+            if stopped:
+                keep = ~stop[1:]
+                read = nbrs[keep], chi[keep], halted
+            paid = read[0].size + stopped
             if self.virtual is not None:  # s' read, kept or stopping, is free
-                kept = np.append(0, keep.cumsum())
+                kept = np.append(0, np.cumsum(~stop[1:]))
                 stops = (ends - lens + kept[ends] - kept[ends - lens])[halted]
                 paid = self._paid(read[0]) + self._paid(nbrs[stops])
         self.stats.deg_in += self._paid(vs)
@@ -465,7 +469,8 @@ class OracleHandle:
         d_out(u) is <= lim[j] (the whole list if none), charging exactly
         those queries.  Returns (nbrs, chi, halted): the intp ids and
         increments of the entries read with chi > lim[j], scan after
-        scan, and per list whether it read that stop entry."""
+        scan, and per list whether it read that stop entry.  If none did,
+        the ids are the read plan's own read-only array, as in in_scans."""
         if not self.caps.in_sorted:
             raise CapabilityDisabled("IN-SORTED is not enabled")
         paid, read = self._scan("in_sorted_scans", self.graph.in_sorted, vs,

@@ -2,10 +2,11 @@ import inspect
 import math
 import re
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pprquery import (classic, OracleHandle, Capabilities, CapabilityDisabled,
                       exact_single_source, exact_single_target,
@@ -16,6 +17,7 @@ from pprquery.classic import (_walk_terminals, monte_carlo_pair,
                               bippr_pair, rbs_single_target,
                               single_target_jump_mc, single_target_bidir_jump,
                               default_r_max_pair, rbs_levels)
+from pprquery.oracle import QUERY_KINDS
 from pprquery.single_node import (single_node_adaptive, single_node_avg_jump,
                                   single_node_avg_full)
 from conftest import (chain_graph, singleton_graph, cycle_graph,
@@ -203,6 +205,32 @@ class TestApproxContributions:
                 pu = p.get(u, 0.0)
                 assert abs(tv[u] - (pu + row @ r)) <= 1e-9
                 assert pu - 1e-9 <= tv[u] < pu + r_max + 1e-9
+
+    @pytest.mark.parametrize("g,t,r_max,sizes,p,r,charged", [
+        (chain_graph(), 1, 0.05, [1] + [2] * 13,
+         {1: 0.9560195348889604, 0: 0.7560195348889602},
+         [0.043980465111040035] * 2, (27, 28)),
+        (singleton_graph(), 0, 0.1, [1] * 11, {0: 0.9141006540800003},
+         [0.08589934592000005], (11, 11))], ids=["chain", "singleton"])
+    def test_no_empty_scan_batch(self, g, t, r_max, sizes, p, r, charged):
+        # the push stops once no residue reaches r_max, without a last
+        # zero-node in_scans batch; estimates and charges are those the
+        # loop had when it still ran that batch
+        batches, real = [], OracleHandle.in_scans
+
+        def spy(self, vs, spread):
+            batches.append(len(vs))
+            return real(self, vs, spread)
+
+        o = handle(g)
+        with mock.patch.object(OracleHandle, "in_scans", spy):
+            got = approx_contributions(o, t, A, r_max)
+        assert batches == sizes
+        assert list(got.p.items()) == list(p.items()) and got.r.tolist() == r
+        deg_in, edges = charged
+        assert o.stats.as_dict() == {
+            **dict.fromkeys(QUERY_KINDS, 0), "deg_in": deg_in,
+            "deg_out": edges, "in": edges, "total": deg_in + 2 * edges}
 
     def test_average_cost_scales_with_d_over_rmax(self):
         # Eq-(4)-style bound: mean pushes cost over all targets <= c*d/r_max
@@ -392,23 +420,40 @@ def _merge_case(draw, n, size, weighted):
             None if weights is None else np.array(weights))
 
 
+@st.composite
+def merge_cases(draw):
+    """(n, an earlier call's (ids, weights), this call's (ids, weights))."""
+    n = draw(st.integers(1, 12))
+    return (n, _merge_case(draw, n, 30, draw(st.booleans())),
+            _merge_case(draw, n, 40, draw(st.booleans())))
+
+
+def _ids(*ids):
+    return np.array(ids, dtype=np.intp)
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(1, 12), weighted=st.booleans())
-def test_merge_matches_dict_loop(data, n, weighted):
+@given(case=merge_cases())
+@example(case=(3, (_ids(2, 0), None), (_ids(), None)))
+@example(case=(3, (_ids(2, 0), None), (_ids(), np.zeros(0))))
+@example(case=(3, (_ids(2, 0), np.ones(2)), (_ids(1), None)))
+@example(case=(3, (_ids(2, 0), np.ones(2)), (_ids(1), np.array([-0.0]))))
+def test_merge_matches_dict_loop(case):
     """classic._merge returns each id once, in first-appearance order,
     with its weights summed left to right from 0.0 (bit-equal to a dict
     filled id by id), or its count without weights, whatever an earlier
-    call left in the slot."""
+    call left in the slot; 0 or 1 ids too, where it returns them as
+    they are."""
+    n, stale, (ids, weights) = case
     slot = np.empty(n, dtype=np.intp)
-    stale = _merge_case(data.draw, n, 30, data.draw(st.booleans()))
     classic._merge(*stale, slot)
-    ids, weights = _merge_case(data.draw, n, 40, weighted)
     want = {}
     for u, w in zip(ids.tolist(), [1] * ids.size if weights is None
                     else weights.tolist()):
         want[u] = want.get(u, 0 if weights is None else 0.0) + w
     keys, sums = classic._merge(ids, weights, slot)
     assert keys.tolist() == list(want)
+    assert keys is ids or ids.size > 1
     if weights is None:
         assert sums.dtype.kind == "i" and sums.tolist() == list(want.values())
     else:
@@ -436,6 +481,13 @@ class TestRbs:
         g, t = relay_fan_graph()
         chi = (1 - A) * ((1 - A) / 32) / 30  # per-edge increment of a relay push
         self.assert_matches_reference(g, t, A, scale * chi, 4, seed)
+
+    @pytest.mark.parametrize("graph", ["cycle", "complete", "chain"])
+    def test_matches_scalar_reference_repeating(self, graph):
+        # frontiers read whole, repeated (complete, chain) or alternating
+        # between two of one size (cycle): a level's argsort is its own
+        g, t = REPEATING[graph]
+        self.assert_matches_reference(g, t, A, 1e-12, 30, 5)
 
     @staticmethod
     def assert_matches_reference(g, t, alpha, theta, L, seed):
@@ -527,6 +579,73 @@ class TestRbs:
         from pprquery.harness import fit_scaling
         slope, _ = fit_scaling(thetas, costs)
         assert abs(slope - (-1.0)) <= 0.15
+
+
+def bits(xs):
+    return np.asarray(xs, dtype=np.float64).view(np.uint64).tolist()
+
+
+def bidirectional_cycle(k):
+    """i <-> i + 1 mod k: at an even k the frontiers alternate between
+    two node sets of equal size, whose scans differ but have one shape."""
+    return build_graph([(i, (i + d) % k) for i in range(k) for d in (1, -1)], k)
+
+
+def complete_graph(k):
+    """Every ordered pair of nodes, loops too: from level 1 on every
+    level's frontier is all k nodes in id order, read whole."""
+    return build_graph([(u, v) for u in range(k) for v in range(k)], k)
+
+
+# graph, target: each level reads its lists whole (rbs at a small theta)
+REPEATING = {"cycle": (bidirectional_cycle(4), 0),
+             "complete": (complete_graph(5), 2),
+             "chain": (chain_graph(), 1)}  # frontier {0, 1} from level 2 on
+LEVELED = {
+    "rbs": lambda o, t, rng: rbs_single_target(o, t, A, 0.1, 1e-12, rng, L=30),
+    "power_iteration": lambda o, t, rng: power_iteration_target(o, t, A, 30),
+    "approx_contributions":
+        lambda o, t, rng: approx_contributions(o, t, A, 1e-4),
+}
+
+
+@pytest.mark.parametrize("graph", REPEATING)
+@pytest.mark.parametrize("name", LEVELED)
+def test_level_memo_matches_fresh_merges(name, graph):
+    """A level that pushes the last level's read-only scan ids again
+    reuses _merge's memo: the same estimate bits, key order, queries and
+    RNG end state as a run whose merges ignore it.  On the complete graph
+    and the chain the memo is hit, and rbs scans its sorted frontier
+    array of the level before again; on the even cycle consecutive
+    merges take same-shape arrays that differ, and neither happens."""
+    g, t = REPEATING[graph]
+    merge, scan, runs = classic._merge, OracleHandle.in_sorted_scans, []
+    for use in (False, True):
+        hits, same_shape, scanned = [], [], []
+
+        def spy(ids, weights, slot, memo=None):
+            if memo:
+                hits.append(memo[0] is ids)
+                same_shape.append(memo[0].shape == ids.shape)
+            return merge(ids, weights, slot, memo if use else None)
+
+        def scan_spy(self, vs, *args):
+            scanned.append(vs)  # kept: no id is recycled
+            return scan(self, vs, *args)
+
+        o = OracleHandle(g, Capabilities(in_sorted=True), seed=3)
+        rng = np.random.default_rng(5)
+        with mock.patch.object(classic, "_merge", spy), \
+                mock.patch.object(OracleHandle, "in_sorted_scans", scan_spy):
+            got = LEVELED[name](o, t, rng)
+        rescans = any(a is b for a, b in zip(scanned, scanned[1:]))
+        assert rescans == (use and name == "rbs" and graph != "cycle")
+        p, r = got if name == "approx_contributions" else (got, np.zeros(0))
+        runs.append((list(p), bits(list(p.values())), bits(r),
+                     o.stats.as_dict(), rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert any(hits) == (graph != "cycle")
+    assert graph != "cycle" or any(same_shape)
 
 
 class TestJumpFamily:

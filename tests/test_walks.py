@@ -545,6 +545,23 @@ def test_scan_plan_matches_fresh_handles(view, g, data):
         assert walk.called
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["handle", "view"])
+def test_sorted_scan_returns_plan_ids_unless_a_list_halts(view):
+    """With no list halted, in_sorted_scans returns the read plan's own
+    read-only id array, as in_scans does; a batch in which a list halts
+    returns a fresh copy of the entries it keeps."""
+    g = random_graph(4, 30)
+    o = twin_oracles(g, view)[0]
+    vs = np.flatnonzero(g.in_deg >= 2)[:3]  # the second one halts below
+    whole = o.in_sorted_scans(vs, 0.5, -1.0)  # no chi is <= -1: read whole
+    assert not whole[2].any()
+    assert whole[0] is o._plan[2] and not whole[0].flags.writeable
+    cut = o.in_sorted_scans(vs, 0.5, [-1.0, math.inf, -1.0])
+    assert cut[2].tolist() == [False, True, False] and cut[0].flags.writeable
+    assert cut[0].size < whole[0].size
+    assert not any(np.shares_memory(cut[0], a) for a in o._plan)
+
+
 def reference_cover_sources(o):
     """The one-JUMP-at-a-time cover that jump_cover replaced."""
     n = o.node_count
@@ -1475,6 +1492,37 @@ def test_scores_match_in_every_sampling_class(case):
     if rejection_free(g, view, state, terminals):
         assert_scores_match(g, view, 0, terminals, 7,
                             reference=per_terminal_R_hat, **mult)
+
+
+def test_pick_skips_light_walks_without_chi(monkeypatch):
+    """_pick samples only the light walks with a candidate that has chi:
+    a sample of any other cannot score, so its uniforms are drawn and
+    left unused, and the scores, charges and generators stay those of
+    the round order.  Some light walk in these cases has no such
+    candidate."""
+    picks, rows, pick, block = [], [], bidir._pick, bidir._sample_block
+    monkeypatch.setattr(bidir, "_pick",
+                        lambda *a: rows.extend(a[1].tolist()) or pick(*a))
+    monkeypatch.setattr(bidir, "_sample_block",
+                        lambda *a: picks.append(a[3]) or block(*a))
+    skipped = 0
+    for gseed, n, d, view, mult, classes in SCORING_CASES:
+        if "light" not in classes:
+            continue
+        g = random_graph(gseed, n, d=d)
+        picks.clear()
+        rows.clear()
+        state = assert_scores_match(g, view, 0,
+                                    scoring_case_terminals(g, gseed, view), 7,
+                                    **mult)
+        chi = {v for lv in state.pushed_amount[:state.params.L]
+               for v, x in lv.items() if x > 0.0}
+        cand, clen, start = picks[0]
+        has = [bool(chi & set(cand[a:a + c].tolist()))
+               for a, c in zip(start.tolist(), clen.tolist())]
+        assert all(has[r] for r in rows)
+        skipped += sum(c > 0 and not h for c, h in zip(clen.tolist(), has))
+    assert skipped
 
 
 def test_scores_match_across_blocks(monkeypatch):
